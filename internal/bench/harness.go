@@ -12,11 +12,13 @@ import (
 // M is the per-repetition measurement context handed to a scenario body —
 // the harness's stand-in for *testing.B. The body reports how many
 // logical operations one repetition performed (SetOps), per-phase
-// wall-clock splits (RecordPhases) and individual request latencies
-// (RecordLatency); the harness supplies timing and allocation deltas.
+// wall-clock splits (RecordPhases), what it counted (RecordCount) and
+// individual request latencies (RecordLatency); the harness supplies
+// timing and allocation deltas.
 type M struct {
 	ops    int
 	phases map[string]time.Duration
+	counts map[string]float64
 	hist   *latency.Histogram
 }
 
@@ -38,6 +40,15 @@ func (m *M) RecordPhases(t core.PhaseTimes) {
 	for name, d := range t.Map() {
 		m.RecordPhase(name, d)
 	}
+}
+
+// RecordCount reports something the repetition counted rather than timed
+// (e.g. the epochs a stopped fit ran): the work behind the wall clock.
+func (m *M) RecordCount(name string, v float64) {
+	if m.counts == nil {
+		m.counts = map[string]float64{}
+	}
+	m.counts[name] = v
 }
 
 // RecordLatency adds one per-operation latency observation (e.g. a single
@@ -104,6 +115,10 @@ type ScenarioResult struct {
 	// PhaseNs breaks the fastest repetition down by pipeline phase
 	// (keys from core.PhaseTimes.Map).
 	PhaseNs map[string]float64 `json:"phase_ns,omitempty"`
+	// Counts is what the fastest repetition counted, for scenarios that
+	// record any (RecordCount). Additive and omitted when empty, so
+	// reports without it still read under the same SchemaVersion.
+	Counts map[string]float64 `json:"counts,omitempty"`
 	// Latency summarizes per-operation latencies across all measured
 	// repetitions, for scenarios that record them.
 	Latency *LatencyDoc `json:"latency,omitempty"`
@@ -191,6 +206,7 @@ func RunScenario(sc Scenario, opt Options) (ScenarioResult, error) {
 					res.PhaseNs[name] = float64(d.Nanoseconds())
 				}
 			}
+			res.Counts = m.counts
 		}
 		opt.logf("  rep %d/%d: %v", rep+1, reps, dur.Round(time.Microsecond))
 	}

@@ -13,8 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenReport is a fully-populated report with fixed values, covering
-// every field of the schema including phase durations and latency
-// percentiles.
+// every field of the schema including phase durations, counts and
+// latency percentiles.
 func goldenReport() Report {
 	return Report{
 		SchemaVersion: SchemaVersion,
@@ -41,6 +41,7 @@ func goldenReport() Report {
 					"aggregation": 20000000,
 					"combination": 13456789,
 				},
+				Counts: map[string]float64{"epochs": 9},
 			},
 			{
 				Scenario:  "serve/edge-lookup/n=100",

@@ -52,8 +52,18 @@ func TestScenariosEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comb.NsPerOp <= 0 || comb.PhaseNs["combination"] <= 0 {
+	if comb.NsPerOp <= 0 || comb.PhaseNs["combination"] <= 0 || comb.Counts["epochs"] < 1 {
 		t.Errorf("combine scenario missing measurements: %+v", comb)
+	}
+
+	// The planted teacher must make the fit converge: neither spend only
+	// its patience on unlearnable labels nor count to the 100-epoch cap.
+	lr, err := RunScenario(LogregTrainScenario(2048), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := lr.Counts["epochs"]; lr.NsPerOp <= 0 || e <= 4 || e >= 100 {
+		t.Errorf("logreg train scenario ran %v epochs: %+v", e, lr)
 	}
 
 	load, err := RunScenario(ArtifactLoadScenario(50), opt)

@@ -2,8 +2,12 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"locec/internal/eval"
+	"locec/internal/graph"
+	"locec/internal/logreg"
 	"locec/internal/social"
 	"locec/internal/wechat"
 )
@@ -90,5 +94,95 @@ func TestCombineProbabilitiesWellFormed(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// capFit is the plainest optimiser of the paper's Eq. 4 objective: softmax
+// regression by mini-batch SGD on the raw features at a fixed step for a
+// fixed number of epochs, every row trained on, nothing held out — what the
+// combiner's fit was before it learned to stop. The stopped fit answers to
+// the objective, not to this trajectory, so it is held to this one's
+// quality, not to its weights.
+func capFit(X [][]float64, y []int, classes, epochs int, seed int64) *logreg.Model {
+	const batch, lr = 32, 0.1
+	nf := len(X[0])
+	m := &logreg.Model{Classes: classes, Features: nf, W: make([]float64, classes*(nf+1))}
+	rng := rand.New(rand.NewSource(seed))
+	idx := rng.Perm(len(X))
+	grads := make([]float64, len(m.W))
+	probs := make([]float64, classes)
+	for e := 0; e < epochs; e++ {
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		for start := 0; start < len(idx); start += batch {
+			rows := idx[start:min(start+batch, len(idx))]
+			clear(grads)
+			for _, i := range rows {
+				m.PredictProbaInto(X[i], probs)
+				probs[y[i]] -= 1
+				for c, g := range probs {
+					w := grads[c*(nf+1) : (c+1)*(nf+1)]
+					for f, v := range X[i] {
+						w[f] += g * v
+					}
+					w[nf] += g
+				}
+			}
+			for i, g := range grads {
+				m.W[i] -= lr / float64(len(rows)) * g
+			}
+		}
+	}
+	return m
+}
+
+// TestStoppedCombinerKeepsCapQuality pins Phase III quality in tier-1: at
+// n=1000 with XGB the combiner's validation-stopped fit must stop well
+// short of its cap and still label the unrevealed edges within 0.01
+// macro-F1 of a fit driven through all 100 epochs.
+func TestStoppedCombinerKeepsCapQuality(t *testing.T) {
+	net, err := wechat.Generate(wechat.DefaultConfig(1000, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RunSurvey(0.4, 49)
+	ds := net.Dataset
+	p := NewPipeline(Config{
+		Division:   DivisionConfig{Detector: DetectorLabelProp, Seed: 1},
+		Classifier: &XGBClassifier{Seed: 1},
+		Seed:       1,
+	})
+	res, err := p.Run(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epochCap = 100 // logreg's default Config.Epochs
+	if got := res.Combiner.EpochsRun; got < 1 || got > epochCap/2 {
+		t.Fatalf("combiner ran %d epochs of a cap of %d: the stop did not engage", got, epochCap)
+	}
+
+	labeled := ds.LabeledEdges()
+	X := make([][]float64, len(labeled))
+	y := make([]int, len(labeled))
+	for i, k := range labeled {
+		e := graph.EdgeFromKey(k)
+		X[i] = AppendEdgeFeatures(nil, res.Egos, e.U, e.V)
+		y[i] = int(ds.TrueLabels[k])
+	}
+	capped := capFit(X, y, social.NumLabels, epochCap, 1)
+
+	var truth, stoppedPred, cappedPred []social.Label
+	ds.G.ForEachEdge(func(u, v graph.NodeID) {
+		k := (graph.Edge{U: u, V: v}).Key()
+		if l := ds.TrueLabels[k]; l.Valid() && !ds.Revealed[k] {
+			truth = append(truth, l)
+			stoppedPred = append(stoppedPred, res.PredictedLabel(u, v))
+			cappedPred = append(cappedPred, social.Label(capped.Predict(AppendEdgeFeatures(nil, res.Egos, u, v))))
+		}
+	})
+	stoppedF1 := eval.Evaluate(truth, stoppedPred).MacroF1()
+	cappedF1 := eval.Evaluate(truth, cappedPred).MacroF1()
+	t.Logf("%d rows, stopped after %d epochs: macro-F1 %.4f; %d epochs: %.4f", len(X), res.Combiner.EpochsRun, stoppedF1, epochCap, cappedF1)
+	if math.Abs(stoppedF1-cappedF1) > 0.01 {
+		t.Fatalf("stopped fit macro-F1 %.4f, %d-epoch fit %.4f: more than 0.01 apart", stoppedF1, epochCap, cappedF1)
 	}
 }

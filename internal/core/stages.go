@@ -54,8 +54,12 @@ func (p *Pipeline) ClassifyCommunities(ds *social.Dataset, comms []*LocalCommuni
 }
 
 // TrainCombiner is the Phase III training stage: fit the logistic
-// regression on the revealed edges' features and install it on the result.
-// Under the agreement-rule ablation there is nothing to train.
+// regression on the revealed edges' raw features and install it on the
+// result. logreg.Train standardises the columns itself, holds out a seeded
+// tenth of the rows and stops when their loss stops falling —
+// cfg.Combiner.Epochs is only the cap, and res.Combiner.EpochsRun says
+// where the fit ended. Under the agreement-rule ablation there is nothing
+// to train.
 func (p *Pipeline) TrainCombiner(ds *social.Dataset, res *Result) error {
 	if p.cfg.AgreementRule {
 		return nil

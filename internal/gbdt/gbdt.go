@@ -9,7 +9,7 @@
 // persistent workers with per-worker scratch. The trainer is deterministic
 // by construction: Config.Workers changes wall-clock time, never the
 // trees. The exact sort-based enumeration is retained in
-// split_reference.go as the equivalence oracle.
+// split_reference_test.go as the equivalence oracle.
 //
 // Besides class probabilities, the model exposes the per-tree leaf values
 // for an input — the "community embedding" LoCEC-XGB feeds to its edge

@@ -11,7 +11,7 @@ import (
 // the node's rows accumulating per-bin gradient/hessian/count and (2) one
 // left-to-right scan over the bins — O(rows + bins) per feature instead
 // of the exact path's O(rows·log rows) sort. The exact enumeration is
-// retained in split_reference.go as the equivalence oracle.
+// retained in split_reference_test.go as the equivalence oracle.
 //
 // Determinism is by construction, not by accident:
 //

@@ -1,6 +1,6 @@
 package gbdt
 
-// Retained exact sort-based GBDT trainer, mirroring nn/conv_reference.go:
+// Retained exact sort-based GBDT trainer, mirroring nn/conv_reference_test.go:
 // trainReference is the pre-histogram implementation kept verbatim so the
 // equivalence tests can assert the histogram-binned parallel path produces
 // identical trees on small inputs and 1e-12-close predictions everywhere.

@@ -3,8 +3,12 @@ package logreg
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"locec/internal/tensor"
 )
 
 func blobs(n, classes int, seed int64) ([][]float64, []int) {
@@ -33,6 +37,40 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Train([][]float64{{1}}, []int{3}, Config{Classes: 2}); err == nil {
 		t.Fatal("bad label accepted")
+	}
+}
+
+// TestValidationHostileRows: a ragged row would be silently truncated or
+// zero-padded by the flattening, and one non-finite feature poisons its
+// column's mean and every weight after it. Both are refused with the
+// offending row (and column).
+func TestValidationHostileRows(t *testing.T) {
+	huge := math.MaxFloat64
+	cases := []struct {
+		name string
+		bad  []float64 // replaces row 2 of a clean 4×3 set
+		want string
+	}{
+		{"short row", []float64{1, 2}, "row 2 has 2 features"},
+		{"long row", []float64{1, 2, 3, 4}, "row 2 has 4 features"},
+		{"NaN", []float64{1, math.NaN(), 3}, "row 2, column 1"},
+		{"+Inf", []float64{math.Inf(1), 2, 3}, "row 2, column 0"},
+		{"-Inf", []float64{1, 2, math.Inf(-1)}, "row 2, column 2"},
+		{"finite but overflowing", []float64{1, 2, huge}, "column 2 overflows"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			X := [][]float64{{0, 1, 2}, {1, 0, 1}, tc.bad, {2, 2, 0}}
+			y := []int{0, 1, 0, 1}
+			for name, train := range map[string]func([][]float64, []int, Config) (*Model, error){
+				"Train": Train, "trainReference": trainReference,
+			} {
+				_, err := train(X, y, Config{Classes: 2})
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: error %v, want one naming %q", name, err, tc.want)
+				}
+			}
+		})
 	}
 }
 
@@ -97,13 +135,117 @@ func TestProbabilitiesValidProperty(t *testing.T) {
 	}
 }
 
+// TestDeterministic: Train is a serial function of (X, y, cfg) — the same
+// seed gives the same weights and the same stop, at any scheduler width.
+// The set is large enough to hold rows out.
 func TestDeterministic(t *testing.T) {
-	X, y := blobs(120, 3, 7)
-	m1, _ := Train(X, y, Config{Classes: 3, Epochs: 10, Seed: 8})
-	m2, _ := Train(X, y, Config{Classes: 3, Epochs: 10, Seed: 8})
-	for i := range m1.W {
-		if m1.W[i] != m2.W[i] {
-			t.Fatal("same seed produced different weights")
+	X, y := blobs(600, 3, 7)
+	cfg := Config{Classes: 3, Seed: 8}
+	m1, _ := Train(X, y, cfg)
+	m2, _ := Train(X, y, cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m3, _ := Train(X, y, cfg)
+	for _, m := range []*Model{m2, m3} {
+		if m.EpochsRun != m1.EpochsRun {
+			t.Fatalf("same seed ran %d epochs, then %d", m1.EpochsRun, m.EpochsRun)
+		}
+		for i := range m1.W {
+			if m1.W[i] != m.W[i] {
+				t.Fatal("same seed produced different weights")
+			}
+		}
+	}
+}
+
+// TestStopsOnUnlearnableLabels: with labels independent of the features
+// no epoch scores better on the hold-out than the untrained model the fit
+// starts from, so it ends once the patience is spent instead of counting
+// to the cap.
+func TestStopsOnUnlearnableLabels(t *testing.T) {
+	X, y := denseRows(3000, 60, 3, 21)
+	m, err := Train(X, y, Config{Classes: 3, Seed: 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.EpochsRun < 1 || m.EpochsRun > stopPatience+1 {
+		t.Fatalf("ran %d epochs on noise, want at most patience+1 = %d", m.EpochsRun, stopPatience+1)
+	}
+}
+
+// TestSmallSetRunsToCap: 40 rows cannot spare a hold-out, so nothing can
+// stop the fit before Config.Epochs — on the same noise that stops a
+// larger set at once.
+func TestSmallSetRunsToCap(t *testing.T) {
+	X, y := denseRows(40, 5, 3, 23)
+	m, err := Train(X, y, Config{Classes: 3, Epochs: 9, Seed: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.EpochsRun != 9 {
+		t.Fatalf("ran %d epochs, want the cap of 9", m.EpochsRun)
+	}
+}
+
+// TestDegenerateColumnsAndHoldOut: a constant column has no variance to
+// divide by and a hold-out of a single class has no second class to
+// score; neither may produce a NaN, and the constant columns must not
+// change what the model predicts.
+func TestDegenerateColumnsAndHoldOut(t *testing.T) {
+	X, _ := denseRows(400, 6, 3, 25)
+	for _, x := range X {
+		x[1] = 5   // constant, non-zero
+		x[4] = 0   // constant zero
+		x[5] = 0.1 // constant whose sum rounds: mean·n != Σ
+	}
+	y := make([]int, len(X)) // every row, so every held-out row, is class 0
+	m, err := Train(X, y, Config{Classes: 3, Seed: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range m.W {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			t.Fatalf("W[%d] = %v", i, w)
+		}
+	}
+	for _, x := range X[:50] {
+		if c := m.Predict(x); c != 0 {
+			t.Fatalf("predicted class %d on a one-class set", c)
+		}
+	}
+}
+
+// TestFoldBackMatchesStandardisedLogits: the published weights take raw
+// features. Their probabilities must equal the softmax of the fitted
+// standardised-space logits w·((x−mean)·inv) + b.
+func TestFoldBackMatchesStandardisedLogits(t *testing.T) {
+	X, y := teacherRows(500, 14, 3, 27)
+	cfg := Config{Classes: 3, Epochs: 12, Seed: 28}
+	m, err := Train(X, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.defaults()
+	mean, inv, err := columnStats(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, _ := fit(X, y, cfg, mean, inv)
+	fw := len(mean) + 1
+	want := make([]float64, cfg.Classes)
+	got := make([]float64, cfg.Classes)
+	for _, x := range X {
+		for c := range want {
+			want[c] = wb[c*fw]
+			for j, v := range x {
+				want[c] += wb[c*fw+1+j] * ((v - mean[j]) * inv[j])
+			}
+		}
+		tensor.Softmax(want, want)
+		m.PredictProbaInto(x, got)
+		for c := range want {
+			if d := math.Abs(got[c] - want[c]); d > 1e-12 {
+				t.Fatalf("class %d: raw-feature probability %v, standardised %v (|Δ| = %g)", c, got[c], want[c], d)
+			}
 		}
 	}
 }
