@@ -21,6 +21,7 @@ var suites = map[string]func() []Scenario{
 			PipelineScenario(100, 1.0),
 			TrainCommCNNScenario(100, 6),
 			CombineScenario(100),
+			DivideScenario("gn", 100),
 			DivideScenario("labelprop", 100),
 			DivideScenario("clauset", 100),
 			DivideScenario("lshell", 100),

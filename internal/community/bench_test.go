@@ -30,6 +30,18 @@ func BenchmarkGirvanNewmanEgo32(b *testing.B) {
 	}
 }
 
+// BenchmarkGirvanNewmanReferenceEgo32 is the whole-graph oracle on the graph
+// of BenchmarkGirvanNewmanEgo32: the permanent before/after of the
+// component-local kernel.
+func BenchmarkGirvanNewmanReferenceEgo32(b *testing.B) {
+	g := bench.EgoGraph(32, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		community.GirvanNewmanReference(g, community.Options{})
+	}
+}
+
 func BenchmarkGirvanNewmanEgo64Patience(b *testing.B) {
 	g := bench.EgoGraph(64, 3)
 	b.ReportAllocs()

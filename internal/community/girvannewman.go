@@ -1,12 +1,18 @@
 // Package community implements the community detection algorithms used in
 // LoCEC Phase I: the Girvan–Newman divisive algorithm (the paper's choice,
 // Section IV-A) driven by Brandes edge betweenness with modularity-based
-// best-cut selection, and an asynchronous label-propagation detector used
-// for ablation studies.
+// best-cut selection, label propagation and Louvain for ablation studies,
+// and the seed-grown local detectors (clauset, lshell, lemon).
+//
+// Girvan–Newman recomputes only what a removal changed: betweenness lives
+// in an edge-indexed array, is re-derived per connected component and only
+// for the components that lost an edge in the previous round, and every
+// buffer of a call comes from a pooled scratch (see GirvanNewman).
 package community
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"locec/internal/graph"
 )
@@ -28,6 +34,7 @@ func (p *Partition) NumCommunities() int { return len(p.Comms) }
 type Options struct {
 	// MaxRemovals caps the number of edge-removal rounds; 0 means no cap
 	// (run until the graph is edgeless, examining the full dendrogram).
+	// A round removes every edge tied for the highest betweenness.
 	MaxRemovals int
 	// Patience stops the run after this many consecutive rounds without a
 	// modularity improvement; 0 means never stop early. Ego networks are
@@ -38,124 +45,75 @@ type Options struct {
 // GirvanNewman detects communities by repeatedly removing the edge with the
 // highest betweenness (Girvan & Newman 2002) and returning the connected-
 // component partition with the highest modularity seen during the process.
+// Communities are numbered by their smallest node.
 //
-// The input graph is not modified. Ties in betweenness are removed together
-// in one round, which both accelerates the run and makes it deterministic.
+// The input graph is not modified. Ties in betweenness (within a relative
+// 1e-9 of the maximum) are removed together in one round, which both
+// accelerates the run and makes it deterministic.
+//
+// Removing an edge changes shortest paths only inside the component that
+// held it, so a round re-explores just the components that lost an edge,
+// re-runs Brandes only over those (each restricted to its own nodes) and
+// leaves every other component's betweenness as stored. Modularity is
+// recomputed only in rounds where a component actually split; a round
+// that splits nothing leaves the partition, hence Q, as it was and counts
+// as a round without improvement. The result is bit-identical to
+// recomputing every edge's betweenness over the whole graph each round:
+// an edge's betweenness is a float sum over the sources of its component
+// in ascending order and, per source, over nodes in reverse BFS order, and
+// both orders are kept (the tests pin this with == against the whole-graph
+// loop kept in girvannewman_reference_test.go).
 func GirvanNewman(g *graph.Graph, opt Options) *Partition {
-	n := g.NumNodes()
-	if n == 0 {
+	if g.NumNodes() == 0 {
 		return &Partition{Assign: []int{}, Comms: [][]graph.NodeID{}}
 	}
-	// Mutable adjacency copy (sorted slices; removals preserve order).
-	adj := make([][]graph.NodeID, n)
-	for u := 0; u < n; u++ {
-		ns := g.Neighbors(graph.NodeID(u))
-		adj[u] = append([]graph.NodeID(nil), ns...)
-	}
-	remaining := g.NumEdges()
-
-	best := partitionFromAdj(g, adj)
-	bestQ := best.Q
+	s := gnPool.Get().(*gnScratch)
+	s.load(g)
+	bestQ := s.modularity()
+	copy(s.best, s.comp)
 	noImprove := 0
 	rounds := 0
-
-	bc := newBetweennessCalc(n)
-	for remaining > 0 {
+	for len(s.live) > 0 {
 		if opt.MaxRemovals > 0 && rounds >= opt.MaxRemovals {
 			break
 		}
 		rounds++
-		eb := bc.edgeBetweenness(adj)
-		// Find the maximum and remove every edge within a relative epsilon
-		// of it (handles exact symmetric ties deterministically).
-		maxB := 0.0
-		for _, b := range eb {
-			if b > maxB {
-				maxB = b
+		if s.removeMax() {
+			if q := s.modularity(); q > bestQ+1e-12 {
+				bestQ = q
+				copy(s.best, s.comp)
+				noImprove = 0
+				continue
 			}
 		}
-		if maxB == 0 {
-			break // only isolated vertices remain
-		}
-		thresh := maxB * (1 - 1e-9)
-		var doomed []graph.Edge
-		for k, b := range eb {
-			if b >= thresh {
-				doomed = append(doomed, graph.EdgeFromKey(k))
-			}
-		}
-		sort.Slice(doomed, func(i, j int) bool {
-			if doomed[i].U != doomed[j].U {
-				return doomed[i].U < doomed[j].U
-			}
-			return doomed[i].V < doomed[j].V
-		})
-		for _, e := range doomed {
-			removeEdge(adj, e.U, e.V)
-			remaining--
-		}
-		p := partitionFromAdj(g, adj)
-		if p.Q > bestQ+1e-12 {
-			bestQ = p.Q
-			best = p
-			noImprove = 0
-		} else {
-			noImprove++
-			if opt.Patience > 0 && noImprove >= opt.Patience {
-				break
-			}
+		noImprove++
+		if opt.Patience > 0 && noImprove >= opt.Patience {
+			break
 		}
 	}
-	return best
+	p := s.partition(bestQ)
+	gnPool.Put(s)
+	return p
 }
 
-func removeEdge(adj [][]graph.NodeID, u, v graph.NodeID) {
-	adj[u] = removeFromSorted(adj[u], v)
-	adj[v] = removeFromSorted(adj[v], u)
-}
-
-func removeFromSorted(s []graph.NodeID, v graph.NodeID) []graph.NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
+// EdgeBetweenness computes unweighted shortest-path edge betweenness on an
+// immutable graph (Brandes 2001, edge variant). Keys are canonical edge
+// keys; values are summed over all source nodes (each unordered pair is
+// counted twice, which is irrelevant for ranking). Exposed for tests and
+// for callers who want raw centrality scores.
+func EdgeBetweenness(g *graph.Graph) map[uint64]float64 {
+	out := make(map[uint64]float64, g.NumEdges())
+	if g.NumNodes() == 0 {
+		return out
 	}
-	return s
-}
-
-// partitionFromAdj labels connected components of the working adjacency and
-// scores them with the modularity of the ORIGINAL graph g.
-func partitionFromAdj(g *graph.Graph, adj [][]graph.NodeID) *Partition {
-	n := len(adj)
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
+	s := gnPool.Get().(*gnScratch)
+	s.load(g)
+	s.refresh()
+	for e, b := range s.bet {
+		out[graph.Edge{U: s.eu[e], V: s.ev[e]}.Key()] = b
 	}
-	count := 0
-	stack := make([]graph.NodeID, 0, 64)
-	for s := 0; s < n; s++ {
-		if assign[s] != -1 {
-			continue
-		}
-		assign[s] = count
-		stack = append(stack[:0], graph.NodeID(s))
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range adj[v] {
-				if assign[w] == -1 {
-					assign[w] = count
-					stack = append(stack, w)
-				}
-			}
-		}
-		count++
-	}
-	comms := make([][]graph.NodeID, count)
-	for v := 0; v < n; v++ {
-		c := assign[v]
-		comms[c] = append(comms[c], graph.NodeID(v))
-	}
-	return &Partition{Assign: assign, Comms: comms, Q: Modularity(g, assign)}
+	gnPool.Put(s)
+	return out
 }
 
 // Modularity computes Newman modularity Q of the given assignment on g:
@@ -190,85 +148,360 @@ func Modularity(g *graph.Graph, assign []int) float64 {
 	return q
 }
 
-// betweennessCalc holds reusable scratch buffers for Brandes' algorithm so
-// repeated rounds on the same graph avoid reallocations.
-type betweennessCalc struct {
-	dist  []int
-	sigma []float64
-	delta []float64
-	queue []graph.NodeID
-	order []graph.NodeID
-	preds [][]graph.NodeID
+// gnPool recycles gnScratch between calls (and between the Phase I workers
+// that call GirvanNewman concurrently), so a call allocates only its result.
+var gnPool = sync.Pool{New: func() any { return new(gnScratch) }}
+
+// gnScratch is the whole working state of one Girvan–Newman run. load
+// sizes and fills every buffer a run reads, so nothing a previous (possibly
+// larger) graph left behind is ever observed.
+type gnScratch struct {
+	// Mutable CSR copy of the graph: node u's live neighbours are
+	// nbr[off[u]:end[u]], ascending, and eid holds the edge id of each
+	// entry. Removing an edge compacts both rows in place.
+	off, end []int32
+	nbr      []graph.NodeID
+	eid      []int32
+
+	// Edges have dense ids in (u,v) order, u < v.
+	eu, ev []graph.NodeID
+	bet    []float64 // betweenness by edge id; current for every live edge outside a dirty component
+	live   []int32   // ids of the edges not yet removed, ascending
+
+	// Connected components of the working graph: comp labels every node,
+	// and the nodes of label c are perm[segLo[c]:segHi[c]], ascending.
+	comp         []int32
+	perm         []graph.NodeID
+	segLo, segHi []int32
+	labels       int32
+	dirty        []int32 // components (of two or more nodes) whose betweenness is stale
+	touched      []int32 // components that lost an edge this round
+	mark         []bool  // by label: already in touched; all false between rounds
+
+	// explore: sub-component index by node, size then write cursor by
+	// sub-component, and the buffer the segment is regrouped through.
+	sub, cnt []int32
+	tmp      []graph.NodeID
+
+	// brandes, per source; queue doubles as explore's stack.
+	dist         []int32
+	sigma, delta []float64
+	queue        []graph.NodeID
+
+	// Communities numbered by smallest node: idx by label, cidx by node,
+	// and Modularity's two per-community sums.
+	idx, cidx   []int32
+	intra, dsum []float64
+
+	best []int32 // comp at the best modularity seen
 }
 
-func newBetweennessCalc(n int) *betweennessCalc {
-	return &betweennessCalc{
-		dist:  make([]int, n),
-		sigma: make([]float64, n),
-		delta: make([]float64, n),
-		queue: make([]graph.NodeID, 0, n),
-		order: make([]graph.NodeID, 0, n),
-		preds: make([][]graph.NodeID, n),
+// sized returns buf with length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	return buf[:n]
 }
 
-// edgeBetweenness computes unweighted shortest-path edge betweenness for the
-// working adjacency (Brandes 2001, edge variant). Keys are canonical edge
-// keys; values are summed over all source nodes (each unordered pair is
-// counted twice, which is irrelevant for ranking).
-func (bc *betweennessCalc) edgeBetweenness(adj [][]graph.NodeID) map[uint64]float64 {
-	n := len(adj)
-	out := make(map[uint64]float64, n*2)
-	for s := 0; s < n; s++ {
-		if len(adj[s]) == 0 {
+// load copies g into the scratch, numbers its edges, finds its connected
+// components and marks all of them dirty. g must have at least one node.
+func (s *gnScratch) load(g *graph.Graph) {
+	offsets, adj := g.CSR()
+	n, m := g.NumNodes(), g.NumEdges()
+	s.off = append(s.off[:0], offsets...)
+	s.nbr = append(s.nbr[:0], adj...)
+	s.end = sized(s.end, n)
+	s.eid = sized(s.eid, 2*m)
+	s.eu, s.ev = sized(s.eu, m), sized(s.ev, m)
+	s.bet = sized(s.bet, m)
+	s.live = sized(s.live, m)
+	s.comp, s.perm = sized(s.comp, n), sized(s.perm, n)
+	s.segLo, s.segHi = sized(s.segLo, n), sized(s.segHi, n)
+	s.mark = sized(s.mark, n)
+	s.sub, s.cnt, s.tmp = sized(s.sub, n), sized(s.cnt, n), sized(s.tmp, n)
+	s.dist, s.sigma, s.delta = sized(s.dist, n), sized(s.sigma, n), sized(s.delta, n)
+	s.queue = sized(s.queue, n)
+	s.idx, s.cidx = sized(s.idx, n), sized(s.cidx, n)
+	s.intra, s.dsum = sized(s.intra, n), sized(s.dsum, n)
+	s.best = sized(s.best, n)
+
+	// Edge ids in (u,v) order. end[v] serves as a cursor into v's row
+	// first: v's smaller neighbours lead its row and arrive in ascending
+	// order as the sweep passes them.
+	copy(s.end, s.off)
+	id := int32(0)
+	for u := 0; u < n; u++ {
+		for i := s.off[u]; i < s.off[u+1]; i++ {
+			v := s.nbr[i]
+			if int(v) < u {
+				continue
+			}
+			s.eu[id], s.ev[id] = graph.NodeID(u), v
+			s.eid[i] = id
+			s.eid[s.end[v]] = id
+			s.end[v]++
+			s.live[id] = id
+			id++
+		}
+	}
+	copy(s.end, s.off[1:])
+
+	// One segment holding every node, then split into the real components.
+	for v := range s.perm {
+		s.perm[v] = graph.NodeID(v)
+		s.comp[v] = 0
+	}
+	s.segLo[0], s.segHi[0] = 0, int32(n)
+	s.labels = 1
+	s.dirty = s.dirty[:0]
+	s.explore(0)
+}
+
+// cut deletes v from u's live row, keeping the row sorted.
+func (s *gnScratch) cut(u, v graph.NodeID) {
+	lo, hi := s.off[u], s.end[u]
+	at := lo + int32(slices.Index(s.nbr[lo:hi], v))
+	copy(s.nbr[at:hi-1], s.nbr[at+1:hi])
+	copy(s.eid[at:hi-1], s.eid[at+1:hi])
+	s.end[u] = hi - 1
+}
+
+// removeMax runs one round: it brings betweenness up to date, removes every
+// edge within a relative epsilon of the maximum (which handles exact
+// symmetric ties deterministically), re-explores the components that lost
+// an edge and reports whether any of them split.
+func (s *gnScratch) removeMax() bool {
+	s.refresh()
+	maxB := 0.0
+	for _, e := range s.live {
+		if b := s.bet[e]; b > maxB {
+			maxB = b
+		}
+	}
+	thresh := maxB * (1 - 1e-9)
+	keep, touched := s.live[:0], s.touched[:0]
+	for _, e := range s.live {
+		if s.bet[e] < thresh {
+			keep = append(keep, e)
 			continue
 		}
-		// Init per-source state.
-		for i := 0; i < n; i++ {
-			bc.dist[i] = -1
-			bc.sigma[i] = 0
-			bc.delta[i] = 0
-			bc.preds[i] = bc.preds[i][:0]
+		u, v := s.eu[e], s.ev[e]
+		s.cut(u, v)
+		s.cut(v, u)
+		if c := s.comp[u]; !s.mark[c] {
+			s.mark[c] = true
+			touched = append(touched, c)
 		}
-		bc.queue = bc.queue[:0]
-		bc.order = bc.order[:0]
-		bc.dist[s] = 0
-		bc.sigma[s] = 1
-		bc.queue = append(bc.queue, graph.NodeID(s))
-		for qi := 0; qi < len(bc.queue); qi++ {
-			v := bc.queue[qi]
-			bc.order = append(bc.order, v)
-			for _, w := range adj[v] {
-				if bc.dist[w] < 0 {
-					bc.dist[w] = bc.dist[v] + 1
-					bc.queue = append(bc.queue, w)
+	}
+	s.live, s.touched = keep, touched
+	split := false
+	for _, c := range touched {
+		s.mark[c] = false
+		if s.explore(c) {
+			split = true
+		}
+	}
+	return split
+}
+
+// explore re-derives the connected components inside component c after
+// edge removals. The first part found keeps label c, the others get fresh
+// labels, c's segment of perm is regrouped so that each part is again a
+// contiguous ascending run, and every part that still has an edge is
+// queued in dirty. It reports whether c split.
+func (s *gnScratch) explore(c int32) bool {
+	lo := s.segLo[c]
+	seg := s.perm[lo:s.segHi[c]]
+	for _, v := range seg {
+		s.sub[v] = -1
+	}
+	k := int32(0)
+	for _, root := range seg {
+		if s.sub[root] >= 0 {
+			continue
+		}
+		s.sub[root] = k
+		s.cnt[k] = 1
+		stack := append(s.queue[:0], root)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range s.nbr[s.off[v]:s.end[v]] {
+				if s.sub[w] < 0 {
+					s.sub[w] = k
+					s.cnt[k]++
+					stack = append(stack, w)
 				}
-				if bc.dist[w] == bc.dist[v]+1 {
-					bc.sigma[w] += bc.sigma[v]
-					bc.preds[w] = append(bc.preds[w], v)
+			}
+		}
+		k++
+	}
+	if k == 1 {
+		if len(seg) > 1 {
+			s.dirty = append(s.dirty, c)
+		}
+		return false
+	}
+	// Stable counting sort of the (ascending) segment by part.
+	at := lo
+	for j := int32(0); j < k; j++ {
+		at, s.cnt[j] = at+s.cnt[j], at
+	}
+	for _, v := range seg {
+		j := s.sub[v]
+		s.tmp[s.cnt[j]-lo] = v
+		s.cnt[j]++
+	}
+	copy(seg, s.tmp)
+	at = lo
+	for j := int32(0); j < k; j++ {
+		label := c
+		if j > 0 {
+			label = s.labels
+			s.labels++
+		}
+		s.segLo[label], s.segHi[label] = at, s.cnt[j]
+		for _, v := range s.perm[at:s.cnt[j]] {
+			s.comp[v] = label
+		}
+		if s.cnt[j]-at > 1 {
+			s.dirty = append(s.dirty, label)
+		}
+		at = s.cnt[j]
+	}
+	return true
+}
+
+// refresh recomputes the betweenness of every dirty component.
+func (s *gnScratch) refresh() {
+	for _, c := range s.dirty {
+		s.brandes(c)
+	}
+	s.dirty = s.dirty[:0]
+}
+
+// brandes recomputes the betweenness of the edges of connected component c
+// with its own nodes as the only sources, ascending (no other source
+// reaches them). A node's predecessors are read off its row by distance
+// instead of being collected during the search; their order within one
+// node never reaches a sum, since each (predecessor, node) pair adds to a
+// different delta and a different edge.
+func (s *gnScratch) brandes(c int32) {
+	seg := s.perm[s.segLo[c]:s.segHi[c]]
+	dist, sigma, delta := s.dist, s.sigma, s.delta
+	for _, u := range seg {
+		for _, e := range s.eid[s.off[u]:s.end[u]] {
+			s.bet[e] = 0
+		}
+	}
+	for _, src := range seg {
+		for _, v := range seg {
+			dist[v] = -1
+			sigma[v] = 0
+			delta[v] = 0
+		}
+		dist[src] = 0
+		sigma[src] = 1
+		queue := append(s.queue[:0], src)
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			next := dist[v] + 1
+			for _, w := range s.nbr[s.off[v]:s.end[v]] {
+				if dist[w] < 0 {
+					dist[w] = next
+					queue = append(queue, w)
+				}
+				if dist[w] == next {
+					sigma[w] += sigma[v]
 				}
 			}
 		}
 		// Dependency accumulation in reverse BFS order.
-		for i := len(bc.order) - 1; i >= 0; i-- {
-			w := bc.order[i]
-			for _, v := range bc.preds[w] {
-				c := bc.sigma[v] / bc.sigma[w] * (1 + bc.delta[w])
-				bc.delta[v] += c
-				out[graph.Edge{U: v, V: w}.Key()] += c
+		for i := len(queue) - 1; i > 0; i-- {
+			w := queue[i]
+			prev := dist[w] - 1
+			row := s.nbr[s.off[w]:s.end[w]]
+			ids := s.eid[s.off[w]:s.end[w]]
+			for j, v := range row {
+				if dist[v] == prev {
+					dep := sigma[v] / sigma[w] * (1 + delta[w])
+					delta[v] += dep
+					s.bet[ids[j]] += dep
+				}
 			}
 		}
 	}
-	return out
 }
 
-// EdgeBetweenness computes edge betweenness on an immutable graph. Exposed
-// for tests and for callers who want raw centrality scores.
-func EdgeBetweenness(g *graph.Graph) map[uint64]float64 {
-	n := g.NumNodes()
-	adj := make([][]graph.NodeID, n)
-	for u := 0; u < n; u++ {
-		adj[u] = g.Neighbors(graph.NodeID(u))
+// number writes every node's community index under comp into cidx,
+// numbering the components by their smallest node, and returns how many
+// there are.
+func (s *gnScratch) number(comp []int32) int {
+	idx := s.idx[:s.labels]
+	for l := range idx {
+		idx[l] = -1
 	}
-	return newBetweennessCalc(n).edgeBetweenness(adj)
+	k := int32(0)
+	for v, l := range comp {
+		if idx[l] < 0 {
+			idx[l] = k
+			k++
+		}
+		s.cidx[v] = idx[l]
+	}
+	return int(k)
+}
+
+// modularity is Modularity(g, assign) for the current components, with the
+// same community numbering and the same summation order.
+func (s *gnScratch) modularity() float64 {
+	m := float64(len(s.eu))
+	if m == 0 {
+		return 0
+	}
+	k := s.number(s.comp)
+	intra, dsum := s.intra[:k], s.dsum[:k]
+	clear(intra)
+	clear(dsum)
+	for e, u := range s.eu {
+		if s.comp[u] == s.comp[s.ev[e]] {
+			intra[s.cidx[u]]++
+		}
+	}
+	for v, c := range s.cidx {
+		dsum[c] += float64(s.off[v+1] - s.off[v])
+	}
+	q := 0.0
+	m2 := 2 * m
+	for c := range intra {
+		q += intra[c]/m - (dsum[c]/m2)*(dsum[c]/m2)
+	}
+	return q
+}
+
+// partition materialises the best snapshot; the communities share one
+// backing array, each capped to its own run.
+func (s *gnScratch) partition(q float64) *Partition {
+	k := s.number(s.best)
+	size := s.cnt[:k]
+	clear(size)
+	n := len(s.best)
+	assign := make([]int, n)
+	for v, c := range s.cidx {
+		assign[v] = int(c)
+		size[c]++
+	}
+	members := make([]graph.NodeID, n)
+	comms := make([][]graph.NodeID, k)
+	at := int32(0)
+	for c := range comms {
+		comms[c] = members[at : at : at+size[c]]
+		at += size[c]
+	}
+	for v, c := range s.cidx {
+		comms[c] = append(comms[c], graph.NodeID(v))
+	}
+	return &Partition{Assign: assign, Comms: comms, Q: q}
 }

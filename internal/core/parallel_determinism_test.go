@@ -2,7 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"locec/internal/wechat"
 )
 
 // parallelLocalConfig is localConfig with the GBDT trainer fanned out to
@@ -54,6 +57,37 @@ func TestParallelTrainerMatchesSerialRun(t *testing.T) {
 		for c := range sp {
 			if sp[c] != pp[c] {
 				t.Fatalf("edge %v class %d: serial %v vs parallel %v", k, c, sp[c], pp[c])
+			}
+		}
+	}
+}
+
+// TestGirvanNewmanDivideMatchesAcrossWorkers: Phase I with the paper's
+// detector must not depend on the worker count. GirvanNewman draws its
+// scratch from a pool shared by the workers, so at 2 and 8 workers every
+// ego runs on buffers some other ego left behind.
+func TestGirvanNewmanDivideMatchesAcrossWorkers(t *testing.T) {
+	net, err := wechat.Generate(wechat.DefaultConfig(120, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RunSurvey(0.5, 6)
+	divide := func(workers int) []*EgoResult {
+		return Divide(net.Dataset, DivisionConfig{Detector: DetectorGirvanNewman, Workers: workers})
+	}
+	serial := divide(1)
+	for _, workers := range []int{2, 8} {
+		for u, got := range divide(workers) {
+			want := serial[u]
+			if !slices.Equal(got.Members, want.Members) || !slices.Equal(got.CommIdx, want.CommIdx) ||
+				!slices.Equal(got.Tightness, want.Tightness) || len(got.Comms) != len(want.Comms) {
+				t.Fatalf("workers=%d ego %d: division differs from the serial run", workers, u)
+			}
+			for c := range want.Comms {
+				if !slices.Equal(got.Comms[c].Members, want.Comms[c].Members) ||
+					!slices.Equal(got.Comms[c].Tightness, want.Comms[c].Tightness) {
+					t.Fatalf("workers=%d ego %d community %d differs from the serial run", workers, u, c)
+				}
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // EgoNetwork is the subgraph induced on a node's neighbors, with the ego
 // node itself excluded (Section IV-A of the paper). Local node IDs are
@@ -37,28 +40,40 @@ func (e *EgoNetwork) Local(v NodeID) (NodeID, bool) {
 // Ego extracts the ego network of u: the subgraph induced on u's neighbors,
 // excluding u itself and its incident edges.
 //
-// The extraction intersects each neighbor's adjacency list with the member
-// set, so its cost is O(sum of member degrees), independent of graph size.
+// Members and every adjacency list are sorted, so the extraction is a merge
+// walk of each member's list against the members after it: its cost is
+// O(sum of member degrees + members²), independent of graph size. u is
+// not its own neighbor, so the walk drops it like any other non-member.
 func (g *Graph) Ego(u NodeID) *EgoNetwork {
 	members := g.Neighbors(u) // already sorted
-	local := make(map[NodeID]NodeID, len(members))
-	for i, v := range members {
-		local[v] = NodeID(i)
-	}
-	b := NewBuilder(len(members))
-	for i, v := range members {
-		for _, w := range g.Neighbors(v) {
-			if w == u {
-				continue
+	// forEachEdge visits the induced edges as (i, j) local pairs, i < j,
+	// in ascending key order.
+	forEachEdge := func(fn func(i, j int)) {
+		for i, v := range members {
+			ns := g.Neighbors(v)
+			a, _ := slices.BinarySearch(ns, v) // only larger members: each undirected edge once
+			for j := i + 1; j < len(members) && a < len(ns); {
+				switch {
+				case ns[a] < members[j]:
+					a++
+				case ns[a] > members[j]:
+					j++
+				default:
+					fn(i, j)
+					a++
+					j++
+				}
 			}
-			j, ok := local[w]
-			if !ok || NodeID(i) >= j {
-				continue // keep each undirected edge once
-			}
-			// Error impossible: i < j < len(members) and no self-loops.
-			_ = b.AddEdge(NodeID(i), j)
 		}
 	}
+	count := 0
+	forEachEdge(func(int, int) { count++ })
+	b := NewBuilder(len(members))
+	b.edges = make([]uint64, 0, count)
+	forEachEdge(func(i, j int) {
+		// Error impossible: i < j < len(members) and no self-loops.
+		_ = b.AddEdge(NodeID(i), NodeID(j))
+	})
 	memCopy := make([]NodeID, len(members))
 	copy(memCopy, members)
 	return &EgoNetwork{Ego: u, Members: memCopy, G: b.Build()}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -363,5 +364,34 @@ func TestEgoMembersMatchNeighborProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEgoEqualsInducedSubgraph: the merge-walk extraction must yield, for
+// every node, exactly the subgraph induced on its neighbors — same members
+// (sorted, ego absent), same CSR rows.
+func TestEgoEqualsInducedSubgraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(40)
+		b := NewBuilder(n)
+		for i := rng.Intn(6 * n); i > 0; i-- {
+			if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v {
+				_ = b.AddEdge(u, v)
+			}
+		}
+		g := b.Build()
+		for u := NodeID(0); int(u) < n; u++ {
+			ego := g.Ego(u)
+			want, members := g.InducedSubgraph(g.Neighbors(u))
+			if !slices.Equal(ego.Members, members) || !slices.IsSorted(ego.Members) || slices.Contains(ego.Members, u) {
+				t.Fatalf("trial %d ego %d: members %v, want %v without the ego", trial, u, ego.Members, members)
+			}
+			gotOff, gotAdj := ego.G.CSR()
+			wantOff, wantAdj := want.CSR()
+			if ego.G.NumEdges() != want.NumEdges() || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
+				t.Fatalf("trial %d ego %d: edges %v, want %v", trial, u, ego.G.Edges(), want.Edges())
+			}
+		}
 	}
 }
