@@ -72,7 +72,7 @@ func main() {
 	}
 	_, test := eval.Split(labeled, 0.8, *seed+2)
 	for _, kk := range test {
-		delete(ds.Revealed, kk)
+		ds.SetRevealed(kk, false)
 	}
 
 	cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed, GBDTWorkers: *gbdtW}
@@ -96,7 +96,7 @@ func main() {
 	pred := make([]social.Label, len(test))
 	for i, kk := range test {
 		e := graph.EdgeFromKey(kk)
-		truth[i] = ds.TrueLabels[kk]
+		truth[i] = ds.TrueLabel(kk)
 		pred[i] = res.Label(e.U, e.V)
 	}
 	fmt.Println("\nHeld-out evaluation:")

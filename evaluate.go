@@ -31,7 +31,7 @@ func HoldOut(ds *social.Dataset, testFraction float64, seed int64) []Friendship 
 	for i, k := range test {
 		e := graph.EdgeFromKey(k)
 		out[i] = Friendship{U: e.U, V: e.V}
-		delete(ds.Revealed, k)
+		ds.SetRevealed(k, false)
 	}
 	return out
 }
@@ -49,7 +49,7 @@ func (r *Result) EvaluateOn(ds *social.Dataset, edges []Friendship) Evaluation {
 	truth := make([]social.Label, len(edges))
 	pred := make([]social.Label, len(edges))
 	for i, e := range edges {
-		truth[i] = ds.TrueLabels[edgeKey(e.U, e.V)]
+		truth[i] = ds.TrueLabel(edgeKey(e.U, e.V))
 		pred[i] = r.Label(e.U, e.V)
 	}
 	rep := eval.Evaluate(truth, pred)

@@ -21,7 +21,7 @@ func TestHoldOutAndEvaluateOn(t *testing.T) {
 	}
 	// Held-out edges must no longer be revealed.
 	for _, e := range test {
-		if net.Dataset.Revealed[edgeKey(e.U, e.V)] {
+		if net.Dataset.IsRevealed(edgeKey(e.U, e.V)) {
 			t.Fatal("held-out edge still revealed")
 		}
 	}

@@ -169,7 +169,7 @@ func (s *Simulator) deliver(method string, c Campaign, audience []candidate, rng
 	clicks, interacts := 0, 0
 	for _, cand := range audience {
 		k := (graph.Edge{U: cand.user, V: cand.via}).Key()
-		truth := s.ds.TrueLabels[k]
+		truth := s.ds.TrueLabel(k)
 		base := 0.010 * (0.5 + s.ctrScore[cand.user]) // ~1-1.5% organic CTR
 		interactBase := 0.0020 * (0.5 + s.ctrScore[cand.user])
 		if truth == affinity {

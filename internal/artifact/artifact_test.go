@@ -16,6 +16,14 @@ import (
 // trainedRun builds a small dataset and a completed pipeline run.
 func trainedRun(t testing.TB, variant string) (*social.Dataset, *core.Result) {
 	t.Helper()
+	_, ds, res := trainedPipeline(t, variant)
+	return ds, res
+}
+
+// trainedPipeline is trainedRun plus the pipeline that produced the run,
+// for tests that go on to mutate it.
+func trainedPipeline(t testing.TB, variant string) (*core.Pipeline, *social.Dataset, *core.Result) {
+	t.Helper()
 	net, err := wechat.Generate(wechat.DefaultConfig(80, 7))
 	if err != nil {
 		t.Fatal(err)
@@ -31,11 +39,12 @@ func trainedRun(t testing.TB, variant string) (*social.Dataset, *core.Result) {
 	} else {
 		cfg.Classifier = &core.XGBClassifier{Seed: 1}
 	}
-	res, err := core.NewPipeline(cfg).Run(ds)
+	p := core.NewPipeline(cfg)
+	res, err := p.Run(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ds, res
+	return p, ds, res
 }
 
 // saved returns the serialized artifact bytes for a trained run.

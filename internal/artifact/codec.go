@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 
@@ -338,32 +339,32 @@ func encodeDataset(ds *social.Dataset) []byte {
 			out = appendF64(out, v)
 		}
 	}
+	// The three per-edge sections are read through the dataset's
+	// iterators and accessors, which fold its edit delta on the way out: a
+	// dataset that carries edits encodes to the same bytes as its folded
+	// form.
 	idim := 0
-	ikeys := sortedKeys(ds.Interactions)
+	ikeys := sortedKeys(ds.AllInteractions(), len(ds.Interactions)+ds.NumEdits())
 	if len(ikeys) > 0 {
-		idim = len(ds.Interactions[ikeys[0]])
+		row, _ := ds.InteractionRow(ikeys[0])
+		idim = len(row)
 	}
 	out = appendU32(out, uint32(idim))
 	out = appendU64(out, uint64(len(ikeys)))
 	for _, k := range ikeys {
 		out = appendU64(out, k)
-		for _, v := range ds.Interactions[k] {
+		row, _ := ds.InteractionRow(k)
+		for _, v := range row {
 			out = appendF64(out, v)
 		}
 	}
-	lkeys := sortedKeys(ds.TrueLabels)
+	lkeys := sortedKeys(ds.AllTrueLabels(), len(ds.TrueLabels)+ds.NumEdits())
 	out = appendU64(out, uint64(len(lkeys)))
 	for _, k := range lkeys {
 		out = appendU64(out, k)
-		out = append(out, byte(int8(ds.TrueLabels[k])))
+		out = append(out, byte(int8(ds.TrueLabel(k))))
 	}
-	rkeys := make([]uint64, 0, len(ds.Revealed))
-	for k, on := range ds.Revealed {
-		if on {
-			rkeys = append(rkeys, k)
-		}
-	}
-	slices.Sort(rkeys)
+	rkeys := slices.Sorted(ds.AllRevealed())
 	out = appendU64(out, uint64(len(rkeys)))
 	for _, k := range rkeys {
 		out = appendU64(out, k)
@@ -371,10 +372,11 @@ func encodeDataset(ds *social.Dataset) []byte {
 	return out
 }
 
-// sortedKeys returns a map's keys in ascending order.
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
+// sortedKeys returns the keys of a key/value sequence in ascending order;
+// sizeHint is the expected count.
+func sortedKeys[V any](seq iter.Seq2[uint64, V], sizeHint int) []uint64 {
+	keys := make([]uint64, 0, sizeHint)
+	for k := range seq {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)

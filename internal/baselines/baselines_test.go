@@ -20,7 +20,7 @@ func testNet(t *testing.T) (*wechat.Network, []uint64, []uint64) {
 	train, test := eval.Split(labeled, 0.8, 3)
 	// Hide the test labels from learners.
 	for _, k := range test {
-		delete(net.Dataset.Revealed, k)
+		net.Dataset.SetRevealed(k, false)
 	}
 	return net, train, test
 }
@@ -28,7 +28,7 @@ func testNet(t *testing.T) (*wechat.Network, []uint64, []uint64) {
 func truthsOf(net *wechat.Network, keys []uint64) []social.Label {
 	out := make([]social.Label, len(keys))
 	for i, k := range keys {
-		out[i] = net.Dataset.TrueLabels[k]
+		out[i] = net.Dataset.TrueLabel(k)
 	}
 	return out
 }

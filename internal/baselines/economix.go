@@ -229,7 +229,7 @@ func (e *Economix) Fit(ds *social.Dataset) error {
 	y := make([]int, 0, len(labeled))
 	for _, k := range labeled {
 		X = append(X, e.U[e.edgeIdx[k]])
-		y = append(y, int(ds.TrueLabels[k]))
+		y = append(y, int(ds.TrueLabel(k)))
 	}
 	head, err := logreg.Train(X, y, logreg.Config{
 		Classes: social.NumLabels, Epochs: 60, LR: 0.2, L2: 1e-4, Seed: e.Seed + 1,

@@ -53,7 +53,7 @@ func (p *ProbWP) Fit(ds *social.Dataset) error {
 	p.labeledNbrs = make([][]labeledEdge, n)
 	for _, k := range ds.LabeledEdges() {
 		e := graph.EdgeFromKey(k)
-		l := ds.TrueLabels[k]
+		l := ds.TrueLabel(k)
 		p.labeledNbrs[e.U] = append(p.labeledNbrs[e.U], labeledEdge{e.V, l})
 		p.labeledNbrs[e.V] = append(p.labeledNbrs[e.V], labeledEdge{e.U, l})
 	}

@@ -33,7 +33,7 @@ func (x *XGBoostEdge) Fit(ds *social.Dataset) error {
 	for _, k := range labeled {
 		e := graph.EdgeFromKey(k)
 		X = append(X, ds.EdgeFeature(e.U, e.V))
-		y = append(y, int(ds.TrueLabels[k]))
+		y = append(y, int(ds.TrueLabel(k)))
 	}
 	cfg := x.Config
 	cfg.Classes = social.NumLabels

@@ -87,7 +87,7 @@ func TestAgreementRulePipeline(t *testing.T) {
 	labeled := net.Dataset.LabeledEdges()
 	_, test := eval.Split(labeled, 0.8, 3)
 	for _, k := range test {
-		delete(net.Dataset.Revealed, k)
+		net.Dataset.SetRevealed(k, false)
 	}
 	p := NewPipeline(Config{
 		Classifier:    &XGBClassifier{Seed: 1},
@@ -101,7 +101,7 @@ func TestAgreementRulePipeline(t *testing.T) {
 	truth := make([]social.Label, len(test))
 	pred := make([]social.Label, len(test))
 	for i, k := range test {
-		truth[i] = net.Dataset.TrueLabels[k]
+		truth[i] = net.Dataset.TrueLabel(k)
 		e := graph.EdgeFromKey(k)
 		pred[i] = res.PredictedLabel(e.U, e.V)
 	}

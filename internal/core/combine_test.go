@@ -166,14 +166,14 @@ func TestStoppedCombinerKeepsCapQuality(t *testing.T) {
 	for i, k := range labeled {
 		e := graph.EdgeFromKey(k)
 		X[i] = AppendEdgeFeatures(nil, res.Egos, e.U, e.V)
-		y[i] = int(ds.TrueLabels[k])
+		y[i] = int(ds.TrueLabel(k))
 	}
 	capped := capFit(X, y, social.NumLabels, epochCap, 1)
 
 	var truth, stoppedPred, cappedPred []social.Label
 	ds.G.ForEachEdge(func(u, v graph.NodeID) {
 		k := (graph.Edge{U: u, V: v}).Key()
-		if l := ds.TrueLabels[k]; l.Valid() && !ds.Revealed[k] {
+		if l := ds.TrueLabel(k); l.Valid() && !ds.IsRevealed(k) {
 			truth = append(truth, l)
 			stoppedPred = append(stoppedPred, res.PredictedLabel(u, v))
 			cappedPred = append(cappedPred, social.Label(capped.Predict(AppendEdgeFeatures(nil, res.Egos, u, v))))

@@ -259,7 +259,7 @@ func runPipelineNet(t *testing.T, clf CommunityClassifier) (eval.Report, *Result
 	labeled := net.Dataset.LabeledEdges()
 	_, test := eval.Split(labeled, 0.8, 3)
 	for _, k := range test {
-		delete(net.Dataset.Revealed, k)
+		net.Dataset.SetRevealed(k, false)
 	}
 	p := NewPipeline(Config{Classifier: clf, Seed: 11})
 	res, err := p.Run(net.Dataset)
@@ -269,7 +269,7 @@ func runPipelineNet(t *testing.T, clf CommunityClassifier) (eval.Report, *Result
 	truth := make([]social.Label, len(test))
 	pred := make([]social.Label, len(test))
 	for i, k := range test {
-		truth[i] = net.Dataset.TrueLabels[k]
+		truth[i] = net.Dataset.TrueLabel(k)
 		e := graph.EdgeFromKey(k)
 		pred[i] = res.PredictedLabel(e.U, e.V)
 	}

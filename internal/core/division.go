@@ -328,10 +328,8 @@ func finishEgo(ds *social.Dataset, ego graph.NodeID, en *graph.EgoNetwork, part 
 	// Ground-truth votes from revealed ego->friend edge labels.
 	for i, m := range en.Members {
 		k := (graph.Edge{U: ego, V: m}).Key()
-		if ds.Revealed[k] {
-			if l := ds.TrueLabels[k]; l.Valid() {
-				res.Comms[part.Assign[i]].TruthVotes[l]++
-			}
+		if l := ds.RevealedLabel(k); l.Valid() {
+			res.Comms[part.Assign[i]].TruthVotes[l]++
 		}
 	}
 	return res

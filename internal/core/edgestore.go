@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"locec/internal/graph"
@@ -18,7 +19,7 @@ import (
 // format already stores exactly these arrays).
 //
 // Stores are immutable after construction: the incremental engine derives
-// new stores with without/merged rather than editing in place, so a
+// new stores with spliced rather than editing in place, so a
 // serving snapshot can keep reading an old store while its successor is
 // assembled (the same copy-on-write contract the maps had).
 type EdgeStore struct {
@@ -181,66 +182,62 @@ func (s *EdgeStore) LabelMap() map[uint64]social.Label {
 	return out
 }
 
-// without returns a new store with the given keys removed (keys must be
-// sorted ascending; absent keys are ignored). The receiver is untouched.
-func (s *EdgeStore) without(removed []uint64) *EdgeStore {
-	if s == nil || len(removed) == 0 {
-		return s
-	}
-	keys := make([]uint64, 0, len(s.keys))
-	labels := make([]social.Label, 0, len(s.labels))
-	probs := make([]float64, 0, len(s.probs))
-	r := 0
-	for i, k := range s.keys {
-		for r < len(removed) && removed[r] < k {
-			r++
-		}
-		if r < len(removed) && removed[r] == k {
-			continue
-		}
-		keys = append(keys, k)
-		labels = append(labels, s.labels[i])
-		probs = append(probs, s.probs[i*s.classes:(i+1)*s.classes]...)
-	}
-	return &EdgeStore{keys: keys, labels: labels, probs: probs, classes: s.classes}
-}
-
-// merged returns a new store holding the union of s and fresh, with
-// fresh's entries replacing s's on key collisions — the linear merge that
-// replaced the incremental engine's per-edge map writes. Both inputs are
-// untouched; a nil receiver yields fresh itself.
-func (s *EdgeStore) merged(fresh *EdgeStore) *EdgeStore {
-	if s == nil || len(s.keys) == 0 {
+// spliced returns a new store equal to s with the removed keys dropped and
+// then fresh's entries inserted, fresh replacing s on key collisions (both
+// key lists sorted ascending; removed keys absent from s are ignored). It
+// is the incremental engine's one store update per epoch, and costs what
+// the epoch touched: each dirty key is located by binary search and the
+// untouched runs of keys/labels/probs between them are block-copied, so
+// the per-element work is O(dirty · log E) on top of three memmoves. Both
+// inputs are untouched; when nothing changes the receiver itself is
+// returned, and a nil or empty receiver yields fresh itself.
+func (s *EdgeStore) spliced(removed []uint64, fresh *EdgeStore) *EdgeStore {
+	if s.Len() == 0 {
 		return fresh
 	}
-	if fresh.Len() == 0 {
+	if len(removed) == 0 && fresh.Len() == 0 {
 		return s
 	}
-	if s.classes != fresh.classes {
-		panic(fmt.Sprintf("core: edge store merge: %d classes vs %d", s.classes, fresh.classes))
+	if fresh.Len() > 0 && s.classes != fresh.classes {
+		panic(fmt.Sprintf("core: edge store splice: %d classes vs %d", s.classes, fresh.classes))
 	}
-	n := len(s.keys) + len(fresh.keys)
+	c := s.classes
+	n := len(s.keys) + fresh.Len()
 	keys := make([]uint64, 0, n)
 	labels := make([]social.Label, 0, n)
-	probs := make([]float64, 0, n*s.classes)
-	i, j := 0, 0
-	for i < len(s.keys) || j < len(fresh.keys) {
-		takeFresh := j < len(fresh.keys) &&
-			(i >= len(s.keys) || fresh.keys[j] <= s.keys[i])
+	probs := make([]float64, 0, n*c)
+	fkeys := fresh.Keys()
+	from, r, f := 0, 0, 0 // next unread position of s, removed, fresh
+	for r < len(removed) || f < len(fkeys) {
+		// The next dirty key is the smaller head of the two sorted lists.
+		takeFresh := f < len(fkeys) && (r >= len(removed) || fkeys[f] <= removed[r])
+		var k uint64
 		if takeFresh {
-			if i < len(s.keys) && fresh.keys[j] == s.keys[i] {
-				i++ // replaced
-			}
-			keys = append(keys, fresh.keys[j])
-			labels = append(labels, fresh.labels[j])
-			probs = append(probs, fresh.probs[j*s.classes:(j+1)*s.classes]...)
-			j++
+			k = fkeys[f]
 		} else {
-			keys = append(keys, s.keys[i])
-			labels = append(labels, s.labels[i])
-			probs = append(probs, s.probs[i*s.classes:(i+1)*s.classes]...)
-			i++
+			k = removed[r]
+		}
+		at, found := slices.BinarySearch(s.keys[from:], k)
+		at += from
+		keys = append(keys, s.keys[from:at]...)
+		labels = append(labels, s.labels[from:at]...)
+		probs = append(probs, s.probs[from*c:at*c]...)
+		from = at
+		if found {
+			from++ // dropped, or replaced below
+		}
+		if takeFresh {
+			keys = append(keys, k)
+			labels = append(labels, fresh.labels[f])
+			probs = append(probs, fresh.probs[f*c:(f+1)*c]...)
+			f++
+		}
+		for r < len(removed) && removed[r] <= k {
+			r++
 		}
 	}
-	return &EdgeStore{keys: keys, labels: labels, probs: probs, classes: s.classes}
+	keys = append(keys, s.keys[from:]...)
+	labels = append(labels, s.labels[from:]...)
+	probs = append(probs, s.probs[from*c:]...)
+	return &EdgeStore{keys: keys, labels: labels, probs: probs, classes: c}
 }

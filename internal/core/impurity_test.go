@@ -96,7 +96,7 @@ func TestImpurityOnGeneratedNetwork(t *testing.T) {
 			}
 			for _, m := range c.Members {
 				k := (graph.Edge{U: c.Ego, V: m}).Key()
-				l, ok := net.Dataset.TrueLabels[k]
+				l, ok := net.Dataset.LookupTrueLabel(k)
 				if !ok || !l.Valid() {
 					continue
 				}

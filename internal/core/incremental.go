@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"maps"
+	"math"
 	"slices"
 	"time"
 
@@ -89,8 +89,35 @@ type ApplyStats struct {
 	// always 0 for global detectors, where every dirty ego is fully
 	// re-divided).
 	SeededEgos int
+	// DatasetEdits is the size of the new dataset's edit delta: the edge
+	// keys changed since the per-edge maps were last rebuilt (0 right
+	// after a fold).
+	DatasetEdits int
+	// Folded reports that this epoch rebuilt the per-edge maps from the
+	// delta — the one epoch in ~√E that pays an E-sized copy, so an
+	// outlier Duration can be attributed.
+	Folded bool
 	// Duration is the apply wall-clock time.
 	Duration time.Duration
+}
+
+// CheckInteractions validates the interaction row of an added edge: empty,
+// or social.NumInteractionDims finite non-negative counts. A NaN, infinite
+// or negative count would be re-read as a feature by every later epoch of
+// the edge's egos, so it is refused at the door.
+func CheckInteractions(row []float64) error {
+	if len(row) == 0 {
+		return nil
+	}
+	if len(row) != int(social.NumInteractionDims) {
+		return fmt.Errorf("%d interaction dims, want %d", len(row), social.NumInteractionDims)
+	}
+	for d, x := range row {
+		if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+			return fmt.Errorf("interaction dim %d = %v", d, x)
+		}
+	}
+	return nil
 }
 
 // ApplyMutations applies one mutation batch to a classified dataset and
@@ -113,7 +140,7 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 	}
 	n := ds.G.NumNodes()
 	switch {
-	case len(ds.UserFeatures) != n || ds.TrueLabels == nil:
+	case len(ds.UserFeatures) != n || !ds.HasGroundTruth():
 		return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: dataset lacks raw features or labels (artifact-only snapshot?)")
 	case len(res.Egos) != n:
 		return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: %d ego results for %d nodes", len(res.Egos), n)
@@ -124,18 +151,11 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 	}
 
 	// ---- Stage 0: overlay + dataset delta ---------------------------
-	// Mutations run sequentially against the overlay and cloned metadata
-	// maps; the overlay accumulates the dirty ego set as it goes.
+	// Mutations run sequentially against the overlay and the dataset's
+	// copy-on-write edit delta (the three per-edge maps are shared with ds,
+	// not cloned); the overlay accumulates the dirty ego set as it goes.
 	ov := graph.NewOverlay(ds.G)
-	inter := maps.Clone(ds.Interactions)
-	if inter == nil {
-		inter = map[uint64][]float64{}
-	}
-	labels := maps.Clone(ds.TrueLabels)
-	revealed := maps.Clone(ds.Revealed)
-	if revealed == nil {
-		revealed = map[uint64]bool{}
-	}
+	ed := ds.Edit()
 	for i, m := range batch {
 		k := (graph.Edge{U: m.U, V: m.V}).Key()
 		switch m.Kind {
@@ -143,29 +163,18 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 			if !m.Label.ValidGroundTruth() {
 				return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: mutation %d: add {%d,%d}: invalid label %d", i, m.U, m.V, m.Label)
 			}
-			if len(m.Interactions) != 0 && len(m.Interactions) != int(social.NumInteractionDims) {
-				return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: mutation %d: add {%d,%d}: %d interaction dims, want %d",
-					i, m.U, m.V, len(m.Interactions), social.NumInteractionDims)
+			if err := CheckInteractions(m.Interactions); err != nil {
+				return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: mutation %d: add {%d,%d}: %w", i, m.U, m.V, err)
 			}
 			if err := ov.AddEdge(m.U, m.V); err != nil {
 				return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: mutation %d: %w", i, err)
 			}
-			labels[k] = m.Label
-			delete(revealed, k)
-			if m.Revealed {
-				revealed[k] = true
-			}
-			delete(inter, k)
-			if len(m.Interactions) > 0 {
-				inter[k] = slices.Clone(m.Interactions)
-			}
+			ed.Set(k, m.Label, m.Revealed, slices.Clone(m.Interactions))
 		case MutRemove:
 			if err := ov.RemoveEdge(m.U, m.V); err != nil {
 				return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: mutation %d: %w", i, err)
 			}
-			delete(labels, k)
-			delete(revealed, k)
-			delete(inter, k)
+			ed.Delete(k)
 		case MutRelabel:
 			if !ov.HasEdge(m.U, m.V) {
 				return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: mutation %d: relabel {%d,%d}: edge does not exist", i, m.U, m.V)
@@ -173,11 +182,7 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 			if !m.Label.ValidGroundTruth() {
 				return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: mutation %d: relabel {%d,%d}: invalid label %d", i, m.U, m.V, m.Label)
 			}
-			labels[k] = m.Label
-			delete(revealed, k)
-			if m.Revealed {
-				revealed[k] = true
-			}
+			ed.Relabel(k, m.Label, m.Revealed)
 			// A relabel shifts the ground-truth votes inside the two
 			// endpoint egos only (votes tally ego→friend edges), so the
 			// topology-derived dirty rule does not apply — mark the
@@ -190,13 +195,10 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 	}
 	added, removed := ov.Mutations()
 	dirty := ov.DirtyNodes()
-	newDS := &social.Dataset{
-		G:            ov.Compact(),
-		UserFeatures: ds.UserFeatures, // node set is fixed; shared read-only
-		Interactions: inter,
-		TrueLabels:   labels,
-		Revealed:     revealed,
-	}
+	// Commit folds the delta into fresh maps when it has outgrown √E
+	// entries — the one E-sized copy left on this path, paid once per ~√E
+	// epochs. UserFeatures stay shared: the node set is fixed.
+	newDS, folded := ed.Commit(ov.Compact())
 
 	// ---- Stage I: re-divide the dirty egos --------------------------
 	// Local detectors take the seeded path: egos whose member set
@@ -245,15 +247,9 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 	// An edge's features read only its endpoints' ego results, so the
 	// affected set is every surviving edge incident to a dirty node (the
 	// batch's added edges are incident to dirty endpoints by construction).
-	// The carried-over predictions are one linear filter of the old flat
-	// store (dropping removed keys) — the old 2E-entry map clones are gone;
-	// RecombineEdges then merges the fresh dirty-edge store in linearly.
-	removedKeys := make([]uint64, 0, len(removed))
-	for _, e := range removed {
-		removedKeys = append(removedKeys, e.Key())
-	}
-	slices.Sort(removedKeys)
-	newRes.Edges = res.Edges.without(removedKeys)
+	// The new store is one splice of the old flat store: removed keys
+	// dropped, the fresh dirty-edge predictions inserted, every untouched
+	// run between them block-copied.
 	seen := make(map[uint64]struct{}, len(dirty)*8)
 	var dirtyEdges []graph.Edge
 	for _, u := range dirty {
@@ -276,9 +272,15 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 			return 0
 		}
 	})
-	if err := p.RecombineEdges(newRes, dirtyEdges); err != nil {
+	fresh, err := p.repredict(newRes, dirtyEdges)
+	if err != nil {
 		return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: %w", err)
 	}
+	removedKeys := make([]uint64, len(removed)) // ascending: Mutations sorts by key
+	for i, e := range removed {
+		removedKeys[i] = e.Key()
+	}
+	newRes.Edges = res.Edges.spliced(removedKeys, fresh)
 
 	stats := ApplyStats{
 		Mutations:        len(batch),
@@ -288,6 +290,8 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 		DirtyCommunities: len(dirtyComms),
 		DirtyEdges:       len(dirtyEdges),
 		SeededEgos:       seededEgos,
+		DatasetEdits:     newDS.NumEdits(),
+		Folded:           folded,
 		Duration:         time.Since(t0),
 	}
 	return newDS, newRes, stats, nil

@@ -63,8 +63,8 @@ func TestSeededStatsRelabelOnly(t *testing.T) {
 	p, ds, res := incrementalFixture(t, localConfig(DetectorClauset))
 	var e graph.Edge
 	found := false
-	for k := range ds.Revealed {
-		if ds.TrueLabels[k].Valid() {
+	for k := range ds.AllRevealed() {
+		if ds.TrueLabel(k).Valid() {
 			e = graph.EdgeFromKey(k)
 			found = true
 			break
@@ -73,7 +73,7 @@ func TestSeededStatsRelabelOnly(t *testing.T) {
 	if !found {
 		t.Skip("fixture has no revealed labeled edge")
 	}
-	newLabel := social.Label((int(ds.TrueLabels[e.Key()]) + 1) % social.NumLabels)
+	newLabel := social.Label((int(ds.TrueLabel(e.Key())) + 1) % social.NumLabels)
 	_, _, stats, err := p.ApplyMutations(ds, res, []Mutation{
 		{Kind: MutRelabel, U: e.U, V: e.V, Label: newLabel, Revealed: true},
 	})

@@ -11,7 +11,7 @@ import (
 
 // incrementalFixture trains a pipeline on a small WeChat-like dataset and
 // returns everything a mutation test needs.
-func incrementalFixture(t *testing.T, cfg Config) (*Pipeline, *social.Dataset, *Result) {
+func incrementalFixture(t testing.TB, cfg Config) (*Pipeline, *social.Dataset, *Result) {
 	t.Helper()
 	net, err := wechat.Generate(wechat.DefaultConfig(90, 3))
 	if err != nil {
@@ -280,8 +280,8 @@ func TestApplyMutationsRelabelFlipsTruthVotes(t *testing.T) {
 	// the new vote.
 	var e graph.Edge
 	found := false
-	for k := range ds.Revealed {
-		if ds.TrueLabels[k].Valid() {
+	for k := range ds.AllRevealed() {
+		if ds.TrueLabel(k).Valid() {
 			e = graph.EdgeFromKey(k)
 			found = true
 			break
@@ -290,7 +290,7 @@ func TestApplyMutationsRelabelFlipsTruthVotes(t *testing.T) {
 	if !found {
 		t.Skip("fixture has no revealed predictable edge")
 	}
-	oldLabel := ds.TrueLabels[e.Key()]
+	oldLabel := ds.TrueLabel(e.Key())
 	newLabel := social.Label((int(oldLabel) + 1) % social.NumLabels)
 	_, newRes, stats, err := p.ApplyMutations(ds, res, []Mutation{
 		{Kind: MutRelabel, U: e.U, V: e.V, Label: newLabel, Revealed: true},

@@ -85,7 +85,7 @@ func (p *Pipeline) TrainCombiner(ds *social.Dataset, res *Result) error {
 			flatX = grown
 		}
 		X[i] = flatX[i*featW : (i+1)*featW]
-		y[i] = int(ds.TrueLabels[k])
+		y[i] = int(ds.TrueLabel(k))
 	}
 	lr, err := logreg.Train(X, y, p.cfg.Combiner)
 	if err != nil {
@@ -218,22 +218,32 @@ func (p *Pipeline) predictEdgesByAgreement(res *Result, edges []graph.Edge, pred
 // endpoints' ego results, so after a mutation batch the edges incident to
 // the dirty node set are exactly the ones whose prediction can change.
 //
-// The merge builds a new store in one linear pass — the previous store
-// (possibly shared with a published snapshot) is never written in place.
+// The merge builds a new store — the previous store (possibly shared with
+// a published snapshot) is never written in place.
 func (p *Pipeline) RecombineEdges(res *Result, edges []graph.Edge) error {
+	fresh, err := p.repredict(res, edges)
+	if err != nil {
+		return err
+	}
+	res.Edges = res.Edges.spliced(nil, fresh)
+	return nil
+}
+
+// repredict runs Phase III prediction for just the listed edges against
+// res's classified egos and returns them as a store of their own (nil for
+// an empty list).
+func (p *Pipeline) repredict(res *Result, edges []graph.Edge) (*EdgeStore, error) {
 	if len(edges) == 0 {
-		return nil
+		return nil, nil
 	}
 	if !p.cfg.AgreementRule && res.Combiner == nil {
-		return fmt.Errorf("core: recombine: result has no trained combiner")
+		return nil, fmt.Errorf("core: recombine: result has no trained combiner")
 	}
 	classes := p.classes(res)
 	preds := make([]social.Label, len(edges))
 	probsFlat := make([]float64, len(edges)*classes)
 	p.predictEdges(res, edges, preds, probsFlat, classes)
-	fresh := newEdgeStoreFromRun(edges, preds, probsFlat, classes)
-	res.Edges = res.Edges.merged(fresh)
-	return nil
+	return newEdgeStoreFromRun(edges, preds, probsFlat, classes), nil
 }
 
 // RunFrozen re-executes the pipeline's compute phases with every learned

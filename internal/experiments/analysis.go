@@ -119,7 +119,7 @@ func Table2(opt Options) (*eval.Report, error) {
 	var truths, preds []social.Label
 	net.Dataset.G.ForEachEdge(func(u, v graph.NodeID) {
 		k := (graph.Edge{U: u, V: v}).Key()
-		t := net.Dataset.TrueLabels[k]
+		t := net.Dataset.TrueLabel(k)
 		if !t.Valid() {
 			return
 		}
@@ -155,7 +155,7 @@ func Fig2(opt Options) (*Fig2Result, error) {
 		return nil, err
 	}
 	samples := map[social.Label][]float64{}
-	for k, l := range net.Dataset.TrueLabels {
+	for k, l := range net.Dataset.AllTrueLabels() {
 		if !l.Valid() {
 			continue
 		}
@@ -220,12 +220,12 @@ func Fig3(opt Options) (*Fig3Result, error) {
 			hits[action][cat] = map[social.Label]int{}
 		}
 	}
-	for k, l := range net.Dataset.TrueLabels {
+	for k, l := range net.Dataset.AllTrueLabels() {
 		if !l.Valid() {
 			continue
 		}
 		counts[l]++
-		iv, ok := net.Dataset.Interactions[k]
+		iv, ok := net.Dataset.InteractionRow(k)
 		if !ok {
 			continue
 		}
@@ -289,12 +289,12 @@ func Fig4(opt Options) (*Fig2Result, error) {
 		social.DimCommentPicture, social.DimCommentArticle, social.DimCommentGame,
 	}
 	samples := map[social.Label][]float64{}
-	for k, l := range net.Dataset.TrueLabels {
+	for k, l := range net.Dataset.AllTrueLabels() {
 		if !l.Valid() {
 			continue
 		}
 		total := 0.0
-		if iv, ok := net.Dataset.Interactions[k]; ok {
+		if iv, ok := net.Dataset.InteractionRow(k); ok {
 			for _, d := range momentDims {
 				total += iv[d]
 			}

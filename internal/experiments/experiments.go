@@ -91,13 +91,13 @@ func surveyedNetwork(opt Options) (*wechat.Network, error) {
 // holdOut hides the test split from learners and returns restore state.
 func holdOut(ds *social.Dataset, test []uint64) {
 	for _, k := range test {
-		delete(ds.Revealed, k)
+		ds.SetRevealed(k, false)
 	}
 }
 
 func reveal(ds *social.Dataset, keys []uint64) {
 	for _, k := range keys {
-		ds.Revealed[k] = true
+		ds.SetRevealed(k, true)
 	}
 }
 
@@ -105,7 +105,7 @@ func reveal(ds *social.Dataset, keys []uint64) {
 func truthsOf(ds *social.Dataset, keys []uint64) []social.Label {
 	out := make([]social.Label, len(keys))
 	for i, k := range keys {
-		out[i] = ds.TrueLabels[k]
+		out[i] = ds.TrueLabel(k)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -8,7 +9,8 @@ import (
 // Overlay is a mutable edge delta over an immutable base Graph — the write
 // side of the incremental update engine. Mutations accumulate in the
 // overlay (one epoch's worth of AddEdge/RemoveEdge calls); Compact then
-// merges them into a fresh immutable CSR graph in O(E + Δ), and DirtyNodes
+// merges them into a fresh immutable CSR graph (block copies of the
+// untouched rows, a merge of the touched ones), and DirtyNodes
 // reports exactly the nodes whose ego networks the batch invalidated.
 //
 // The node set is fixed: an overlay mutates edges among the base graph's
@@ -262,72 +264,98 @@ func (o *Overlay) MarkNodeDirty(u NodeID) error {
 	return nil
 }
 
-// Compact merges the delta into a fresh immutable Graph in one counting
-// pass plus one scatter pass over base arcs and delta arcs — O(E + Δ),
-// with no global edge sort (the base adjacency is already sorted and each
-// node's delta is merged in order).
+// deltaArc is one direction of a mutated edge: node u gains (add) or loses
+// neighbor v.
+type deltaArc struct {
+	u, v NodeID
+	add  bool
+}
+
+// Compact merges the delta into a fresh immutable Graph at the cost of
+// what the batch touched plus two block copies: only the rows of mutated
+// endpoints are merged entry by entry; every run of untouched rows between
+// them keeps its adjacency verbatim (one copy per run) and its offsets
+// shifted by the constant the rows before it grew or shrank by. No global
+// edge sort — the base adjacency is already sorted and each touched row's
+// delta is merged in order.
 func (o *Overlay) Compact() *Graph {
-	n := o.base.NumNodes()
 	if len(o.added) == 0 && len(o.removed) == 0 {
 		return o.base // nothing changed; CSR is immutable, so sharing is safe
 	}
-	// Per-node sorted delta adjacency. addBy/removeBy hold each endpoint's
-	// counterpart, built from the sorted key lists so each per-node list
-	// needs no own sort for the smaller-endpoint direction; the reverse
-	// direction is appended afterwards and sorted per node (Δ is tiny
-	// relative to E).
-	addBy := make(map[NodeID][]NodeID, 2*len(o.added))
-	removeBy := make(map[NodeID]map[NodeID]struct{}, 2*len(o.removed))
+	// Both directions of every mutated edge, grouped by row and ascending
+	// within it (Δ is tiny relative to E, so this sort is the cheap part).
+	arcs := make([]deltaArc, 0, 2*(len(o.added)+len(o.removed)))
 	for k := range o.added {
 		e := EdgeFromKey(k)
-		addBy[e.U] = append(addBy[e.U], e.V)
-		addBy[e.V] = append(addBy[e.V], e.U)
-	}
-	for u := range addBy {
-		slices.Sort(addBy[u])
+		arcs = append(arcs, deltaArc{e.U, e.V, true}, deltaArc{e.V, e.U, true})
 	}
 	for k := range o.removed {
 		e := EdgeFromKey(k)
-		for _, p := range [2][2]NodeID{{e.U, e.V}, {e.V, e.U}} {
-			m := removeBy[p[0]]
-			if m == nil {
-				m = make(map[NodeID]struct{}, 2)
-				removeBy[p[0]] = m
-			}
-			m[p[1]] = struct{}{}
-		}
+		arcs = append(arcs, deltaArc{e.U, e.V, false}, deltaArc{e.V, e.U, false})
 	}
+	slices.SortFunc(arcs, func(a, b deltaArc) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+
+	n := o.base.NumNodes()
+	baseOff, baseAdj := o.base.offsets, o.base.adj
 	offsets := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		deg := o.base.Degree(NodeID(u)) + len(addBy[NodeID(u)]) - len(removeBy[NodeID(u)])
-		offsets[u+1] = offsets[u] + int32(deg)
+	adj := make([]NodeID, len(baseAdj)+2*(len(o.added)-len(o.removed)))
+	// copyRows writes the untouched rows [from, to): offsets shifted by
+	// the running delta, adjacency as one block.
+	shift := int32(0)
+	copyRows := func(from, to int) {
+		for w := from; w < to; w++ {
+			offsets[w] = baseOff[w] + shift
+		}
+		copy(adj[baseOff[from]+shift:], baseAdj[baseOff[from]:baseOff[to]])
 	}
-	adj := make([]NodeID, offsets[n])
-	for u := 0; u < n; u++ {
-		row := adj[offsets[u]:offsets[u]:offsets[u+1]]
-		baseRow := o.base.Neighbors(NodeID(u))
-		addRow := addBy[NodeID(u)]
-		gone := removeBy[NodeID(u)]
-		i, j := 0, 0
-		for i < len(baseRow) || j < len(addRow) {
-			// added edges are absent from base and removed ones present,
-			// so the two merge streams never collide on a value.
-			if j >= len(addRow) || (i < len(baseRow) && baseRow[i] < addRow[j]) {
-				if _, drop := gone[baseRow[i]]; !drop {
-					row = append(row, baseRow[i])
-				}
-				i++
-			} else {
-				row = append(row, addRow[j])
-				j++
+	from := 0 // first row not yet written
+	for len(arcs) > 0 {
+		u := arcs[0].u
+		rowDelta := arcs
+		for i, a := range arcs {
+			if a.u != u {
+				rowDelta = arcs[:i]
+				break
 			}
 		}
-		if len(row) != int(offsets[u+1]-offsets[u]) {
-			// Defensive: the degree arithmetic above and the merge must
-			// agree; a mismatch means the delta sets were inconsistent.
-			panic(fmt.Sprintf("graph: overlay: node %d compacted to %d neighbors, expected %d",
-				u, len(row), offsets[u+1]-offsets[u]))
+		arcs = arcs[len(rowDelta):]
+		copyRows(from, int(u))
+		offsets[u] = baseOff[u] + shift
+		// Merge the touched row: base runs between delta entries are
+		// copied whole, an added neighbor is inserted in order, a removed
+		// one skipped. Added edges are absent from base and removed ones
+		// present, so each delta entry lands on exactly one side.
+		baseRow := o.base.Neighbors(u)
+		w := int(offsets[u])
+		for _, a := range rowDelta {
+			at, found := slices.BinarySearch(baseRow, a.v)
+			if found == a.add {
+				panic(fmt.Sprintf("graph: overlay: delta of node %d inconsistent with base at neighbor %d", u, a.v))
+			}
+			w += copy(adj[w:], baseRow[:at])
+			baseRow = baseRow[at:]
+			if a.add {
+				adj[w] = a.v
+				w++
+			} else {
+				baseRow = baseRow[1:]
+			}
 		}
+		w += copy(adj[w:], baseRow)
+		shift = int32(w) - baseOff[u+1]
+		from = int(u) + 1
+	}
+	copyRows(from, n)
+	offsets[n] = baseOff[n] + shift
+	if int(offsets[n]) != len(adj) {
+		// Defensive: the degree arithmetic and the merge must agree; a
+		// mismatch means the delta sets were inconsistent.
+		panic(fmt.Sprintf("graph: overlay: compacted to %d arcs, expected %d", offsets[n], len(adj)))
 	}
 	return &Graph{
 		offsets: offsets,

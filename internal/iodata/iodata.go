@@ -155,8 +155,8 @@ func FromDataset(ds *social.Dataset, second map[uint64]string, commonGroups map[
 		k := (graph.Edge{U: u, V: v}).Key()
 		rec := EdgeRecord{
 			U: u, V: v,
-			Label:    ds.TrueLabels[k].String(),
-			Revealed: ds.Revealed[k],
+			Label:    ds.TrueLabel(k).String(),
+			Revealed: ds.IsRevealed(k),
 		}
 		if second != nil {
 			rec.Second = second[k]
@@ -164,9 +164,7 @@ func FromDataset(ds *social.Dataset, second map[uint64]string, commonGroups map[
 		if commonGroups != nil {
 			rec.CommonGroups = commonGroups[k]
 		}
-		if iv, ok := ds.Interactions[k]; ok {
-			rec.Interactions = iv
-		}
+		rec.Interactions, _ = ds.InteractionRow(k)
 		doc.Edges = append(doc.Edges, rec)
 	})
 	return doc

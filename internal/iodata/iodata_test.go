@@ -34,7 +34,7 @@ func TestRoundTrip(t *testing.T) {
 			ds.G.NumNodes(), ds.G.NumEdges(), net.Dataset.G.NumNodes(), net.Dataset.G.NumEdges())
 	}
 	for k, l := range net.Dataset.TrueLabels {
-		if ds.TrueLabels[k] != l {
+		if ds.TrueLabel(k) != l {
 			t.Fatalf("label mismatch at %v", graph.EdgeFromKey(k))
 		}
 	}
@@ -42,7 +42,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("revealed mismatch: %d vs %d", len(ds.Revealed), len(net.Dataset.Revealed))
 	}
 	for k, iv := range net.Dataset.Interactions {
-		got, ok := ds.Interactions[k]
+		got, ok := ds.InteractionRow(k)
 		if !ok {
 			t.Fatalf("missing interactions at %v", graph.EdgeFromKey(k))
 		}
@@ -117,7 +117,7 @@ func TestRevealedFlagSurvivesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ds2.Revealed[k01] || ds2.Revealed[k12] {
+	if !ds2.IsRevealed(k01) || ds2.IsRevealed(k12) {
 		t.Fatalf("revealed flags wrong: %v", ds2.Revealed)
 	}
 }

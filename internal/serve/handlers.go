@@ -337,6 +337,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"last_dirty_nodes":   s.lastDirtyNodes.Load(),
 			"last_dirty_edges":   s.lastDirtyEdges.Load(),
 			"last_seeded_egos":   s.lastSeededEgos.Load(),
+			"last_dataset_edits": s.lastDatasetEdits.Load(),
+			"folds":              s.mutFolds.Load(),
 			"last_apply_seconds": float64(s.lastApplyNs.Load()) / 1e9,
 		},
 	}
@@ -436,8 +438,8 @@ func (s *snapshot) toMutation(i int, doc mutationDoc) (core.Mutation, error) {
 		if doc.Revealed != nil {
 			m.Revealed = *doc.Revealed
 		}
-		if len(doc.Interactions) != 0 && len(doc.Interactions) != int(social.NumInteractionDims) {
-			return m, fmt.Errorf("mutation %d: %d interaction dims, want %d", i, len(doc.Interactions), social.NumInteractionDims)
+		if err := core.CheckInteractions(doc.Interactions); err != nil {
+			return m, fmt.Errorf("mutation %d: add {%d,%d}: %v", i, doc.U, doc.V, err)
 		}
 		m.Interactions = doc.Interactions
 	case "remove":
@@ -535,6 +537,8 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 		"dirty_communities": receipt.Stats.DirtyCommunities,
 		"dirty_edges":       receipt.Stats.DirtyEdges,
 		"seeded_egos":       receipt.Stats.SeededEgos,
+		"dataset_edits":     receipt.Stats.DatasetEdits,
+		"folded":            receipt.Stats.Folded,
 		"added_edges":       receipt.Stats.AddedEdges,
 		"removed_edges":     receipt.Stats.RemovedEdges,
 		"apply_seconds":     receipt.Stats.Duration.Seconds(),

@@ -247,6 +247,8 @@ func (s *Server) applyJobs(jobs []mutationJob) {
 		agg.DirtyNodes += stats.DirtyNodes
 		agg.DirtyCommunities += stats.DirtyCommunities
 		agg.DirtyEdges += stats.DirtyEdges
+		agg.DatasetEdits = stats.DatasetEdits // a size, not a sum: the last job's
+		agg.Folded = agg.Folded || stats.Folded
 		agg.Duration += stats.Duration
 		applied = append(applied, settled{job: job, stats: stats})
 	}
@@ -281,11 +283,16 @@ func (s *Server) publishMutated(prev *snapshot, ds *social.Dataset, res *core.Re
 	s.lastDirtyNodes.Store(int64(stats.DirtyNodes))
 	s.lastDirtyEdges.Store(int64(stats.DirtyEdges))
 	s.lastSeededEgos.Store(int64(stats.SeededEgos))
+	s.lastDatasetEdits.Store(int64(stats.DatasetEdits))
+	if stats.Folded {
+		s.mutFolds.Add(1)
+	}
 	s.lastApplyNs.Store(stats.Duration.Nanoseconds())
 	s.log.Info("mutation epoch applied",
 		"version", snap.version, "epoch", snap.epoch,
 		"mutations", stats.Mutations,
 		"dirty_nodes", stats.DirtyNodes, "dirty_edges", stats.DirtyEdges,
+		"dataset_edits", stats.DatasetEdits, "folded", stats.Folded,
 		"apply_seconds", stats.Duration.Seconds())
 	return snap.info()
 }

@@ -109,8 +109,8 @@ func TestMutationsAddRemoveRelabel(t *testing.T) {
 	}
 	k := (graph.Edge{U: graph.NodeID(au), V: graph.NodeID(av)}).Key()
 	snap := s.current()
-	if snap.ds.TrueLabels[k] != social.Colleague || !snap.ds.Revealed[k] {
-		t.Fatalf("relabel not visible: label=%v revealed=%v", snap.ds.TrueLabels[k], snap.ds.Revealed[k])
+	if snap.ds.TrueLabel(k) != social.Colleague || !snap.ds.IsRevealed(k) {
+		t.Fatalf("relabel not visible: label=%v revealed=%v", snap.ds.TrueLabel(k), snap.ds.IsRevealed(k))
 	}
 	if snap.epoch != 3 || snap.version != 4 {
 		t.Fatalf("epoch/version = %d/%d, want 3/4", snap.epoch, snap.version)
@@ -145,6 +145,45 @@ func TestMutationsAddRemoveRelabel(t *testing.T) {
 	if !stats.Snapshot.Mutable || stats.Snapshot.Epoch != 3 {
 		t.Fatalf("snapshot info: %+v", stats.Snapshot)
 	}
+}
+
+// TestMutationFoldObservable: every receipt carries the size of the live
+// dataset's edit delta, and the one epoch that folds it back into the maps
+// says so — in the receipt and in the /v1/stats fold counter.
+func TestMutationFoldObservable(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	type mutationStats struct {
+		Mutations struct {
+			LastDatasetEdits int64 `json:"last_dataset_edits"`
+			Folds            int64 `json:"folds"`
+		} `json:"mutations"`
+	}
+	edges := s.current().ds.G.Edges()
+	for i, e := range edges {
+		resp, doc := postMutations(t, ts, fmt.Sprintf(
+			`{"mutations":[{"op":"relabel","u":%d,"v":%d,"label":"family"}],"wait":true}`, e.U, e.V))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("relabel %d: %d %v", i, resp.StatusCode, doc)
+		}
+		var stats mutationStats
+		getJSON(t, ts, "/v1/stats", &stats)
+		if folded, _ := doc["folded"].(bool); folded {
+			if doc["dataset_edits"].(float64) != 0 || stats.Mutations.Folds != 1 || stats.Mutations.LastDatasetEdits != 0 {
+				t.Fatalf("fold at epoch %d: receipt %v, stats %+v", i+1, doc, stats.Mutations)
+			}
+			if (i+1)*(i+1) <= len(edges) {
+				t.Fatalf("folded after %d edits over %d edges: before the delta outgrew its rule", i+1, len(edges))
+			}
+			return
+		}
+		// One distinct key per epoch: the delta grows by exactly one.
+		if doc["dataset_edits"].(float64) != float64(i+1) || stats.Mutations.LastDatasetEdits != int64(i+1) || stats.Mutations.Folds != 0 {
+			t.Fatalf("epoch %d: receipt %v, stats %+v", i+1, doc, stats.Mutations)
+		}
+	}
+	t.Fatalf("%d one-key epochs over %d edges never folded", len(edges), len(edges))
 }
 
 func TestMutationsAsyncAcknowledge(t *testing.T) {
@@ -200,6 +239,9 @@ func TestMutationsBadRequests(t *testing.T) {
 		fmt.Sprintf(`{"mutations":[{"op":"add","u":0,"v":%d}]}`, n),
 		`{"mutations":[{"op":"add","u":0,"v":1,"label":"bestie"}]}`,
 		`{"mutations":[{"op":"add","u":0,"v":1,"interactions":[1,2]}]}`,
+		`{"mutations":[{"op":"add","u":0,"v":1,"interactions":[1,2,3,-4,5,6,7,8]}]}`,
+		`{"mutations":[{"op":"add","u":0,"v":1,"interactions":[1,2,3,4,5,6,7,1e999]}]}`,
+		`{"mutations":[{"op":"add","u":0,"v":1,"interactions":[NaN,2,3,4,5,6,7,8]}]}`,
 		fmt.Sprintf(`{"mutations":[{"op":"relabel","u":%d,"v":%d}]}`, eu, ev),
 		`not json`,
 	}
@@ -210,9 +252,16 @@ func TestMutationsBadRequests(t *testing.T) {
 		}
 	}
 
+	// A hostile interaction row is refused by name, before it reaches the
+	// queue or the WAL.
+	resp, doc := postMutations(t, ts, `{"mutations":[{"op":"remove","u":0,"v":1},{"op":"add","u":2,"v":3,"interactions":[0,0,0,0,0,-0.5,0,0]}]}`)
+	if msg, _ := doc["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "mutation 1: add {2,3}: interaction dim 5 = -0.5") {
+		t.Errorf("hostile row: status %d, error %q", resp.StatusCode, msg)
+	}
+
 	// Structurally valid but semantically impossible: rejected at apply
 	// time with a conflict.
-	resp, doc := postMutations(t, ts, fmt.Sprintf(
+	resp, doc = postMutations(t, ts, fmt.Sprintf(
 		`{"mutations":[{"op":"add","u":%d,"v":%d,"label":"family"}],"wait":true}`, eu, ev))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate add: status %d %v, want 409", resp.StatusCode, doc)

@@ -232,6 +232,11 @@ type Server struct {
 	lastDirtyEdges atomic.Int64
 	lastSeededEgos atomic.Int64
 	lastApplyNs    atomic.Int64
+	// Size of the live dataset's edit delta, and how many epochs folded it
+	// back into the per-edge maps (a count: a "last epoch folded" flag
+	// would be overwritten before anyone polled it).
+	lastDatasetEdits atomic.Int64
+	mutFolds         atomic.Int64
 
 	// WAL state; walLog is nil when Config.WALDir is empty.
 	walFS        wal.FS

@@ -93,6 +93,14 @@ var DimNames = [NumInteractionDims]string{
 }
 
 // Dataset is one problem instance.
+//
+// The three per-edge maps hold the dataset as generated or loaded. A
+// dataset that came out of a mutation epoch (core.Pipeline.ApplyMutations)
+// additionally carries an edit delta that shadows them — see edits.go — so
+// index the maps directly only on a dataset you built yourself; everywhere
+// else read through the accessors (TrueLabel, IsRevealed, RevealedLabel,
+// InteractionRow, InteractionVector, the All* iterators, LabeledEdges*),
+// which answer for the edited view.
 type Dataset struct {
 	// G is the undirected friendship graph.
 	G *graph.Graph
@@ -102,13 +110,21 @@ type Dataset struct {
 	// Interactions maps canonical edge key -> per-dimension counts
 	// (length NumInteractionDims). Edges without any interaction are
 	// absent from the map — the sparsity the paper is built around.
+	// As generated/loaded; read through InteractionRow / InteractionVector.
 	Interactions map[uint64][]float64
 	// TrueLabels maps every edge key to its ground-truth label. The
 	// generator knows all labels; evaluation uses this map.
+	// As generated/loaded; read through TrueLabel / LookupTrueLabel.
 	TrueLabels map[uint64]Label
 	// Revealed is the set of edge keys whose label is visible to learners
 	// (the survey sample E_labeled).
+	// As generated/loaded; read through IsRevealed / RevealedLabel.
 	Revealed map[uint64]bool
+
+	// edits is the copy-on-write delta mutation epochs left over the three
+	// maps (nil on a generated, loaded or freshly folded dataset). It is
+	// never written after the Editor that built it commits.
+	edits map[uint64]edit
 }
 
 // NumFeatureDims returns |f|, the per-user profile width.
@@ -122,17 +138,14 @@ func (d *Dataset) NumFeatureDims() int {
 // Interaction returns the count on dimension dim for edge {u,v} (0 when the
 // pair never interacted).
 func (d *Dataset) Interaction(u, v graph.NodeID, dim InteractionDim) float64 {
-	if c, ok := d.Interactions[(graph.Edge{U: u, V: v}).Key()]; ok {
-		return c[dim]
-	}
-	return 0
+	return d.InteractionVector(u, v)[dim]
 }
 
 // InteractionVector returns the full |I|-dim count vector for edge {u,v};
 // the returned slice must not be modified. Missing pairs yield a shared
 // zero vector.
 func (d *Dataset) InteractionVector(u, v graph.NodeID) []float64 {
-	if c, ok := d.Interactions[(graph.Edge{U: u, V: v}).Key()]; ok {
+	if c, ok := d.InteractionRow((graph.Edge{U: u, V: v}).Key()); ok {
 		return c
 	}
 	return zeroInteractions[:]
@@ -140,13 +153,53 @@ func (d *Dataset) InteractionVector(u, v graph.NodeID) []float64 {
 
 var zeroInteractions [NumInteractionDims]float64
 
+// InteractionRow returns the stored count vector of edge key k and whether
+// the pair has one; the returned slice must not be modified.
+func (d *Dataset) InteractionRow(k uint64) ([]float64, bool) {
+	if e, ok := d.edits[k]; ok {
+		return e.inter, e.inter != nil
+	}
+	c, ok := d.Interactions[k]
+	return c, ok
+}
+
+// LookupTrueLabel returns the ground-truth label of edge key k and whether
+// the dataset has one for it.
+func (d *Dataset) LookupTrueLabel(k uint64) (Label, bool) {
+	if e, ok := d.edits[k]; ok {
+		return e.label, !e.deleted
+	}
+	l, ok := d.TrueLabels[k]
+	return l, ok
+}
+
+// TrueLabel returns the ground-truth label of edge key k; like the map
+// read it replaces, an unknown key yields the zero label.
+func (d *Dataset) TrueLabel(k uint64) Label {
+	l, _ := d.LookupTrueLabel(k)
+	return l
+}
+
+// IsRevealed reports whether the label of edge key k is visible to
+// learners.
+func (d *Dataset) IsRevealed(k uint64) bool {
+	if e, ok := d.edits[k]; ok {
+		return e.revealed
+	}
+	return d.Revealed[k]
+}
+
 // RevealedLabel returns the label of edge key k if revealed, else Unlabeled.
 func (d *Dataset) RevealedLabel(k uint64) Label {
-	if d.Revealed[k] {
-		return d.TrueLabels[k]
+	if d.IsRevealed(k) {
+		return d.TrueLabel(k)
 	}
 	return Unlabeled
 }
+
+// HasGroundTruth reports whether the dataset carries per-edge labels at
+// all (an artifact-only topology does not).
+func (d *Dataset) HasGroundTruth() bool { return d.TrueLabels != nil }
 
 // LabeledEdges returns the canonical keys of all revealed edges whose true
 // label is one of the predictable classes, in graph edge order
@@ -156,7 +209,7 @@ func (d *Dataset) LabeledEdges() []uint64 {
 	out := make([]uint64, 0, len(d.Revealed))
 	d.G.ForEachEdge(func(u, v graph.NodeID) {
 		k := (graph.Edge{U: u, V: v}).Key()
-		if d.Revealed[k] && d.TrueLabels[k].Valid() {
+		if d.IsRevealed(k) && d.TrueLabel(k).Valid() {
 			out = append(out, k)
 		}
 	})
@@ -169,7 +222,7 @@ func (d *Dataset) LabeledEdgesAll() []uint64 {
 	out := make([]uint64, 0, len(d.Revealed))
 	d.G.ForEachEdge(func(u, v graph.NodeID) {
 		k := (graph.Edge{U: u, V: v}).Key()
-		if d.Revealed[k] {
+		if d.IsRevealed(k) {
 			out = append(out, k)
 		}
 	})
@@ -179,10 +232,10 @@ func (d *Dataset) LabeledEdgesAll() []uint64 {
 // UnlabeledEdges returns the canonical keys of all edges with hidden labels,
 // in graph edge order.
 func (d *Dataset) UnlabeledEdges() []uint64 {
-	out := make([]uint64, 0, d.G.NumEdges()-len(d.Revealed))
+	out := make([]uint64, 0, max(0, d.G.NumEdges()-len(d.Revealed)))
 	d.G.ForEachEdge(func(u, v graph.NodeID) {
 		k := (graph.Edge{U: u, V: v}).Key()
-		if !d.Revealed[k] {
+		if !d.IsRevealed(k) {
 			out = append(out, k)
 		}
 	})
@@ -202,7 +255,7 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("social: feature row %d has width %d, want %d", i, len(row), w)
 		}
 	}
-	for k, c := range d.Interactions {
+	for k, c := range d.AllInteractions() {
 		e := graph.EdgeFromKey(k)
 		if !d.G.HasEdge(e.U, e.V) {
 			return fmt.Errorf("social: interaction on non-edge %v", e)
@@ -211,16 +264,18 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("social: interaction vector on %v has %d dims", e, len(c))
 		}
 	}
-	if len(d.TrueLabels) != d.G.NumEdges() {
-		return fmt.Errorf("social: %d true labels for %d edges", len(d.TrueLabels), d.G.NumEdges())
-	}
-	for k, l := range d.TrueLabels {
+	labels := 0
+	for k, l := range d.AllTrueLabels() {
+		labels++
 		if !l.ValidGroundTruth() {
 			return fmt.Errorf("social: invalid true label %d on %v", l, graph.EdgeFromKey(k))
 		}
 	}
-	for k := range d.Revealed {
-		if _, ok := d.TrueLabels[k]; !ok {
+	if labels != d.G.NumEdges() {
+		return fmt.Errorf("social: %d true labels for %d edges", labels, d.G.NumEdges())
+	}
+	for k := range d.AllRevealed() {
+		if _, ok := d.LookupTrueLabel(k); !ok {
 			return fmt.Errorf("social: revealed non-edge %v", graph.EdgeFromKey(k))
 		}
 	}

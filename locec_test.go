@@ -29,7 +29,7 @@ func TestBuilderEndToEnd(t *testing.T) {
 		t.Fatalf("edges = %d", ds.G.NumEdges())
 	}
 	// The unlabeled bridge gets ground truth Other and stays hidden.
-	if ds.TrueLabels[edgeKey(2, 3)] != Other {
+	if ds.TrueLabel(edgeKey(2, 3)) != Other {
 		t.Fatal("bridge should default to Other")
 	}
 	if len(ds.LabeledEdges()) != 5 {

@@ -42,7 +42,7 @@ func (s *SynthNetwork) RevealSurvey(fraction float64, seed int64) {
 // TrueLabel returns the generator's ground-truth label for {u,v}
 // (Unlabeled if the edge does not exist).
 func (s *SynthNetwork) TrueLabel(u, v NodeID) Label {
-	if l, ok := s.Dataset.TrueLabels[edgeKey(u, v)]; ok {
+	if l, ok := s.Dataset.LookupTrueLabel(edgeKey(u, v)); ok {
 		return l
 	}
 	return Unlabeled
