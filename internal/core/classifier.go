@@ -29,7 +29,10 @@ type CNNClassifier struct {
 	// K is the feature-matrix row budget (paper's parameter study: 20).
 	K int
 	// Filters/Hidden size the network; Epochs/BatchSize/LR/Workers tune
-	// training. Zero values take sensible defaults.
+	// training. Zero values take sensible defaults. Workers 0 means
+	// GOMAXPROCS, and the fitted weights differ between worker counts
+	// (nn.TrainConfig.Workers): set it for a model that must come out the
+	// same on machines with different core counts.
 	Filters, Hidden int
 	Epochs          int
 	BatchSize       int

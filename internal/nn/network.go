@@ -44,10 +44,13 @@ type TrainConfig struct {
 	Optimizer Optimizer
 	Seed      int64
 	// Workers sets the data-parallel width within a batch; 0 means
-	// GOMAXPROCS. Gradients accumulate into the shared Params under a
-	// per-worker clone of the network, so results are deterministic only
-	// for Workers == 1 (floating-point accumulation order varies
-	// otherwise); class predictions are stable in practice.
+	// GOMAXPROCS. Worker w takes samples w, w+Workers, … of each batch
+	// through its own clone of the network, and the clones' gradients are
+	// merged serially in worker order: a fit is reproducible (every
+	// parameter ==) at any fixed count, and differs between counts, which
+	// group the batch's floating-point sum differently (class predictions
+	// are stable in practice). Left at 0, the trained weights are
+	// therefore a function of the machine's core count.
 	Workers int
 	// OnEpoch, if non-nil, receives (epoch, meanLoss) after each epoch.
 	OnEpoch func(epoch int, meanLoss float64)

@@ -307,6 +307,32 @@ func TestFitParallelMatchesSerialPredictions(t *testing.T) {
 	}
 }
 
+// TestFitReproducibleAtFixedWorkers pins what TrainConfig.Workers promises:
+// strided sample assignment and a serial merge in worker order make a fit
+// at a fixed worker count a pure function of its seed — every parameter
+// ==, also with the workers on real goroutines. (Between counts the batch
+// sum is grouped differently; TestFitParallelMatchesSerialPredictions
+// covers that side.) The benchmark's nn.fit replay check relies on this.
+func TestFitReproducibleAtFixedWorkers(t *testing.T) {
+	xs, ys := synthTask(90, 6, 4, 31)
+	fit := func() []*Param {
+		net, err := NewCommCNN(CommCNNConfig{K: 6, Features: 4, Classes: 3, Filters: 3, Hidden: 8, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Fit(xs, ys, TrainConfig{Epochs: 4, BatchSize: 15, Seed: 9, Workers: 2, Optimizer: NewAdam(0.01)})
+		return net.Root.Params()
+	}
+	first, second := fit(), fit()
+	for pi, p := range first {
+		for i, w := range p.W {
+			if second[pi].W[i] != w {
+				t.Fatalf("%s[%d]: %v in the first fit, %v in the second", p.Name, i, w, second[pi].W[i])
+			}
+		}
+	}
+}
+
 func TestAdamAndSGDReduceLossOnDense(t *testing.T) {
 	for _, opt := range []Optimizer{NewAdam(0.05), NewSGD(0.1, 0.9)} {
 		rng := rand.New(rand.NewSource(11))

@@ -5,29 +5,42 @@ import (
 	"sync"
 )
 
-// Small cache-blocked GEMM kernels backing the im2col convolution path in
-// internal/nn. All operands are dense row-major float64 slices owned by the
-// caller; every kernel writes into a preallocated destination so the hot
-// path performs no allocation on small shapes. Matrices here are
-// tiny-to-small (tens to a few hundred per side), so the kernels favor a
-// simple i-k-j loop order — the inner loop streams both the B row and the
-// C row contiguously — with one level of blocking to keep the working set
-// in L1/L2 on larger shapes.
+// Small GEMM kernels backing the im2col convolution path in internal/nn.
+// All operands are dense row-major float64 slices owned by the caller;
+// every kernel writes into a preallocated destination so the hot path
+// performs no allocation on small shapes.
+//
+// The three general products run on two register tiles. axpyTile folds
+// four B rows into two C rows per pass, so each C element is loaded and
+// stored once per four multiply-adds (MatMul/MatMulAcc, and MatMulATB
+// with the eight scalars read down a column of a): fourteen live floats
+// in amd64's fifteen registers. dotTile runs 2 × 3 dot products together,
+// six independent accumulator chains fed by five loads per step
+// (MatMulABTAcc); 2 × 4 would be fewer loads per multiply-add but spills,
+// because the compiler schedules all the multiplies ahead of the adds.
+// Both run at one multiply and one add per multiply-add with nothing else
+// in the way, which is what scalar Go reaches. Remainder rows and columns
+// take 1-wide loops. There is no cache blocking: a C row pair streams
+// through L1 whatever its width, and column strips of B measured slower
+// than whole rows.
+//
+// The tiles only regroup which loads and stores are shared. Every dst
+// element receives the terms a plain triple loop would hand it — ascending
+// reduction index, one `s += a*b` statement per term, dot products formed
+// from 0 and then added to dst — so results are == to those loops (kept
+// as the oracle in gemm_reference_test.go), also where the compiler fuses
+// the statement into a multiply-add, because it is the same statement on
+// both sides. A zero in a is multiplied like any other value: a is the
+// weight operand and never sparse, and on finite inputs a ±0 term cannot
+// change a sum that started at +0.
 //
 // Above gemmParallelFlops of work each kernel fans its output rows across
 // GOMAXPROCS goroutines. The split is over OUTPUT rows only, so every dst
 // element is still accumulated by exactly one goroutine in exactly the
-// serial loop's order — parallel and serial results are bit-identical,
-// and worker count is a pure speed knob (the same contract internal/gbdt
-// makes for tree training). Small shapes (all of CommCNN's) stay on the
-// serial zero-allocation path.
-
-// gemm block sizes: bkK rows of B (each bkJ wide) fit comfortably in L1
-// alongside the C row being accumulated.
-const (
-	gemmBlockK = 128
-	gemmBlockJ = 512
-)
+// serial order — parallel and serial results are bit-identical, and worker
+// count is a pure speed knob (the same contract internal/gbdt makes for
+// tree training). Small shapes (all of CommCNN's) stay on the serial
+// zero-allocation path.
 
 // gemmParallelFlops gates the fan-out: below ~1M multiply-adds the
 // goroutine spawn + WaitGroup costs more than it saves, and spawning
@@ -71,15 +84,107 @@ func parallelRows(rows, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
+// axpyTile adds four scaled b rows into two c rows of the same width:
+// c0[j] += p0*b0[j], += p1*b1[j], += p2*b2[j], += p3*b3[j] in that order,
+// and c1 likewise with q0…q3.
+func axpyTile(c0, c1, b0, b1, b2, b3 []float64, p0, p1, p2, p3, q0, q1, q2, q3 float64) {
+	w := len(c0)
+	c1, b0, b1, b2, b3 = c1[:w], b0[:w], b1[:w], b2[:w], b3[:w]
+	for j, s0 := range c0 {
+		v0, v1, v2, v3 := b0[j], b1[j], b2[j], b3[j]
+		s0 += p0 * v0
+		s0 += p1 * v1
+		s0 += p2 * v2
+		s0 += p3 * v3
+		c0[j] = s0
+		s1 := c1[j]
+		s1 += q0 * v0
+		s1 += q1 * v1
+		s1 += q2 * v2
+		s1 += q3 * v3
+		c1[j] = s1
+	}
+}
+
+// axpy is the 1-wide remainder of axpyTile: c[j] += s*b[j].
+func axpy(c, b []float64, s float64) {
+	b = b[:len(c)]
+	for j := range c {
+		c[j] += s * b[j]
+	}
+}
+
+// axpyRows adds into dst rows [r0, r1) the product whose element (r, j)
+// is Σ_t a[r*sr+t*st]·b[t*n+j] over t in [0, t1): per pair of dst rows, b
+// goes by four rows at a time, every element summing over ascending t.
+// (sr, st) = (k, 1) reads a as the left operand, (1, k) as its transpose.
+func axpyRows(dst, a, b []float64, r0, r1, t1, n, sr, st int) {
+	row := func(mat []float64, r int) []float64 { return mat[r*n : (r+1)*n] }
+	r := r0
+	for ; r+1 < r1; r += 2 {
+		c0, c1 := row(dst, r), row(dst, r+1)
+		p, q := a[r*sr:], a[(r+1)*sr:]
+		t := 0
+		for ; t+3 < t1; t += 4 {
+			axpyTile(c0, c1, row(b, t), row(b, t+1), row(b, t+2), row(b, t+3),
+				p[t*st], p[(t+1)*st], p[(t+2)*st], p[(t+3)*st],
+				q[t*st], q[(t+1)*st], q[(t+2)*st], q[(t+3)*st])
+		}
+		for ; t < t1; t++ {
+			axpy(c0, row(b, t), p[t*st])
+			axpy(c1, row(b, t), q[t*st])
+		}
+	}
+	if r < r1 {
+		p := a[r*sr:]
+		for t := 0; t < t1; t++ {
+			axpy(row(dst, r), row(b, t), p[t*st])
+		}
+	}
+}
+
+// dotTile adds the six dot products of a0, a1 with b0, b1, b2 (all of a0's
+// length) into d0[0:3] and d1[0:3], each summed from 0 over ascending t.
+func dotTile(d0, d1, a0, a1, b0, b1, b2 []float64) {
+	p := len(a0)
+	a1, b0, b1, b2 = a1[:p], b0[:p], b1[:p], b2[:p]
+	var s00, s01, s02, s10, s11, s12 float64
+	for t, u0 := range a0 {
+		u1 := a1[t]
+		v0, v1, v2 := b0[t], b1[t], b2[t]
+		s00 += u0 * v0
+		s01 += u0 * v1
+		s02 += u0 * v2
+		s10 += u1 * v0
+		s11 += u1 * v1
+		s12 += u1 * v2
+	}
+	d0, d1 = d0[:3], d1[:3]
+	d0[0] += s00
+	d0[1] += s01
+	d0[2] += s02
+	d1[0] += s10
+	d1[1] += s11
+	d1[2] += s12
+}
+
+// dot is the 1-wide remainder of dotTile.
+func dot(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for t, av := range a {
+		s += av * b[t]
+	}
+	return s
+}
+
 // MatMul computes dst = a·b where a is m×k and b is k×n, both row-major.
 // dst must have length m*n; it is fully overwritten. b is consumed in its
 // natural row-major layout (no transpose), so the inner loop is contiguous
 // over both b and dst.
 func MatMul(dst, a, b []float64, m, k, n int) {
 	checkGemm(len(dst), len(a), len(b), m, k, n)
-	for i := range dst[:m*n] {
-		dst[i] = 0
-	}
+	clear(dst[:m*n])
 	matMulAcc(dst, a, b, m, k, n)
 }
 
@@ -90,135 +195,15 @@ func MatMulAcc(dst, a, b []float64, m, k, n int) {
 }
 
 func matMulAcc(dst, a, b []float64, m, k, n int) {
+	// The closure is built only on the parallel branch: it escapes into
+	// the goroutines, and the serial path must not allocate.
 	if w := gemmWorkers(m, m*k*n); w > 1 {
-		// Row blocks share only read-only operands; each dst row keeps the
-		// serial k0/kk accumulation order.
 		parallelRows(m, w, func(lo, hi int) {
-			matMulAccRows(dst, a, b, lo, hi, k, n)
+			axpyRows(dst, a, b, lo, hi, k, n, k, 1)
 		})
 		return
 	}
-	matMulAccRows(dst, a, b, 0, m, k, n)
-}
-
-// matMulAccRows is the serial kernel restricted to dst rows [i0, i1).
-func matMulAccRows(dst, a, b []float64, i0, i1, k, n int) {
-	if n <= 4 {
-		// Skinny destinations (n ≤ 4 — the softmax-regression logit shape:
-		// n = class count) keep each dst row in registers across the whole
-		// k loop instead of re-loading and re-storing ci[j] every kk. Each
-		// dst element still accumulates its terms in ascending-kk order, so
-		// the result is identical to the blocked path below.
-		matMulAccRowsSkinny(dst, a, b, i0, i1, k, n)
-		return
-	}
-	for k0 := 0; k0 < k; k0 += gemmBlockK {
-		k1 := min(k0+gemmBlockK, k)
-		for j0 := 0; j0 < n; j0 += gemmBlockJ {
-			j1 := min(j0+gemmBlockJ, n)
-			for i := i0; i < i1; i++ {
-				ci := dst[i*n+j0 : i*n+j1]
-				ai := a[i*k : (i+1)*k]
-				for kk := k0; kk < k1; kk++ {
-					av := ai[kk]
-					if av == 0 {
-						continue
-					}
-					bk := b[kk*n+j0 : kk*n+j1]
-					for j, bv := range bk {
-						ci[j] += av * bv
-					}
-				}
-			}
-		}
-	}
-}
-
-// matMulAccRowsSkinny handles n ≤ 4 with per-row register accumulators.
-// Rows are processed in pairs so the streamed B row is loaded once for
-// two A rows; within a row, dst[i*n+j] accumulates a[i*k+kk]*b[kk*n+j]
-// over ascending kk — exactly the blocked kernel's per-element order, so
-// the two paths agree bit for bit.
-func matMulAccRowsSkinny(dst, a, b []float64, i0, i1, k, n int) {
-	switch n {
-	case 3:
-		matMulAccRows3(dst, a, b, i0, i1, k)
-		return
-	case 1:
-		for i := i0; i < i1; i++ {
-			ai := a[i*k : (i+1)*k]
-			s := dst[i]
-			for kk, av := range ai {
-				s += av * b[kk]
-			}
-			dst[i] = s
-		}
-		return
-	}
-	for i := i0; i < i1; i++ {
-		ai := a[i*k : (i+1)*k]
-		var s0, s1, s2, s3 float64
-		di := dst[i*n : (i+1)*n]
-		s0, s1 = di[0], di[1]
-		if n == 4 {
-			s2, s3 = di[2], di[3]
-		}
-		for kk, av := range ai {
-			bk := b[kk*n : kk*n+n]
-			s0 += av * bk[0]
-			s1 += av * bk[1]
-			if n == 4 {
-				s2 += av * bk[2]
-				s3 += av * bk[3]
-			}
-		}
-		di[0], di[1] = s0, s1
-		if n == 4 {
-			di[2], di[3] = s2, s3
-		}
-	}
-}
-
-// matMulAccRows3 is the n = 3 kernel (social.NumLabels classes — the
-// Phase III combiner's logit shape): two rows per pass share one read of
-// each B row, six independent accumulator chains hide the FP add latency.
-func matMulAccRows3(dst, a, b []float64, i0, i1, k int) {
-	b3 := b[: k*3 : k*3]
-	i := i0
-	for ; i+1 < i1; i += 2 {
-		a0 := a[i*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		d0 := dst[i*3 : i*3+3 : i*3+3]
-		d1 := dst[(i+1)*3 : (i+1)*3+3 : (i+1)*3+3]
-		s00, s01, s02 := d0[0], d0[1], d0[2]
-		s10, s11, s12 := d1[0], d1[1], d1[2]
-		for kk := 0; kk < k; kk++ {
-			bk := b3[kk*3 : kk*3+3 : kk*3+3]
-			b0, b1, b2 := bk[0], bk[1], bk[2]
-			av0, av1 := a0[kk], a1[kk]
-			s00 += av0 * b0
-			s01 += av0 * b1
-			s02 += av0 * b2
-			s10 += av1 * b0
-			s11 += av1 * b1
-			s12 += av1 * b2
-		}
-		d0[0], d0[1], d0[2] = s00, s01, s02
-		d1[0], d1[1], d1[2] = s10, s11, s12
-	}
-	for ; i < i1; i++ {
-		a0 := a[i*k : (i+1)*k]
-		d0 := dst[i*3 : i*3+3 : i*3+3]
-		s0, s1, s2 := d0[0], d0[1], d0[2]
-		for kk := 0; kk < k; kk++ {
-			bk := b3[kk*3 : kk*3+3 : kk*3+3]
-			av := a0[kk]
-			s0 += av * bk[0]
-			s1 += av * bk[1]
-			s2 += av * bk[2]
-		}
-		d0[0], d0[1], d0[2] = s0, s1, s2
-	}
+	axpyRows(dst, a, b, 0, m, k, n, k, 1)
 }
 
 // MatMulATB computes dst = aᵀ·b where a is m×k and b is m×n (both
@@ -228,65 +213,15 @@ func MatMulATB(dst, a, b []float64, m, k, n int) {
 	if len(dst) < k*n || len(a) < m*k || len(b) < m*n {
 		panic("tensor: MatMulATB dimension mismatch")
 	}
-	for i := range dst[:k*n] {
-		dst[i] = 0
-	}
+	clear(dst[:k*n])
+	// dst row kk sums a's column kk against b's rows, over ascending i.
 	if w := gemmWorkers(k, m*k*n); w > 1 {
-		// Partition the OUTPUT rows kk. The serial i-outer loop touches
-		// each dst element in i-ascending order; this kk-outer form
-		// accumulates the same elements over the same ascending i, so the
-		// sums are bit-identical while no two goroutines share a dst row.
 		parallelRows(k, w, func(lo, hi int) {
-			for i := 0; i < m; i++ {
-				ai := a[i*k : (i+1)*k]
-				bi := b[i*n : (i+1)*n]
-				for kk := lo; kk < hi; kk++ {
-					av := ai[kk]
-					if av == 0 {
-						continue
-					}
-					ck := dst[kk*n : (kk+1)*n]
-					for j, bv := range bi {
-						ck[j] += av * bv
-					}
-				}
-			}
+			axpyRows(dst, a, b, lo, hi, m, n, 1, k)
 		})
 		return
 	}
-	if k == 3 {
-		// Three output rows (the combiner-gradient shape: k = class
-		// count) are hoisted out of the i loop and each streamed B row is
-		// read once for all three. Per dst element the accumulation still
-		// runs over ascending i — identical to the generic loop below.
-		c0 := dst[0:n:n]
-		c1 := dst[n : 2*n : 2*n]
-		c2 := dst[2*n : 3*n : 3*n]
-		for i := 0; i < m; i++ {
-			ai := a[i*3 : i*3+3 : i*3+3]
-			av0, av1, av2 := ai[0], ai[1], ai[2]
-			bi := b[i*n : (i+1)*n]
-			for j, bv := range bi {
-				c0[j] += av0 * bv
-				c1[j] += av1 * bv
-				c2[j] += av2 * bv
-			}
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		bi := b[i*n : (i+1)*n]
-		for kk, av := range ai {
-			if av == 0 {
-				continue
-			}
-			ck := dst[kk*n : (kk+1)*n]
-			for j, bv := range bi {
-				ck[j] += av * bv
-			}
-		}
-	}
+	axpyRows(dst, a, b, 0, k, m, n, 1, k)
 }
 
 // MatMulABTAcc computes dst += a·bᵀ where a is m×p and b is n×p (both
@@ -306,23 +241,30 @@ func MatMulABTAcc(dst, a, b []float64, m, n, p int) {
 	matMulABTAccRows(dst, a, b, 0, m, n, p)
 }
 
-// matMulABTAccRows is the dot-product kernel restricted to dst rows
-// [i0, i1); each element is one independent dot product.
+// matMulABTAccRows adds a·bᵀ into dst rows [i0, i1): two a rows against
+// three b rows at a time.
 func matMulABTAccRows(dst, a, b []float64, i0, i1, n, p int) {
 	if n == 3 {
 		matMulABTAccRows3(dst, a, b, i0, i1, p)
 		return
 	}
-	for i := i0; i < i1; i++ {
-		ai := a[i*p : (i+1)*p]
-		di := dst[i*n : (i+1)*n]
+	row := func(mat []float64, r int) []float64 { return mat[r*p : (r+1)*p] }
+	i := i0
+	for ; i+1 < i1; i += 2 {
+		a0, a1 := row(a, i), row(a, i+1)
+		d0, d1 := dst[i*n:(i+1)*n], dst[(i+1)*n:(i+2)*n]
+		j := 0
+		for ; j+2 < n; j += 3 {
+			dotTile(d0[j:], d1[j:], a0, a1, row(b, j), row(b, j+1), row(b, j+2))
+		}
+		for ; j < n; j++ {
+			d0[j] += dot(a0, row(b, j))
+			d1[j] += dot(a1, row(b, j))
+		}
+	}
+	if i < i1 {
 		for j := 0; j < n; j++ {
-			bj := b[j*p : (j+1)*p]
-			s := 0.0
-			for t, av := range ai {
-				s += av * bj[t]
-			}
-			di[j] += s
+			dst[i*n+j] += dot(row(a, i), row(b, j))
 		}
 	}
 }
