@@ -1,11 +1,11 @@
 // Command locec-serve is the LoCEC classification service: it synthesizes
 // (or loads) a WeChat-like network, classifies every friendship with the
-// three-phase pipeline across a sharded worker pool, and serves the result
+// three-phase pipeline on GOMAXPROCS workers, and serves the result
 // over HTTP/JSON from an atomically swappable in-memory snapshot.
 //
 // Usage:
 //
-//	locec-serve -addr :8080 -users 800 -variant cnn -shards 8
+//	locec-serve -addr :8080 -users 800 -variant cnn
 //
 // Endpoints:
 //
@@ -66,8 +66,6 @@ func main() {
 		variant  = flag.String("variant", "cnn", "community classifier: cnn or xgb")
 		k        = flag.Int("k", 16, "feature matrix rows (CommCNN)")
 		epochs   = flag.Int("epochs", 8, "CommCNN training epochs")
-		shards   = flag.Int("shards", 0, "worker shards for division and training (0 = GOMAXPROCS)")
-		gbdtW    = flag.Int("gbdt-workers", 0, "GBDT split-finding workers, bit-identical trees at any value (0 = -shards)")
 		detector = flag.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
 		patience = flag.Int("gn-patience", 20, "Girvan-Newman early-stop patience (0 = exact)")
 		cache    = flag.Int("cache", 256, "batch-response LRU cache entries")
@@ -85,19 +83,17 @@ func main() {
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	cfg := serve.Config{
-		Users:       *users,
-		Survey:      *survey,
-		Seed:        *seed,
-		Variant:     *variant,
-		K:           *k,
-		Epochs:      *epochs,
-		Shards:      *shards,
-		GBDTWorkers: *gbdtW,
-		Detector:    *detector,
-		GNPatience:  *patience,
-		CacheSize:   *cache,
-		Artifact:    *artifact,
-		Logger:      log,
+		Users:      *users,
+		Survey:     *survey,
+		Seed:       *seed,
+		Variant:    *variant,
+		K:          *k,
+		Epochs:     *epochs,
+		Detector:   *detector,
+		GNPatience: *patience,
+		CacheSize:  *cache,
+		Artifact:   *artifact,
+		Logger:     log,
 
 		WALDir:            *walDir,
 		CheckpointRecords: *ckptRecords,
@@ -150,7 +146,7 @@ func main() {
 		log.Info("cold-starting from artifact", "path", *artifact, "shard", *shard)
 	} else {
 		log.Info("building initial snapshot",
-			"users", *users, "variant", *variant, "shards", *shards, "seed", *seed)
+			"users", *users, "variant", *variant, "seed", *seed)
 	}
 
 	// Bind the port before the snapshot build: while serve.New runs (a

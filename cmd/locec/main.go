@@ -56,7 +56,6 @@ func main() {
 		input    = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
 		export   = flag.String("export", "", "write per-edge predictions to this CSV file")
 		detector = flag.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
-		gbdtW    = flag.Int("gbdt-workers", 0, "GBDT split-finding workers, bit-identical trees at any value (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -75,7 +74,7 @@ func main() {
 		ds.SetRevealed(kk, false)
 	}
 
-	cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed, GBDTWorkers: *gbdtW}
+	cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed}
 	if *variant == "xgb" {
 		cfg.Variant = locec.VariantXGB
 	}
@@ -142,7 +141,6 @@ func runTrain(args []string) {
 		out      = fs.String("out", "model.locec", "artifact output path")
 		detector = fs.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
 		embed    = fs.Bool("embed-dataset", false, "embed the raw dataset so the artifact stays mutable (required for WAL checkpoints and POST /v1/mutations after a cold start)")
-		gbdtW    = fs.Int("gbdt-workers", 0, "GBDT split-finding workers, bit-identical trees at any value (0 = GOMAXPROCS)")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
 
@@ -153,7 +151,7 @@ func runTrain(args []string) {
 	if len(ds.LabeledEdges()) == 0 {
 		fatal(fmt.Errorf("dataset has no revealed labels; generate with -survey or mark edges revealed"))
 	}
-	cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed, GBDTWorkers: *gbdtW}
+	cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed}
 	if *variant == "xgb" {
 		cfg.Variant = locec.VariantXGB
 	}

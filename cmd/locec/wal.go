@@ -83,7 +83,6 @@ func runWalReplay(args []string) int {
 	var (
 		dir      = fs.String("dir", "", "WAL directory (as given to locec-serve -wal)")
 		out      = fs.String("out", "replayed.locec", "artifact output path")
-		shards   = fs.Int("shards", 0, "worker shards for the dirty-set recompute (0 = GOMAXPROCS)")
 		detector = fs.String("detector", "gn", "Phase I detector the serving config used: "+strings.Join(core.DetectorNames(), ", "))
 		patience = fs.Int("gn-patience", 20, "Girvan-Newman early-stop patience (0 = exact)")
 	)
@@ -109,7 +108,7 @@ func runWalReplay(args []string) int {
 	}
 	meta := art.Meta()
 
-	divCfg := core.DivisionConfig{Workers: *shards, Seed: meta.Seed, GNPatience: *patience}
+	divCfg := core.DivisionConfig{Seed: meta.Seed, GNPatience: *patience}
 	det, err := core.ParseDetector(*detector)
 	if err != nil {
 		fatal(fmt.Errorf("wal-replay: %w", err))

@@ -86,9 +86,29 @@ var directMapIndexAllowed = map[string]string{
 	"benchmark/":                 "indexes generated datasets only; moves to the accessors in a [benchmark] PR",
 }
 
-// TestDatasetMapsReadThroughAccessors scans every Go file of the repository
-// for a direct index of Dataset.TrueLabels / Revealed / Interactions outside
-// the allow-list above.
+// sourceRules are the conventions the source walk below enforces: a line
+// matching pattern, in a file under none of the allowed prefixes (each with
+// its reason), fails with message.
+var sourceRules = []struct {
+	pattern   *regexp.Regexp
+	testFiles bool // whether _test.go files are held to the rule too
+	allowed   map[string]string
+	message   string
+}{
+	{datasetMapIndex, true, directMapIndexAllowed,
+		"indexes a dataset map directly; use the social.Dataset accessors (or add the file to directMapIndexAllowed with a reason)"},
+	// One way to go parallel: the fan-out, its width and the determinism
+	// rule live in internal/parallel and nowhere else.
+	{regexp.MustCompile(`sync\.WaitGroup`), false, map[string]string{
+		"internal/parallel/": "the one home of the fan-out",
+		"benchmark/":         "its own module: load generators and clients, not the program",
+	}, "hand-rolls a fan-out; use parallel.For / parallel.Each"},
+}
+
+// TestDatasetMapsReadThroughAccessors walks every Go file of the repository
+// once and holds each line to sourceRules: no direct index of
+// Dataset.TrueLabels / Revealed / Interactions and no sync.WaitGroup outside
+// their allow-lists.
 func TestDatasetMapsReadThroughAccessors(t *testing.T) {
 	scanned := 0
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -105,20 +125,25 @@ func TestDatasetMapsReadThroughAccessors(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || path == "docs_test.go" {
 			return nil
 		}
-		for prefix := range directMapIndexAllowed {
-			if strings.HasPrefix(path, prefix) {
-				return nil
-			}
-		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
 		scanned++
-		for i, line := range strings.Split(string(data), "\n") {
-			if datasetMapIndex.MatchString(line) {
-				t.Errorf("%s:%d indexes a dataset map directly; use the social.Dataset accessors (or add the file to directMapIndexAllowed with a reason):\n\t%s",
-					path, i+1, strings.TrimSpace(line))
+	rules:
+		for _, rule := range sourceRules {
+			if !rule.testFiles && strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			for prefix := range rule.allowed {
+				if strings.HasPrefix(path, prefix) {
+					continue rules
+				}
+			}
+			for i, line := range strings.Split(string(data), "\n") {
+				if rule.pattern.MatchString(line) {
+					t.Errorf("%s:%d %s:\n\t%s", path, i+1, rule.message, strings.TrimSpace(line))
+				}
 			}
 		}
 		return nil

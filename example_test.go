@@ -60,7 +60,7 @@ func ExampleClassify() {
 	}
 	net.RevealSurvey(0.4, 7)
 	res, err := locec.Classify(net.Dataset, locec.Config{
-		Variant: locec.VariantXGB, Workers: 1, Seed: 1,
+		Variant: locec.VariantXGB, Seed: 1,
 	})
 	if err != nil {
 		fmt.Println(err)
@@ -93,7 +93,7 @@ func ExampleResult_WriteArtifact() {
 	}
 	net.RevealSurvey(0.4, 7)
 	res, err := locec.Classify(net.Dataset, locec.Config{
-		Variant: locec.VariantXGB, Workers: 1, Seed: 2,
+		Variant: locec.VariantXGB, Seed: 2,
 	})
 	if err != nil {
 		fmt.Println(err)

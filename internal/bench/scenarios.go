@@ -133,8 +133,9 @@ func TrainCommCNNScenario(users, epochs int) Scenario {
 // GBDTTrainScenario measures Phase II GBDT training alone at a given
 // split-finding worker count. Phase I runs once in Prepare; each
 // repetition trains a fresh boosted ensemble on the same labeled
-// communities. The histogram trainer contracts bit-identical trees for
-// every worker count, so the workers axis is a pure wall-clock sweep.
+// communities. gbdt clamps the count to GOMAXPROCS, so only values up to
+// the runner's core count are distinct rows; the trees are bit-identical
+// at every one.
 func GBDTTrainScenario(users, workers int) Scenario {
 	return Scenario{
 		Name: fmt.Sprintf("gbdt/train/n=%d/workers=%d", users, workers),
@@ -371,13 +372,15 @@ func IncrementalApplyScenario(users int) Scenario {
 	}
 }
 
-// IncrementalApplySeededScenario is IncrementalApplyScenario with a local
-// detector (Clauset): the same single-edge add, but Stage I re-divides the
-// dirty egos by seeded replay — stored grows whose scanned sets the
-// mutation cannot have reached are reused verbatim, and only the rest
-// re-grow. Compare against incremental/apply at the same n: the gap is
-// what grow provenance saves over re-dividing every dirty ego from
-// scratch.
+// IncrementalApplySeededScenario is a single-edge add under a local
+// detector (Clauset), where Stage I re-divides the dirty egos by seeded
+// replay — stored grows whose scanned sets the mutation cannot have reached
+// are reused verbatim, and only the rest re-grow. It tracks that path's cost
+// over time and asserts it engages (SeededEgos > 0). It is not comparable
+// with incremental/apply, which runs label propagation: the gap between the
+// two rows is the detectors', not what replay saves. The like-for-like pair
+// — replay against a full re-division of the same dirty sets — is
+// BenchmarkStageISeededVsFull in internal/core.
 func IncrementalApplySeededScenario(users int) Scenario {
 	return Scenario{
 		Name: fmt.Sprintf("incremental/apply-seeded/n=%d", users),

@@ -31,10 +31,8 @@ var suites = map[string]func() []Scenario{
 			ArtifactLoadScenario(100),
 			ServeColdStartScenario(100),
 			PipelineScenario(1000, 1.0),
-			// The parallel-GBDT acceptance rows: training at n=10000 is
-			// the ≥4× speedup gate for the histogram trainer, and the
-			// workers sweep tracks the fan-out's marginal value (trees
-			// are bit-identical across the sweep by construction).
+			// The histogram-trainer acceptance row: training at n=10000 is
+			// its ≥4× speedup gate.
 			PipelineScenario(10000, 1.0),
 			// The vectorized-combiner acceptance rows: Phase III alone at
 			// n=10000 (GEMM-batched training + blocked prediction over
@@ -43,8 +41,6 @@ var suites = map[string]func() []Scenario{
 			CombineScenario(10000),
 			LogregTrainScenario(8192),
 			GBDTTrainScenario(1000, 1),
-			GBDTTrainScenario(1000, 4),
-			GBDTTrainScenario(1000, 8),
 			IncrementalApplyScenario(1000),
 			IncrementalApplySeededScenario(1000),
 			WALAppendScenario(1000, wal.SyncAlways),

@@ -13,10 +13,10 @@
 package cluster
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 	"time"
+
+	"locec/internal/parallel"
 )
 
 // Report summarizes one simulated phase execution.
@@ -44,26 +44,12 @@ func Streamed(items, servers int, fn func(i int)) Report {
 		servers = 1
 	}
 	costs := make([]time.Duration, items)
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	next := make(chan int, workers*2)
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				t0 := time.Now()
-				fn(i)
-				costs[i] = time.Since(t0)
-			}
-		}()
-	}
-	for i := 0; i < items; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	parallel.For(items, 1, func(i, _ int) {
+		t0 := time.Now()
+		fn(i)
+		costs[i] = time.Since(t0)
+	})
 	rep := Replay(costs, servers)
 	rep.RealWall = time.Since(start)
 	return rep

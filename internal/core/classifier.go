@@ -2,11 +2,10 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"locec/internal/gbdt"
 	"locec/internal/nn"
+	"locec/internal/parallel"
 	"locec/internal/social"
 	"locec/internal/tensor"
 )
@@ -110,36 +109,18 @@ func (c *CNNClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels 
 }
 
 // Classify implements CommunityClassifier. Inference is embarrassingly
-// parallel; each worker uses a cloned network (activation state is
-// per-instance).
+// parallel; each worker takes one contiguous share and a cloned network
+// (activation state is per-instance). A community's output does not depend
+// on which worker ran it, so Workers — a training setting — plays no part.
 func (c *CNNClassifier) Classify(ds *social.Dataset, comms []*LocalCommunity) {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(comms) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(comms) {
-			hi = len(comms)
+	parallel.For(len(comms), 0, func(lo, hi int) {
+		net := &nn.Network{Root: c.net.Root.Clone(), Classes: c.net.Classes}
+		for _, comm := range comms[lo:hi] {
+			probs := net.Predict(c.matrixOf(ds, comm))
+			comm.Probs = probs
+			comm.Result = probs // r_C = softmax vector (paper, Phase III)
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			net := &nn.Network{Root: c.net.Root.Clone(), Classes: c.net.Classes}
-			for i := lo; i < hi; i++ {
-				probs := net.Predict(c.matrixOf(ds, comms[i]))
-				comms[i].Probs = probs
-				comms[i].Result = probs // r_C = softmax vector (paper, Phase III)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // XGBClassifier is the LoCEC-XGB variant: mean/std pooled community
@@ -189,27 +170,11 @@ func (x *XGBClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels 
 
 // Classify implements CommunityClassifier.
 func (x *XGBClassifier) Classify(ds *social.Dataset, comms []*LocalCommunity) {
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (len(comms) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(comms) {
-			hi = len(comms)
+	parallel.For(len(comms), 0, func(lo, hi int) {
+		for _, comm := range comms[lo:hi] {
+			feats := PooledFeatures(ds, comm)
+			comm.Probs = x.model.PredictProba(feats)
+			comm.Result = x.model.LeafValues(feats)
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				feats := PooledFeatures(ds, comms[i])
-				comms[i].Probs = x.model.PredictProba(feats)
-				comms[i].Result = x.model.LeafValues(feats)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"locec/internal/eval"
 	"locec/internal/graph"
 	"locec/internal/social"
+	"locec/internal/testutil"
 	"locec/internal/wechat"
 )
 
@@ -38,7 +39,8 @@ func paperDataset() *social.Dataset {
 
 func TestDivideTightnessPaperExample(t *testing.T) {
 	ds := paperDataset()
-	egos := Divide(ds, DivisionConfig{Workers: 1})
+	testutil.SetProcs(t, 1)
+	egos := Divide(ds, DivisionConfig{})
 	u1 := egos[0] // ego U1: friends U2..U6 (IDs 1..5)
 	if len(u1.Members) != 5 {
 		t.Fatalf("U1 ego members = %v", u1.Members)
@@ -97,7 +99,8 @@ func TestDivideSingletonCommunityTightnessOne(t *testing.T) {
 		feats[i] = []float64{0}
 	}
 	ds := &social.Dataset{G: g, UserFeatures: feats, Interactions: map[uint64][]float64{}, TrueLabels: labels, Revealed: map[uint64]bool{}}
-	egos := Divide(ds, DivisionConfig{Workers: 1})
+	testutil.SetProcs(t, 1)
+	egos := Divide(ds, DivisionConfig{})
 	center := egos[0]
 	if len(center.Comms) != 4 {
 		t.Fatalf("center communities = %d, want 4", len(center.Comms))

@@ -8,13 +8,12 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"locec/internal/community"
 	"locec/internal/graph"
+	"locec/internal/parallel"
 	"locec/internal/social"
 )
 
@@ -182,8 +181,6 @@ type DivisionConfig struct {
 	Detector DetectorKind
 	// GNPatience is forwarded to community.Options.Patience (0 = exact).
 	GNPatience int
-	// Workers is the parallel width (0 = GOMAXPROCS).
-	Workers int
 	// Seed drives the label-propagation detector.
 	Seed int64
 }
@@ -193,8 +190,8 @@ type DivisionConfig struct {
 // and ground-truth vote tallying from revealed edge labels.
 //
 // Nodes are processed independently — the property that lets the deployed
-// system stream a billion-node graph across servers (Section V-D) — so the
-// local run uses a simple worker pool. It is DivideNodes over every node.
+// system stream a billion-node graph across servers (Section V-D). It is
+// DivideNodes over every node.
 func Divide(ds *social.Dataset, cfg DivisionConfig) []*EgoResult {
 	n := ds.G.NumNodes()
 	results := make([]*EgoResult, n)
@@ -215,38 +212,14 @@ func Divide(ds *social.Dataset, cfg DivisionConfig) []*EgoResult {
 // partial recompute is bit-identical to the same nodes' slice of a full
 // Divide.
 //
-// Listed nodes must be in range of egos; distinct nodes write distinct
-// indices, so the worker pool needs no locking.
+// Listed nodes must be distinct and in range of egos. The loop claims one
+// node at a time (grain 1): an ego network's cost varies by orders of
+// magnitude — Girvan–Newman on a hub against a leaf — and a fixed partition
+// would leave workers idle.
 func DivideNodes(ds *social.Dataset, egos []*EgoResult, nodes []graph.NodeID, cfg DivisionConfig) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	if workers <= 1 {
-		for _, u := range nodes {
-			egos[u] = divideOne(ds, u, cfg)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan graph.NodeID, workers*4)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range next {
-				egos[u] = divideOne(ds, u, cfg)
-			}
-		}()
-	}
-	for _, u := range nodes {
-		next <- u
-	}
-	close(next)
-	wg.Wait()
+	parallel.For(len(nodes), 1, func(i, _ int) {
+		egos[nodes[i]] = divideOne(ds, nodes[i], cfg)
+	})
 }
 
 // Divide1 runs Phase I for a single ego node — the distributed system's
@@ -352,15 +325,9 @@ func finishEgo(ds *social.Dataset, ego graph.NodeID, en *graph.EgoNetwork, part 
 // graph. Returns how many egos took the seeded path.
 func (p *Pipeline) divideNodesSeeded(ds *social.Dataset, oldEgos, egos []*EgoResult, nodes []graph.NodeID, touched []graph.NodeID, ov *graph.Overlay) int {
 	cfg := p.cfg.Division
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
 	var seeded atomic.Int64
-	work := func(u graph.NodeID) {
+	parallel.For(len(nodes), 1, func(i, _ int) {
+		u := nodes[i]
 		old := oldEgos[u]
 		if old != nil && old.Local != nil && slices.Equal(old.Members, ov.Neighbors(u)) {
 			if r, ok := divideOneSeeded(ds, u, cfg, old, touched); ok {
@@ -370,29 +337,7 @@ func (p *Pipeline) divideNodesSeeded(ds *social.Dataset, oldEgos, egos []*EgoRes
 			}
 		}
 		egos[u] = divideOne(ds, u, cfg)
-	}
-	if workers <= 1 {
-		for _, u := range nodes {
-			work(u)
-		}
-		return int(seeded.Load())
-	}
-	var wg sync.WaitGroup
-	next := make(chan graph.NodeID, workers*4)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range next {
-				work(u)
-			}
-		}()
-	}
-	for _, u := range nodes {
-		next <- u
-	}
-	close(next)
-	wg.Wait()
+	})
 	return int(seeded.Load())
 }
 

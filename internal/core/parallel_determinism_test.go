@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"locec/internal/testutil"
 	"locec/internal/wechat"
 )
 
@@ -63,9 +64,9 @@ func TestParallelTrainerMatchesSerialRun(t *testing.T) {
 }
 
 // TestGirvanNewmanDivideMatchesAcrossWorkers: Phase I with the paper's
-// detector must not depend on the worker count. GirvanNewman draws its
-// scratch from a pool shared by the workers, so at 2 and 8 workers every
-// ego runs on buffers some other ego left behind.
+// detector must not depend on the width (GOMAXPROCS). GirvanNewman draws
+// its scratch from a pool shared by the workers, so at 2 and 8 every ego
+// runs on buffers some other ego left behind.
 func TestGirvanNewmanDivideMatchesAcrossWorkers(t *testing.T) {
 	net, err := wechat.Generate(wechat.DefaultConfig(120, 5))
 	if err != nil {
@@ -73,7 +74,8 @@ func TestGirvanNewmanDivideMatchesAcrossWorkers(t *testing.T) {
 	}
 	net.RunSurvey(0.5, 6)
 	divide := func(workers int) []*EgoResult {
-		return Divide(net.Dataset, DivisionConfig{Detector: DetectorGirvanNewman, Workers: workers})
+		testutil.SetProcs(t, workers)
+		return Divide(net.Dataset, DivisionConfig{Detector: DetectorGirvanNewman})
 	}
 	serial := divide(1)
 	for _, workers := range []int{2, 8} {

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"locec/internal/graph"
@@ -20,13 +17,6 @@ type Config struct {
 	Classifier CommunityClassifier
 	// Combiner tunes the Phase III logistic regression.
 	Combiner logreg.Config
-	// Float32Inference runs Phase III edge prediction through the float32
-	// GEMM path: features and combiner weights narrow to float32 for the
-	// logits, widening only for the softmax. Probabilities drift from the
-	// float64 kernels by roundoff (≲1e-5 absolute), so it is opt-in for
-	// inference-only workloads; leave it off anywhere probabilities are
-	// persisted, served, or compared bit-for-bit.
-	Float32Inference bool
 	// AgreementRule replaces the Phase III logistic regression with the
 	// naive rule the paper discusses before introducing LR: if both
 	// endpoint communities agree on a type, use it; otherwise take the
@@ -137,36 +127,23 @@ func NewPipeline(cfg Config) *Pipeline {
 // Run executes the three phases on the dataset and labels every edge.
 // Training data comes exclusively from ds.Revealed; the caller controls
 // train/test isolation by hiding labels before the run.
-func (p *Pipeline) Run(ds *social.Dataset) (*Result, error) {
-	t0 := time.Now()
-	egos := Divide(ds, p.cfg.Division)
-	return p.RunWithEgos(ds, egos, time.Since(t0))
-}
-
-// RunWithEgos executes Phases II and III on a precomputed Phase I division
-// (one EgoResult per node, indexed by node ID). Callers that shard the
-// division themselves — e.g. a serving layer partitioning ego networks by
-// node ID across workers — compute egos however they like and hand the
-// pieces here; phase1 is recorded as the division wall-clock time.
 //
 // The body is a composition of the staged implementation in stages.go —
-// TrainClassifier, ClassifyCommunities, then Combine — the same stages the
-// incremental engine replays over a dirty subset.
-func (p *Pipeline) RunWithEgos(ds *social.Dataset, egos []*EgoResult, phase1 time.Duration) (*Result, error) {
-	if len(egos) != ds.G.NumNodes() {
-		return nil, fmt.Errorf("core: %d ego results for %d nodes", len(egos), ds.G.NumNodes())
-	}
+// Divide, TrainClassifier, ClassifyCommunities, then Combine — the same
+// stages the incremental engine replays over a dirty subset.
+func (p *Pipeline) Run(ds *social.Dataset) (*Result, error) {
 	res := &Result{ClassifierName: p.cfg.Classifier.Name(), Classifier: p.cfg.Classifier}
 
-	// ---- Phase I: division (precomputed) ----------------------------
-	res.Egos = egos
+	// ---- Phase I: division -------------------------------------------
+	t0 := time.Now()
+	res.Egos = Divide(ds, p.cfg.Division)
+	res.Times.Phase1 = time.Since(t0)
 	for _, er := range res.Egos {
 		res.Communities = append(res.Communities, er.Comms...)
 	}
-	res.Times.Phase1 = phase1
 
 	// ---- Phase II: aggregation --------------------------------------
-	t0 := time.Now()
+	t0 = time.Now()
 	if err := p.TrainClassifier(ds, res.Communities); err != nil {
 		return nil, err
 	}
@@ -188,11 +165,11 @@ func (p *Pipeline) RunWithEgos(ds *social.Dataset, egos []*EgoResult, phase1 tim
 // Combine runs Phase III on a Result whose Egos already carry classified
 // communities (Phases I+II done), filling res.Edges with every edge's
 // prediction: TrainCombiner followed by prediction
-// over the full edge list. RunWithEgos calls it as its final stage;
-// benchmarks call it directly to isolate combiner cost.
+// over the full edge list. Run calls it as its final stage; benchmarks call
+// it directly to isolate combiner cost.
 //
-// Edge prediction (predictEdges, shared with RecombineEdges) fans out over
-// GOMAXPROCS workers in contiguous edge chunks. Each worker assembles its
+// Edge prediction (predictEdges, shared with RecombineEdges) fans out in
+// one contiguous edge chunk per worker. Each worker assembles its
 // edges' features into a reused panel and runs a blocked GEMM + softmax
 // per panel, writing into disjoint ranges of preallocated flat stores (one
 // []float64 backing all probability vectors), so the per-edge cost is free
@@ -214,34 +191,6 @@ func (p *Pipeline) Combine(ds *social.Dataset, res *Result) error {
 	res.publish(edges, preds, probsFlat, classes)
 	res.Times.CombinerPredict = time.Since(t0)
 	return nil
-}
-
-// forEachEdgeChunk splits the edge list into one contiguous chunk per
-// GOMAXPROCS worker and runs fn(lo, hi) on each concurrently. Workers
-// write to disjoint index ranges, so fn needs no locking.
-func forEachEdgeChunk(edges []graph.Edge, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if len(edges) < 2*workers {
-		workers = 1
-	}
-	if workers == 1 {
-		fn(0, len(edges))
-		return
-	}
-	chunk := (len(edges) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(edges); lo += chunk {
-		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // publish installs the flat per-edge prediction stores as the result's

@@ -5,14 +5,15 @@ import (
 
 	"locec/internal/graph"
 	"locec/internal/logreg"
+	"locec/internal/parallel"
 	"locec/internal/social"
 )
 
 // This file is the staged decomposition of the three-phase pipeline. Run
-// and RunWithEgos are thin compositions of the stages below; the
-// incremental engine (incremental.go) composes the same stages over a
-// dirty subset instead of the whole graph, so there is exactly one
-// implementation of each phase for both the batch and the live path.
+// is a thin composition of the stages below; the incremental engine
+// (incremental.go) composes the same stages over a dirty subset instead of
+// the whole graph, so there is exactly one implementation of each phase
+// for both the batch and the live path.
 //
 //	full run:     DivideNodes(all) → TrainClassifier → ClassifyCommunities(all)
 //	              → TrainCombiner → RecombineEdges(all)
@@ -114,16 +115,14 @@ const predictBlockRows = 256
 // predictEdges is the shared Phase III prediction kernel: fill preds[i]
 // and probsFlat[i*classes:(i+1)*classes] for every listed edge from the
 // result's classified egos, using the trained combiner (or the
-// agreement-rule ablation). It fans out over GOMAXPROCS workers in
-// contiguous chunks; each worker assembles its edges' feature rows into a
-// reused [1, features...] panel of predictBlockRows rows and runs one GEMM
+// agreement-rule ablation). It fans out in one contiguous chunk per
+// worker; each worker assembles its edges' feature rows into a reused
+// [1, features...] panel of predictBlockRows rows and runs one GEMM
 // + row-wise softmax per panel (logreg.PredictProbaBlock) instead of a
 // GEMV per edge, writing probabilities straight into its disjoint slice of
 // probsFlat. The block path accumulates each row's logits in the same
 // order as PredictProbaInto, so predictions and probabilities are
-// bit-identical to the old per-edge loop. With cfg.Float32Inference the
-// panel and weights narrow to float32 (inference-only tolerance, ≲1e-5
-// probability drift).
+// bit-identical to the old per-edge loop.
 func (p *Pipeline) predictEdges(res *Result, edges []graph.Edge, preds []social.Label, probsFlat []float64, classes int) {
 	if p.cfg.AgreementRule {
 		p.predictEdgesByAgreement(res, edges, preds, probsFlat, classes)
@@ -131,35 +130,8 @@ func (p *Pipeline) predictEdges(res *Result, edges []graph.Edge, preds []social.
 	}
 	lr := res.Combiner
 	fw := lr.BiasFirstLen()
-	if p.cfg.Float32Inference {
-		wb := lr.BiasFirst32(nil)
-		forEachEdgeChunk(edges, func(lo, hi int) {
-			xb := make([]float64, 0, predictBlockRows*fw)
-			xb32 := make([]float32, predictBlockRows*fw)
-			for b0 := lo; b0 < hi; b0 += predictBlockRows {
-				b1 := b0 + predictBlockRows
-				if b1 > hi {
-					b1 = hi
-				}
-				xb = xb[:0]
-				for i := b0; i < b1; i++ {
-					e := edges[i]
-					xb = append(xb, 1)
-					xb = AppendEdgeFeatures(xb, res.Egos, e.U, e.V)
-				}
-				for i, v := range xb {
-					xb32[i] = float32(v)
-				}
-				lr.PredictProbaBlock32(wb, xb32[:len(xb)], b1-b0, probsFlat[b0*classes:b1*classes])
-				for i := b0; i < b1; i++ {
-					preds[i] = social.Label(Argmax(probsFlat[i*classes : (i+1)*classes]))
-				}
-			}
-		})
-		return
-	}
 	wb := lr.BiasFirst(nil)
-	forEachEdgeChunk(edges, func(lo, hi int) {
+	parallel.For(len(edges), 0, func(lo, hi int) {
 		xb := make([]float64, 0, predictBlockRows*fw)
 		for b0 := lo; b0 < hi; b0 += predictBlockRows {
 			b1 := b0 + predictBlockRows
@@ -184,7 +156,7 @@ func (p *Pipeline) predictEdges(res *Result, edges []graph.Edge, preds []social.
 // agreeing endpoint communities decide directly; disagreements fall back
 // to the tightness-weighted sum of the two probability vectors.
 func (p *Pipeline) predictEdgesByAgreement(res *Result, edges []graph.Edge, preds []social.Label, probsFlat []float64, classes int) {
-	forEachEdgeChunk(edges, func(lo, hi int) {
+	parallel.For(len(edges), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			u, v := edges[i].U, edges[i].V
 			cu, tu := res.Egos[v].CommunityOf(u)

@@ -52,48 +52,3 @@ func (m *Model) PredictProbaBlock(wb, xb []float64, rows int, out []float64) {
 		tensor.Softmax(zr, zr)
 	}
 }
-
-// BiasFirst32 is BiasFirst narrowed to float32 — the weight half of the
-// inference-only float32 path.
-func (m *Model) BiasFirst32(dst []float32) []float32 {
-	fw := m.Features + 1
-	if cap(dst) >= m.Classes*fw {
-		dst = dst[:m.Classes*fw]
-	} else {
-		dst = make([]float32, m.Classes*fw)
-	}
-	for c := 0; c < m.Classes; c++ {
-		dst[c*fw] = float32(m.W[c*fw+m.Features])
-		for f := 0; f < m.Features; f++ {
-			dst[c*fw+1+f] = float32(m.W[c*fw+f])
-		}
-	}
-	return dst
-}
-
-// PredictProbaBlock32 is the float32 inference path: logits accumulate in
-// float32 from narrowed features and weights, then widen for the softmax.
-// Probabilities drift from the float64 path by roundoff (≲1e-5 absolute
-// for combiner-scale models — pinned by a bound test), so it is opt-in
-// for inference-only workloads where that tolerance is acceptable; paths
-// that persist or serve probabilities keep the float64 kernels.
-func (m *Model) PredictProbaBlock32(wb, xb []float32, rows int, out []float64) {
-	fw := m.Features + 1
-	if len(wb) != m.Classes*fw || len(xb) < rows*fw || len(out) < rows*m.Classes {
-		panic(fmt.Sprintf("logreg: PredictProbaBlock32 shape mismatch (rows=%d wb=%d xb=%d out=%d)",
-			rows, len(wb), len(xb), len(out)))
-	}
-	for r := 0; r < rows; r++ {
-		xr := xb[r*fw : (r+1)*fw]
-		or := out[r*m.Classes : (r+1)*m.Classes]
-		for c := 0; c < m.Classes; c++ {
-			wr := wb[c*fw : (c+1)*fw]
-			var s float32
-			for t, v := range xr {
-				s += v * wr[t]
-			}
-			or[c] = float64(s)
-		}
-		tensor.Softmax(or, or)
-	}
-}

@@ -164,39 +164,6 @@ func TestPredictProbaBlockMatchesInto(t *testing.T) {
 	}
 }
 
-// TestPredictProbaBlock32Bound pins the float32 inference path to the
-// float64 probabilities within an absolute tolerance.
-func TestPredictProbaBlock32Bound(t *testing.T) {
-	X, y := denseRows(300, 17, 3, 43)
-	m, err := Train(X, y, Config{Classes: 3, Epochs: 20, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw := m.BiasFirstLen()
-	rows := len(X)
-	wb64 := m.BiasFirst(nil)
-	xb64 := make([]float64, rows*fw)
-	for r, x := range X {
-		xb64[r*fw] = 1
-		copy(xb64[r*fw+1:(r+1)*fw], x)
-	}
-	wb32 := m.BiasFirst32(nil)
-	xb32 := make([]float32, rows*fw)
-	for i, v := range xb64 {
-		xb32[i] = float32(v)
-	}
-	want := make([]float64, rows*m.Classes)
-	got := make([]float64, rows*m.Classes)
-	m.PredictProbaBlock(wb64, xb64, rows, want)
-	m.PredictProbaBlock32(wb32, xb32, rows, got)
-	const tol = 1e-5
-	for i := range want {
-		if d := got[i] - want[i]; d > tol || d < -tol {
-			t.Fatalf("prob %d: float32 %v vs float64 %v (|Δ| > %g)", i, got[i], want[i], tol)
-		}
-	}
-}
-
 // BenchmarkTrainCombinerShape measures Train at the real Phase III shape
 // (≈37k labeled edges × 182 features × 3 classes) on learnable labels,
 // capped at five epochs so that it and the reference benchmark below run

@@ -3,12 +3,12 @@ package logreg
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"locec/internal/tensor"
+	"locec/internal/testutil"
 )
 
 func blobs(n, classes int, seed int64) ([][]float64, []int) {
@@ -143,7 +143,7 @@ func TestDeterministic(t *testing.T) {
 	cfg := Config{Classes: 3, Seed: 8}
 	m1, _ := Train(X, y, cfg)
 	m2, _ := Train(X, y, cfg)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	testutil.SetProcs(t, 1)
 	m3, _ := Train(X, y, cfg)
 	for _, m := range []*Model{m2, m3} {
 		if m.EpochsRun != m1.EpochsRun {

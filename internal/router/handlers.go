@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
 	"time"
+
+	"locec/internal/parallel"
 )
 
 // maxBody bounds a router request body, matching the shard limit.
@@ -169,55 +171,53 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := r.reqCtx(req)
 	defer cancel()
 	results := make([]json.RawMessage, len(creq.Edges))
-	var mu sync.Mutex
-	var missing []int
-	var wg sync.WaitGroup
-	for shard, idxs := range byShard {
-		wg.Add(1)
-		go func(shard int, idxs []int) {
-			defer wg.Done()
-			sub := struct {
-				Edges []classifyEdge `json:"edges"`
-			}{Edges: make([]classifyEdge, len(idxs))}
-			for j, i := range idxs {
-				sub.Edges[j] = creq.Edges[i]
+	// One goroutine per owning shard, in ascending shard order. Each fills
+	// only its own edges' slots of results and its own slot of failed.
+	owners := slices.Sorted(maps.Keys(byShard))
+	failed := make([]bool, len(owners))
+	parallel.Each(len(owners), func(o int) {
+		shard, idxs := owners[o], byShard[owners[o]]
+		sub := struct {
+			Edges []classifyEdge `json:"edges"`
+		}{Edges: make([]classifyEdge, len(idxs))}
+		for j, i := range idxs {
+			sub.Edges[j] = creq.Edges[i]
+		}
+		subBody, err := json.Marshal(sub)
+		if err == nil {
+			var resp *Response
+			resp, err = r.call(ctx, shard, http.MethodPost, "/v1/classify", subBody, true)
+			if err == nil && resp.Status != http.StatusOK {
+				err = fmt.Errorf("shard %d classify returned %d: %s", shard, resp.Status, resp.Body)
 			}
-			subBody, err := json.Marshal(sub)
 			if err == nil {
-				var resp *Response
-				resp, err = r.call(ctx, shard, http.MethodPost, "/v1/classify", subBody, true)
-				if err == nil && resp.Status != http.StatusOK {
-					err = fmt.Errorf("shard %d classify returned %d: %s", shard, resp.Status, resp.Body)
+				var sresp struct {
+					Results []json.RawMessage `json:"results"`
 				}
-				if err == nil {
-					var sresp struct {
-						Results []json.RawMessage `json:"results"`
-					}
-					if jerr := json.Unmarshal(resp.Body, &sresp); jerr != nil {
-						err = fmt.Errorf("shard %d classify response: %w", shard, jerr)
-					} else if len(sresp.Results) != len(idxs) {
-						err = fmt.Errorf("shard %d returned %d results for %d edges", shard, len(sresp.Results), len(idxs))
-					} else {
-						mu.Lock()
-						for j, i := range idxs {
-							results[i] = sresp.Results[j]
-						}
-						mu.Unlock()
+				if jerr := json.Unmarshal(resp.Body, &sresp); jerr != nil {
+					err = fmt.Errorf("shard %d classify response: %w", shard, jerr)
+				} else if len(sresp.Results) != len(idxs) {
+					err = fmt.Errorf("shard %d returned %d results for %d edges", shard, len(sresp.Results), len(idxs))
+				} else {
+					for j, i := range idxs {
+						results[i] = sresp.Results[j]
 					}
 				}
 			}
-			if err != nil {
-				r.log.Warn("classify scatter failed", "shard", shard, "err", err)
-				mu.Lock()
-				missing = append(missing, shard)
-				mu.Unlock()
-			}
-		}(shard, idxs)
-	}
-	wg.Wait()
+		}
+		if err != nil {
+			r.log.Warn("classify scatter failed", "shard", shard, "err", err)
+			failed[o] = true
+		}
+	})
 	r.sgLat.Observe(time.Since(t0))
 
-	sort.Ints(missing)
+	var missing []int
+	for o, f := range failed {
+		if f {
+			missing = append(missing, owners[o])
+		}
+	}
 	doc := map[string]any{
 		"results": results,
 		"partial": len(missing) > 0,
@@ -287,35 +287,27 @@ func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 	}
 	ctx, cancel := r.reqCtx(req)
 	defer cancel()
-	receipts := make([]shardReceipt, 0, len(byShard))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for shard, muts := range byShard {
-		wg.Add(1)
-		go func(shard int, muts []json.RawMessage) {
-			defer wg.Done()
-			rec := shardReceipt{Shard: shard, Mutations: len(muts)}
-			sub, err := json.Marshal(map[string]any{"mutations": muts, "wait": mreq.Wait})
+	owners := slices.Sorted(maps.Keys(byShard))
+	receipts := make([]shardReceipt, len(owners))
+	parallel.Each(len(owners), func(o int) {
+		shard, muts := owners[o], byShard[owners[o]]
+		rec := shardReceipt{Shard: shard, Mutations: len(muts)}
+		sub, err := json.Marshal(map[string]any{"mutations": muts, "wait": mreq.Wait})
+		if err == nil {
+			var resp *Response
+			// Mutations are not idempotent: one attempt, no hedge.
+			resp, err = r.call(ctx, shard, http.MethodPost, "/v1/mutations", sub, false)
 			if err == nil {
-				var resp *Response
-				// Mutations are not idempotent: one attempt, no hedge.
-				resp, err = r.call(ctx, shard, http.MethodPost, "/v1/mutations", sub, false)
-				if err == nil {
-					rec.Status = resp.Status
-					rec.Response = json.RawMessage(resp.Body)
-				}
+				rec.Status = resp.Status
+				rec.Response = json.RawMessage(resp.Body)
 			}
-			if err != nil {
-				rec.Status = http.StatusServiceUnavailable
-				rec.Error = err.Error()
-			}
-			mu.Lock()
-			receipts = append(receipts, rec)
-			mu.Unlock()
-		}(shard, muts)
-	}
-	wg.Wait()
-	sort.Slice(receipts, func(i, j int) bool { return receipts[i].Shard < receipts[j].Shard })
+		}
+		if err != nil {
+			rec.Status = http.StatusServiceUnavailable
+			rec.Error = err.Error()
+		}
+		receipts[o] = rec
+	})
 
 	status := http.StatusOK
 	for _, rec := range receipts {

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"locec/internal/latency"
+	"locec/internal/parallel"
 	"locec/internal/ring"
 )
 
@@ -365,22 +366,16 @@ func (r *Router) hedgeDelay(st *shardState) time.Duration {
 // is the trial), an unready or unreachable one counts as a failure.
 // Returns the number of ready shards.
 func (r *Router) ProbeOnce(ctx context.Context) int {
-	var wg sync.WaitGroup
 	var readyCount atomic.Int64
-	for i := range r.shards {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			resp, err := r.timedDo(ctx, shard, http.MethodGet, "/readyz", nil)
-			ok := err == nil && resp.Status == http.StatusOK
-			r.shards[shard].breaker.recordProbe(ok)
-			r.shards[shard].probeOK.Store(ok)
-			if ok {
-				readyCount.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
+	parallel.Each(len(r.shards), func(shard int) {
+		resp, err := r.timedDo(ctx, shard, http.MethodGet, "/readyz", nil)
+		ok := err == nil && resp.Status == http.StatusOK
+		r.shards[shard].breaker.recordProbe(ok)
+		r.shards[shard].probeOK.Store(ok)
+		if ok {
+			readyCount.Add(1)
+		}
+	})
 	return int(readyCount.Load())
 }
 

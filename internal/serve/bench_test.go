@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"locec/internal/bench"
-	"locec/internal/core"
 	"locec/internal/graph"
 	"locec/internal/serve"
 )
@@ -75,14 +74,4 @@ func BenchmarkServeClassifyBatch(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkDivideSharded measures the sharded Phase I division alone.
-func BenchmarkDivideSharded(b *testing.B) {
-	ds := bench.WeChatDataset(80)
-	cfg := core.DivisionConfig{Detector: core.DetectorLabelProp, Seed: 7}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serve.DivideSharded(ds, 0, cfg)
-	}
 }

@@ -43,12 +43,6 @@ type Config struct {
 	// values take the engine defaults.
 	K, Epochs        int
 	Rounds, MaxDepth int
-	// Shards is the worker-pool width for the sharded division (and the
-	// core.DivisionConfig.Workers value for Phase II); 0 = GOMAXPROCS.
-	Shards int
-	// GBDTWorkers bounds GBDT split-finding parallelism for XGB retrains
-	// (0 = Shards). Trees are bit-identical for every worker count.
-	GBDTWorkers int
 	// Detector picks the Phase I algorithm ("gn" default, "labelprop",
 	// "louvain", or a seed-grown local detector "clauset", "lshell",
 	// "lemon") and GNPatience bounds Girvan–Newman.
@@ -515,9 +509,9 @@ func (s *Server) snapshotFromArtifact(art *artifact.Artifact, t0 time.Time) (*sn
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	// Mirror RunWithEgos's invariant: handlers index Egos by node ID, so
-	// the ego list and the graph must agree (the artifact layer pins both
-	// to its meta count; this guards the pairing directly).
+	// Handlers index Egos by node ID, so the ego list and the graph must
+	// agree (the artifact layer pins both to its meta count; this guards
+	// the pairing directly).
 	if len(ex.Egos) != g.NumNodes() {
 		return nil, fmt.Errorf("serve: artifact has %d ego results for a %d-node graph",
 			len(ex.Egos), g.NumNodes())
@@ -591,7 +585,6 @@ func (s *Server) ExportArtifact(w io.Writer) error {
 // configuration that would have trained it.
 func (s *Server) coreConfig(seed int64) core.Config {
 	divCfg := core.DivisionConfig{
-		Workers:    s.cfg.Shards,
 		Seed:       seed,
 		GNPatience: s.cfg.GNPatience,
 	}
@@ -599,37 +592,25 @@ func (s *Server) coreConfig(seed int64) core.Config {
 	divCfg.Detector, _ = core.ParseDetector(s.cfg.Detector)
 	coreCfg := core.Config{Division: divCfg, Seed: seed}
 	if s.cfg.Variant == "xgb" {
-		gw := s.cfg.GBDTWorkers
-		if gw == 0 {
-			gw = s.cfg.Shards
-		}
 		coreCfg.Classifier = &core.XGBClassifier{
-			Workers: gw,
-			Config:  gbdt.Config{Rounds: s.cfg.Rounds, MaxDepth: s.cfg.MaxDepth, Seed: seed},
-			Seed:    seed,
+			Config: gbdt.Config{Rounds: s.cfg.Rounds, MaxDepth: s.cfg.MaxDepth, Seed: seed},
+			Seed:   seed,
 		}
 	} else {
 		coreCfg.Classifier = &core.CNNClassifier{
-			K: s.cfg.K, Epochs: s.cfg.Epochs, Workers: s.cfg.Shards, Seed: seed,
+			K: s.cfg.K, Epochs: s.cfg.Epochs, Seed: seed,
 		}
 	}
 	coreCfg.Combiner = logreg.Config{Classes: social.NumLabels, Seed: seed + 101}
 	return coreCfg
 }
 
-// classify runs the three-phase pipeline: the Phase I division is sharded
-// by node ID across cfg.Shards workers (divideSharded), then Phases II and
-// III run through the core pipeline on the assembled ego results. The
-// pipeline is returned alongside the result so the snapshot can later
-// apply mutations through the same configuration and frozen models.
+// classify runs the three-phase pipeline. The pipeline is returned
+// alongside the result so the snapshot can later apply mutations through
+// the same configuration and frozen models.
 func (s *Server) classify(ds *social.Dataset, seed int64) (*core.Result, *core.Pipeline, error) {
-	coreCfg := s.coreConfig(seed)
-
-	t0 := time.Now()
-	egos := divideSharded(ds, s.cfg.Shards, coreCfg.Division)
-	phase1 := time.Since(t0)
-	pipe := core.NewPipeline(coreCfg)
-	res, err := pipe.RunWithEgos(ds, egos, phase1)
+	pipe := core.NewPipeline(s.coreConfig(seed))
+	res, err := pipe.Run(ds)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"locec/internal/core"
 	"locec/internal/graph"
 )
 
@@ -400,24 +399,6 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 	if _, _, size := c.stats(); size != 2 {
 		t.Fatalf("size = %d, want 2", size)
-	}
-}
-
-func TestDivideShardedCoversEveryNode(t *testing.T) {
-	s := testServer(t)
-	ds := s.current().ds
-	cfg := core.DivisionConfig{Detector: core.DetectorLabelProp, Seed: 7}
-	sharded := divideSharded(ds, 4, cfg)
-	if len(sharded) != ds.G.NumNodes() {
-		t.Fatalf("sharded division returned %d results, want %d", len(sharded), ds.G.NumNodes())
-	}
-	for u, er := range sharded {
-		if er == nil {
-			t.Fatalf("node %d missing from sharded division", u)
-		}
-		if int(er.Ego) != u {
-			t.Fatalf("result %d has ego %d", u, er.Ego)
-		}
 	}
 }
 

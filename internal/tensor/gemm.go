@@ -1,10 +1,5 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
-
 // Small GEMM kernels backing the im2col convolution path in internal/nn.
 // All operands are dense row-major float64 slices owned by the caller;
 // every kernel writes into a preallocated destination so the hot path
@@ -16,13 +11,14 @@ import (
 // with the eight scalars read down a column of a): fourteen live floats
 // in amd64's fifteen registers. dotTile runs 2 × 3 dot products together,
 // six independent accumulator chains fed by five loads per step
-// (MatMulABTAcc); 2 × 4 would be fewer loads per multiply-add but spills,
-// because the compiler schedules all the multiplies ahead of the adds.
-// Both run at one multiply and one add per multiply-add with nothing else
-// in the way, which is what scalar Go reaches. Remainder rows and columns
-// take 1-wide loops. There is no cache blocking: a C row pair streams
-// through L1 whatever its width, and column strips of B measured slower
-// than whole rows.
+// (MatMulABTAcc and its gathered form; the combiner's three-class shape is
+// one tile per row pair); 2 × 4 would be fewer loads per multiply-add but
+// spills, because the compiler schedules all the multiplies ahead of the
+// adds. Both run at one multiply and one add per multiply-add with nothing
+// else in the way, which is what scalar Go reaches. Remainder rows and
+// columns take 1-wide loops. There is no cache blocking: a C row pair
+// streams through L1 whatever its width, and column strips of B measured
+// slower than whole rows.
 //
 // The tiles only regroup which loads and stores are shared. Every dst
 // element receives the terms a plain triple loop would hand it — ascending
@@ -34,55 +30,9 @@ import (
 // weight operand and never sparse, and on finite inputs a ±0 term cannot
 // change a sum that started at +0.
 //
-// Above gemmParallelFlops of work each kernel fans its output rows across
-// GOMAXPROCS goroutines. The split is over OUTPUT rows only, so every dst
-// element is still accumulated by exactly one goroutine in exactly the
-// serial order — parallel and serial results are bit-identical, and worker
-// count is a pure speed knob (the same contract internal/gbdt makes for
-// tree training). Small shapes (all of CommCNN's) stay on the serial
-// zero-allocation path.
-
-// gemmParallelFlops gates the fan-out: below ~1M multiply-adds the
-// goroutine spawn + WaitGroup costs more than it saves, and spawning
-// would break internal/nn's zero-allocation training contract.
-const gemmParallelFlops = 1 << 20
-
-// gemmWorkers picks the goroutine count for `rows` independent output
-// rows totalling `flops` work, returning 1 when the serial path should
-// run.
-func gemmWorkers(rows, flops int) int {
-	if flops < gemmParallelFlops {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > rows {
-		w = rows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// parallelRows invokes fn(lo, hi) over `workers` contiguous row ranges
-// covering [0, rows) and waits for all of them.
-func parallelRows(rows, workers int, fn func(lo, hi int)) {
-	if workers <= 1 {
-		fn(0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
-		hi := min(lo+chunk, rows)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
+// The kernels are serial. No shape this repository runs is large enough for
+// a fan-out over output rows to pay (the largest, 8×72×260 in Conv2D, is
+// ≈ 150 k multiply-adds), and their callers already run one per core.
 
 // axpyTile adds four scaled b rows into two c rows of the same width:
 // c0[j] += p0*b0[j], += p1*b1[j], += p2*b2[j], += p3*b3[j] in that order,
@@ -114,14 +64,14 @@ func axpy(c, b []float64, s float64) {
 	}
 }
 
-// axpyRows adds into dst rows [r0, r1) the product whose element (r, j)
-// is Σ_t a[r*sr+t*st]·b[t*n+j] over t in [0, t1): per pair of dst rows, b
-// goes by four rows at a time, every element summing over ascending t.
+// axpyRows adds into the m rows of dst the product whose element (r, j) is
+// Σ_t a[r*sr+t*st]·b[t*n+j] over t in [0, t1): per pair of dst rows, b goes
+// by four rows at a time, every element summing over ascending t.
 // (sr, st) = (k, 1) reads a as the left operand, (1, k) as its transpose.
-func axpyRows(dst, a, b []float64, r0, r1, t1, n, sr, st int) {
+func axpyRows(dst, a, b []float64, m, t1, n, sr, st int) {
 	row := func(mat []float64, r int) []float64 { return mat[r*n : (r+1)*n] }
-	r := r0
-	for ; r+1 < r1; r += 2 {
+	r := 0
+	for ; r+1 < m; r += 2 {
 		c0, c1 := row(dst, r), row(dst, r+1)
 		p, q := a[r*sr:], a[(r+1)*sr:]
 		t := 0
@@ -135,7 +85,7 @@ func axpyRows(dst, a, b []float64, r0, r1, t1, n, sr, st int) {
 			axpy(c1, row(b, t), q[t*st])
 		}
 	}
-	if r < r1 {
+	if r < m {
 		p := a[r*sr:]
 		for t := 0; t < t1; t++ {
 			axpy(row(dst, r), row(b, t), p[t*st])
@@ -185,25 +135,13 @@ func dot(a, b []float64) float64 {
 func MatMul(dst, a, b []float64, m, k, n int) {
 	checkGemm(len(dst), len(a), len(b), m, k, n)
 	clear(dst[:m*n])
-	matMulAcc(dst, a, b, m, k, n)
+	axpyRows(dst, a, b, m, k, n, k, 1)
 }
 
 // MatMulAcc computes dst += a·b with the same shapes as MatMul.
 func MatMulAcc(dst, a, b []float64, m, k, n int) {
 	checkGemm(len(dst), len(a), len(b), m, k, n)
-	matMulAcc(dst, a, b, m, k, n)
-}
-
-func matMulAcc(dst, a, b []float64, m, k, n int) {
-	// The closure is built only on the parallel branch: it escapes into
-	// the goroutines, and the serial path must not allocate.
-	if w := gemmWorkers(m, m*k*n); w > 1 {
-		parallelRows(m, w, func(lo, hi int) {
-			axpyRows(dst, a, b, lo, hi, k, n, k, 1)
-		})
-		return
-	}
-	axpyRows(dst, a, b, 0, m, k, n, k, 1)
+	axpyRows(dst, a, b, m, k, n, k, 1)
 }
 
 // MatMulATB computes dst = aᵀ·b where a is m×k and b is m×n (both
@@ -215,13 +153,7 @@ func MatMulATB(dst, a, b []float64, m, k, n int) {
 	}
 	clear(dst[:k*n])
 	// dst row kk sums a's column kk against b's rows, over ascending i.
-	if w := gemmWorkers(k, m*k*n); w > 1 {
-		parallelRows(k, w, func(lo, hi int) {
-			axpyRows(dst, a, b, lo, hi, m, n, 1, k)
-		})
-		return
-	}
-	axpyRows(dst, a, b, 0, k, m, n, 1, k)
+	axpyRows(dst, a, b, k, m, n, 1, k)
 }
 
 // MatMulABTAcc computes dst += a·bᵀ where a is m×p and b is n×p (both
@@ -232,89 +164,36 @@ func MatMulABTAcc(dst, a, b []float64, m, n, p int) {
 	if len(dst) < m*n || len(a) < m*p || len(b) < n*p {
 		panic("tensor: MatMulABTAcc dimension mismatch")
 	}
-	if w := gemmWorkers(m, m*n*p); w > 1 {
-		parallelRows(m, w, func(lo, hi int) {
-			matMulABTAccRows(dst, a, b, lo, hi, n, p)
-		})
-		return
+	row := func(mat []float64, r, w int) []float64 { return mat[r*w : (r+1)*w] }
+	i := 0
+	for ; i+1 < m; i += 2 {
+		dotRowPair(row(dst, i, n), row(dst, i+1, n), row(a, i, p), row(a, i+1, p), b)
 	}
-	matMulABTAccRows(dst, a, b, 0, m, n, p)
-}
-
-// matMulABTAccRows adds a·bᵀ into dst rows [i0, i1): two a rows against
-// three b rows at a time.
-func matMulABTAccRows(dst, a, b []float64, i0, i1, n, p int) {
-	if n == 3 {
-		matMulABTAccRows3(dst, a, b, i0, i1, p)
-		return
-	}
-	row := func(mat []float64, r int) []float64 { return mat[r*p : (r+1)*p] }
-	i := i0
-	for ; i+1 < i1; i += 2 {
-		a0, a1 := row(a, i), row(a, i+1)
-		d0, d1 := dst[i*n:(i+1)*n], dst[(i+1)*n:(i+2)*n]
-		j := 0
-		for ; j+2 < n; j += 3 {
-			dotTile(d0[j:], d1[j:], a0, a1, row(b, j), row(b, j+1), row(b, j+2))
-		}
-		for ; j < n; j++ {
-			d0[j] += dot(a0, row(b, j))
-			d1[j] += dot(a1, row(b, j))
-		}
-	}
-	if i < i1 {
-		for j := 0; j < n; j++ {
-			dst[i*n+j] += dot(row(a, i), row(b, j))
-		}
+	if i < m {
+		dotRow(row(dst, i, n), row(a, i, p), b)
 	}
 }
 
-// matMulABTAccRows3 is the n = 3 dot-product kernel (the batched-logit
-// shape: three classes against a panel of feature rows). All three b rows
-// stay hot in L1; a rows are processed in pairs so each loaded a element
-// feeds three accumulators and the six independent chains hide the FP add
-// latency. Each dst element is still one dot product summed over
-// ascending t, so the result matches the generic loop bit for bit.
-func matMulABTAccRows3(dst, a, b []float64, i0, i1, p int) {
-	b0 := b[0:p:p]
-	b1 := b[p : 2*p : 2*p]
-	b2 := b[2*p : 3*p : 3*p]
-	i := i0
-	for ; i+1 < i1; i += 2 {
-		a0 := a[i*p : (i+1)*p]
-		a1 := a[(i+1)*p : (i+2)*p : (i+2)*p]
-		var s00, s01, s02, s10, s11, s12 float64
-		for t, av0 := range a0 {
-			av1 := a1[t]
-			w0, w1, w2 := b0[t], b1[t], b2[t]
-			s00 += av0 * w0
-			s01 += av0 * w1
-			s02 += av0 * w2
-			s10 += av1 * w0
-			s11 += av1 * w1
-			s12 += av1 * w2
-		}
-		d0 := dst[i*3 : i*3+3 : i*3+3]
-		d1 := dst[(i+1)*3 : (i+1)*3+3 : (i+1)*3+3]
-		d0[0] += s00
-		d0[1] += s01
-		d0[2] += s02
-		d1[0] += s10
-		d1[1] += s11
-		d1[2] += s12
+// dotRowPair adds a0·bᵀ into d0 and a1·bᵀ into d1, b holding len(d0) rows
+// of a0's length: three b rows at a time through dotTile, the rest by dot.
+func dotRowPair(d0, d1, a0, a1, b []float64) {
+	n, p := len(d0), len(a0)
+	row := func(r int) []float64 { return b[r*p : (r+1)*p] }
+	j := 0
+	for ; j+2 < n; j += 3 {
+		dotTile(d0[j:], d1[j:], a0, a1, row(j), row(j+1), row(j+2))
 	}
-	for ; i < i1; i++ {
-		a0 := a[i*p : (i+1)*p]
-		var s0, s1, s2 float64
-		for t, av := range a0 {
-			s0 += av * b0[t]
-			s1 += av * b1[t]
-			s2 += av * b2[t]
-		}
-		d0 := dst[i*3 : i*3+3 : i*3+3]
-		d0[0] += s0
-		d0[1] += s1
-		d0[2] += s2
+	for ; j < n; j++ {
+		d0[j] += dot(a0, row(j))
+		d1[j] += dot(a1, row(j))
+	}
+}
+
+// dotRow is dotRowPair for an odd last row: d += a·bᵀ.
+func dotRow(d, a, b []float64) {
+	p := len(a)
+	for j := range d {
+		d[j] += dot(a, b[j*p:(j+1)*p])
 	}
 }
 
@@ -323,67 +202,21 @@ func matMulABTAccRows3(dst, a, b []float64, i0, i1, p int) {
 // Mini-batch SGD visits rows in shuffled order, so copying them into a
 // dense panel first costs a miss-bound pass over the whole training set
 // every epoch; fusing the gather lets the kernel's own streams absorb
-// those misses. Per dst element the accumulation order is identical to
-// MatMulABTAcc on the equivalent packed panel.
+// those misses. The tiles are MatMulABTAcc's, handed arena row slices, so
+// per dst element the accumulation order is identical to MatMulABTAcc on
+// the equivalent packed panel.
 func MatMulABTAccGather(dst, arena []float64, rows []int, b []float64, n, p int) {
 	m := len(rows)
 	if len(dst) < m*n || len(b) < n*p {
 		panic("tensor: MatMulABTAccGather dimension mismatch")
 	}
-	if n == 3 {
-		b0 := b[0:p:p]
-		b1 := b[p : 2*p : 2*p]
-		b2 := b[2*p : 3*p : 3*p]
-		r := 0
-		for ; r+1 < m; r += 2 {
-			a0 := arena[rows[r]*p : rows[r]*p+p : rows[r]*p+p]
-			a1 := arena[rows[r+1]*p : rows[r+1]*p+p : rows[r+1]*p+p]
-			var s00, s01, s02, s10, s11, s12 float64
-			for t, av0 := range a0 {
-				av1 := a1[t]
-				w0, w1, w2 := b0[t], b1[t], b2[t]
-				s00 += av0 * w0
-				s01 += av0 * w1
-				s02 += av0 * w2
-				s10 += av1 * w0
-				s11 += av1 * w1
-				s12 += av1 * w2
-			}
-			d0 := dst[r*3 : r*3+3 : r*3+3]
-			d1 := dst[(r+1)*3 : (r+1)*3+3 : (r+1)*3+3]
-			d0[0] += s00
-			d0[1] += s01
-			d0[2] += s02
-			d1[0] += s10
-			d1[1] += s11
-			d1[2] += s12
-		}
-		for ; r < m; r++ {
-			a0 := arena[rows[r]*p : rows[r]*p+p : rows[r]*p+p]
-			var s0, s1, s2 float64
-			for t, av := range a0 {
-				s0 += av * b0[t]
-				s1 += av * b1[t]
-				s2 += av * b2[t]
-			}
-			d0 := dst[r*3 : r*3+3 : r*3+3]
-			d0[0] += s0
-			d0[1] += s1
-			d0[2] += s2
-		}
-		return
+	arow := func(r int) []float64 { return arena[rows[r]*p : rows[r]*p+p] }
+	r := 0
+	for ; r+1 < m; r += 2 {
+		dotRowPair(dst[r*n:(r+1)*n], dst[(r+1)*n:(r+2)*n], arow(r), arow(r+1), b)
 	}
-	for r := 0; r < m; r++ {
-		ai := arena[rows[r]*p : rows[r]*p+p]
-		di := dst[r*n : (r+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b[j*p : (j+1)*p]
-			s := 0.0
-			for t, av := range ai {
-				s += av * bj[t]
-			}
-			di[j] += s
-		}
+	if r < m {
+		dotRow(dst[r*n:(r+1)*n], arow(r), b)
 	}
 }
 

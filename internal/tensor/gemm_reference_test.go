@@ -111,7 +111,8 @@ func requireSame(t *testing.T, name string, m, k, n int, got, want []float64) {
 
 // checkTilesAgainstReference runs the four entry points the way Conv2D
 // does at an oc×kk×p shape — forward W·cols, input gradient Wᵀ·grad,
-// weight gradient grad·colsᵀ — and requires every element == the oracle's.
+// weight gradient grad·colsᵀ, and the last again with logreg's gathered
+// rows — and requires every element == the oracle's.
 func checkTilesAgainstReference(t *testing.T, rng *rand.Rand, oc, kk, p int) {
 	t.Helper()
 	w := plantZeros(randSlice(oc*kk, rng), rng)
@@ -138,6 +139,20 @@ func checkTilesAgainstReference(t *testing.T, rng *rand.Rand, oc, kk, p int) {
 	MatMulABTAcc(got, grad, cols, oc, kk, p)
 	matMulABTAccReference(want, grad, cols, oc, kk, p)
 	requireSame(t, "MatMulABTAcc", oc, kk, p, got, want)
+
+	// The gathered form reads the same a rows out of a shuffled arena, with
+	// a row of padding so an index into it is not an index into grad.
+	perm := rng.Perm(oc)
+	arena := randSlice((oc+1)*p, rng)
+	for i := range perm {
+		perm[i]++
+		copy(arena[perm[i]*p:], grad[i*p:(i+1)*p])
+	}
+	got = randSlice(oc*kk, rng)
+	want = slices.Clone(got)
+	MatMulABTAccGather(got, arena, perm, cols, kk, p)
+	matMulABTAccReference(want, grad, cols, oc, kk, p)
+	requireSame(t, "MatMulABTAccGather", oc, kk, p, got, want)
 }
 
 // TestGemmTilesMatchReference pins the contract of the tile kernels: the
@@ -145,8 +160,7 @@ func checkTilesAgainstReference(t *testing.T, rng *rand.Rand, oc, kk, p int) {
 // replaced, so == and not a tolerance — over the CommCNN shapes, every
 // remainder class of the 2×4 axpy tile and the 2×3 dot tile (odd row
 // counts, reduction lengths and widths of every residue, widths past
-// gemmBlockJ), operands with exact zeros, pre-filled destinations, and
-// the row fan-out at several GOMAXPROCS.
+// gemmBlockJ), operands with exact zeros and pre-filled destinations.
 func TestGemmTilesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, sh := range commCNNShapes {
@@ -157,15 +171,6 @@ func TestGemmTilesMatchReference(t *testing.T) {
 			for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, gemmBlockJ + 1, 2*gemmBlockJ + 3} {
 				checkTilesAgainstReference(t, rng, oc, kk, p)
 			}
-		}
-	}
-	for _, procs := range []int{1, 2, 4, 8} {
-		setProcs(t, procs)
-		for _, sh := range parallelShapes {
-			if sh[0]*sh[1]*sh[2] < gemmParallelFlops {
-				t.Fatalf("shape %v below parallel threshold — test is vacuous", sh)
-			}
-			checkTilesAgainstReference(t, rng, sh[0], sh[1], sh[2])
 		}
 	}
 }

@@ -141,11 +141,6 @@ type Config struct {
 	Epochs, Filters, Hidden int
 	// Rounds / MaxDepth tune the boosted trees (XGB variant).
 	Rounds, MaxDepth int
-	// Workers bounds parallelism (0 = GOMAXPROCS).
-	Workers int
-	// GBDTWorkers bounds GBDT split-finding parallelism (0 = Workers).
-	// Any value produces bit-identical trees — a pure speed knob.
-	GBDTWorkers int
 	// Seed makes the run reproducible.
 	Seed int64
 	// Detector swaps the Phase I algorithm (default Girvan–Newman, the
@@ -262,7 +257,6 @@ func Classify(ds *social.Dataset, cfg Config) (*Result, error) {
 	}
 	coreCfg := core.Config{Seed: cfg.Seed, AgreementRule: cfg.AgreementRule}
 	coreCfg.Division = core.DivisionConfig{
-		Workers:    cfg.Workers,
 		Seed:       cfg.Seed,
 		GNPatience: cfg.GNPatience,
 	}
@@ -280,19 +274,14 @@ func Classify(ds *social.Dataset, cfg Config) (*Result, error) {
 	}
 	switch cfg.Variant {
 	case VariantXGB:
-		gw := cfg.GBDTWorkers
-		if gw == 0 {
-			gw = cfg.Workers
-		}
 		coreCfg.Classifier = &core.XGBClassifier{
-			Config:  gbdt.Config{Rounds: cfg.Rounds, MaxDepth: cfg.MaxDepth, Seed: cfg.Seed},
-			Seed:    cfg.Seed,
-			Workers: gw,
+			Config: gbdt.Config{Rounds: cfg.Rounds, MaxDepth: cfg.MaxDepth, Seed: cfg.Seed},
+			Seed:   cfg.Seed,
 		}
 	default:
 		coreCfg.Classifier = &core.CNNClassifier{
 			K: cfg.K, Filters: cfg.Filters, Hidden: cfg.Hidden,
-			Epochs: cfg.Epochs, Workers: cfg.Workers, Seed: cfg.Seed,
+			Epochs: cfg.Epochs, Seed: cfg.Seed,
 		}
 	}
 	coreCfg.Combiner = logreg.Config{Classes: social.NumLabels, Seed: cfg.Seed + 101}
