@@ -130,18 +130,14 @@ func TrainCommCNNScenario(users, epochs int) Scenario {
 	}
 }
 
-// GBDTTrainScenario measures Phase II GBDT training alone at a given
-// split-finding worker count. Phase I runs once in Prepare; each
-// repetition trains a fresh boosted ensemble on the same labeled
-// communities. gbdt clamps the count to GOMAXPROCS, so only values up to
-// the runner's core count are distinct rows; the trees are bit-identical
-// at every one.
-func GBDTTrainScenario(users, workers int) Scenario {
+// GBDTTrainScenario measures Phase II training alone: pooled-feature
+// assembly plus gbdt.Train. Phase I runs once in Prepare; each repetition
+// trains a fresh boosted ensemble on the same labeled communities.
+func GBDTTrainScenario(users int) Scenario {
 	return Scenario{
-		Name: fmt.Sprintf("gbdt/train/n=%d/workers=%d", users, workers),
+		Name: fmt.Sprintf("gbdt/train/n=%d", users),
 		Params: map[string]string{
 			"users":      fmt.Sprint(users),
-			"workers":    fmt.Sprint(workers),
 			"classifier": "xgb",
 			"detector":   "labelprop",
 		},
@@ -165,7 +161,7 @@ func GBDTTrainScenario(users, workers int) Scenario {
 				return nil, fmt.Errorf("bench: fixture has no labeled communities")
 			}
 			return func(m *M) error {
-				cl := &core.XGBClassifier{Seed: 1, Workers: workers}
+				cl := &core.XGBClassifier{Seed: 1}
 				t0 := time.Now()
 				if err := cl.Fit(ds, comms, labels); err != nil {
 					return err

@@ -40,7 +40,7 @@ var suites = map[string]func() []Scenario{
 			// combiner's 182-feature shape.
 			CombineScenario(10000),
 			LogregTrainScenario(8192),
-			GBDTTrainScenario(1000, 1),
+			GBDTTrainScenario(1000),
 			IncrementalApplyScenario(1000),
 			IncrementalApplySeededScenario(1000),
 			WALAppendScenario(1000, wal.SyncAlways),

@@ -130,9 +130,10 @@ type XGBClassifier struct {
 	Config gbdt.Config
 	// Seed overrides Config.Seed when non-zero.
 	Seed int64
-	// Workers overrides Config.Workers when non-zero. Trees are
-	// bit-identical for every worker count (see internal/gbdt), so this
-	// is a pure speed knob that never perturbs seeded replay.
+	// Workers has no effect and nothing reads it, like gbdt.Config.Workers
+	// (see there): the trainer's width is GOMAXPROCS. The field is still
+	// declared because benchmark/batch.go copies it; removing it is a
+	// [benchmark] follow-up (ROADMAP item 2).
 	Workers int
 
 	model *gbdt.Model
@@ -141,24 +142,25 @@ type XGBClassifier struct {
 // Name implements CommunityClassifier.
 func (x *XGBClassifier) Name() string { return "LoCEC-XGB" }
 
-// Fit implements CommunityClassifier.
+// Fit implements CommunityClassifier. The training rows are assembled one
+// contiguous share per worker, each with its own pooler.
 func (x *XGBClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels []social.Label) error {
 	if len(comms) == 0 {
 		return fmt.Errorf("core: no labeled communities to train on")
 	}
 	X := make([][]float64, len(comms))
 	y := make([]int, len(comms))
-	for i, comm := range comms {
-		X[i] = PooledFeatures(ds, comm)
-		y[i] = int(labels[i])
-	}
+	parallel.For(len(comms), 0, func(lo, hi int) {
+		var p pooler
+		for i := lo; i < hi; i++ {
+			X[i] = p.features(ds, comms[i])
+			y[i] = int(labels[i])
+		}
+	})
 	cfg := x.Config
 	cfg.Classes = social.NumLabels
 	if x.Seed != 0 {
 		cfg.Seed = x.Seed
-	}
-	if x.Workers != 0 {
-		cfg.Workers = x.Workers
 	}
 	model, err := gbdt.Train(X, y, cfg)
 	if err != nil {
@@ -168,13 +170,16 @@ func (x *XGBClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels 
 	return nil
 }
 
-// Classify implements CommunityClassifier.
+// Classify implements CommunityClassifier. Each community walks the
+// forest once: the leaf values are r_C, and the class probabilities are
+// read off them (gbdt.Model.ProbaFromLeaves) — bit for bit what
+// PredictProba would return from a second walk.
 func (x *XGBClassifier) Classify(ds *social.Dataset, comms []*LocalCommunity) {
 	parallel.For(len(comms), 0, func(lo, hi int) {
+		var p pooler
 		for _, comm := range comms[lo:hi] {
-			feats := PooledFeatures(ds, comm)
-			comm.Probs = x.model.PredictProba(feats)
-			comm.Result = x.model.LeafValues(feats)
+			comm.Result = x.model.LeafValues(p.features(ds, comm))
+			comm.Probs = x.model.ProbaFromLeaves(comm.Result)
 		}
 	})
 }

@@ -12,25 +12,39 @@ import (
 // InteractFeatures computes I_u^C for every member u of community C per
 // Eq. 1–2: each dimension is u's interaction volume with other members,
 // normalized by the community's total internal volume on that dimension.
-// Rows align with c.Members. Dimensions whose community total is zero
-// yield zeros (the all-dormant community edge case).
+// Rows align with c.Members and are cut from one backing array.
+// Dimensions whose community total is zero yield zeros (the all-dormant
+// community edge case).
 func InteractFeatures(ds *social.Dataset, c *LocalCommunity) [][]float64 {
 	nd := int(social.NumInteractionDims)
+	flat := make([]float64, (len(c.Members)+1)*nd)
+	interactInto(flat, ds, c)
 	rows := make([][]float64, len(c.Members))
 	for i := range rows {
-		rows[i] = make([]float64, nd)
+		rows[i] = flat[i*nd : (i+1)*nd : (i+1)*nd]
 	}
-	totals := make([]float64, nd)
-	for i := 0; i < len(c.Members); i++ {
-		for j := i + 1; j < len(c.Members); j++ {
+	return rows
+}
+
+// interactInto is InteractFeatures on a caller-owned zeroed buffer of
+// (len(c.Members)+1)·|I| values: member i's row at flat[i·|I|:], the
+// per-dimension community totals in the last |I| slots.
+func interactInto(flat []float64, ds *social.Dataset, c *LocalCommunity) {
+	nd := int(social.NumInteractionDims)
+	n := len(c.Members)
+	totals := flat[n*nd : (n+1)*nd]
+	for i := 0; i < n; i++ {
+		ri := flat[i*nd : (i+1)*nd]
+		for j := i + 1; j < n; j++ {
 			iv := ds.InteractionVector(c.Members[i], c.Members[j])
+			rj := flat[j*nd : (j+1)*nd]
 			for d := 0; d < nd; d++ {
 				v := iv[d]
 				if v == 0 {
 					continue
 				}
-				rows[i][d] += v
-				rows[j][d] += v
+				ri[d] += v
+				rj[d] += v
 				totals[d] += v
 			}
 		}
@@ -39,11 +53,10 @@ func InteractFeatures(ds *social.Dataset, c *LocalCommunity) [][]float64 {
 		if totals[d] == 0 {
 			continue
 		}
-		for i := range rows {
-			rows[i][d] /= totals[d]
+		for i := 0; i < n; i++ {
+			flat[i*nd+d] /= totals[d]
 		}
 	}
-	return rows
 }
 
 // FeatureMatrix builds the k×(|I|+|f|) community feature matrix of
@@ -111,30 +124,50 @@ func matrixInOrder(ds *social.Dataset, c *LocalCommunity, k int, order []int) *t
 // and standard deviation of every feature dimension over ALL members
 // (k-independent, as the paper notes). Layout: [means..., stds...].
 func PooledFeatures(ds *social.Dataset, c *LocalCommunity) []float64 {
+	return new(pooler).features(ds, c)
+}
+
+// pooler is PooledFeatures for a run of communities: the member rows live
+// in one flat scratch that grows to the largest community seen, so a call
+// allocates the vector it returns and nothing else. One per worker block.
+type pooler struct {
+	flat []float64
+}
+
+func (p *pooler) features(ds *social.Dataset, c *LocalCommunity) []float64 {
 	nd := int(social.NumInteractionDims)
 	nf := ds.NumFeatureDims()
 	w := nd + nf
-	mean := make([]float64, w)
-	m2 := make([]float64, w)
-	inter := InteractFeatures(ds, c)
-	n := float64(len(c.Members))
-	row := make([]float64, w)
+	need := (len(c.Members) + 1) * nd
+	if cap(p.flat) < need {
+		p.flat = make([]float64, need)
+	}
+	inter := p.flat[:need]
+	clear(inter)
+	interactInto(inter, ds, c)
+	// The sums build up in the halves of out that the mean and the
+	// standard deviation then replace.
+	out := make([]float64, 2*w)
+	sum, sq := out[:w], out[w:]
 	for i, u := range c.Members {
-		copy(row[:nd], inter[i])
-		copy(row[nd:], ds.UserFeatures[u])
-		for d := 0; d < w; d++ {
-			mean[d] += row[d]
-			m2[d] += row[d] * row[d]
+		for d, v := range inter[i*nd : (i+1)*nd] {
+			sum[d] += v
+			sq[d] += v * v
+		}
+		f := ds.UserFeatures[u]
+		for d, v := range f[:min(nf, len(f))] {
+			sum[nd+d] += v
+			sq[nd+d] += v * v
 		}
 	}
-	out := make([]float64, 2*w)
+	n := float64(len(c.Members))
 	for d := 0; d < w; d++ {
-		mu := mean[d] / n
-		out[d] = mu
-		variance := m2[d]/n - mu*mu
+		mu := sum[d] / n
+		variance := sq[d]/n - mu*mu
 		if variance < 0 {
 			variance = 0
 		}
+		out[d] = mu
 		out[w+d] = math.Sqrt(variance)
 	}
 	return out

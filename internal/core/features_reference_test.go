@@ -1,0 +1,192 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"locec/internal/social"
+	"locec/internal/wechat"
+)
+
+// interactFeaturesReference and pooledFeaturesReference are the feature
+// builders as they stood before the flat-scratch rewrite (a slice per
+// member, a row copy per member): the statements InteractFeatures and
+// PooledFeatures must stay == to, because the GBDT's training matrix — and
+// with it every tree — is made of these values.
+func interactFeaturesReference(ds *social.Dataset, c *LocalCommunity) [][]float64 {
+	nd := int(social.NumInteractionDims)
+	rows := make([][]float64, len(c.Members))
+	for i := range rows {
+		rows[i] = make([]float64, nd)
+	}
+	totals := make([]float64, nd)
+	for i := 0; i < len(c.Members); i++ {
+		for j := i + 1; j < len(c.Members); j++ {
+			iv := ds.InteractionVector(c.Members[i], c.Members[j])
+			for d := 0; d < nd; d++ {
+				v := iv[d]
+				if v == 0 {
+					continue
+				}
+				rows[i][d] += v
+				rows[j][d] += v
+				totals[d] += v
+			}
+		}
+	}
+	for d := 0; d < nd; d++ {
+		if totals[d] == 0 {
+			continue
+		}
+		for i := range rows {
+			rows[i][d] /= totals[d]
+		}
+	}
+	return rows
+}
+
+func pooledFeaturesReference(ds *social.Dataset, c *LocalCommunity) []float64 {
+	nd := int(social.NumInteractionDims)
+	nf := ds.NumFeatureDims()
+	w := nd + nf
+	mean := make([]float64, w)
+	m2 := make([]float64, w)
+	inter := interactFeaturesReference(ds, c)
+	n := float64(len(c.Members))
+	row := make([]float64, w)
+	for i, u := range c.Members {
+		copy(row[:nd], inter[i])
+		copy(row[nd:], ds.UserFeatures[u])
+		for d := 0; d < w; d++ {
+			mean[d] += row[d]
+			m2[d] += row[d] * row[d]
+		}
+	}
+	out := make([]float64, 2*w)
+	for d := 0; d < w; d++ {
+		mu := mean[d] / n
+		out[d] = mu
+		variance := m2[d]/n - mu*mu
+		if variance < 0 {
+			variance = 0
+		}
+		out[w+d] = math.Sqrt(variance)
+	}
+	return out
+}
+
+// featureFixture divides an n = 300 network and returns its dataset, a
+// copy of it in which nobody ever interacted (every community all-dormant)
+// and every local community.
+func featureFixture(t *testing.T) (ds, dormant *social.Dataset, comms []*LocalCommunity) {
+	t.Helper()
+	net, err := wechat.Generate(wechat.DefaultConfig(300, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RunSurvey(0.4, 22)
+	ds = net.Dataset
+	for _, er := range Divide(ds, DivisionConfig{Detector: DetectorLabelProp, Seed: 1}) {
+		comms = append(comms, er.Comms...)
+	}
+	quiet := *ds
+	quiet.Interactions = map[uint64][]float64{}
+	return ds, &quiet, comms
+}
+
+// TestFeaturesMatchReference: on every community of the division —
+// singletons and all-dormant ones included — the flat-scratch builders
+// return exactly the values of the old statements, from one pooler reused
+// across communities of every size (a stale scratch would show here).
+func TestFeaturesMatchReference(t *testing.T) {
+	ds, dormant, comms := featureFixture(t)
+	singletons := 0
+	var p pooler
+	for _, d := range []*social.Dataset{ds, dormant} {
+		for i, c := range comms {
+			if len(c.Members) == 1 {
+				singletons++
+			}
+			want := interactFeaturesReference(d, c)
+			got := InteractFeatures(d, c)
+			if len(got) != len(want) {
+				t.Fatalf("community %d: %d interact rows, want %d", i, len(got), len(want))
+			}
+			for r := range want {
+				if !slices.Equal(got[r], want[r]) {
+					t.Fatalf("community %d (ego %d) member %d: interact features %v, want %v", i, c.Ego, r, got[r], want[r])
+				}
+			}
+			wantP := pooledFeaturesReference(d, c)
+			if got := p.features(d, c); !slices.Equal(got, wantP) {
+				t.Fatalf("community %d (ego %d, %d members): pooled features %v, want %v", i, c.Ego, len(c.Members), got, wantP)
+			}
+			if got := PooledFeatures(d, c); !slices.Equal(got, wantP) {
+				t.Fatalf("community %d: PooledFeatures %v, want %v", i, got, wantP)
+			}
+		}
+	}
+	if singletons == 0 {
+		t.Fatal("division has no singleton community: fixture does not cover them")
+	}
+	// An appended row must not run into its neighbour's.
+	for _, c := range comms {
+		if len(c.Members) >= 2 {
+			rows := InteractFeatures(ds, c)
+			before := slices.Clone(rows[1])
+			_ = append(rows[0], 1)
+			if !slices.Equal(rows[1], before) {
+				t.Fatal("appending to one InteractFeatures row wrote into the next")
+			}
+			break
+		}
+	}
+}
+
+// TestPoolerAllocatesOnlyItsResult pins the block form Fit and Classify
+// call at one allocation per community — the vector it returns — once the
+// scratch has grown to the largest community.
+func TestPoolerAllocatesOnlyItsResult(t *testing.T) {
+	ds, _, comms := featureFixture(t)
+	var p pooler
+	for _, c := range comms {
+		p.features(ds, c) // warm the scratch
+	}
+	perRun := testing.AllocsPerRun(5, func() {
+		for _, c := range comms {
+			p.features(ds, c)
+		}
+	})
+	if perRun != float64(len(comms)) {
+		t.Fatalf("%v allocations for %d communities, want one each", perRun, len(comms))
+	}
+}
+
+// TestXGBClassifyOneWalkMatchesModel: the one-walk Classify must hand every
+// community exactly what the model's own entry points return from two
+// walks — Probs == PredictProba, Result == LeafValues.
+func TestXGBClassifyOneWalkMatchesModel(t *testing.T) {
+	ds, _, comms := featureFixture(t)
+	var train []*LocalCommunity
+	var labels []social.Label
+	for _, c := range comms {
+		if l := c.TruthLabel(); l.Valid() {
+			train, labels = append(train, c), append(labels, l)
+		}
+	}
+	clf := &XGBClassifier{Seed: 1}
+	if err := clf.Fit(ds, train, labels); err != nil {
+		t.Fatal(err)
+	}
+	clf.Classify(ds, comms)
+	for i, c := range comms {
+		x := pooledFeaturesReference(ds, c)
+		if want := clf.model.PredictProba(x); !slices.Equal(c.Probs, want) {
+			t.Fatalf("community %d: Probs %v, PredictProba %v", i, c.Probs, want)
+		}
+		if want := clf.model.LeafValues(x); !slices.Equal(c.Result, want) {
+			t.Fatalf("community %d: Result differs from LeafValues", i)
+		}
+	}
+}

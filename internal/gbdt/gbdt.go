@@ -5,11 +5,26 @@
 // softmax objective with one regression tree per class per round.
 //
 // Split finding runs over per-feature histograms (≤256 bins, quantized
-// once before boosting — see histogram.go) and fans out across a pool of
-// persistent workers with per-worker scratch. The trainer is deterministic
-// by construction: Config.Workers changes wall-clock time, never the
-// trees. The exact sort-based enumeration is retained in
-// split_reference_test.go as the equivalence oracle.
+// once before boosting — see histogram.go). A tree carries its rows as one
+// index array with each row's gradient and hessian stored beside it in
+// node order; a split is one stable pass of that array against a
+// feature-major column, which also sums the two children's G and H; only
+// the smaller child's histogram is accumulated from rows, the sibling's is
+// parent − child. The trainer is deterministic by construction and serial
+// but for the per-column binning, whose width (GOMAXPROCS) cannot change a
+// bit. Two oracles are retained as tests: the exact sort-based enumeration
+// (split_reference_test.go) and the direct-accumulation histogram trainer
+// this one replaced (hist_reference_test.go).
+//
+// Row order carries over between the trees of a round. The sampled row
+// array is shared by the round's class trees and each tree's partitions
+// permute it in place, so class c+1's tree sums its root — and so every
+// node below it — in the order class c's tree left behind, not in
+// ascending row order. Leaf values depend on that order in their last bit,
+// so it is part of what "the same model" means here (both oracles do the
+// same, and resetting the order per tree changes the serialized bytes);
+// it is also the one thing that makes the class trees of a round
+// sequential.
 //
 // Besides class probabilities, the model exposes the per-tree leaf values
 // for an input — the "community embedding" LoCEC-XGB feeds to its edge
@@ -21,8 +36,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync/atomic"
+	"slices"
 
 	"locec/internal/tensor"
 )
@@ -40,13 +54,12 @@ type Config struct {
 	Classes        int     // number of classes (required, >= 2)
 	Seed           int64   // drives subsampling
 
-	// Workers bounds split-finding parallelism (0 = GOMAXPROCS; values
-	// above GOMAXPROCS are clamped down to it — extra goroutines past
-	// the core count only add channel round-trips). Any value produces
-	// bit-identical trees — per-feature histograms are each built by
-	// one worker in row order and candidates merge in column order —
-	// so it is a pure speed knob and is deliberately excluded from the
-	// serialized model.
+	// Workers has no effect: nothing reads it. The per-node worker pool it
+	// sized is gone — it never beat the serial trainer on the hardware it
+	// was measured on — and the one fan-out left (per-column binning) is a
+	// parallel.For at GOMAXPROCS. The field stays declared, and out of the
+	// serialized model, because benchmark/batch.go assigns it; removing it
+	// is a [benchmark] follow-up (ROADMAP item 2).
 	Workers int `json:"-"`
 }
 
@@ -153,48 +166,45 @@ func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(X)
+	n, classes := len(X), cfg.Classes
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	margins := make([][]float64, n) // per-sample per-class raw scores
-	for i := range margins {
-		margins[i] = make([]float64, cfg.Classes)
-	}
-	probs := make([]float64, cfg.Classes)
-	grad := make([][]float64, cfg.Classes)
-	hess := make([][]float64, cfg.Classes)
-	for c := 0; c < cfg.Classes; c++ {
-		grad[c] = make([]float64, n)
-		hess[c] = make([]float64, n)
-	}
+	margins := make([]float64, n*classes) // per-sample per-class raw scores, sample-major
+	probs := make([]float64, classes)
+	grad := make([]float64, classes*n) // class-major: class c's gradients are grad[c*n:(c+1)*n]
+	hess := make([]float64, classes*n)
 	m := &Model{cfg: cfg, features: nf}
-	tr := newTrainer(X, cfg, nf)
-	defer tr.close()
-	rows := make([]int, 0, n)
+	tr := newTrainer(buildBins(X, nf), cfg, margins)
+	rows := make([]int32, 0, n)
+	var oos []int // the round's out-of-sample rows
 	colBuf := make([]int, 0, nf)
 	for round := 0; round < cfg.Rounds; round++ {
 		// Softmax gradients/hessians from current margins.
 		for i := 0; i < n; i++ {
-			tensor.Softmax(margins[i], probs)
-			for c := 0; c < cfg.Classes; c++ {
+			tensor.Softmax(margins[i*classes:(i+1)*classes], probs)
+			for c, p := range probs {
 				t := 0.0
 				if y[i] == c {
 					t = 1
 				}
-				grad[c][i] = probs[c] - t
-				hess[c][i] = math.Max(probs[c]*(1-probs[c]), 1e-12)
+				grad[c*n+i] = p - t
+				hess[c*n+i] = math.Max(p*(1-p), 1e-12)
 			}
 		}
 		// Row subsample (shared across the round's class trees). The rng
 		// consumption order matches trainReference exactly, so the two
 		// paths see identical samples.
-		rows = rows[:0]
+		rows, oos = rows[:0], oos[:0]
 		for i := 0; i < n; i++ {
 			if cfg.Subsample >= 1 || rng.Float64() < cfg.Subsample {
-				rows = append(rows, i)
+				rows = append(rows, int32(i))
+			} else {
+				oos = append(oos, i)
 			}
 		}
 		if len(rows) == 0 {
-			rows = append(rows, rng.Intn(n))
+			i := rng.Intn(n)
+			rows = append(rows, int32(i))
+			oos = slices.Delete(oos, i, i+1) // every row is out: oos[i] == i
 		}
 		// Column subsample.
 		colBuf = colBuf[:0]
@@ -206,22 +216,19 @@ func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
 		if len(colBuf) == 0 {
 			colBuf = append(colBuf, rng.Intn(nf))
 		}
-		roundTrees := make([]*Tree, cfg.Classes)
-		full := len(rows) == n
-		for c := 0; c < cfg.Classes; c++ {
-			// The builder updates margins[i][c] in place as leaves are
-			// created: a sampled row's leaf assignment during the
-			// partition IS the leaf prediction would route it to, so the
-			// per-round full-predict pass of the exact path collapses to
-			// O(1) per sampled row.
-			t := tr.buildTree(grad[c], hess[c], rows, colBuf, margins, c)
+		roundTrees := make([]*Tree, classes)
+		for c := 0; c < classes; c++ {
+			// The builder updates class c's margin of a sampled row in
+			// place as leaves are created: the row's leaf assignment
+			// during the partition IS the leaf prediction would route it
+			// to, so the per-round full-predict pass of the exact path
+			// collapses to O(1) per sampled row.
+			t := tr.buildTree(grad[c*n:(c+1)*n], hess[c*n:(c+1)*n], rows, colBuf, c)
 			roundTrees[c] = t
-			if !full {
-				// Out-of-sample rows still need a tree walk.
-				for _, i := range tr.outOfSample(rows, n) {
-					v, _ := t.predict(X[i])
-					margins[i][c] += v
-				}
+			// Out-of-sample rows still need a tree walk.
+			for _, i := range oos {
+				v, _ := t.predict(X[i])
+				margins[i*classes+c] += v
 			}
 		}
 		m.trees = append(m.trees, roundTrees)
@@ -230,237 +237,206 @@ func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// trainer owns the quantized training matrix plus the split-finding
-// worker pool and all reusable scratch. One trainer serves every tree of
-// a Train call; only the node slice is (re)allocated per tree, since it
-// is retained inside the returned Tree.
+// trainer owns the quantized training matrix and all reusable scratch.
+// One trainer serves every tree of a Train call; only the node slice is
+// (re)allocated per tree, since it is retained inside the returned Tree.
 type trainer struct {
-	X       [][]float64
 	cfg     Config
 	bins    *binning
-	workers int
+	margins []float64 // sample-major, cfg.Classes per sample
 
-	// Per-tree state installed by buildTree.
-	grad, hess []float64
-	cols       []int
-	margins    [][]float64 // leaf-time margin updates (class cls)
-	cls        int
-	nodes      []node
-	part       []int // stable-partition scratch
-	oos        []int // out-of-sample row scratch
-	inTree     []bool
+	// Per-tree state installed by buildTree. rows is the tree's one index
+	// array; g[i] and h[i] are the gradient and hessian of row rows[i],
+	// moved with it by every partition, so a node — a range [lo, hi) of
+	// the three — reads them sequentially.
+	rows  []int32
+	g, h  []float64
+	cols  []int
+	cls   int
+	nodes []node
 
-	// Split fan-out: workers claim feature slots from next and write
-	// results into cands — fixed output placement keeps the merge
-	// deterministic regardless of scheduling.
-	hists  []*histScratch
-	cands  []splitCand
-	rows   []int
-	nodeG  float64
-	nodeH  float64
-	next   atomic.Int64
-	work   []chan struct{}
-	done   chan struct{}
-	closed bool
+	// Right-hand side of the partition in progress.
+	partRows []int32
+	partG    []float64
+	partH    []float64
+
+	free []*histogram // histograms no live node owns
 }
 
-// parallelSplitMinRows gates the per-node fan-out: below this row count
-// the channel round-trip costs more than the histogram work it spreads.
-// Serial and fanned-out nodes compute identical candidates, so the gate
-// never affects the trees.
-const parallelSplitMinRows = 512
-
-func newTrainer(X [][]float64, cfg Config, nf int) *trainer {
-	workers := cfg.Workers
-	if workers <= 0 || workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t := &trainer{
-		X:       X,
-		cfg:     cfg,
-		bins:    buildBins(X, nf),
-		workers: workers,
-		part:    make([]int, 0, len(X)),
-		cands:   make([]splitCand, nf),
-		hists:   make([]*histScratch, workers),
-	}
-	for w := range t.hists {
-		t.hists[w] = &histScratch{}
-	}
-	if workers > 1 {
-		t.done = make(chan struct{}, workers)
-		t.work = make([]chan struct{}, workers)
-		for w := 0; w < workers; w++ {
-			t.work[w] = make(chan struct{}, 1)
-			go t.workerLoop(w)
-		}
-	}
-	return t
-}
-
-// close stops the persistent workers; the trainer must not be used again.
-func (t *trainer) close() {
-	if t.closed {
-		return
-	}
-	t.closed = true
-	for _, ch := range t.work {
-		close(ch)
+func newTrainer(bins *binning, cfg Config, margins []float64) *trainer {
+	n := len(margins) / cfg.Classes
+	return &trainer{
+		cfg:      cfg,
+		bins:     bins,
+		margins:  margins,
+		g:        make([]float64, n),
+		h:        make([]float64, n),
+		partRows: make([]int32, n),
+		partG:    make([]float64, n),
+		partH:    make([]float64, n),
 	}
 }
 
-// workerLoop claims feature slots of the current node until none remain,
-// then acks. Each slot's histogram is built solely by the claiming worker
-// (row order fixed), so results do not depend on the claim interleaving.
-func (t *trainer) workerLoop(w int) {
-	for range t.work[w] {
-		t.scanFeatures(w)
-		t.done <- struct{}{}
-	}
-}
-
-// scanFeatures drains the shared feature-slot counter for worker w.
-func (t *trainer) scanFeatures(w int) {
-	for {
-		ci := int(t.next.Add(1)) - 1
-		if ci >= len(t.cols) {
-			return
-		}
-		t.cands[ci] = t.featureCandidate(w, t.cols[ci])
-	}
-}
-
-// featureCandidate builds feature f's histogram over the current node's
-// rows and scans it for the best split.
-func (t *trainer) featureCandidate(w, f int) splitCand {
-	nb := t.bins.counts[f]
-	s := t.hists[w]
-	s.accumulate(t.bins.codes[f], t.rows, t.grad, t.hess, nb)
-	return scanHistogram(s.g[:nb], s.h[:nb], s.c[:nb], t.bins.lo[f], t.bins.hi[f],
-		t.nodeG, t.nodeH, t.cfg.Lambda, t.cfg.Gamma, t.cfg.MinChildWeight)
-}
-
-// buildTree grows one regression tree over rows, adding each sampled
-// row's leaf value to margins[row][cls] as leaves are created. rows is
-// permuted in place by the recursive partitioning.
-func (t *trainer) buildTree(grad, hess []float64, rows, cols []int, margins [][]float64, cls int) *Tree {
-	t.grad, t.hess, t.cols = grad, hess, cols
-	t.margins, t.cls = margins, cls
+// buildTree grows one regression tree over rows for class cls, adding each
+// sampled row's leaf value to its margin as leaves are created. rows is
+// permuted in place by the recursive partitioning and is NOT put back: the
+// next class's tree of the round starts from the order this one left (see
+// the package comment).
+func (t *trainer) buildTree(grad, hess []float64, rows []int32, cols []int, cls int) *Tree {
+	t.rows, t.cols, t.cls = rows, cols, cls
 	t.nodes = nil // retained by the returned Tree
-	t.split(rows, 0)
+	var G, H float64
+	for i, r := range rows {
+		t.g[i], t.h[i] = grad[r], hess[r]
+		G += grad[r]
+		H += hess[r]
+	}
+	var hs *histogram
+	if len(rows) >= 2 {
+		hs = t.histogram()
+		hs.accumulate(t.bins, cols, rows, t.g, t.h)
+	}
+	t.split(0, len(rows), 0, G, H, hs)
 	return &Tree{Nodes: t.nodes}
 }
 
-// split grows the subtree over the given sample rows and returns its node
-// index. rows is reordered in place (stable left|right partition) before
-// recursing, so child calls operate on subslices — no per-node allocation.
-// The candidate search is the histogram scan of histogram.go, fanned out
-// across the worker pool for wide nodes.
-func (t *trainer) split(rows []int, depth int) int {
-	var G, H float64
-	for _, i := range rows {
-		G += t.grad[i]
-		H += t.hess[i]
+// histogram takes a histogram off the free list, or makes one. A tree
+// holds at most MaxDepth+1 at a time, so the list stays that short.
+func (t *trainer) histogram() *histogram {
+	if k := len(t.free) - 1; k >= 0 {
+		hs := t.free[k]
+		t.free = t.free[:k]
+		return hs
 	}
+	return newHistogram(len(t.bins.counts))
+}
+
+// split grows the subtree over rows[lo:hi] — gradient sum G, hessian sum H,
+// both taken over those rows in their stored order — and returns its node
+// index. hs is the node's histogram; nil says the node may not split (it
+// is at MaxDepth or has under 2 rows). The rows are reordered in place
+// (stable left|right partition) before recursing, so children are
+// subranges — no per-node allocation.
+func (t *trainer) split(lo, hi, depth int, G, H float64, hs *histogram) int {
 	leafValue := -G / (H + t.cfg.Lambda) * t.cfg.LearningRate
 	idx := len(t.nodes)
 	t.nodes = append(t.nodes, node{Feature: -1, Value: leafValue})
-	if depth >= t.cfg.MaxDepth || len(rows) < 2 {
-		t.settleLeaf(rows, leafValue)
+	if hs == nil {
+		t.settleLeaf(lo, hi, leafValue)
 		return idx
 	}
-	bestFeat, bestThresh, ok := t.findBestSplit(rows, G, H)
-	if !ok {
-		t.settleLeaf(rows, leafValue)
+	feat, thresh, ok := t.findBestSplit(hs, G, H)
+	var left, right childSums
+	if ok {
+		left, right = t.partition(lo, hi, t.bins.vals[feat], thresh)
+	}
+	if left.n == 0 || right.n == 0 {
+		t.free = append(t.free, hs)
+		t.settleLeaf(lo, hi, leafValue)
 		return idx
 	}
-	// Stable partition rows into left|right around the threshold, keeping
-	// the original relative order on both sides (identical trees to the
-	// reference construction).
-	part := t.part[:0]
-	for _, i := range rows {
-		if t.X[i][bestFeat] < bestThresh {
-			part = append(part, i)
-		}
-	}
-	nl := len(part)
-	if nl == 0 || nl == len(rows) {
-		t.settleLeaf(rows, leafValue)
-		return idx
-	}
-	for _, i := range rows {
-		if !(t.X[i][bestFeat] < bestThresh) {
-			part = append(part, i)
-		}
-	}
-	copy(rows, part)
-	li := t.split(rows[:nl], depth+1)
-	ri := t.split(rows[nl:], depth+1)
-	t.nodes[idx] = node{Feature: bestFeat, Threshold: bestThresh, Left: li, Right: ri}
+	mid := lo + left.n
+	lh, rh := t.childHistograms(hs, lo, mid, hi, depth+1)
+	li := t.split(lo, mid, depth+1, left.G, left.H, lh)
+	ri := t.split(mid, hi, depth+1, right.G, right.H, rh)
+	t.nodes[idx] = node{Feature: feat, Threshold: thresh, Left: li, Right: ri}
 	return idx
 }
 
+// childHistograms turns the histogram hs of the node over rows[lo:hi] into
+// those of its children rows[lo:mid] and rows[mid:hi] at the given depth:
+// nil for a child that may not split; otherwise the smaller child (the
+// left one on equal sizes) is accumulated from its rows and the larger
+// keeps hs, less what the smaller took out of it.
+func (t *trainer) childHistograms(hs *histogram, lo, mid, hi, depth int) (lh, rh *histogram) {
+	nl, nr := mid-lo, hi-mid
+	if depth >= t.cfg.MaxDepth || max(nl, nr) < 2 {
+		t.free = append(t.free, hs)
+		return nil, nil
+	}
+	small := t.histogram()
+	if nl <= nr {
+		small.accumulate(t.bins, t.cols, t.rows[lo:mid], t.g[lo:mid], t.h[lo:mid])
+		lh, rh = small, hs
+	} else {
+		small.accumulate(t.bins, t.cols, t.rows[mid:hi], t.g[mid:hi], t.h[mid:hi])
+		lh, rh = hs, small
+	}
+	hs.subtract(small, t.bins, t.cols)
+	if min(nl, nr) < 2 {
+		// The one-row child was accumulated for the subtraction only.
+		t.free = append(t.free, small)
+		if nl <= nr {
+			lh = nil
+		} else {
+			rh = nil
+		}
+	}
+	return lh, rh
+}
+
+// childSums is one side of a partition: its row count and its gradient
+// and hessian sums, added in the side's row order starting from zero —
+// the terms and the order a loop over the child's rows would use.
+type childSums struct {
+	n    int
+	G, H float64
+}
+
+// partition reorders rows[lo:hi], with their g and h, into the rows whose
+// column value is below thresh followed by the rest, both sides keeping
+// their relative order (identical trees to the reference construction),
+// in one pass: left rows move down in place — the write index never passes
+// the read index — and right rows wait in the part* scratch. A NaN value
+// compares false and goes right, as in Forest.walk.
+func (t *trainer) partition(lo, hi int, col []float64, thresh float64) (left, right childSums) {
+	rows, g, h := t.rows, t.g, t.h
+	l, r := lo, 0
+	for i := lo; i < hi; i++ {
+		row, gv, hv := rows[i], g[i], h[i]
+		if col[row] < thresh {
+			rows[l], g[l], h[l] = row, gv, hv
+			left.G += gv
+			left.H += hv
+			l++
+		} else {
+			t.partRows[r], t.partG[r], t.partH[r] = row, gv, hv
+			right.G += gv
+			right.H += hv
+			r++
+		}
+	}
+	copy(rows[l:hi], t.partRows[:r])
+	copy(g[l:hi], t.partG[:r])
+	copy(h[l:hi], t.partH[:r])
+	left.n, right.n = l-lo, r
+	return left, right
+}
+
 // settleLeaf applies a finished leaf's value to the sampled rows' margins.
-func (t *trainer) settleLeaf(rows []int, leafValue float64) {
-	cls := t.cls
-	for _, i := range rows {
-		t.margins[i][cls] += leafValue
+func (t *trainer) settleLeaf(lo, hi int, leafValue float64) {
+	classes, cls := t.cfg.Classes, t.cls
+	for _, r := range t.rows[lo:hi] {
+		t.margins[int(r)*classes+cls] += leafValue
 	}
 }
 
-// findBestSplit scans every candidate column and merges the per-feature
-// winners serially in column order under the strictly-greater-by-1e-12
-// rule, so the chosen split is independent of both worker count and
-// scheduling.
-func (t *trainer) findBestSplit(rows []int, G, H float64) (feat int, thresh float64, ok bool) {
-	t.rows, t.nodeG, t.nodeH = rows, G, H
-	cands := t.cands[:len(t.cols)]
-	if t.workers > 1 && len(rows) >= parallelSplitMinRows && len(t.cols) > 1 {
-		t.next.Store(0)
-		for _, ch := range t.work {
-			ch <- struct{}{}
-		}
-		for range t.work {
-			<-t.done
-		}
-	} else {
-		for ci, f := range t.cols {
-			cands[ci] = t.featureCandidate(0, f)
-		}
-	}
+// findBestSplit scans the node's histogram of every candidate column and
+// merges the per-feature winners in column order under the
+// strictly-greater-by-1e-12 rule.
+func (t *trainer) findBestSplit(hs *histogram, G, H float64) (feat int, thresh float64, ok bool) {
 	bestGain := t.cfg.Gamma
 	feat = -1
-	for ci, c := range cands {
+	for _, f := range t.cols {
+		hg, hh, hc := hs.feature(f, t.bins.counts[f])
+		c := scanHistogram(hg, hh, hc, t.bins.lo[f], t.bins.hi[f], G, H, t.cfg.Lambda, t.cfg.Gamma, t.cfg.MinChildWeight)
 		if c.ok && c.gain > bestGain+1e-12 {
 			bestGain = c.gain
-			feat = t.cols[ci]
+			feat = f
 			thresh = c.thresh
 		}
 	}
 	return feat, thresh, feat >= 0
-}
-
-// outOfSample returns the rows NOT in the sorted-ascending sample set
-// rows (callers use it only when subsampling dropped rows).
-func (t *trainer) outOfSample(rows []int, n int) []int {
-	if cap(t.inTree) < n {
-		t.inTree = make([]bool, n)
-	}
-	mask := t.inTree[:n]
-	for i := range mask {
-		mask[i] = false
-	}
-	for _, i := range rows {
-		mask[i] = true
-	}
-	oos := t.oos[:0]
-	for i := 0; i < n; i++ {
-		if !mask[i] {
-			oos = append(oos, i)
-		}
-	}
-	t.oos = oos
-	return oos
 }
 
 // Margins returns the raw per-class boosted scores for x.
@@ -502,6 +478,20 @@ func (m *Model) Predict(x []float64) int {
 func (m *Model) LeafValues(x []float64) []float64 {
 	out := make([]float64, m.forest.NumTrees())
 	m.forest.LeafValuesInto(x, out)
+	return out
+}
+
+// ProbaFromLeaves returns the class probabilities of the input whose
+// LeafValues are leaves, without walking the forest again: the leaf values
+// are added into their class margins in tree order — the additions
+// MarginsInto performs — then softmaxed, so the result equals PredictProba
+// of that input bit for bit.
+func (m *Model) ProbaFromLeaves(leaves []float64) []float64 {
+	out := make([]float64, m.cfg.Classes)
+	for ti, v := range leaves {
+		out[ti%len(out)] += v
+	}
+	tensor.Softmax(out, out)
 	return out
 }
 
