@@ -145,7 +145,7 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 
 // encodeEgos serializes the per-ego Phase I+II output. Per-community
 // member lists and tightness values are not stored: they are recoverable
-// from the ego-level arrays because divideOne fills each community in
+// from the ego-level arrays because core.NewEgoResult fills each community in
 // ego-member order — encodeEgos verifies that invariant and fails loudly
 // if a producer ever breaks it.
 func encodeEgos(egos []*core.EgoResult) ([]byte, error) {
@@ -211,35 +211,32 @@ func decodeEgos(b []byte) ([]*core.EgoResult, error) {
 		return nil, fmt.Errorf("ego count corrupt")
 	}
 	egos := make([]*core.EgoResult, n)
+	// Staging for the two arrays core.NewEgoResult copies into its slabs.
+	var members []graph.NodeID
+	var tightness []float64
 	for i := 0; i < n; i++ {
-		er := &core.EgoResult{Ego: graph.NodeID(c.u32())}
+		ego := graph.NodeID(c.u32())
 		nm := c.count(4)
-		er.Members = make([]graph.NodeID, nm)
-		for j := range er.Members {
-			er.Members[j] = graph.NodeID(c.u32())
+		members = members[:0]
+		for j := 0; j < nm; j++ {
+			members = append(members, graph.NodeID(c.u32()))
 		}
-		er.CommIdx = make([]int, nm)
-		for j := range er.CommIdx {
-			er.CommIdx[j] = int(c.u32())
+		commIdx := make([]int, nm)
+		for j := range commIdx {
+			commIdx[j] = int(c.u32())
 		}
-		er.Tightness = make([]float64, nm)
-		for j := range er.Tightness {
-			er.Tightness[j] = c.f64()
+		tightness = tightness[:0]
+		for j := 0; j < nm; j++ {
+			tightness = append(tightness, c.f64())
 		}
 		nc := c.count(12)
-		er.Comms = make([]*core.LocalCommunity, nc)
-		for ci := range er.Comms {
-			er.Comms[ci] = &core.LocalCommunity{Ego: er.Ego}
-		}
-		// Rebuild per-community member lists from the ego-level arrays.
-		for j, m := range er.Members {
-			ci := er.CommIdx[j]
+		for j, ci := range commIdx {
 			if ci < 0 || ci >= nc {
-				return nil, fmt.Errorf("ego %d: member %d has community index %d of %d", er.Ego, j, ci, nc)
+				return nil, fmt.Errorf("ego %d: member %d has community index %d of %d", ego, j, ci, nc)
 			}
-			er.Comms[ci].Members = append(er.Comms[ci].Members, m)
-			er.Comms[ci].Tightness = append(er.Comms[ci].Tightness, er.Tightness[j])
 		}
+		// Per-community member lists are rebuilt from the ego-level arrays.
+		er := core.NewEgoResult(ego, members, commIdx, tightness, nc)
 		for _, comm := range er.Comms {
 			if np := c.count(8); np > 0 {
 				comm.Probs = make([]float64, np)

@@ -1,10 +1,12 @@
 package artifact
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"locec/internal/core"
+	"locec/internal/wechat"
 )
 
 // TestDecodeGraphRejectsOverflowingCount pins the crafted-input path CRCs
@@ -46,5 +48,42 @@ func TestDecodePredsRejectsOverflowingCount(t *testing.T) {
 		if err := decodePreds(payload, &core.Export{}); err == nil {
 			t.Errorf("n=%#x: crafted preds count accepted", n)
 		}
+	}
+}
+
+// TestDecodeEgosAllocations: an ego decodes into the six objects
+// core.NewEgoResult builds it from (five, plus the CommIdx the decoder
+// hands it) and its communities' Probs and Result vectors; the staging
+// arrays are shared by the whole section. The decoded egos re-encode to the
+// same bytes.
+func TestDecodeEgosAllocations(t *testing.T) {
+	net, err := wechat.Generate(wechat.DefaultConfig(120, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	egos := core.Divide(net.Dataset, core.DivisionConfig{Detector: core.DetectorLabelProp, Seed: 1})
+	comms := 0
+	for _, er := range egos {
+		for _, c := range er.Comms {
+			c.Probs = []float64{0.5, 0.25, 0.25}
+			c.Result = []float64{1, 2, 3, 4}
+			comms++
+		}
+	}
+	payload, err := encodeEgos(egos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := decodeEgos(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := encodeEgos(decoded); err != nil || !bytes.Equal(again, payload) {
+		t.Fatalf("decoded egos re-encode differently (err %v)", err)
+	}
+	// 32 covers the ego list, the cursor and the staging arrays' growth.
+	budget := float64(6*len(egos) + 2*comms + 32)
+	if a := testing.AllocsPerRun(5, func() { _, _ = decodeEgos(payload) }); a > budget {
+		t.Fatalf("%v allocations for %d egos and %d communities, want at most %v", a, len(egos), comms, budget)
 	}
 }

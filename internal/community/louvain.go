@@ -1,10 +1,6 @@
 package community
 
-import (
-	"math/rand"
-
-	"locec/internal/graph"
-)
+import "locec/internal/graph"
 
 // Louvain detects communities by greedy modularity optimization (Blondel
 // et al. 2008): repeated local-move passes followed by graph aggregation.
@@ -15,6 +11,12 @@ import (
 // order is shuffled once per pass from the seed, and ties break toward the
 // smallest community index.
 func Louvain(g *graph.Graph, seed int64) *Partition {
+	return new(Scratch).Louvain(g, seed)
+}
+
+// Louvain is the package-level Louvain drawing its shuffles from the
+// scratch's generator instead of a new one.
+func (s *Scratch) Louvain(g *graph.Graph, seed int64) *Partition {
 	n := g.NumNodes()
 	if n == 0 {
 		return &Partition{Assign: []int{}, Comms: [][]graph.NodeID{}}
@@ -49,7 +51,7 @@ func Louvain(g *graph.Graph, seed int64) *Partition {
 	for i := range members {
 		members[i] = []graph.NodeID{graph.NodeID(i)}
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := s.seeded(seed)
 
 	for level := 0; level < 16; level++ {
 		cur := len(adj)

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"locec/internal/community"
@@ -218,7 +219,7 @@ func Divide(ds *social.Dataset, cfg DivisionConfig) []*EgoResult {
 // would leave workers idle.
 func DivideNodes(ds *social.Dataset, egos []*EgoResult, nodes []graph.NodeID, cfg DivisionConfig) {
 	parallel.For(len(nodes), 1, func(i, _ int) {
-		egos[nodes[i]] = divideOne(ds, nodes[i], cfg)
+		egos[nodes[i]] = Divide1(ds, nodes[i], cfg)
 	})
 }
 
@@ -226,84 +227,113 @@ func DivideNodes(ds *social.Dataset, egos []*EgoResult, nodes []graph.NodeID, cf
 // per-node unit of work. The scalability study uses it to measure raw
 // per-node costs.
 func Divide1(ds *social.Dataset, ego graph.NodeID, cfg DivisionConfig) *EgoResult {
-	return divideOne(ds, ego, cfg)
+	s := egoPool.Get().(*egoScratch)
+	res := s.divideOne(ds, ego, cfg)
+	egoPool.Put(s)
+	return res
 }
 
+// egoScratch is the working state of one ego's trip through Phase I; an
+// EgoResult keeps nothing of it. The ego graph is a view the next
+// extraction overwrites — no detector retains it.
+type egoScratch struct {
+	ego   graph.EgoScratch
+	comm  community.Scratch
+	size  []int     // members per community
+	tight []float64 // Eq. 3 per ego member
+}
+
+// egoPool hands a scratch to one ego at a time, whichever worker runs it.
+var egoPool = sync.Pool{New: func() any { return new(egoScratch) }}
+
 // divideOne processes a single ego node.
-func divideOne(ds *social.Dataset, ego graph.NodeID, cfg DivisionConfig) *EgoResult {
-	en := ds.G.Ego(ego)
+func (s *egoScratch) divideOne(ds *social.Dataset, ego graph.NodeID, cfg DivisionConfig) *EgoResult {
+	en := s.ego.Extract(ds.G, ego)
 	var part *community.Partition
 	var local *community.LocalDivision
 	switch cfg.Detector {
 	case DetectorLabelProp:
-		part = community.LabelPropagation(en.G, 20, cfg.Seed+int64(ego))
+		assign, nc := s.comm.LabelPropagation(en.G, 20, cfg.Seed+int64(ego))
+		return s.finishEgo(ds, en, assign, nc, nil)
 	case DetectorLouvain:
-		part = community.Louvain(en.G, cfg.Seed+int64(ego))
+		part = s.comm.Louvain(en.G, cfg.Seed+int64(ego))
 	case DetectorClauset, DetectorLShell, DetectorLemon:
 		local = community.LocalDivide(en.G, community.LocalOptions{Kind: cfg.Detector.localKind()})
 		part = local.Part
 	default:
 		part = community.GirvanNewman(en.G, community.Options{Patience: cfg.GNPatience})
 	}
-	return finishEgo(ds, ego, en, part, local)
+	return s.finishEgo(ds, en, part.Assign, len(part.Comms), local)
 }
 
-// finishEgo turns a detector partition into the EgoResult: tightness per
-// Eq. 3 and ground-truth vote tallying — the detector-independent tail
-// shared by the full and seeded division paths.
-func finishEgo(ds *social.Dataset, ego graph.NodeID, en *graph.EgoNetwork, part *community.Partition, local *community.LocalDivision) *EgoResult {
-	res := &EgoResult{
-		Ego:       ego,
-		Members:   en.Members,
-		CommIdx:   part.Assign,
-		Tightness: make([]float64, len(en.Members)),
-		Comms:     make([]*LocalCommunity, len(part.Comms)),
-		Local:     local,
-	}
-	for ci, locals := range part.Comms {
-		members := make([]graph.NodeID, len(locals))
-		for i, l := range locals {
-			members[i] = en.Members[l]
-		}
-		res.Comms[ci] = &LocalCommunity{Ego: ego, Members: members, Tightness: make([]float64, len(members))}
+// finishEgo turns a detector's assignment over nc communities into the
+// EgoResult: tightness per Eq. 3 and ground-truth vote tallying — the
+// detector-independent tail shared by the full and seeded division paths.
+func (s *egoScratch) finishEgo(ds *social.Dataset, en graph.EgoNetwork, assign []int, nc int, local *community.LocalDivision) *EgoResult {
+	size := slices.Grow(s.size[:0], nc)[:nc]
+	clear(size)
+	for _, c := range assign {
+		size[c]++
 	}
 	// Tightness per Eq. 3, using the ego network's internal adjacency.
-	commSize := make([]int, len(part.Comms))
-	for _, c := range part.Assign {
-		commSize[c]++
-	}
-	posInComm := make([]int, len(en.Members)) // index of each member within its community
-	counters := make([]int, len(part.Comms))
-	for i := range en.Members {
-		c := part.Assign[i]
-		posInComm[i] = counters[c]
-		counters[c]++
-	}
-	for i := range en.Members {
-		c := part.Assign[i]
-		var t float64
-		if commSize[c] == 1 {
-			t = 1 // Eq. 3 special case
-		} else {
+	tight := s.tight[:0]
+	for i, c := range assign {
+		t := 1.0 // Eq. 3 special case: a community of one
+		if size[c] > 1 {
 			inComm := 0
-			degEgo := en.G.Degree(graph.NodeID(i))
 			for _, nb := range en.G.Neighbors(graph.NodeID(i)) {
-				if part.Assign[nb] == c {
+				if assign[nb] == c {
 					inComm++
 				}
 			}
 			fc := float64(inComm)
-			t = fc / float64(degEgo) * fc / float64(commSize[c]-1)
+			t = fc / float64(en.G.Degree(graph.NodeID(i))) * fc / float64(size[c]-1)
 		}
-		res.Tightness[i] = t
-		res.Comms[c].Tightness[posInComm[i]] = t
+		tight = append(tight, t)
 	}
+	s.size, s.tight = size, tight
+	res := NewEgoResult(en.Ego, en.Members, assign, tight, nc)
+	res.Local = local
 	// Ground-truth votes from revealed ego->friend edge labels.
 	for i, m := range en.Members {
-		k := (graph.Edge{U: ego, V: m}).Key()
+		k := (graph.Edge{U: en.Ego, V: m}).Key()
 		if l := ds.RevealedLabel(k); l.Valid() {
-			res.Comms[part.Assign[i]].TruthVotes[l]++
+			res.Comms[assign[i]].TruthVotes[l]++
 		}
+	}
+	return res
+}
+
+// NewEgoResult assembles an EgoResult from its ego-level arrays: members[i]
+// sits in community commIdx[i] — in [0, nc), which the caller has checked —
+// with tightness[i], and each community lists its members in that order.
+// commIdx is kept; members and tightness are copied (an alias of the base
+// graph's adjacency row would keep a compacted-away graph reachable) into
+// one ID slab and one float slab, ego level first, then every community's
+// run. Every sub-slice ends at its own capacity, so an append to one can
+// never run into its neighbour.
+func NewEgoResult(ego graph.NodeID, members []graph.NodeID, commIdx []int, tightness []float64, nc int) *EgoResult {
+	n := len(members)
+	ids, ts := make([]graph.NodeID, 2*n), make([]float64, 2*n)
+	copy(ids, members)
+	copy(ts, tightness)
+	comms := make([]LocalCommunity, nc)
+	res := &EgoResult{Ego: ego, Members: ids[:n:n], CommIdx: commIdx, Tightness: ts[:n:n], Comms: make([]*LocalCommunity, nc)}
+	// Count each community in the length of its Members header, cut the
+	// slabs at the running sum, fill by append: each header is its cursor.
+	for _, c := range commIdx {
+		comms[c].Members = ids[n : n+len(comms[c].Members)+1]
+	}
+	at := n
+	for c := range comms {
+		end := at + len(comms[c].Members)
+		comms[c] = LocalCommunity{Ego: ego, Members: ids[at:at:end], Tightness: ts[at:at:end]}
+		res.Comms[c] = &comms[c]
+		at = end
+	}
+	for i, c := range commIdx {
+		comms[c].Members = append(comms[c].Members, members[i])
+		comms[c].Tightness = append(comms[c].Tightness, tightness[i])
 	}
 	return res
 }
@@ -329,29 +359,31 @@ func (p *Pipeline) divideNodesSeeded(ds *social.Dataset, oldEgos, egos []*EgoRes
 	parallel.For(len(nodes), 1, func(i, _ int) {
 		u := nodes[i]
 		old := oldEgos[u]
-		if old != nil && old.Local != nil && slices.Equal(old.Members, ov.Neighbors(u)) {
-			if r, ok := divideOneSeeded(ds, u, cfg, old, touched); ok {
-				egos[u] = r
-				seeded.Add(1)
-				return
-			}
+		s := egoPool.Get().(*egoScratch)
+		var r *EgoResult
+		ok := cfg.Detector.Local() && old != nil && old.Local != nil && slices.Equal(old.Members, ov.Neighbors(u))
+		if ok {
+			r, ok = s.divideOneSeeded(ds, u, cfg, old, touched)
 		}
-		egos[u] = divideOne(ds, u, cfg)
+		if ok {
+			seeded.Add(1)
+		} else {
+			r = s.divideOne(ds, u, cfg)
+		}
+		egos[u] = r
+		egoPool.Put(s)
 	})
 	return int(seeded.Load())
 }
 
 // divideOneSeeded re-divides a dirty ego by replaying its stored
-// seed-grown division on the mutated graph. It reports false when the ego
-// must fall back to a full re-division: non-local detector, no stored
-// grows, or a changed member set. On success the result is bit-identical
-// to divideOne on the new dataset — the equivalence VerifyIncremental
-// checks end to end.
-func divideOneSeeded(ds *social.Dataset, ego graph.NodeID, cfg DivisionConfig, old *EgoResult, touched []graph.NodeID) (*EgoResult, bool) {
-	if !cfg.Detector.Local() || old == nil || old.Local == nil {
-		return nil, false
-	}
-	en := ds.G.Ego(ego)
+// seed-grown division (old.Local, which the caller has checked a local
+// detector left there) on the mutated graph. It reports false when the
+// member set changed and the ego must fall back to a full re-division. On
+// success the result is bit-identical to divideOne on the new dataset — the
+// equivalence VerifyIncremental checks end to end.
+func (s *egoScratch) divideOneSeeded(ds *social.Dataset, ego graph.NodeID, cfg DivisionConfig, old *EgoResult, touched []graph.NodeID) (*EgoResult, bool) {
+	en := s.ego.Extract(ds.G, ego)
 	if !slices.Equal(en.Members, old.Members) {
 		return nil, false
 	}
@@ -366,5 +398,5 @@ func divideOneSeeded(ds *social.Dataset, ego graph.NodeID, cfg DivisionConfig, o
 		}
 	}
 	nd, _ := old.Local.Replay(en.G, community.LocalOptions{Kind: cfg.Detector.localKind()}, local)
-	return finishEgo(ds, ego, en, nd.Part, nd), true
+	return s.finishEgo(ds, en, nd.Part.Assign, len(nd.Part.Comms), nd), true
 }

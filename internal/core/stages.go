@@ -132,7 +132,7 @@ func (p *Pipeline) predictEdges(res *Result, edges []graph.Edge, preds []social.
 	fw := lr.BiasFirstLen()
 	wb := lr.BiasFirst(nil)
 	parallel.For(len(edges), 0, func(lo, hi int) {
-		xb := make([]float64, 0, predictBlockRows*fw)
+		xb := make([]float64, 0, min(hi-lo, predictBlockRows)*fw)
 		for b0 := lo; b0 < hi; b0 += predictBlockRows {
 			b1 := b0 + predictBlockRows
 			if b1 > hi {

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"slices"
-	"sort"
+	"sync"
 )
 
 // EgoNetwork is the subgraph induced on a node's neighbors, with the ego
@@ -22,89 +22,81 @@ type EgoNetwork struct {
 // Local returns the local ID of global node v inside the ego network, and
 // whether v is a member.
 func (e *EgoNetwork) Local(v NodeID) (NodeID, bool) {
-	lo, hi := 0, len(e.Members)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.Members[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(e.Members) && e.Members[lo] == v {
-		return NodeID(lo), true
-	}
-	return 0, false
+	i, ok := slices.BinarySearch(e.Members, v)
+	return NodeID(i), ok
 }
 
-// Ego extracts the ego network of u: the subgraph induced on u's neighbors,
-// excluding u itself and its incident edges.
+// EgoScratch is the reusable storage of ego extraction: one scratch serves
+// any number of extractions, one at a time. The zero value is ready to use.
+type EgoScratch struct {
+	pairs []NodeID // induced edges as consecutive local (i, j), i < j, ascending
+	g     Graph    // the extracted subgraph; the next extraction reuses its arrays
+}
+
+// Extract is Ego without the copy-out: Members alias g's adjacency row of u
+// and G is a view over arrays s owns, so both are valid only until the next
+// Extract on s and must not be retained or modified.
 //
 // Members and every adjacency list are sorted, so the extraction is a merge
 // walk of each member's list against the members after it: its cost is
 // O(sum of member degrees + members²), independent of graph size. u is
 // not its own neighbor, so the walk drops it like any other non-member.
-func (g *Graph) Ego(u NodeID) *EgoNetwork {
+// Pairs come out in (i, j) ascending order, so the counting-sort fill
+// leaves every row sorted, as Builder.Build does.
+func (s *EgoScratch) Extract(g *Graph, u NodeID) EgoNetwork {
 	members := g.Neighbors(u) // already sorted
-	// forEachEdge visits the induced edges as (i, j) local pairs, i < j,
-	// in ascending key order.
-	forEachEdge := func(fn func(i, j int)) {
-		for i, v := range members {
-			ns := g.Neighbors(v)
-			a, _ := slices.BinarySearch(ns, v) // only larger members: each undirected edge once
-			for j := i + 1; j < len(members) && a < len(ns); {
-				switch {
-				case ns[a] < members[j]:
-					a++
-				case ns[a] > members[j]:
-					j++
-				default:
-					fn(i, j)
-					a++
-					j++
-				}
+	n := len(members)
+	// off[k+2] counts row k; the prefix sum makes off[k+1] row k's write
+	// cursor, which the scatter leaves at row k's end: off[:n+1] are the
+	// CSR offsets.
+	off := slices.Grow(s.g.offsets[:0], n+2)[:n+2]
+	clear(off)
+	pairs := s.pairs[:0]
+	for i, v := range members {
+		ns := g.Neighbors(v)
+		a, _ := slices.BinarySearch(ns, v) // only larger members: each undirected edge once
+		for j := i + 1; j < n && a < len(ns); {
+			switch {
+			case ns[a] < members[j]:
+				a++
+			case ns[a] > members[j]:
+				j++
+			default:
+				pairs = append(pairs, NodeID(i), NodeID(j))
+				off[i+2]++
+				off[j+2]++
+				a++
+				j++
 			}
 		}
 	}
-	count := 0
-	forEachEdge(func(int, int) { count++ })
-	b := NewBuilder(len(members))
-	b.edges = make([]uint64, 0, count)
-	forEachEdge(func(i, j int) {
-		// Error impossible: i < j < len(members) and no self-loops.
-		_ = b.AddEdge(NodeID(i), NodeID(j))
-	})
-	memCopy := make([]NodeID, len(members))
-	copy(memCopy, members)
-	return &EgoNetwork{Ego: u, Members: memCopy, G: b.Build()}
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	adj := slices.Grow(s.g.adj[:0], len(pairs))[:len(pairs)]
+	for p := 0; p < len(pairs); p += 2 {
+		i, j := pairs[p], pairs[p+1]
+		adj[off[i+1]] = j
+		off[i+1]++
+		adj[off[j+1]] = i
+		off[j+1]++
+	}
+	s.pairs = pairs
+	s.g = Graph{offsets: off[:n+1], adj: adj, m: len(pairs) / 2}
+	return EgoNetwork{Ego: u, Members: members, G: &s.g}
 }
 
-// InducedSubgraph returns the subgraph induced on the given global nodes.
-// The i-th returned mapping entry is the global ID of local node i.
-// The nodes slice may be in any order; duplicates are ignored.
-func (g *Graph) InducedSubgraph(nodes []NodeID) (*Graph, []NodeID) {
-	seen := make(map[NodeID]struct{}, len(nodes))
-	members := make([]NodeID, 0, len(nodes))
-	for _, v := range nodes {
-		if _, dup := seen[v]; !dup {
-			seen[v] = struct{}{}
-			members = append(members, v)
-		}
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	local := make(map[NodeID]NodeID, len(members))
-	for i, v := range members {
-		local[v] = NodeID(i)
-	}
-	b := NewBuilder(len(members))
-	for i, v := range members {
-		for _, w := range g.Neighbors(v) {
-			j, ok := local[w]
-			if !ok || NodeID(i) >= j {
-				continue
-			}
-			_ = b.AddEdge(NodeID(i), j)
-		}
-	}
-	return b.Build(), members
+// egoPool recycles the scratch behind Ego between calls.
+var egoPool = sync.Pool{New: func() any { return new(EgoScratch) }}
+
+// Ego extracts the ego network of u: the subgraph induced on u's neighbors,
+// excluding u itself and its incident edges. The result is the caller's to
+// keep: Extract on a pooled scratch, then a copy-out.
+func (g *Graph) Ego(u NodeID) *EgoNetwork {
+	s := egoPool.Get().(*EgoScratch)
+	en := s.Extract(g, u)
+	en.Members = slices.Clone(en.Members)
+	en.G = &Graph{offsets: slices.Clone(s.g.offsets), adj: slices.Clone(s.g.adj), m: s.g.m}
+	egoPool.Put(s)
+	return &en
 }

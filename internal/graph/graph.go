@@ -1,7 +1,7 @@
 // Package graph provides a compact undirected graph representation used
 // throughout the LoCEC pipeline: a CSR (compressed sparse row) adjacency
-// structure with fast neighbor queries, ego-network extraction, induced
-// subgraphs, traversal, and connected components.
+// structure with fast neighbor queries, ego-network extraction,
+// traversal, and connected components.
 //
 // Node identifiers are dense uint32 indices in [0, NumNodes). Edges are
 // undirected and stored once per direction in the CSR arrays; parallel
