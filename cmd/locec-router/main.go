@@ -41,7 +41,7 @@ func main() {
 		attempt    = flag.Duration("attempt-timeout", 2*time.Second, "per-RPC attempt timeout")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "end-to-end per-request timeout")
 		retries    = flag.Int("retries", 2, "max retries for idempotent reads")
-		hedgeMax   = flag.Duration("hedge-max", 50*time.Millisecond, "hedge delay ceiling (floor 1ms; actual delay tracks each shard's p95)")
+		hedgeMax   = flag.Duration("hedge-max", 50*time.Millisecond, "hedge delay ceiling (floor 1ms, or the ceiling when that is lower; actual delay tracks each shard's p95)")
 		brkThresh  = flag.Int("breaker-threshold", 5, "consecutive failures that open a shard's circuit")
 		brkCool    = flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open trial")
 		probeEvery = flag.Duration("probe-interval", time.Second, "/readyz probe interval (0 disables probing)")

@@ -12,7 +12,7 @@ import (
 var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)\)`)
 
 // docFiles returns every markdown file the link checker covers: the
-// repo-root documents and everything under docs/.
+// repo-root documents, everything under docs/ and the verify skill.
 func docFiles(t *testing.T) []string {
 	t.Helper()
 	files, err := filepath.Glob("*.md")
@@ -23,19 +23,37 @@ func docFiles(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(files, sub...)
+	return append(append(files, sub...), filepath.Join(".claude", "skills", "verify", "SKILL.md"))
 }
 
+// repoPath matches a repo-root path written in prose or a command line:
+// cmd/<name>, internal/<pkg>[/file.go], bench/<file>, docs/<file>,
+// examples/<dir>. The leading group keeps it off longer words
+// (benchmark/, .bench_build/); go-tool wildcards and sentence punctuation
+// are trimmed before the stat.
+var repoPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_-])((?:cmd|internal|bench|docs|examples)/[A-Za-z0-9_][A-Za-z0-9_./-]*)`)
+
 // TestDocLinks fails on dead relative links in the markdown docs — the
-// drift this repo has actually suffered (renamed docs, moved anchors).
-// External URLs are out of scope: availability of the network is not a
-// property of this repository.
+// drift this repo has actually suffered (renamed docs, moved anchors) —
+// and, in the documents that describe the tree as it is (README, docs/,
+// the verify skill; the other root documents are history), on any named
+// repo path that no longer exists. External URLs are out of scope:
+// availability of the network is not a property of this repository.
 func TestDocLinks(t *testing.T) {
 	checked := 0
 	for _, file := range docFiles(t) {
 		data, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The other root documents (CHANGES, ROADMAP, ISSUE, …) are history.
+		if file == "README.md" || filepath.Dir(file) != "." {
+			for _, m := range repoPath.FindAllStringSubmatch(string(data), -1) {
+				path := strings.TrimRight(m[1], "./-")
+				if _, err := os.Stat(path); err != nil {
+					t.Errorf("%s: names %q, which does not exist", file, path)
+				}
+			}
 		}
 		for _, m := range mdLink.FindAllStringSubmatch(string(data), -1) {
 			target := m[1]

@@ -1,9 +1,7 @@
-// Package bench is the LoCEC benchmarking subsystem: shared dataset
-// fixtures, a scenario harness with warmup and repetition, named suites
-// covering the pipeline (per-phase breakdowns à la Table VI), community
-// detectors and the serving layer (latency percentiles), and a
-// machine-readable report format (BENCH_<suite>.json) with a regression
-// differ. cmd/locec-bench is the CLI front end; the per-package
-// Benchmark* functions reuse the fixtures so `go test -bench` and the
-// scenario runs measure the same datasets.
+// Package bench holds the dataset and graph fixtures the per-package
+// Benchmark* functions share, so `go test -bench` in two packages
+// measures the same inputs. Fixtures are cached per process, read-only,
+// and keyed by (scale, density, seed). Nothing here times anything:
+// interactive measurement is `go test -bench`, and every number a claim
+// rests on comes from benchmark/ (see docs/BENCHMARKING.md).
 package bench

@@ -10,8 +10,8 @@ import (
 	"locec/internal/wechat"
 )
 
-// Fixtures are cached per process so a suite (or a package's Benchmark*
-// functions) generating the same dataset twice pays generation cost once.
+// Fixtures are cached per process so a package's Benchmark* functions
+// generating the same dataset twice pay generation cost once.
 // Everything returned here is shared — treat it as strictly read-only,
 // which every pipeline entry point already does.
 var (
@@ -95,7 +95,7 @@ func applyDensity(cfg *wechat.Config, mult float64) {
 }
 
 // Source adapts a fixture to serve.Config.Source: each reload seed maps
-// to its own cached dataset, so repeated serve scenarios skip regeneration.
+// to its own cached dataset, so repeated serve benchmarks skip regeneration.
 func Source(users int, density float64) func(seed int64) (*social.Dataset, error) {
 	return func(seed int64) (*social.Dataset, error) {
 		return Dataset(users, density, seed)

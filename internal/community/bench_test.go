@@ -9,8 +9,7 @@ import (
 
 // Benchmarks run on bench.EgoGraph — the shared planted two-community
 // fixture shaped like a typical ego network (the Phase I unit of work) —
-// so `go test -bench` and the locec-bench detector suite measure
-// identical graphs.
+// so every detector benchmark measures identical graphs.
 
 func BenchmarkGirvanNewmanEgo16(b *testing.B) {
 	g := bench.EgoGraph(16, 1)

@@ -17,10 +17,9 @@ import (
 // where B ⊆ C is the boundary (members with at least one neighbor outside
 // C), T counts edges with at least one endpoint in B and I counts the
 // subset of those whose both endpoints lie in C. Growth stops when no
-// frontier vertex improves R — the boundary has stabilized — or when the
-// community hits MaxSize. Ties break toward the smallest node ID, so the
-// result is deterministic.
-func growClauset(t *scanTracker, seed graph.NodeID, opt LocalOptions) []graph.NodeID {
+// frontier vertex improves R — the boundary has stabilized. Ties break
+// toward the smallest node ID, so the result is deterministic.
+func growClauset(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 	n := t.g.NumNodes()
 	inC := make([]bool, n)
 	inC[seed] = true
@@ -33,12 +32,8 @@ func growClauset(t *scanTracker, seed graph.NodeID, opt LocalOptions) []graph.No
 			frontier = append(frontier, v)
 		}
 	}
-	maxSize := opt.MaxSize
-	if maxSize <= 0 || maxSize > n {
-		maxSize = n
-	}
 	bestR := clausetR(t, inC, members)
-	for len(members) < maxSize && len(frontier) > 0 {
+	for len(frontier) > 0 {
 		slices.Sort(frontier)
 		bestIdx := -1
 		bestTrial := bestR

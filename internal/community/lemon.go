@@ -7,6 +7,16 @@ import (
 	"locec/internal/graph"
 )
 
+const (
+	// lemonWalkSteps is the initial lazy random-walk length.
+	lemonWalkSteps = 3
+	// lemonSubspaceDim is the Krylov subspace dimension.
+	lemonSubspaceDim = 3
+	// lemonMinNormIters bounds the projected-subgradient refinement of
+	// the sparse indicator.
+	lemonMinNormIters = 20
+)
+
 // growLemon implements a simplified LEMON — Li, Huang, Chen & Zhang,
 // "Uncovering the small community structure in large networks: a local
 // spectral approach" (WWW 2015) — sized for the ego networks LoCEC runs
@@ -24,14 +34,10 @@ import (
 //
 // Everything is deterministic: support is kept sorted so floating-point
 // accumulation order is fixed, and ties in the sweep break by node ID.
-func growLemon(t *scanTracker, seed graph.NodeID, opt LocalOptions) []graph.NodeID {
+func growLemon(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 	n := t.g.NumNodes()
 	if t.degree(seed) == 0 {
 		return []graph.NodeID{seed}
-	}
-	maxSize := opt.MaxSize
-	if maxSize <= 0 || maxSize > n {
-		maxSize = n
 	}
 
 	// Lazy walk state: p over the whole (small) ego graph, with a sorted
@@ -66,7 +72,7 @@ func growLemon(t *scanTracker, seed graph.NodeID, opt LocalOptions) []graph.Node
 		}
 		return y
 	}
-	for i := 0; i < opt.WalkSteps; i++ {
+	for i := 0; i < lemonWalkSteps; i++ {
 		p = step(p)
 	}
 
@@ -74,7 +80,7 @@ func growLemon(t *scanTracker, seed graph.NodeID, opt LocalOptions) []graph.Node
 	// modified Gram–Schmidt. Near-dependent iterates are dropped.
 	var V [][]float64
 	cur := slices.Clone(p)
-	for len(V) < opt.SubspaceDim {
+	for len(V) < lemonSubspaceDim {
 		q := slices.Clone(cur)
 		for _, b := range V {
 			d := dot(q, b, support)
@@ -98,7 +104,7 @@ func growLemon(t *scanTracker, seed graph.NodeID, opt LocalOptions) []graph.Node
 	if len(V) > 0 {
 		y := project(V, p, n, support)
 		ok := true
-		for it := 0; it < opt.MinNormIters && ok; it++ {
+		for it := 0; it < lemonMinNormIters && ok; it++ {
 			g := make([]float64, n)
 			for _, u := range support {
 				if y[u] > 0 {
@@ -167,9 +173,6 @@ func growLemon(t *scanTracker, seed graph.NodeID, opt LocalOptions) []graph.Node
 	bestK := 0
 	haveSeed := false
 	for k, r := range order {
-		if k >= maxSize {
-			break
-		}
 		nb := t.neighbors(r.v)
 		vol += len(nb)
 		for _, v := range nb {

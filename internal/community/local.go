@@ -49,39 +49,10 @@ func (k LocalKind) String() string {
 	}
 }
 
-// LocalOptions tunes a seed-grown detector. The zero value of every knob
-// selects a sensible default, so LocalOptions{Kind: ...} is a complete
-// configuration.
+// LocalOptions selects a seed-grown detector. Growth is unbounded in
+// size; each detector's own parameters are constants beside its code.
 type LocalOptions struct {
 	Kind LocalKind
-	// MaxSize caps the grown community size (0 = unbounded).
-	MaxSize int
-	// ShellCutoff stops l-shell growth when a shell's mean emerging
-	// degree per vertex drops below this fraction of the previous
-	// shell's (0 = 0.3).
-	ShellCutoff float64
-	// WalkSteps is LEMON's initial lazy random-walk length (0 = 3).
-	WalkSteps int
-	// SubspaceDim is LEMON's Krylov subspace dimension (0 = 3).
-	SubspaceDim int
-	// MinNormIters bounds LEMON's projected-subgradient refinement of the
-	// sparse indicator (0 = 20).
-	MinNormIters int
-}
-
-func (o *LocalOptions) fill() {
-	if o.ShellCutoff == 0 {
-		o.ShellCutoff = 0.3
-	}
-	if o.WalkSteps == 0 {
-		o.WalkSteps = 3
-	}
-	if o.SubspaceDim == 0 {
-		o.SubspaceDim = 3
-	}
-	if o.MinNormIters == 0 {
-		o.MinNormIters = 20
-	}
 }
 
 // Grown is one seed-grown community together with its provenance: the raw
@@ -139,16 +110,15 @@ func (t *scanTracker) list() []graph.NodeID {
 // the same community, and its trace depends only on the adjacency rows of
 // the returned Scanned set.
 func GrowLocal(g *graph.Graph, seed graph.NodeID, opt LocalOptions) Grown {
-	opt.fill()
 	t := newScanTracker(g)
 	var members []graph.NodeID
 	switch opt.Kind {
 	case LocalLShell:
-		members = growLShell(t, seed, opt)
+		members = growLShell(t, seed)
 	case LocalLemon:
-		members = growLemon(t, seed, opt)
+		members = growLemon(t, seed)
 	default:
-		members = growClauset(t, seed, opt)
+		members = growClauset(t, seed)
 	}
 	slices.Sort(members)
 	return Grown{Seed: seed, Members: members, Scanned: t.list()}
@@ -163,7 +133,6 @@ func GrowLocal(g *graph.Graph, seed graph.NodeID, opt LocalOptions) Grown {
 // order, which (because each seed is the smallest unassigned node) matches
 // the smallest-member canonical order of the global detectors.
 func LocalDivide(g *graph.Graph, opt LocalOptions) *LocalDivision {
-	opt.fill()
 	n := g.NumNodes()
 	assign := make([]int, n)
 	for i := range assign {
@@ -205,7 +174,6 @@ func LocalDivide(g *graph.Graph, opt LocalOptions) *LocalDivision {
 // it did originally, so its outcome is reused verbatim; any other seed is
 // re-grown on g. The second return value counts reused grows.
 func (d *LocalDivision) Replay(g *graph.Graph, opt LocalOptions, touched []graph.NodeID) (*LocalDivision, int) {
-	opt.fill()
 	n := g.NumNodes()
 	if len(d.Part.Assign) != n {
 		return LocalDivide(g, opt), 0

@@ -288,9 +288,9 @@ func TestReplayEquivalence(t *testing.T) {
 
 // TestReplayReusesDistantGrows: a mutation confined to one clique must not
 // re-grow communities seeded far away — "far" meaning outside every
-// detector's scan radius (LEMON's diffusion ball spans WalkSteps +
-// SubspaceDim − 1 ≈ 5 hops, so the cliques sit at the ends of a 12-node
-// path).
+// detector's scan radius (LEMON's diffusion ball spans lemonWalkSteps +
+// lemonSubspaceDim − 1 ≈ 5 hops, so the cliques sit at the ends of a
+// 12-node path).
 func TestReplayReusesDistantGrows(t *testing.T) {
 	// Clique A = 0..7, path 8–9–…–19 with 0–8, clique B = 20..27 with 19–20.
 	var edges []graph.Edge

@@ -6,6 +6,10 @@ import (
 	"locec/internal/graph"
 )
 
+// shellCutoff stops l-shell growth when a shell's mean emerging degree
+// per vertex drops below this fraction of the previous shell's.
+const shellCutoff = 0.3
+
 // growLShell implements Bagrow & Bollt's l-shell spreading ("A local
 // method for detecting communities", Phys. Rev. E 72, 046108, 2005). The
 // community grows one BFS shell at a time: shell 0 is the seed, shell l+1
@@ -14,17 +18,11 @@ import (
 // vertices — measures how fast the growth is still expanding. We use the
 // mean emerging degree per shell vertex (K_l normalized by shell size, a
 // better-behaved statistic than the raw total on the small dense ego
-// networks LoCEC runs on): when it drops below ShellCutoff times the
+// networks LoCEC runs on): when it drops below shellCutoff times the
 // previous shell's, the frontier has collapsed onto a community border
-// and growth stops, keeping shells 0..l. A shell that would push the
-// community past MaxSize is not absorbed at all, so the cut always falls
-// on a shell boundary.
-func growLShell(t *scanTracker, seed graph.NodeID, opt LocalOptions) []graph.NodeID {
+// and growth stops, keeping shells 0..l.
+func growLShell(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 	n := t.g.NumNodes()
-	maxSize := opt.MaxSize
-	if maxSize <= 0 || maxSize > n {
-		maxSize = n
-	}
 	visited := make([]bool, n)
 	visited[seed] = true
 	members := []graph.NodeID{seed}
@@ -50,11 +48,8 @@ func growLShell(t *scanTracker, seed graph.NodeID, opt LocalOptions) []graph.Nod
 			break // component exhausted
 		}
 		mean := float64(K) / float64(len(shell))
-		if !first && mean < opt.ShellCutoff*prevMean {
+		if !first && mean < shellCutoff*prevMean {
 			break // emerging degree collapsed: the border is here
-		}
-		if len(members)+len(next) > maxSize {
-			break
 		}
 		slices.Sort(next)
 		for _, v := range next {

@@ -9,9 +9,7 @@ import (
 )
 
 // Benchmarks run on bench.WeChatDataset — the shared surveyed synthetic
-// fixture — so `go test -bench` and the locec-bench pipeline suites
-// measure identical datasets. Fixtures are cached per process and must
-// stay read-only.
+// fixture. Fixtures are cached per process and must stay read-only.
 
 func BenchmarkPhase1Division500(b *testing.B) {
 	ds := bench.WeChatDataset(500)
@@ -19,6 +17,25 @@ func BenchmarkPhase1Division500(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.Divide(ds, core.DivisionConfig{})
+	}
+}
+
+// BenchmarkDivide runs Phase I once per iteration under each registered
+// detector — the only home of the three local detectors' and Louvain's
+// division cost and allocation count (ROADMAP 3(d)).
+func BenchmarkDivide(b *testing.B) {
+	ds := bench.WeChatDataset(100)
+	for _, name := range core.DetectorNames() {
+		kind, err := core.ParseDetector(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				core.Divide(ds, core.DivisionConfig{Detector: kind, Seed: 1})
+			}
+		})
 	}
 }
 

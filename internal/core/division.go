@@ -156,8 +156,8 @@ func DetectorNames() []string {
 }
 
 // ParseDetector resolves a registry name ("" selects the paper's
-// Girvan–Newman) to its DetectorKind — the single mapping the CLIs, bench
-// scenarios and serving layer share.
+// Girvan–Newman) to its DetectorKind — the single mapping the CLIs, benchmarks
+// and serving layer share.
 func ParseDetector(name string) (DetectorKind, error) {
 	switch name {
 	case "", "gn":

@@ -47,7 +47,7 @@ func (p PhaseTimes) Total() time.Duration {
 }
 
 // Map returns the per-phase durations keyed by the stable machine-readable
-// phase names shared by the /v1/stats endpoint and BENCH_*.json reports.
+// phase names shared by /v1/stats and the artifact meta's `phase_ns`.
 // Changing a key is a schema change for both.
 func (p PhaseTimes) Map() map[string]time.Duration {
 	return map[string]time.Duration{

@@ -19,7 +19,6 @@ import (
 	"locec/internal/core"
 	"locec/internal/eval"
 	"locec/internal/gbdt"
-	"locec/internal/graph"
 	"locec/internal/social"
 	"locec/internal/wechat"
 )
@@ -233,9 +232,6 @@ type MethodReport struct {
 	Method string
 	Report eval.Report
 }
-
-// edgeOf is a small helper for printing.
-func edgeOf(k uint64) graph.Edge { return graph.EdgeFromKey(k) }
 
 // gbdtConfig builds the GBDT configuration used by the XGB variants.
 func gbdtConfig(rounds int, seed int64) gbdt.Config {

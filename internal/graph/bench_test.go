@@ -7,8 +7,7 @@ import (
 	"locec/internal/graph"
 )
 
-// Benchmarks run on the shared fixtures from internal/bench so `go test
-// -bench` and the locec-bench scenario suites measure identical graphs.
+// Benchmarks run on the shared, cached fixtures from internal/bench.
 
 func BenchmarkBuild10k(b *testing.B) {
 	edges := bench.RandomEdges(10000, 80000, 1)

@@ -1,6 +1,6 @@
 // Package latency provides a small, concurrency-safe, log-bucketed
 // duration histogram shared by the serving layer's per-route request
-// recorder and the benchmark harness (internal/bench). Observations land
+// recorder and the router's per-shard statistics. Observations land
 // in geometric buckets (~20% relative resolution) spanning 100ns to 100s;
 // quantile estimates interpolate the geometric midpoint of the matched
 // bucket and are clamped to the true observed maximum. All methods are

@@ -28,10 +28,6 @@ type CommCNNConfig struct {
 	Filters int
 	// Hidden is the width of the first fully connected layer. Defaults 64.
 	Hidden int
-	// Dropout, when positive, inserts an inverted-dropout layer after the
-	// first fully connected layer (off by default — the paper does not
-	// specify regularization).
-	Dropout float64
 	// Seed drives weight initialization.
 	Seed int64
 }
@@ -100,15 +96,11 @@ func NewCommCNN(cfg CommCNNConfig) (*Network, error) {
 	branches := NewParallelConcat(square, wide, long)
 	_, _, concatWidth := branches.OutShape(1, cfg.K, cfg.Features)
 
-	layers := []Layer{
+	root := NewSequential(
 		branches,
 		NewDense("fc1", concatWidth, cfg.Hidden, rng),
 		NewReLU(),
-	}
-	if cfg.Dropout > 0 {
-		layers = append(layers, NewDropout(cfg.Dropout, cfg.Seed+7))
-	}
-	layers = append(layers, NewDense("fc2", cfg.Hidden, cfg.Classes, rng))
-	root := NewSequential(layers...)
+		NewDense("fc2", cfg.Hidden, cfg.Classes, rng),
+	)
 	return NewNetwork(root, cfg.Classes), nil
 }

@@ -164,39 +164,6 @@ func TestMaxPoolShapeChangeFallback(t *testing.T) {
 	}
 }
 
-// TestDropoutShapeChangeFallback does the same for Dropout's mask buffer.
-func TestDropoutShapeChangeFallback(t *testing.T) {
-	d := NewDropout(0.4, 7)
-	d.Training = true
-	shapes := [][3]int{{1, 3, 8}, {2, 6, 6}, {1, 1, 4}}
-	for _, sh := range shapes {
-		rng := rand.New(rand.NewSource(int64(sh[2])))
-		x := randTensor(sh[0], sh[1], sh[2], rng)
-		out := d.Forward(x)
-		if out.Size() != x.Size() {
-			t.Fatalf("shape %v: out size %d", sh, out.Size())
-		}
-		g := tensor.NewTensor(sh[0], sh[1], sh[2])
-		for i := range g.Data {
-			g.Data[i] = 1
-		}
-		gi := d.Backward(g)
-		if gi.Size() != x.Size() {
-			t.Fatalf("shape %v: gradIn size %d", sh, gi.Size())
-		}
-		// The gradient mask must match the forward survivor mask exactly.
-		scale := 1 / (1 - d.Rate)
-		for i, v := range out.Data {
-			if v == 0 && gi.Data[i] != 0 {
-				t.Fatalf("shape %v: gradient leaked through dropped unit %d", sh, i)
-			}
-			if v != 0 && math.Abs(gi.Data[i]-scale) > 1e-12 {
-				t.Fatalf("shape %v: survivor %d gradient %g, want %g", sh, i, gi.Data[i], scale)
-			}
-		}
-	}
-}
-
 // TestConvShapeChangeFallback runs one Conv2D across different input sizes
 // (Same padding keeps it shape-polymorphic) and cross-checks the reference
 // on every size, proving the im2col scratch reallocates correctly.

@@ -2,7 +2,7 @@
 // implement the paper's CommCNN model (Fig. 8): 2-D convolutions with
 // arbitrary rectangular kernels (square 3×3, wide 1×F, long k×1, and 1×1),
 // max pooling, global max pooling, dense layers, ReLU, branch containers
-// with concatenation, softmax cross-entropy, and SGD/Adam optimizers.
+// with concatenation, softmax cross-entropy, and the Adam optimizer.
 //
 // Layers process one sample at a time; mini-batch training accumulates
 // parameter gradients across the batch (optionally in parallel) before an

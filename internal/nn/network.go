@@ -54,8 +54,6 @@ type TrainConfig struct {
 	Workers int
 	// OnEpoch, if non-nil, receives (epoch, meanLoss) after each epoch.
 	OnEpoch func(epoch int, meanLoss float64)
-	// L2 applies weight decay to all parameters at each step.
-	L2 float64
 }
 
 // Fit trains the network on the given samples with softmax cross-entropy.
@@ -67,8 +65,6 @@ func (n *Network) Fit(xs []*tensor.Tensor, ys []int, cfg TrainConfig) {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 10
 	}
-	setTraining(n.Root, true)
-	defer setTraining(n.Root, false)
 	t := n.NewTrainer(cfg)
 	defer t.Close()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -117,8 +113,7 @@ type Trainer struct {
 }
 
 // NewTrainer builds the persistent training state for this network. The
-// caller is responsible for toggling Dropout via setTraining before
-// cloning occurs (Fit does this) and for calling Close when done.
+// caller is responsible for calling Close when done.
 func (n *Network) NewTrainer(cfg TrainConfig) *Trainer {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
@@ -266,9 +261,6 @@ func (t *Trainer) Epoch(xs []*tensor.Tensor, ys []int) float64 {
 			}
 			for i := range p.G {
 				p.G[i] *= scale
-				if t.cfg.L2 > 0 {
-					p.G[i] += t.cfg.L2 * p.W[i]
-				}
 			}
 		}
 		t.cfg.Optimizer.Step(t.params)

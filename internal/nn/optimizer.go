@@ -9,39 +9,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param][]float64
-}
-
-// NewSGD creates an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param][]float64)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			for i := range p.W {
-				p.W[i] -= o.LR * p.G[i]
-			}
-			continue
-		}
-		v, ok := o.vel[p]
-		if !ok {
-			v = make([]float64, len(p.W))
-			o.vel[p] = v
-		}
-		for i := range p.W {
-			v[i] = o.Momentum*v[i] - o.LR*p.G[i]
-			p.W[i] += v[i]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba 2015).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

@@ -60,7 +60,9 @@ type Config struct {
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// HedgeMin/HedgeMax clamp the hedge delay around the shard's observed
-	// p95 (defaults 1ms / 50ms). Hedging applies to idempotent reads.
+	// p95 (each defaults when ≤ 0: 1ms / 50ms). HedgeMax is the cap on
+	// wasted work, so it wins an inverted pair: a floor above the ceiling
+	// is lowered to it. Hedging applies to idempotent reads.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
 	// BreakerThreshold consecutive failures open a shard's circuit;
@@ -97,8 +99,11 @@ func (c *Config) withDefaults() Config {
 	if out.HedgeMin <= 0 {
 		out.HedgeMin = time.Millisecond
 	}
-	if out.HedgeMax < out.HedgeMin {
+	if out.HedgeMax <= 0 {
 		out.HedgeMax = 50 * time.Millisecond
+	}
+	if out.HedgeMin > out.HedgeMax {
+		out.HedgeMin = out.HedgeMax
 	}
 	if out.BreakerThreshold <= 0 {
 		out.BreakerThreshold = 5

@@ -35,6 +35,8 @@ const fleetShards = 3
 // built once per test binary (training is the expensive part).
 type fleetFixture struct {
 	control  http.Handler
+	art      *artifact.Artifact // the control's export; cut cuts it
+	dir      string             // where the cuts are written
 	shards   []http.Handler
 	ring     *ring.Ring
 	edges    []edge // every edge of the graph, for routing assertions
@@ -44,12 +46,14 @@ type fleetFixture struct {
 type edge struct{ U, V uint32 }
 
 var (
+	quiet = slog.New(slog.NewTextHandler(io.Discard, nil)) // every fixture's logger
+
 	fixtureOnce sync.Once
 	fixture     *fleetFixture
 	fixtureErr  error
 )
 
-func fleet(t *testing.T) *fleetFixture {
+func fleet(t testing.TB) *fleetFixture {
 	t.Helper()
 	fixtureOnce.Do(func() { fixture, fixtureErr = buildFleet() })
 	if fixtureErr != nil {
@@ -59,7 +63,6 @@ func fleet(t *testing.T) *fleetFixture {
 }
 
 func buildFleet() (*fleetFixture, error) {
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	full, err := serve.New(serve.Config{
 		Users:    80,
 		Survey:   0.5,
@@ -68,7 +71,7 @@ func buildFleet() (*fleetFixture, error) {
 		Rounds:   5,
 		MaxDepth: 3,
 		Detector: "labelprop",
-		Logger:   logger,
+		Logger:   quiet,
 	})
 	if err != nil {
 		return nil, err
@@ -81,46 +84,55 @@ func buildFleet() (*fleetFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	cuts, err := artifact.CutShards(art, fleetShards)
-	if err != nil {
-		return nil, err
-	}
 	tmp, err := os.MkdirTemp("", "locec-router-test")
 	if err != nil {
 		return nil, err
 	}
 	f := &fleetFixture{
 		control:  full.Handler(),
+		art:      art,
+		dir:      tmp,
 		ring:     ring.MustNew(fleetShards),
 		numNodes: full.Dataset().G.NumNodes(),
 	}
 	full.Dataset().G.ForEachEdge(func(u, v graph.NodeID) {
 		f.edges = append(f.edges, edge{uint32(u), uint32(v)})
 	})
+	f.shards, err = f.cut(fleetShards)
+	return f, err
+}
+
+// cut slices the control's artifact n ways and cold-starts one server per
+// slice. The servers live for the whole test binary; the process exit
+// reaps their background goroutines.
+func (f *fleetFixture) cut(n int) ([]http.Handler, error) {
+	cuts, err := artifact.CutShards(f.art, n)
+	if err != nil {
+		return nil, err
+	}
+	handlers := make([]http.Handler, n)
 	for i, cut := range cuts {
-		path := filepath.Join(tmp, artifact.ShardPath("model.locec", i, fleetShards))
+		path := filepath.Join(f.dir, artifact.ShardPath("model.locec", i, n))
 		if err := cut.SaveFile(path); err != nil {
 			return nil, err
 		}
 		s, err := serve.New(serve.Config{
 			Artifact:   path,
 			ShardIndex: i,
-			ShardCount: fleetShards,
-			Logger:     logger,
+			ShardCount: n,
+			Logger:     quiet,
 		})
 		if err != nil {
 			return nil, err
 		}
-		f.shards = append(f.shards, s.Handler())
+		handlers[i] = s.Handler()
 	}
-	// The servers live for the whole test binary; the process exit reaps
-	// their background goroutines.
-	return f, nil
+	return handlers, nil
 }
 
 // newTestRouter builds a router over the given transport with fast,
 // deterministic fault-matrix timings.
-func newTestRouter(t *testing.T, tr router.Transport, mutate func(*router.Config)) *router.Router {
+func newTestRouter(t testing.TB, tr router.Transport, mutate func(*router.Config)) *router.Router {
 	t.Helper()
 	cfg := router.Config{
 		Shards:           fleetShards,
@@ -135,7 +147,7 @@ func newTestRouter(t *testing.T, tr router.Transport, mutate func(*router.Config
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Minute, // tests that want recovery override
 		Seed:             1,
-		Logger:           slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Logger:           quiet,
 	}
 	if mutate != nil {
 		mutate(&cfg)

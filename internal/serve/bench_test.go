@@ -15,8 +15,7 @@ import (
 )
 
 // benchServer builds a service on the shared internal/bench dataset
-// fixture so these benchmarks and the locec-bench serve suite measure
-// identical snapshots.
+// fixture so every serve benchmark measures the same snapshot.
 func benchServer(b *testing.B) *serve.Server {
 	b.Helper()
 	s, err := serve.New(serve.Config{

@@ -159,17 +159,6 @@ func (net *Network) tabulateCommonGroups() {
 	net.CommonGroups = counts
 }
 
-// GroupsOfPair returns all groups containing both endpoints of the edge.
-func (net *Network) GroupsOfPair(u, v graph.NodeID) []Group {
-	var out []Group
-	for _, g := range net.Groups {
-		if contains(g.Members, u) && contains(g.Members, v) {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // LabelDistribution tallies the ground-truth first-category counts over all
 // edges, indexed Colleague, Family, Schoolmate, Other.
 func (net *Network) LabelDistribution() [4]int {
