@@ -67,7 +67,7 @@ func main() {
 		k        = flag.Int("k", 16, "feature matrix rows (CommCNN)")
 		epochs   = flag.Int("epochs", 8, "CommCNN training epochs")
 		detector = flag.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
-		patience = flag.Int("gn-patience", 20, "Girvan-Newman early-stop patience (0 = exact)")
+		patience = flag.Int("gn-patience", 0, "Girvan-Newman early-stop patience (0 = exact, as locec train divides)")
 		cache    = flag.Int("cache", 256, "batch-response LRU cache entries")
 		input    = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
 		artifact = flag.String("artifact", "", "cold-start from a trained artifact (locec train -out) instead of training")

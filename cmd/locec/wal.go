@@ -71,6 +71,26 @@ func runWalDump(args []string) int {
 	return 0
 }
 
+// walReplayOpts holds wal-replay's flag values.
+type walReplayOpts struct {
+	dir, out, detector string
+	patience           int
+}
+
+// walReplayFlags declares wal-replay's flags. -gn-patience defaults to
+// exact, which is what `locec train` and `locec run` (which have no such
+// flag) divide under: replayed epochs must re-divide dirty egos by the rule
+// the artifact's other egos, and its classifier's training set, came from.
+func walReplayFlags() (*flag.FlagSet, *walReplayOpts) {
+	fs := flag.NewFlagSet("locec wal-replay", flag.ExitOnError)
+	f := new(walReplayOpts)
+	fs.StringVar(&f.dir, "dir", "", "WAL directory (as given to locec-serve -wal)")
+	fs.StringVar(&f.out, "out", "replayed.locec", "artifact output path")
+	fs.StringVar(&f.detector, "detector", "gn", "Phase I detector the serving config used: "+strings.Join(core.DetectorNames(), ", "))
+	fs.IntVar(&f.patience, "gn-patience", 0, "Girvan-Newman early-stop patience (0 = exact, as trained)")
+	return fs, f
+}
+
 // runWalReplay rebuilds the post-crash state offline and writes it as an
 // artifact: load the checkpoint, replay every surviving log record with
 // seq > the checkpoint's wal_seq, export. The return value is the
@@ -79,19 +99,13 @@ func runWalDump(args []string) int {
 // a PARTIAL recovery (everything up to the tear), and fleet tooling must
 // decide whether that is acceptable.
 func runWalReplay(args []string) int {
-	fs := flag.NewFlagSet("locec wal-replay", flag.ExitOnError)
-	var (
-		dir      = fs.String("dir", "", "WAL directory (as given to locec-serve -wal)")
-		out      = fs.String("out", "replayed.locec", "artifact output path")
-		detector = fs.String("detector", "gn", "Phase I detector the serving config used: "+strings.Join(core.DetectorNames(), ", "))
-		patience = fs.Int("gn-patience", 20, "Girvan-Newman early-stop patience (0 = exact)")
-	)
+	fs, f := walReplayFlags()
 	_ = fs.Parse(args)
-	if *dir == "" {
+	if f.dir == "" {
 		fatal(fmt.Errorf("wal-replay: -dir is required"))
 	}
 
-	art, err := artifact.LoadFile(wal.CheckpointPath(*dir))
+	art, err := artifact.LoadFile(wal.CheckpointPath(f.dir))
 	if err != nil {
 		fatal(fmt.Errorf("wal-replay: no usable checkpoint: %w", err))
 	}
@@ -108,8 +122,8 @@ func runWalReplay(args []string) int {
 	}
 	meta := art.Meta()
 
-	divCfg := core.DivisionConfig{Seed: meta.Seed, GNPatience: *patience}
-	det, err := core.ParseDetector(*detector)
+	divCfg := core.DivisionConfig{Seed: meta.Seed, GNPatience: f.patience}
+	det, err := core.ParseDetector(f.detector)
 	if err != nil {
 		fatal(fmt.Errorf("wal-replay: %w", err))
 	}
@@ -123,7 +137,7 @@ func runWalReplay(args []string) int {
 		fatal(fmt.Errorf("wal-replay: checkpoint carries no trained models; records cannot be applied"))
 	}
 
-	_, batches, truncated, err := wal.Scan(wal.OSFS{}, *dir)
+	_, batches, truncated, err := wal.Scan(wal.OSFS{}, f.dir)
 	if err != nil {
 		fatal(err)
 	}
@@ -157,15 +171,15 @@ func runWalReplay(args []string) int {
 		fatal(err)
 	}
 	newArt.StampWAL(meta.Epoch+int64(applied), lastSeq)
-	if err := newArt.SaveFile(*out); err != nil {
+	if err := newArt.SaveFile(f.out); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("replayed %d records (%d rejected) atop checkpoint epoch %d; wrote %s (epoch %d, wal_seq %d, %d nodes, %d edges)\n",
-		applied, skipped, meta.Epoch, *out, meta.Epoch+int64(applied), lastSeq,
+		applied, skipped, meta.Epoch, f.out, meta.Epoch+int64(applied), lastSeq,
 		ds.G.NumNodes(), ds.G.NumEdges())
 	if truncated > 0 {
 		fmt.Printf("wal-replay: PARTIAL recovery: log truncated at a bad record (%d-byte torn tail); %s holds state up to seq %d only\n",
-			truncated, *out, lastSeq)
+			truncated, f.out, lastSeq)
 		return 1
 	}
 	return 0

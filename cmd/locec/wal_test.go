@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"locec"
 	"locec/internal/core"
 	"locec/internal/wal"
 )
@@ -50,5 +51,19 @@ func TestWalDumpExitCodes(t *testing.T) {
 	}
 	if code := runWalDump([]string{"-dir", dir}); code != 1 {
 		t.Fatalf("torn log: exit %d, want 1", code)
+	}
+}
+
+// TestWalReplayDividesAsTrained pins -gn-patience's default to the patience
+// `locec train` and `locec run` divide under, the zero value of the config
+// they build: a replayed epoch must re-divide dirty egos by the same
+// stopping rule as the egos beside them.
+func TestWalReplayDividesAsTrained(t *testing.T) {
+	fs, f := walReplayFlags()
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := (locec.Config{}).GNPatience; f.patience != want {
+		t.Fatalf("-gn-patience defaults to %d, training divides with %d", f.patience, want)
 	}
 }

@@ -1,10 +1,12 @@
 package community_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"locec/internal/bench"
 	"locec/internal/community"
+	"locec/internal/graph"
 )
 
 // Benchmarks run on bench.EgoGraph — the shared planted two-community
@@ -83,5 +85,34 @@ func BenchmarkLouvainEgo64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		community.Louvain(g, int64(i))
+	}
+}
+
+// BenchmarkGirvanNewmanDenseWechat divides the 300 ego networks of the
+// equivalence tests' dense wechat graph — the shape batch_gn_dense_500
+// divides — once per iteration.
+func BenchmarkGirvanNewmanDenseWechat(b *testing.B) {
+	w := community.DenseWechat(b)
+	egos := make([]*graph.Graph, w.NumNodes())
+	for u := range egos {
+		egos[u] = w.Ego(graph.NodeID(u)).G
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range egos {
+			community.GirvanNewman(g, community.Options{})
+		}
+	}
+}
+
+// BenchmarkGirvanNewmanPlanted150 is one 150-node graph of three planted
+// blocks: bit rows of three words.
+func BenchmarkGirvanNewmanPlanted150(b *testing.B) {
+	g := community.Planted(rand.New(rand.NewSource(23)), 3, 50, 0.3, 0.01)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		community.GirvanNewman(g, community.Options{})
 	}
 }

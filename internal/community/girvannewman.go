@@ -7,10 +7,14 @@
 // Girvan–Newman recomputes only what a removal changed: betweenness lives
 // in an edge-indexed array, is re-derived per connected component and only
 // for the components that lost an edge in the previous round, and every
-// buffer of a call comes from a pooled scratch (see GirvanNewman).
+// buffer of a call comes from a pooled scratch (see GirvanNewman). Brandes
+// runs on bit rows local to the component it refreshes, so the search and
+// the predecessor scan cost a word operation per 64 nodes of a row plus one
+// step per shortest-path edge, whatever the component's size.
 package community
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -60,9 +64,10 @@ type Options struct {
 // as a round without improvement. The result is bit-identical to
 // recomputing every edge's betweenness over the whole graph each round:
 // an edge's betweenness is a float sum over the sources of its component
-// in ascending order and, per source, over nodes in reverse BFS order, and
-// both orders are kept (the tests pin this with == against the whole-graph
-// loop kept in girvannewman_reference_test.go).
+// in ascending order and, per source, over nodes in reverse BFS order, a
+// node's path count is a float sum over its predecessors in BFS order, and
+// all three orders are kept (the tests pin this with == against the
+// whole-graph loop kept in girvannewman_reference_test.go).
 func GirvanNewman(g *graph.Graph, opt Options) *Partition {
 	if g.NumNodes() == 0 {
 		return &Partition{Assign: []int{}, Comms: [][]graph.NodeID{}}
@@ -179,14 +184,30 @@ type gnScratch struct {
 	mark         []bool  // by label: already in touched; all false between rounds
 
 	// explore: sub-component index by node, size then write cursor by
-	// sub-component, and the buffer the segment is regrouped through.
-	sub, cnt []int32
-	tmp      []graph.NodeID
+	// sub-component, the buffer the segment is regrouped through, and the
+	// search stack.
+	sub, cnt   []int32
+	tmp, queue []graph.NodeID
 
-	// brandes, per source; queue doubles as explore's stack.
-	dist         []int32
+	// brandes, per component, by local index (position in the component's
+	// segment): the node's local index by node, then rows of W =
+	// ceil(size/64) words holding each node's live neighbours as bits, and
+	// for each row word the index into eid of its first neighbour.
+	loc  []int32
+	rows []uint64
+	pos  []int32
+
+	// brandes, per source: path counts and dependencies by local index,
+	// the BFS order, where each level starts in it, the nodes of each level
+	// as a W-word mask, and the union of those masks.
 	sigma, delta []float64
-	queue        []graph.NodeID
+	order, start []int32
+	levels, seen []uint64
+
+	// The storage load cuts brandes' buffers from.
+	ints   []int32
+	words  []uint64
+	floats []float64
 
 	// Communities numbered by smallest node: idx by label, cidx by node,
 	// and Modularity's two per-community sums.
@@ -220,9 +241,21 @@ func (s *gnScratch) load(g *graph.Graph) {
 	s.comp, s.perm = sized(s.comp, n), sized(s.perm, n)
 	s.segLo, s.segHi = sized(s.segLo, n), sized(s.segHi, n)
 	s.mark = sized(s.mark, n)
-	s.sub, s.cnt, s.tmp = sized(s.sub, n), sized(s.cnt, n), sized(s.tmp, n)
-	s.dist, s.sigma, s.delta = sized(s.dist, n), sized(s.sigma, n), sized(s.delta, n)
-	s.queue = sized(s.queue, n)
+	s.sub, s.cnt = sized(s.sub, n), sized(s.cnt, n)
+	s.tmp, s.queue = sized(s.tmp, n), sized(s.queue, n)
+	// brandes works on rows of at most w words; a search from one end of a
+	// path reaches depth n-1 and clears the mask of one level more. Its
+	// buffers are cut from one allocation per element type: the pool drops
+	// its scratches at a collection and each is rebuilt one buffer at a
+	// time, so fewer buffers are fewer objects per run.
+	w := (n + 63) >> 6
+	s.ints = sized(s.ints, (3+w)*n)
+	s.loc, s.pos = s.ints[:n], s.ints[3*n:]
+	s.order, s.start = s.ints[n:2*n:2*n], s.ints[2*n:3*n:3*n] // appended to
+	s.words = sized(s.words, (2*n+2)*w)
+	s.rows, s.levels, s.seen = s.words[:n*w], s.words[n*w:(2*n+1)*w], s.words[(2*n+1)*w:]
+	s.floats = sized(s.floats, 2*n)
+	s.sigma, s.delta = s.floats[:n], s.floats[n:]
 	s.idx, s.cidx = sized(s.idx, n), sized(s.cidx, n)
 	s.intra, s.dsum = sized(s.intra, n), sized(s.dsum, n)
 	s.best = sized(s.best, n)
@@ -384,53 +417,108 @@ func (s *gnScratch) refresh() {
 
 // brandes recomputes the betweenness of the edges of connected component c
 // with its own nodes as the only sources, ascending (no other source
-// reaches them). A node's predecessors are read off its row by distance
-// instead of being collected during the search; their order within one
-// node never reaches a sum, since each (predecessor, node) pair adds to a
-// different delta and a different edge.
+// reaches them), on bit rows local to the component.
+//
+// A node's local index is its position in c's segment of perm, so local
+// order is global order. Row i has bit j set when local nodes i and j are
+// live neighbours, and pos[i*W+k] is the index into eid of the first live
+// neighbour of i in word k: bit j of that word sits popcount(lower bits)
+// further along, which gives the edge id without an n×n table.
+//
+// The search runs level by level over the BFS order. A dequeued node's
+// unvisited neighbours (row &^ seen) are appended in ascending bit order,
+// which is the order a scan of its sorted row discovers them, and its
+// neighbours on the next level (row & that level's mask, the new ones
+// included) add its path count to theirs, so every sigma sums its
+// predecessors in BFS order. Path counts stop being exact integers above
+// 2^53; that order is what keeps them equal to a row scan's. Accumulation
+// walks the order backwards and reads a node's predecessors off its row
+// and the previous level's mask. Their order within one node never reaches
+// a sum, since each (predecessor, node) pair adds to a different delta and
+// a different edge.
 func (s *gnScratch) brandes(c int32) {
 	seg := s.perm[s.segLo[c]:s.segHi[c]]
-	dist, sigma, delta := s.dist, s.sigma, s.delta
-	for _, u := range seg {
-		for _, e := range s.eid[s.off[u]:s.end[u]] {
+	nc := len(seg)
+	W := (nc + 63) >> 6
+	rows, pos := s.rows[:nc*W], s.pos[:nc*W]
+	sigma, delta := s.sigma[:nc], s.delta[:nc]
+	seen := s.seen[:W]
+	for i, u := range seg {
+		s.loc[u] = int32(i)
+	}
+	clear(rows)
+	for i, u := range seg {
+		row := rows[i*W : i*W+W]
+		lo, hi := s.off[u], s.end[u]
+		for _, w := range s.nbr[lo:hi] {
+			j := s.loc[w]
+			row[j>>6] |= 1 << (j & 63)
+		}
+		for _, e := range s.eid[lo:hi] {
 			s.bet[e] = 0
 		}
-	}
-	for _, src := range seg {
-		for _, v := range seg {
-			dist[v] = -1
-			sigma[v] = 0
-			delta[v] = 0
+		at := lo
+		for k, r := range row {
+			pos[i*W+k] = at
+			at += int32(bits.OnesCount64(r))
 		}
-		dist[src] = 0
+	}
+	eid, bet, levels := s.eid, s.bet, s.levels
+	for src := range seg {
+		clear(sigma)
+		clear(delta)
+		clear(seen)
+		clear(levels[:W])
+		seen[src>>6] = 1 << (src & 63)
+		levels[src>>6] = 1 << (src & 63)
 		sigma[src] = 1
-		queue := append(s.queue[:0], src)
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			next := dist[v] + 1
-			for _, w := range s.nbr[s.off[v]:s.end[v]] {
-				if dist[w] < 0 {
-					dist[w] = next
-					queue = append(queue, w)
-				}
-				if dist[w] == next {
-					sigma[w] += sigma[v]
+		order := append(s.order[:0], int32(src))
+		start := s.start[:0]
+		// Level d is order[start[d]:start[d+1]] and levels[d*W:(d+1)*W].
+		for lo := 0; lo < len(order); {
+			start = append(start, int32(lo))
+			hi := len(order)
+			next := levels[len(start)*W : len(start)*W+W]
+			clear(next)
+			for _, v := range order[lo:hi] {
+				sv := sigma[v]
+				for k, r := range rows[int(v)*W : int(v)*W+W] {
+					if fresh := r &^ seen[k]; fresh != 0 {
+						seen[k] |= fresh
+						next[k] |= fresh
+						for ; fresh != 0; fresh &= fresh - 1 {
+							order = append(order, int32(k<<6+bits.TrailingZeros64(fresh)))
+						}
+					}
+					for on := r & next[k]; on != 0; on &= on - 1 {
+						sigma[k<<6+bits.TrailingZeros64(on)] += sv
+					}
 				}
 			}
+			lo = hi
 		}
 		// Dependency accumulation in reverse BFS order.
-		for i := len(queue) - 1; i > 0; i-- {
-			w := queue[i]
-			prev := dist[w] - 1
-			row := s.nbr[s.off[w]:s.end[w]]
-			ids := s.eid[s.off[w]:s.end[w]]
-			for j, v := range row {
-				if dist[v] == prev {
-					dep := sigma[v] / sigma[w] * (1 + delta[w])
-					delta[v] += dep
-					s.bet[ids[j]] += dep
+		hi := len(order)
+		for d := len(start) - 1; d > 0; d-- {
+			prev := levels[(d-1)*W : d*W]
+			lo := int(start[d])
+			for i := hi - 1; i >= lo; i-- {
+				w := int(order[i])
+				at := pos[w*W : w*W+W]
+				for k, r := range rows[w*W : w*W+W] {
+					for on := r & prev[k]; on != 0; on &= on - 1 {
+						// The bits of r below on's lowest count the
+						// neighbours that precede this one in its word.
+						b := bits.TrailingZeros64(on)
+						v := k<<6 + b
+						e := eid[at[k]+int32(bits.OnesCount64(r&(1<<b-1)))]
+						dep := sigma[v] / sigma[w] * (1 + delta[w])
+						delta[v] += dep
+						bet[e] += dep
+					}
 				}
 			}
+			hi = lo
 		}
 	}
 }

@@ -2,6 +2,7 @@ package community
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sync"
@@ -116,18 +117,124 @@ func equivalenceGraphs(t testing.TB) []*graph.Graph {
 	return gs
 }
 
-func TestGirvanNewmanMatchesReference(t *testing.T) {
-	for i, g := range equivalenceGraphs(t) {
-		for _, opt := range gnOptions {
-			if err := samePartition(GirvanNewman(g, opt), girvanNewmanReference(g, opt)); err != nil {
-				t.Fatalf("graph %d (n=%d m=%d) %+v: %v", i, g.NumNodes(), g.NumEdges(), opt, err)
+// layered draws a graph whose levels have the given widths, with edges only
+// between consecutive levels: each pair with probability p, and at least
+// one into every node from the level before. Node IDs are shuffled, so a
+// search's queue order is not ID order.
+func layered(rng *rand.Rand, widths []int, p float64) *graph.Graph {
+	n := 0
+	for _, w := range widths {
+		n += w
+	}
+	id := rng.Perm(n)
+	b := graph.NewBuilder(n)
+	lo := 0
+	for l := 1; l < len(widths); l++ {
+		mid := lo + widths[l-1]
+		for j := mid; j < mid+widths[l]; j++ {
+			sure := lo + rng.Intn(widths[l-1])
+			for i := lo; i < mid; i++ {
+				if i == sure || rng.Float64() < p {
+					_ = b.AddEdge(graph.NodeID(id[i]), graph.NodeID(id[j]))
+				}
+			}
+		}
+		lo = mid
+	}
+	return b.Build()
+}
+
+// inexactPathCounts reports whether some source of g has a shortest-path
+// count that float64 addition gets wrong, which takes counts above 2^53.
+func inexactPathCounts(g *graph.Graph) bool {
+	n := g.NumNodes()
+	dist := make([]int, n)
+	sigma := make([]float64, n)
+	exact := make([]*big.Int, n)
+	for src := 0; src < n; src++ {
+		for v := range dist {
+			dist[v], sigma[v], exact[v] = -1, 0, new(big.Int)
+		}
+		dist[src], sigma[src] = 0, 1
+		exact[src].SetInt64(1)
+		queue := []graph.NodeID{graph.NodeID(src)}
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			for _, w := range g.Neighbors(v) {
+				if dist[w] < 0 {
+					dist[w] = dist[v] + 1
+					queue = append(queue, w)
+				}
+				if dist[w] == dist[v]+1 {
+					sigma[w] += sigma[v]
+					exact[w].Add(exact[w], exact[v])
+				}
+			}
+		}
+		for v, x := range exact {
+			if f, _ := new(big.Float).SetInt(x).Float64(); f != sigma[v] {
+				return true
 			}
 		}
 	}
+	return false
+}
+
+// wideGraphs is the second case list of the equivalence tests: components
+// on both sides of every bit-row word boundary up to four words, a search
+// 129 levels deep, and layered graphs whose path counts are inexact, so
+// that the order each sigma sums its predecessors in shows in the result.
+// A small graph follows every wide one through the pooled scratch.
+func wideGraphs(t testing.TB) []*graph.Graph {
+	rng := rand.New(rand.NewSource(23))
+	var wide []*graph.Graph
+	for _, n := range []int{63, 64, 65, 127, 128, 129, 200} {
+		wide = append(wide, gnp(rng, n, 6/float64(n)))
+	}
+	wide = append(wide, planted(rng, 3, 50, 0.3, 0.01))
+	path := make([]graph.Edge, 129)
+	for i := range path {
+		path[i] = graph.Edge{U: graph.NodeID(i), V: graph.NodeID(i + 1)}
+	}
+	wide = append(wide, graph.FromEdges(130, path))
+	var deep []*graph.Graph
+	for i := 0; i < 3; i++ {
+		widths := make([]int, 40+rng.Intn(6))
+		for l := range widths {
+			widths[l] = 3 + rng.Intn(3) // 2 to 4 wide stays exact at this depth
+		}
+		deep = append(deep, layered(rng, widths, 0.7))
+	}
+	// Complete bipartite between consecutive levels: 3^39 paths end to end.
+	deep = append(deep, layered(rng, slices.Repeat([]int{3}, 40), 1))
+	for i, g := range deep {
+		if !inexactPathCounts(g) {
+			t.Fatalf("layered graph %d: every path count is exact", i)
+		}
+	}
+	var gs []*graph.Graph
+	for _, g := range append(wide, deep...) {
+		gs = append(gs, g, gnp(rng, 2+rng.Intn(39), 0.5*rng.Float64()))
+	}
+	return gs
+}
+
+func TestGirvanNewmanMatchesReference(t *testing.T) {
+	check := func(list string, gs []*graph.Graph, opts []Options) {
+		for i, g := range gs {
+			for _, opt := range opts {
+				if err := samePartition(GirvanNewman(g, opt), girvanNewmanReference(g, opt)); err != nil {
+					t.Fatalf("%s graph %d (n=%d m=%d) %+v: %v", list, i, g.NumNodes(), g.NumEdges(), opt, err)
+				}
+			}
+		}
+	}
+	check("equivalence", equivalenceGraphs(t), gnOptions)
+	check("wide", wideGraphs(t), []Options{{}, {Patience: 5}})
 }
 
 func TestEdgeBetweennessMatchesReference(t *testing.T) {
-	for i, g := range equivalenceGraphs(t) {
+	for i, g := range append(equivalenceGraphs(t), wideGraphs(t)...) {
 		n := g.NumNodes()
 		adj := make([][]graph.NodeID, n)
 		for u := range adj {
@@ -140,7 +247,7 @@ func TestEdgeBetweennessMatchesReference(t *testing.T) {
 		}
 		for k, b := range want {
 			if got[k] != b {
-				t.Fatalf("graph %d edge %v: betweenness %v, want %v", i, graph.EdgeFromKey(k), got[k], b)
+				t.Fatalf("graph %d (n=%d m=%d) edge %v: betweenness %v, want %v", i, n, g.NumEdges(), graph.EdgeFromKey(k), got[k], b)
 			}
 		}
 	}

@@ -202,6 +202,10 @@ func (bc *betweennessCalc) edgeBetweenness(adj [][]graph.NodeID) map[uint64]floa
 	return out
 }
 
-// GirvanNewmanReference exports the oracle to bench_test.go, which lives in
-// package community_test because it imports internal/bench.
-var GirvanNewmanReference = girvanNewmanReference
+// The oracle and two graph fixtures, exported to bench_test.go, which lives
+// in package community_test because it imports internal/bench.
+var (
+	GirvanNewmanReference = girvanNewmanReference
+	DenseWechat           = denseWechat
+	Planted               = planted
+)
