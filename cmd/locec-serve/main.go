@@ -47,10 +47,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	artifactpkg "locec/internal/artifact"
+	"locec/internal/core"
 	"locec/internal/iodata"
 	"locec/internal/serve"
 	"locec/internal/social"
@@ -66,7 +68,7 @@ func main() {
 		variant  = flag.String("variant", "cnn", "community classifier: cnn or xgb")
 		k        = flag.Int("k", 16, "feature matrix rows (CommCNN)")
 		epochs   = flag.Int("epochs", 8, "CommCNN training epochs")
-		detector = flag.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
+		detector = flag.String("detector", "gn", "Phase I detector: "+strings.Join(core.DetectorNames(), ", "))
 		patience = flag.Int("gn-patience", 0, "Girvan-Newman early-stop patience (0 = exact, as locec train divides)")
 		cache    = flag.Int("cache", 256, "batch-response LRU cache entries")
 		input    = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")

@@ -21,10 +21,12 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"locec"
 	"locec/internal/artifact"
+	"locec/internal/core"
 	"locec/internal/eval"
 	"locec/internal/graph"
 	"locec/internal/iodata"
@@ -55,7 +57,7 @@ func main() {
 		epochs   = flag.Int("epochs", 8, "CommCNN training epochs")
 		input    = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
 		export   = flag.String("export", "", "write per-edge predictions to this CSV file")
-		detector = flag.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
+		detector = flag.String("detector", "gn", "Phase I detector: "+strings.Join(core.DetectorNames(), ", "))
 	)
 	flag.Parse()
 
@@ -139,7 +141,7 @@ func runTrain(args []string) {
 		epochs   = fs.Int("epochs", 8, "CommCNN training epochs")
 		input    = fs.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
 		out      = fs.String("out", "model.locec", "artifact output path")
-		detector = fs.String("detector", "gn", "Phase I detector: gn, labelprop, louvain, clauset, lshell or lemon")
+		detector = fs.String("detector", "gn", "Phase I detector: "+strings.Join(core.DetectorNames(), ", "))
 		embed    = fs.Bool("embed-dataset", false, "embed the raw dataset so the artifact stays mutable (required for WAL checkpoints and POST /v1/mutations after a cold start)")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error

@@ -19,20 +19,20 @@ import (
 // subset of those whose both endpoints lie in C. Growth stops when no
 // frontier vertex improves R — the boundary has stabilized. Ties break
 // toward the smallest node ID, so the result is deterministic.
-func growClauset(t *scanTracker, seed graph.NodeID) []graph.NodeID {
-	n := t.g.NumNodes()
+func growClauset(g *graph.Graph, seed graph.NodeID) []graph.NodeID {
+	n := g.NumNodes()
 	inC := make([]bool, n)
 	inC[seed] = true
 	members := []graph.NodeID{seed}
 	queued := make([]bool, n) // frontier membership (stays set once absorbed)
 	var frontier []graph.NodeID
-	for _, v := range t.neighbors(seed) {
+	for _, v := range g.Neighbors(seed) {
 		if !queued[v] {
 			queued[v] = true
 			frontier = append(frontier, v)
 		}
 	}
-	bestR := clausetR(t, inC, members)
+	bestR := clausetR(g, inC, members)
 	for len(frontier) > 0 {
 		slices.Sort(frontier)
 		bestIdx := -1
@@ -40,7 +40,7 @@ func growClauset(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 		for i, c := range frontier {
 			inC[c] = true
 			members = append(members, c)
-			r := clausetR(t, inC, members)
+			r := clausetR(g, inC, members)
 			members = members[:len(members)-1]
 			inC[c] = false
 			if r > bestTrial+1e-12 {
@@ -55,7 +55,7 @@ func growClauset(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 		members = append(members, c)
 		bestR = bestTrial
 		frontier = slices.Delete(frontier, bestIdx, bestIdx+1)
-		for _, v := range t.neighbors(c) {
+		for _, v := range g.Neighbors(c) {
 			if !inC[v] && !queued[v] {
 				queued[v] = true
 				frontier = append(frontier, v)
@@ -70,11 +70,11 @@ func growClauset(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 // with an empty boundary fully encloses its component; R is 1 by
 // convention there, so growth never stalls one step short of absorbing a
 // whole component.
-func clausetR(t *scanTracker, inC []bool, members []graph.NodeID) float64 {
+func clausetR(g *graph.Graph, inC []bool, members []graph.NodeID) float64 {
 	isB := make([]bool, len(inC))
 	var boundary []graph.NodeID
 	for _, u := range members {
-		for _, v := range t.neighbors(u) {
+		for _, v := range g.Neighbors(u) {
 			if !inC[v] {
 				isB[u] = true
 				boundary = append(boundary, u)
@@ -84,7 +84,7 @@ func clausetR(t *scanTracker, inC []bool, members []graph.NodeID) float64 {
 	}
 	T, I := 0, 0
 	for _, u := range boundary {
-		for _, v := range t.neighbors(u) {
+		for _, v := range g.Neighbors(u) {
 			if isB[v] && v < u {
 				continue // boundary-boundary edge already counted from v
 			}

@@ -34,15 +34,15 @@ const (
 //
 // Everything is deterministic: support is kept sorted so floating-point
 // accumulation order is fixed, and ties in the sweep break by node ID.
-func growLemon(t *scanTracker, seed graph.NodeID) []graph.NodeID {
-	n := t.g.NumNodes()
-	if t.degree(seed) == 0 {
+func growLemon(g *graph.Graph, seed graph.NodeID) []graph.NodeID {
+	n := g.NumNodes()
+	if g.Degree(seed) == 0 {
 		return []graph.NodeID{seed}
 	}
 
 	// Lazy walk state: p over the whole (small) ego graph, with a sorted
 	// support list so iteration order — and hence float summation — is
-	// deterministic and every touched node is scan-tracked.
+	// deterministic.
 	p := make([]float64, n)
 	p[seed] = 1
 	inSupport := make([]bool, n)
@@ -55,7 +55,7 @@ func growLemon(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 			if x[u] == 0 {
 				continue
 			}
-			nb := t.neighbors(u)
+			nb := g.Neighbors(u)
 			y[u] += x[u] / 2
 			w := x[u] / (2 * float64(len(nb)))
 			for _, v := range nb {
@@ -105,15 +105,15 @@ func growLemon(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 		y := project(V, p, n, support)
 		ok := true
 		for it := 0; it < lemonMinNormIters && ok; it++ {
-			g := make([]float64, n)
+			sg := make([]float64, n)
 			for _, u := range support {
 				if y[u] > 0 {
-					g[u] = 1
+					sg[u] = 1
 				} else if y[u] < 0 {
-					g[u] = -1
+					sg[u] = -1
 				}
 			}
-			gp := project(V, g, n, support)
+			gp := project(V, sg, n, support)
 			eta := 0.05 / float64(it+1)
 			for _, u := range support {
 				y[u] -= eta * gp[u]
@@ -173,7 +173,7 @@ func growLemon(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 	bestK := 0
 	haveSeed := false
 	for k, r := range order {
-		nb := t.neighbors(r.v)
+		nb := g.Neighbors(r.v)
 		vol += len(nb)
 		for _, v := range nb {
 			if inS[v] {
@@ -203,20 +203,20 @@ func growLemon(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 		members = append(members, r.v)
 		inComm[r.v] = true
 	}
-	return seedComponent(t, seed, members, inComm)
+	return seedComponent(g, seed, members, inComm)
 }
 
 // seedComponent trims a candidate member set to the connected component
 // containing the seed — sweep prefixes can be disconnected, and a local
 // community must not be.
-func seedComponent(t *scanTracker, seed graph.NodeID, members []graph.NodeID, inComm []bool) []graph.NodeID {
+func seedComponent(g *graph.Graph, seed graph.NodeID, members []graph.NodeID, inComm []bool) []graph.NodeID {
 	keep := make([]bool, len(inComm))
 	keep[seed] = true
 	queue := []graph.NodeID{seed}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range t.neighbors(u) {
+		for _, v := range g.Neighbors(u) {
 			if inComm[v] && !keep[v] {
 				keep[v] = true
 				queue = append(queue, v)

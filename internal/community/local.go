@@ -12,14 +12,6 @@ import (
 // (Girvan–Newman, label propagation, Louvain), these never look at the
 // whole graph: each community is grown outward from a seed vertex and the
 // growth stops when its boundary stabilizes.
-//
-// Locality is made auditable: every grow runs through a scanTracker that
-// records the set of nodes whose adjacency the growth read. A grow is a
-// pure function of the adjacency rows of its scanned nodes, which is the
-// contract the incremental engine's seeded re-division relies on — if a
-// mutation touches none of a stored grow's scanned nodes, replaying the
-// grow on the mutated graph is guaranteed to reproduce it bit-identically
-// without running the algorithm again (see LocalDivision.Replay).
 
 // LocalKind selects one of the seed-grown detectors.
 type LocalKind int
@@ -55,73 +47,26 @@ type LocalOptions struct {
 	Kind LocalKind
 }
 
-// Grown is one seed-grown community together with its provenance: the raw
-// grown member set (before any overlap trimming by LocalDivide) and the
-// scanned set — every node whose adjacency the growth read. Members and
-// Scanned are sorted ascending; Members always contains Seed.
-type Grown struct {
-	Seed    graph.NodeID
-	Members []graph.NodeID
-	Scanned []graph.NodeID
-}
-
-// LocalDivision is a full partition produced by iterated seed growth, plus
-// the per-community grows that produced it. Grows[i] grew Part.Comms[i]
-// (the community may be a trimmed subset of the grow when an earlier
-// community already claimed some of its members).
+// LocalDivision wraps LocalDivide's partition; benchmark/ reads .Part until the [benchmark] PR of ROADMAP 1(a) lets LocalDivide return it bare.
 type LocalDivision struct {
-	Part  *Partition
-	Grows []Grown
+	Part *Partition
 }
 
-// scanTracker wraps a graph and records which nodes' adjacency rows a
-// growth reads. Growers must read the graph exclusively through it.
-type scanTracker struct {
-	g       *graph.Graph
-	scanned []bool
-}
-
-func newScanTracker(g *graph.Graph) *scanTracker {
-	return &scanTracker{g: g, scanned: make([]bool, g.NumNodes())}
-}
-
-func (t *scanTracker) neighbors(u graph.NodeID) []graph.NodeID {
-	t.scanned[u] = true
-	return t.g.Neighbors(u)
-}
-
-func (t *scanTracker) degree(u graph.NodeID) int {
-	t.scanned[u] = true
-	return t.g.Degree(u)
-}
-
-func (t *scanTracker) list() []graph.NodeID {
-	var out []graph.NodeID
-	for u, s := range t.scanned {
-		if s {
-			out = append(out, graph.NodeID(u))
-		}
-	}
-	return out
-}
-
-// GrowLocal grows a single community from seed with the selected detector.
-// The result is deterministic: same graph, seed and options always produce
-// the same community, and its trace depends only on the adjacency rows of
-// the returned Scanned set.
-func GrowLocal(g *graph.Graph, seed graph.NodeID, opt LocalOptions) Grown {
-	t := newScanTracker(g)
+// growLocal grows a single community from seed with the selected detector
+// and returns its members sorted ascending (seed included). The result is
+// deterministic: same graph, seed and kind always produce the same community.
+func growLocal(g *graph.Graph, seed graph.NodeID, kind LocalKind) []graph.NodeID {
 	var members []graph.NodeID
-	switch opt.Kind {
+	switch kind {
 	case LocalLShell:
-		members = growLShell(t, seed)
+		members = growLShell(g, seed)
 	case LocalLemon:
-		members = growLemon(t, seed)
+		members = growLemon(g, seed)
 	default:
-		members = growClauset(t, seed)
+		members = growClauset(g, seed)
 	}
 	slices.Sort(members)
-	return Grown{Seed: seed, Members: members, Scanned: t.list()}
+	return members
 }
 
 // LocalDivide partitions the whole graph by iterated seed growth: seeds
@@ -139,94 +84,19 @@ func LocalDivide(g *graph.Graph, opt LocalOptions) *LocalDivision {
 		assign[i] = -1
 	}
 	var comms [][]graph.NodeID
-	var grows []Grown
 	for s := 0; s < n; s++ {
 		if assign[s] >= 0 {
 			continue
 		}
-		gr := GrowLocal(g, graph.NodeID(s), opt)
-		comm := make([]graph.NodeID, 0, len(gr.Members))
-		for _, v := range gr.Members {
+		grown := growLocal(g, graph.NodeID(s), opt.Kind)
+		comm := grown[:0]
+		for _, v := range grown {
 			if assign[v] < 0 {
 				comm = append(comm, v)
+				assign[v] = len(comms)
 			}
-		}
-		idx := len(comms)
-		for _, v := range comm {
-			assign[v] = idx
 		}
 		comms = append(comms, comm)
-		grows = append(grows, gr)
 	}
-	part := &Partition{Assign: assign, Comms: comms, Q: Modularity(g, assign)}
-	return &LocalDivision{Part: part, Grows: grows}
-}
-
-// Replay recomputes the division on a mutated graph, reusing stored grows
-// where the mutation provably cannot have changed them. touched lists the
-// nodes whose adjacency differs between the graph this division was
-// computed on and g (for an edge mutation batch: the endpoints of every
-// net added or removed edge). The node set must be unchanged.
-//
-// The result is identical to LocalDivide(g, opt). Seeds are visited in the
-// same ID order; for each seed, a stored grow whose Scanned set is
-// disjoint from touched would read exactly the same adjacency rows on g as
-// it did originally, so its outcome is reused verbatim; any other seed is
-// re-grown on g. The second return value counts reused grows.
-func (d *LocalDivision) Replay(g *graph.Graph, opt LocalOptions, touched []graph.NodeID) (*LocalDivision, int) {
-	n := g.NumNodes()
-	if len(d.Part.Assign) != n {
-		return LocalDivide(g, opt), 0
-	}
-	isTouched := make([]bool, n)
-	for _, u := range touched {
-		if int(u) < n {
-			isTouched[u] = true
-		}
-	}
-	bySeed := make(map[graph.NodeID]*Grown, len(d.Grows))
-	for i := range d.Grows {
-		bySeed[d.Grows[i].Seed] = &d.Grows[i]
-	}
-	clean := func(gr *Grown) bool {
-		for _, u := range gr.Scanned {
-			if isTouched[u] {
-				return false
-			}
-		}
-		return true
-	}
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	var comms [][]graph.NodeID
-	var grows []Grown
-	reused := 0
-	for s := 0; s < n; s++ {
-		if assign[s] >= 0 {
-			continue
-		}
-		var gr Grown
-		if old, ok := bySeed[graph.NodeID(s)]; ok && clean(old) {
-			gr = *old
-			reused++
-		} else {
-			gr = GrowLocal(g, graph.NodeID(s), opt)
-		}
-		comm := make([]graph.NodeID, 0, len(gr.Members))
-		for _, v := range gr.Members {
-			if assign[v] < 0 {
-				comm = append(comm, v)
-			}
-		}
-		idx := len(comms)
-		for _, v := range comm {
-			assign[v] = idx
-		}
-		comms = append(comms, comm)
-		grows = append(grows, gr)
-	}
-	part := &Partition{Assign: assign, Comms: comms, Q: Modularity(g, assign)}
-	return &LocalDivision{Part: part, Grows: grows}, reused
+	return &LocalDivision{Part: &Partition{Assign: assign, Comms: comms, Q: Modularity(g, assign)}}
 }

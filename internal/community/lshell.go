@@ -21,8 +21,8 @@ const shellCutoff = 0.3
 // networks LoCEC runs on): when it drops below shellCutoff times the
 // previous shell's, the frontier has collapsed onto a community border
 // and growth stops, keeping shells 0..l.
-func growLShell(t *scanTracker, seed graph.NodeID) []graph.NodeID {
-	n := t.g.NumNodes()
+func growLShell(g *graph.Graph, seed graph.NodeID) []graph.NodeID {
+	n := g.NumNodes()
 	visited := make([]bool, n)
 	visited[seed] = true
 	members := []graph.NodeID{seed}
@@ -33,7 +33,7 @@ func growLShell(t *scanTracker, seed graph.NodeID) []graph.NodeID {
 		inNext := make([]bool, n)
 		var next []graph.NodeID
 		for _, u := range shell {
-			for _, v := range t.neighbors(u) {
+			for _, v := range g.Neighbors(u) {
 				if visited[v] {
 					continue
 				}

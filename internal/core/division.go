@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"locec/internal/community"
 	"locec/internal/graph"
@@ -66,11 +65,6 @@ type EgoResult struct {
 	Tightness []float64
 	// Comms are the local communities of this ego network.
 	Comms []*LocalCommunity
-	// Local holds the seed-growth provenance when a local detector
-	// produced this result (nil for global detectors and for results
-	// restored from artifacts — the artifact codec does not serialize
-	// it). The incremental engine's seeded re-division replays it.
-	Local *community.LocalDivision
 }
 
 // CommunityOf returns the local community containing friend u and u's
@@ -112,28 +106,26 @@ const (
 	DetectorLemon
 )
 
-// String returns the registry name used by CLIs, bench scenarios and the
-// serving layer.
-func (k DetectorKind) String() string {
-	switch k {
-	case DetectorLabelProp:
-		return "labelprop"
-	case DetectorLouvain:
-		return "louvain"
-	case DetectorClauset:
-		return "clauset"
-	case DetectorLShell:
-		return "lshell"
-	case DetectorLemon:
-		return "lemon"
-	default:
-		return "gn"
-	}
+// detectorNames is the registry: detectorNames[k] names DetectorKind k. CLIs,
+// the serving layer and the root package all read this one table.
+var detectorNames = [...]string{
+	DetectorGirvanNewman: "gn",
+	DetectorLabelProp:    "labelprop",
+	DetectorLouvain:      "louvain",
+	DetectorClauset:      "clauset",
+	DetectorLShell:       "lshell",
+	DetectorLemon:        "lemon",
 }
 
-// Local reports whether the detector is seed-grown. Local detectors store
-// their growth provenance on the EgoResult, which the incremental engine's
-// seeded re-division path replays (see divideNodesSeeded).
+// String returns the detector's registry name.
+func (k DetectorKind) String() string {
+	if k < 0 || int(k) >= len(detectorNames) {
+		return fmt.Sprintf("DetectorKind(%d)", int(k))
+	}
+	return detectorNames[k]
+}
+
+// Local reports whether the detector is seed-grown.
 func (k DetectorKind) Local() bool {
 	return k == DetectorClauset || k == DetectorLShell || k == DetectorLemon
 }
@@ -152,29 +144,19 @@ func (k DetectorKind) localKind() community.LocalKind {
 
 // DetectorNames lists every registry name in declaration order.
 func DetectorNames() []string {
-	return []string{"gn", "labelprop", "louvain", "clauset", "lshell", "lemon"}
+	return slices.Clone(detectorNames[:])
 }
 
 // ParseDetector resolves a registry name ("" selects the paper's
-// Girvan–Newman) to its DetectorKind — the single mapping the CLIs, benchmarks
-// and serving layer share.
+// Girvan–Newman) to its DetectorKind.
 func ParseDetector(name string) (DetectorKind, error) {
-	switch name {
-	case "", "gn":
+	if name == "" {
 		return DetectorGirvanNewman, nil
-	case "labelprop":
-		return DetectorLabelProp, nil
-	case "louvain":
-		return DetectorLouvain, nil
-	case "clauset":
-		return DetectorClauset, nil
-	case "lshell":
-		return DetectorLShell, nil
-	case "lemon":
-		return DetectorLemon, nil
-	default:
-		return 0, fmt.Errorf("core: unknown detector %q (want one of %v)", name, DetectorNames())
 	}
+	if k := slices.Index(detectorNames[:], name); k >= 0 {
+		return DetectorKind(k), nil
+	}
+	return 0, fmt.Errorf("core: unknown detector %q (want one of %v)", name, DetectorNames())
 }
 
 // DivisionConfig tunes Phase I.
@@ -250,26 +232,24 @@ var egoPool = sync.Pool{New: func() any { return new(egoScratch) }}
 func (s *egoScratch) divideOne(ds *social.Dataset, ego graph.NodeID, cfg DivisionConfig) *EgoResult {
 	en := s.ego.Extract(ds.G, ego)
 	var part *community.Partition
-	var local *community.LocalDivision
 	switch cfg.Detector {
 	case DetectorLabelProp:
 		assign, nc := s.comm.LabelPropagation(en.G, 20, cfg.Seed+int64(ego))
-		return s.finishEgo(ds, en, assign, nc, nil)
+		return s.finishEgo(ds, en, assign, nc)
 	case DetectorLouvain:
 		part = s.comm.Louvain(en.G, cfg.Seed+int64(ego))
 	case DetectorClauset, DetectorLShell, DetectorLemon:
-		local = community.LocalDivide(en.G, community.LocalOptions{Kind: cfg.Detector.localKind()})
-		part = local.Part
+		part = community.LocalDivide(en.G, community.LocalOptions{Kind: cfg.Detector.localKind()}).Part
 	default:
 		part = community.GirvanNewman(en.G, community.Options{Patience: cfg.GNPatience})
 	}
-	return s.finishEgo(ds, en, part.Assign, len(part.Comms), local)
+	return s.finishEgo(ds, en, part.Assign, len(part.Comms))
 }
 
 // finishEgo turns a detector's assignment over nc communities into the
 // EgoResult: tightness per Eq. 3 and ground-truth vote tallying — the
-// detector-independent tail shared by the full and seeded division paths.
-func (s *egoScratch) finishEgo(ds *social.Dataset, en graph.EgoNetwork, assign []int, nc int, local *community.LocalDivision) *EgoResult {
+// detector-independent tail of divideOne.
+func (s *egoScratch) finishEgo(ds *social.Dataset, en graph.EgoNetwork, assign []int, nc int) *EgoResult {
 	size := slices.Grow(s.size[:0], nc)[:nc]
 	clear(size)
 	for _, c := range assign {
@@ -293,7 +273,6 @@ func (s *egoScratch) finishEgo(ds *social.Dataset, en graph.EgoNetwork, assign [
 	}
 	s.size, s.tight = size, tight
 	res := NewEgoResult(en.Ego, en.Members, assign, tight, nc)
-	res.Local = local
 	// Ground-truth votes from revealed ego->friend edge labels.
 	for i, m := range en.Members {
 		k := (graph.Edge{U: en.Ego, V: m}).Key()
@@ -336,67 +315,4 @@ func NewEgoResult(ego graph.NodeID, members []graph.NodeID, commIdx []int, tight
 		comms[c].Tightness = append(comms[c].Tightness, tightness[i])
 	}
 	return res
-}
-
-// divideNodesSeeded is DivideNodes for the incremental engine's seeded
-// re-division mode (local detectors only). For each dirty node it first
-// checks — via the overlay's merged base+delta adjacency, so no compacted
-// graph access is needed for the decision — whether the ego's member set
-// survived the batch. Egos with a stable member set replay their stored
-// seed grows on the new graph: growth restarts only from seeds whose
-// scanned region a mutation endpoint touched, every other community is
-// reused verbatim (an early stop that is exact, not approximate — see
-// community.LocalDivision.Replay). Egos whose member set changed (mutation
-// endpoints), egos with no stored grows (artifact restores) and non-local
-// detectors fall back to a full divideOne.
-//
-// touched lists the endpoints of the batch's net topology mutations —
-// the only nodes whose adjacency rows differ between the old and new
-// graph. Returns how many egos took the seeded path.
-func (p *Pipeline) divideNodesSeeded(ds *social.Dataset, oldEgos, egos []*EgoResult, nodes []graph.NodeID, touched []graph.NodeID, ov *graph.Overlay) int {
-	cfg := p.cfg.Division
-	var seeded atomic.Int64
-	parallel.For(len(nodes), 1, func(i, _ int) {
-		u := nodes[i]
-		old := oldEgos[u]
-		s := egoPool.Get().(*egoScratch)
-		var r *EgoResult
-		ok := cfg.Detector.Local() && old != nil && old.Local != nil && slices.Equal(old.Members, ov.Neighbors(u))
-		if ok {
-			r, ok = s.divideOneSeeded(ds, u, cfg, old, touched)
-		}
-		if ok {
-			seeded.Add(1)
-		} else {
-			r = s.divideOne(ds, u, cfg)
-		}
-		egos[u] = r
-		egoPool.Put(s)
-	})
-	return int(seeded.Load())
-}
-
-// divideOneSeeded re-divides a dirty ego by replaying its stored
-// seed-grown division (old.Local, which the caller has checked a local
-// detector left there) on the mutated graph. It reports false when the
-// member set changed and the ego must fall back to a full re-division. On
-// success the result is bit-identical to divideOne on the new dataset — the
-// equivalence VerifyIncremental checks end to end.
-func (s *egoScratch) divideOneSeeded(ds *social.Dataset, ego graph.NodeID, cfg DivisionConfig, old *EgoResult, touched []graph.NodeID) (*EgoResult, bool) {
-	en := s.ego.Extract(ds.G, ego)
-	if !slices.Equal(en.Members, old.Members) {
-		return nil, false
-	}
-	// Mutation endpoints outside the ego cannot have changed its induced
-	// subgraph; map the rest to local IDs. (A member endpoint whose
-	// partner is outside the ego is marked too — conservative but exact:
-	// it only forces a re-grow, never a wrong reuse.)
-	var local []graph.NodeID
-	for _, g := range touched {
-		if l, ok := en.Local(g); ok {
-			local = append(local, l)
-		}
-	}
-	nd, _ := old.Local.Replay(en.G, community.LocalOptions{Kind: cfg.Detector.localKind()}, local)
-	return s.finishEgo(ds, en, nd.Part.Assign, len(nd.Part.Comms), nd), true
 }

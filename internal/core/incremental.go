@@ -84,10 +84,7 @@ type ApplyStats struct {
 	DirtyCommunities int
 	// DirtyEdges counts the re-predicted edges.
 	DirtyEdges int
-	// SeededEgos counts the dirty egos the seeded re-division path
-	// handled by replaying stored seed grows (local detectors only;
-	// always 0 for global detectors, where every dirty ego is fully
-	// re-divided).
+	// SeededEgos is never written; benchmark/ reads it until the [benchmark] PR of ROADMAP 1(a) lets it go.
 	SeededEgos int
 	// DatasetEdits is the size of the new dataset's edit delta: the edge
 	// keys changed since the per-edge maps were last rebuilt (0 right
@@ -201,11 +198,6 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 	newDS, folded := ed.Commit(ov.Compact())
 
 	// ---- Stage I: re-divide the dirty egos --------------------------
-	// Local detectors take the seeded path: egos whose member set
-	// survived the batch replay their stored seed grows from the mutated
-	// endpoints outward and stop early where the mutation provably cannot
-	// reach; everyone else (and every ego under a global detector) is
-	// fully re-divided.
 	newRes := &Result{
 		ClassifierName: res.ClassifierName,
 		Classifier:     res.Classifier,
@@ -213,21 +205,7 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 		Times:          res.Times,
 		Egos:           slices.Clone(res.Egos),
 	}
-	seededEgos := 0
-	if p.cfg.Division.Detector.Local() {
-		touched := make([]graph.NodeID, 0, 2*(len(added)+len(removed)))
-		for _, e := range added {
-			touched = append(touched, e.U, e.V)
-		}
-		for _, e := range removed {
-			touched = append(touched, e.U, e.V)
-		}
-		slices.Sort(touched)
-		touched = slices.Compact(touched)
-		seededEgos = p.divideNodesSeeded(newDS, res.Egos, newRes.Egos, dirty, touched, ov)
-	} else {
-		p.DivideNodes(newDS, newRes.Egos, dirty)
-	}
+	p.DivideNodes(newDS, newRes.Egos, dirty)
 
 	// ---- Stage II: re-classify the dirty communities (frozen model) --
 	var dirtyComms []*LocalCommunity
@@ -289,7 +267,6 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 		DirtyNodes:       len(dirty),
 		DirtyCommunities: len(dirtyComms),
 		DirtyEdges:       len(dirtyEdges),
-		SeededEgos:       seededEgos,
 		DatasetEdits:     newDS.NumEdits(),
 		Folded:           folded,
 		Duration:         time.Since(t0),

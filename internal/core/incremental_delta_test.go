@@ -107,8 +107,8 @@ func assertViewMatches(t testing.TB, what string, ds *social.Dataset, o mapOracl
 // TestIncrementalOracleAcrossFolds chains at least 2·√E one-mutation
 // epochs — so the delta fills up and is folded more than once — and checks
 // every epoch against the frozen from-scratch rerun and the map oracle.
-// clauset takes the seeded re-division path, labelprop the full one; both
-// read labels through the delta (truth votes) on every dirty ego.
+// One seed-grown and one global detector; both read labels through the
+// delta (truth votes) on every dirty ego.
 func TestIncrementalOracleAcrossFolds(t *testing.T) {
 	for _, d := range []DetectorKind{DetectorClauset, DetectorLabelProp} {
 		t.Run(d.String(), func(t *testing.T) {

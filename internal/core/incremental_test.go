@@ -36,6 +36,15 @@ func xgbConfig() Config {
 	}
 }
 
+// localConfig is xgbConfig under detector d.
+func localConfig(d DetectorKind) Config {
+	cfg := xgbConfig()
+	cfg.Division.Detector = d
+	return cfg
+}
+
+var localDetectors = []DetectorKind{DetectorClauset, DetectorLShell, DetectorLemon}
+
 // randomBatch builds count random valid mutations against the current
 // graph: absent pairs are added (some revealed, with interactions),
 // present edges alternate between removal and relabeling.
@@ -105,6 +114,42 @@ func TestIncrementalOracleChainedApplies(t *testing.T) {
 		}
 		if err := ds.Validate(); err != nil {
 			t.Fatalf("epoch %d: mutated dataset invalid: %v", epoch, err)
+		}
+	}
+}
+
+// TestIncrementalOracleLocalDetectors: every seed-grown detector's epoch is
+// indistinguishable from a frozen full rerun across random mutation batches
+// (adds, removes, relabels).
+func TestIncrementalOracleLocalDetectors(t *testing.T) {
+	for _, d := range localDetectors {
+		t.Run(d.String(), func(t *testing.T) {
+			p, ds, res := incrementalFixture(t, localConfig(d))
+			rng := rand.New(rand.NewSource(31))
+			for trial := 0; trial < 3; trial++ {
+				batch := randomBatch(rng, ds.G, 6)
+				if err := VerifyIncremental(p, ds, res, batch, 1e-12); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+			}
+		})
+	}
+}
+
+// TestIncrementalSeededChainedApplies: under a seed-grown detector (Clauset)
+// a second and third epoch build on the egos the previous epoch re-divided.
+func TestIncrementalSeededChainedApplies(t *testing.T) {
+	p, ds, res := incrementalFixture(t, localConfig(DetectorClauset))
+	rng := rand.New(rand.NewSource(13))
+	for epoch := 0; epoch < 3; epoch++ {
+		batch := randomBatch(rng, ds.G, 4)
+		if err := VerifyIncremental(p, ds, res, batch, 1e-12); err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+		var err error
+		ds, res, _, err = p.ApplyMutations(ds, res, batch)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // frontier: held-out classification quality bought at its division cost.
 type FrontierRow struct {
 	Detector string
-	// Local marks the seed-grown detectors (replayable by the
-	// incremental engine) as opposed to the whole-ego global ones.
+	// Local marks the seed-grown detectors as opposed to the whole-ego
+	// global ones.
 	Local bool
 	// MacroF1 is the class-balanced held-out score with the XGB
 	// classifier (the fast, deterministic Phase II — the study varies

@@ -19,13 +19,6 @@ type EgoNetwork struct {
 	G *Graph
 }
 
-// Local returns the local ID of global node v inside the ego network, and
-// whether v is a member.
-func (e *EgoNetwork) Local(v NodeID) (NodeID, bool) {
-	i, ok := slices.BinarySearch(e.Members, v)
-	return NodeID(i), ok
-}
-
 // EgoScratch is the reusable storage of ego extraction: one scratch serves
 // any number of extractions, one at a time. The zero value is ready to use.
 type EgoScratch struct {

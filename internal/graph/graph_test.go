@@ -170,17 +170,6 @@ func TestEgoNetworkPaperExample(t *testing.T) {
 			t.Fatalf("missing ego edge %v; got %v", e, ego.G.Edges())
 		}
 	}
-	// Ego node must not appear.
-	if _, ok := ego.Local(0); ok {
-		t.Fatal("ego node found inside its own ego network")
-	}
-	// Local lookup round-trips.
-	for i, m := range ego.Members {
-		li, ok := ego.Local(m)
-		if !ok || li != NodeID(i) {
-			t.Fatalf("Local(%d) = %d,%v; want %d,true", m, li, ok, i)
-		}
-	}
 }
 
 func TestEgoExcludesEgoEdges(t *testing.T) {

@@ -145,63 +145,6 @@ func (o *Overlay) RemoveEdge(u, v NodeID) error {
 	return nil
 }
 
-// ForEachNeighbor streams u's adjacency in the overlay state — the base
-// row merged with the per-node delta, ascending — without building the
-// compacted graph. Return false from fn to stop early. This is the seeded
-// iteration primitive of the incremental engine: it answers "what will
-// ego(u)'s member set be after Compact" while the overlay is still open,
-// in O(deg(u) + Δ) per call.
-func (o *Overlay) ForEachNeighbor(u NodeID, fn func(v NodeID) bool) {
-	if int(u) >= o.base.NumNodes() {
-		return
-	}
-	var add []NodeID
-	for k := range o.added {
-		switch e := EdgeFromKey(k); u {
-		case e.U:
-			add = append(add, e.V)
-		case e.V:
-			add = append(add, e.U)
-		}
-	}
-	slices.Sort(add)
-	base := o.base.Neighbors(u)
-	i, j := 0, 0
-	for i < len(base) || j < len(add) {
-		// added edges are absent from base, so the streams never collide.
-		if j >= len(add) || (i < len(base) && base[i] < add[j]) {
-			v := base[i]
-			i++
-			if _, gone := o.removed[(Edge{U: u, V: v}).Key()]; gone {
-				continue
-			}
-			if !fn(v) {
-				return
-			}
-		} else {
-			if !fn(add[j]) {
-				return
-			}
-			j++
-		}
-	}
-}
-
-// Neighbors returns u's adjacency in the overlay state, sorted ascending —
-// the allocation-friendly form of ForEachNeighbor. The result matches
-// Compact().Neighbors(u) exactly.
-func (o *Overlay) Neighbors(u NodeID) []NodeID {
-	if int(u) >= o.base.NumNodes() {
-		return nil
-	}
-	out := make([]NodeID, 0, o.base.Degree(u)+len(o.added))
-	o.ForEachNeighbor(u, func(v NodeID) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
-}
-
 // Mutations returns the net edge delta relative to the base graph, each
 // list sorted by canonical key. Edges added and then removed inside the
 // same overlay (or vice versa) cancel and appear in neither list.

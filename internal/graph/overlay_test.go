@@ -202,66 +202,3 @@ func TestOverlayMarkNodeDirty(t *testing.T) {
 		t.Fatalf("DirtyNodes = %v, want [2]", got)
 	}
 }
-
-// TestOverlayNeighborsMatchesCompact: the overlay's merged base+delta
-// adjacency iteration must answer exactly what Compact will — for every
-// node, while the overlay is still open. This is the contract the seeded
-// incremental path relies on to decide ego-membership stability without
-// compacting first.
-func TestOverlayNeighborsMatchesCompact(t *testing.T) {
-	const n = 60
-	rng := rand.New(rand.NewSource(19))
-	base := overlayRandomGraph(t, n, 200, 5)
-	for trial := 0; trial < 20; trial++ {
-		o := NewOverlay(base)
-		for i := 0; i < 30; i++ {
-			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-			if u == v {
-				continue
-			}
-			if o.HasEdge(u, v) {
-				if err := o.RemoveEdge(u, v); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				if err := o.AddEdge(u, v); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		compacted := o.Compact()
-		for u := NodeID(0); u < n; u++ {
-			if got, want := o.Neighbors(u), compacted.Neighbors(u); !slices.Equal(got, want) {
-				t.Fatalf("trial %d: Neighbors(%d) = %v, Compact = %v", trial, u, got, want)
-			}
-		}
-	}
-	// Out-of-range nodes yield nothing.
-	o := NewOverlay(base)
-	if o.Neighbors(NodeID(n)) != nil {
-		t.Fatal("out-of-range node returned neighbors")
-	}
-}
-
-// TestOverlayForEachNeighborEarlyStop: returning false stops the iteration
-// mid-stream, in both the base and the delta branch of the merge.
-func TestOverlayForEachNeighborEarlyStop(t *testing.T) {
-	base := FromEdges(6, []Edge{{0, 2}, {0, 4}})
-	o := NewOverlay(base)
-	if err := o.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.AddEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	for stop := 1; stop <= 4; stop++ {
-		var got []NodeID
-		o.ForEachNeighbor(0, func(v NodeID) bool {
-			got = append(got, v)
-			return len(got) < stop
-		})
-		if want := []NodeID{1, 2, 3, 4}[:stop]; !slices.Equal(got, want) {
-			t.Fatalf("stop=%d: visited %v, want %v", stop, got, want)
-		}
-	}
-}

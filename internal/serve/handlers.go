@@ -336,7 +336,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"last_epoch":         s.epochs.Load(),
 			"last_dirty_nodes":   s.lastDirtyNodes.Load(),
 			"last_dirty_edges":   s.lastDirtyEdges.Load(),
-			"last_seeded_egos":   s.lastSeededEgos.Load(),
 			"last_dataset_edits": s.lastDatasetEdits.Load(),
 			"folds":              s.mutFolds.Load(),
 			"last_apply_seconds": float64(s.lastApplyNs.Load()) / 1e9,
@@ -536,7 +535,6 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 		"dirty_nodes":       receipt.Stats.DirtyNodes,
 		"dirty_communities": receipt.Stats.DirtyCommunities,
 		"dirty_edges":       receipt.Stats.DirtyEdges,
-		"seeded_egos":       receipt.Stats.SeededEgos,
 		"dataset_edits":     receipt.Stats.DatasetEdits,
 		"folded":            receipt.Stats.Folded,
 		"added_edges":       receipt.Stats.AddedEdges,

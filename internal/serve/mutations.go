@@ -282,7 +282,6 @@ func (s *Server) publishMutated(prev *snapshot, ds *social.Dataset, res *core.Re
 	s.kickCheckpoint()
 	s.lastDirtyNodes.Store(int64(stats.DirtyNodes))
 	s.lastDirtyEdges.Store(int64(stats.DirtyEdges))
-	s.lastSeededEgos.Store(int64(stats.SeededEgos))
 	s.lastDatasetEdits.Store(int64(stats.DatasetEdits))
 	if stats.Folded {
 		s.mutFolds.Add(1)

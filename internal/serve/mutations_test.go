@@ -16,6 +16,7 @@ import (
 	"locec/internal/core"
 	"locec/internal/graph"
 	"locec/internal/social"
+	"locec/internal/wal"
 )
 
 // absentPair returns a node pair with no friendship in the live snapshot.
@@ -455,5 +456,124 @@ func TestMutatedSnapshotArtifactRoundTrip(t *testing.T) {
 	})
 	if checked == 0 {
 		t.Fatal("no edges compared")
+	}
+}
+
+// TestApplyJobsFallbackSkipsPoisonedJob drives the per-job fallback of
+// applyJobs: a coalesced burst of three jobs whose middle one adds an edge
+// that already exists. The burst is handed to applyJobs directly, charged
+// the way Mutate charges it, so what coalesces is not left to scheduling.
+// Jobs 1 and 3 must land in one epoch with their own stats, job 2 must get
+// the applier's error, and the one published snapshot must equal batch 1
+// then batch 3 applied through the pipeline. With a WAL all three records
+// are logged and a restart on the log skips the rejected one, as live.
+func TestApplyJobsFallbackSkipsPoisonedJob(t *testing.T) {
+	for _, withWAL := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) {
+			fs := wal.NewMemFS()
+			var s *Server
+			if withWAL {
+				var err error
+				if s, err = New(walConfig(t, "fallback", fs)); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(s.Close)
+			} else {
+				s = testServer(t)
+			}
+			pairs := absentPairs(s, 2)
+			eu, ev := anyEdge(s)
+			existing := [2]graph.NodeID{graph.NodeID(eu), graph.NodeID(ev)}
+			relabel := core.Mutation{Kind: core.MutRelabel, U: existing[0], V: existing[1], Label: social.Family, Revealed: true}
+			batches := [][]core.Mutation{
+				addBatch(pairs[0], 0),
+				append([]core.Mutation{relabel}, addBatch(existing, 1)...), // valid relabel, then the poison
+				append(addBatch(pairs[1], 2), relabel),
+			}
+
+			// The expected outcome, computed on the pipeline alone.
+			before := s.current()
+			ds1, res1, stats1, err := before.pipe.ApplyMutations(before.ds, before.res, batches[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, poisonErr := before.pipe.ApplyMutations(ds1, res1, batches[1])
+			if poisonErr == nil || !strings.Contains(poisonErr.Error(), "already exists") {
+				t.Fatalf("batch 2 is not poisoned: %v", poisonErr)
+			}
+			ds3, res3, stats3, err := before.pipe.ApplyMutations(ds1, res1, batches[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			failed0, applied0 := s.mutFailed.Load(), s.mutApplied.Load()
+			jobs := make([]mutationJob, len(batches))
+			for i, b := range batches {
+				jobs[i] = mutationJob{batch: b, done: make(chan mutationOutcome, 1)}
+				s.mutPending.Add(int64(len(b)))
+			}
+			s.applyJobs(jobs)
+			var out [3]mutationOutcome
+			for i, job := range jobs {
+				select {
+				case out[i] = <-job.done:
+				default:
+					t.Fatalf("job %d was never settled", i+1)
+				}
+			}
+
+			if out[1].err == nil || out[1].err.Error() != poisonErr.Error() {
+				t.Fatalf("job 2: err %v, want the applier's %q", out[1].err, poisonErr)
+			}
+			for _, c := range []struct {
+				job  int
+				want core.ApplyStats
+			}{{0, stats1}, {2, stats3}} {
+				o := out[c.job]
+				if o.err != nil {
+					t.Fatalf("job %d dropped with its poisoned neighbour: %v", c.job+1, o.err)
+				}
+				if o.epoch != before.epoch+1 || o.info.Version != before.version+1 {
+					t.Fatalf("job %d: epoch/version %d/%d, want %d/%d", c.job+1, o.epoch, o.info.Version, before.epoch+1, before.version+1)
+				}
+				got := o.stats
+				got.Duration, c.want.Duration = 0, 0
+				if got != c.want {
+					t.Fatalf("job %d stats %+v, want its own batch's %+v", c.job+1, got, c.want)
+				}
+			}
+			after := s.current()
+			if after.version != before.version+1 || s.version.Load() != after.version || after.epoch != before.epoch+1 {
+				t.Fatalf("published version/epoch %d/%d (counter %d), want exactly one past %d/%d",
+					after.version, after.epoch, s.version.Load(), before.version, before.epoch)
+			}
+			if got := s.mutFailed.Load() - failed0; got != int64(len(batches[1])) {
+				t.Fatalf("mutations.failed grew by %d, want job 2's %d", got, len(batches[1]))
+			}
+			if got := s.mutApplied.Load() - applied0; got != int64(len(batches[0])+len(batches[2])) {
+				t.Fatalf("mutations.applied grew by %d, want %d", got, len(batches[0])+len(batches[2]))
+			}
+			if got := s.mutPending.Load(); got != 0 {
+				t.Fatalf("mutations.pending = %d after the burst settled", got)
+			}
+			assertStateEqual(t, after, &snapshot{ds: ds3, res: res3}, 1e-12, "published vs batch 1 then batch 3")
+
+			if !withWAL {
+				return
+			}
+			if ws, _ := s.WALStats(); ws.Records != 3 || after.walSeq != 3 {
+				t.Fatalf("wal holds %d records, snapshot covers seq %d; want all 3", ws.Records, after.walSeq)
+			}
+			fs.Crash()
+			s2, err := New(walConfig(t, "fallback", fs))
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			defer s2.Close()
+			if ws, _ := s2.WALStats(); ws.Replayed != 3 {
+				t.Fatalf("restart replayed %d records, want 3", ws.Replayed)
+			}
+			assertStateEqual(t, s2.current(), after, 1e-12, "restarted vs live")
+		})
 	}
 }

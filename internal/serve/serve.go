@@ -224,7 +224,6 @@ type Server struct {
 	mutPending     atomic.Int64
 	lastDirtyNodes atomic.Int64
 	lastDirtyEdges atomic.Int64
-	lastSeededEgos atomic.Int64
 	lastApplyNs    atomic.Int64
 	// Size of the live dataset's edit delta, and how many epochs folded it
 	// back into the per-edge maps (a count: a "last epoch folded" flag

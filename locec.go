@@ -80,46 +80,31 @@ const (
 )
 
 // Detector selects the Phase I community detection algorithm.
-type Detector int
+type Detector = core.DetectorKind
 
+// Phase I detectors (re-exported from the engine).
 const (
 	// DetectorGirvanNewman is the paper's algorithm (default).
-	DetectorGirvanNewman Detector = iota
+	DetectorGirvanNewman = core.DetectorGirvanNewman
 	// DetectorLabelProp is a fast ablation alternative.
-	DetectorLabelProp
+	DetectorLabelProp = core.DetectorLabelProp
 	// DetectorLouvain is a fast greedy-modularity ablation alternative.
-	DetectorLouvain
+	DetectorLouvain = core.DetectorLouvain
 	// DetectorClauset grows communities by greedy local-modularity
-	// expansion from seeds (Clauset 2005) — a local detector whose
-	// results the incremental engine can replay.
-	DetectorClauset
+	// expansion from seeds (Clauset 2005) — local.
+	DetectorClauset = core.DetectorClauset
 	// DetectorLShell grows communities shell by shell with an
 	// emerging-degree cutoff (Bagrow & Bollt 2005) — local.
-	DetectorLShell
+	DetectorLShell = core.DetectorLShell
 	// DetectorLemon grows communities by short random-walk diffusion and
 	// a local spectral sweep (Li et al. 2015, simplified) — local.
-	DetectorLemon
+	DetectorLemon = core.DetectorLemon
 )
 
-// ParseDetector maps a detector name — "gn" (or ""), "labelprop",
-// "louvain", "clauset", "lshell", "lemon" — to its Detector constant.
+// ParseDetector maps a detector name (core.DetectorNames; "" selects
+// Girvan–Newman) to its Detector constant.
 func ParseDetector(name string) (Detector, error) {
-	switch name {
-	case "", "gn":
-		return DetectorGirvanNewman, nil
-	case "labelprop":
-		return DetectorLabelProp, nil
-	case "louvain":
-		return DetectorLouvain, nil
-	case "clauset":
-		return DetectorClauset, nil
-	case "lshell":
-		return DetectorLShell, nil
-	case "lemon":
-		return DetectorLemon, nil
-	default:
-		return 0, fmt.Errorf("locec: unknown detector %q (want one of %v)", name, core.DetectorNames())
-	}
+	return core.ParseDetector(name)
 }
 
 // String implements fmt.Stringer.
@@ -257,20 +242,9 @@ func Classify(ds *social.Dataset, cfg Config) (*Result, error) {
 	}
 	coreCfg := core.Config{Seed: cfg.Seed, AgreementRule: cfg.AgreementRule}
 	coreCfg.Division = core.DivisionConfig{
+		Detector:   cfg.Detector,
 		Seed:       cfg.Seed,
 		GNPatience: cfg.GNPatience,
-	}
-	switch cfg.Detector {
-	case DetectorLabelProp:
-		coreCfg.Division.Detector = core.DetectorLabelProp
-	case DetectorLouvain:
-		coreCfg.Division.Detector = core.DetectorLouvain
-	case DetectorClauset:
-		coreCfg.Division.Detector = core.DetectorClauset
-	case DetectorLShell:
-		coreCfg.Division.Detector = core.DetectorLShell
-	case DetectorLemon:
-		coreCfg.Division.Detector = core.DetectorLemon
 	}
 	switch cfg.Variant {
 	case VariantXGB:
