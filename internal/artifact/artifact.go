@@ -20,6 +20,7 @@
 package artifact
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -315,15 +316,23 @@ func metaTimes(ns map[string]float64) core.PhaseTimes {
 	return t
 }
 
-// section pairs a tag with its encoded payload during Save.
+// section pairs a tag with its encoder during Save.
 type section struct {
-	tag     string
-	payload []byte
+	tag   string
+	write func(*encoder) error
+}
+
+// blob is the encoder of a section that is already a byte slice.
+func blob(b []byte) func(*encoder) error {
+	return func(e *encoder) error { e.bytes(b); return nil }
 }
 
 // Save writes the artifact in format version 1. Output is deterministic
 // for identical inputs (section order is fixed and no timestamps are
-// invented), so identical runs produce byte-identical artifacts.
+// invented), so identical runs produce byte-identical artifacts. Sections
+// stream through one small buffer twice — into io.Discard to measure the
+// header's lengths and CRCs, then to w — and Save fails if a section's
+// bytes differ between the passes.
 func (a *Artifact) Save(w io.Writer) error {
 	g, err := a.Graph()
 	if err != nil {
@@ -337,54 +346,61 @@ func (a *Artifact) Save(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("artifact: encode meta: %w", err)
 	}
-	egosBlob, err := encodeEgos(ex.Egos)
-	if err != nil {
-		return fmt.Errorf("artifact: encode egos: %w", err)
-	}
 	sections := []section{
-		{secMeta, metaBlob},
-		{secGraph, encodeGraph(g)},
-		{secEgos, egosBlob},
+		{secMeta, blob(metaBlob)},
+		{secGraph, func(e *encoder) error { encodeGraph(e, g); return nil }},
+		{secEgos, func(e *encoder) error { return encodeEgos(e, ex.Egos) }},
 	}
 	if len(ex.Model) > 0 {
-		sections = append(sections, section{secModel, ex.Model})
+		sections = append(sections, section{secModel, blob(ex.Model)})
 	}
 	if ex.Combiner != nil {
-		blob, err := encodeCombiner(ex.Combiner)
+		b, err := encodeCombiner(ex.Combiner)
 		if err != nil {
 			return fmt.Errorf("artifact: encode combiner: %w", err)
 		}
-		sections = append(sections, section{secCombiner, blob})
+		sections = append(sections, section{secCombiner, blob(b)})
 	}
-	sections = append(sections, section{secPreds, encodePreds(ex)})
+	sections = append(sections, section{secPreds, func(e *encoder) error { encodePreds(e, ex); return nil }})
 	if ds, err := a.Dataset(); err != nil {
 		return err
 	} else if ds != nil {
-		sections = append(sections, section{secDataset, encodeDataset(ds)})
+		sections = append(sections, section{secDataset, datasetSection(ds)})
 	}
 
+	e := newEncoder()
+	lens, sums := make([]uint64, len(sections)), make([]uint32, len(sections))
+	for i, s := range sections {
+		if lens[i], sums[i], err = e.section(io.Discard, s.write); err != nil {
+			return fmt.Errorf("artifact: encode %s: %w", s.tag, err)
+		}
+	}
 	header := make([]byte, 0, headerSize(len(sections)))
 	header = append(header, Magic...)
 	header = appendU16(header, FormatVersion)
 	header = appendU16(header, 0) // reserved
 	header = appendU32(header, uint32(len(sections)))
 	offset := uint64(headerSize(len(sections)))
-	for _, s := range sections {
+	for i, s := range sections {
 		var tag [tagSize]byte
 		copy(tag[:], s.tag)
 		header = append(header, tag[:]...)
 		header = appendU64(header, offset)
-		header = appendU64(header, uint64(len(s.payload)))
-		header = appendU32(header, crc32.Checksum(s.payload, crcTable))
+		header = appendU64(header, lens[i])
+		header = appendU32(header, sums[i])
 		header = appendU32(header, 0) // reserved
-		offset += uint64(len(s.payload))
+		offset += lens[i]
 	}
 	if _, err := w.Write(header); err != nil {
 		return fmt.Errorf("artifact: write header: %w", err)
 	}
-	for _, s := range sections {
-		if _, err := w.Write(s.payload); err != nil {
+	for i, s := range sections {
+		n, sum, err := e.section(w, s.write)
+		if err != nil {
 			return fmt.Errorf("artifact: write %s section: %w", s.tag, err)
+		}
+		if n != lens[i] || sum != sums[i] {
+			return fmt.Errorf("artifact: %s section changed while it was written", s.tag)
 		}
 	}
 	return nil
@@ -410,6 +426,12 @@ func Load(r io.Reader) (*Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact: read: %w", err)
 	}
+	return parse(data)
+}
+
+// parse is Load on bytes already in memory; the returned Artifact's
+// sections are views into data.
+func parse(data []byte) (*Artifact, error) {
 	if len(data) < fixedHeader {
 		return nil, fmt.Errorf("artifact: %w: %d bytes is shorter than the %d-byte header",
 			ErrTruncated, len(data), fixedHeader)
@@ -487,9 +509,10 @@ func (a *Artifact) SaveFile(path string) error {
 
 // LoadFile reads an artifact from path. Only regular files are accepted
 // (checked on the open descriptor, so there is no stat/open race): a
-// FIFO or device node like /dev/zero would otherwise feed Load's
-// io.ReadAll an endless stream — a denial of service when the path
-// arrives via POST /v1/reload.
+// FIFO or device node like /dev/zero would otherwise feed the read an
+// endless stream — a denial of service when the path arrives via
+// POST /v1/reload. The read buffer is sized from the same Stat; the read
+// still runs to EOF, so a file that grew after the Stat is read whole.
 func LoadFile(path string) (*Artifact, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -503,5 +526,18 @@ func LoadFile(path string) (*Artifact, error) {
 	if !info.Mode().IsRegular() {
 		return nil, fmt.Errorf("artifact: %s is not a regular file (%s)", path, info.Mode())
 	}
-	return Load(f)
+	data, err := readSized(f, info.Size())
+	if err != nil {
+		return nil, fmt.Errorf("artifact: read: %w", err)
+	}
+	return parse(data)
+}
+
+// readSized reads r to EOF into a buffer pre-grown to size: one
+// allocation when r holds size bytes, a whole read when it holds more.
+func readSized(r io.Reader, size int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(size) + bytes.MinRead)
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }

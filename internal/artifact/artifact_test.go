@@ -100,11 +100,12 @@ func TestRoundTripBitIdentical(t *testing.T) {
 			if res2.Edges.Len() != res.Edges.Len() {
 				t.Fatalf("%d predictions, want %d", res2.Edges.Len(), res.Edges.Len())
 			}
-			for i, k := range res.Edges.Keys() {
-				if got, want := res2.Edges.LabelAt(i), res.Edges.LabelAt(i); got != want {
-					t.Fatalf("edge %d: prediction %v, want %v", k, got, want)
+			for _, k := range res.Edges.Keys() {
+				gl, got, _ := res2.Edges.Lookup(k)
+				wl, want, _ := res.Edges.Lookup(k)
+				if gl != wl {
+					t.Fatalf("edge %d: prediction %v, want %v", k, gl, wl)
 				}
-				got, want := res2.Edges.ProbsAt(i), res.Edges.ProbsAt(i)
 				if len(got) != len(want) {
 					t.Fatalf("edge %d: %d probabilities, want %d", k, len(got), len(want))
 				}

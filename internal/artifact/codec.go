@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"iter"
 	"math"
 	"slices"
@@ -24,6 +26,60 @@ func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUin
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// encoder is the one writer every section encoder goes through: a 64 KB
+// buffer flushed to w when the next value would not fit, counting and
+// checksumming what it sends. The first write error sticks.
+type encoder struct {
+	w   io.Writer
+	buf []byte
+	n   uint64 // bytes sent since the section began
+	crc uint32 // their CRC-32
+	err error
+}
+
+func newEncoder() *encoder { return &encoder{buf: make([]byte, 0, 64<<10)} }
+
+// section runs one section encoder into w and returns its length and CRC.
+func (e *encoder) section(w io.Writer, write func(*encoder) error) (uint64, uint32, error) {
+	e.w, e.n, e.crc, e.err = w, 0, 0, nil
+	if err := write(e); err != nil {
+		return 0, 0, err
+	}
+	err := e.flush()
+	return e.n, e.crc, err
+}
+
+func (e *encoder) put(p []byte) {
+	if e.err == nil {
+		e.n += uint64(len(p))
+		e.crc = crc32.Update(e.crc, crcTable, p)
+		_, e.err = e.w.Write(p)
+	}
+}
+
+func (e *encoder) flush() error {
+	e.put(e.buf)
+	e.buf = e.buf[:0]
+	return e.err
+}
+
+func (e *encoder) room(n int) {
+	if len(e.buf)+n > cap(e.buf) {
+		_ = e.flush()
+	}
+}
+
+func (e *encoder) u8(v byte)     { e.room(1); e.buf = append(e.buf, v) }
+func (e *encoder) u32(v uint32)  { e.room(4); e.buf = appendU32(e.buf, v) }
+func (e *encoder) u64(v uint64)  { e.room(8); e.buf = appendU64(e.buf, v) }
+func (e *encoder) f64(v float64) { e.room(8); e.buf = appendF64(e.buf, v) }
+
+// bytes sends b straight through, after what is buffered.
+func (e *encoder) bytes(b []byte) {
+	_ = e.flush()
+	e.put(b)
 }
 
 func getU16(b []byte) uint16 { return binary.LittleEndian.Uint16(b) }
@@ -100,18 +156,16 @@ func (c *cursor) err(what string) error {
 
 // encodeGraph serializes the CSR arrays: node count, adjacency length,
 // offsets, then the concatenated neighbor lists.
-func encodeGraph(g *graph.Graph) []byte {
+func encodeGraph(e *encoder, g *graph.Graph) {
 	offsets, adj := g.CSR()
-	out := make([]byte, 0, 16+4*len(offsets)+4*len(adj))
-	out = appendU64(out, uint64(g.NumNodes()))
-	out = appendU64(out, uint64(len(adj)))
+	e.u64(uint64(g.NumNodes()))
+	e.u64(uint64(len(adj)))
 	for _, o := range offsets {
-		out = appendU32(out, uint32(o))
+		e.u32(uint32(o))
 	}
 	for _, v := range adj {
-		out = appendU32(out, v)
+		e.u32(v)
 	}
-	return out
 }
 
 func decodeGraph(b []byte) (*graph.Graph, error) {
@@ -148,60 +202,62 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 // from the ego-level arrays because core.NewEgoResult fills each community in
 // ego-member order — encodeEgos verifies that invariant and fails loudly
 // if a producer ever breaks it.
-func encodeEgos(egos []*core.EgoResult) ([]byte, error) {
-	out := appendU64(nil, uint64(len(egos)))
+func encodeEgos(e *encoder, egos []*core.EgoResult) error {
+	e.u64(uint64(len(egos)))
+	var cursors []int
 	for _, er := range egos {
 		if er == nil {
-			return nil, fmt.Errorf("nil ego result")
+			return fmt.Errorf("nil ego result")
 		}
 		if len(er.CommIdx) != len(er.Members) || len(er.Tightness) != len(er.Members) {
-			return nil, fmt.Errorf("ego %d: ragged member arrays", er.Ego)
+			return fmt.Errorf("ego %d: ragged member arrays", er.Ego)
 		}
-		out = appendU32(out, er.Ego)
-		out = appendU32(out, uint32(len(er.Members)))
+		e.u32(er.Ego)
+		e.u32(uint32(len(er.Members)))
 		for _, m := range er.Members {
-			out = appendU32(out, m)
+			e.u32(m)
 		}
-		cursors := make([]int, len(er.Comms))
+		cursors = slices.Grow(cursors[:0], len(er.Comms))[:len(er.Comms)]
+		clear(cursors)
 		for i, m := range er.Members {
 			ci := er.CommIdx[i]
 			if ci < 0 || ci >= len(er.Comms) {
-				return nil, fmt.Errorf("ego %d: community index %d out of range", er.Ego, ci)
+				return fmt.Errorf("ego %d: community index %d out of range", er.Ego, ci)
 			}
 			comm := er.Comms[ci]
 			at := cursors[ci]
 			if at >= len(comm.Members) || comm.Members[at] != m || comm.Tightness[at] != er.Tightness[i] {
-				return nil, fmt.Errorf("ego %d: community %d member order diverges from ego arrays", er.Ego, ci)
+				return fmt.Errorf("ego %d: community %d member order diverges from ego arrays", er.Ego, ci)
 			}
 			cursors[ci]++
-			out = appendU32(out, uint32(ci))
+			e.u32(uint32(ci))
 		}
 		for ci, comm := range er.Comms {
 			if cursors[ci] != len(comm.Members) {
-				return nil, fmt.Errorf("ego %d: community %d has %d members unaccounted for",
+				return fmt.Errorf("ego %d: community %d has %d members unaccounted for",
 					er.Ego, ci, len(comm.Members)-cursors[ci])
 			}
 		}
 		for _, t := range er.Tightness {
-			out = appendF64(out, t)
+			e.f64(t)
 		}
-		out = appendU32(out, uint32(len(er.Comms)))
+		e.u32(uint32(len(er.Comms)))
 		for _, comm := range er.Comms {
-			out = appendU32(out, uint32(len(comm.Probs)))
+			e.u32(uint32(len(comm.Probs)))
 			for _, p := range comm.Probs {
-				out = appendF64(out, p)
+				e.f64(p)
 			}
-			out = appendU32(out, uint32(len(comm.Result)))
+			e.u32(uint32(len(comm.Result)))
 			for _, v := range comm.Result {
-				out = appendF64(out, v)
+				e.f64(v)
 			}
-			out = appendU32(out, uint32(len(comm.TruthVotes)))
+			e.u32(uint32(len(comm.TruthVotes)))
 			for _, v := range comm.TruthVotes {
-				out = appendU32(out, uint32(int32(v)))
+				e.u32(uint32(int32(v)))
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 func decodeEgos(b []byte) ([]*core.EgoResult, error) {
@@ -277,20 +333,18 @@ func decodeEgos(b []byte) ([]*core.EgoResult, error) {
 
 // encodePreds serializes the Phase III output: edge keys (ascending),
 // one label byte per edge, and the flat probability backing array.
-func encodePreds(ex *core.Export) []byte {
-	out := make([]byte, 0, 12+9*len(ex.EdgeKeys)+8*len(ex.Probabilities))
-	out = appendU64(out, uint64(len(ex.EdgeKeys)))
-	out = appendU32(out, uint32(ex.Classes))
+func encodePreds(e *encoder, ex *core.Export) {
+	e.u64(uint64(len(ex.EdgeKeys)))
+	e.u32(uint32(ex.Classes))
 	for _, k := range ex.EdgeKeys {
-		out = appendU64(out, k)
+		e.u64(k)
 	}
 	for _, p := range ex.Predictions {
-		out = append(out, byte(int8(p)))
+		e.u8(byte(int8(p)))
 	}
 	for _, p := range ex.Probabilities {
-		out = appendF64(out, p)
+		e.f64(p)
 	}
-	return out
 }
 
 func decodePreds(b []byte, ex *core.Export) error {
@@ -321,52 +375,54 @@ func decodePreds(b []byte, ex *core.Export) error {
 
 // ---- dataset section ------------------------------------------------
 
-// encodeDataset serializes the raw problem instance so a snapshot can be
-// mutated after restore: user feature matrix, per-edge interaction
-// vectors, ground-truth labels and the revealed set. The graph itself is
-// NOT repeated — the dataset shares the artifact's graph section. Map
-// entries are written in ascending key order so identical datasets
-// produce byte-identical sections.
-func encodeDataset(ds *social.Dataset) []byte {
-	fdim := ds.NumFeatureDims()
-	out := appendU64(nil, uint64(len(ds.UserFeatures)))
-	out = appendU32(out, uint32(fdim))
-	for _, row := range ds.UserFeatures {
-		for _, v := range row {
-			out = appendF64(out, v)
-		}
-	}
+// datasetSection returns the encoder of the raw problem instance, so a
+// snapshot can be mutated after restore: user feature matrix, per-edge
+// interaction vectors, ground-truth labels and the revealed set. The graph
+// itself is NOT repeated — the dataset shares the artifact's graph
+// section. Map entries are written in ascending key order so identical
+// datasets produce byte-identical sections; the keys are sorted once here,
+// for both of Save's passes.
+func datasetSection(ds *social.Dataset) func(*encoder) error {
 	// The three per-edge sections are read through the dataset's
 	// iterators and accessors, which fold its edit delta on the way out: a
 	// dataset that carries edits encodes to the same bytes as its folded
 	// form.
-	idim := 0
 	ikeys := sortedKeys(ds.AllInteractions(), len(ds.Interactions)+ds.NumEdits())
-	if len(ikeys) > 0 {
-		row, _ := ds.InteractionRow(ikeys[0])
-		idim = len(row)
-	}
-	out = appendU32(out, uint32(idim))
-	out = appendU64(out, uint64(len(ikeys)))
-	for _, k := range ikeys {
-		out = appendU64(out, k)
-		row, _ := ds.InteractionRow(k)
-		for _, v := range row {
-			out = appendF64(out, v)
-		}
-	}
 	lkeys := sortedKeys(ds.AllTrueLabels(), len(ds.TrueLabels)+ds.NumEdits())
-	out = appendU64(out, uint64(len(lkeys)))
-	for _, k := range lkeys {
-		out = appendU64(out, k)
-		out = append(out, byte(int8(ds.TrueLabel(k))))
-	}
 	rkeys := slices.Sorted(ds.AllRevealed())
-	out = appendU64(out, uint64(len(rkeys)))
-	for _, k := range rkeys {
-		out = appendU64(out, k)
+	return func(e *encoder) error {
+		e.u64(uint64(len(ds.UserFeatures)))
+		e.u32(uint32(ds.NumFeatureDims()))
+		for _, row := range ds.UserFeatures {
+			for _, v := range row {
+				e.f64(v)
+			}
+		}
+		idim := 0
+		if len(ikeys) > 0 {
+			row, _ := ds.InteractionRow(ikeys[0])
+			idim = len(row)
+		}
+		e.u32(uint32(idim))
+		e.u64(uint64(len(ikeys)))
+		for _, k := range ikeys {
+			e.u64(k)
+			row, _ := ds.InteractionRow(k)
+			for _, v := range row {
+				e.f64(v)
+			}
+		}
+		e.u64(uint64(len(lkeys)))
+		for _, k := range lkeys {
+			e.u64(k)
+			e.u8(byte(int8(ds.TrueLabel(k))))
+		}
+		e.u64(uint64(len(rkeys)))
+		for _, k := range rkeys {
+			e.u64(k)
+		}
+		return nil
 	}
-	return out
 }
 
 // sortedKeys returns the keys of a key/value sequence in ascending order;

@@ -3,11 +3,86 @@ package artifact
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"locec/internal/core"
 	"locec/internal/wechat"
 )
+
+// encoded runs a section encoder into memory.
+func encoded(write func(*encoder) error) ([]byte, error) {
+	var buf bytes.Buffer
+	_, _, err := newEncoder().section(&buf, write)
+	return buf.Bytes(), err
+}
+
+// egosBytes is the egos section of egos.
+func egosBytes(egos []*core.EgoResult) ([]byte, error) {
+	return encoded(func(e *encoder) error { return encodeEgos(e, egos) })
+}
+
+// TestReadSizedFileGrownAfterStat: LoadFile sizes its buffer from Stat but
+// reads to EOF, so bytes appended between the Stat and the read are read
+// too — here the second half of a valid artifact.
+func TestReadSizedFileGrownAfterStat(t *testing.T) {
+	net, err := wechat.Generate(wechat.DefaultConfig(80, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RunSurvey(0.5, 8)
+	res, err := core.NewPipeline(core.Config{Classifier: &core.XGBClassifier{Seed: 1}, Seed: 1}).Run(net.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := res.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := New(net.Dataset.G, ex, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var whole bytes.Buffer
+	if err := art.Save(&whole); err != nil {
+		t.Fatal(err)
+	}
+	data := whole.Bytes()
+	path := filepath.Join(t.TempDir(), "growing.locec")
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	info, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := app.Write(data[len(data)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readSized(f, info.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read %d bytes of a file grown from %d to %d", len(got), info.Size(), len(data))
+	}
+	if _, err := parse(got); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestDecodeGraphRejectsOverflowingCount pins the crafted-input path CRCs
 // cannot catch: a file whose graph section carries a valid checksum for a
@@ -70,7 +145,7 @@ func TestDecodeEgosAllocations(t *testing.T) {
 			comms++
 		}
 	}
-	payload, err := encodeEgos(egos)
+	payload, err := egosBytes(egos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +153,7 @@ func TestDecodeEgosAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := encodeEgos(decoded); err != nil || !bytes.Equal(again, payload) {
+	if again, err := egosBytes(decoded); err != nil || !bytes.Equal(again, payload) {
 		t.Fatalf("decoded egos re-encode differently (err %v)", err)
 	}
 	// 32 covers the ego list, the cursor and the staging arrays' growth.

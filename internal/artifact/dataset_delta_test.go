@@ -88,7 +88,8 @@ func TestEncodeDatasetFoldsDelta(t *testing.T) {
 			carried++
 		}
 		plain := &social.Dataset{G: ds.G, UserFeatures: feats, Interactions: inter, TrueLabels: labels, Revealed: revealed}
-		if got, want := encodeDataset(ds), encodeDataset(plain); !bytes.Equal(got, want) {
+		got, _ := encoded(datasetSection(ds))
+		if want, _ := encoded(datasetSection(plain)); !bytes.Equal(got, want) {
 			t.Fatalf("step %d (%d edits): dataset section differs from its plain-map form (%d vs %d bytes)",
 				step, ds.NumEdits(), len(got), len(want))
 		}
@@ -96,7 +97,8 @@ func TestEncodeDatasetFoldsDelta(t *testing.T) {
 	if folds < 2 || carried < 2 {
 		t.Fatalf("schedule crossed %d folds and %d delta-carrying epochs; the test needs several of each", folds, carried)
 	}
-	back, err := decodeDataset(encodeDataset(ds))
+	section, _ := encoded(datasetSection(ds))
+	back, err := decodeDataset(section)
 	if err != nil {
 		t.Fatal(err)
 	}

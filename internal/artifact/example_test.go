@@ -66,8 +66,9 @@ func Example() {
 	}
 
 	identical := restored.Edges.Len() == res.Edges.Len()
-	for i, k := range res.Edges.Keys() {
-		if got, ok := restored.Edges.Label(k); !ok || got != res.Edges.LabelAt(i) {
+	for _, k := range res.Edges.Keys() {
+		want, _ := res.Edges.Label(k)
+		if got, ok := restored.Edges.Label(k); !ok || got != want {
 			identical = false
 		}
 	}

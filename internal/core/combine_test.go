@@ -43,20 +43,7 @@ func TestCombineStandaloneMatchesRun(t *testing.T) {
 	if redo.Edges.Len() != res.Edges.Len() {
 		t.Fatalf("prediction count %d, want %d", redo.Edges.Len(), res.Edges.Len())
 	}
-	for i, k := range res.Edges.Keys() {
-		if got, want := redo.Edges.LabelAt(i), res.Edges.LabelAt(i); got != want {
-			t.Fatalf("edge %d: prediction %v, want %v", k, got, want)
-		}
-		got, want := redo.Edges.ProbsAt(i), res.Edges.ProbsAt(i)
-		if len(got) != len(want) {
-			t.Fatalf("edge %d: probs len %d, want %d", k, len(got), len(want))
-		}
-		for c := range want {
-			if got[c] != want[c] {
-				t.Fatalf("edge %d class %d: prob %g, want %g", k, c, got[c], want[c])
-			}
-		}
-	}
+	assertStoresEqual(t, "recombined", redo.Edges, res.Edges)
 }
 
 // TestCombineProbabilitiesWellFormed checks every edge got a probability
@@ -79,8 +66,8 @@ func TestCombineProbabilitiesWellFormed(t *testing.T) {
 		if res.Edges.Len() != ds.G.NumEdges() {
 			t.Fatalf("agreement=%v: %d predictions for %d edges", agreement, res.Edges.Len(), ds.G.NumEdges())
 		}
-		for i, k := range res.Edges.Keys() {
-			probs := res.Edges.ProbsAt(i)
+		for _, k := range res.Edges.Keys() {
+			l, probs, _ := res.Edges.Lookup(k)
 			sum := 0.0
 			for _, v := range probs {
 				sum += v
@@ -89,7 +76,7 @@ func TestCombineProbabilitiesWellFormed(t *testing.T) {
 				t.Fatalf("agreement=%v edge %d: probs sum %v", agreement, k, sum)
 			}
 			if !agreement {
-				if got, want := res.Edges.LabelAt(i), social.Label(Argmax(probs)); got != want {
+				if got, want := l, social.Label(Argmax(probs)); got != want {
 					t.Fatalf("agreement=%v edge %d: prediction %v, argmax %v", agreement, k, got, want)
 				}
 			}

@@ -9,23 +9,67 @@ import (
 	"locec/internal/social"
 )
 
+// chunkKeys is the size of a chunk cut from flat arrays. An epoch's dirty
+// edges scatter in key order, so it decides what a splice copies: on the
+// write benchmark's graph an epoch touches ~38 distinct 64-key chunks
+// (≈ 0.2 MB); 4 k-key chunks would still copy 2.3 MB of the 3.3 MB store.
+const chunkKeys = 64
+
+// edgeRun is a sorted run of predictions in column layout: keys[i] owns
+// labels[i] and probs[i*classes:(i+1)*classes]. Phase III output is one
+// run; every chunk of a store is another.
+type edgeRun struct {
+	keys   []uint64
+	labels []social.Label
+	probs  []float64
+}
+
+// view returns entries [lo, hi) of r, capped so nothing can append past hi.
+func (r edgeRun) view(lo, hi, classes int) edgeRun {
+	return edgeRun{r.keys[lo:hi:hi], r.labels[lo:hi:hi], r.probs[lo*classes : hi*classes : hi*classes]}
+}
+
+// push appends entry i of src.
+func (r *edgeRun) push(src edgeRun, i, classes int) {
+	r.keys = append(r.keys, src.keys[i])
+	r.labels = append(r.labels, src.labels[i])
+	r.probs = append(r.probs, src.probs[i*classes:(i+1)*classes]...)
+}
+
+// splice appends old with the removed keys dropped and fresh's entries
+// inserted, fresh replacing old on a key collision (all three sorted
+// ascending; removed keys absent from old are ignored).
+func (r *edgeRun) splice(old edgeRun, removed []uint64, fresh edgeRun, classes int) {
+	for i, f := 0, 0; i < len(old.keys) || f < len(fresh.keys); {
+		if f < len(fresh.keys) && (i == len(old.keys) || fresh.keys[f] <= old.keys[i]) {
+			if i < len(old.keys) && old.keys[i] == fresh.keys[f] {
+				i++
+			}
+			r.push(fresh, f, classes)
+			f++
+			continue
+		}
+		for len(removed) > 0 && removed[0] < old.keys[i] {
+			removed = removed[1:]
+		}
+		if len(removed) == 0 || removed[0] != old.keys[i] {
+			r.push(old, i, classes)
+		}
+		i++
+	}
+}
+
 // EdgeStore holds every predicted edge's label and class-probability
-// vector in flat parallel arrays sorted by canonical edge key: keys[i]
-// owns labels[i] and probs[i*classes:(i+1)*classes]. It replaces the two
-// per-edge maps a Result used to carry — a full run over a graph with E
-// edges now publishes three slice headers instead of building 2E map
-// entries, lookups are a binary search over one contiguous key array, and
-// the artifact export/import round-trip is a zero-copy wrap (the artifact
-// format already stores exactly these arrays).
-//
-// Stores are immutable after construction: the incremental engine derives
-// new stores with spliced rather than editing in place, so a
-// serving snapshot can keep reading an old store while its successor is
-// assembled (the same copy-on-write contract the maps had).
+// vector in canonical key order, as a table of chunks: each chunk is an
+// edgeRun of at most 2×chunkKeys entries and heads[i] is chunk i's first
+// key, so a lookup is a binary search over heads and then inside one chunk.
+// Stores are immutable: spliced derives a successor that shares every
+// chunk without a dirty key, so readers of the old store are never
+// disturbed.
 type EdgeStore struct {
-	keys    []uint64
-	labels  []social.Label
-	probs   []float64
+	heads   []uint64
+	chunks  []edgeRun
+	n       int
 	classes int
 }
 
@@ -45,39 +89,44 @@ func NewEdgeStore(keys []uint64, labels []social.Label, probs []float64, classes
 			return nil, fmt.Errorf("core: edge store: keys not strictly increasing at %d", i)
 		}
 	}
-	return &EdgeStore{keys: keys, labels: labels, probs: probs, classes: classes}, nil
+	return edgeRun{keys, labels, probs}.store(classes), nil
 }
 
-// newEdgeStoreFromRun builds a store from prediction output in edge-list
-// order, taking ownership of the slices. Graph edge enumeration yields
-// ascending canonical keys already, so the common case is a wrap; input in
-// any other order (defensive) is permuted into sorted order first.
-func newEdgeStoreFromRun(edges []graph.Edge, preds []social.Label, probsFlat []float64, classes int) *EdgeStore {
-	keys := make([]uint64, len(edges))
+// store cuts r into chunkKeys-sized views: one chunk table and one head
+// index, no copy of the entries.
+func (r edgeRun) store(classes int) *EdgeStore {
+	n := len(r.keys)
+	nc := (n + chunkKeys - 1) / chunkKeys
+	s := &EdgeStore{heads: make([]uint64, nc), chunks: make([]edgeRun, nc), n: n, classes: classes}
+	for i := range s.chunks {
+		s.chunks[i] = r.view(i*chunkKeys, min((i+1)*chunkKeys, n), classes)
+		s.heads[i] = r.keys[i*chunkKeys]
+	}
+	return s
+}
+
+// sortedRun pairs prediction output in edge-list order with its keys, taking
+// ownership of the slices; input not in ascending key order is permuted.
+func sortedRun(edges []graph.Edge, preds []social.Label, probsFlat []float64, classes int) edgeRun {
+	run := edgeRun{make([]uint64, len(edges)), preds, probsFlat}
 	ascending := true
 	for i, e := range edges {
-		keys[i] = e.Key()
-		if i > 0 && keys[i-1] >= keys[i] {
-			ascending = false
-		}
+		run.keys[i] = e.Key()
+		ascending = ascending && (i == 0 || run.keys[i-1] < run.keys[i])
 	}
-	if !ascending {
-		perm := make([]int, len(keys))
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.Slice(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-		sk := make([]uint64, len(keys))
-		sl := make([]social.Label, len(preds))
-		sp := make([]float64, len(probsFlat))
-		for i, j := range perm {
-			sk[i] = keys[j]
-			sl[i] = preds[j]
-			copy(sp[i*classes:(i+1)*classes], probsFlat[j*classes:(j+1)*classes])
-		}
-		keys, preds, probsFlat = sk, sl, sp
+	if ascending {
+		return run
 	}
-	return &EdgeStore{keys: keys, labels: preds, probs: probsFlat, classes: classes}
+	perm := make([]int, len(edges))
+	for i := range perm {
+		perm[i] = i
+	}
+	sort.Slice(perm, func(a, b int) bool { return run.keys[perm[a]] < run.keys[perm[b]] })
+	out := edgeRun{make([]uint64, 0, len(edges)), make([]social.Label, 0, len(edges)), make([]float64, 0, len(probsFlat))}
+	for _, j := range perm {
+		out.push(run, j, classes)
+	}
+	return out
 }
 
 // Len returns the number of stored edges. Safe on a nil store.
@@ -85,7 +134,7 @@ func (s *EdgeStore) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.keys)
+	return s.n
 }
 
 // Classes returns the probability-vector width.
@@ -96,148 +145,147 @@ func (s *EdgeStore) Classes() int {
 	return s.classes
 }
 
-// Keys returns the sorted key array as a shared read-only view.
-func (s *EdgeStore) Keys() []uint64 {
-	if s == nil {
+// gather concatenates one column of every chunk (nil for an empty store).
+func gather[T any](s *EdgeStore, width int, col func(edgeRun) []T) []T {
+	if s.Len() == 0 {
 		return nil
 	}
-	return s.keys
+	out := make([]T, 0, s.n*width)
+	for _, r := range s.chunks {
+		out = append(out, col(r)...)
+	}
+	return out
 }
 
-// Labels returns the label array (parallel to Keys) as a shared read-only
-// view.
+// Keys returns the sorted keys as a fresh flat slice.
+func (s *EdgeStore) Keys() []uint64 { return gather(s, 1, func(r edgeRun) []uint64 { return r.keys }) }
+
+// Labels returns the labels, parallel to Keys, as a fresh flat slice.
 func (s *EdgeStore) Labels() []social.Label {
-	if s == nil {
-		return nil
-	}
-	return s.labels
+	return gather(s, 1, func(r edgeRun) []social.Label { return r.labels })
 }
 
-// ProbsFlat returns the flat probability backing (Len()*Classes()) as a
-// shared read-only view.
+// ProbsFlat returns the probability vectors, Len()*Classes() wide and
+// parallel to Keys, as a fresh flat slice.
 func (s *EdgeStore) ProbsFlat() []float64 {
-	if s == nil {
-		return nil
-	}
-	return s.probs
+	return gather(s, s.Classes(), func(r edgeRun) []float64 { return r.probs })
 }
 
-// LabelAt returns the label at position i.
-func (s *EdgeStore) LabelAt(i int) social.Label { return s.labels[i] }
-
-// ProbsAt returns the probability vector at position i as a view into the
-// flat backing.
-func (s *EdgeStore) ProbsAt(i int) []float64 {
-	return s.probs[i*s.classes : (i+1)*s.classes]
+// chunkOf returns the chunk that holds key, or would (chunk 0 below the first head).
+func (s *EdgeStore) chunkOf(key uint64) int {
+	i, found := slices.BinarySearch(s.heads, key)
+	if found || i == 0 {
+		return i
+	}
+	return i - 1
 }
 
-// Find returns the position of key and whether it is present. Safe on a
-// nil store.
-func (s *EdgeStore) Find(key uint64) (int, bool) {
-	if s == nil {
-		return 0, false
+// Lookup returns key's label and probability vector (a view into the
+// store); ok=false, the zero label and nil for an unknown edge or a nil
+// store.
+func (s *EdgeStore) Lookup(key uint64) (social.Label, []float64, bool) {
+	if s.Len() == 0 {
+		return 0, nil, false
 	}
-	lo, hi := 0, len(s.keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	r := s.chunks[s.chunkOf(key)]
+	i, ok := slices.BinarySearch(r.keys, key)
+	if !ok {
+		return 0, nil, false
 	}
-	return lo, lo < len(s.keys) && s.keys[lo] == key
+	return r.labels[i], r.probs[i*s.classes : (i+1)*s.classes], true
 }
 
 // Label returns the predicted label for key; ok=false (and the zero
 // label) when the edge is unknown.
 func (s *EdgeStore) Label(key uint64) (social.Label, bool) {
-	i, ok := s.Find(key)
-	if !ok {
-		return 0, false
-	}
-	return s.labels[i], true
+	l, _, ok := s.Lookup(key)
+	return l, ok
 }
 
-// Probs returns the probability vector for key as a view into the flat
-// backing, or nil when the edge is unknown.
+// Probs returns the probability vector for key as a view into the store,
+// or nil when the edge is unknown.
 func (s *EdgeStore) Probs(key uint64) []float64 {
-	i, ok := s.Find(key)
-	if !ok {
-		return nil
-	}
-	return s.ProbsAt(i)
+	_, p, _ := s.Lookup(key)
+	return p
 }
 
-// LabelMap materializes a key→label map — the thin map-shaped accessor
-// for consumers that still want one (e.g. the ads simulator). It
-// allocates; hot paths should use Find/Label instead.
+// LabelMap materializes a key→label map for consumers that want one (e.g.
+// the ads simulator); hot paths should use Lookup/Label instead.
 func (s *EdgeStore) LabelMap() map[uint64]social.Label {
 	out := make(map[uint64]social.Label, s.Len())
 	if s != nil {
-		for i, k := range s.keys {
-			out[k] = s.labels[i]
+		for _, r := range s.chunks {
+			for i, k := range r.keys {
+				out[k] = r.labels[i]
+			}
 		}
 	}
 	return out
 }
 
-// spliced returns a new store equal to s with the removed keys dropped and
-// then fresh's entries inserted, fresh replacing s on key collisions (both
-// key lists sorted ascending; removed keys absent from s are ignored). It
-// is the incremental engine's one store update per epoch, and costs what
-// the epoch touched: each dirty key is located by binary search and the
-// untouched runs of keys/labels/probs between them are block-copied, so
-// the per-element work is O(dirty · log E) on top of three memmoves. Both
-// inputs are untouched; when nothing changes the receiver itself is
-// returned, and a nil or empty receiver yields fresh itself.
-func (s *EdgeStore) spliced(removed []uint64, fresh *EdgeStore) *EdgeStore {
-	if s.Len() == 0 {
-		return fresh
+// group returns the chunk of the next dirty key (the smaller of removed[r]
+// and fresh[f]) and where that chunk's dirty keys end in both lists.
+func (s *EdgeStore) group(removed, fresh []uint64, r, f int) (ci, rEnd, fEnd int) {
+	if r == len(removed) || (f < len(fresh) && fresh[f] < removed[r]) {
+		ci = s.chunkOf(fresh[f])
+	} else {
+		ci = s.chunkOf(removed[r])
 	}
-	if len(removed) == 0 && fresh.Len() == 0 {
+	if ci == len(s.heads)-1 {
+		return ci, len(removed), len(fresh)
+	}
+	rEnd, _ = slices.BinarySearch(removed[r:], s.heads[ci+1])
+	fEnd, _ = slices.BinarySearch(fresh[f:], s.heads[ci+1])
+	return ci, r + rEnd, f + fEnd
+}
+
+// spliced returns s with the removed keys dropped and fresh's entries
+// inserted, fresh winning on a key collision (both sorted ascending;
+// absent removals are ignored) — the incremental engine's store update.
+// It copies the chunk table and rebuilds only the chunks holding a dirty
+// key, into one slab per column; a rebuilt chunk that empties is dropped,
+// one past 2×chunkKeys split. Inputs are untouched; a no-op returns s.
+func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
+	if len(fresh.keys) == 0 && (len(removed) == 0 || s.Len() == 0) {
 		return s
 	}
-	if fresh.Len() > 0 && s.classes != fresh.classes {
-		panic(fmt.Sprintf("core: edge store splice: %d classes vs %d", s.classes, fresh.classes))
+	if s.Len() == 0 {
+		return fresh.store(len(fresh.probs) / len(fresh.keys))
 	}
 	c := s.classes
-	n := len(s.keys) + fresh.Len()
-	keys := make([]uint64, 0, n)
-	labels := make([]social.Label, 0, n)
-	probs := make([]float64, 0, n*c)
-	fkeys := fresh.Keys()
-	from, r, f := 0, 0, 0 // next unread position of s, removed, fresh
-	for r < len(removed) || f < len(fkeys) {
-		// The next dirty key is the smaller head of the two sorted lists.
-		takeFresh := f < len(fkeys) && (r >= len(removed) || fkeys[f] <= removed[r])
-		var k uint64
-		if takeFresh {
-			k = fkeys[f]
-		} else {
-			k = removed[r]
-		}
-		at, found := slices.BinarySearch(s.keys[from:], k)
-		at += from
-		keys = append(keys, s.keys[from:at]...)
-		labels = append(labels, s.labels[from:at]...)
-		probs = append(probs, s.probs[from*c:at*c]...)
-		from = at
-		if found {
-			from++ // dropped, or replaced below
-		}
-		if takeFresh {
-			keys = append(keys, k)
-			labels = append(labels, fresh.labels[f])
-			probs = append(probs, fresh.probs[f*c:(f+1)*c]...)
-			f++
-		}
-		for r < len(removed) && removed[r] <= k {
-			r++
-		}
+	if len(fresh.probs) != len(fresh.keys)*c {
+		panic(fmt.Sprintf("core: edge store splice: %d probabilities for %d keys x %d classes",
+			len(fresh.probs), len(fresh.keys), c))
 	}
-	keys = append(keys, s.keys[from:]...)
-	labels = append(labels, s.labels[from:]...)
-	probs = append(probs, s.probs[from*c:]...)
-	return &EdgeStore{keys: keys, labels: labels, probs: probs, classes: c}
+	size := len(fresh.keys) // the slab holds every dirty chunk's entries plus fresh
+	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
+		var ci int
+		ci, r, f = s.group(removed, fresh.keys, r, f)
+		size += len(s.chunks[ci].keys)
+	}
+	slab := edgeRun{make([]uint64, 0, size), make([]social.Label, 0, size), make([]float64, 0, size*c)}
+	out := &EdgeStore{heads: make([]uint64, 0, len(s.heads)+1), chunks: make([]edgeRun, 0, len(s.heads)+1), n: s.n, classes: c}
+	next := 0 // first chunk of s not yet carried over
+	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
+		ci, rEnd, fEnd := s.group(removed, fresh.keys, r, f)
+		out.heads = append(out.heads, s.heads[next:ci]...)
+		out.chunks = append(out.chunks, s.chunks[next:ci]...)
+		lo := len(slab.keys)
+		slab.splice(s.chunks[ci], removed[r:rEnd], fresh.view(f, fEnd, c), c)
+		m := len(slab.keys) - lo
+		out.n += m - len(s.chunks[ci].keys)
+		pieces := min(m, 1) // an emptied chunk is dropped
+		if m > 2*chunkKeys {
+			pieces = m / chunkKeys
+		}
+		for p := range pieces {
+			piece := slab.view(lo+p*m/pieces, lo+(p+1)*m/pieces, c)
+			out.heads = append(out.heads, piece.keys[0])
+			out.chunks = append(out.chunks, piece)
+		}
+		next, r, f = ci+1, rEnd, fEnd
+	}
+	out.heads = append(out.heads, s.heads[next:]...)
+	out.chunks = append(out.chunks, s.chunks[next:]...)
+	return out
 }

@@ -58,12 +58,13 @@ func assertStoreMatchesMaps(t *testing.T, es *EdgeStore, lm map[uint64]social.La
 			t.Fatalf("Probs(%d) = %v, want %v", k, got, pm[k])
 		}
 	}
+	labels, probs, c := es.Labels(), es.ProbsFlat(), es.Classes()
 	for i, k := range es.Keys() {
-		if es.LabelAt(i) != lm[k] {
-			t.Fatalf("LabelAt(%d) = %v, want %v", i, es.LabelAt(i), lm[k])
+		if labels[i] != lm[k] {
+			t.Fatalf("Labels()[%d] = %v, want %v", i, labels[i], lm[k])
 		}
-		if !slices.Equal(es.ProbsAt(i), pm[k]) {
-			t.Fatalf("ProbsAt(%d) mismatch", i)
+		if !slices.Equal(probs[i*c:(i+1)*c], pm[k]) {
+			t.Fatalf("ProbsFlat() row %d mismatch", i)
 		}
 	}
 	gotLM := es.LabelMap()
@@ -160,8 +161,8 @@ func TestEdgeStoreNilSafety(t *testing.T) {
 	if s.Len() != 0 || s.Classes() != 0 || s.Keys() != nil || s.Labels() != nil || s.ProbsFlat() != nil {
 		t.Fatal("nil store accessors not zero")
 	}
-	if _, ok := s.Find(7); ok {
-		t.Fatal("nil store Find hit")
+	if _, _, ok := s.Lookup(7); ok {
+		t.Fatal("nil store Lookup hit")
 	}
 	if _, ok := s.Label(7); ok {
 		t.Fatal("nil store Label hit")
@@ -181,6 +182,9 @@ func TestEdgeStoreNilSafety(t *testing.T) {
 	}
 	if got := s.merged(fresh); got != fresh {
 		t.Fatal("nil store merged != fresh")
+	}
+	if got := s.spliced(nil, edgeRun{}); got != nil {
+		t.Fatal("nil store spliced with nothing != nil")
 	}
 }
 
@@ -202,8 +206,8 @@ func TestNewEdgeStoreValidation(t *testing.T) {
 	}
 }
 
-// TestNewEdgeStoreFromRunUnsorted pins the defensive sort path: edge
-// input in arbitrary order must come out identical to the same edges
+// TestNewEdgeStoreFromRunUnsorted pins sortedRun's defensive sort path:
+// edge input in arbitrary order must come out identical to the same edges
 // fed in ascending order.
 func TestNewEdgeStoreFromRunUnsorted(t *testing.T) {
 	edges := []graph.Edge{{U: 5, V: 9}, {U: 1, V: 2}, {U: 3, V: 4}}
@@ -213,7 +217,7 @@ func TestNewEdgeStoreFromRunUnsorted(t *testing.T) {
 		0.8, 0.1, 0.1,
 		0.2, 0.5, 0.3,
 	}
-	got := newEdgeStoreFromRun(edges, preds, probs, 3)
+	got := sortedRun(edges, preds, probs, 3).store(3)
 
 	perm := []int{1, 2, 0} // ascending key order of the edges above
 	for i, j := range perm {
@@ -221,11 +225,12 @@ func TestNewEdgeStoreFromRunUnsorted(t *testing.T) {
 		if got.Keys()[i] != wantKey {
 			t.Fatalf("key[%d] = %d, want %d", i, got.Keys()[i], wantKey)
 		}
-		if got.LabelAt(i) != preds[j] {
-			t.Fatalf("label[%d] = %v, want %v", i, got.LabelAt(i), preds[j])
+		l, p, _ := got.Lookup(wantKey)
+		if l != preds[j] {
+			t.Fatalf("label[%d] = %v, want %v", i, l, preds[j])
 		}
-		if !slices.Equal(got.ProbsAt(i), probs[j*3:(j+1)*3]) {
-			t.Fatalf("probs[%d] = %v, want %v", i, got.ProbsAt(i), probs[j*3:(j+1)*3])
+		if !slices.Equal(p, probs[j*3:(j+1)*3]) {
+			t.Fatalf("probs[%d] = %v, want %v", i, p, probs[j*3:(j+1)*3])
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"slices"
 
 	"locec/internal/graph"
 	"locec/internal/logreg"
@@ -48,11 +47,8 @@ type Export struct {
 
 // Export packages the result for the artifact store. It fails if the
 // result has no predictions (the pipeline did not finish Phase III).
-// The result's EdgeStore already keeps exactly the artifact's layout
-// (ascending keys, parallel labels, one flat probability backing), so the
-// edge arrays are three whole-slice clones — no per-edge map walk or key
-// sort happens here anymore; the clones keep the export independent of
-// the live store.
+// The edge arrays are fresh flat copies of the store's chunks in key
+// order, so the export is independent of the live store.
 func (r *Result) Export() (*Export, error) {
 	if r.Edges.Len() == 0 {
 		return nil, fmt.Errorf("core: export: result has no predictions")
@@ -61,9 +57,9 @@ func (r *Result) Export() (*Export, error) {
 		ClassifierName: r.ClassifierName,
 		Classes:        r.Edges.Classes(),
 		Egos:           r.Egos,
-		EdgeKeys:       slices.Clone(r.Edges.Keys()),
-		Predictions:    slices.Clone(r.Edges.Labels()),
-		Probabilities:  slices.Clone(r.Edges.ProbsFlat()),
+		EdgeKeys:       r.Edges.Keys(),
+		Predictions:    r.Edges.Labels(),
+		Probabilities:  r.Edges.ProbsFlat(),
 		Combiner:       r.Combiner,
 		Times:          r.Times,
 	}
@@ -134,8 +130,8 @@ func (p *Pipeline) RunFromArtifact(ex *Export) (*Result, error) {
 		res.Communities = append(res.Communities, er.Comms...)
 	}
 	// Validate vouched for ascending keys and parallel shapes, so the
-	// store wraps the artifact arrays directly — import is O(1) in the
-	// edge count where it used to build two maps.
+	// store wraps the artifact arrays directly: chunk views over them, no
+	// copy and no per-edge map.
 	es, err := NewEdgeStore(ex.EdgeKeys, ex.Predictions, ex.Probabilities, ex.Classes)
 	if err != nil {
 		return nil, err

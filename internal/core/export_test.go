@@ -42,17 +42,7 @@ func TestExportRoundTripWithoutSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, k := range res.Edges.Keys() {
-		if got, want := res2.Edges.LabelAt(i), res.Edges.LabelAt(i); got != want {
-			t.Fatalf("edge %d: %v, want %v", k, got, want)
-		}
-		got, want := res2.Edges.ProbsAt(i), res.Edges.ProbsAt(i)
-		for c := range want {
-			if got[c] != want[c] {
-				t.Fatalf("edge %d class %d: %v, want %v", k, c, got[c], want[c])
-			}
-		}
-	}
+	assertStoresEqual(t, "imported", res2.Edges, res.Edges)
 }
 
 func TestExportRequiresPredictions(t *testing.T) {

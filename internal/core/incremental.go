@@ -225,9 +225,9 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 	// An edge's features read only its endpoints' ego results, so the
 	// affected set is every surviving edge incident to a dirty node (the
 	// batch's added edges are incident to dirty endpoints by construction).
-	// The new store is one splice of the old flat store: removed keys
-	// dropped, the fresh dirty-edge predictions inserted, every untouched
-	// run between them block-copied.
+	// The new store is one splice of the old: removed keys dropped, the
+	// fresh dirty-edge predictions inserted, only the chunks holding them
+	// rebuilt.
 	seen := make(map[uint64]struct{}, len(dirty)*8)
 	var dirtyEdges []graph.Edge
 	for _, u := range dirty {
@@ -297,16 +297,16 @@ func diffResults(want, got *Result, tol float64) error {
 	if want.Edges.Len() != got.Edges.Len() {
 		return fmt.Errorf("core: oracle: %d predictions, want %d", got.Edges.Len(), want.Edges.Len())
 	}
-	for i, k := range want.Edges.Keys() {
-		gi, ok := got.Edges.Find(k)
+	for _, k := range want.Edges.Keys() {
+		wl, wp, _ := want.Edges.Lookup(k)
+		gl, gp, ok := got.Edges.Lookup(k)
 		if !ok {
 			return fmt.Errorf("core: oracle: edge %v missing from incremental result", graph.EdgeFromKey(k))
 		}
-		if gl, wl := got.Edges.LabelAt(gi), want.Edges.LabelAt(i); gl != wl {
+		if gl != wl {
 			return fmt.Errorf("core: oracle: edge %v predicted %v incrementally, %v from scratch",
 				graph.EdgeFromKey(k), gl, wl)
 		}
-		wp, gp := want.Edges.ProbsAt(i), got.Edges.ProbsAt(gi)
 		if len(gp) != len(wp) {
 			return fmt.Errorf("core: oracle: edge %v probability vector misshaped", graph.EdgeFromKey(k))
 		}

@@ -49,18 +49,7 @@ func TestParallelTrainerMatchesSerialRun(t *testing.T) {
 	if serial.Edges.Len() != parallel.Edges.Len() {
 		t.Fatalf("prediction counts differ: %d vs %d", serial.Edges.Len(), parallel.Edges.Len())
 	}
-	for i, k := range serial.Edges.Keys() {
-		sp := serial.Edges.ProbsAt(i)
-		pp := parallel.Edges.Probs(k)
-		if pp == nil {
-			t.Fatalf("edge %v missing from parallel run", k)
-		}
-		for c := range sp {
-			if sp[c] != pp[c] {
-				t.Fatalf("edge %v class %d: serial %v vs parallel %v", k, c, sp[c], pp[c])
-			}
-		}
-	}
+	assertStoresEqual(t, "parallel vs serial", parallel.Edges, serial.Edges)
 }
 
 // TestGirvanNewmanDivideMatchesAcrossWorkers: Phase I with the paper's

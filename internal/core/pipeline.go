@@ -193,11 +193,11 @@ func (p *Pipeline) Combine(ds *social.Dataset, res *Result) error {
 	return nil
 }
 
-// publish installs the flat per-edge prediction stores as the result's
+// publish installs the flat per-edge predictions as the result's
 // EdgeStore. Edge enumeration order is already ascending by canonical
-// key, so this is three slice headers — no per-edge work at all.
+// key, so the store is views over the same arrays — no per-edge copy.
 func (r *Result) publish(edges []graph.Edge, preds []social.Label, probsFlat []float64, classes int) {
-	r.Edges = newEdgeStoreFromRun(edges, preds, probsFlat, classes)
+	r.Edges = sortedRun(edges, preds, probsFlat, classes).store(classes)
 }
 
 // Argmax returns the index of the largest value (0 for empty input).

@@ -202,20 +202,20 @@ func (p *Pipeline) RecombineEdges(res *Result, edges []graph.Edge) error {
 }
 
 // repredict runs Phase III prediction for just the listed edges against
-// res's classified egos and returns them as a store of their own (nil for
-// an empty list).
-func (p *Pipeline) repredict(res *Result, edges []graph.Edge) (*EdgeStore, error) {
+// res's classified egos and returns them as a sorted run (empty for an
+// empty list).
+func (p *Pipeline) repredict(res *Result, edges []graph.Edge) (edgeRun, error) {
 	if len(edges) == 0 {
-		return nil, nil
+		return edgeRun{}, nil
 	}
 	if !p.cfg.AgreementRule && res.Combiner == nil {
-		return nil, fmt.Errorf("core: recombine: result has no trained combiner")
+		return edgeRun{}, fmt.Errorf("core: recombine: result has no trained combiner")
 	}
 	classes := p.classes(res)
 	preds := make([]social.Label, len(edges))
 	probsFlat := make([]float64, len(edges)*classes)
 	p.predictEdges(res, edges, preds, probsFlat, classes)
-	return newEdgeStoreFromRun(edges, preds, probsFlat, classes), nil
+	return sortedRun(edges, preds, probsFlat, classes), nil
 }
 
 // RunFrozen re-executes the pipeline's compute phases with every learned

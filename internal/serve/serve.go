@@ -178,12 +178,11 @@ func (s *snapshot) ownsEdge(u, v graph.NodeID) bool {
 // guarantees an unknown edge can never surface a fabricated zero-value
 // label.
 func (s *snapshot) label(u, v graph.NodeID) (social.Label, []float64, bool) {
-	st := s.res.Edges
-	i, ok := st.Find((graph.Edge{U: u, V: v}).Key())
+	l, probs, ok := s.res.Edges.Lookup((graph.Edge{U: u, V: v}).Key())
 	if !ok {
 		return social.Unlabeled, nil, false
 	}
-	return st.LabelAt(i), st.ProbsAt(i), true
+	return l, probs, true
 }
 
 // Server is the classification service. Create with New, mount Handler on

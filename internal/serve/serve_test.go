@@ -594,8 +594,8 @@ func TestEdgeResponsesMatchMapOracle(t *testing.T) {
 	st := s.current().res.Edges
 	labelByKey := st.LabelMap()
 	probsByKey := make(map[uint64][]float64, st.Len())
-	for i, k := range st.Keys() {
-		probsByKey[k] = st.ProbsAt(i)
+	for _, k := range st.Keys() {
+		probsByKey[k] = st.Probs(k)
 	}
 	if len(labelByKey) == 0 {
 		t.Fatal("no predicted edges")

@@ -132,13 +132,12 @@ func assertStateEqual(t *testing.T, got, want *snapshot, tol float64, context st
 	if got.res.Edges.Len() != want.res.Edges.Len() {
 		t.Fatalf("%s: %d predictions, want %d", context, got.res.Edges.Len(), want.res.Edges.Len())
 	}
-	for i, k := range want.res.Edges.Keys() {
-		w := want.res.Edges.LabelAt(i)
+	for _, k := range want.res.Edges.Keys() {
+		w, wp, _ := want.res.Edges.Lookup(k)
 		if g, ok := got.res.Edges.Label(k); !ok || g != w {
 			e := graph.EdgeFromKey(k)
 			t.Fatalf("%s: edge {%d,%d} predicted %v, want %v", context, e.U, e.V, g, w)
 		}
-		wp := want.res.Edges.ProbsAt(i)
 		gp := got.res.Edges.Probs(k)
 		if len(gp) != len(wp) {
 			t.Fatalf("%s: edge %d probability vector missing or misshapen", context, k)

@@ -124,6 +124,7 @@ type Log struct {
 	dir  string
 	mode SyncMode
 
+	ckptMu      sync.Mutex // serializes Checkpoint; mu guards the rest
 	mu          sync.Mutex
 	file        File
 	seq         uint64
@@ -341,25 +342,37 @@ func (l *Log) syncLocked() error {
 // recovery filters replayed batches by the checkpoint's WALSeq. The
 // reverse order could lose records forever; this order can only replay
 // none twice.
+//
+// Appends do not wait for the snapshot: the log lock is released while
+// writeSnapshot runs, and records appended meanwhile (seq > base) survive
+// the rewrite. Concurrent Checkpoint calls run one at a time; a Close
+// during the write makes Checkpoint return ErrClosed without publishing.
 func (l *Log) Checkpoint(base uint64, writeSnapshot func(tmpPath string) error) error {
+	l.ckptMu.Lock()
+	defer l.ckptMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+	var err error
+	switch {
+	case l.closed:
+		err = ErrClosed
+	case base > l.seq:
+		err = fmt.Errorf("wal: checkpoint base %d is beyond the last appended record %d", base, l.seq)
+	case l.mode != SyncNone:
+		err = l.syncLocked() // the snapshot must not claim records the disk may not have
 	}
-	if base > l.seq {
-		return fmt.Errorf("wal: checkpoint base %d is beyond the last appended record %d", base, l.seq)
-	}
-	// The snapshot must not claim records the disk may not have.
-	if l.mode != SyncNone {
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
+	l.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	ckpt := CheckpointPath(l.dir)
 	tmp := ckpt + ".tmp"
 	if err := writeSnapshot(tmp); err != nil {
 		return fmt.Errorf("wal: checkpoint snapshot: %w", err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
 	}
 	if err := l.fsys.Rename(tmp, ckpt); err != nil {
 		return fmt.Errorf("wal: checkpoint rename: %w", err)
@@ -367,8 +380,9 @@ func (l *Log) Checkpoint(base uint64, writeSnapshot func(tmpPath string) error) 
 	if err := l.fsys.SyncDir(l.dir); err != nil {
 		return err
 	}
-	// Re-scan our own file for the surviving suffix (seq > base) instead
-	// of holding every batch in memory.
+	// Re-scan our own file for the surviving suffix (seq > base, records
+	// appended during the write included) instead of holding every batch
+	// in memory.
 	data, err := l.fsys.ReadFile(LogPath(l.dir))
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint rescan: %w", err)

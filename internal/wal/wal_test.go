@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"locec/internal/core"
 	"locec/internal/graph"
@@ -234,6 +235,113 @@ func TestCheckpointRetainsSuffix(t *testing.T) {
 	if len(got) != 3 || got[0].Seq != want[4].Seq || got[2].Seq != 7 {
 		t.Fatalf("recovered %d batches, seqs %v", len(got), got)
 	}
+}
+
+// parkedCheckpoint starts Checkpoint(base) on its own goroutine with a
+// snapshot writer that parks until release is closed, and returns once
+// the writer is parked. The checkpoint's result arrives on done.
+func parkedCheckpoint(t *testing.T, fs *MemFS, l *Log, base uint64) (release chan struct{}, done chan error) {
+	t.Helper()
+	parked := make(chan struct{})
+	release, done = make(chan struct{}), make(chan error, 1)
+	go func() {
+		done <- l.Checkpoint(base, func(tmp string) error {
+			close(parked)
+			<-release
+			f, err := fs.Create(tmp)
+			if err != nil {
+				return err
+			}
+			if _, err := f.Write([]byte("snapshot")); err != nil {
+				return err
+			}
+			if err := f.Sync(); err != nil {
+				return err
+			}
+			return f.Close()
+		})
+	}()
+	<-parked
+	return release, done
+}
+
+// TestCheckpointDoesNotBlockAppends: while a checkpoint's snapshot write
+// is parked, an Append and a Sync from another goroutine complete, and the
+// record they made durable (seq > base) survives the log rewrite.
+func TestCheckpointDoesNotBlockAppends(t *testing.T) {
+	fs := NewMemFS()
+	l, _, err := Open(fs, "wal", SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustAppend(t, l, 3)
+	release, done := parkedCheckpoint(t, fs, l, want[1].Seq)
+
+	appended := make(chan error, 1)
+	go func() {
+		_, err := l.Append(batchFixture(3))
+		if err == nil {
+			err = l.Sync()
+		}
+		appended <- err
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Append+Sync blocked behind the checkpoint's snapshot write")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.BaseSeq != want[1].Seq || st.Records != 2 || st.Seq != 4 {
+		t.Fatalf("post-checkpoint stats: %+v", st)
+	}
+	_ = l.Close()
+	_, got, err := Open(fs, "wal", SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBatches(t, got, []Batch{want[2], {Seq: 4, Muts: batchFixture(3)}})
+}
+
+// TestCheckpointCloseDuringWrite: a Close while the snapshot is being
+// written makes Checkpoint return ErrClosed without publishing it.
+func TestCheckpointCloseDuringWrite(t *testing.T) {
+	fs := NewMemFS()
+	l, _, err := Open(fs, "wal", SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustAppend(t, l, 2)
+	release, done := parkedCheckpoint(t, fs, l, want[1].Seq)
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Close blocked behind the checkpoint's snapshot write")
+	}
+	close(release)
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("Checkpoint after Close = %v, want ErrClosed", err)
+	}
+	if _, err := fs.ReadFile(CheckpointPath("wal")); err == nil {
+		t.Fatal("a checkpoint was published after Close")
+	}
+	_, got, err := Open(fs, "wal", SyncBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBatches(t, got, want)
 }
 
 func TestCheckpointBaseBeyondSeq(t *testing.T) {
