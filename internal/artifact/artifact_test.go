@@ -115,8 +115,8 @@ func TestRoundTripBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			if len(res2.Communities) != len(res.Communities) {
-				t.Fatalf("%d communities, want %d", len(res2.Communities), len(res.Communities))
+			if res2.NumCommunities() != res.NumCommunities() {
+				t.Fatalf("%d communities, want %d", res2.NumCommunities(), res.NumCommunities())
 			}
 			if res2.Classifier == nil {
 				t.Fatal("loaded result has no classifier")

@@ -154,17 +154,23 @@ func (c *cursor) err(what string) error {
 
 // ---- graph section --------------------------------------------------
 
-// encodeGraph serializes the CSR arrays: node count, adjacency length,
-// offsets, then the concatenated neighbor lists.
+// encodeGraph serializes the graph in flat CSR form, row by row: node
+// count, adjacency length, the n+1 row offsets, then the concatenated
+// neighbor lists.
 func encodeGraph(e *encoder, g *graph.Graph) {
-	offsets, adj := g.CSR()
-	e.u64(uint64(g.NumNodes()))
-	e.u64(uint64(len(adj)))
-	for _, o := range offsets {
-		e.u32(uint32(o))
+	n := g.NumNodes()
+	e.u64(uint64(n))
+	e.u64(uint64(2 * g.NumEdges()))
+	off := 0
+	e.u32(0)
+	for u := range n {
+		off += g.Degree(graph.NodeID(u))
+		e.u32(uint32(off))
 	}
-	for _, v := range adj {
-		e.u32(v)
+	for u := range n {
+		for _, v := range g.Neighbors(graph.NodeID(u)) {
+			e.u32(v)
+		}
 	}
 }
 

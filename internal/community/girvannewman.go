@@ -229,10 +229,12 @@ func sized[T any](buf []T, n int) []T {
 // load copies g into the scratch, numbers its edges, finds its connected
 // components and marks all of them dirty. g must have at least one node.
 func (s *gnScratch) load(g *graph.Graph) {
-	offsets, adj := g.CSR()
 	n, m := g.NumNodes(), g.NumEdges()
-	s.off = append(s.off[:0], offsets...)
-	s.nbr = append(s.nbr[:0], adj...)
+	s.off, s.nbr = append(s.off[:0], 0), s.nbr[:0]
+	for u := range n {
+		s.nbr = append(s.nbr, g.Neighbors(graph.NodeID(u))...)
+		s.off = append(s.off, int32(len(s.nbr)))
+	}
 	s.end = sized(s.end, n)
 	s.eid = sized(s.eid, 2*m)
 	s.eu, s.ev = sized(s.eu, m), sized(s.ev, m)

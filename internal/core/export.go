@@ -126,9 +126,6 @@ func (p *Pipeline) RunFromArtifact(ex *Export) (*Result, error) {
 		Combiner:       ex.Combiner,
 		Times:          ex.Times,
 	}
-	for _, er := range ex.Egos {
-		res.Communities = append(res.Communities, er.Comms...)
-	}
 	// Validate vouched for ascending keys and parallel shapes, so the
 	// store wraps the artifact arrays directly: chunk views over them, no
 	// copy and no per-edge map.

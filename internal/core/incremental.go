@@ -213,13 +213,6 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 		dirtyComms = append(dirtyComms, newRes.Egos[u].Comms...)
 	}
 	res.Classifier.Classify(newDS, dirtyComms)
-	// Capacity is a hint only — the old count is close enough and, unlike
-	// arithmetic over the edge delta, can never go negative on a
-	// remove-heavy batch.
-	newRes.Communities = make([]*LocalCommunity, 0, len(res.Communities))
-	for _, er := range newRes.Egos {
-		newRes.Communities = append(newRes.Communities, er.Comms...)
-	}
 
 	// ---- Stage III: re-predict the dirty edges (frozen combiner) -----
 	// An edge's features read only its endpoints' ego results, so the

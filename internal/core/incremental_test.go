@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"locec/internal/graph"
@@ -360,5 +361,96 @@ func TestApplyMutationsRelabelFlipsTruthVotes(t *testing.T) {
 	}
 	if sharedEgos != len(res.Egos)-2 {
 		t.Fatalf("%d shared egos, want %d", sharedEgos, len(res.Egos)-2)
+	}
+}
+
+// TestApplyMutationsAllocatesLittle bounds what a one-add epoch allocates
+// on a 2 000-user network under clauset + XGB: the dirty egos, their edges
+// and the copy-on-write tables, not a copy of the graph or of the community
+// list. 40 chained epochs must average at most 16 bytes per edge.
+func TestApplyMutationsAllocatesLittle(t *testing.T) {
+	net, err := wechat.Generate(wechat.DefaultConfig(2000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RunSurvey(0.5, 4)
+	ds := net.Dataset
+	p := NewPipeline(localConfig(DetectorClauset))
+	res, err := p.Run(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := uint64(ds.G.NumEdges())
+	rng := rand.New(rand.NewSource(3))
+	var before, after runtime.MemStats
+	total := uint64(0)
+	const epochs = 40
+	for i := 0; i < epochs; {
+		u, v := graph.NodeID(rng.Intn(ds.G.NumNodes())), graph.NodeID(rng.Intn(ds.G.NumNodes()))
+		if u == v || ds.G.HasEdge(u, v) {
+			continue
+		}
+		batch := []Mutation{{Kind: MutAdd, U: u, V: v, Label: social.Label(i % 4), Revealed: true}}
+		i++
+		runtime.ReadMemStats(&before)
+		ds, res, _, err = p.ApplyMutations(ds, res, batch)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	if avg := total / epochs; avg > 16*e {
+		t.Fatalf("ApplyMutations allocated %d B per one-add epoch = %.1f B/edge, want ≤ 16 (E=%d)", avg, float64(avg)/float64(e), e)
+	} else {
+		t.Logf("ApplyMutations allocated %d B per one-add epoch = %.1f B/edge (E=%d)", avg, float64(avg)/float64(e), e)
+	}
+}
+
+// TestNumCommunitiesOneCount: the community count a result reports is the
+// length of the flat list Phase II classified, whichever path built the
+// result — Run, RunFrozen, RunFromArtifact — and after 50 chained
+// epochs it equals a frozen from-scratch rerun's on the mutated dataset.
+func TestNumCommunitiesOneCount(t *testing.T) {
+	p, ds, res := incrementalFixture(t, xgbConfig())
+	if got, want := res.NumCommunities(), len(res.Communities); got != want || got == 0 {
+		t.Fatalf("Run: NumCommunities %d, flat list %d", got, want)
+	}
+	if got := len(res.CommunitySizes()); got != len(res.Communities) {
+		t.Fatalf("Run: %d community sizes for %d communities", got, len(res.Communities))
+	}
+	frozen, err := p.RunFrozen(ds, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := frozen.NumCommunities(), len(frozen.Communities); got != want {
+		t.Fatalf("RunFrozen: NumCommunities %d, flat list %d", got, want)
+	}
+	ex, err := res.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := NewPipeline(xgbConfig()).RunFromArtifact(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := loaded.NumCommunities(), len(res.Communities); got != want {
+		t.Fatalf("RunFromArtifact: NumCommunities %d, want %d", got, want)
+	}
+
+	rng := rand.New(rand.NewSource(50))
+	for epoch := 0; epoch < 50; epoch++ {
+		ds, res, _, err = p.ApplyMutations(ds, res, randomBatch(rng, ds.G, 2))
+		if err != nil {
+			t.Fatalf("epoch %d: %v", epoch, err)
+		}
+	}
+	if want, err := p.RunFrozen(ds, res); err != nil {
+		t.Fatal(err)
+	} else if got := res.NumCommunities(); got != len(want.Communities) {
+		t.Fatalf("after 50 epochs: NumCommunities %d, frozen rerun classified %d", got, len(want.Communities))
+	}
+	if res.Communities != nil {
+		t.Fatalf("ApplyMutations result carries a %d-entry flat list; only Run and RunFrozen fill it", len(res.Communities))
 	}
 }

@@ -64,7 +64,10 @@ func (p PhaseTimes) Map() map[string]time.Duration {
 type Result struct {
 	// Egos holds Phase I output per node.
 	Egos []*EgoResult
-	// Communities flattens every local community across all ego networks.
+	// Communities is the flat list of local communities Phase II
+	// classified in the call that built this result: Run and RunFrozen
+	// fill it; ApplyMutations and RunFromArtifact leave it nil. Egos is
+	// the authority on what a result holds — count with NumCommunities.
 	Communities []*LocalCommunity
 	// Edges holds every predicted edge's label and class-probability
 	// vector in one flat store sorted by canonical edge key (nil before
@@ -213,12 +216,24 @@ func Argmax(x []float64) int {
 	return bi
 }
 
-// CommunitySizes returns the size of every detected local community —
-// Fig. 10(a)'s distribution.
+// NumCommunities returns the number of local communities across all ego
+// networks.
+func (r *Result) NumCommunities() int {
+	n := 0
+	for _, er := range r.Egos {
+		n += len(er.Comms)
+	}
+	return n
+}
+
+// CommunitySizes returns the size of every detected local community, in
+// ego order — Fig. 10(a)'s distribution.
 func (r *Result) CommunitySizes() []float64 {
-	out := make([]float64, len(r.Communities))
-	for i, c := range r.Communities {
-		out[i] = float64(len(c.Members))
+	out := make([]float64, 0, r.NumCommunities())
+	for _, er := range r.Egos {
+		for _, c := range er.Comms {
+			out = append(out, float64(len(c.Members)))
+		}
 	}
 	return out
 }

@@ -78,7 +78,7 @@ func DetectorFrontier(opt Options) (*FrontierResult, error) {
 			Local:       kind.Local(),
 			MacroF1:     rep.MacroF1(),
 			Phase1:      adapter.Result().Times.Phase1,
-			Communities: len(adapter.Result().Communities),
+			Communities: adapter.Result().NumCommunities(),
 		})
 	}
 	return res, nil

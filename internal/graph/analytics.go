@@ -4,7 +4,7 @@ import "math"
 
 // Analytics used for dataset characterization and the structural-
 // similarity baselines: neighborhood similarity metrics, triangle counts
-// and clustering coefficients. All operate on the immutable CSR graph.
+// and clustering coefficients. All operate on the immutable graph.
 
 // Jaccard returns |N(u) ∩ N(v)| / |N(u) ∪ N(v)|, the exact quantity
 // ProbWP's min-hash signatures estimate. Returns 0 when both neighbor

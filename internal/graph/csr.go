@@ -2,22 +2,16 @@ package graph
 
 import "fmt"
 
-// CSR exposes the raw compressed-sparse-row arrays backing the graph:
-// offsets has length NumNodes()+1 and node u's sorted neighbor list is
-// adj[offsets[u]:offsets[u+1]]. Both slices alias internal storage and must
-// be treated as read-only. This is the serialization seam the artifact
-// store (internal/artifact, docs/FORMATS.md) uses to write a graph without
-// re-deriving an edge list.
-func (g *Graph) CSR() (offsets []int32, adj []NodeID) {
-	return g.offsets, g.adj
-}
-
-// NewFromCSR builds a Graph directly from CSR arrays, the inverse of CSR.
-// The arrays are validated structurally — monotone offsets, sorted
-// strictly-increasing neighbor lists, in-range endpoints, no self-loops,
-// and full symmetry (v in adj[u] iff u in adj[v]) — so a corrupted or
-// hand-built input yields an error instead of a graph that panics later.
-// The slices are retained, not copied; the caller must not modify them.
+// NewFromCSR builds a Graph from flat compressed-sparse-row arrays: node
+// u's sorted neighbor list is adj[offsets[u]:offsets[u+1]]. It is the decode
+// entry point of the artifact store (internal/artifact, docs/FORMATS.md),
+// which writes a graph row by row in exactly that layout. The arrays are
+// validated structurally — monotone offsets, sorted strictly-increasing
+// neighbor lists, in-range endpoints, no self-loops, and full symmetry (v
+// in adj[u] iff u in adj[v]) — so a corrupted or hand-built input yields
+// an error instead of a graph that panics later.
+// adj is retained as the rows' storage, not copied; the caller must not
+// modify it.
 func NewFromCSR(offsets []int32, adj []NodeID) (*Graph, error) {
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("graph: csr: empty offsets")
@@ -58,7 +52,8 @@ func NewFromCSR(offsets []int32, adj []NodeID) (*Graph, error) {
 			}
 		}
 	}
-	g := &Graph{offsets: offsets, adj: adj, m: len(adj) / 2}
+	g := new(Graph)
+	g.cut(offsets, adj)
 	// Symmetry: every stored arc must have its reverse. Each row is sorted,
 	// so the check is one binary search per arc.
 	for u := 0; u < n; u++ {

@@ -5,9 +5,20 @@ import (
 	"testing"
 )
 
+// flatten returns g's rows as flat CSR arrays, the layout NewFromCSR takes
+// and the artifact store writes.
+func flatten(g *Graph) (offsets []int32, adj []NodeID) {
+	offsets = make([]int32, 1, g.NumNodes()+1)
+	for u := range g.NumNodes() {
+		adj = append(adj, g.Neighbors(NodeID(u))...)
+		offsets = append(offsets, int32(len(adj)))
+	}
+	return offsets, adj
+}
+
 func TestCSRRoundTrip(t *testing.T) {
 	g := FromEdges(5, []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}})
-	offsets, adj := g.CSR()
+	offsets, adj := flatten(g)
 	back, err := NewFromCSR(offsets, adj)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,9 @@ type EgoNetwork struct {
 // any number of extractions, one at a time. The zero value is ready to use.
 type EgoScratch struct {
 	pairs []NodeID // induced edges as consecutive local (i, j), i < j, ascending
-	g     Graph    // the extracted subgraph; the next extraction reuses its arrays
+	off   []int32  // flat row offsets of the extracted subgraph
+	adj   []NodeID // its rows, concatenated; g's blocks view them
+	g     Graph    // the extracted subgraph; the next extraction reuses its block table
 }
 
 // Extract is Ego without the copy-out: Members alias g's adjacency row of u
@@ -41,8 +43,8 @@ func (s *EgoScratch) Extract(g *Graph, u NodeID) EgoNetwork {
 	n := len(members)
 	// off[k+2] counts row k; the prefix sum makes off[k+1] row k's write
 	// cursor, which the scatter leaves at row k's end: off[:n+1] are the
-	// CSR offsets.
-	off := slices.Grow(s.g.offsets[:0], n+2)[:n+2]
+	// row offsets.
+	off := slices.Grow(s.off[:0], n+2)[:n+2]
 	clear(off)
 	pairs := s.pairs[:0]
 	for i, v := range members {
@@ -66,7 +68,7 @@ func (s *EgoScratch) Extract(g *Graph, u NodeID) EgoNetwork {
 	for k := 2; k < len(off); k++ {
 		off[k] += off[k-1]
 	}
-	adj := slices.Grow(s.g.adj[:0], len(pairs))[:len(pairs)]
+	adj := slices.Grow(s.adj[:0], len(pairs))[:len(pairs)]
 	for p := 0; p < len(pairs); p += 2 {
 		i, j := pairs[p], pairs[p+1]
 		adj[off[i+1]] = j
@@ -74,8 +76,8 @@ func (s *EgoScratch) Extract(g *Graph, u NodeID) EgoNetwork {
 		adj[off[j+1]] = i
 		off[j+1]++
 	}
-	s.pairs = pairs
-	s.g = Graph{offsets: off[:n+1], adj: adj, m: len(pairs) / 2}
+	s.pairs, s.off, s.adj = pairs, off[:n+1], adj
+	s.g.cut(s.off, adj)
 	return EgoNetwork{Ego: u, Members: members, G: &s.g}
 }
 
@@ -89,7 +91,8 @@ func (g *Graph) Ego(u NodeID) *EgoNetwork {
 	s := egoPool.Get().(*EgoScratch)
 	en := s.Extract(g, u)
 	en.Members = slices.Clone(en.Members)
-	en.G = &Graph{offsets: slices.Clone(s.g.offsets), adj: slices.Clone(s.g.adj), m: s.g.m}
+	en.G = new(Graph)
+	en.G.cut(s.off, slices.Clone(s.adj))
 	egoPool.Put(s)
 	return &en
 }

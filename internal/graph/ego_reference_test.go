@@ -88,9 +88,11 @@ func sameEgo(t *testing.T, what string, got, want *EgoNetwork) {
 	if got.Ego != want.Ego || !slices.Equal(got.Members, want.Members) {
 		t.Fatalf("%s: ego %d members %v, want ego %d members %v", what, got.Ego, got.Members, want.Ego, want.Members)
 	}
-	if got.G.m != want.G.m || !slices.Equal(got.G.offsets, want.G.offsets) || !slices.Equal(got.G.adj, want.G.adj) {
+	gotOff, gotAdj := flatten(got.G)
+	wantOff, wantAdj := flatten(want.G)
+	if got.G.m != want.G.m || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
 		t.Fatalf("%s: ego %d graph m=%d offsets=%v adj=%v, want m=%d offsets=%v adj=%v", what, want.Ego,
-			got.G.m, got.G.offsets, got.G.adj, want.G.m, want.G.offsets, want.G.adj)
+			got.G.m, gotOff, gotAdj, want.G.m, wantOff, wantAdj)
 	}
 }
 
@@ -155,11 +157,14 @@ func TestEgoResultIsOwned(t *testing.T) {
 	for i := range first.Members {
 		first.Members[i] = ^NodeID(0)
 	}
-	for i := range first.G.offsets {
-		first.G.offsets[i] = -1
-	}
-	for i := range first.G.adj {
-		first.G.adj[i] = ^NodeID(0)
+	for i := range first.G.blocks {
+		b := &first.G.blocks[i]
+		for r := range b.off {
+			b.off[r] = -1
+		}
+		for j, full := 0, b.adj[:cap(b.adj)]; j < len(full); j++ {
+			full[j] = ^NodeID(0)
+		}
 	}
 	sameEgo(t, "second after first was overwritten", second, want2)
 	sameEgo(t, "a third extraction", g.Ego(2), g.egoReference(2))

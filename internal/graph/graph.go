@@ -1,10 +1,10 @@
 // Package graph provides a compact undirected graph representation used
-// throughout the LoCEC pipeline: a CSR (compressed sparse row) adjacency
-// structure with fast neighbor queries, ego-network extraction,
+// throughout the LoCEC pipeline: sorted adjacency rows in a table of
+// 64-row blocks, with fast neighbor queries, ego-network extraction,
 // traversal, and connected components.
 //
 // Node identifiers are dense uint32 indices in [0, NumNodes). Edges are
-// undirected and stored once per direction in the CSR arrays; parallel
+// undirected and stored once per direction in the adjacency rows; parallel
 // edges and self-loops are rejected by the Builder.
 package graph
 
@@ -42,35 +42,69 @@ func EdgeFromKey(k uint64) Edge {
 	return Edge{NodeID(k >> 32), NodeID(k & 0xffffffff)}
 }
 
-// Graph is an immutable undirected graph in CSR form.
+// blockRows is the number of adjacency rows per block: node u's row lives
+// in block u>>blockShift at row u&(blockRows-1).
+const (
+	blockShift = 6
+	blockRows  = 1 << blockShift
+)
+
+// block holds the sorted neighbor lists of 64 consecutive nodes: row r is
+// adj[off[r]:off[r+1]]. The offsets are inline so a row lookup costs the
+// same dependent loads as one flat offsets array; rows past the last node
+// of the graph are empty.
+type block struct {
+	off [blockRows + 1]int32
+	adj []NodeID
+}
+
+// Graph is an immutable undirected graph stored as a table of 64-row
+// blocks. Blocks are never written after construction, so graphs derived
+// from one another (Overlay.Compact) share every block they did not change.
 //
 // The zero value is an empty graph. Construct graphs with a Builder.
 type Graph struct {
-	offsets []int32  // len = n+1; neighbor range of node i is adj[offsets[i]:offsets[i+1]]
-	adj     []NodeID // sorted neighbor lists, concatenated
-	m       int      // number of undirected edges
+	blocks []block
+	n      int // number of nodes
+	m      int // number of undirected edges
+}
+
+// cut sets g to the graph whose row u is adj[offsets[u]:offsets[u+1]],
+// reusing g's block table: each block copies its rows' offsets, rebased to
+// its first arc, and views its span of adj (capped, so no block reaches
+// into the next one's rows). adj is retained, not copied.
+func (g *Graph) cut(offsets []int32, adj []NodeID) {
+	n := len(offsets) - 1
+	nb := (n + blockRows - 1) >> blockShift
+	g.blocks = slices.Grow(g.blocks[:0], nb)[:nb]
+	for i := range g.blocks {
+		b, lo := &g.blocks[i], i<<blockShift
+		rows := offsets[lo : min(lo+blockRows, n)+1]
+		for r := range b.off {
+			b.off[r] = rows[min(r, len(rows)-1)] - rows[0]
+		}
+		b.adj = adj[rows[0]:rows[len(rows)-1]:rows[len(rows)-1]]
+	}
+	g.n, g.m = n, len(adj)/2
 }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int {
-	if len(g.offsets) == 0 {
-		return 0
-	}
-	return len(g.offsets) - 1
-}
+func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the number of undirected edges.
 func (g *Graph) NumEdges() int { return g.m }
 
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u NodeID) int {
-	return int(g.offsets[u+1] - g.offsets[u])
+	b, r := &g.blocks[u>>blockShift], u&(blockRows-1)
+	return int(b.off[r+1] - b.off[r])
 }
 
 // Neighbors returns the sorted neighbor list of u. The returned slice
 // aliases internal storage and must not be modified.
 func (g *Graph) Neighbors(u NodeID) []NodeID {
-	return g.adj[g.offsets[u]:g.offsets[u+1]]
+	b, r := &g.blocks[u>>blockShift], u&(blockRows-1)
+	return b.adj[b.off[r]:b.off[r+1]]
 }
 
 // HasEdge reports whether the undirected edge {u,v} exists.
@@ -136,8 +170,8 @@ func (g *Graph) CommonNeighbors(u, v NodeID) int {
 // sorted + compacted lazily — on Build and on the first HasEdge/NumEdges
 // after a mutation — instead of living in a hash map. Construction is the
 // setup cost of every bench fixture and of POST /v1/reload, and the
-// sorted-key representation makes the CSR fill a single counting pass
-// with no per-node sort (see Build).
+// sorted-key representation makes the adjacency fill a single counting
+// pass with no per-node sort (see Build).
 type Builder struct {
 	n      int
 	edges  []uint64 // canonical edge keys; unsorted tail may hold duplicates
@@ -200,7 +234,7 @@ func (b *Builder) HasEdge(u, v NodeID) bool {
 	return ok
 }
 
-// Build produces the immutable CSR graph. The Builder may be reused
+// Build produces the immutable graph. The Builder may be reused
 // afterwards, but further AddEdge calls do not affect the built Graph.
 //
 // The fill is a counting sort over the sorted key list: one pass counts
@@ -231,7 +265,9 @@ func (b *Builder) Build() *Graph {
 		adj[deg[e.V]+cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	return &Graph{offsets: deg, adj: adj, m: len(b.edges)}
+	g := new(Graph)
+	g.cut(deg, adj)
+	return g
 }
 
 // FromEdges builds a graph directly from an edge list, ignoring duplicates.

@@ -9,9 +9,9 @@ import (
 // Overlay is a mutable edge delta over an immutable base Graph — the write
 // side of the incremental update engine. Mutations accumulate in the
 // overlay (one epoch's worth of AddEdge/RemoveEdge calls); Compact then
-// merges them into a fresh immutable CSR graph (block copies of the
-// untouched rows, a merge of the touched ones), and DirtyNodes
-// reports exactly the nodes whose ego networks the batch invalidated.
+// merges them into a fresh immutable graph (the untouched 64-row blocks
+// shared with the base, the touched ones rebuilt), and DirtyNodes reports
+// exactly the nodes whose ego networks the batch invalidated.
 //
 // The node set is fixed: an overlay mutates edges among the base graph's
 // existing nodes. Edge queries (HasEdge, NumEdges) reflect the overlay
@@ -215,15 +215,14 @@ type deltaArc struct {
 }
 
 // Compact merges the delta into a fresh immutable Graph at the cost of
-// what the batch touched plus two block copies: only the rows of mutated
-// endpoints are merged entry by entry; every run of untouched rows between
-// them keeps its adjacency verbatim (one copy per run) and its offsets
-// shifted by the constant the rows before it grew or shrank by. No global
-// edge sort — the base adjacency is already sorted and each touched row's
-// delta is merged in order.
+// what the batch touched plus one copy of the block table: the new graph
+// shares every 64-row block without a mutated endpoint with the base, and
+// each touched block is rebuilt with its touched rows merged entry by entry
+// and its other rows copied. No global edge sort — the base adjacency is
+// already sorted and each touched row's delta is merged in order.
 func (o *Overlay) Compact() *Graph {
 	if len(o.added) == 0 && len(o.removed) == 0 {
-		return o.base // nothing changed; CSR is immutable, so sharing is safe
+		return o.base // nothing changed; graphs are immutable, so sharing is safe
 	}
 	// Both directions of every mutated edge, grouped by row and ascending
 	// within it (Δ is tiny relative to E, so this sort is the cheap part).
@@ -243,66 +242,60 @@ func (o *Overlay) Compact() *Graph {
 		return cmp.Compare(a.v, b.v)
 	})
 
-	n := o.base.NumNodes()
-	baseOff, baseAdj := o.base.offsets, o.base.adj
-	offsets := make([]int32, n+1)
-	adj := make([]NodeID, len(baseAdj)+2*(len(o.added)-len(o.removed)))
-	// copyRows writes the untouched rows [from, to): offsets shifted by
-	// the running delta, adjacency as one block.
-	shift := int32(0)
-	copyRows := func(from, to int) {
-		for w := from; w < to; w++ {
-			offsets[w] = baseOff[w] + shift
-		}
-		copy(adj[baseOff[from]+shift:], baseAdj[baseOff[from]:baseOff[to]])
+	g := &Graph{
+		blocks: slices.Clone(o.base.blocks),
+		n:      o.base.n,
+		m:      o.base.m + len(o.added) - len(o.removed),
 	}
-	from := 0 // first row not yet written
 	for len(arcs) > 0 {
-		u := arcs[0].u
-		rowDelta := arcs
-		for i, a := range arcs {
-			if a.u != u {
-				rowDelta = arcs[:i]
-				break
+		bi := arcs[0].u >> blockShift
+		grow, k := 0, 0
+		for ; k < len(arcs) && arcs[k].u>>blockShift == bi; k++ {
+			if arcs[k].add {
+				grow++
+			} else {
+				grow--
 			}
 		}
-		arcs = arcs[len(rowDelta):]
-		copyRows(from, int(u))
-		offsets[u] = baseOff[u] + shift
-		// Merge the touched row: base runs between delta entries are
-		// copied whole, an added neighbor is inserted in order, a removed
-		// one skipped. Added edges are absent from base and removed ones
-		// present, so each delta entry lands on exactly one side.
-		baseRow := o.base.Neighbors(u)
-		w := int(offsets[u])
-		for _, a := range rowDelta {
-			at, found := slices.BinarySearch(baseRow, a.v)
+		g.blocks[bi] = o.base.blocks[bi].merged(arcs[:k], grow)
+		arcs = arcs[k:]
+	}
+	return g
+}
+
+// merged returns a copy of b with the delta arcs of its rows applied: arcs
+// are sorted by (row, neighbor) and grow is their net arc count. Base runs
+// between delta entries are copied whole, an added neighbor is inserted in
+// order, a removed one skipped. Added edges are absent from base and
+// removed ones present, so each delta entry lands on exactly one side.
+func (b *block) merged(arcs []deltaArc, grow int) block {
+	nb := block{adj: make([]NodeID, len(b.adj)+grow)}
+	w := int32(0)
+	for r := range blockRows {
+		nb.off[r] = w
+		row := b.adj[b.off[r]:b.off[r+1]]
+		for ; len(arcs) > 0 && int(arcs[0].u&(blockRows-1)) == r; arcs = arcs[1:] {
+			a := arcs[0]
+			at, found := slices.BinarySearch(row, a.v)
 			if found == a.add {
-				panic(fmt.Sprintf("graph: overlay: delta of node %d inconsistent with base at neighbor %d", u, a.v))
+				panic(fmt.Sprintf("graph: overlay: delta of node %d inconsistent with base at neighbor %d", a.u, a.v))
 			}
-			w += copy(adj[w:], baseRow[:at])
-			baseRow = baseRow[at:]
+			w += int32(copy(nb.adj[w:], row[:at]))
+			row = row[at:]
 			if a.add {
-				adj[w] = a.v
+				nb.adj[w] = a.v
 				w++
 			} else {
-				baseRow = baseRow[1:]
+				row = row[1:]
 			}
 		}
-		w += copy(adj[w:], baseRow)
-		shift = int32(w) - baseOff[u+1]
-		from = int(u) + 1
+		w += int32(copy(nb.adj[w:], row))
 	}
-	copyRows(from, n)
-	offsets[n] = baseOff[n] + shift
-	if int(offsets[n]) != len(adj) {
+	nb.off[blockRows] = w
+	if int(w) != len(nb.adj) {
 		// Defensive: the degree arithmetic and the merge must agree; a
 		// mismatch means the delta sets were inconsistent.
-		panic(fmt.Sprintf("graph: overlay: compacted to %d arcs, expected %d", offsets[n], len(adj)))
+		panic(fmt.Sprintf("graph: overlay: block compacted to %d arcs, expected %d", w, len(nb.adj)))
 	}
-	return &Graph{
-		offsets: offsets,
-		adj:     adj,
-		m:       o.base.NumEdges() + len(o.added) - len(o.removed),
-	}
+	return nb
 }

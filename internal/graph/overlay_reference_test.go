@@ -18,7 +18,7 @@ import (
 func (o *Overlay) compactReference() *Graph {
 	n := o.base.NumNodes()
 	if len(o.added) == 0 && len(o.removed) == 0 {
-		return o.base // nothing changed; CSR is immutable, so sharing is safe
+		return o.base // nothing changed; graphs are immutable, so sharing is safe
 	}
 	// Per-node sorted delta adjacency. addBy/removeBy hold each endpoint's
 	// counterpart, built from the sorted key lists so each per-node list
@@ -78,31 +78,169 @@ func (o *Overlay) compactReference() *Graph {
 				u, len(row), offsets[u+1]-offsets[u]))
 		}
 	}
-	return &Graph{
-		offsets: offsets,
-		adj:     adj,
-		m:       o.base.NumEdges() + len(o.added) - len(o.removed),
+	g := new(Graph)
+	g.cut(offsets, adj)
+	return g
+}
+
+// assertCompactMatchesReference compares the block Compact with the
+// per-node reference on the overlay's current state: == on the flattened
+// rows, and the result must pass NewFromCSR's structural validation. The
+// receiver's rows must come out of the compaction as they went in. It
+// returns the compacted graph, so epochs can chain.
+func assertCompactMatchesReference(t *testing.T, what string, o *Overlay) *Graph {
+	t.Helper()
+	baseOff, baseAdj := flatten(o.base)
+	got, want := o.Compact(), o.compactReference()
+	gotOff, gotAdj := flatten(got)
+	wantOff, wantAdj := flatten(want)
+	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: compacted rows differ from the reference\n got %v %v\nwant %v %v", what, gotOff, gotAdj, wantOff, wantAdj)
+	}
+	if _, err := NewFromCSR(gotOff, gotAdj); err != nil {
+		t.Fatalf("%s: compacted rows invalid: %v", what, err)
+	}
+	if off, adj := flatten(o.base); !slices.Equal(off, baseOff) || !slices.Equal(adj, baseAdj) {
+		t.Fatalf("%s: Compact wrote into the base graph", what)
+	}
+	return got
+}
+
+// toggle adds {u,v} to the overlay state if absent and removes it if
+// present; a self-loop is a no-op.
+func toggle(t *testing.T, o *Overlay, u, v NodeID) {
+	t.Helper()
+	var err error
+	switch {
+	case u == v:
+	case o.HasEdge(u, v):
+		err = o.RemoveEdge(u, v)
+	default:
+		err = o.AddEdge(u, v)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// assertCompactMatchesReference compares the run-copy Compact with the
-// per-node reference on the overlay's current state: == on both CSR
-// arrays, and the result must pass NewFromCSR's structural validation.
-func assertCompactMatchesReference(t *testing.T, what string, o *Overlay) {
-	t.Helper()
-	baseOff, baseAdj := slices.Clone(o.base.offsets), slices.Clone(o.base.adj)
-	got, want := o.Compact(), o.compactReference()
-	gotOff, gotAdj := got.CSR()
-	wantOff, wantAdj := want.CSR()
-	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("%s: compacted CSR differs from the reference\n got %v %v\nwant %v %v", what, gotOff, gotAdj, wantOff, wantAdj)
+// TestOverlayCompactBlockBoundaries pins Compact against the reference where
+// a 64-row block can go wrong: graphs of less than one block, exactly one,
+// one row over and several; mutations on rows 63 and 64 (either side of the
+// first boundary) and on the last row (a partial block); a row emptied; and
+// a block whose every row changes.
+func TestOverlayCompactBlockBoundaries(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 130} {
+		base := overlayRandomGraph(t, n, 3*(n-1), int64(n))
+		last := NodeID(n - 1)
+		cases := map[string]func(o *Overlay){
+			"nothing": func(*Overlay) {},
+			"boundary rows": func(o *Overlay) {
+				for _, r := range []NodeID{63, 64, last} {
+					for _, w := range []NodeID{0, r / 2, last} {
+						if r < NodeID(n) {
+							toggle(t, o, r, w)
+						}
+					}
+				}
+			},
+			"row emptied": func(o *Overlay) {
+				for _, r := range []NodeID{min(64, last), last} {
+					for _, w := range base.Neighbors(r) {
+						if o.HasEdge(r, w) {
+							toggle(t, o, r, w)
+						}
+					}
+				}
+			},
+			"block rewritten": func(o *Overlay) {
+				for r := NodeID(0); r < min(blockRows, NodeID(n)); r++ {
+					toggle(t, o, r, (r+7)%NodeID(n))
+				}
+			},
+		}
+		for name, mutate := range cases {
+			o := NewOverlay(base)
+			mutate(o)
+			assertCompactMatchesReference(t, fmt.Sprintf("n=%d %s", n, name), o)
+		}
 	}
-	if _, err := NewFromCSR(gotOff, gotAdj); err != nil {
-		t.Fatalf("%s: compacted CSR invalid: %v", what, err)
+}
+
+// TestOverlayCompactChained runs 500 epochs, each compacting onto the last
+// one's result, with mutations biased to the rows around block boundaries.
+func TestOverlayCompactChained(t *testing.T) {
+	const n = 130
+	rng := rand.New(rand.NewSource(29))
+	hot := []NodeID{0, 62, 63, 64, 65, 127, 128, n - 1}
+	pick := func() NodeID {
+		if rng.Intn(2) == 0 {
+			return hot[rng.Intn(len(hot))]
+		}
+		return NodeID(rng.Intn(n))
 	}
-	if !slices.Equal(o.base.offsets, baseOff) || !slices.Equal(o.base.adj, baseAdj) {
-		t.Fatalf("%s: Compact wrote into the base graph", what)
+	g := overlayRandomGraph(t, n, 400, 29)
+	for epoch := 0; epoch < 500; epoch++ {
+		o := NewOverlay(g)
+		for ops := 1 + rng.Intn(4); ops > 0; ops-- {
+			toggle(t, o, pick(), pick())
+		}
+		g = assertCompactMatchesReference(t, fmt.Sprintf("epoch %d", epoch), o)
 	}
+}
+
+// TestOverlayCompactSiblingsIsolated compacts two overlays of one base that
+// touch the same blocks: each result equals its own reference, whichever
+// compacts first, so neither sees the other's rows through a shared block.
+func TestOverlayCompactSiblingsIsolated(t *testing.T) {
+	base := overlayRandomGraph(t, 130, 500, 31)
+	a, b := NewOverlay(base), NewOverlay(base)
+	for r := NodeID(60); r < 70; r++ {
+		toggle(t, a, r, r+40)
+		toggle(t, b, r, r+41)
+	}
+	toggle(t, b, 129, 0)
+	wantA, wantB := a.compactReference(), b.compactReference()
+	ga := assertCompactMatchesReference(t, "first sibling", a)
+	gb := assertCompactMatchesReference(t, "second sibling", b)
+	for _, c := range []struct {
+		what      string
+		got, want *Graph
+	}{{"first sibling after the second", ga, wantA}, {"second sibling", gb, wantB}} {
+		gotOff, gotAdj := flatten(c.got)
+		wantOff, wantAdj := flatten(c.want)
+		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
+			t.Fatalf("%s: rows changed by the other overlay's compaction", c.what)
+		}
+	}
+}
+
+// FuzzOverlayCompact drives chained compactions from raw bytes: the first
+// byte sizes the graph (1–256 nodes), the second seeds its random edges,
+// then every two bytes toggle one edge — a pair naming one node twice ends
+// the epoch — so a crasher spells out its own epochs.
+func FuzzOverlayCompact(f *testing.F) {
+	f.Add([]byte{0, 0})
+	f.Add([]byte{63, 1, 63, 0, 62, 63, 5, 5, 63, 0})
+	f.Add([]byte{129, 2, 63, 64, 64, 129, 0, 0, 63, 64, 1, 128})
+	f.Add([]byte{64, 3, 0, 64, 64, 63, 9, 9, 64, 0, 64, 1, 64, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := int(data[0]) + 1
+		g := overlayRandomGraph(t, n, min(int(data[1])*4, n*(n-1)/2), int64(data[1]))
+		o := NewOverlay(g)
+		for b := data[2:]; len(b) >= 2; b = b[2:] {
+			u, v := NodeID(int(b[0])%n), NodeID(int(b[1])%n)
+			if u == v {
+				g = assertCompactMatchesReference(t, "fuzz epoch", o)
+				o = NewOverlay(g)
+				continue
+			}
+			toggle(t, o, u, v)
+		}
+		assertCompactMatchesReference(t, "fuzz final epoch", o)
+	})
 }
 
 // TestOverlayCompactMatchesReference pins the run-copy Compact against the
@@ -165,14 +303,7 @@ func TestOverlayCompactMatchesReference(t *testing.T) {
 // compactBench100k is one epoch's topology change at the write benchmark's
 // scale: 10 000 nodes, 100 000 edges, one edge added and one removed.
 func compactBench100k(tb testing.TB) *Overlay {
-	rng := rand.New(rand.NewSource(1))
-	b := NewBuilder(10_000)
-	for b.NumEdges() < 100_000 {
-		if u, v := NodeID(rng.Intn(10_000)), NodeID(rng.Intn(10_000)); u != v {
-			_ = b.AddEdge(u, v)
-		}
-	}
-	g := b.Build()
+	g := overlayRandomGraph(tb, 10_000, 100_000, 1)
 	o := NewOverlay(g)
 	if err := o.RemoveEdge(2_000, g.Neighbors(2_000)[0]); err != nil {
 		tb.Fatal(err)

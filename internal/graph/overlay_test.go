@@ -2,19 +2,23 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
 
-// overlayRandomGraph builds a deterministic random base graph.
-func overlayRandomGraph(t *testing.T, n, m int, seed int64) *Graph {
-	t.Helper()
+// overlayRandomGraph builds a deterministic random base graph with m edges.
+// NumEdges sorts the builder, so it is asked once per round of draws, not
+// once per draw; a round of m-have draws cannot overshoot m.
+func overlayRandomGraph(tb testing.TB, n, m int, seed int64) *Graph {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
-	for b.NumEdges() < m {
-		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		if u != v {
-			_ = b.AddEdge(u, v)
+	for have := 0; have < m; have = b.NumEdges() {
+		for ; have < m; have++ {
+			if u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n)); u != v {
+				_ = b.AddEdge(u, v)
+			}
 		}
 	}
 	return b.Build()
@@ -115,8 +119,8 @@ func TestOverlayCompactMatchesRebuild(t *testing.T) {
 		if got.NumEdges() != wantG.NumEdges() || o.NumEdges() != wantG.NumEdges() {
 			t.Fatalf("trial %d: edge count %d/%d, want %d", trial, got.NumEdges(), o.NumEdges(), wantG.NumEdges())
 		}
-		gotOff, gotAdj := got.CSR()
-		wantOff, wantAdj := wantG.CSR()
+		gotOff, gotAdj := flatten(got)
+		wantOff, wantAdj := flatten(wantG)
 		if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
 			t.Fatalf("trial %d: compacted CSR differs from rebuilt CSR", trial)
 		}
@@ -132,7 +136,7 @@ func egoFingerprint(g *Graph, u NodeID) []NodeID {
 	en := g.Ego(u)
 	out := slices.Clone(en.Members)
 	out = append(out, NodeID(0xffffffff)) // separator
-	off, adj := en.G.CSR()
+	off, adj := flatten(en.G)
 	for _, o := range off {
 		out = append(out, NodeID(o))
 	}
@@ -200,5 +204,37 @@ func TestOverlayMarkNodeDirty(t *testing.T) {
 	}
 	if got := o.DirtyNodes(); !slices.Equal(got, []NodeID{2}) {
 		t.Fatalf("DirtyNodes = %v, want [2]", got)
+	}
+}
+
+// TestCompactAllocatesLittle bounds what one epoch's compaction allocates
+// on the write benchmark's shape (10 000 nodes, ~100 000 edges): the block
+// table and the touched blocks, not a copy of every row. 50 chained one-add
+// compactions must average under one byte per edge; copying the adjacency
+// costs eight.
+func TestCompactAllocatesLittle(t *testing.T) {
+	const n, m = 10_000, 100_000
+	g := overlayRandomGraph(t, n, m, 1)
+	var before, after runtime.MemStats
+	total := uint64(0)
+	for i := 0; i < 50; i++ {
+		u := NodeID(i * 197 % n)
+		v := NodeID(0)
+		for v == u || g.HasEdge(u, v) {
+			v++
+		}
+		o := NewOverlay(g)
+		if err := o.AddEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		g = o.Compact()
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	if avg := total / 50; avg >= m {
+		t.Fatalf("Compact allocated %d B per one-add epoch, want < %d (one byte per edge)", avg, m)
+	} else {
+		t.Logf("Compact allocated %d B per one-add epoch", avg)
 	}
 }

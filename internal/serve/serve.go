@@ -390,7 +390,7 @@ func (s *snapshot) info() SnapshotInfo {
 		Epoch:       s.epoch,
 		Nodes:       s.ds.G.NumNodes(),
 		Edges:       s.ds.G.NumEdges(),
-		Communities: len(s.res.Communities),
+		Communities: s.res.NumCommunities(),
 		Classifier:  s.res.ClassifierName,
 		BuiltAt:     s.builtAt.UTC().Format(time.RFC3339),
 		BuildSecs:   s.buildTime.Seconds(),
@@ -453,7 +453,7 @@ func (s *Server) reloadLocked(seed int64) (SnapshotInfo, error) {
 	s.log.Info("snapshot published",
 		"version", snap.version, "seed", seed,
 		"nodes", ds.G.NumNodes(), "edges", ds.G.NumEdges(),
-		"communities", len(res.Communities),
+		"communities", res.NumCommunities(),
 		"build_seconds", snap.buildTime.Seconds())
 	s.forceCheckpoint()
 	return snap.info(), nil
@@ -486,7 +486,7 @@ func (s *Server) ReloadArtifact(path string) (SnapshotInfo, error) {
 	s.log.Info("snapshot published from artifact",
 		"version", snap.version, "path", path,
 		"nodes", snap.ds.G.NumNodes(), "edges", snap.ds.G.NumEdges(),
-		"communities", len(snap.res.Communities),
+		"communities", snap.res.NumCommunities(),
 		"mutable", snap.pipe != nil,
 		"load_seconds", snap.buildTime.Seconds())
 	s.forceCheckpoint()

@@ -542,3 +542,40 @@ func TestHTTPKillRestartMatchesControl(t *testing.T) {
 	}
 	assertStateEqual(t, s2.current(), control.current(), 1e-12, "kill/restart vs control")
 }
+
+// TestStatsCommunitiesMatchCheckpointMeta: two independent counters report
+// a snapshot's community total — /v1/stats (from the live result) and the
+// meta of the artifact a checkpoint writes (from its export). After a
+// mutation epoch they must agree.
+func TestStatsCommunitiesMatchCheckpointMeta(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(walConfig(t, dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for i, p := range absentPairs(s, 3) {
+		if _, err := s.Mutate(addBatch(p, i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var doc struct {
+		Snapshot SnapshotInfo `json:"snapshot"`
+	}
+	if resp := getJSON(t, ts, "/v1/stats", &doc); resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: status %d", resp.StatusCode)
+	}
+	if err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	art, err := artifact.LoadFile(wal.CheckpointPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta := art.Meta(); doc.Snapshot.Epoch != 3 || meta.Communities != doc.Snapshot.Communities || meta.Communities == 0 {
+		t.Fatalf("epoch %d: /v1/stats reports %d communities, checkpoint meta %d",
+			doc.Snapshot.Epoch, doc.Snapshot.Communities, meta.Communities)
+	}
+}

@@ -163,7 +163,7 @@ func (r *Result) Probabilities(u, v NodeID) []float64 {
 
 // NumCommunities reports how many local communities Phase I detected
 // across all ego networks.
-func (r *Result) NumCommunities() int { return len(r.inner.Communities) }
+func (r *Result) NumCommunities() int { return r.inner.NumCommunities() }
 
 // CommunitySizes returns the size of every detected local community.
 func (r *Result) CommunitySizes() []float64 { return r.inner.CommunitySizes() }
