@@ -133,7 +133,7 @@ type XGBClassifier struct {
 	// Workers has no effect and nothing reads it, like gbdt.Config.Workers
 	// (see there): the trainer's width is GOMAXPROCS. The field is still
 	// declared because benchmark/batch.go copies it; removing it is a
-	// [benchmark] follow-up (ROADMAP item 2).
+	// [benchmark] follow-up (ROADMAP 1(a)/(b)).
 	Workers int
 
 	model *gbdt.Model
@@ -142,18 +142,22 @@ type XGBClassifier struct {
 // Name implements CommunityClassifier.
 func (x *XGBClassifier) Name() string { return "LoCEC-XGB" }
 
-// Fit implements CommunityClassifier. The training rows are assembled one
-// contiguous share per worker, each with its own pooler.
+// Fit implements CommunityClassifier. The training rows are pooled one
+// contiguous share per worker, each into its own pooler and slab.
 func (x *XGBClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels []social.Label) error {
 	if len(comms) == 0 {
 		return fmt.Errorf("core: no labeled communities to train on")
 	}
+	w := pooledWidth(ds)
 	X := make([][]float64, len(comms))
 	y := make([]int, len(comms))
 	parallel.For(len(comms), 0, func(lo, hi int) {
-		var p pooler
+		p := newPooler(ds, comms[lo:hi])
+		slab := make([]float64, (hi-lo)*w)
 		for i := lo; i < hi; i++ {
-			X[i] = p.features(ds, comms[i])
+			a := (i - lo) * w
+			X[i] = slab[a : a+w : a+w]
+			copy(X[i], p.features(ds, comms[i]))
 			y[i] = int(labels[i])
 		}
 	})
@@ -172,14 +176,20 @@ func (x *XGBClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels 
 
 // Classify implements CommunityClassifier. Each community walks the
 // forest once: the leaf values are r_C, and the class probabilities are
-// read off them (gbdt.Model.ProbaFromLeaves) — bit for bit what
-// PredictProba would return from a second walk.
+// read off them (gbdt.Model.ProbaFromLeavesInto) — bit for bit what
+// PredictProba would return from a second walk. A worker block writes both
+// into one slab it owns and hands out capped views (s[a:b:b]), so an
+// append to a Result or Probs copies instead of hitting its neighbour.
 func (x *XGBClassifier) Classify(ds *social.Dataset, comms []*LocalCommunity) {
 	parallel.For(len(comms), 0, func(lo, hi int) {
-		var p pooler
-		for _, comm := range comms[lo:hi] {
-			comm.Result = x.model.LeafValues(p.features(ds, comm))
-			comm.Probs = x.model.ProbaFromLeaves(comm.Result)
+		nt, nc := x.model.NumTrees(), x.model.NumClasses()
+		p := newPooler(ds, comms[lo:hi])
+		slab := make([]float64, (hi-lo)*(nt+nc))
+		for i, comm := range comms[lo:hi] {
+			a, b := i*(nt+nc), (i+1)*(nt+nc)
+			comm.Result, comm.Probs = slab[a:a+nt:a+nt], slab[a+nt:b:b]
+			x.model.LeafValuesInto(p.features(ds, comm), comm.Result)
+			x.model.ProbaFromLeavesInto(comm.Result, comm.Probs)
 		}
 	})
 }

@@ -127,27 +127,40 @@ func PooledFeatures(ds *social.Dataset, c *LocalCommunity) []float64 {
 	return new(pooler).features(ds, c)
 }
 
-// pooler is PooledFeatures for a run of communities: the member rows live
-// in one flat scratch that grows to the largest community seen, so a call
-// allocates the vector it returns and nothing else. One per worker block.
+// pooler is PooledFeatures for a run of communities: the pooled vector and
+// the member rows share one flat scratch, and features returns a view of
+// it valid until the next call. One per worker block, made by newPooler
+// for the block's largest community so the block allocates it once.
 type pooler struct {
-	flat []float64
+	flat []float64 // [pooled vector | member interaction rows | totals]
+}
+
+// pooledWidth is the length of a pooled vector: [means..., stds...].
+func pooledWidth(ds *social.Dataset) int {
+	return 2 * (int(social.NumInteractionDims) + ds.NumFeatureDims())
+}
+
+func newPooler(ds *social.Dataset, comms []*LocalCommunity) pooler {
+	most := 0
+	for _, c := range comms {
+		most = max(most, len(c.Members))
+	}
+	return pooler{flat: make([]float64, pooledWidth(ds)+(most+1)*int(social.NumInteractionDims))}
 }
 
 func (p *pooler) features(ds *social.Dataset, c *LocalCommunity) []float64 {
 	nd := int(social.NumInteractionDims)
 	nf := ds.NumFeatureDims()
 	w := nd + nf
-	need := (len(c.Members) + 1) * nd
+	need := 2*w + (len(c.Members)+1)*nd
 	if cap(p.flat) < need {
 		p.flat = make([]float64, need)
 	}
-	inter := p.flat[:need]
-	clear(inter)
+	clear(p.flat[:need])
+	out, inter := p.flat[:2*w:2*w], p.flat[2*w:need]
 	interactInto(inter, ds, c)
 	// The sums build up in the halves of out that the mean and the
 	// standard deviation then replace.
-	out := make([]float64, 2*w)
 	sum, sq := out[:w], out[w:]
 	for i, u := range c.Members {
 		for d, v := range inter[i*nd : (i+1)*nd] {

@@ -98,11 +98,13 @@ func featureFixture(t *testing.T) (ds, dormant *social.Dataset, comms []*LocalCo
 // TestFeaturesMatchReference: on every community of the division —
 // singletons and all-dormant ones included — the flat-scratch builders
 // return exactly the values of the old statements, from one pooler reused
-// across communities of every size (a stale scratch would show here).
+// across communities of every size (a stale scratch would show here), and
+// from one sized for them all up front.
 func TestFeaturesMatchReference(t *testing.T) {
 	ds, dormant, comms := featureFixture(t)
 	singletons := 0
 	var p pooler
+	sized := newPooler(ds, comms)
 	for _, d := range []*social.Dataset{ds, dormant} {
 		for i, c := range comms {
 			if len(c.Members) == 1 {
@@ -121,6 +123,9 @@ func TestFeaturesMatchReference(t *testing.T) {
 			wantP := pooledFeaturesReference(d, c)
 			if got := p.features(d, c); !slices.Equal(got, wantP) {
 				t.Fatalf("community %d (ego %d, %d members): pooled features %v, want %v", i, c.Ego, len(c.Members), got, wantP)
+			}
+			if got := sized.features(d, c); !slices.Equal(got, wantP) {
+				t.Fatalf("community %d: sized pooler %v, want %v", i, got, wantP)
 			}
 			if got := PooledFeatures(d, c); !slices.Equal(got, wantP) {
 				t.Fatalf("community %d: PooledFeatures %v, want %v", i, got, wantP)
@@ -144,22 +149,26 @@ func TestFeaturesMatchReference(t *testing.T) {
 	}
 }
 
-// TestPoolerAllocatesOnlyItsResult pins the block form Fit and Classify
-// call at one allocation per community — the vector it returns — once the
-// scratch has grown to the largest community.
-func TestPoolerAllocatesOnlyItsResult(t *testing.T) {
+// TestPoolerAllocatesNothing pins the block form Fit and Classify call: a
+// pooler made for a block pools every community of it without allocating,
+// the vector it returns included, and a zero pooler stops allocating once
+// its scratch has grown to the largest community.
+func TestPoolerAllocatesNothing(t *testing.T) {
 	ds, _, comms := featureFixture(t)
-	var p pooler
+	sized := newPooler(ds, comms)
+	var grown pooler
 	for _, c := range comms {
-		p.features(ds, c) // warm the scratch
+		grown.features(ds, c)
 	}
-	perRun := testing.AllocsPerRun(5, func() {
-		for _, c := range comms {
-			p.features(ds, c)
+	for name, p := range map[string]*pooler{"newPooler": &sized, "grown": &grown} {
+		perRun := testing.AllocsPerRun(5, func() {
+			for _, c := range comms {
+				p.features(ds, c)
+			}
+		})
+		if perRun != 0 {
+			t.Fatalf("%s: %v allocations for %d communities, want none", name, perRun, len(comms))
 		}
-	})
-	if perRun != float64(len(comms)) {
-		t.Fatalf("%v allocations for %d communities, want one each", perRun, len(comms))
 	}
 }
 

@@ -56,11 +56,12 @@ func (p *Pipeline) ClassifyCommunities(ds *social.Dataset, comms []*LocalCommuni
 
 // TrainCombiner is the Phase III training stage: fit the logistic
 // regression on the revealed edges' raw features and install it on the
-// result. logreg.Train standardises the columns itself, holds out a seeded
-// tenth of the rows and stops when their loss stops falling —
-// cfg.Combiner.Epochs is only the cap, and res.Combiner.EpochsRun says
-// where the fit ended. Under the agreement-rule ablation there is nothing
-// to train.
+// result. The training matrix exists once: every edge's row [1, f⟨u,v⟩]
+// goes into one arena, and logreg.TrainRows standardises that arena in
+// place, holds out a seeded tenth of the rows and stops when their loss
+// stops falling — cfg.Combiner.Epochs is only the cap, and
+// res.Combiner.EpochsRun says where the fit ended. Under the
+// agreement-rule ablation there is nothing to train.
 func (p *Pipeline) TrainCombiner(ds *social.Dataset, res *Result) error {
 	if p.cfg.AgreementRule {
 		return nil
@@ -69,26 +70,27 @@ func (p *Pipeline) TrainCombiner(ds *social.Dataset, res *Result) error {
 	if len(labeled) == 0 {
 		return fmt.Errorf("core: phase III requires labeled edges")
 	}
-	// Training matrix: every row has the same width (2 tightness values +
-	// two fixed-width r_C embeddings), so one flat backing array serves
-	// all rows; the first appended row reveals the width.
-	var flatX []float64
-	X := make([][]float64, len(labeled))
+	// Every row has the same width (bias, 2 tightness values, two
+	// fixed-width r_C embeddings), so the first row sizes the arena. A row
+	// of another width — an endpoint community with no Result — would
+	// shift every later row, and is refused.
+	var rows []float64
 	y := make([]int, len(labeled))
-	featW := 0
+	fw := 0
 	for i, k := range labeled {
 		e := graph.EdgeFromKey(k)
-		flatX = AppendEdgeFeatures(flatX, res.Egos, e.U, e.V)
+		rows = AppendEdgeFeatures(append(rows, 1), res.Egos, e.U, e.V)
 		if i == 0 {
-			featW = len(flatX)
-			grown := make([]float64, featW, len(labeled)*featW)
-			copy(grown, flatX)
-			flatX = grown
+			fw = len(rows)
+			rows = append(make([]float64, 0, len(labeled)*fw), rows...)
+		} else if len(rows) != (i+1)*fw {
+			first := graph.EdgeFromKey(labeled[0])
+			return fmt.Errorf("core: phase III training: edge (%d,%d) has %d features, edge (%d,%d) has %d",
+				e.U, e.V, len(rows)-i*fw-1, first.U, first.V, fw-1)
 		}
-		X[i] = flatX[i*featW : (i+1)*featW]
 		y[i] = int(ds.TrueLabel(k))
 	}
-	lr, err := logreg.Train(X, y, p.cfg.Combiner)
+	lr, err := logreg.TrainRows(rows, y, p.cfg.Combiner)
 	if err != nil {
 		return fmt.Errorf("core: phase III training: %w", err)
 	}

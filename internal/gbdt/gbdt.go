@@ -59,7 +59,7 @@ type Config struct {
 	// was measured on — and the one fan-out left (per-column binning) is a
 	// parallel.For at GOMAXPROCS. The field stays declared, and out of the
 	// serialized model, because benchmark/batch.go assigns it; removing it
-	// is a [benchmark] follow-up (ROADMAP item 2).
+	// is a [benchmark] follow-up (ROADMAP 1(a)/(b)).
 	Workers int `json:"-"`
 }
 
@@ -126,6 +126,9 @@ type Model struct {
 
 // NumFeatures returns the feature dimensionality seen at training time.
 func (m *Model) NumFeatures() int { return m.features }
+
+// NumClasses returns the number of classes the model scores.
+func (m *Model) NumClasses() int { return m.cfg.Classes }
 
 // NumTrees returns the total number of trees (rounds × classes).
 func (m *Model) NumTrees() int {
@@ -481,18 +484,18 @@ func (m *Model) LeafValues(x []float64) []float64 {
 	return out
 }
 
-// ProbaFromLeaves returns the class probabilities of the input whose
-// LeafValues are leaves, without walking the forest again: the leaf values
-// are added into their class margins in tree order — the additions
-// MarginsInto performs — then softmaxed, so the result equals PredictProba
-// of that input bit for bit.
-func (m *Model) ProbaFromLeaves(leaves []float64) []float64 {
-	out := make([]float64, m.cfg.Classes)
+// ProbaFromLeavesInto writes into dst (length NumClasses) the class
+// probabilities of the input whose LeafValues are leaves, without walking
+// the forest again: the leaf values are added into their class margins in
+// tree order — the additions MarginsInto performs — then softmaxed, so dst
+// equals PredictProba of that input bit for bit.
+func (m *Model) ProbaFromLeavesInto(leaves, dst []float64) {
+	dst = dst[:m.cfg.Classes]
+	clear(dst)
 	for ti, v := range leaves {
-		out[ti%len(out)] += v
+		dst[ti%len(dst)] += v
 	}
-	tensor.Softmax(out, out)
-	return out
+	tensor.Softmax(dst, dst)
 }
 
 // LeafValuesInto writes each tree's leaf value for x into dst (length

@@ -57,8 +57,40 @@ type Model struct {
 	EpochsRun int `json:"-"`
 }
 
-// Train fits the model with mini-batch SGD on the softmax cross-entropy
-// and stops when a held-out sample says it has converged.
+// Train is TrainRows for callers that hold one slice per row: it rejects
+// ragged rows, flattens X into bias-first rows and fits those.
+func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
+	rows, err := flatten(X, y)
+	if err != nil {
+		return nil, err
+	}
+	return TrainRows(rows, y, cfg)
+}
+
+// flatten lays X out as len(X) rows of [1, x...]. A ragged row would be
+// silently shifted into its neighbours by the flattening, so it is refused.
+func flatten(X [][]float64, y []int) ([]float64, error) {
+	if len(X) != len(y) {
+		return nil, fmt.Errorf("logreg: bad training set (%d rows, %d labels)", len(X), len(y))
+	}
+	if len(X) == 0 {
+		return nil, nil
+	}
+	nf := len(X[0])
+	rows := make([]float64, 0, len(X)*(nf+1))
+	for i, x := range X {
+		if len(x) != nf {
+			return nil, fmt.Errorf("logreg: row %d has %d features, row 0 has %d", i, len(x), nf)
+		}
+		rows = append(append(rows, 1), x...)
+	}
+	return rows, nil
+}
+
+// TrainRows fits the model with mini-batch SGD on the softmax cross-entropy
+// and stops when a held-out sample says it has converged. rows holds
+// len(y) bias-first rows [1, x...], each len(rows)/len(y) wide; the caller
+// hands them over, and they are standardised in place.
 //
 // Every feature column is standardised once — centred, and divided by its
 // standard deviation or the typical column's, whichever is larger (see
@@ -73,28 +105,28 @@ type Model struct {
 // runs to the cap. L2 defaults to 0 and every pipeline in this repository
 // leaves it there: the stop is the regulariser.
 //
-// The training set is flattened into an arena of [1, standardised
-// features...] rows; each shuffled mini-batch gathers its rows from the
-// arena through the tensor GEMM kernels: logits are one
-// MatMulABTAccGather against the bias-first weight matrix, gradients one
-// MatMulATBGatherB of the (softmax − one-hot) residuals against the
-// batch, each preceded by a serial warm pass over the batch's arena rows
-// (rationale at the pass itself). Per dst element both kernels accumulate
-// in exactly the order a scalar loop does — bias first then ascending
-// features for logits, shuffled-row order for gradients — and Train is a
-// serial function of (X, y, cfg), so it agrees bit for bit, in weights
-// and in epochs run, with the scalar statement of the same algorithm in
-// logreg_reference_test.go.
-func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
+// Standardised, rows is the arena every epoch streams; each shuffled
+// mini-batch gathers its rows from it through the tensor GEMM kernels:
+// logits are one MatMulABTAccGather against the bias-first weight matrix,
+// gradients one MatMulATBGatherB of the (softmax − one-hot) residuals
+// against the batch, each preceded by a serial warm pass over the batch's
+// arena rows (rationale at the pass itself). Per dst element both kernels
+// accumulate in exactly the order a scalar loop does — bias first then
+// ascending features for logits, shuffled-row order for gradients — and
+// TrainRows is a serial function of (rows, y, cfg), so it agrees bit for
+// bit, in weights and in epochs run, with the scalar statement of the same
+// algorithm in logreg_reference_test.go.
+func TrainRows(rows []float64, y []int, cfg Config) (*Model, error) {
 	cfg.defaults()
-	if err := validate(X, y, cfg.Classes); err != nil {
+	if err := validate(rows, y, cfg.Classes); err != nil {
 		return nil, err
 	}
-	mean, inv, err := columnStats(X)
+	fw := len(rows) / len(y)
+	mean, inv, err := columnStats(rows, fw)
 	if err != nil {
 		return nil, err
 	}
-	wb, epochs := fit(X, y, cfg, mean, inv)
+	wb, epochs := fit(rows, fw, y, cfg, mean, inv)
 	return foldBack(wb, mean, inv, cfg.Classes, epochs), nil
 }
 
@@ -117,22 +149,27 @@ func foldBack(wb, mean, inv []float64, classes, epochs int) *Model {
 	return m
 }
 
-// validate rejects what Train cannot fit: a ragged row would be silently
-// truncated or zero-padded by the flattening, and one non-finite feature
-// would poison its column's mean and, through it, every weight.
-func validate(X [][]float64, y []int, classes int) error {
+// validate rejects what TrainRows cannot fit: rows that are not len(y)
+// rows of a bias and ≥ 1 feature, a bias slot that is not 1 (a shifted
+// row), and a non-finite feature, which would poison its column's mean
+// and every weight. Columns count from the first feature.
+func validate(rows []float64, y []int, classes int) error {
 	if classes < 2 {
 		return fmt.Errorf("logreg: Classes must be >= 2, got %d", classes)
 	}
-	if len(X) == 0 || len(X) != len(y) {
-		return fmt.Errorf("logreg: bad training set (%d rows, %d labels)", len(X), len(y))
+	if len(y) == 0 || len(rows)%len(y) != 0 {
+		return fmt.Errorf("logreg: bad training set (%d values, %d labels)", len(rows), len(y))
 	}
-	nf := len(X[0])
-	for i, x := range X {
-		if len(x) != nf {
-			return fmt.Errorf("logreg: row %d has %d features, row 0 has %d", i, len(x), nf)
+	fw := len(rows) / len(y)
+	if fw < 2 {
+		return fmt.Errorf("logreg: rows %d wide hold no feature after the bias", fw)
+	}
+	for i := range y {
+		row := rows[i*fw : (i+1)*fw]
+		if row[0] != 1 {
+			return fmt.Errorf("logreg: bias slot %v at row %d, want 1", row[0], i)
 		}
-		for j, v := range x {
+		for j, v := range row[1:] {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("logreg: feature %v at row %d, column %d", v, i, j)
 			}
@@ -158,14 +195,14 @@ func validate(X [][]float64, y []int, classes int) error {
 // sums to exactly zero whatever its value: it standardises to all zeros
 // and earns no weight. Finite inputs whose squares overflow are rejected
 // by column.
-func columnStats(X [][]float64) (mean, inv []float64, err error) {
-	nf := len(X[0])
-	n := float64(len(X))
+func columnStats(rows []float64, fw int) (mean, inv []float64, err error) {
+	nf := fw - 1
+	n := float64(len(rows) / fw)
 	mean = make([]float64, nf) // Σ(x − x0), then the mean
 	inv = make([]float64, nf)  // Σ(x − x0)², then the variance, then 1/scale
-	x0 := X[0]
-	for _, x := range X {
-		for j, v := range x {
+	x0 := rows[1:fw]
+	for i := 0; i < len(rows); i += fw {
+		for j, v := range rows[i+1 : i+fw] {
 			d := v - x0[j]
 			mean[j] += d
 			inv[j] += d * d
@@ -194,33 +231,27 @@ func columnStats(X [][]float64) (mean, inv []float64, err error) {
 	return mean, inv, nil
 }
 
-// fit runs the stopped SGD on the standardised rows and returns the
-// bias-first weights of the standardised problem with the number of epochs
-// run.
-func fit(X [][]float64, y []int, cfg Config, mean, inv []float64) ([]float64, int) {
+// fit standardises the fw-wide bias-first rows in place, runs the stopped
+// SGD on them and returns the bias-first weights of the standardised
+// problem with the number of epochs run.
+func fit(arena []float64, fw int, y []int, cfg Config, mean, inv []float64) ([]float64, int) {
 	classes := cfg.Classes
-	fw := len(mean) + 1 // row width with the leading bias column
-	// Flatten X once into an arena of [1, standardised features...] rows
-	// in original order so each epoch streams one contiguous block
-	// instead of chasing per-row slice headers.
-	arena := make([]float64, len(X)*fw)
-	for i, x := range X {
-		row := arena[i*fw : (i+1)*fw]
-		row[0] = 1
-		for j, v := range x {
-			row[1+j] = (v - mean[j]) * inv[j]
+	for i := 0; i < len(arena); i += fw {
+		row := arena[i+1 : i+fw]
+		for j, v := range row {
+			row[j] = (v - mean[j]) * inv[j]
 		}
 	}
 	// The hold-out is a seeded sample, not a prefix: callers hand rows
 	// over in an order that means something (LabeledEdges is in node
 	// order).
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	idx := make([]int, len(X))
+	idx := make([]int, len(y))
 	for i := range idx {
 		idx[i] = i
 	}
 	rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	nHold := len(X) / holdOutDiv
+	nHold := len(y) / holdOutDiv
 	if nHold < minHoldOut {
 		nHold = 0
 	}

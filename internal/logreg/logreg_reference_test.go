@@ -20,11 +20,16 @@ import (
 // each gradient cell sums its batch rows in shuffled-index order; the
 // held-out loss sums rows in draw order), and both consume the seeded RNG
 // for the hold-out draw and then once per epoch. logreg_equiv_test.go
-// pins that contract with exact ==. Only validate and Config.defaults are
+// pins that contract with exact ==. Only the input checks (flatten and
+// validate, whose flat rows are then dropped) and Config.defaults are
 // shared with Train.
 func trainReference(X [][]float64, y []int, cfg Config) (*Model, error) {
 	cfg.defaults()
-	if err := validate(X, y, cfg.Classes); err != nil {
+	rows, err := flatten(X, y)
+	if err != nil {
+		return nil, err
+	}
+	if err := validate(rows, y, cfg.Classes); err != nil {
 		return nil, err
 	}
 	n, nf, classes := len(X), len(X[0]), cfg.Classes

@@ -3,6 +3,7 @@ package logreg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -68,6 +69,87 @@ func TestValidationHostileRows(t *testing.T) {
 				_, err := train(X, y, Config{Classes: 2})
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Errorf("%s: error %v, want one naming %q", name, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestTrainRowsRejects: the flat entry point refuses rows that do not cut
+// into len(y) bias-first rows with at least one feature, a bias slot that
+// is not 1, and what validate refuses in Train's rows, naming the row or
+// column.
+func TestTrainRowsRejects(t *testing.T) {
+	clean := func() []float64 { return []float64{1, 0, 1, 1, 1, 0, 1, 2, 2, 1, 3, 1} } // 4 rows of [1, x0, x1]
+	y := []int{0, 1, 0, 1}
+	cases := []struct {
+		name string
+		rows func() []float64
+		y    []int
+		want string
+	}{
+		{"not n·width", func() []float64 { return clean()[:11] }, y, "11 values, 4 labels"},
+		{"no feature", func() []float64 { return []float64{1, 1, 1, 1} }, y, "rows 1 wide hold no feature"},
+		{"no labels", clean, nil, "12 values, 0 labels"},
+		{"bias slot", func() []float64 { r := clean(); r[6] = 0; return r }, y, "bias slot 0 at row 2"},
+		{"shifted row", func() []float64 { return append(clean()[1:], 1) }, y, "bias slot 0 at row 0"},
+		{"NaN", func() []float64 { r := clean(); r[8] = math.NaN(); return r }, y, "row 2, column 1"},
+		{"Inf", func() []float64 { r := clean(); r[10] = math.Inf(1); return r }, y, "row 3, column 0"},
+		{"overflow", func() []float64 { r := clean(); r[11] = math.MaxFloat64; return r }, y, "column 1 overflows"},
+		{"label", clean, []int{0, 1, 2, 1}, "label 2 out of range at row 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := TrainRows(tc.rows(), tc.y, Config{Classes: 2})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+	if _, err := TrainRows(clean(), y, Config{Classes: 2, Epochs: 2}); err != nil {
+		t.Fatalf("clean rows refused: %v", err)
+	}
+}
+
+// TestTrainRowsMatchesTrainAndReference: one solver path — the flat entry
+// point, the [][]float64 adapter and the scalar oracle fit the same
+// weights (==) and stop at the same epoch on the fixtures of this package.
+func TestTrainRowsMatchesTrainAndReference(t *testing.T) {
+	cases := []struct {
+		name string
+		gen  func(n, nf, classes int, seed int64) ([][]float64, []int)
+		n    int
+		nf   int
+		cfg  Config
+	}{
+		{"dense", denseRows, 257, 18, Config{Classes: 3, Epochs: 7, Seed: 1}},
+		{"dense-held-out", denseRows, 640, 12, Config{Classes: 3, BatchSize: 20, Seed: 9}},
+		{"teacher", teacherRows, 450, 10, Config{Classes: 3, Epochs: 4, Seed: 10}},
+		{"teacher-four-classes", teacherRows, 128, 11, Config{Classes: 4, BatchSize: 16, L2: 1e-4, Seed: 4}},
+		{"blobs", func(n, _, classes int, seed int64) ([][]float64, []int) { return blobs(n, classes, seed) }, 240, 0, Config{Classes: 3, Epochs: 60, LR: 0.3, Seed: 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			X, y := tc.gen(tc.n, tc.nf, tc.cfg.Classes, tc.cfg.Seed+100)
+			fw := len(X[0]) + 1
+			rows := make([]float64, len(X)*fw)
+			for i, x := range X {
+				rows[i*fw] = 1
+				copy(rows[i*fw+1:], x)
+			}
+			flat, err := TrainRows(rows, y, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, train := range map[string]func([][]float64, []int, Config) (*Model, error){
+				"Train": Train, "trainReference": trainReference,
+			} {
+				m, err := train(X, y, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.EpochsRun != flat.EpochsRun || !slices.Equal(m.W, flat.W) {
+					t.Fatalf("%s: %d epochs, TrainRows %d; weights equal: %v", name, m.EpochsRun, flat.EpochsRun, slices.Equal(m.W, flat.W))
 				}
 			}
 		})
@@ -225,12 +307,16 @@ func TestFoldBackMatchesStandardisedLogits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.defaults()
-	mean, inv, err := columnStats(X)
+	rows, err := flatten(X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, _ := fit(X, y, cfg, mean, inv)
-	fw := len(mean) + 1
+	fw := len(rows) / len(y)
+	mean, inv, err := columnStats(rows, fw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, _ := fit(rows, fw, y, cfg, mean, inv)
 	want := make([]float64, cfg.Classes)
 	got := make([]float64, cfg.Classes)
 	for _, x := range X {
