@@ -72,20 +72,15 @@ func (c *CNNClassifier) defaults() {
 	}
 }
 
-func (c *CNNClassifier) matrixOf(ds *social.Dataset, comm *LocalCommunity) *tensor.Tensor {
-	if c.ShuffleRows {
-		return tensor.FromMatrix(FeatureMatrixShuffled(ds, comm, c.K, c.Seed))
-	}
-	return tensor.FromMatrix(FeatureMatrix(ds, comm, c.K))
-}
-
-// Fit implements CommunityClassifier.
+// Fit implements CommunityClassifier. The feature matrices are built one
+// contiguous share per worker, into one slab of matrices and one of tensor
+// headers per share.
 func (c *CNNClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels []social.Label) error {
 	c.defaults()
 	if len(comms) == 0 {
 		return fmt.Errorf("core: no labeled communities to train on")
 	}
-	features := int(social.NumInteractionDims) + ds.NumFeatureDims()
+	features := matrixWidth(ds)
 	net, err := nn.NewCommCNN(nn.CommCNNConfig{
 		K: c.K, Features: features, Classes: social.NumLabels,
 		Filters: c.Filters, Hidden: c.Hidden, Seed: c.Seed,
@@ -95,10 +90,17 @@ func (c *CNNClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels 
 	}
 	xs := make([]*tensor.Tensor, len(comms))
 	ys := make([]int, len(comms))
-	for i, comm := range comms {
-		xs[i] = c.matrixOf(ds, comm)
-		ys[i] = int(labels[i])
-	}
+	size := c.K * features
+	parallel.For(len(comms), 0, func(lo, hi int) {
+		var s matrixScratch
+		slab, ts := make([]float64, (hi-lo)*size), make([]tensor.Tensor, hi-lo)
+		for i := lo; i < hi; i++ {
+			a := (i - lo) * size
+			ts[i-lo] = tensor.Tensor{C: 1, H: c.K, W: features, Data: slab[a : a+size : a+size]}
+			s.fill(ts[i-lo].Data, ds, comms[i], c.K, c.ShuffleRows, c.Seed)
+			xs[i], ys[i] = &ts[i-lo], int(labels[i])
+		}
+	})
 	net.Fit(xs, ys, nn.TrainConfig{
 		Epochs: c.Epochs, BatchSize: c.BatchSize, Seed: c.Seed + 1,
 		Workers: c.Workers, Optimizer: nn.NewAdam(c.LR),
@@ -112,13 +114,20 @@ func (c *CNNClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels 
 // parallel; each worker takes one contiguous share and a cloned network
 // (activation state is per-instance). A community's output does not depend
 // on which worker ran it, so Workers — a training setting — plays no part.
+// A worker reuses one input tensor and writes every probability vector of
+// its share into one slab, handing out capped views (s[a:b:b]).
 func (c *CNNClassifier) Classify(ds *social.Dataset, comms []*LocalCommunity) {
+	nc := c.net.Classes
 	parallel.For(len(comms), 0, func(lo, hi int) {
-		net := &nn.Network{Root: c.net.Root.Clone(), Classes: c.net.Classes}
-		for _, comm := range comms[lo:hi] {
-			probs := net.Predict(c.matrixOf(ds, comm))
-			comm.Probs = probs
-			comm.Result = probs // r_C = softmax vector (paper, Phase III)
+		net := &nn.Network{Root: c.net.Root.Clone(), Classes: nc}
+		var s matrixScratch
+		x := tensor.NewTensor(1, c.K, matrixWidth(ds))
+		slab := make([]float64, (hi-lo)*nc)
+		for i, comm := range comms[lo:hi] {
+			s.fill(x.Data, ds, comm, c.K, c.ShuffleRows, c.Seed)
+			probs := slab[i*nc : (i+1)*nc : (i+1)*nc]
+			net.PredictInto(x, probs)
+			comm.Probs, comm.Result = probs, probs // r_C = softmax vector (paper, Phase III)
 		}
 	})
 }

@@ -164,7 +164,10 @@ func TestInteractFeaturesNormalization(t *testing.T) {
 	g.ForEachEdge(func(u, v graph.NodeID) { labels[(graph.Edge{U: u, V: v}).Key()] = social.Family })
 	ds := &social.Dataset{G: g, UserFeatures: feats, Interactions: inter, TrueLabels: labels, Revealed: map[uint64]bool{}}
 	c := &LocalCommunity{Ego: 3, Members: []graph.NodeID{0, 1, 2}, Tightness: []float64{1, 1, 1}}
-	rows := InteractFeatures(ds, c)
+	nd := int(social.NumInteractionDims)
+	flat := make([]float64, (len(c.Members)+1)*nd)
+	interactInto(flat, ds, c)
+	rows := [][]float64{flat[:nd], flat[nd : 2*nd], flat[2*nd : 3*nd]}
 	if math.Abs(rows[0][0]-1.0) > 1e-12 || math.Abs(rows[1][0]-2.0/3.0) > 1e-12 || math.Abs(rows[2][0]-1.0/3.0) > 1e-12 {
 		t.Fatalf("interact features = %v %v %v", rows[0][0], rows[1][0], rows[2][0])
 	}

@@ -1,32 +1,20 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"locec/internal/graph"
 	"locec/internal/social"
 	"locec/internal/tensor"
 )
 
-// InteractFeatures computes I_u^C for every member u of community C per
+// interactInto computes I_u^C for every member u of community C per
 // Eq. 1–2: each dimension is u's interaction volume with other members,
 // normalized by the community's total internal volume on that dimension.
-// Rows align with c.Members and are cut from one backing array.
 // Dimensions whose community total is zero yield zeros (the all-dormant
-// community edge case).
-func InteractFeatures(ds *social.Dataset, c *LocalCommunity) [][]float64 {
-	nd := int(social.NumInteractionDims)
-	flat := make([]float64, (len(c.Members)+1)*nd)
-	interactInto(flat, ds, c)
-	rows := make([][]float64, len(c.Members))
-	for i := range rows {
-		rows[i] = flat[i*nd : (i+1)*nd : (i+1)*nd]
-	}
-	return rows
-}
-
-// interactInto is InteractFeatures on a caller-owned zeroed buffer of
+// community edge case). It writes into a caller-owned zeroed buffer of
 // (len(c.Members)+1)·|I| values: member i's row at flat[i·|I|:], the
 // per-dimension community totals in the last |I| slots.
 func interactInto(flat []float64, ds *social.Dataset, c *LocalCommunity) {
@@ -63,61 +51,73 @@ func interactInto(flat []float64, ds *social.Dataset, c *LocalCommunity) {
 // Algorithm 1: member rows [I_u^C, f_u] ordered by descending tightness,
 // truncated to the top k and zero-padded when the community is smaller.
 func FeatureMatrix(ds *social.Dataset, c *LocalCommunity, k int) *tensor.Matrix {
-	order := make([]int, len(c.Members))
-	for i := range order {
-		order[i] = i
-	}
-	// Order members by descending tightness (Algorithm 1's max-heap);
-	// break ties by node ID for determinism.
-	sort.Slice(order, func(a, b int) bool {
-		if c.Tightness[order[a]] != c.Tightness[order[b]] {
-			return c.Tightness[order[a]] > c.Tightness[order[b]]
-		}
-		return c.Members[order[a]] < c.Members[order[b]]
-	})
-	return matrixInOrder(ds, c, k, order)
+	m := tensor.NewMatrix(k, matrixWidth(ds))
+	new(matrixScratch).fill(m.Data, ds, c, k, false, 0)
+	return m
 }
 
 // FeatureMatrixShuffled is the row-ordering ablation: members are placed
 // in a seeded random order instead of by tightness. Comparing it against
 // FeatureMatrix quantifies how much Algorithm 1's ordering contributes.
 func FeatureMatrixShuffled(ds *social.Dataset, c *LocalCommunity, k int, seed int64) *tensor.Matrix {
-	order := make([]int, len(c.Members))
+	m := tensor.NewMatrix(k, matrixWidth(ds))
+	new(matrixScratch).fill(m.Data, ds, c, k, true, seed)
+	return m
+}
+
+// matrixWidth is |I|+|f|, the column count of a feature matrix.
+func matrixWidth(ds *social.Dataset) int {
+	return int(social.NumInteractionDims) + ds.NumFeatureDims()
+}
+
+// matrixScratch is what building a feature matrix needs besides the
+// matrix: the member order and the interaction rows. A worker keeps one
+// for its block, so once grown to the block's largest community it builds
+// matrices without allocating.
+type matrixScratch struct {
+	order []int
+	inter []float64
+}
+
+// fill writes c's k×(|I|+|f|) matrix into dst, the first k members' rows
+// and zeros below. Members go by descending tightness (Algorithm 1's
+// max-heap), ties broken by node ID: a total order, so the sort algorithm
+// cannot change the rows. With shuffle they go in a seeded per-community
+// order (xorshift), which keeps the run deterministic without threading an
+// *rand.Rand through parallel workers.
+func (s *matrixScratch) fill(dst []float64, ds *social.Dataset, c *LocalCommunity, k int, shuffle bool, seed int64) {
+	order := slices.Grow(s.order[:0], len(c.Members))[:len(c.Members)]
 	for i := range order {
 		order[i] = i
 	}
-	// Seeded per-community shuffle (xorshift) keeps the run deterministic
-	// without threading an *rand.Rand through parallel workers.
-	s := uint64(seed) ^ (uint64(c.Ego)+1)*0x9e3779b97f4a7c15
-	if len(c.Members) > 0 {
-		s ^= uint64(c.Members[0]) << 32
+	if shuffle {
+		x := uint64(seed) ^ (uint64(c.Ego)+1)*0x9e3779b97f4a7c15
+		if len(c.Members) > 0 {
+			x ^= uint64(c.Members[0]) << 32
+		}
+		for i := len(order) - 1; i > 0; i-- {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			j := int(x % uint64(i+1))
+			order[i], order[j] = order[j], order[i]
+		}
+	} else {
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Or(cmp.Compare(c.Tightness[b], c.Tightness[a]), cmp.Compare(c.Members[a], c.Members[b]))
+		})
 	}
-	for i := len(order) - 1; i > 0; i-- {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		j := int(s % uint64(i+1))
-		order[i], order[j] = order[j], order[i]
-	}
-	return matrixInOrder(ds, c, k, order)
-}
-
-func matrixInOrder(ds *social.Dataset, c *LocalCommunity, k int, order []int) *tensor.Matrix {
-	nd := int(social.NumInteractionDims)
-	nf := ds.NumFeatureDims()
-	m := tensor.NewMatrix(k, nd+nf)
-	inter := InteractFeatures(ds, c)
-	rows := len(order)
-	if rows > k {
-		rows = k
-	}
-	for r := 0; r < rows; r++ {
-		i := order[r]
-		row := m.Row(r)
-		copy(row[:nd], inter[i])
+	nd, w := int(social.NumInteractionDims), matrixWidth(ds)
+	n := (len(c.Members) + 1) * nd
+	s.order, s.inter = order, slices.Grow(s.inter[:0], n)[:n]
+	clear(s.inter)
+	interactInto(s.inter, ds, c)
+	clear(dst[:k*w])
+	for r, i := range order[:min(k, len(order))] {
+		row := dst[r*w : (r+1)*w]
+		copy(row[:nd], s.inter[i*nd:(i+1)*nd])
 		copy(row[nd:], ds.UserFeatures[c.Members[i]])
 	}
-	return m
 }
 
 // PooledFeatures computes the LoCEC-XGB community representation: the mean

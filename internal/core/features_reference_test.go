@@ -3,15 +3,17 @@ package core
 import (
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"locec/internal/social"
+	"locec/internal/tensor"
 	"locec/internal/wechat"
 )
 
 // interactFeaturesReference and pooledFeaturesReference are the feature
 // builders as they stood before the flat-scratch rewrite (a slice per
-// member, a row copy per member): the statements InteractFeatures and
+// member, a row copy per member): the statements interactInto and
 // PooledFeatures must stay == to, because the GBDT's training matrix — and
 // with it every tree — is made of these values.
 func interactFeaturesReference(ds *social.Dataset, c *LocalCommunity) [][]float64 {
@@ -110,14 +112,12 @@ func TestFeaturesMatchReference(t *testing.T) {
 			if len(c.Members) == 1 {
 				singletons++
 			}
-			want := interactFeaturesReference(d, c)
-			got := InteractFeatures(d, c)
-			if len(got) != len(want) {
-				t.Fatalf("community %d: %d interact rows, want %d", i, len(got), len(want))
-			}
-			for r := range want {
-				if !slices.Equal(got[r], want[r]) {
-					t.Fatalf("community %d (ego %d) member %d: interact features %v, want %v", i, c.Ego, r, got[r], want[r])
+			nd := int(social.NumInteractionDims)
+			got := make([]float64, (len(c.Members)+1)*nd)
+			interactInto(got, d, c)
+			for r, want := range interactFeaturesReference(d, c) {
+				if !slices.Equal(got[r*nd:(r+1)*nd], want) {
+					t.Fatalf("community %d (ego %d) member %d: interact features %v, want %v", i, c.Ego, r, got[r*nd:(r+1)*nd], want)
 				}
 			}
 			wantP := pooledFeaturesReference(d, c)
@@ -134,18 +134,6 @@ func TestFeaturesMatchReference(t *testing.T) {
 	}
 	if singletons == 0 {
 		t.Fatal("division has no singleton community: fixture does not cover them")
-	}
-	// An appended row must not run into its neighbour's.
-	for _, c := range comms {
-		if len(c.Members) >= 2 {
-			rows := InteractFeatures(ds, c)
-			before := slices.Clone(rows[1])
-			_ = append(rows[0], 1)
-			if !slices.Equal(rows[1], before) {
-				t.Fatal("appending to one InteractFeatures row wrote into the next")
-			}
-			break
-		}
 	}
 }
 
@@ -196,6 +184,94 @@ func TestXGBClassifyOneWalkMatchesModel(t *testing.T) {
 		}
 		if want := clf.model.LeafValues(x); !slices.Equal(c.Result, want) {
 			t.Fatalf("community %d: Result differs from LeafValues", i)
+		}
+	}
+}
+
+// tightnessOrderReference, shuffledOrderReference and
+// matrixInOrderReference are the feature-matrix statements as they stood
+// before the per-worker scratch (sort.Slice, an order, an interaction row
+// set and a matrix per call): what FeatureMatrix, FeatureMatrixShuffled
+// and CNNClassifier's slabs must stay == to, because every CommCNN input
+// is made of these values.
+func tightnessOrderReference(c *LocalCommunity) []int {
+	order := make([]int, len(c.Members))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		if c.Tightness[order[a]] != c.Tightness[order[b]] {
+			return c.Tightness[order[a]] > c.Tightness[order[b]]
+		}
+		return c.Members[order[a]] < c.Members[order[b]]
+	})
+	return order
+}
+
+func shuffledOrderReference(c *LocalCommunity, seed int64) []int {
+	order := make([]int, len(c.Members))
+	for i := range order {
+		order[i] = i
+	}
+	s := uint64(seed) ^ (uint64(c.Ego)+1)*0x9e3779b97f4a7c15
+	if len(c.Members) > 0 {
+		s ^= uint64(c.Members[0]) << 32
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		j := int(s % uint64(i+1))
+		order[i], order[j] = order[j], order[i]
+	}
+	return order
+}
+
+func matrixInOrderReference(ds *social.Dataset, c *LocalCommunity, k int, order []int) *tensor.Matrix {
+	nd := int(social.NumInteractionDims)
+	m := tensor.NewMatrix(k, nd+ds.NumFeatureDims())
+	inter := interactFeaturesReference(ds, c)
+	for r := 0; r < min(len(order), k); r++ {
+		i := order[r]
+		copy(m.Row(r)[:nd], inter[i])
+		copy(m.Row(r)[nd:], ds.UserFeatures[c.Members[i]])
+	}
+	return m
+}
+
+// TestFeatureMatrixMatchesReference: on every community of the division,
+// all-dormant ones included, truncated (k = 3) and padded (k = 20), both
+// orders give exactly the old statements' matrix — through the exported
+// builders, and through one scratch reused across communities of every
+// size filling a destination full of garbage (stale scratch or a missed
+// clear would show here).
+func TestFeatureMatrixMatchesReference(t *testing.T) {
+	ds, dormant, comms := featureFixture(t)
+	var s matrixScratch
+	for _, d := range []*social.Dataset{ds, dormant} {
+		for _, k := range []int{3, 20} {
+			dst := make([]float64, k*matrixWidth(d))
+			for i, c := range comms {
+				for _, tc := range []struct {
+					name      string
+					want, got *tensor.Matrix
+					shuffle   bool
+				}{
+					{"by tightness", matrixInOrderReference(d, c, k, tightnessOrderReference(c)), FeatureMatrix(d, c, k), false},
+					{"shuffled", matrixInOrderReference(d, c, k, shuffledOrderReference(c, 7)), FeatureMatrixShuffled(d, c, k, 7), true},
+				} {
+					if !slices.Equal(tc.got.Data, tc.want.Data) || tc.got.R != k {
+						t.Fatalf("community %d (%d members), k = %d, %s: matrix %v, want %v", i, len(c.Members), k, tc.name, tc.got.Data, tc.want.Data)
+					}
+					for j := range dst {
+						dst[j] = math.NaN()
+					}
+					s.fill(dst, d, c, k, tc.shuffle, 7)
+					if !slices.Equal(dst, tc.want.Data) {
+						t.Fatalf("community %d, k = %d, %s: reused scratch filled %v, want %v", i, k, tc.name, dst, tc.want.Data)
+					}
+				}
+			}
 		}
 	}
 }

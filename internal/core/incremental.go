@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -99,9 +98,10 @@ type ApplyStats struct {
 }
 
 // CheckInteractions validates the interaction row of an added edge: empty,
-// or social.NumInteractionDims finite non-negative counts. A NaN, infinite
-// or negative count would be re-read as a feature by every later epoch of
-// the edge's egos, so it is refused at the door.
+// or social.NumInteractionDims counts that pass social.CheckValues, the rule
+// social.Dataset.Validate applies to a whole dataset. A NaN, infinite or
+// negative count would be re-read as a feature by every later epoch of the
+// edge's egos, so it is refused at the door.
 func CheckInteractions(row []float64) error {
 	if len(row) == 0 {
 		return nil
@@ -109,12 +109,7 @@ func CheckInteractions(row []float64) error {
 	if len(row) != int(social.NumInteractionDims) {
 		return fmt.Errorf("%d interaction dims, want %d", len(row), social.NumInteractionDims)
 	}
-	for d, x := range row {
-		if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
-			return fmt.Errorf("interaction dim %d = %v", d, x)
-		}
-	}
-	return nil
+	return social.CheckValues(row, "interaction dim", true)
 }
 
 // ApplyMutations applies one mutation batch to a classified dataset and

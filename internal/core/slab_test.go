@@ -11,6 +11,7 @@ import (
 
 	"locec/internal/graph"
 	"locec/internal/social"
+	"locec/internal/tensor"
 	"locec/internal/wechat"
 )
 
@@ -149,5 +150,38 @@ func TestPhaseIIViewsCappedAndOwned(t *testing.T) {
 		if !slices.EqualFunc(c.Result, v.result, sameBits) || !slices.EqualFunc(c.Probs, v.probs, sameBits) {
 			t.Fatalf("community of ego %d in the first snapshot changed under later epochs", c.Ego)
 		}
+	}
+}
+
+// TestCNNClassifySlabsMatchPredict: CNNClassifier.Classify builds every
+// feature matrix into one reused tensor per worker block and writes the
+// probabilities into one slab per block, yet hands every community exactly
+// what the network returns for the community's own FeatureMatrix, as a
+// capped view shared by Result and Probs — and allocates per block (≈ 100
+// objects, mostly the network clone and its layers' scratch), not per
+// community (about nine objects each before the slabs). AllocsPerRun runs
+// at GOMAXPROCS 1, so that is one block.
+func TestCNNClassifySlabsMatchPredict(t *testing.T) {
+	ds, _, comms := featureFixture(t)
+	var train []*LocalCommunity
+	var labels []social.Label
+	for _, c := range comms {
+		if l := c.TruthLabel(); l.Valid() {
+			train, labels = append(train, c), append(labels, l)
+		}
+	}
+	clf := &CNNClassifier{K: 8, Filters: 2, Hidden: 8, Epochs: 1, Seed: 1}
+	if err := clf.Fit(ds, train, labels); err != nil {
+		t.Fatal(err)
+	}
+	clf.Classify(ds, comms)
+	for i, c := range comms {
+		want := clf.net.Predict(tensor.FromMatrix(FeatureMatrix(ds, c, clf.K)))
+		if !slices.Equal(c.Probs, want) || &c.Result[0] != &c.Probs[0] || cap(c.Probs) != len(c.Probs) {
+			t.Fatalf("community %d: Probs %v (cap %d), Predict %v; Result %v", i, c.Probs, cap(c.Probs), want, c.Result)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, func() { clf.Classify(ds, comms) }); allocs > 200 {
+		t.Fatalf("Classify of %d communities made %v allocations, want ≤ 200", len(comms), allocs)
 	}
 }

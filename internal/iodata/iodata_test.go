@@ -68,6 +68,8 @@ func TestDecodeRejectsBadDocuments(t *testing.T) {
 			"edges":[{"u":0,"v":1,"label":"Colleague"}]}`},
 		{"wrong interaction width", `{"users":[{"id":0,"features":[1]},{"id":1,"features":[1]}],
 			"edges":[{"u":0,"v":1,"label":"Colleague","interactions":[1,2]}]}`},
+		{"negative interaction count", `{"users":[{"id":0,"features":[1]},{"id":1,"features":[1]}],
+			"edges":[{"u":0,"v":1,"label":"Colleague","interactions":[1,2,3,4,5,-6,7,8]}]}`},
 		{"missing user record", `{"users":[{"id":1,"features":[1]},{"id":1,"features":[1]}],
 			"edges":[]}`},
 		{"empty", `{}`},

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -45,6 +46,32 @@ func BenchmarkCommCNNTrainStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Fit(xs, ys, TrainConfig{Epochs: 1, BatchSize: 32, Workers: 1, Optimizer: opt, Seed: int64(i)})
+	}
+}
+
+// BenchmarkConvBackward times one backward pass of CommCNN's 3×3 8 → 8
+// convolution (sq2, 20×13) at output-gradient densities from the 6 % that
+// training sees in sq2/sq3 up to a dense gradient.
+func BenchmarkConvBackward(b *testing.B) {
+	for _, density := range []float64{0.06, 0.25, 0.5, 1} {
+		b.Run(fmt.Sprintf("density=%.2f", density), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			c := NewConv2D("c", 8, 8, 3, 3, Same, rng)
+			x, g := tensor.NewTensor(8, 20, 13), tensor.NewTensor(8, 20, 13)
+			for i := range x.Data {
+				x.Data[i] = rng.Float64()
+			}
+			c.Forward(x)
+			for i := range g.Data {
+				if rng.Float64() < density {
+					g.Data[i] = rng.NormFloat64()
+				}
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				c.Backward(g)
+			}
+		})
 	}
 }
 

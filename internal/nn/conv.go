@@ -24,11 +24,16 @@ const (
 // arbitrary rectangular kernel and per-output-channel bias. It supports the
 // paper's square (3×3), wide (1×F), long (k×1) and pointwise (1×1) kernels.
 //
-// Execution lowers the input to an im2col patch matrix and runs one GEMM
-// per direction (tensor.MatMul and friends), so all four kernel shapes
-// share the same tight inner loop; 1×1 kernels skip the lowering and
-// multiply against the input directly. All intermediates live in
-// per-instance scratch buffers reused across calls.
+// Forward lowers the input to an im2col patch matrix and runs one GEMM
+// (tensor.MatMul), so all four kernel shapes share the same tight inner
+// loop; 1×1 kernels skip the lowering and multiply against the input
+// directly. Backward forms gradOut·colsᵀ and Wᵀ·gradOut over the non-zeros
+// of gradOut only (every convolution feeds a ReLU and, further on, a pool,
+// so most of it is zero), == to the dense products on finite inputs:
+// every element gets their terms in their order through the same s += a*b
+// statement, minus exact ±0 products, which cannot change a sum that
+// started at +0. All intermediates live in per-instance scratch buffers
+// reused across calls.
 type Conv2D struct {
 	InC, OutC int
 	KH, KW    int
@@ -45,8 +50,13 @@ type Conv2D struct {
 	// matches the naive loop nest exactly.
 	cols     []float64
 	gradCols []float64
-	out      *tensor.Tensor
-	gradIn   *tensor.Tensor
+	// gradOut's non-zeros, channel by channel in ascending position:
+	// channel oc's are (nzPos[i], nzVal[i]) for i in [nzEnd[oc], nzEnd[oc+1]).
+	nzPos  []int
+	nzVal  []float64
+	nzEnd  []int
+	out    *tensor.Tensor
+	gradIn *tensor.Tensor
 }
 
 // NewConv2D creates the layer and He-initializes its weights from rng.
@@ -196,31 +206,54 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return c.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer, over the non-zeros of gradOut only.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.lastIn
 	oh, ow := gradOut.H, gradOut.W
 	p := oh * ow
 	kk := c.InC * c.KH * c.KW
+	c.nzPos = ensureInts(c.nzPos, c.OutC*p)
+	c.nzVal = tensor.EnsureFloats(c.nzVal, c.OutC*p)
+	c.nzEnd = ensureInts(c.nzEnd, c.OutC+1)
+	n := 0
 	for oc := 0; oc < c.OutC; oc++ {
+		c.nzEnd[oc] = n
 		g := 0.0
-		for _, v := range gradOut.Data[oc*p : (oc+1)*p] {
-			g += v
+		for q, v := range gradOut.Data[oc*p : (oc+1)*p] {
+			if v != 0 {
+				c.nzPos[n], c.nzVal[n] = q, v
+				n++
+				g += v
+			}
 		}
 		c.bias.G[oc] += g
 	}
+	c.nzEnd[c.OutC] = n
 	c.gradIn = tensor.EnsureTensor(c.gradIn, x.C, x.H, x.W)
-	if c.pointwise() {
-		// cols is the input itself; gradCols is the input gradient.
-		tensor.MatMulABTAcc(c.weight.G, gradOut.Data, x.Data, c.OutC, kk, p)
-		tensor.MatMulATB(c.gradIn.Data, c.weight.W, gradOut.Data, c.OutC, kk, p)
-		return c.gradIn
+	// A 1×1 kernel's cols is the input itself, its gradCols gradIn.
+	cols, gradCols := x.Data, c.gradIn.Data
+	if !c.pointwise() {
+		c.gradCols = tensor.EnsureFloats(c.gradCols, kk*p)
+		cols, gradCols = c.cols, c.gradCols
 	}
-	tensor.MatMulABTAcc(c.weight.G, gradOut.Data, c.cols, c.OutC, kk, p)
-	c.gradCols = tensor.EnsureFloats(c.gradCols, kk*p)
-	tensor.MatMulATB(c.gradCols, c.weight.W, gradOut.Data, c.OutC, kk, p)
-	c.gradIn.Zero()
-	c.col2im(c.gradCols, c.gradIn, oh, ow)
+	clear(gradCols)
+	for r := 0; r < kk; r++ {
+		crow, grow := cols[r*p:(r+1)*p], gradCols[r*p:(r+1)*p]
+		for oc := 0; oc < c.OutC; oc++ {
+			pos := c.nzPos[c.nzEnd[oc]:c.nzEnd[oc+1]]
+			val := c.nzVal[c.nzEnd[oc]:c.nzEnd[oc+1]]
+			w, s := c.weight.W[oc*kk+r], 0.0
+			for i, q := range pos {
+				s += val[i] * crow[q]
+				grow[q] += w * val[i]
+			}
+			c.weight.G[oc*kk+r] += s
+		}
+	}
+	if !c.pointwise() {
+		c.gradIn.Zero()
+		c.col2im(c.gradCols, c.gradIn, oh, ow)
+	}
 	return c.gradIn
 }
 
@@ -233,6 +266,7 @@ func (c *Conv2D) Clone() Layer {
 	cp := *c
 	cp.lastIn = nil
 	cp.cols, cp.gradCols = nil, nil
+	cp.nzPos, cp.nzVal, cp.nzEnd = nil, nil, nil
 	cp.out, cp.gradIn = nil, nil
 	return &cp
 }

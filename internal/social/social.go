@@ -242,6 +242,20 @@ func (d *Dataset) UnlabeledEdges() []uint64 {
 	return out
 }
 
+// CheckValues is the one rule for numeric input: no value may be NaN or
+// ±Inf, and with counts set (interaction counts) none may be negative. The
+// error names the first offending column as "<column> <j> = <value>".
+// Validate applies it to every user feature row and interaction vector,
+// core.CheckInteractions to a mutation's row.
+func CheckValues(row []float64, column string, counts bool) error {
+	for j, x := range row {
+		if x-x != 0 || counts && x < 0 { // x-x is NaN for NaN and ±Inf, else 0
+			return fmt.Errorf("%s %d = %v", column, j, x)
+		}
+	}
+	return nil
+}
+
 // Validate checks internal consistency; generators call it before handing a
 // dataset to learners.
 func (d *Dataset) Validate() error {
@@ -254,6 +268,9 @@ func (d *Dataset) Validate() error {
 		if len(row) != w {
 			return fmt.Errorf("social: feature row %d has width %d, want %d", i, len(row), w)
 		}
+		if err := CheckValues(row, "column", false); err != nil {
+			return fmt.Errorf("social: feature row %d: %w", i, err)
+		}
 	}
 	for k, c := range d.AllInteractions() {
 		e := graph.EdgeFromKey(k)
@@ -262,6 +279,9 @@ func (d *Dataset) Validate() error {
 		}
 		if len(c) != int(NumInteractionDims) {
 			return fmt.Errorf("social: interaction vector on %v has %d dims", e, len(c))
+		}
+		if err := CheckValues(c, "interaction dim", true); err != nil {
+			return fmt.Errorf("social: edge {%d,%d}: %w", e.U, e.V, err)
 		}
 	}
 	labels := 0

@@ -1,6 +1,8 @@
 package social
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"locec/internal/graph"
@@ -58,6 +60,39 @@ func TestValidateCatchesBadShapes(t *testing.T) {
 	ds.TrueLabels[(graph.Edge{U: 0, V: 1}).Key()] = Label(9)
 	if ds.Validate() == nil {
 		t.Fatal("invalid label accepted")
+	}
+}
+
+// TestValidateRefusesNonFiniteValues: one rule for numeric input — user
+// features finite, interaction counts finite and non-negative — and the
+// error names the row and the column.
+func TestValidateRefusesNonFiniteValues(t *testing.T) {
+	e01 := (graph.Edge{U: 0, V: 1}).Key()
+	for _, tc := range []struct {
+		name string
+		edit func(ds *Dataset)
+		want string // "" = accepted
+	}{
+		{"negative feature", func(ds *Dataset) { ds.UserFeatures[2][0] = -3.5 }, ""},
+		{"zero and -0 counts", func(ds *Dataset) { ds.Interactions[e01][4] = math.Copysign(0, -1) }, ""},
+		{"NaN feature", func(ds *Dataset) { ds.UserFeatures[2][0] = math.NaN() }, "feature row 2: column 0 = NaN"},
+		{"+Inf feature", func(ds *Dataset) { ds.UserFeatures[3][0] = math.Inf(1) }, "feature row 3: column 0 = +Inf"},
+		{"-Inf feature", func(ds *Dataset) { ds.UserFeatures[0][0] = math.Inf(-1) }, "feature row 0: column 0 = -Inf"},
+		{"NaN count", func(ds *Dataset) { ds.Interactions[e01][0] = math.NaN() }, "edge {0,1}: interaction dim 0 = NaN"},
+		{"+Inf count", func(ds *Dataset) { ds.Interactions[e01][3] = math.Inf(1) }, "edge {0,1}: interaction dim 3 = +Inf"},
+		{"-Inf count", func(ds *Dataset) { ds.Interactions[e01][7] = math.Inf(-1) }, "edge {0,1}: interaction dim 7 = -Inf"},
+		{"negative count", func(ds *Dataset) { ds.Interactions[e01][5] = -1 }, "edge {0,1}: interaction dim 5 = -1"},
+		{"tiny negative count", func(ds *Dataset) { ds.Interactions[e01][5] = -1e-300 }, "edge {0,1}: interaction dim 5 = -1e-300"},
+	} {
+		ds := tinyDataset(t)
+		tc.edit(ds)
+		err := ds.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -11,17 +11,19 @@ import (
 // Square Convolution Modules and the first square convolution.
 var convBenchShapes = [][3]int{{8, 72, 260}, {8, 72, 70}, {8, 9, 260}}
 
-// convOperands are the buffers of one Conv2D training step: weights w
-// (oc×kk), im2col patches cols (kk×p), output gradient grad (oc×p) and
-// the three destinations.
+// convOperands are the buffers of a Conv2D-shaped product pair: weights w
+// (oc×kk), im2col patches cols (kk×p), a dense output gradient grad
+// (oc×p) and the two destinations.
 type convOperands struct {
-	w, cols, grad        []float64
-	out, gradCols, wgrad []float64
-	oc, kk, p            int
+	w, cols, grad []float64
+	out, wgrad    []float64
+	oc, kk, p     int
 }
 
-// convPasses are the three products of that step, each through the
-// product kernel and through the oracle loop it replaced.
+// convPasses are the two products at those shapes, each through the
+// product kernel and through the oracle loop it replaced: the forward,
+// and the dense weight gradient, which Conv2D's backward no longer runs
+// but whose dot tile the combiner's logits share.
 var convPasses = []struct {
 	name              string
 	kernel, reference func(o *convOperands)
@@ -29,9 +31,6 @@ var convPasses = []struct {
 	{"forward",
 		func(o *convOperands) { MatMul(o.out, o.w, o.cols, o.oc, o.kk, o.p) },
 		func(o *convOperands) { clear(o.out); matMulAccReference(o.out, o.w, o.cols, o.oc, o.kk, o.p) }},
-	{"inputgrad",
-		func(o *convOperands) { MatMulATB(o.gradCols, o.w, o.grad, o.oc, o.kk, o.p) },
-		func(o *convOperands) { matMulATBReference(o.gradCols, o.w, o.grad, o.oc, o.kk, o.p) }},
 	{"weightgrad",
 		func(o *convOperands) { MatMulABTAcc(o.wgrad, o.grad, o.cols, o.oc, o.kk, o.p) },
 		func(o *convOperands) { matMulABTAccReference(o.wgrad, o.grad, o.cols, o.oc, o.kk, o.p) }},
@@ -49,7 +48,7 @@ func benchGemmConv(b *testing.B, reference bool) {
 				rng := rand.New(rand.NewSource(1))
 				o := &convOperands{
 					w: randSlice(oc*kk, rng), cols: randSlice(kk*p, rng), grad: randSlice(oc*p, rng),
-					out: make([]float64, oc*p), gradCols: make([]float64, kk*p), wgrad: make([]float64, oc*kk),
+					out: make([]float64, oc*p), wgrad: make([]float64, oc*kk),
 					oc: oc, kk: kk, p: p,
 				}
 				for b.Loop() {

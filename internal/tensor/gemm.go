@@ -1,15 +1,16 @@
 package tensor
 
-// Small GEMM kernels backing the im2col convolution path in internal/nn.
+// Small GEMM kernels backing the im2col convolution forward in internal/nn
+// and the combiner in internal/logreg. (The convolution backward visits
+// only the non-zeros of its output gradient and has loops of its own.)
 // All operands are dense row-major float64 slices owned by the caller;
 // every kernel writes into a preallocated destination so the hot path
 // performs no allocation on small shapes.
 //
-// The three general products run on two register tiles. axpyTile folds
+// The two general products run on two register tiles. axpyTile folds
 // four B rows into two C rows per pass, so each C element is loaded and
-// stored once per four multiply-adds (MatMul/MatMulAcc, and MatMulATB
-// with the eight scalars read down a column of a): fourteen live floats
-// in amd64's fifteen registers. dotTile runs 2 × 3 dot products together,
+// stored once per four multiply-adds (MatMul): fourteen live floats in
+// amd64's fifteen registers. dotTile runs 2 × 3 dot products together,
 // six independent accumulator chains fed by five loads per step
 // (MatMulABTAcc and its gathered form; the combiner's three-class shape is
 // one tile per row pair); 2 × 4 would be fewer loads per multiply-add but
@@ -64,31 +65,28 @@ func axpy(c, b []float64, s float64) {
 	}
 }
 
-// axpyRows adds into the m rows of dst the product whose element (r, j) is
-// Σ_t a[r*sr+t*st]·b[t*n+j] over t in [0, t1): per pair of dst rows, b goes
-// by four rows at a time, every element summing over ascending t.
-// (sr, st) = (k, 1) reads a as the left operand, (1, k) as its transpose.
-func axpyRows(dst, a, b []float64, m, t1, n, sr, st int) {
+// axpyRows adds a·b (a m×k, b k×n) into the m rows of dst: per pair of dst
+// rows, b goes by four rows at a time, every element summing over
+// ascending t.
+func axpyRows(dst, a, b []float64, m, k, n int) {
 	row := func(mat []float64, r int) []float64 { return mat[r*n : (r+1)*n] }
 	r := 0
 	for ; r+1 < m; r += 2 {
 		c0, c1 := row(dst, r), row(dst, r+1)
-		p, q := a[r*sr:], a[(r+1)*sr:]
+		p, q := a[r*k:(r+1)*k], a[(r+1)*k:(r+2)*k]
 		t := 0
-		for ; t+3 < t1; t += 4 {
+		for ; t+3 < k; t += 4 {
 			axpyTile(c0, c1, row(b, t), row(b, t+1), row(b, t+2), row(b, t+3),
-				p[t*st], p[(t+1)*st], p[(t+2)*st], p[(t+3)*st],
-				q[t*st], q[(t+1)*st], q[(t+2)*st], q[(t+3)*st])
+				p[t], p[t+1], p[t+2], p[t+3], q[t], q[t+1], q[t+2], q[t+3])
 		}
-		for ; t < t1; t++ {
-			axpy(c0, row(b, t), p[t*st])
-			axpy(c1, row(b, t), q[t*st])
+		for ; t < k; t++ {
+			axpy(c0, row(b, t), p[t])
+			axpy(c1, row(b, t), q[t])
 		}
 	}
 	if r < m {
-		p := a[r*sr:]
-		for t := 0; t < t1; t++ {
-			axpy(row(dst, r), row(b, t), p[t*st])
+		for t, p := range a[r*k : (r+1)*k] {
+			axpy(row(dst, r), row(b, t), p)
 		}
 	}
 }
@@ -135,31 +133,13 @@ func dot(a, b []float64) float64 {
 func MatMul(dst, a, b []float64, m, k, n int) {
 	checkGemm(len(dst), len(a), len(b), m, k, n)
 	clear(dst[:m*n])
-	axpyRows(dst, a, b, m, k, n, k, 1)
-}
-
-// MatMulAcc computes dst += a·b with the same shapes as MatMul.
-func MatMulAcc(dst, a, b []float64, m, k, n int) {
-	checkGemm(len(dst), len(a), len(b), m, k, n)
-	axpyRows(dst, a, b, m, k, n, k, 1)
-}
-
-// MatMulATB computes dst = aᵀ·b where a is m×k and b is m×n (both
-// row-major), producing the k×n dst. dst is fully overwritten. Used for
-// the convolution input gradient: patchesGrad = Wᵀ·outGrad.
-func MatMulATB(dst, a, b []float64, m, k, n int) {
-	if len(dst) < k*n || len(a) < m*k || len(b) < m*n {
-		panic("tensor: MatMulATB dimension mismatch")
-	}
-	clear(dst[:k*n])
-	// dst row kk sums a's column kk against b's rows, over ascending i.
-	axpyRows(dst, a, b, k, m, n, 1, k)
+	axpyRows(dst, a, b, m, k, n)
 }
 
 // MatMulABTAcc computes dst += a·bᵀ where a is m×p and b is n×p (both
 // row-major), accumulating into the m×n dst. Each dst entry is the dot
 // product of an a row and a b row, so both inner streams are contiguous.
-// Used for the convolution weight gradient: Wgrad += outGrad·patchesᵀ.
+// Used for the combiner's logits (logreg.PredictProbaBlock).
 func MatMulABTAcc(dst, a, b []float64, m, n, p int) {
 	if len(dst) < m*n || len(a) < m*p || len(b) < n*p {
 		panic("tensor: MatMulABTAcc dimension mismatch")
@@ -220,10 +200,10 @@ func MatMulABTAccGather(dst, arena []float64, rows []int, b []float64, n, p int)
 	}
 }
 
-// MatMulATBGatherB computes dst = aᵀ·B like MatMulATB, except the m×n B
-// is gathered: row i is arena[rows[i]*n : rows[i]*n+n]. a is m×k packed.
-// Per dst element the terms accumulate over ascending i, matching
-// MatMulATB on the equivalent packed panel bit for bit.
+// MatMulATBGatherB computes the k×n dst = aᵀ·B, where a is m×k packed and
+// the m×n B is gathered: row i is arena[rows[i]*n : rows[i]*n+n]. Per dst
+// element the terms accumulate over ascending i from 0, the order of the
+// plain loop over rows.
 func MatMulATBGatherB(dst, a, arena []float64, rows []int, k, n int) {
 	m := len(rows)
 	if len(dst) < k*n || len(a) < m*k {

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// The three general GEMM loops as they stood before the tile kernels,
-// moved here verbatim (zero skip and blocking included). They are the
-// oracle for the per-element summation order: the product kernels must
-// hand every destination element the same terms in the same order, so
-// their results are == to these, not merely close.
+// The general GEMM loops as they stood before the tile kernels, moved here
+// verbatim (zero skip and blocking included). They are the oracle for the
+// per-element summation order: the product kernels must hand every
+// destination element the same terms in the same order, so their results
+// are == to these, not merely close.
 
 // gemmBlockK × gemmBlockJ was the B block of the old forward loop. The
 // tile kernels do not block, so these only shape the oracle's traversal.
@@ -38,27 +38,6 @@ func matMulAccReference(dst, a, b []float64, m, k, n int) {
 						ci[j] += av * bv
 					}
 				}
-			}
-		}
-	}
-}
-
-// matMulATBReference is dst = aᵀ·b (a m×k, b m×n, dst k×n): one axpy per
-// (i, kk), i outermost.
-func matMulATBReference(dst, a, b []float64, m, k, n int) {
-	for i := range dst[:k*n] {
-		dst[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		bi := b[i*n : (i+1)*n]
-		for kk, av := range ai {
-			if av == 0 {
-				continue
-			}
-			ck := dst[kk*n : (kk+1)*n]
-			for j, bv := range bi {
-				ck[j] += av * bv
 			}
 		}
 	}
@@ -109,10 +88,10 @@ func requireSame(t *testing.T, name string, m, k, n int, got, want []float64) {
 	}
 }
 
-// checkTilesAgainstReference runs the four entry points the way Conv2D
-// does at an oc×kk×p shape — forward W·cols, input gradient Wᵀ·grad,
-// weight gradient grad·colsᵀ, and the last again with logreg's gathered
-// rows — and requires every element == the oracle's.
+// checkTilesAgainstReference runs the three entry points at an oc×kk×p
+// shape — MatMul as Conv2D's forward W·cols, MatMulABTAcc as grad·colsᵀ,
+// and the last again with logreg's gathered rows — and requires every
+// element == the oracle's.
 func checkTilesAgainstReference(t *testing.T, rng *rand.Rand, oc, kk, p int) {
 	t.Helper()
 	w := plantZeros(randSlice(oc*kk, rng), rng)
@@ -122,17 +101,6 @@ func checkTilesAgainstReference(t *testing.T, rng *rand.Rand, oc, kk, p int) {
 	MatMul(got, w, cols, oc, kk, p)
 	matMulAccReference(want, w, cols, oc, kk, p)
 	requireSame(t, "MatMul", oc, kk, p, got, want)
-
-	got = randSlice(oc*p, rng)
-	want = slices.Clone(got)
-	MatMulAcc(got, w, cols, oc, kk, p)
-	matMulAccReference(want, w, cols, oc, kk, p)
-	requireSame(t, "MatMulAcc", oc, kk, p, got, want)
-
-	got, want = randSlice(kk*p, rng), randSlice(kk*p, rng)
-	MatMulATB(got, w, grad, oc, kk, p)
-	matMulATBReference(want, w, grad, oc, kk, p)
-	requireSame(t, "MatMulATB", oc, kk, p, got, want)
 
 	got = randSlice(oc*kk, rng)
 	want = slices.Clone(got)

@@ -57,36 +57,6 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		if d := maxDiff(dst, want); d > 1e-12 {
 			t.Fatalf("MatMul (%d,%d,%d) off by %g", m, k, n, d)
 		}
-		// Acc variant adds on top of existing contents.
-		acc := make([]float64, m*n)
-		copy(acc, want)
-		MatMulAcc(acc, a, b, m, k, n)
-		for i := range acc {
-			if math.Abs(acc[i]-2*want[i]) > 1e-12*(1+math.Abs(want[i])) {
-				t.Fatalf("MatMulAcc (%d,%d,%d) did not accumulate", m, k, n)
-			}
-		}
-	}
-}
-
-func TestMatMulATBMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, sh := range gemmShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a, b := randSlice(m*k, rng), randSlice(m*n, rng)
-		// aᵀ is k×m; transpose explicitly for the reference.
-		at := make([]float64, k*m)
-		for i := 0; i < m; i++ {
-			for j := 0; j < k; j++ {
-				at[j*m+i] = a[i*k+j]
-			}
-		}
-		want := naiveMul(at, b, k, m, n)
-		dst := randSlice(k*n, rng)
-		MatMulATB(dst, a, b, m, k, n)
-		if d := maxDiff(dst, want); d > 1e-12 {
-			t.Fatalf("MatMulATB (%d,%d,%d) off by %g", m, k, n, d)
-		}
 	}
 }
 

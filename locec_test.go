@@ -1,6 +1,7 @@
 package locec
 
 import (
+	"math"
 	"testing"
 )
 
@@ -64,6 +65,17 @@ func TestBuilderErrors(t *testing.T) {
 	b.SetLabel(0, 1, Unlabeled)
 	if _, err := b.Build(); err == nil {
 		t.Fatal("Unlabeled as ground truth accepted")
+	}
+	b = NewBuilder(3, 1)
+	b.SetFeatures(1, []float64{math.NaN()})
+	if _, err := b.Build(); err == nil {
+		t.Fatal("NaN feature accepted")
+	}
+	b = NewBuilder(3, 1)
+	b.AddFriendship(0, 1)
+	b.AddInteraction(0, 1, DimRepost, -2)
+	if _, err := b.Build(); err == nil {
+		t.Fatal("negative interaction count accepted")
 	}
 }
 
