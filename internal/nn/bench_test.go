@@ -8,44 +8,59 @@ import (
 	"locec/internal/tensor"
 )
 
-func benchInput(k, f int, seed int64) *tensor.Tensor {
+// benchInput is a K×F community matrix as core.FeatureMatrix leaves it:
+// filled rows of member features, then zero rows up to K.
+func benchInput(k, f, filled int, seed int64) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	x := tensor.NewTensor(1, k, f)
-	for i := range x.Data {
+	for i := range x.Data[:filled*f] {
 		x.Data[i] = rng.Float64()
 	}
 	return x
 }
 
+// benchFills are the member counts the CommCNN benchmarks run at: the one-
+// member community, about the mean (4.7 of K = 20 on batch_cnn_400's
+// dataset), and a full matrix, which has no zero tail at all.
+var benchFills = []int{1, 5, 20}
+
 func BenchmarkCommCNNForward(b *testing.B) {
-	net, err := NewCommCNN(CommCNNConfig{K: 20, Features: 13, Classes: 3, Filters: 8, Hidden: 64, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := benchInput(20, 13, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Predict(x)
+	for _, filled := range benchFills {
+		b.Run(fmt.Sprintf("filled=%d", filled), func(b *testing.B) {
+			net, err := NewCommCNN(CommCNNConfig{K: 20, Features: 13, Classes: 3, Filters: 8, Hidden: 64, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := benchInput(20, 13, filled, 2)
+			b.ReportAllocs()
+			for b.Loop() {
+				net.Predict(x)
+			}
+		})
 	}
 }
 
 func BenchmarkCommCNNTrainStep(b *testing.B) {
-	net, err := NewCommCNN(CommCNNConfig{K: 20, Features: 13, Classes: 3, Filters: 8, Hidden: 64, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs := make([]*tensor.Tensor, 32)
-	ys := make([]int, 32)
-	for i := range xs {
-		xs[i] = benchInput(20, 13, int64(i))
-		ys[i] = i % 3
-	}
-	opt := NewAdam(0.01)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Fit(xs, ys, TrainConfig{Epochs: 1, BatchSize: 32, Workers: 1, Optimizer: opt, Seed: int64(i)})
+	for _, filled := range benchFills {
+		b.Run(fmt.Sprintf("filled=%d", filled), func(b *testing.B) {
+			net, err := NewCommCNN(CommCNNConfig{K: 20, Features: 13, Classes: 3, Filters: 8, Hidden: 64, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			xs := make([]*tensor.Tensor, 32)
+			ys := make([]int, 32)
+			for i := range xs {
+				xs[i] = benchInput(20, 13, filled, int64(i))
+				ys[i] = i % 3
+			}
+			opt := NewAdam(0.01)
+			b.ReportAllocs()
+			seed := int64(0)
+			for b.Loop() {
+				net.Fit(xs, ys, TrainConfig{Epochs: 1, BatchSize: 32, Workers: 1, Optimizer: opt, Seed: seed})
+				seed++
+			}
+		})
 	}
 }
 

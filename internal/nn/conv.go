@@ -24,16 +24,20 @@ const (
 // arbitrary rectangular kernel and per-output-channel bias. It supports the
 // paper's square (3×3), wide (1×F), long (k×1) and pointwise (1×1) kernels.
 //
-// Forward lowers the input to an im2col patch matrix and runs one GEMM
-// (tensor.MatMul), so all four kernel shapes share the same tight inner
-// loop; 1×1 kernels skip the lowering and multiply against the input
-// directly. Backward forms gradOut·colsᵀ and Wᵀ·gradOut over the non-zeros
-// of gradOut only (every convolution feeds a ReLU and, further on, a pool,
-// so most of it is zero), == to the dense products on finite inputs:
-// every element gets their terms in their order through the same s += a*b
-// statement, minus exact ±0 products, which cannot change a sum that
-// started at +0. All intermediates live in per-instance scratch buffers
-// reused across calls.
+// Forward runs one GEMM (tensor.MatMulWindows) whose patch rows are windows
+// into one zero-padded copy of the input (the input itself under Valid):
+// output (y, x) is column y·wp+x, and patch row r = (ic·KH+i)·KW+j, the
+// weight layout's order, starts at offs[r] = (ic·hp+i)·wp+j. Every output
+// gets the terms the im2col patch matrix used to hand it, +0 border terms
+// included, in the same order through the same statement. Output rows that
+// see only the longest run of bitwise-identical input rows are computed
+// once and copied, so a community's zero tail costs one row. Backward forms
+// gradOut·patchesᵀ and Wᵀ·gradOut over the non-zeros of gradOut only (every
+// convolution feeds a ReLU and, further on, a pool, so most of it is zero),
+// == to the dense products on finite inputs: every element gets their
+// terms in their order through the same s += a*b statement, minus exact ±0
+// products and +0 adds, which cannot change a sum that started at +0. All
+// intermediates live in per-instance scratch laid out once per input shape.
 type Conv2D struct {
 	InC, OutC int
 	KH, KW    int
@@ -42,21 +46,21 @@ type Conv2D struct {
 	weight *Param // shape OutC×InC×KH×KW flattened
 	bias   *Param // length OutC
 
-	lastIn *tensor.Tensor // memoized input for Backward
-
-	// Scratch: the im2col patch matrix is (InC·KH·KW) × (OH·OW) with the
-	// patch-row index ordered (ic, kh, kw) to match the weight layout, so
-	// forward is out = W·cols (+bias) and the GEMM accumulation order
-	// matches the naive loop nest exactly.
-	cols     []float64
-	gradCols []float64
-	// gradOut's non-zeros, channel by channel in ascending position:
-	// channel oc's are (nzPos[i], nzVal[i]) for i in [nzEnd[oc], nzEnd[oc+1]).
-	nzPos  []int
-	nzVal  []float64
-	nzEnd  []int
-	out    *tensor.Tensor
-	gradIn *tensor.Tensor
+	// Scratch for an h×w input, padded to hp×wp; the GEMM's np columns run
+	// from output (0, 0) to (oh-1, ow-1).
+	h, w, hp, wp, np int
+	offs             []int     // patch row r's window start in xp
+	xp               []float64 // Same: the padded input (border never written); Valid: the input
+	buf              []float64 // OutC×np GEMM output
+	// gradOut's non-zeros in padded coordinates, channel by channel in
+	// ascending position: channel oc's are (nzPos[i], nzVal[i]) for i in
+	// [nzEnd[oc], nzEnd[oc+1]); union lists each position once, hit marks it.
+	nzPos, nzEnd, union []int
+	nzVal               []float64
+	hit                 []bool
+	row                 []float64 // one patch-gradient row, +0 between uses
+	gp                  []float64 // Same: the padded input gradient
+	out, gradIn         tensor.Tensor
 }
 
 // NewConv2D creates the layer and He-initializes its weights from rng.
@@ -94,86 +98,77 @@ func (c *Conv2D) padOffsets() (int, int) {
 	return 0, 0
 }
 
-// pointwise reports whether the kernel is 1×1, in which case the im2col
-// matrix is the input itself and the lowering is skipped entirely.
-func (c *Conv2D) pointwise() bool { return c.KH == 1 && c.KW == 1 }
-
-// im2col writes the patch matrix for x into cols: row r = (ic·KH+i)·KW+j
-// holds, for every output position (y,xw), the input value at
-// (ic, y+i-po, xw+j-pl), with zeros where the kernel overhangs the border.
-// Each row is filled with row-wise copies of the input, so the cost is a
-// handful of memmoves per kernel tap rather than per-element address math.
-func (c *Conv2D) im2col(x *tensor.Tensor, cols []float64, oh, ow int) {
+// padAt is the index in the padded layout of input row y of channel ic.
+func (c *Conv2D) padAt(ic, y int) int {
 	po, pl := c.padOffsets()
-	p := oh * ow
-	r := 0
-	for ic := 0; ic < c.InC; ic++ {
-		chanBase := ic * x.H * x.W
-		for i := 0; i < c.KH; i++ {
-			for j := 0; j < c.KW; j++ {
-				dst := cols[r*p : (r+1)*p]
-				r++
-				shift := j - pl
-				lo := max(0, -shift)
-				hi := min(ow, x.W-shift)
-				if hi < lo {
-					hi = lo
-				}
-				for y := 0; y < oh; y++ {
-					iy := y + i - po
-					drow := dst[y*ow : (y+1)*ow]
-					if iy < 0 || iy >= x.H {
-						for t := range drow {
-							drow[t] = 0
-						}
-						continue
-					}
-					srow := x.Data[chanBase+iy*x.W : chanBase+(iy+1)*x.W]
-					for t := 0; t < lo; t++ {
-						drow[t] = 0
-					}
-					copy(drow[lo:hi], srow[lo+shift:hi+shift])
-					for t := hi; t < ow; t++ {
-						drow[t] = 0
-					}
-				}
+	return (ic*c.hp+y+po)*c.wp + pl
+}
+
+// layout sizes the scratch for an h×w input, on the first Forward and
+// again only when the shape changes: one fresh slab per element type, so
+// the padded input's border starts at +0 and, never written, stays there.
+func (c *Conv2D) layout(h, w int) {
+	_, oh, ow := c.OutShape(c.InC, h, w)
+	c.h, c.w, c.hp, c.wp = h, w, h, w
+	pad := 0
+	if c.Pad == Same {
+		c.hp, c.wp = h+c.KH-1, w+c.KW-1
+		pad = c.InC * c.hp * c.wp
+	}
+	c.np = (oh-1)*c.wp + ow
+	p, kk := oh*ow, c.InC*c.KH*c.KW
+	f := make([]float64, 2*pad+(c.OutC+1)*c.np+2*c.OutC*p+c.InC*h*w)
+	n := make([]int, kk+c.OutC*p+c.OutC+1+c.np)
+	floats := func(k int) []float64 { s := f[:k:k]; f = f[k:]; return s }
+	ints := func(k int) []int { s := n[:k:k]; n = n[k:]; return s }
+	c.xp, c.gp, c.buf, c.row, c.nzVal = floats(pad), floats(pad), floats(c.OutC*c.np), floats(c.np), floats(c.OutC*p)
+	c.out = tensor.Tensor{C: c.OutC, H: oh, W: ow, Data: floats(c.OutC * p)}
+	c.gradIn = tensor.Tensor{C: c.InC, H: h, W: w, Data: floats(c.InC * h * w)}
+	c.offs, c.nzPos, c.nzEnd, c.union = ints(kk)[:0], ints(c.OutC*p), ints(c.OutC+1), ints(c.np)
+	c.hit = make([]bool, c.np)
+	for ic := range c.InC {
+		for i := range c.KH {
+			for j := range c.KW {
+				c.offs = append(c.offs, (ic*c.hp+i)*c.wp+j)
 			}
 		}
 	}
 }
 
-// col2im scatter-adds the patch-matrix gradient back onto the input
-// gradient — the exact adjoint of im2col (border zeros receive nothing).
-func (c *Conv2D) col2im(gradCols []float64, gradIn *tensor.Tensor, oh, ow int) {
-	po, pl := c.padOffsets()
-	p := oh * ow
-	r := 0
-	for ic := 0; ic < c.InC; ic++ {
-		chanBase := ic * gradIn.H * gradIn.W
-		for i := 0; i < c.KH; i++ {
-			for j := 0; j < c.KW; j++ {
-				src := gradCols[r*p : (r+1)*p]
-				r++
-				shift := j - pl
-				lo := max(0, -shift)
-				hi := min(ow, gradIn.W-shift)
-				if hi < lo {
-					hi = lo
-				}
-				for y := 0; y < oh; y++ {
-					iy := y + i - po
-					if iy < 0 || iy >= gradIn.H {
-						continue
-					}
-					srow := src[y*ow : (y+1)*ow]
-					irow := gradIn.Data[chanBase+iy*gradIn.W : chanBase+(iy+1)*gradIn.W]
-					for t := lo; t < hi; t++ {
-						irow[t+shift] += srow[t]
-					}
-				}
+// sameRows returns the output rows [y0, y1) whose receptive fields lie in
+// the longest run of padded input rows that are bitwise identical in every
+// channel: each of them computes what row y0 does. A run too short to cover
+// two output rows gives [oh-1, oh), which skips nothing.
+func (c *Conv2D) sameRows(oh int) (int, int) {
+	start, best, bestLen := 0, 0, 0
+	for y := 1; y <= c.hp; y++ {
+		if y < c.hp && c.rowsEqual(y-1, y) {
+			continue
+		}
+		if y-start > bestLen {
+			best, bestLen = start, y-start
+		}
+		start = y
+	}
+	if y1 := best + bestLen - c.KH + 1; y1-best >= 2 {
+		return best, y1
+	}
+	return oh - 1, oh
+}
+
+// rowsEqual reports whether padded rows a and b hold the same bits in
+// every channel.
+func (c *Conv2D) rowsEqual(a, b int) bool {
+	for ic := range c.InC {
+		ch := c.xp[ic*c.hp*c.wp:]
+		rb := ch[b*c.wp : (b+1)*c.wp]
+		for i, v := range ch[a*c.wp : (a+1)*c.wp] {
+			if math.Float64bits(v) != math.Float64bits(rb[i]) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // Forward implements Layer.
@@ -181,92 +176,108 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if x.C != c.InC {
 		panic(fmt.Sprintf("nn: conv expected %d input channels, got %d", c.InC, x.C))
 	}
-	c.lastIn = x
 	_, oh, ow := c.OutShape(x.C, x.H, x.W)
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: conv kernel %dx%d larger than input %dx%d", c.KH, c.KW, x.H, x.W))
 	}
-	p := oh * ow
-	kk := c.InC * c.KH * c.KW
-	cols := x.Data
-	if !c.pointwise() {
-		c.cols = tensor.EnsureFloats(c.cols, kk*p)
-		c.im2col(x, c.cols, oh, ow)
-		cols = c.cols
+	if c.offs == nil || x.H != c.h || x.W != c.w {
+		c.layout(x.H, x.W)
 	}
-	c.out = tensor.EnsureTensor(c.out, c.OutC, oh, ow)
-	tensor.MatMul(c.out.Data, c.weight.W, cols, c.OutC, kk, p)
-	for oc := 0; oc < c.OutC; oc++ {
+	if c.Pad == Same {
+		for ic := range c.InC {
+			for y := range x.H {
+				copy(c.xp[c.padAt(ic, y):], x.Data[(ic*x.H+y)*x.W:(ic*x.H+y+1)*x.W])
+			}
+		}
+	} else {
+		c.xp = x.Data
+	}
+	y0, y1 := c.sameRows(oh)
+	tensor.MatMulWindows(c.buf, c.np, c.weight.W, c.xp, c.offs, c.OutC, 0, y0*c.wp+ow)
+	tensor.MatMulWindows(c.buf, c.np, c.weight.W, c.xp, c.offs, c.OutC, min(y1*c.wp, c.np), c.np)
+	for oc := range c.OutC {
 		b := c.bias.W[oc]
-		row := c.out.Data[oc*p : (oc+1)*p]
-		for i := range row {
-			row[i] += b
+		out := c.out.Data[oc*oh*ow : (oc+1)*oh*ow]
+		for y := range oh {
+			dst := out[y*ow : (y+1)*ow]
+			if y0 < y && y < y1 {
+				copy(dst, out[y0*ow:])
+				continue
+			}
+			for i, v := range c.buf[oc*c.np+y*c.wp:][:ow] {
+				dst[i] = v + b
+			}
 		}
 	}
-	return c.out
+	return &c.out
 }
 
 // Backward implements Layer, over the non-zeros of gradOut only.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	x := c.lastIn
 	oh, ow := gradOut.H, gradOut.W
-	p := oh * ow
 	kk := c.InC * c.KH * c.KW
-	c.nzPos = ensureInts(c.nzPos, c.OutC*p)
-	c.nzVal = tensor.EnsureFloats(c.nzVal, c.OutC*p)
-	c.nzEnd = ensureInts(c.nzEnd, c.OutC+1)
+	clear(c.hit)
+	union := c.union[:0]
 	n := 0
-	for oc := 0; oc < c.OutC; oc++ {
+	for oc := range c.OutC {
 		c.nzEnd[oc] = n
 		g := 0.0
-		for q, v := range gradOut.Data[oc*p : (oc+1)*p] {
-			if v != 0 {
-				c.nzPos[n], c.nzVal[n] = q, v
-				n++
-				g += v
+		for y := range oh {
+			for x, v := range gradOut.Data[(oc*oh+y)*ow : (oc*oh+y+1)*ow] {
+				if v != 0 {
+					q := y*c.wp + x
+					c.nzPos[n], c.nzVal[n] = q, v
+					n++
+					g += v
+					if !c.hit[q] {
+						c.hit[q] = true
+						union = append(union, q)
+					}
+				}
 			}
 		}
 		c.bias.G[oc] += g
 	}
 	c.nzEnd[c.OutC] = n
-	c.gradIn = tensor.EnsureTensor(c.gradIn, x.C, x.H, x.W)
-	// A 1×1 kernel's cols is the input itself, its gradCols gradIn.
-	cols, gradCols := x.Data, c.gradIn.Data
-	if !c.pointwise() {
-		c.gradCols = tensor.EnsureFloats(c.gradCols, kk*p)
-		cols, gradCols = c.cols, c.gradCols
+	gp := c.gradIn.Data
+	if c.Pad == Same {
+		gp = c.gp
 	}
-	clear(gradCols)
-	for r := 0; r < kk; r++ {
-		crow, grow := cols[r*p:(r+1)*p], gradCols[r*p:(r+1)*p]
-		for oc := 0; oc < c.OutC; oc++ {
+	clear(gp)
+	row := c.row
+	for r, off := range c.offs {
+		xr := c.xp[off:]
+		for oc := range c.OutC {
 			pos := c.nzPos[c.nzEnd[oc]:c.nzEnd[oc+1]]
 			val := c.nzVal[c.nzEnd[oc]:c.nzEnd[oc+1]]
 			w, s := c.weight.W[oc*kk+r], 0.0
 			for i, q := range pos {
-				s += val[i] * crow[q]
-				grow[q] += w * val[i]
+				s += val[i] * xr[q]
+				row[q] += w * val[i]
 			}
 			c.weight.G[oc*kk+r] += s
 		}
+		gr := gp[off:]
+		for _, q := range union {
+			gr[q] += row[q]
+			row[q] = 0
+		}
 	}
-	if !c.pointwise() {
-		c.gradIn.Zero()
-		c.col2im(c.gradCols, c.gradIn, oh, ow)
+	if c.Pad == Same {
+		for ic := range c.InC {
+			for y := range c.h {
+				copy(c.gradIn.Data[(ic*c.h+y)*c.w:(ic*c.h+y+1)*c.w], gp[c.padAt(ic, y):])
+			}
+		}
 	}
-	return c.gradIn
+	return &c.gradIn
 }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.weight, c.bias} }
 
-// Clone implements Layer: shares Params; activation state and every
-// scratch buffer are reset so the clone owns private memory.
+// Clone implements Layer: shares Params; every scratch buffer is left to
+// the clone's first Forward, so the clone owns private memory.
 func (c *Conv2D) Clone() Layer {
-	cp := *c
-	cp.lastIn = nil
-	cp.cols, cp.gradCols = nil, nil
-	cp.nzPos, cp.nzVal, cp.nzEnd = nil, nil, nil
-	cp.out, cp.gradIn = nil, nil
-	return &cp
+	return &Conv2D{InC: c.InC, OutC: c.OutC, KH: c.KH, KW: c.KW, Pad: c.Pad, weight: c.weight, bias: c.bias}
 }

@@ -8,7 +8,10 @@ import (
 	"locec/internal/tensor"
 )
 
-// ReLU is the rectified linear activation, applied element-wise.
+// ReLU is the rectified linear activation, applied element-wise. About
+// half of its inputs are ≤ 0, so both passes select with a bit mask rather
+// than a branch: v's bits AND all-ones where v > 0, AND zero elsewhere —
+// +0 for a negative, −0 or NaN input, as a branch would give.
 type ReLU struct {
 	mask   []uint8 // 1 where the input was positive
 	out    *tensor.Tensor
@@ -25,14 +28,14 @@ func (r *ReLU) OutShape(c, h, w int) (int, int, int) { return c, h, w }
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	r.out = tensor.EnsureTensor(r.out, x.C, x.H, x.W)
 	r.mask = ensureU8(r.mask, len(x.Data))
+	out, mask := r.out.Data[:len(x.Data)], r.mask[:len(x.Data)]
 	for i, v := range x.Data {
+		var m uint8
 		if v > 0 {
-			r.out.Data[i] = v
-			r.mask[i] = 1
-		} else {
-			r.out.Data[i] = 0
-			r.mask[i] = 0
+			m = 1
 		}
+		mask[i] = m
+		out[i] = math.Float64frombits(math.Float64bits(v) & -uint64(m))
 	}
 	return r.out
 }
@@ -40,12 +43,9 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward implements Layer.
 func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	r.gradIn = tensor.EnsureTensor(r.gradIn, gradOut.C, gradOut.H, gradOut.W)
-	for i, on := range r.mask {
-		if on != 0 {
-			r.gradIn.Data[i] = gradOut.Data[i]
-		} else {
-			r.gradIn.Data[i] = 0
-		}
+	g, gradIn := gradOut.Data[:len(r.mask)], r.gradIn.Data[:len(r.mask)]
+	for i, m := range r.mask {
+		gradIn[i] = math.Float64frombits(math.Float64bits(g[i]) & -uint64(m))
 	}
 	return r.gradIn
 }

@@ -8,7 +8,7 @@ import (
 	"locec/internal/tensor"
 )
 
-// --- im2col/GEMM vs naive reference equivalence -------------------------
+// --- production conv vs naive reference equivalence ---------------------
 
 // convCase describes one randomized conv geometry.
 type convCase struct {
@@ -55,10 +55,10 @@ func assertClose(t *testing.T, name string, got, want []float64, tol float64) {
 	}
 }
 
-// TestConvIm2colMatchesNaive asserts that the production im2col+GEMM
-// forward and backward agree with the retained naive reference within
+// TestConvMatchesNaive asserts that the production windowed-GEMM forward
+// and zero-skipping backward agree with the retained naive reference within
 // 1e-12 on randomized shapes across all four paper kernel geometries.
-func TestConvIm2colMatchesNaive(t *testing.T) {
+func TestConvMatchesNaive(t *testing.T) {
 	const tol = 1e-12
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -166,7 +166,7 @@ func TestMaxPoolShapeChangeFallback(t *testing.T) {
 
 // TestConvShapeChangeFallback runs one Conv2D across different input sizes
 // (Same padding keeps it shape-polymorphic) and cross-checks the reference
-// on every size, proving the im2col scratch reallocates correctly.
+// on every size, proving the padded-input scratch is laid out afresh.
 func TestConvShapeChangeFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := NewConv2D("c", 2, 3, 3, 3, Same, rng)

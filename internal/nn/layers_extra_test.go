@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"locec/internal/tensor"
@@ -113,4 +115,44 @@ func TestFitEmptyAndDegenerateInputs(t *testing.T) {
 	if acc := net.Accuracy(nil, nil); acc != 0 {
 		t.Fatalf("empty accuracy = %v", acc)
 	}
+}
+
+// TestPoolWindowsWithoutAMaximum feeds both pools windows with no value
+// above −Inf — all NaN, all −Inf — which once left their argmax at −1 and
+// made Backward index out of range. Such a window outputs −Inf, as it
+// always did, and passes its gradient to its first cell.
+func TestPoolWindowsWithoutAMaximum(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(-1)
+	x := tensor.NewTensor(2, 2, 2)
+	copy(x.Data, []float64{nan, nan, nan, nan, inf, inf, inf, inf})
+	for _, p := range []Layer{NewMaxPool2(), NewGlobalMaxPool()} {
+		out := p.Forward(x)
+		if out.Data[0] != inf || out.Data[1] != inf {
+			t.Fatalf("%T: out = %v, want [-Inf -Inf]", p, out.Data)
+		}
+		g := tensor.NewTensor(2, 1, 1)
+		g.Data[0], g.Data[1] = 2, 3
+		want := []float64{2, 0, 0, 0, 3, 0, 0, 0}
+		if gi := p.Backward(g); !slices.Equal(gi.Data, want) {
+			t.Fatalf("%T: gradIn = %v, want %v", p, gi.Data, want)
+		}
+	}
+}
+
+// TestFitReturnsWhenTrainingDiverges trains CommCNN on finite features
+// (±1e200, which social.CheckValues accepts) at a learning rate of 1e300:
+// the weights overflow, activations turn NaN and −Inf, and Fit must still
+// return rather than panic in a pool's Backward.
+func TestFitReturnsWhenTrainingDiverges(t *testing.T) {
+	net, err := NewCommCNN(CommCNNConfig{K: 6, Features: 4, Classes: 3, Filters: 3, Hidden: 8, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, ys := synthTask(30, 6, 4, 31)
+	for i, x := range xs {
+		for j := range x.Data {
+			x.Data[j] = math.Copysign(1e200, float64((i+j)%3-1))
+		}
+	}
+	net.Fit(xs, ys, TrainConfig{Epochs: 3, BatchSize: 10, Seed: 9, Workers: 1, Optimizer: NewAdam(1e300)})
 }

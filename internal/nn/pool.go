@@ -9,6 +9,9 @@ import (
 // MaxPool2 is a 2×2 max pooling layer with stride 2. Odd trailing rows or
 // columns are covered by a final partial window so no activation is lost
 // (ceil-mode pooling), which matters for the small LoCEC feature matrices.
+// A window with no value above −Inf (all NaN or −Inf, which a diverging fit
+// reaches) outputs −Inf and passes its gradient to its first cell; the
+// same holds for GlobalMaxPool's one window per channel.
 type MaxPool2 struct {
 	lastIn *tensor.Tensor
 	argmax []int // flat input index chosen per output cell
@@ -35,8 +38,7 @@ func (p *MaxPool2) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for c := 0; c < x.C; c++ {
 		for y := 0; y < oh; y++ {
 			for xw := 0; xw < ow; xw++ {
-				best := math.Inf(-1)
-				bestIdx := -1
+				best, bestIdx := math.Inf(-1), x.Idx(c, 2*y, 2*xw)
 				for dy := 0; dy < 2; dy++ {
 					iy := 2*y + dy
 					if iy >= x.H {
@@ -102,9 +104,8 @@ func (p *GlobalMaxPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 	p.argmax = ensureInts(p.argmax, x.C)
 	hw := x.H * x.W
 	for c := 0; c < x.C; c++ {
-		best := math.Inf(-1)
-		bestIdx := -1
 		base := c * hw
+		best, bestIdx := math.Inf(-1), base
 		for i := 0; i < hw; i++ {
 			if v := x.Data[base+i]; v > best {
 				best = v

@@ -12,8 +12,8 @@ import (
 var convBenchShapes = [][3]int{{8, 72, 260}, {8, 72, 70}, {8, 9, 260}}
 
 // convOperands are the buffers of a Conv2D-shaped product pair: weights w
-// (oc×kk), im2col patches cols (kk×p), a dense output gradient grad
-// (oc×p) and the two destinations.
+// (oc×kk), the patch rows packed as one matrix cols (kk×p), a dense output
+// gradient grad (oc×p) and the two destinations.
 type convOperands struct {
 	w, cols, grad []float64
 	out, wgrad    []float64

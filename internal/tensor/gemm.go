@@ -1,16 +1,19 @@
 package tensor
 
-// Small GEMM kernels backing the im2col convolution forward in internal/nn
-// and the combiner in internal/logreg. (The convolution backward visits
-// only the non-zeros of its output gradient and has loops of its own.)
-// All operands are dense row-major float64 slices owned by the caller;
-// every kernel writes into a preallocated destination so the hot path
-// performs no allocation on small shapes.
+// Small GEMM kernels backing the convolution forward in internal/nn and the
+// combiner in internal/logreg. (The convolution backward visits only the
+// non-zeros of its output gradient and has loops of its own.) All operands
+// are dense row-major float64 slices owned by the caller; every kernel
+// writes into a preallocated destination so the hot path performs no
+// allocation on small shapes. The convolution's B operand is not a matrix
+// of its own: its rows are windows at given offsets into one zero-padded
+// input (MatMulWindows), so there is no im2col copy to build or read.
 //
 // The two general products run on two register tiles. axpyTile folds
 // four B rows into two C rows per pass, so each C element is loaded and
-// stored once per four multiply-adds (MatMul): fourteen live floats in
-// amd64's fifteen registers. dotTile runs 2 × 3 dot products together,
+// stored once per four multiply-adds (axpyRows, under MatMul and
+// MatMulWindows alike): fourteen live floats in amd64's fifteen
+// registers. dotTile runs 2 × 3 dot products together,
 // six independent accumulator chains fed by five loads per step
 // (MatMulABTAcc and its gathered form; the combiner's three-class shape is
 // one tile per row pair); 2 × 4 would be fewer loads per multiply-add but
@@ -32,8 +35,8 @@ package tensor
 // change a sum that started at +0.
 //
 // The kernels are serial. No shape this repository runs is large enough for
-// a fan-out over output rows to pay (the largest, 8×72×260 in Conv2D, is
-// ≈ 150 k multiply-adds), and their callers already run one per core.
+// a fan-out over output rows to pay (the largest, 8×72×298 in Conv2D, is
+// ≈ 170 k multiply-adds), and their callers already run one per core.
 
 // axpyTile adds four scaled b rows into two c rows of the same width:
 // c0[j] += p0*b0[j], += p1*b1[j], += p2*b2[j], += p3*b3[j] in that order,
@@ -65,28 +68,34 @@ func axpy(c, b []float64, s float64) {
 	}
 }
 
-// axpyRows adds a·b (a m×k, b k×n) into the m rows of dst: per pair of dst
-// rows, b goes by four rows at a time, every element summing over
-// ascending t.
-func axpyRows(dst, a, b []float64, m, k, n int) {
-	row := func(mat []float64, r int) []float64 { return mat[r*n : (r+1)*n] }
+// axpyRows sets columns [lo, hi) of the m rows of dst (row r starts at
+// r·ldd) to a·B, a m×len(offs) and B's row t the window of b that starts at
+// offs[t]: per pair of dst rows, B goes by four rows at a time, every
+// element summing from 0 over ascending t.
+func axpyRows(dst []float64, ldd int, a, b []float64, offs []int, m, lo, hi int) {
+	k := len(offs)
+	crow := func(r int) []float64 { return dst[r*ldd+lo : r*ldd+hi] }
+	brow := func(t int) []float64 { return b[offs[t]+lo : offs[t]+hi] }
+	for r := range m {
+		clear(crow(r))
+	}
 	r := 0
 	for ; r+1 < m; r += 2 {
-		c0, c1 := row(dst, r), row(dst, r+1)
+		c0, c1 := crow(r), crow(r+1)
 		p, q := a[r*k:(r+1)*k], a[(r+1)*k:(r+2)*k]
 		t := 0
 		for ; t+3 < k; t += 4 {
-			axpyTile(c0, c1, row(b, t), row(b, t+1), row(b, t+2), row(b, t+3),
+			axpyTile(c0, c1, brow(t), brow(t+1), brow(t+2), brow(t+3),
 				p[t], p[t+1], p[t+2], p[t+3], q[t], q[t+1], q[t+2], q[t+3])
 		}
 		for ; t < k; t++ {
-			axpy(c0, row(b, t), p[t])
-			axpy(c1, row(b, t), q[t])
+			axpy(c0, brow(t), p[t])
+			axpy(c1, brow(t), q[t])
 		}
 	}
 	if r < m {
 		for t, p := range a[r*k : (r+1)*k] {
-			axpy(row(dst, r), row(b, t), p)
+			axpy(crow(r), brow(t), p)
 		}
 	}
 }
@@ -132,8 +141,24 @@ func dot(a, b []float64) float64 {
 // over both b and dst.
 func MatMul(dst, a, b []float64, m, k, n int) {
 	checkGemm(len(dst), len(a), len(b), m, k, n)
-	clear(dst[:m*n])
-	axpyRows(dst, a, b, m, k, n)
+	var stack [128]int // B's row offsets, on the stack up to k = 128
+	offs := stack[:0]
+	for t := range k {
+		offs = append(offs, t*n)
+	}
+	axpyRows(dst, n, a, b, offs, m, 0, n)
+}
+
+// MatMulWindows sets columns [lo, hi) of the m rows of dst, row r starting
+// at r·ldd, to a·B: a is m×len(offs), and row t of B is the window of b
+// that starts at offs[t], read at [offs[t]+lo, offs[t]+hi). Conv2D's patch
+// rows are such windows into one zero-padded input; MatMul is the case
+// offs[t] = t·n. Columns outside [lo, hi) are left as they are.
+func MatMulWindows(dst []float64, ldd int, a, b []float64, offs []int, m, lo, hi int) {
+	if lo < 0 || hi < lo || hi > ldd || len(dst) < (m-1)*ldd+hi || len(a) < m*len(offs) {
+		panic("tensor: MatMulWindows dimension mismatch")
+	}
+	axpyRows(dst, ldd, a, b, offs, m, lo, hi)
 }
 
 // MatMulABTAcc computes dst += a·bᵀ where a is m×p and b is n×p (both

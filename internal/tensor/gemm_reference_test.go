@@ -88,10 +88,10 @@ func requireSame(t *testing.T, name string, m, k, n int, got, want []float64) {
 	}
 }
 
-// checkTilesAgainstReference runs the three entry points at an oc×kk×p
-// shape — MatMul as Conv2D's forward W·cols, MatMulABTAcc as grad·colsᵀ,
-// and the last again with logreg's gathered rows — and requires every
-// element == the oracle's.
+// checkTilesAgainstReference runs the four entry points at an oc×kk×p
+// shape — MatMul as W·cols, MatMulWindows as Conv2D's forward over windows
+// of one input, MatMulABTAcc as grad·colsᵀ, and the last again with
+// logreg's gathered rows — and requires every element == the oracle's.
 func checkTilesAgainstReference(t *testing.T, rng *rand.Rand, oc, kk, p int) {
 	t.Helper()
 	w := plantZeros(randSlice(oc*kk, rng), rng)
@@ -101,6 +101,31 @@ func checkTilesAgainstReference(t *testing.T, rng *rand.Rand, oc, kk, p int) {
 	MatMul(got, w, cols, oc, kk, p)
 	matMulAccReference(want, w, cols, oc, kk, p)
 	requireSame(t, "MatMul", oc, kk, p, got, want)
+
+	// The windowed form reads the same B rows out of an arena at scattered,
+	// overlapping offsets, over a column range [lo, hi) of a wider dst, and
+	// leaves the columns outside it alone.
+	offs := make([]int, kk)
+	for r := range offs {
+		offs[r] = rng.Intn(p + 3)
+	}
+	win := randSlice(2*p+3, rng)
+	lo := rng.Intn(p + 1)
+	hi := lo + rng.Intn(p-lo+1)
+	packed := make([]float64, kk*p)
+	for r, off := range offs {
+		copy(packed[r*p:(r+1)*p], win[off:off+p])
+	}
+	ldd := p + 2
+	got = randSlice(oc*ldd, rng)
+	want = slices.Clone(got)
+	MatMulWindows(got, ldd, w, win, offs, oc, lo, hi)
+	full := make([]float64, oc*p)
+	matMulAccReference(full, w, packed, oc, kk, p)
+	for r := range oc {
+		copy(want[r*ldd+lo:r*ldd+hi], full[r*p+lo:r*p+hi])
+	}
+	requireSame(t, "MatMulWindows", oc, kk, p, got, want)
 
 	got = randSlice(oc*kk, rng)
 	want = slices.Clone(got)
