@@ -13,7 +13,6 @@
 package cluster
 
 import (
-	"sort"
 	"time"
 
 	"locec/internal/parallel"
@@ -94,29 +93,11 @@ type CostModel struct {
 	// PerNode is the fitted mean cost of one node in each phase
 	// (training excluded — the model is trained once, offline).
 	PerNode [3]time.Duration
-	// Overhead is a fixed per-phase coordination cost per server wave.
-	Overhead time.Duration
-}
-
-// FitCostModel computes mean per-node costs from measured samples.
-func FitCostModel(phase1, phase2, phase3 []time.Duration) CostModel {
-	return CostModel{PerNode: [3]time.Duration{meanDuration(phase1), meanDuration(phase2), meanDuration(phase3)}}
-}
-
-func meanDuration(xs []time.Duration) time.Duration {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / time.Duration(len(xs))
 }
 
 // Predict returns the modeled runtime of each phase for a population of
 // nodes on a fleet of servers: nodes stream independently, so each phase
-// costs ceil(nodes/servers) × per-node cost plus overhead.
+// costs ceil(nodes/servers) × per-node cost.
 func (m CostModel) Predict(nodes, servers int) [3]time.Duration {
 	if servers <= 0 {
 		servers = 1
@@ -124,19 +105,7 @@ func (m CostModel) Predict(nodes, servers int) [3]time.Duration {
 	perServer := (nodes + servers - 1) / servers
 	var out [3]time.Duration
 	for p := 0; p < 3; p++ {
-		out[p] = time.Duration(perServer)*m.PerNode[p] + m.Overhead
+		out[p] = time.Duration(perServer) * m.PerNode[p]
 	}
 	return out
-}
-
-// Quantile returns the q-th quantile of a cost sample (used to report tail
-// node costs in the scalability study).
-func Quantile(costs []time.Duration, q float64) time.Duration {
-	if len(costs) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), costs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }

@@ -88,36 +88,3 @@ func TestCostModelInverseInServers(t *testing.T) {
 		}
 	}
 }
-
-func TestFitCostModel(t *testing.T) {
-	m := FitCostModel(
-		[]time.Duration{time.Millisecond, 3 * time.Millisecond},
-		[]time.Duration{2 * time.Millisecond},
-		nil,
-	)
-	if m.PerNode[0] != 2*time.Millisecond {
-		t.Fatalf("phase1 mean = %v", m.PerNode[0])
-	}
-	if m.PerNode[1] != 2*time.Millisecond {
-		t.Fatalf("phase2 mean = %v", m.PerNode[1])
-	}
-	if m.PerNode[2] != 0 {
-		t.Fatalf("phase3 mean = %v", m.PerNode[2])
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	costs := []time.Duration{5, 1, 3, 2, 4}
-	if q := Quantile(costs, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(costs, 1); q != 5 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := Quantile(costs, 0.5); q != 3 {
-		t.Fatalf("q0.5 = %v", q)
-	}
-	if q := Quantile(nil, 0.5); q != 0 {
-		t.Fatalf("empty quantile = %v", q)
-	}
-}

@@ -36,10 +36,6 @@ func (p *Partition) NumCommunities() int { return len(p.Comms) }
 
 // Options tunes the Girvan–Newman run.
 type Options struct {
-	// MaxRemovals caps the number of edge-removal rounds; 0 means no cap
-	// (run until the graph is edgeless, examining the full dendrogram).
-	// A round removes every edge tied for the highest betweenness.
-	MaxRemovals int
 	// Patience stops the run after this many consecutive rounds without a
 	// modularity improvement; 0 means never stop early. Ego networks are
 	// small, so the exact run is affordable; large graphs should set this.
@@ -77,12 +73,7 @@ func GirvanNewman(g *graph.Graph, opt Options) *Partition {
 	bestQ := s.modularity()
 	copy(s.best, s.comp)
 	noImprove := 0
-	rounds := 0
 	for len(s.live) > 0 {
-		if opt.MaxRemovals > 0 && rounds >= opt.MaxRemovals {
-			break
-		}
-		rounds++
 		if s.removeMax() {
 			if q := s.modularity(); q > bestQ+1e-12 {
 				bestQ = q

@@ -12,8 +12,8 @@ import (
 	"locec/internal/wechat"
 )
 
-// gnOptions are the four Options every equivalence case runs under.
-var gnOptions = []Options{{}, {Patience: 3}, {Patience: 20}, {MaxRemovals: 5}}
+// gnOptions are the three Options every equivalence case runs under.
+var gnOptions = []Options{{}, {Patience: 3}, {Patience: 20}}
 
 // samePartition reports the first difference between two partitions,
 // compared exactly: Q with ==, Assign and every community element-wise.

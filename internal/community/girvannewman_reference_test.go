@@ -29,14 +29,9 @@ func girvanNewmanReference(g *graph.Graph, opt Options) *Partition {
 	best := partitionFromAdj(g, adj)
 	bestQ := best.Q
 	noImprove := 0
-	rounds := 0
 
 	bc := newBetweennessCalc(n)
 	for remaining > 0 {
-		if opt.MaxRemovals > 0 && rounds >= opt.MaxRemovals {
-			break
-		}
-		rounds++
 		eb := bc.edgeBetweenness(adj)
 		// Find the maximum and remove every edge within a relative epsilon
 		// of it (handles exact symmetric ties deterministically).

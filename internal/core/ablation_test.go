@@ -58,10 +58,15 @@ func TestFeatureMatrixShuffledDeterministic(t *testing.T) {
 	if comm == nil {
 		t.Skip("no community of size >= 4")
 	}
-	a := FeatureMatrixShuffled(net.Dataset, comm, 8, 7)
-	b := FeatureMatrixShuffled(net.Dataset, comm, 8, 7)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
+	// ShuffleRows' path: two scratches, one seed.
+	shuffled := func() []float64 {
+		dst := make([]float64, 8*matrixWidth(net.Dataset))
+		new(matrixScratch).fill(dst, net.Dataset, comm, 8, true, 7)
+		return dst
+	}
+	a, b := shuffled(), shuffled()
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatal("shuffled matrix not deterministic for equal seeds")
 		}
 	}
@@ -69,8 +74,8 @@ func TestFeatureMatrixShuffledDeterministic(t *testing.T) {
 	// the tightness-ordered matrix's when k covers the whole community.
 	c := FeatureMatrix(net.Dataset, comm, 8)
 	totalA, totalC := 0.0, 0.0
-	for i := range a.Data {
-		totalA += a.Data[i]
+	for i := range a {
+		totalA += a[i]
 		totalC += c.Data[i]
 	}
 	if diff := totalA - totalC; diff > 1e-9 || diff < -1e-9 {
@@ -103,7 +108,7 @@ func TestAgreementRulePipeline(t *testing.T) {
 	for i, k := range test {
 		truth[i] = net.Dataset.TrueLabel(k)
 		e := graph.EdgeFromKey(k)
-		pred[i] = res.PredictedLabel(e.U, e.V)
+		pred[i], _ = res.PredictedLabelOK(e.U, e.V)
 	}
 	rep := eval.Evaluate(truth, pred)
 	if rep.Overall.F1 < 0.55 {

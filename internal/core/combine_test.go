@@ -162,7 +162,8 @@ func TestStoppedCombinerKeepsCapQuality(t *testing.T) {
 		k := (graph.Edge{U: u, V: v}).Key()
 		if l := ds.TrueLabel(k); l.Valid() && !ds.IsRevealed(k) {
 			truth = append(truth, l)
-			stoppedPred = append(stoppedPred, res.PredictedLabel(u, v))
+			pred, _ := res.PredictedLabelOK(u, v)
+			stoppedPred = append(stoppedPred, pred)
 			cappedPred = append(cappedPred, social.Label(capped.Predict(AppendEdgeFeatures(nil, res.Egos, u, v))))
 		}
 	})

@@ -209,7 +209,7 @@ func TestFeatureMatrixOrderingAndPadding(t *testing.T) {
 	}
 	// Padding rows all zero.
 	for r := len(comm.Members); r < k; r++ {
-		for _, v := range m.Row(r) {
+		for _, v := range m.Data[r*m.C : (r+1)*m.C] {
 			if v != 0 {
 				t.Fatalf("padding row %d not zero", r)
 			}
@@ -277,7 +277,7 @@ func runPipelineNet(t *testing.T, clf CommunityClassifier) (eval.Report, *Result
 	for i, k := range test {
 		truth[i] = net.Dataset.TrueLabel(k)
 		e := graph.EdgeFromKey(k)
-		pred[i] = res.PredictedLabel(e.U, e.V)
+		pred[i], _ = res.PredictedLabelOK(e.U, e.V)
 	}
 	return eval.Evaluate(truth, pred), res, net
 }
@@ -333,7 +333,7 @@ func TestEdgeFeatureVectorSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	egos := Divide(net.Dataset, DivisionConfig{})
-	// Install dummy results so EdgeFeatureVector works.
+	// Install dummy results so AppendEdgeFeatures works.
 	for _, er := range egos {
 		for _, c := range er.Comms {
 			c.Result = []float64{0.2, 0.5, 0.3}
@@ -349,8 +349,8 @@ func TestEdgeFeatureVectorSymmetric(t *testing.T) {
 	if !found {
 		t.Skip("no edges")
 	}
-	f1 := EdgeFeatureVector(egos, u, v)
-	f2 := EdgeFeatureVector(egos, v, u)
+	f1 := AppendEdgeFeatures(nil, egos, u, v)
+	f2 := AppendEdgeFeatures(nil, egos, v, u)
 	if len(f1) != len(f2) {
 		t.Fatalf("lengths differ: %d vs %d", len(f1), len(f2))
 	}

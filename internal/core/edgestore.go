@@ -181,8 +181,9 @@ func (s *EdgeStore) chunkOf(key uint64) int {
 }
 
 // Lookup returns key's label and probability vector (a view into the
-// store); ok=false, the zero label and nil for an unknown edge or a nil
-// store.
+// store, capped at its length so an append copies instead of overwriting
+// the next edge's vector); ok=false, the zero label and nil for an unknown
+// edge or a nil store.
 func (s *EdgeStore) Lookup(key uint64) (social.Label, []float64, bool) {
 	if s.Len() == 0 {
 		return 0, nil, false
@@ -192,7 +193,8 @@ func (s *EdgeStore) Lookup(key uint64) (social.Label, []float64, bool) {
 	if !ok {
 		return 0, nil, false
 	}
-	return r.labels[i], r.probs[i*s.classes : (i+1)*s.classes], true
+	end := (i + 1) * s.classes
+	return r.labels[i], r.probs[i*s.classes : end : end], true
 }
 
 // Label returns the predicted label for key; ok=false (and the zero
@@ -202,8 +204,8 @@ func (s *EdgeStore) Label(key uint64) (social.Label, bool) {
 	return l, ok
 }
 
-// Probs returns the probability vector for key as a view into the store,
-// or nil when the edge is unknown.
+// Probs returns the probability vector for key as a capped view into the
+// store, or nil when the edge is unknown.
 func (s *EdgeStore) Probs(key uint64) []float64 {
 	_, p, _ := s.Lookup(key)
 	return p

@@ -188,6 +188,24 @@ func TestEdgeStoreNilSafety(t *testing.T) {
 	}
 }
 
+// TestEdgeStoreProbsAreCapped: a probability vector is capped at its
+// length, so appending to the one a lookup returned copies it instead of
+// overwriting the next edge's vector in the shared slab.
+func TestEdgeStoreProbsAreCapped(t *testing.T) {
+	es, _, pm := randomStoreAndMaps(rand.New(rand.NewSource(5)), 300, 3)
+	for _, k := range es.Keys() {
+		if p := es.Probs(k); cap(p) != es.Classes() {
+			t.Fatalf("Probs(%d): len %d cap %d, want cap %d", k, len(p), cap(p), es.Classes())
+		}
+		_ = append(es.Probs(k), 42)
+	}
+	for k, want := range pm {
+		if got := es.Probs(k); !slices.Equal(got, want) {
+			t.Fatalf("Probs(%d) = %v after appends, want %v", k, got, want)
+		}
+	}
+}
+
 func TestNewEdgeStoreValidation(t *testing.T) {
 	if _, err := NewEdgeStore([]uint64{1, 2}, []social.Label{0}, []float64{1, 0, 0, 1, 0, 0}, 3); err == nil {
 		t.Fatal("label/key length mismatch accepted")

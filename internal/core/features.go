@@ -56,15 +56,6 @@ func FeatureMatrix(ds *social.Dataset, c *LocalCommunity, k int) *tensor.Matrix 
 	return m
 }
 
-// FeatureMatrixShuffled is the row-ordering ablation: members are placed
-// in a seeded random order instead of by tightness. Comparing it against
-// FeatureMatrix quantifies how much Algorithm 1's ordering contributes.
-func FeatureMatrixShuffled(ds *social.Dataset, c *LocalCommunity, k int, seed int64) *tensor.Matrix {
-	m := tensor.NewMatrix(k, matrixWidth(ds))
-	new(matrixScratch).fill(m.Data, ds, c, k, true, seed)
-	return m
-}
-
 // matrixWidth is |I|+|f|, the column count of a feature matrix.
 func matrixWidth(ds *social.Dataset) int {
 	return int(social.NumInteractionDims) + ds.NumFeatureDims()
@@ -186,16 +177,11 @@ func (p *pooler) features(ds *social.Dataset, c *LocalCommunity) []float64 {
 	return out
 }
 
-// EdgeFeatureVector builds f⟨u,v⟩ per Eq. 4 from the two endpoint-side
-// communities: [tightness(u,Cu), tightness(v,Cv), r_Cu, r_Cv]. Endpoints
-// are ordered canonically (u < v) so train and predict agree.
-func EdgeFeatureVector(egoResults []*EgoResult, u, v graph.NodeID) []float64 {
-	return AppendEdgeFeatures(nil, egoResults, u, v)
-}
-
-// AppendEdgeFeatures appends f⟨u,v⟩ to dst and returns the extended slice
-// — the allocation-free form of EdgeFeatureVector for combiner workers
-// that reuse one scratch buffer per chunk (pass dst[:0]).
+// AppendEdgeFeatures appends f⟨u,v⟩ per Eq. 4, built from the two
+// endpoint-side communities — [tightness(u,Cu), tightness(v,Cv), r_Cu,
+// r_Cv] — to dst and returns the extended slice. Endpoints are ordered
+// canonically (u < v) so train and predict agree. Combiner workers reuse
+// one scratch buffer per chunk (pass dst[:0]).
 func AppendEdgeFeatures(dst []float64, egoResults []*EgoResult, u, v graph.NodeID) []float64 {
 	if u > v {
 		u, v = v, u

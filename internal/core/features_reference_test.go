@@ -191,8 +191,8 @@ func TestXGBClassifyOneWalkMatchesModel(t *testing.T) {
 // tightnessOrderReference, shuffledOrderReference and
 // matrixInOrderReference are the feature-matrix statements as they stood
 // before the per-worker scratch (sort.Slice, an order, an interaction row
-// set and a matrix per call): what FeatureMatrix, FeatureMatrixShuffled
-// and CNNClassifier's slabs must stay == to, because every CommCNN input
+// set and a matrix per call): what FeatureMatrix and CNNClassifier's
+// slabs, in either order, must stay == to, because every CommCNN input
 // is made of these values.
 func tightnessOrderReference(c *LocalCommunity) []int {
 	order := make([]int, len(c.Members))
@@ -233,16 +233,17 @@ func matrixInOrderReference(ds *social.Dataset, c *LocalCommunity, k int, order 
 	inter := interactFeaturesReference(ds, c)
 	for r := 0; r < min(len(order), k); r++ {
 		i := order[r]
-		copy(m.Row(r)[:nd], inter[i])
-		copy(m.Row(r)[nd:], ds.UserFeatures[c.Members[i]])
+		row := m.Data[r*m.C : (r+1)*m.C]
+		copy(row[:nd], inter[i])
+		copy(row[nd:], ds.UserFeatures[c.Members[i]])
 	}
 	return m
 }
 
 // TestFeatureMatrixMatchesReference: on every community of the division,
 // all-dormant ones included, truncated (k = 3) and padded (k = 20), both
-// orders give exactly the old statements' matrix — through the exported
-// builders, and through one scratch reused across communities of every
+// orders give exactly the old statements' matrix — through FeatureMatrix
+// (tightness order), and through one scratch reused across communities of every
 // size filling a destination full of garbage (stale scratch or a missed
 // clear would show here).
 func TestFeatureMatrixMatchesReference(t *testing.T) {
@@ -252,17 +253,18 @@ func TestFeatureMatrixMatchesReference(t *testing.T) {
 		for _, k := range []int{3, 20} {
 			dst := make([]float64, k*matrixWidth(d))
 			for i, c := range comms {
+				byTightness := matrixInOrderReference(d, c, k, tightnessOrderReference(c))
+				if got := FeatureMatrix(d, c, k); !slices.Equal(got.Data, byTightness.Data) || got.R != k {
+					t.Fatalf("community %d (%d members), k = %d: FeatureMatrix %v, want %v", i, len(c.Members), k, got.Data, byTightness.Data)
+				}
 				for _, tc := range []struct {
-					name      string
-					want, got *tensor.Matrix
-					shuffle   bool
+					name    string
+					want    *tensor.Matrix
+					shuffle bool
 				}{
-					{"by tightness", matrixInOrderReference(d, c, k, tightnessOrderReference(c)), FeatureMatrix(d, c, k), false},
-					{"shuffled", matrixInOrderReference(d, c, k, shuffledOrderReference(c, 7)), FeatureMatrixShuffled(d, c, k, 7), true},
+					{"by tightness", byTightness, false},
+					{"shuffled", matrixInOrderReference(d, c, k, shuffledOrderReference(c, 7)), true},
 				} {
-					if !slices.Equal(tc.got.Data, tc.want.Data) || tc.got.R != k {
-						t.Fatalf("community %d (%d members), k = %d, %s: matrix %v, want %v", i, len(c.Members), k, tc.name, tc.got.Data, tc.want.Data)
-					}
 					for j := range dst {
 						dst[j] = math.NaN()
 					}

@@ -72,7 +72,7 @@ type Result struct {
 	// Edges holds every predicted edge's label and class-probability
 	// vector in one flat store sorted by canonical edge key (nil before
 	// Phase III runs). Use its Label/Probs lookups or the Result's
-	// PredictedLabel wrappers.
+	// PredictedLabelOK wrapper.
 	Edges *EdgeStore
 	// Times records per-phase durations.
 	Times PhaseTimes
@@ -85,16 +85,6 @@ type Result struct {
 	// Combiner is the trained Phase III logistic regression (nil when the
 	// agreement-rule ablation replaced it).
 	Combiner *logreg.Model
-}
-
-// PredictedLabel returns the predicted label for the edge {u,v}. For an
-// edge the result does not know, the zero label — Colleague — comes back
-// indistinguishable from a real prediction (the old map lookup's
-// semantics); callers that can see unknown edges (servers, evaluators)
-// should use PredictedLabelOK.
-func (r *Result) PredictedLabel(u, v graph.NodeID) social.Label {
-	l, _ := r.Edges.Label((graph.Edge{U: u, V: v}).Key())
-	return l
 }
 
 // PredictedLabelOK returns the predicted label for the edge {u,v} and

@@ -338,9 +338,3 @@ func renderSeries(title, xlabel string, xs []int, series map[string][]float64) s
 	}
 	return b.String()
 }
-
-// surveyMix is used by tests to check Table I calibration.
-func (r *Table1Result) surveyMix() (colleague, family, school, other float64) {
-	return r.First[social.Colleague.String()], r.First[social.Family.String()],
-		r.First[social.Schoolmate.String()], r.First[social.Other.String()]
-}

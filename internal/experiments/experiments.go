@@ -89,16 +89,10 @@ func surveyedNetwork(opt Options) (*wechat.Network, error) {
 	return net, nil
 }
 
-// holdOut hides the test split from learners and returns restore state.
+// holdOut hides the test split from learners.
 func holdOut(ds *social.Dataset, test []uint64) {
 	for _, k := range test {
 		ds.SetRevealed(k, false)
-	}
-}
-
-func reveal(ds *social.Dataset, keys []uint64) {
-	for _, k := range keys {
-		ds.SetRevealed(k, true)
 	}
 }
 

@@ -15,7 +15,8 @@ func TestTable1SurveyMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	colleague, family, school, other := res.surveyMix()
+	colleague, family, school, other := res.First[social.Colleague.String()], res.First[social.Family.String()],
+		res.First[social.Schoolmate.String()], res.First[social.Other.String()]
 	if !(colleague > family && family > school) {
 		t.Fatalf("first-category ordering wrong: C=%.2f F=%.2f S=%.2f O=%.2f", colleague, family, school, other)
 	}

@@ -281,10 +281,11 @@ func TestPredictionAgreement(t *testing.T) {
 				t.Fatalf("leaf value %d diverges: ref=%v got=%v", i, rl[i], gl[i])
 			}
 		}
-		ri, gi := ref.LeafIndices(x), got.LeafIndices(x)
-		for i := range ri {
-			if ri[i] != gi[i] {
-				t.Fatalf("leaf index %d diverges: ref=%v got=%v", i, ri[i], gi[i])
+		for ti := range ref.forest.Roots {
+			_, ri := ref.forest.walk(ti, x)
+			_, gi := got.forest.walk(ti, x)
+			if ri != gi {
+				t.Fatalf("leaf index %d diverges: ref=%v got=%v", ti, ri, gi)
 			}
 		}
 	}

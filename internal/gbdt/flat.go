@@ -12,7 +12,7 @@ type Forest struct {
 	Threshold []float64 // go left (Child) if x[Feature] < Threshold, else right (Child+1)
 	Child     []int32   // left-child index; right child is Child+1 (0 for leaves)
 	Value     []float64 // leaf value (0 for internal nodes)
-	Orig      []int32   // node's index in its source Tree.Nodes (for LeafIndices)
+	Orig      []int32   // node's index in its source Tree.Nodes (the leaf index walk returns)
 	Roots     []int32   // root node index per tree, round-major (round*classes + class)
 }
 

@@ -124,9 +124,6 @@ type Model struct {
 	forest   *Forest   // flattened SoA twin of trees, used for inference
 }
 
-// NumFeatures returns the feature dimensionality seen at training time.
-func (m *Model) NumFeatures() int { return m.features }
-
 // NumClasses returns the number of classes the model scores.
 func (m *Model) NumClasses() int { return m.cfg.Classes }
 
@@ -502,14 +499,4 @@ func (m *Model) ProbaFromLeavesInto(leaves, dst []float64) {
 // NumTrees) without allocating.
 func (m *Model) LeafValuesInto(x []float64, dst []float64) {
 	m.forest.LeafValuesInto(x, dst)
-}
-
-// LeafIndices returns the leaf node index reached by x in every tree.
-func (m *Model) LeafIndices(x []float64) []int {
-	out := make([]int, 0, m.forest.NumTrees())
-	for ti := range m.forest.Roots {
-		_, i := m.forest.walk(ti, x)
-		out = append(out, int(i))
-	}
-	return out
 }

@@ -127,15 +127,12 @@ func TestLeafValuesStableLength(t *testing.T) {
 		if lv := m.LeafValues(x); len(lv) != want {
 			t.Fatalf("LeafValues length %d, want %d", len(lv), want)
 		}
-		if li := m.LeafIndices(x); len(li) != want {
-			t.Fatalf("LeafIndices length %d, want %d", len(li), want)
-		}
 	}
 	if m.NumTrees() != want {
 		t.Fatalf("NumTrees = %d, want %d", m.NumTrees(), want)
 	}
-	if m.NumFeatures() != 3 {
-		t.Fatalf("NumFeatures = %d", m.NumFeatures())
+	if m.features != 3 {
+		t.Fatalf("features = %d", m.features)
 	}
 }
 

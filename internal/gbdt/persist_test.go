@@ -34,7 +34,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if m2.NumFeatures() != m.NumFeatures() || m2.NumTrees() != m.NumTrees() {
+	if m2.features != m.features || m2.NumTrees() != m.NumTrees() {
 		t.Fatal("model metadata lost")
 	}
 }

@@ -1,82 +1,10 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestJaccardKnownValues(t *testing.T) {
-	// 0 -> {2,3,4,5}, 1 -> {3,4,5,6}: J = 3/5.
-	b := NewBuilder(7)
-	for _, v := range []NodeID{2, 3, 4, 5} {
-		_ = b.AddEdge(0, v)
-	}
-	for _, v := range []NodeID{3, 4, 5, 6} {
-		_ = b.AddEdge(1, v)
-	}
-	g := b.Build()
-	if got := g.Jaccard(0, 1); math.Abs(got-0.6) > 1e-12 {
-		t.Fatalf("Jaccard = %v, want 0.6", got)
-	}
-	// Isolated pair.
-	g2 := FromEdges(3, []Edge{{U: 0, V: 1}})
-	if got := g2.Jaccard(2, 2); got != 0 {
-		t.Fatalf("empty Jaccard = %v", got)
-	}
-}
-
-func TestJaccardBoundsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(30)
-		b := NewBuilder(n)
-		for i := 0; i < 3*n; i++ {
-			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-			if u != v {
-				_ = b.AddEdge(u, v)
-			}
-		}
-		g := b.Build()
-		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		j := g.Jaccard(u, v)
-		if j < 0 || j > 1 {
-			return false
-		}
-		// Self-similarity is 1 for any node with neighbors.
-		if g.Degree(u) > 0 && g.Jaccard(u, u) != 1 {
-			return false
-		}
-		// Symmetry.
-		return g.Jaccard(u, v) == g.Jaccard(v, u)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAdamicAdar(t *testing.T) {
-	// Triangle 0-1-2 plus spokes: common neighbor of 0 and 1 is 2.
-	b := NewBuilder(5)
-	_ = b.AddEdge(0, 1)
-	_ = b.AddEdge(0, 2)
-	_ = b.AddEdge(1, 2)
-	_ = b.AddEdge(2, 3)
-	_ = b.AddEdge(2, 4)
-	g := b.Build()
-	want := 1 / math.Log(4) // deg(2) = 4
-	if got := g.AdamicAdar(0, 1); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("AdamicAdar = %v, want %v", got, want)
-	}
-	if got := g.AdamicAdar(3, 4); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("AdamicAdar(3,4) = %v, want %v", got, want)
-	}
-	if got := g.AdamicAdar(0, 3); got != want {
-		// common neighbor is also 2
-		t.Fatalf("AdamicAdar(0,3) = %v, want %v", got, want)
-	}
-}
 
 func TestTrianglesAndClustering(t *testing.T) {
 	// K4: every node has 3 triangles through it, coefficient 1.

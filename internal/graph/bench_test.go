@@ -40,12 +40,3 @@ func BenchmarkHasEdge(b *testing.B) {
 		g.HasEdge(u, v)
 	}
 }
-
-func BenchmarkConnectedComponents(b *testing.B) {
-	g := bench.RandomGraph(5000, 8, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ConnectedComponents()
-	}
-}

@@ -1,7 +1,6 @@
 // Package graph provides a compact undirected graph representation used
 // throughout the LoCEC pipeline: sorted adjacency rows in a table of
-// 64-row blocks, with fast neighbor queries, ego-network extraction,
-// traversal, and connected components.
+// 64-row blocks, with fast neighbor queries and ego-network extraction.
 //
 // Node identifiers are dense uint32 indices in [0, NumNodes). Edges are
 // undirected and stored once per direction in the adjacency rows; parallel
@@ -141,26 +140,6 @@ func (g *Graph) ForEachEdge(fn func(u, v NodeID)) {
 			}
 		}
 	}
-}
-
-// CommonNeighbors returns the number of common neighbors of u and v,
-// using a linear merge over the two sorted adjacency lists.
-func (g *Graph) CommonNeighbors(u, v NodeID) int {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }
 
 // Builder accumulates edges and produces an immutable Graph.

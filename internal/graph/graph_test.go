@@ -134,18 +134,6 @@ func TestEdgesCanonical(t *testing.T) {
 	}
 }
 
-func TestCommonNeighbors(t *testing.T) {
-	g := paperGraph(t)
-	// U2(1) and U3(2): common neighbors are U1(0) and U4(3).
-	if got := g.CommonNeighbors(1, 2); got != 2 {
-		t.Fatalf("CommonNeighbors(1,2) = %d, want 2", got)
-	}
-	// U7(6) and U5(4): none.
-	if got := g.CommonNeighbors(6, 4); got != 0 {
-		t.Fatalf("CommonNeighbors(6,4) = %d, want 0", got)
-	}
-}
-
 func TestEgoNetworkPaperExample(t *testing.T) {
 	g := paperGraph(t)
 	ego := g.Ego(0) // U1's ego network: members U2..U6 (IDs 1..5)
@@ -210,106 +198,6 @@ func TestInducedSubgraph(t *testing.T) {
 	sub2, members2 := g.InducedSubgraph([]NodeID{1, 1, 6})
 	if len(members2) != 2 || sub2.NumEdges() != 1 {
 		t.Fatalf("dup-handling failed: members=%v edges=%d", members2, sub2.NumEdges())
-	}
-}
-
-func TestBFSDistances(t *testing.T) {
-	g := paperGraph(t)
-	depths := map[NodeID]int{}
-	g.BFS(0, func(v NodeID, d int) bool {
-		depths[v] = d
-		return true
-	})
-	want := map[NodeID]int{0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 3, 8: 3}
-	for v, d := range want {
-		if depths[v] != d {
-			t.Fatalf("depth[%d] = %d, want %d (all: %v)", v, depths[v], d, depths)
-		}
-	}
-}
-
-func TestBFSEarlyStop(t *testing.T) {
-	g := paperGraph(t)
-	visits := 0
-	g.BFS(0, func(v NodeID, d int) bool {
-		visits++
-		return visits < 3
-	})
-	if visits != 3 {
-		t.Fatalf("visits = %d, want 3", visits)
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	// paperGraph is fully connected via the {1,6} bridge.
-	g := paperGraph(t)
-	_, count := g.ConnectedComponents()
-	if count != 1 {
-		t.Fatalf("components = %d, want 1", count)
-	}
-	// Remove the bridge: two components plus structure checks.
-	b := NewBuilder(9)
-	g.ForEachEdge(func(u, v NodeID) {
-		if !(u == 1 && v == 6) {
-			_ = b.AddEdge(u, v)
-		}
-	})
-	g2 := b.Build()
-	labels, count := g2.ConnectedComponents()
-	if count != 2 {
-		t.Fatalf("components = %d, want 2", count)
-	}
-	if labels[0] != labels[5] || labels[6] != labels[8] || labels[0] == labels[6] {
-		t.Fatalf("bad component labels: %v", labels)
-	}
-}
-
-func TestComponentsPartitionProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(50)
-		b := NewBuilder(n)
-		for i := 0; i < n; i++ {
-			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-			if u != v {
-				_ = b.AddEdge(u, v)
-			}
-		}
-		g := b.Build()
-		labels, count := g.ConnectedComponents()
-		// Every node labeled in range; every edge intra-component.
-		for _, l := range labels {
-			if l < 0 || l >= count {
-				return false
-			}
-		}
-		ok := true
-		g.ForEachEdge(func(u, v NodeID) {
-			if labels[u] != labels[v] {
-				ok = false
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := paperGraph(t)
-	h := g.DegreeHistogram()
-	total := 0
-	weighted := 0
-	for d, c := range h {
-		total += c
-		weighted += d * c
-	}
-	if total != g.NumNodes() {
-		t.Fatalf("histogram counts %d nodes, want %d", total, g.NumNodes())
-	}
-	if weighted != 2*g.NumEdges() {
-		t.Fatalf("weighted degree %d, want %d", weighted, 2*g.NumEdges())
 	}
 }
 

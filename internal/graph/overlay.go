@@ -40,9 +40,6 @@ func NewOverlay(base *Graph) *Overlay {
 	}
 }
 
-// Base returns the immutable graph the overlay mutates.
-func (o *Overlay) Base() *Graph { return o.base }
-
 // check validates endpoints against the base graph's node range.
 func (o *Overlay) check(u, v NodeID) error {
 	if u == v {

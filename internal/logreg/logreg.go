@@ -375,17 +375,3 @@ func (m *Model) PredictProbaInto(x, out []float64) {
 func (m *Model) Predict(x []float64) int {
 	return tensor.ArgMax(m.PredictProba(x))
 }
-
-// LogLoss computes mean cross-entropy over a dataset — a convergence probe
-// for tests.
-func (m *Model) LogLoss(X [][]float64, y []int) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	total := 0.0
-	for i, x := range X {
-		p := m.PredictProba(x)
-		total += -math.Log(math.Max(p[y[i]], 1e-12))
-	}
-	return total / float64(len(X))
-}

@@ -43,7 +43,11 @@ func teacherRows(n, nf, classes int, seed int64) ([][]float64, []int) {
 			row[d] = rng.NormFloat64()
 		}
 		for c := range scores {
-			scores[c] = 0.3*rng.NormFloat64() + tensor.Dot(teacher[c*nf:(c+1)*nf], row)
+			dot := 0.0
+			for d, v := range row {
+				dot += teacher[c*nf+d] * v
+			}
+			scores[c] = 0.3*rng.NormFloat64() + dot
 		}
 		y[i] = tensor.ArgMax(scores)
 		for d := range row {

@@ -52,8 +52,6 @@ type TrainConfig struct {
 	// are stable in practice). Left at 0, the trained weights are
 	// therefore a function of the machine's core count.
 	Workers int
-	// OnEpoch, if non-nil, receives (epoch, meanLoss) after each epoch.
-	OnEpoch func(epoch int, meanLoss float64)
 }
 
 // Fit trains the network on the given samples with softmax cross-entropy.
@@ -67,11 +65,8 @@ func (n *Network) Fit(xs []*tensor.Tensor, ys []int, cfg TrainConfig) {
 	}
 	t := n.NewTrainer(cfg)
 	defer t.Close()
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		meanLoss := t.Epoch(xs, ys)
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, meanLoss)
-		}
+	for range cfg.Epochs {
+		t.Epoch(xs, ys)
 	}
 }
 
@@ -305,21 +300,4 @@ func copyParam(p *Param) *Param {
 	np := newParam(p.Name, len(p.W))
 	copy(np.W, p.W)
 	return np
-}
-
-// Accuracy returns the fraction of samples whose argmax prediction matches
-// the label.
-func (n *Network) Accuracy(xs []*tensor.Tensor, ys []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	correct := 0
-	probs := make([]float64, n.Classes)
-	for i, x := range xs {
-		n.PredictInto(x, probs)
-		if tensor.ArgMax(probs) == ys[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(xs))
 }

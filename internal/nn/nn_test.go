@@ -25,8 +25,11 @@ func numericGradCheck(t *testing.T, root Layer, c, h, w int, seed int64) {
 		lw[i] = rng.NormFloat64()
 	}
 	loss := func() float64 {
-		out := root.Forward(x)
-		return tensor.Dot(out.Data, lw)
+		sum := 0.0
+		for i, v := range root.Forward(x).Data {
+			sum += v * lw[i]
+		}
+		return sum
 	}
 	// Analytic gradients.
 	for _, p := range root.Params() {
@@ -266,22 +269,43 @@ func synthTask(n, k, f int, seed int64) ([]*tensor.Tensor, []int) {
 	return xs, ys
 }
 
+// epochLosses trains net as Fit does for the given number of epochs and
+// returns each epoch's mean loss.
+func epochLosses(net *Network, xs []*tensor.Tensor, ys []int, epochs int, cfg TrainConfig) []float64 {
+	tr := net.NewTrainer(cfg)
+	defer tr.Close()
+	losses := make([]float64, epochs)
+	for e := range losses {
+		losses[e] = tr.Epoch(xs, ys)
+	}
+	return losses
+}
+
+// accuracy is the fraction of samples whose argmax prediction matches the
+// label.
+func accuracy(net *Network, xs []*tensor.Tensor, ys []int) float64 {
+	correct := 0
+	probs := make([]float64, net.Classes)
+	for i, x := range xs {
+		net.PredictInto(x, probs)
+		if tensor.ArgMax(probs) == ys[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(xs))
+}
+
 func TestCommCNNLearnsSyntheticTask(t *testing.T) {
 	net, err := NewCommCNN(CommCNNConfig{K: 9, Features: 6, Classes: 3, Filters: 4, Hidden: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	xs, ys := synthTask(150, 9, 6, 21)
-	var losses []float64
-	net.Fit(xs, ys, TrainConfig{
-		Epochs: 12, BatchSize: 16, Seed: 5, Workers: 1,
-		Optimizer: NewAdam(0.01),
-		OnEpoch:   func(_ int, l float64) { losses = append(losses, l) },
-	})
+	losses := epochLosses(net, xs, ys, 12, TrainConfig{BatchSize: 16, Seed: 5, Workers: 1, Optimizer: NewAdam(0.01)})
 	if losses[len(losses)-1] >= losses[0] {
 		t.Fatalf("loss did not decrease: first %.4f last %.4f", losses[0], losses[len(losses)-1])
 	}
-	if acc := net.Accuracy(xs, ys); acc < 0.9 {
+	if acc := accuracy(net, xs, ys); acc < 0.9 {
 		t.Fatalf("training accuracy = %.3f, want >= 0.9", acc)
 	}
 }
@@ -301,7 +325,7 @@ func TestFitParallelMatchesSerialPredictions(t *testing.T) {
 	par.Fit(xs, ys, TrainConfig{Epochs: 6, BatchSize: 15, Seed: 9, Workers: 2, Optimizer: NewAdam(0.01)})
 	// Parallel accumulation reorders float adds, so compare behavior
 	// (accuracy), not weights.
-	sAcc, pAcc := serial.Accuracy(xs, ys), par.Accuracy(xs, ys)
+	sAcc, pAcc := accuracy(serial, xs, ys), accuracy(par, xs, ys)
 	if math.Abs(sAcc-pAcc) > 0.15 {
 		t.Fatalf("parallel training diverged: serial %.3f parallel %.3f", sAcc, pAcc)
 	}
@@ -349,17 +373,8 @@ func TestAdamReducesLossOnDense(t *testing.T) {
 		xs[i] = x
 		ys[i] = cls
 	}
-	var first, last float64
-	net.Fit(xs, ys, TrainConfig{
-		Epochs: 15, BatchSize: 10, Seed: 2, Workers: 1, Optimizer: NewAdam(0.05),
-		OnEpoch: func(e int, l float64) {
-			if e == 0 {
-				first = l
-			}
-			last = l
-		},
-	})
-	if last >= first {
+	losses := epochLosses(net, xs, ys, 15, TrainConfig{BatchSize: 10, Seed: 2, Workers: 1, Optimizer: NewAdam(0.05)})
+	if first, last := losses[0], losses[len(losses)-1]; last >= first {
 		t.Fatalf("loss did not decrease (%.4f -> %.4f)", first, last)
 	}
 }

@@ -76,11 +76,12 @@ func buildFleet() (*fleetFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := full.ExportArtifact(&buf); err != nil {
-		return nil, err
+	rec := httptest.NewRecorder()
+	full.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/artifact", nil))
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("GET /v1/artifact: status %d: %s", rec.Code, rec.Body)
 	}
-	art, err := artifact.Load(bytes.NewReader(buf.Bytes()))
+	art, err := artifact.Load(bytes.NewReader(rec.Body.Bytes()))
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -563,18 +562,6 @@ func (s *Server) snapshotFromArtifact(art *artifact.Artifact, t0 time.Time) (*sn
 		snap.ring = ring.MustNew(meta.ShardCount)
 	}
 	return snap, nil
-}
-
-// ExportArtifact serializes the live snapshot as a versioned artifact —
-// the "train here, ship elsewhere" half of the split. GET /v1/artifact
-// serves this (from the snapshot's memoized encoding).
-func (s *Server) ExportArtifact(w io.Writer) error {
-	data, err := s.current().artifactBytes()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
 }
 
 // coreConfig renders the server's pipeline configuration for a seed; both

@@ -411,17 +411,16 @@ func TestNewRejectsUnknownConfig(t *testing.T) {
 	}
 }
 
-// exportToFile writes the live snapshot of s as an artifact file.
+// exportToFile downloads the live snapshot of s from GET /v1/artifact
+// into an artifact file.
 func exportToFile(t *testing.T, s *Server, path string) {
 	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/artifact", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/artifact: status %d: %s", rec.Code, rec.Body)
 	}
-	if err := s.ExportArtifact(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, rec.Body.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -20,16 +19,7 @@ func cutTestShards(t *testing.T, n int) (*Server, []string) {
 	full := testServer(t)
 	dir := t.TempDir()
 	fullPath := filepath.Join(dir, "model.locec")
-	f, err := os.Create(fullPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := full.ExportArtifact(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	exportToFile(t, full, fullPath)
 	art, err := artifact.LoadFile(fullPath)
 	if err != nil {
 		t.Fatal(err)

@@ -86,12 +86,6 @@ const (
 	NumInteractionDims
 )
 
-// DimNames gives printable names for the interaction dimensions.
-var DimNames = [NumInteractionDims]string{
-	"message", "like.picture", "like.article", "like.game",
-	"comment.picture", "comment.article", "comment.game", "repost",
-}
-
 // Dataset is one problem instance.
 //
 // The three per-edge maps hold the dataset as generated or loaded. A
@@ -223,19 +217,6 @@ func (d *Dataset) LabeledEdgesAll() []uint64 {
 	d.G.ForEachEdge(func(u, v graph.NodeID) {
 		k := (graph.Edge{U: u, V: v}).Key()
 		if d.IsRevealed(k) {
-			out = append(out, k)
-		}
-	})
-	return out
-}
-
-// UnlabeledEdges returns the canonical keys of all edges with hidden labels,
-// in graph edge order.
-func (d *Dataset) UnlabeledEdges() []uint64 {
-	out := make([]uint64, 0, max(0, d.G.NumEdges()-len(d.Revealed)))
-	d.G.ForEachEdge(func(u, v graph.NodeID) {
-		k := (graph.Edge{U: u, V: v}).Key()
-		if !d.IsRevealed(k) {
 			out = append(out, k)
 		}
 	})

@@ -144,10 +144,6 @@ func TestLabeledEdgeFiltering(t *testing.T) {
 	if len(all) != 2 {
 		t.Fatalf("LabeledEdgesAll = %v", all)
 	}
-	un := ds.UnlabeledEdges()
-	if len(un) != 1 || un[0] != (graph.Edge{U: 1, V: 2}).Key() {
-		t.Fatalf("UnlabeledEdges = %v", un)
-	}
 	if ds.RevealedLabel((graph.Edge{U: 0, V: 1}).Key()) != Family {
 		t.Fatal("RevealedLabel wrong")
 	}

@@ -72,17 +72,6 @@ func (t *Tensor) AddScaled(other *Tensor, s float64) {
 	}
 }
 
-// MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Matrix is a dense row-major 2-D array.
 type Matrix struct {
 	R, C int
@@ -103,47 +92,11 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.C+j] }
 // Set stores v at (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.C+j] = v }
 
-// Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.C : (i+1)*m.C] }
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.R, m.C)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// MulVec computes y = M·x for x of length C; y has length R.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.C {
-		panic("tensor: MulVec dimension mismatch")
-	}
-	y := make([]float64, m.R)
-	for i := 0; i < m.R; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// MulVecT computes y = Mᵀ·x for x of length R; y has length C.
-func (m *Matrix) MulVecT(x []float64) []float64 {
-	if len(x) != m.R {
-		panic("tensor: MulVecT dimension mismatch")
-	}
-	y := make([]float64, m.C)
-	for i := 0; i < m.R; i++ {
-		row := m.Row(i)
-		xi := x[i]
-		for j, v := range row {
-			y[j] += v * xi
-		}
-	}
-	return y
 }
 
 // RandInit fills dst with N(0, std) samples from rng (He/Glorot-style init
@@ -184,16 +137,4 @@ func ArgMax(x []float64) int {
 		}
 	}
 	return bi
-}
-
-// Dot returns the inner product of equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("tensor: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

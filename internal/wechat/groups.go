@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"locec/internal/graph"
-	"locec/internal/social"
 )
 
 // Group is a chat group. Kind records the circle type it grew out of
@@ -157,18 +156,4 @@ func (net *Network) tabulateCommonGroups() {
 		}
 	}
 	net.CommonGroups = counts
-}
-
-// LabelDistribution tallies the ground-truth first-category counts over all
-// edges, indexed Colleague, Family, Schoolmate, Other.
-func (net *Network) LabelDistribution() [4]int {
-	var out [4]int
-	for _, l := range net.Dataset.TrueLabels {
-		if l == social.Other {
-			out[3]++
-		} else {
-			out[l]++
-		}
-	}
-	return out
 }

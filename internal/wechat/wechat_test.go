@@ -63,7 +63,10 @@ func TestLabelMixMatchesCalibration(t *testing.T) {
 	// Fig. 13(b)-style network mix: colleagues most, then family, then
 	// schoolmates; Others a small minority.
 	net := genTest(t, 1500, 2)
-	dist := net.LabelDistribution()
+	var dist [4]int // Colleague, Family, Schoolmate, Other
+	for _, l := range net.Dataset.AllTrueLabels() {
+		dist[l]++
+	}
 	total := 0
 	for _, c := range dist {
 		total += c
@@ -134,7 +137,7 @@ func TestFig3Shapes(t *testing.T) {
 		c := typedInteractionRate(net, social.Colleague, dim)
 		f := typedInteractionRate(net, social.Family, dim)
 		if !(s > c && s > f) {
-			t.Fatalf("schoolmates should lead on %v (S=%.2f C=%.2f F=%.2f)", social.DimNames[dim], s, c, f)
+			t.Fatalf("schoolmates should lead on dimension %d (S=%.2f C=%.2f F=%.2f)", dim, s, c, f)
 		}
 	}
 	// Colleagues comment on articles notably more than family.

@@ -25,6 +25,7 @@ package locec
 
 import (
 	"fmt"
+	"slices"
 
 	"locec/internal/core"
 	"locec/internal/gbdt"
@@ -156,9 +157,9 @@ func (r *Result) Label(u, v NodeID) Label {
 
 // Probabilities returns the class probability vector for the friendship
 // {u,v}, or nil if the edge does not exist. Index the result with
-// Colleague/Family/Schoolmate.
+// Colleague/Family/Schoolmate. The slice is a copy the caller owns.
 func (r *Result) Probabilities(u, v NodeID) []float64 {
-	return r.inner.Edges.Probs((graph.Edge{U: u, V: v}).Key())
+	return slices.Clone(r.inner.Edges.Probs((graph.Edge{U: u, V: v}).Key()))
 }
 
 // NumCommunities reports how many local communities Phase I detected

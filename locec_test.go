@@ -2,6 +2,7 @@ package locec
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -150,6 +151,37 @@ func TestClassifyMissingEdge(t *testing.T) {
 	if found {
 		if res.Label(u, v) != Unlabeled || res.Probabilities(u, v) != nil {
 			t.Fatal("non-edge should be Unlabeled with nil probabilities")
+		}
+	}
+}
+
+// TestProbabilitiesAreCopies: the vector Probabilities returns belongs to
+// the caller; appending to it or writing into it leaves every edge's
+// probabilities as they were.
+func TestProbabilitiesAreCopies(t *testing.T) {
+	net, err := Synthesize(SynthConfig{Users: 100, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RevealSurvey(0.5, 2)
+	res, err := Classify(net.Dataset, Config{Variant: VariantXGB, Rounds: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges [][2]NodeID
+	net.Dataset.G.ForEachEdge(func(u, v NodeID) { edges = append(edges, [2]NodeID{u, v}) })
+	want := make([][]float64, len(edges))
+	for i, e := range edges {
+		want[i] = slices.Clone(res.Probabilities(e[0], e[1]))
+	}
+	for _, e := range edges {
+		p := res.Probabilities(e[0], e[1])
+		_ = append(p, 42)
+		p[0] = 42
+	}
+	for i, e := range edges {
+		if got := res.Probabilities(e[0], e[1]); !slices.Equal(got, want[i]) {
+			t.Fatalf("edge {%d,%d}: probabilities %v after callers appended and wrote, want %v", e[0], e[1], got, want[i])
 		}
 	}
 }
