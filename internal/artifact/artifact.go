@@ -149,7 +149,7 @@ func New(g *graph.Graph, ex *core.Export, seed int64) (*Artifact, error) {
 		meta: Meta{
 			FormatVersion: FormatVersion,
 			Classifier:    ex.ClassifierName,
-			Classes:       ex.Classes,
+			Classes:       ex.Edges.Classes(),
 			Nodes:         g.NumNodes(),
 			Edges:         g.NumEdges(),
 			Communities:   comms,
@@ -285,9 +285,9 @@ func (a *Artifact) Export() (*core.Export, error) {
 	if err = decodePreds(a.raw[secPreds], ex); err != nil {
 		return nil, fmt.Errorf("artifact: preds section: %w", err)
 	}
-	if len(ex.EdgeKeys) != a.meta.Edges {
+	if ex.Edges.Len() != a.meta.Edges {
 		return nil, fmt.Errorf("artifact: preds section has %d edges, meta declares %d",
-			len(ex.EdgeKeys), a.meta.Edges)
+			ex.Edges.Len(), a.meta.Edges)
 	}
 	if blob := a.raw[secModel]; len(blob) > 0 {
 		ex.Model = blob
@@ -361,7 +361,7 @@ func (a *Artifact) Save(w io.Writer) error {
 		}
 		sections = append(sections, section{secCombiner, blob(b)})
 	}
-	sections = append(sections, section{secPreds, func(e *encoder) error { encodePreds(e, ex); return nil }})
+	sections = append(sections, section{secPreds, func(e *encoder) error { encodePreds(e, ex.Edges); return nil }})
 	if ds, err := a.Dataset(); err != nil {
 		return err
 	} else if ds != nil {

@@ -338,21 +338,33 @@ func decodeEgos(b []byte) ([]*core.EgoResult, error) {
 // ---- preds section --------------------------------------------------
 
 // encodePreds serializes the Phase III output: edge keys (ascending),
-// one label byte per edge, and the flat probability backing array.
-func encodePreds(e *encoder, ex *core.Export) {
-	e.u64(uint64(len(ex.EdgeKeys)))
-	e.u32(uint32(ex.Classes))
-	for _, k := range ex.EdgeKeys {
-		e.u64(k)
+// one label byte per edge, and the flat probability backing array. It
+// reads the store's chunks in place, one column at a time.
+func encodePreds(e *encoder, st *core.EdgeStore) {
+	e.u64(uint64(st.Len()))
+	e.u32(uint32(st.Classes()))
+	for ci := range st.NumChunks() {
+		keys, _, _ := st.Chunk(ci)
+		for _, k := range keys {
+			e.u64(k)
+		}
 	}
-	for _, p := range ex.Predictions {
-		e.u8(byte(int8(p)))
+	for ci := range st.NumChunks() {
+		_, labels, _ := st.Chunk(ci)
+		for _, l := range labels {
+			e.u8(byte(int8(l)))
+		}
 	}
-	for _, p := range ex.Probabilities {
-		e.f64(p)
+	for ci := range st.NumChunks() {
+		_, _, probs := st.Chunk(ci)
+		for _, p := range probs {
+			e.f64(p)
+		}
 	}
 }
 
+// decodePreds decodes the section into ex.Edges; NewEdgeStore refuses keys
+// that are not strictly increasing.
 func decodePreds(b []byte, ex *core.Export) error {
 	c := &cursor{b: b}
 	n := int(c.u64())
@@ -360,23 +372,27 @@ func decodePreds(b []byte, ex *core.Export) error {
 	if c.fail || n < 0 || classes < 0 || classes > 1024 || n > (len(b)-c.off)/(9+8*max(classes, 1)) {
 		return fmt.Errorf("preds header corrupt (edges=%d, classes=%d)", n, classes)
 	}
-	ex.Classes = classes
-	ex.EdgeKeys = make([]uint64, n)
-	for i := range ex.EdgeKeys {
-		ex.EdgeKeys[i] = c.u64()
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = c.u64()
 	}
-	labels := c.take(n)
-	ex.Predictions = make([]social.Label, n)
-	for i := range ex.Predictions {
-		if labels != nil {
-			ex.Predictions[i] = social.Label(int8(labels[i]))
+	raw := c.take(n)
+	labels := make([]social.Label, n)
+	for i := range labels {
+		if raw != nil {
+			labels[i] = social.Label(int8(raw[i]))
 		}
 	}
-	ex.Probabilities = make([]float64, n*classes)
-	for i := range ex.Probabilities {
-		ex.Probabilities[i] = c.f64()
+	probs := make([]float64, n*classes)
+	for i := range probs {
+		probs[i] = c.f64()
 	}
-	return c.err("preds")
+	if err := c.err("preds"); err != nil {
+		return err
+	}
+	var err error
+	ex.Edges, err = core.NewEdgeStore(keys, labels, probs, classes)
+	return err
 }
 
 // ---- dataset section ------------------------------------------------
@@ -395,7 +411,8 @@ func datasetSection(ds *social.Dataset) func(*encoder) error {
 	// form.
 	ikeys := sortedKeys(ds.AllInteractions(), len(ds.Interactions)+ds.NumEdits())
 	lkeys := sortedKeys(ds.AllTrueLabels(), len(ds.TrueLabels)+ds.NumEdits())
-	rkeys := slices.Sorted(ds.AllRevealed())
+	rkeys := slices.AppendSeq(make([]uint64, 0, len(ds.Revealed)+ds.NumEdits()), ds.AllRevealed())
+	slices.Sort(rkeys)
 	return func(e *encoder) error {
 		e.u64(uint64(len(ds.UserFeatures)))
 		e.u32(uint32(ds.NumFeatureDims()))

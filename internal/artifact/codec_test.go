@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"locec/internal/core"
@@ -122,6 +123,22 @@ func TestDecodePredsRejectsOverflowingCount(t *testing.T) {
 		payload = appendU32(payload, 3)
 		if err := decodePreds(payload, &core.Export{}); err == nil {
 			t.Errorf("n=%#x: crafted preds count accepted", n)
+		}
+	}
+}
+
+// TestDecodePredsRejectsUnsortedKeys: the decoded arrays are wrapped by
+// core.NewEdgeStore, whose key-order check is the section's only one.
+func TestDecodePredsRejectsUnsortedKeys(t *testing.T) {
+	for _, keys := range [][]uint64{{5, 3}, {4, 4}} {
+		payload := appendU32(appendU64(nil, 2), 2)
+		payload = append(appendU64(appendU64(payload, keys[0]), keys[1]), 0, 1)
+		for range 4 {
+			payload = appendF64(payload, 0.5)
+		}
+		ex := &core.Export{}
+		if err := decodePreds(payload, ex); err == nil || !strings.Contains(err.Error(), "strictly increasing") {
+			t.Errorf("keys %v: decodePreds = %v, want a key-order error", keys, err)
 		}
 	}
 }

@@ -127,7 +127,9 @@ func TestSaveRefusesAChangingSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &headerHook{after: func() { ex.Probabilities[0]++ }}
+	keys, _, _ := ex.Edges.Chunk(0)
+	_, probs, _ := ex.Edges.Lookup(keys[0])
+	w := &headerHook{after: func() { probs[0]++ }}
 	if err := art.Save(w); err == nil || !strings.Contains(err.Error(), "preds section changed") {
 		t.Fatalf("Save over a section changed between its passes = %v, want a preds-section error", err)
 	}

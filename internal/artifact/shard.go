@@ -101,29 +101,30 @@ func cutOne(g *graph.Graph, ex *core.Export, rg *ring.Ring, s int, meta Meta) (*
 
 	// Predictions: the owned-edge subset, order (and therefore the
 	// strictly-increasing key invariant) preserved.
-	keys := make([]uint64, 0, len(ex.EdgeKeys)/rg.Shards()+1)
-	var idx []int
-	for i, k := range ex.EdgeKeys {
-		e := graph.EdgeFromKey(k)
-		if rg.OwnerEdge(e.U, e.V) == s {
-			keys = append(keys, k)
-			idx = append(idx, i)
+	st, classes := ex.Edges, ex.Edges.Classes()
+	keys := make([]uint64, 0, st.Len()/rg.Shards()+1)
+	labels := make([]social.Label, 0, cap(keys))
+	probs := make([]float64, 0, cap(keys)*classes)
+	for ci := range st.NumChunks() {
+		ck, cl, cp := st.Chunk(ci)
+		for i, k := range ck {
+			if e := graph.EdgeFromKey(k); rg.OwnerEdge(e.U, e.V) == s {
+				keys, labels = append(keys, k), append(labels, cl[i])
+				probs = append(probs, cp[i*classes:(i+1)*classes]...)
+			}
 		}
+	}
+	edges, err := core.NewEdgeStore(keys, labels, probs, classes)
+	if err != nil {
+		return nil, err
 	}
 	sub := &core.Export{
 		ClassifierName: ex.ClassifierName,
-		Classes:        ex.Classes,
 		Egos:           egos,
-		EdgeKeys:       keys,
-		Predictions:    make([]social.Label, 0, len(idx)),
-		Probabilities:  make([]float64, 0, len(idx)*ex.Classes),
+		Edges:          edges,
 		Model:          ex.Model,
 		Combiner:       ex.Combiner,
 		Times:          ex.Times,
-	}
-	for _, i := range idx {
-		sub.Predictions = append(sub.Predictions, ex.Predictions[i])
-		sub.Probabilities = append(sub.Probabilities, ex.Probabilities[i*ex.Classes:(i+1)*ex.Classes]...)
 	}
 
 	art, err := New(gs, sub, meta.Seed)

@@ -3,6 +3,7 @@ package artifact_test
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"locec/internal/artifact"
@@ -70,29 +71,27 @@ func TestCutShardsPartition(t *testing.T) {
 				egoOwners[u]++
 			}
 		}
-		for i, k := range ex.EdgeKeys {
+		for _, k := range ex.Edges.Keys() {
 			e := graph.EdgeFromKey(k)
 			if rg.OwnerEdge(e.U, e.V) != s {
 				t.Fatalf("shard %d holds edge %d-%d but the ring owner is %d",
 					s, e.U, e.V, rg.OwnerEdge(e.U, e.V))
 			}
 			edgeOwners[k]++
-			// Spot-check the parallel arrays survived the cut intact.
-			fi := indexOfKey(fullEx.EdgeKeys, k)
-			if fi < 0 {
+			// Spot-check labels and probabilities survived the cut intact.
+			l, p, _ := ex.Edges.Lookup(k)
+			fl, fp, ok := fullEx.Edges.Lookup(k)
+			if !ok {
 				t.Fatalf("shard %d edge key %d not in the full artifact", s, k)
 			}
-			if ex.Predictions[i] != fullEx.Predictions[fi] {
-				t.Fatalf("shard %d edge %d: prediction %v != full %v",
-					s, k, ex.Predictions[i], fullEx.Predictions[fi])
+			if l != fl {
+				t.Fatalf("shard %d edge %d: prediction %v != full %v", s, k, l, fl)
 			}
-			for c := 0; c < ex.Classes; c++ {
-				if ex.Probabilities[i*ex.Classes+c] != fullEx.Probabilities[fi*ex.Classes+c] {
-					t.Fatalf("shard %d edge %d class %d: probability differs", s, k, c)
-				}
+			if !slices.Equal(p, fp) {
+				t.Fatalf("shard %d edge %d: probabilities %v != full %v", s, k, p, fp)
 			}
 		}
-		totalEdges += len(ex.EdgeKeys)
+		totalEdges += ex.Edges.Len()
 		g, err := sh.Graph()
 		if err != nil {
 			t.Fatal(err)
@@ -100,8 +99,8 @@ func TestCutShardsPartition(t *testing.T) {
 		if g.NumNodes() != nn {
 			t.Fatalf("shard %d graph has %d nodes, want %d", s, g.NumNodes(), nn)
 		}
-		if g.NumEdges() != len(ex.EdgeKeys) {
-			t.Fatalf("shard %d graph has %d edges but %d predictions", s, g.NumEdges(), len(ex.EdgeKeys))
+		if g.NumEdges() != ex.Edges.Len() {
+			t.Fatalf("shard %d graph has %d edges but %d predictions", s, g.NumEdges(), ex.Edges.Len())
 		}
 	}
 
@@ -118,23 +117,14 @@ func TestCutShardsPartition(t *testing.T) {
 		}
 	}
 	// Edges partition exactly.
-	if totalEdges != len(fullEx.EdgeKeys) {
-		t.Fatalf("shards hold %d edges in total, full artifact has %d", totalEdges, len(fullEx.EdgeKeys))
+	if totalEdges != fullEx.Edges.Len() {
+		t.Fatalf("shards hold %d edges in total, full artifact has %d", totalEdges, fullEx.Edges.Len())
 	}
 	for k, c := range edgeOwners {
 		if c != 1 {
 			t.Fatalf("edge key %d held by %d shards", k, c)
 		}
 	}
-}
-
-func indexOfKey(keys []uint64, k uint64) int {
-	for i, x := range keys {
-		if x == k {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestCutShardsRoundTrip pins that a cut shard survives save/load with
@@ -171,8 +161,8 @@ func TestCutShardsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.EdgeKeys) != len(want.EdgeKeys) {
-			t.Fatalf("shard %d: reloaded %d edges, want %d", s, len(got.EdgeKeys), len(want.EdgeKeys))
+		if got.Edges.Len() != want.Edges.Len() {
+			t.Fatalf("shard %d: reloaded %d edges, want %d", s, got.Edges.Len(), want.Edges.Len())
 		}
 	}
 }

@@ -9,10 +9,13 @@ import (
 	"locec/internal/social"
 )
 
-// chunkKeys is the size of a chunk cut from flat arrays. An epoch's dirty
-// edges scatter in key order, so it decides what a splice copies: on the
-// write benchmark's graph an epoch touches ~38 distinct 64-key chunks
-// (≈ 0.2 MB); 4 k-key chunks would still copy 2.3 MB of the 3.3 MB store.
+// chunkKeys is the size of a chunk cut from flat arrays. It sets both
+// parts of what a splice copies: the chunk table, 16 B (a head and a
+// pointer) per chunk, and every chunk holding a dirty key. An epoch's
+// dirty edges scatter in key order, so on the write benchmark's graph
+// (≈ 1 600 chunks) an epoch copies a ≈ 26 KB table and rebuilds ~38
+// chunks (≈ 0.1 MB); 4 k-key chunks would still copy 2.3 MB of the 3.3 MB
+// store.
 const chunkKeys = 64
 
 // edgeRun is a sorted run of predictions in column layout: keys[i] owns
@@ -68,7 +71,7 @@ func (r *edgeRun) splice(old edgeRun, removed []uint64, fresh edgeRun, classes i
 // disturbed.
 type EdgeStore struct {
 	heads   []uint64
-	chunks  []edgeRun
+	chunks  []*edgeRun
 	n       int
 	classes int
 }
@@ -92,15 +95,16 @@ func NewEdgeStore(keys []uint64, labels []social.Label, probs []float64, classes
 	return edgeRun{keys, labels, probs}.store(classes), nil
 }
 
-// store cuts r into chunkKeys-sized views: one chunk table and one head
-// index, no copy of the entries.
+// store cuts r into chunkKeys-sized views: one chunk table, one head
+// index and one slab of chunk headers, no copy of the entries.
 func (r edgeRun) store(classes int) *EdgeStore {
 	n := len(r.keys)
 	nc := (n + chunkKeys - 1) / chunkKeys
-	s := &EdgeStore{heads: make([]uint64, nc), chunks: make([]edgeRun, nc), n: n, classes: classes}
+	s := &EdgeStore{heads: make([]uint64, nc), chunks: make([]*edgeRun, nc), n: n, classes: classes}
+	runs := make([]edgeRun, nc) // every chunk header in one slab
 	for i := range s.chunks {
-		s.chunks[i] = r.view(i*chunkKeys, min((i+1)*chunkKeys, n), classes)
-		s.heads[i] = r.keys[i*chunkKeys]
+		runs[i] = r.view(i*chunkKeys, min((i+1)*chunkKeys, n), classes)
+		s.chunks[i], s.heads[i] = &runs[i], r.keys[i*chunkKeys]
 	}
 	return s
 }
@@ -146,7 +150,7 @@ func (s *EdgeStore) Classes() int {
 }
 
 // gather concatenates one column of every chunk (nil for an empty store).
-func gather[T any](s *EdgeStore, width int, col func(edgeRun) []T) []T {
+func gather[T any](s *EdgeStore, width int, col func(*edgeRun) []T) []T {
 	if s.Len() == 0 {
 		return nil
 	}
@@ -158,17 +162,23 @@ func gather[T any](s *EdgeStore, width int, col func(edgeRun) []T) []T {
 }
 
 // Keys returns the sorted keys as a fresh flat slice.
-func (s *EdgeStore) Keys() []uint64 { return gather(s, 1, func(r edgeRun) []uint64 { return r.keys }) }
+func (s *EdgeStore) Keys() []uint64 { return gather(s, 1, func(r *edgeRun) []uint64 { return r.keys }) }
 
-// Labels returns the labels, parallel to Keys, as a fresh flat slice.
-func (s *EdgeStore) Labels() []social.Label {
-	return gather(s, 1, func(r edgeRun) []social.Label { return r.labels })
+// NumChunks returns how many chunks the store holds (0 for a nil store).
+func (s *EdgeStore) NumChunks() int {
+	if s == nil {
+		return 0
+	}
+	return len(s.chunks)
 }
 
-// ProbsFlat returns the probability vectors, Len()*Classes() wide and
-// parallel to Keys, as a fresh flat slice.
-func (s *EdgeStore) ProbsFlat() []float64 {
-	return gather(s, s.Classes(), func(r edgeRun) []float64 { return r.probs })
+// Chunk returns chunk i's keys, their labels and their probability
+// vectors (flat, len(keys)*Classes() wide); chunks 0 … NumChunks()-1 hold
+// every entry in ascending key order. The slices are the store's own
+// memory, capped: read them, never write them.
+func (s *EdgeStore) Chunk(i int) ([]uint64, []social.Label, []float64) {
+	r := s.chunks[i]
+	return r.keys, r.labels, r.probs
 }
 
 // chunkOf returns the chunk that holds key, or would (chunk 0 below the first head).
@@ -244,9 +254,10 @@ func (s *EdgeStore) group(removed, fresh []uint64, r, f int) (ci, rEnd, fEnd int
 // spliced returns s with the removed keys dropped and fresh's entries
 // inserted, fresh winning on a key collision (both sorted ascending;
 // absent removals are ignored) — the incremental engine's store update.
-// It copies the chunk table and rebuilds only the chunks holding a dirty
-// key, into one slab per column; a rebuilt chunk that empties is dropped,
-// one past 2×chunkKeys split. Inputs are untouched; a no-op returns s.
+// It copies the chunk table (a pointer per chunk) and rebuilds only the
+// chunks holding a dirty key, into one slab per column and one of
+// headers; a rebuilt chunk that empties is dropped, one past 2×chunkKeys
+// split. Inputs are untouched; a no-op returns s.
 func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 	if len(fresh.keys) == 0 && (len(removed) == 0 || s.Len() == 0) {
 		return s
@@ -259,21 +270,24 @@ func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 		panic(fmt.Sprintf("core: edge store splice: %d probabilities for %d keys x %d classes",
 			len(fresh.probs), len(fresh.keys), c))
 	}
-	size := len(fresh.keys) // the slab holds every dirty chunk's entries plus fresh
-	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
+	size, groups := len(fresh.keys), 0 // the slab holds every dirty chunk's entries plus fresh
+	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); groups++ {
 		var ci int
 		ci, r, f = s.group(removed, fresh.keys, r, f)
 		size += len(s.chunks[ci].keys)
 	}
 	slab := edgeRun{make([]uint64, 0, size), make([]social.Label, 0, size), make([]float64, 0, size*c)}
-	out := &EdgeStore{heads: make([]uint64, 0, len(s.heads)+1), chunks: make([]edgeRun, 0, len(s.heads)+1), n: s.n, classes: c}
+	// A group of m entries becomes at most max(1, m/chunkKeys) pieces, so
+	// the rebuilt headers never outgrow (and never move) their slab.
+	runs := make([]edgeRun, 0, groups+size/chunkKeys)
+	out := &EdgeStore{heads: make([]uint64, 0, len(s.heads)+1), chunks: make([]*edgeRun, 0, len(s.heads)+1), n: s.n, classes: c}
 	next := 0 // first chunk of s not yet carried over
 	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
 		ci, rEnd, fEnd := s.group(removed, fresh.keys, r, f)
 		out.heads = append(out.heads, s.heads[next:ci]...)
 		out.chunks = append(out.chunks, s.chunks[next:ci]...)
 		lo := len(slab.keys)
-		slab.splice(s.chunks[ci], removed[r:rEnd], fresh.view(f, fEnd, c), c)
+		slab.splice(*s.chunks[ci], removed[r:rEnd], fresh.view(f, fEnd, c), c)
 		m := len(slab.keys) - lo
 		out.n += m - len(s.chunks[ci].keys)
 		pieces := min(m, 1) // an emptied chunk is dropped
@@ -281,9 +295,9 @@ func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 			pieces = m / chunkKeys
 		}
 		for p := range pieces {
-			piece := slab.view(lo+p*m/pieces, lo+(p+1)*m/pieces, c)
-			out.heads = append(out.heads, piece.keys[0])
-			out.chunks = append(out.chunks, piece)
+			runs = append(runs, slab.view(lo+p*m/pieces, lo+(p+1)*m/pieces, c))
+			out.heads = append(out.heads, runs[len(runs)-1].keys[0])
+			out.chunks = append(out.chunks, &runs[len(runs)-1])
 		}
 		next, r, f = ci+1, rEnd, fEnd
 	}

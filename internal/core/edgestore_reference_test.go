@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -427,6 +428,52 @@ func spliceBench100k() (s *EdgeStore, removed []uint64, fresh edgeRun) {
 	cut := dirty[len(dirty)/2]
 	dirty = slices.Delete(dirty, len(dirty)/2, len(dirty)/2+1)
 	return s, []uint64{cut}, runOf(randomFresh(rng, dirty, classes))
+}
+
+// TestSpliceOneKeyAllocatesLittle: replacing one key of spliceBench100k's
+// store copies the chunk table — a head and a chunk pointer per chunk, at
+// most 24 B each (≈ 80 B per chunk while the table held headers) — and
+// rebuilds the one chunk holding the key; nothing else grows with the store.
+func TestSpliceOneKeyAllocatesLittle(t *testing.T) {
+	s, _, _ := spliceBench100k()
+	keys, _, _ := s.Chunk(s.NumChunks() / 2)
+	fresh := runOf(randomFresh(rand.New(rand.NewSource(2)), keys[:1], s.classes))
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		spliceSink = s.spliced(nil, fresh)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	chunk := uint64(len(keys) * (8 + 1 + 8*s.classes))
+	if limit := 24*uint64(s.NumChunks()) + chunk; per > limit {
+		t.Fatalf("one-key splice allocated %d B over %d chunks, want ≤ %d (24 B per chunk + the %d B chunk)",
+			per, s.NumChunks(), limit, chunk)
+	}
+	t.Logf("one-key splice allocated %d B = %.1f B per chunk (%d chunks)", per, float64(per)/float64(s.NumChunks()), s.NumChunks())
+}
+
+// TestExportAllocatesLittle: Export shares the store rather than
+// flattening it, so exporting a 100 000-edge result allocates under 1 % of
+// the store's flat bytes.
+func TestExportAllocatesLittle(t *testing.T) {
+	s, _, _ := spliceBench100k()
+	res := &Result{ClassifierName: "LoCEC-XGB", Edges: s}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ex, err := res.Export()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Edges != s {
+		t.Fatal("the export does not carry the result's store")
+	}
+	flat := uint64(s.Len() * (8 + 1 + 8*s.classes))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= flat/100 {
+		t.Fatalf("Export allocated %d B, want < 1 %% of the store's %d flat bytes", got, flat)
+	}
 }
 
 var spliceSink *EdgeStore

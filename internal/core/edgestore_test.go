@@ -10,6 +10,17 @@ import (
 	"locec/internal/social"
 )
 
+// Labels returns the labels, parallel to Keys, as a fresh flat slice.
+func (s *EdgeStore) Labels() []social.Label {
+	return gather(s, 1, func(r *edgeRun) []social.Label { return r.labels })
+}
+
+// ProbsFlat returns the probability vectors, Len()*Classes() wide and
+// parallel to Keys, as a fresh flat slice.
+func (s *EdgeStore) ProbsFlat() []float64 {
+	return gather(s, s.Classes(), func(r *edgeRun) []float64 { return r.probs })
+}
+
 // randomStoreAndMaps builds an EdgeStore plus the two plain maps the
 // Result type used to carry, from the same random draw — the oracle for
 // the map-equivalence pinning tests below.

@@ -6,7 +6,6 @@ import (
 
 	"locec/internal/graph"
 	"locec/internal/logreg"
-	"locec/internal/social"
 )
 
 // Export is the portable state of a completed pipeline run: everything a
@@ -15,25 +14,18 @@ import (
 // offline/online split; internal/artifact gives it a durable, versioned,
 // checksummed on-disk form (see docs/FORMATS.md).
 //
-// Edge arrays are parallel and ordered by ascending canonical edge key
-// (which coincides with the graph's (U,V) edge order):
-// Predictions[i] and Probabilities[i*Classes:(i+1)*Classes] belong to
-// EdgeKeys[i].
+// Edges is the live prediction store itself, not a copy: stores are
+// immutable, so an export stays valid while later epochs derive new ones.
 type Export struct {
 	// ClassifierName is the Phase II variant ("LoCEC-CNN", "LoCEC-XGB").
 	ClassifierName string
-	// Classes is the probability-vector width (social.NumLabels for the
-	// shipped combiners).
-	Classes int
 	// Egos is the full Phase I+II output, one entry per node.
 	Egos []*EgoResult
-	// EdgeKeys lists every predicted edge's canonical key, ascending.
-	EdgeKeys []uint64
-	// Predictions holds the label per edge, parallel to EdgeKeys.
-	Predictions []social.Label
-	// Probabilities is one flat backing array of per-edge class
-	// probability vectors, len(EdgeKeys)*Classes.
-	Probabilities []float64
+	// Edges holds every predicted edge's label and class-probability
+	// vector in ascending canonical key order (which coincides with the
+	// graph's (U,V) edge order); Edges.Classes() is the vector width
+	// (social.NumLabels for the shipped combiners).
+	Edges *EdgeStore
 	// Model is the Phase II classifier's SaveModel blob (nil when the
 	// classifier does not implement ModelPersister).
 	Model []byte
@@ -47,19 +39,15 @@ type Export struct {
 
 // Export packages the result for the artifact store. It fails if the
 // result has no predictions (the pipeline did not finish Phase III).
-// The edge arrays are fresh flat copies of the store's chunks in key
-// order, so the export is independent of the live store.
+// It shares the result's store and ego slice rather than copying them.
 func (r *Result) Export() (*Export, error) {
 	if r.Edges.Len() == 0 {
 		return nil, fmt.Errorf("core: export: result has no predictions")
 	}
 	ex := &Export{
 		ClassifierName: r.ClassifierName,
-		Classes:        r.Edges.Classes(),
 		Egos:           r.Egos,
-		EdgeKeys:       r.Edges.Keys(),
-		Predictions:    r.Edges.Labels(),
-		Probabilities:  r.Edges.ProbsFlat(),
+		Edges:          r.Edges,
 		Combiner:       r.Combiner,
 		Times:          r.Times,
 	}
@@ -76,20 +64,11 @@ func (r *Result) Export() (*Export, error) {
 // Validate checks the export's internal shape invariants; RunFromArtifact
 // calls it so a hand-built or corrupted export fails loudly.
 func (ex *Export) Validate() error {
-	if ex.Classes < 2 {
-		return fmt.Errorf("core: export: %d classes", ex.Classes)
+	if ex.Edges == nil {
+		return fmt.Errorf("core: export: no prediction store")
 	}
-	if len(ex.Predictions) != len(ex.EdgeKeys) {
-		return fmt.Errorf("core: export: %d predictions for %d edges", len(ex.Predictions), len(ex.EdgeKeys))
-	}
-	if len(ex.Probabilities) != len(ex.EdgeKeys)*ex.Classes {
-		return fmt.Errorf("core: export: %d probabilities for %d edges x %d classes",
-			len(ex.Probabilities), len(ex.EdgeKeys), ex.Classes)
-	}
-	for i := 1; i < len(ex.EdgeKeys); i++ {
-		if ex.EdgeKeys[i-1] >= ex.EdgeKeys[i] {
-			return fmt.Errorf("core: export: edge keys not strictly increasing at %d", i)
-		}
+	if c := ex.Edges.Classes(); c < 2 {
+		return fmt.Errorf("core: export: %d classes", c)
 	}
 	for i, er := range ex.Egos {
 		if er == nil {
@@ -123,17 +102,10 @@ func (p *Pipeline) RunFromArtifact(ex *Export) (*Result, error) {
 	res := &Result{
 		ClassifierName: ex.ClassifierName,
 		Egos:           ex.Egos,
+		Edges:          ex.Edges,
 		Combiner:       ex.Combiner,
 		Times:          ex.Times,
 	}
-	// Validate vouched for ascending keys and parallel shapes, so the
-	// store wraps the artifact arrays directly: chunk views over them, no
-	// copy and no per-edge map.
-	es, err := NewEdgeStore(ex.EdgeKeys, ex.Predictions, ex.Probabilities, ex.Classes)
-	if err != nil {
-		return nil, err
-	}
-	res.Edges = es
 	if len(ex.Model) > 0 {
 		cl, err := classifierForName(ex.ClassifierName)
 		if err != nil {

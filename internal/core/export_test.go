@@ -35,8 +35,8 @@ func TestExportRoundTripWithoutSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ex.EdgeKeys) != res.Edges.Len() {
-		t.Fatalf("%d exported edges, want %d", len(ex.EdgeKeys), res.Edges.Len())
+	if ex.Edges != res.Edges {
+		t.Fatal("the export copied the store instead of sharing it")
 	}
 	res2, err := NewPipeline(Config{Seed: 1}).RunFromArtifact(ex)
 	if err != nil {
@@ -56,16 +56,27 @@ func TestRunFromArtifactRejectsCorruptExport(t *testing.T) {
 	_, _, res := exportRun(t, &XGBClassifier{Seed: 1})
 	p := NewPipeline(Config{Seed: 1})
 
-	ex, _ := res.Export()
-	ex.Probabilities = ex.Probabilities[:len(ex.Probabilities)-1]
+	ex, err := res.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.Edges = nil
 	if _, err := p.RunFromArtifact(ex); err == nil {
-		t.Fatal("expected error for ragged probabilities")
+		t.Fatal("expected error for a missing prediction store")
 	}
 
 	ex, _ = res.Export()
-	ex.EdgeKeys[1] = ex.EdgeKeys[0]
-	if _, err := p.RunFromArtifact(ex); err == nil {
-		t.Fatal("expected error for non-increasing edge keys")
+	if ex.Edges, err = NewEdgeStore([]uint64{1, 2}, []social.Label{0, 0}, []float64{1, 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.RunFromArtifact(ex); err == nil || !strings.Contains(err.Error(), "1 classes") {
+		t.Fatalf("error %v, want a one-class store refused", err)
+	}
+
+	ex, _ = res.Export()
+	ex.Egos = append([]*EgoResult{ex.Egos[1]}, ex.Egos[1:]...)
+	if _, err := p.RunFromArtifact(ex); err == nil || !strings.Contains(err.Error(), "belongs to node") {
+		t.Fatalf("error %v, want an out-of-order ego refused", err)
 	}
 
 	ex, _ = res.Export()

@@ -303,7 +303,7 @@ func diffResults(want, got *Result, tol float64) error {
 			if d < 0 {
 				d = -d
 			}
-			if d > tol {
+			if !(d <= tol) { // NaN fails too
 				return fmt.Errorf("core: oracle: edge %v class %d prob %g incrementally, %g from scratch (|Δ|=%g > %g)",
 					graph.EdgeFromKey(k), c, gp[c], wp[c], d, tol)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -367,7 +368,11 @@ func TestApplyMutationsRelabelFlipsTruthVotes(t *testing.T) {
 // TestApplyMutationsAllocatesLittle bounds what a one-add epoch allocates
 // on a 2 000-user network under clauset + XGB: the dirty egos, their edges
 // and the copy-on-write tables, not a copy of the graph or of the community
-// list. 40 chained epochs must average at most 16 bytes per edge.
+// list. 40 chained epochs must average at most 8 bytes per edge (6.7 on
+// amd64; 11.2 while the chunk table held headers rather than pointers and
+// Phase III made a fresh panel per call). Under -race, where sync.Pool
+// drops Puts at random and the Phase III panel is often rebuilt (9–10.3
+// measured), the bound stays at the 16 it had before the pool.
 func TestApplyMutationsAllocatesLittle(t *testing.T) {
 	net, err := wechat.Generate(wechat.DefaultConfig(2000, 3))
 	if err != nil {
@@ -400,10 +405,32 @@ func TestApplyMutationsAllocatesLittle(t *testing.T) {
 		}
 		total += after.TotalAlloc - before.TotalAlloc
 	}
-	if avg := total / epochs; avg > 16*e {
-		t.Fatalf("ApplyMutations allocated %d B per one-add epoch = %.1f B/edge, want ≤ 16 (E=%d)", avg, float64(avg)/float64(e), e)
+	limit := uint64(8)
+	if raceBuild {
+		limit = 16
+	}
+	if avg := total / epochs; avg > limit*e {
+		t.Fatalf("ApplyMutations allocated %d B per one-add epoch = %.1f B/edge, want ≤ %d (E=%d)", avg, float64(avg)/float64(e), limit, e)
 	} else {
 		t.Logf("ApplyMutations allocated %d B per one-add epoch = %.1f B/edge (E=%d)", avg, float64(avg)/float64(e), e)
+	}
+}
+
+// TestDiffResultsRefusesNaN: the incremental oracle reports a NaN
+// probability as a divergence (|Δ| > tol is false for NaN).
+func TestDiffResultsRefusesNaN(t *testing.T) {
+	result := func(p float64) *Result {
+		es, err := NewEdgeStore([]uint64{7}, []social.Label{0}, []float64{p, 1 - p}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Result{Edges: es}
+	}
+	if err := diffResults(result(0), result(0), 1e-12); err != nil {
+		t.Fatalf("identical results: %v", err)
+	}
+	if err := diffResults(result(0), result(math.NaN()), 1e-12); err == nil {
+		t.Fatal("diffResults(want 0, got NaN) = nil, want a divergence")
 	}
 }
 

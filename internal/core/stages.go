@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"locec/internal/graph"
 	"locec/internal/logreg"
@@ -118,7 +120,7 @@ const predictBlockRows = 256
 // and probsFlat[i*classes:(i+1)*classes] for every listed edge from the
 // result's classified egos, using the trained combiner (or the
 // agreement-rule ablation). It fans out in one contiguous chunk per
-// worker; each worker assembles its edges' feature rows into a reused
+// worker; each worker assembles its edges' feature rows into a pooled
 // [1, features...] panel of predictBlockRows rows and runs one GEMM
 // + row-wise softmax per panel (logreg.PredictProbaBlock) instead of a
 // GEMV per edge, writing probabilities straight into its disjoint slice of
@@ -134,7 +136,8 @@ func (p *Pipeline) predictEdges(res *Result, edges []graph.Edge, preds []social.
 	fw := lr.BiasFirstLen()
 	wb := lr.BiasFirst(nil)
 	parallel.For(len(edges), 0, func(lo, hi int) {
-		xb := make([]float64, 0, min(hi-lo, predictBlockRows)*fw)
+		pb := panelPool.Get().(*[]float64)
+		xb := slices.Grow((*pb)[:0], min(hi-lo, predictBlockRows)*fw)
 		for b0 := lo; b0 < hi; b0 += predictBlockRows {
 			b1 := b0 + predictBlockRows
 			if b1 > hi {
@@ -151,8 +154,14 @@ func (p *Pipeline) predictEdges(res *Result, edges []graph.Edge, preds []social.
 				preds[i] = social.Label(Argmax(probsFlat[i*classes : (i+1)*classes]))
 			}
 		}
+		*pb = xb
+		panelPool.Put(pb)
 	})
 }
+
+// panelPool recycles predictEdges' feature panels across calls and
+// workers, so a warm mutation epoch builds its panel in one it already has.
+var panelPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // predictEdgesByAgreement labels every listed edge with the ablation rule:
 // agreeing endpoint communities decide directly; disagreements fall back

@@ -48,7 +48,7 @@ func Fig13(opt Options) (*Fig13Result, error) {
 	for c := range res.CommunityPct {
 		res.CommunityPct[c] /= float64(res.Communities)
 	}
-	for _, l := range cnn.Result().Edges.Labels() {
+	for _, l := range cnn.Result().Edges.LabelMap() {
 		res.RelationshipPct[l]++
 		res.Edges++
 	}

@@ -143,7 +143,7 @@ func assertStateEqual(t *testing.T, got, want *snapshot, tol float64, context st
 			t.Fatalf("%s: edge %d probability vector missing or misshapen", context, k)
 		}
 		for c := range wp {
-			if math.Abs(gp[c]-wp[c]) > tol {
+			if !(math.Abs(gp[c]-wp[c]) <= tol) { // NaN fails too
 				e := graph.EdgeFromKey(k)
 				t.Fatalf("%s: edge {%d,%d} class %d: %.17g vs %.17g (tol %g)",
 					context, e.U, e.V, c, gp[c], wp[c], tol)
