@@ -24,9 +24,6 @@ import (
 func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
 
 // encoder is the one writer every section encoder goes through: a 64 KB
 // buffer flushed to w when the next value would not fit, counting and
@@ -71,10 +68,50 @@ func (e *encoder) room(n int) {
 	}
 }
 
-func (e *encoder) u8(v byte)     { e.room(1); e.buf = append(e.buf, v) }
-func (e *encoder) u32(v uint32)  { e.room(4); e.buf = appendU32(e.buf, v) }
-func (e *encoder) u64(v uint64)  { e.room(8); e.buf = appendU64(e.buf, v) }
-func (e *encoder) f64(v float64) { e.room(8); e.buf = appendF64(e.buf, v) }
+func (e *encoder) u8(v byte)    { e.room(1); e.buf = append(e.buf, v) }
+func (e *encoder) u32(v uint32) { e.room(4); e.buf = appendU32(e.buf, v) }
+func (e *encoder) u64(v uint64) { e.room(8); e.buf = appendU64(e.buf, v) }
+
+// span extends the buffer by as many of n values of size bytes as fit,
+// flushing first when not even one does, and returns the extension.
+func (e *encoder) span(n, size int) []byte {
+	e.room(size)
+	at := len(e.buf)
+	e.buf = e.buf[:at+min(n, (cap(e.buf)-at)/size)*size]
+	return e.buf[at:]
+}
+
+// u32s, u64s and f64s send a run of values, filling the buffer chunk by
+// chunk.
+func (e *encoder) u32s(vs []uint32) {
+	for len(vs) > 0 {
+		b := e.span(len(vs), 4)
+		for i := range len(b) / 4 {
+			binary.LittleEndian.PutUint32(b[4*i:], vs[i])
+		}
+		vs = vs[len(b)/4:]
+	}
+}
+
+func (e *encoder) u64s(vs []uint64) {
+	for len(vs) > 0 {
+		b := e.span(len(vs), 8)
+		for i := range len(b) / 8 {
+			binary.LittleEndian.PutUint64(b[8*i:], vs[i])
+		}
+		vs = vs[len(b)/8:]
+	}
+}
+
+func (e *encoder) f64s(vs []float64) {
+	for len(vs) > 0 {
+		b := e.span(len(vs), 8)
+		for i := range len(b) / 8 {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(vs[i]))
+		}
+		vs = vs[len(b)/8:]
+	}
+}
 
 // bytes sends b straight through, after what is buffered.
 func (e *encoder) bytes(b []byte) {
@@ -122,12 +159,36 @@ func (c *cursor) u64() uint64 {
 	return getU64(b)
 }
 
-func (c *cursor) f64() float64 {
-	b := c.take(8)
+// u32s, u64s and f64s fill dst from the payload with one bounds check for
+// the run; after a short read dst is left as it was.
+func (c *cursor) u32s(dst []uint32) {
+	b := c.take(4 * len(dst))
 	if b == nil {
-		return 0
+		return
 	}
-	return math.Float64frombits(getU64(b))
+	for i := range dst {
+		dst[i] = getU32(b[4*i:])
+	}
+}
+
+func (c *cursor) u64s(dst []uint64) {
+	b := c.take(8 * len(dst))
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = getU64(b[8*i:])
+	}
+}
+
+func (c *cursor) f64s(dst []float64) {
+	b := c.take(8 * len(dst))
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(getU64(b[8*i:]))
+	}
 }
 
 // count reads a uint32 length and bounds it against the bytes remaining
@@ -168,9 +229,7 @@ func encodeGraph(e *encoder, g *graph.Graph) {
 		e.u32(uint32(off))
 	}
 	for u := range n {
-		for _, v := range g.Neighbors(graph.NodeID(u)) {
-			e.u32(v)
-		}
+		e.u32s(g.Neighbors(graph.NodeID(u)))
 	}
 }
 
@@ -185,16 +244,15 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graph header corrupt (n=%d, adj=%d)", n, m)
 	}
 	offsets := make([]int32, n+1)
+	raw := c.take(4 * len(offsets))
 	for i := range offsets {
-		offsets[i] = int32(c.u32())
+		offsets[i] = int32(getU32(raw[4*i:]))
 	}
-	if c.fail || m > (len(b)-c.off)/4 {
+	if m > (len(b)-c.off)/4 {
 		return nil, fmt.Errorf("graph adjacency truncated")
 	}
 	adj := make([]graph.NodeID, m)
-	for i := range adj {
-		adj[i] = graph.NodeID(c.u32())
-	}
+	c.u32s(adj)
 	if err := c.err("graph"); err != nil {
 		return nil, err
 	}
@@ -220,11 +278,11 @@ func encodeEgos(e *encoder, egos []*core.EgoResult) error {
 		}
 		e.u32(er.Ego)
 		e.u32(uint32(len(er.Members)))
-		for _, m := range er.Members {
-			e.u32(m)
-		}
+		e.u32s(er.Members)
 		cursors = slices.Grow(cursors[:0], len(er.Comms))[:len(er.Comms)]
 		clear(cursors)
+		// The community indices are written as they are checked: the loop
+		// visits every member anyway, and needs no staging array.
 		for i, m := range er.Members {
 			ci := er.CommIdx[i]
 			if ci < 0 || ci >= len(er.Comms) {
@@ -244,19 +302,13 @@ func encodeEgos(e *encoder, egos []*core.EgoResult) error {
 					er.Ego, ci, len(comm.Members)-cursors[ci])
 			}
 		}
-		for _, t := range er.Tightness {
-			e.f64(t)
-		}
+		e.f64s(er.Tightness)
 		e.u32(uint32(len(er.Comms)))
 		for _, comm := range er.Comms {
 			e.u32(uint32(len(comm.Probs)))
-			for _, p := range comm.Probs {
-				e.f64(p)
-			}
+			e.f64s(comm.Probs)
 			e.u32(uint32(len(comm.Result)))
-			for _, v := range comm.Result {
-				e.f64(v)
-			}
+			e.f64s(comm.Result)
 			e.u32(uint32(len(comm.TruthVotes)))
 			for _, v := range comm.TruthVotes {
 				e.u32(uint32(int32(v)))
@@ -266,51 +318,54 @@ func encodeEgos(e *encoder, egos []*core.EgoResult) error {
 	return nil
 }
 
+// decodeEgos rebuilds every ego with core.NewEgoResult and gives its
+// communities' Probs and Result vectors as capped views (s[a:b:b]) of one
+// float slab per ego, so an ego replaced by a later epoch frees exactly its
+// own bytes.
 func decodeEgos(b []byte) ([]*core.EgoResult, error) {
 	c := &cursor{b: b}
 	n := int(c.u64())
-	if c.fail || n < 0 || n > len(b) {
+	// An ego takes at least 12 bytes: its id and two counts.
+	if c.fail || n < 0 || n > len(b)/12 {
 		return nil, fmt.Errorf("ego count corrupt")
 	}
 	egos := make([]*core.EgoResult, n)
-	// Staging for the two arrays core.NewEgoResult copies into its slabs.
-	var members []graph.NodeID
+	// Staging for the arrays core.NewEgoResult copies into its slabs.
+	var members, idx []uint32
 	var tightness []float64
 	for i := 0; i < n; i++ {
 		ego := graph.NodeID(c.u32())
 		nm := c.count(4)
-		members = members[:0]
-		for j := 0; j < nm; j++ {
-			members = append(members, graph.NodeID(c.u32()))
-		}
-		commIdx := make([]int, nm)
-		for j := range commIdx {
-			commIdx[j] = int(c.u32())
-		}
-		tightness = tightness[:0]
-		for j := 0; j < nm; j++ {
-			tightness = append(tightness, c.f64())
-		}
+		members = slices.Grow(members[:0], nm)[:nm]
+		c.u32s(members)
+		idx = slices.Grow(idx[:0], nm)[:nm]
+		c.u32s(idx)
+		tightness = slices.Grow(tightness[:0], nm)[:nm]
+		c.f64s(tightness)
 		nc := c.count(12)
-		for j, ci := range commIdx {
-			if ci < 0 || ci >= nc {
+		commIdx := make([]int, nm)
+		for j, ci := range idx {
+			if int64(ci) >= int64(nc) {
 				return nil, fmt.Errorf("ego %d: member %d has community index %d of %d", ego, j, ci, nc)
 			}
+			commIdx[j] = int(ci)
+		}
+		nf := commFloats(*c, nc)
+		if nf < 0 {
+			c.fail = true
+			break
 		}
 		// Per-community member lists are rebuilt from the ego-level arrays.
 		er := core.NewEgoResult(ego, members, commIdx, tightness, nc)
+		slab := make([]float64, nf)
 		for _, comm := range er.Comms {
 			if np := c.count(8); np > 0 {
-				comm.Probs = make([]float64, np)
-				for j := range comm.Probs {
-					comm.Probs[j] = c.f64()
-				}
+				comm.Probs, slab = slab[:np:np], slab[np:]
+				c.f64s(comm.Probs)
 			}
 			if nr := c.count(8); nr > 0 {
-				comm.Result = make([]float64, nr)
-				for j := range comm.Result {
-					comm.Result[j] = c.f64()
-				}
+				comm.Result, slab = slab[:nr:nr], slab[nr:]
+				c.f64s(comm.Result)
 			}
 			nv := c.count(4)
 			if c.fail {
@@ -335,6 +390,25 @@ func decodeEgos(b []byte) ([]*core.EgoResult, error) {
 	return egos, nil
 }
 
+// commFloats walks a copy of c over nc community records — Probs, Result
+// and truth votes, each behind its count — and returns how many floats
+// their Probs and Result hold, -1 if the records are cut short.
+func commFloats(c cursor, nc int) int {
+	total := 0
+	for range nc {
+		np := c.count(8)
+		c.take(8 * np)
+		nr := c.count(8)
+		c.take(8 * nr)
+		c.take(4 * c.count(4))
+		total += np + nr
+	}
+	if c.fail {
+		return -1
+	}
+	return total
+}
+
 // ---- preds section --------------------------------------------------
 
 // encodePreds serializes the Phase III output: edge keys (ascending),
@@ -345,9 +419,7 @@ func encodePreds(e *encoder, st *core.EdgeStore) {
 	e.u32(uint32(st.Classes()))
 	for ci := range st.NumChunks() {
 		keys, _, _ := st.Chunk(ci)
-		for _, k := range keys {
-			e.u64(k)
-		}
+		e.u64s(keys)
 	}
 	for ci := range st.NumChunks() {
 		_, labels, _ := st.Chunk(ci)
@@ -357,9 +429,7 @@ func encodePreds(e *encoder, st *core.EdgeStore) {
 	}
 	for ci := range st.NumChunks() {
 		_, _, probs := st.Chunk(ci)
-		for _, p := range probs {
-			e.f64(p)
-		}
+		e.f64s(probs)
 	}
 }
 
@@ -373,9 +443,7 @@ func decodePreds(b []byte, ex *core.Export) error {
 		return fmt.Errorf("preds header corrupt (edges=%d, classes=%d)", n, classes)
 	}
 	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = c.u64()
-	}
+	c.u64s(keys)
 	raw := c.take(n)
 	labels := make([]social.Label, n)
 	for i := range labels {
@@ -384,9 +452,7 @@ func decodePreds(b []byte, ex *core.Export) error {
 		}
 	}
 	probs := make([]float64, n*classes)
-	for i := range probs {
-		probs[i] = c.f64()
-	}
+	c.f64s(probs)
 	if err := c.err("preds"); err != nil {
 		return err
 	}
@@ -417,9 +483,7 @@ func datasetSection(ds *social.Dataset) func(*encoder) error {
 		e.u64(uint64(len(ds.UserFeatures)))
 		e.u32(uint32(ds.NumFeatureDims()))
 		for _, row := range ds.UserFeatures {
-			for _, v := range row {
-				e.f64(v)
-			}
+			e.f64s(row)
 		}
 		idim := 0
 		if len(ikeys) > 0 {
@@ -431,9 +495,7 @@ func datasetSection(ds *social.Dataset) func(*encoder) error {
 		for _, k := range ikeys {
 			e.u64(k)
 			row, _ := ds.InteractionRow(k)
-			for _, v := range row {
-				e.f64(v)
-			}
+			e.f64s(row)
 		}
 		e.u64(uint64(len(lkeys)))
 		for _, k := range lkeys {
@@ -441,9 +503,7 @@ func datasetSection(ds *social.Dataset) func(*encoder) error {
 			e.u8(byte(int8(ds.TrueLabel(k))))
 		}
 		e.u64(uint64(len(rkeys)))
-		for _, k := range rkeys {
-			e.u64(k)
-		}
+		e.u64s(rkeys)
 		return nil
 	}
 }
@@ -459,22 +519,29 @@ func sortedKeys[V any](seq iter.Seq2[uint64, V], sizeHint int) []uint64 {
 	return keys
 }
 
-func decodeDataset(b []byte) (*social.Dataset, error) {
+// decodeDataset decodes the section of a snapshot of nodes users. The
+// interaction rows are capped views (s[a:b:b]) of one slab, which stays
+// alive while any of them is: retained memory is bounded by the section's
+// size, however many rows later epochs replace.
+func decodeDataset(b []byte, nodes int) (*social.Dataset, error) {
 	c := &cursor{b: b}
 	nusers := int(c.u64())
 	fdim := int(c.u32())
 	if c.fail || nusers < 0 || fdim < 0 || fdim > 1<<20 ||
-		(fdim > 0 && nusers > (len(b)-c.off)/(8*fdim)) || nusers > len(b) {
+		(fdim > 0 && nusers > (len(b)-c.off)/(8*fdim)) {
 		return nil, fmt.Errorf("dataset header corrupt (users=%d, fdim=%d)", nusers, fdim)
+	}
+	// Checked before the row table is allocated: with fdim = 0 the
+	// payload does not bound nusers, and nodes is the node count the graph
+	// section was decoded with.
+	if nusers != nodes {
+		return nil, fmt.Errorf("dataset section has %d user rows, meta declares %d nodes", nusers, nodes)
 	}
 	ds := &social.Dataset{UserFeatures: make([][]float64, nusers)}
 	flat := make([]float64, nusers*fdim)
+	c.f64s(flat)
 	for i := range ds.UserFeatures {
-		row := flat[i*fdim : (i+1)*fdim : (i+1)*fdim]
-		for j := range row {
-			row[j] = c.f64()
-		}
-		ds.UserFeatures[i] = row
+		ds.UserFeatures[i] = flat[i*fdim : (i+1)*fdim : (i+1)*fdim]
 	}
 	idim := int(c.u32())
 	if c.fail || idim < 0 || idim > 255 {
@@ -485,12 +552,11 @@ func decodeDataset(b []byte) (*social.Dataset, error) {
 		return nil, fmt.Errorf("dataset interaction count corrupt (%d)", ninter)
 	}
 	ds.Interactions = make(map[uint64][]float64, ninter)
+	rows := make([]float64, ninter*idim)
 	for i := 0; i < ninter; i++ {
 		k := c.u64()
-		row := make([]float64, idim)
-		for j := range row {
-			row[j] = c.f64()
-		}
+		row := rows[i*idim : (i+1)*idim : (i+1)*idim]
+		c.f64s(row)
 		if c.fail {
 			break
 		}

@@ -5,10 +5,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"locec/internal/core"
+	"locec/internal/graph"
 	"locec/internal/wechat"
 )
 
@@ -80,7 +82,7 @@ func TestReadSizedFileGrownAfterStat(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("read %d bytes of a file grown from %d to %d", len(got), info.Size(), len(data))
 	}
-	if _, err := parse(got); err != nil {
+	if _, err := LoadBytes(got); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,6 +118,55 @@ func TestDecodeEgosRejectsOverflowingCount(t *testing.T) {
 	}
 }
 
+// bytesAllocated is what one call of f allocates.
+func bytesAllocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeEgosCountBoundedByRecordSize: an ego record takes at least 12
+// bytes (its id and two counts), so a count the payload cannot hold fails
+// before the ego list is allocated. Bounding it by the payload's byte
+// count instead let this 64 KB section allocate 512 KB of pointers.
+func TestDecodeEgosCountBoundedByRecordSize(t *testing.T) {
+	rest := bytes.Repeat([]byte{0xff}, 64<<10)
+	payload := append(appendU64(nil, uint64(len(rest))), rest...)
+	var err error
+	if got := bytesAllocated(func() { _, err = decodeEgos(payload) }); got > uint64(len(payload)) {
+		t.Fatalf("decodeEgos allocated %d bytes on a %d-byte section", got, len(payload))
+	}
+	if err == nil {
+		t.Fatal("crafted ego count accepted")
+	}
+}
+
+// TestDecodeDatasetChecksUsersFirst: with no feature columns the payload
+// does not bound the user count, so the section is checked against the
+// meta node count before the user table (24 B per user) is allocated.
+// Checking it after let this 64 KB section allocate 1.5 MB.
+func TestDecodeDatasetChecksUsersFirst(t *testing.T) {
+	graphSection, err := encoded(func(e *encoder) error { encodeGraph(e, graph.FromEdges(10, nil)); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := bytes.Repeat([]byte{0xff}, 64<<10)
+	payload := appendU32(appendU64(nil, uint64(len(rest))), 0) // users, fdim = 0
+	payload = append(payload, rest...)
+	a := &Artifact{meta: Meta{Nodes: 10}, raw: map[string][]byte{secGraph: graphSection, secDataset: payload}}
+	if _, err := a.Graph(); err != nil {
+		t.Fatal(err)
+	}
+	if got := bytesAllocated(func() { _, err = a.Dataset() }); got > uint64(len(payload)) {
+		t.Fatalf("Dataset allocated %d bytes on a %d-byte section", got, len(payload))
+	}
+	if err == nil {
+		t.Fatal("dataset section of the wrong user count accepted")
+	}
+}
+
 // TestDecodePredsRejectsOverflowingCount likewise for the preds section.
 func TestDecodePredsRejectsOverflowingCount(t *testing.T) {
 	for _, n := range []uint64{math.MaxInt64, math.MaxUint64, 1 << 62} {
@@ -134,7 +185,7 @@ func TestDecodePredsRejectsUnsortedKeys(t *testing.T) {
 		payload := appendU32(appendU64(nil, 2), 2)
 		payload = append(appendU64(appendU64(payload, keys[0]), keys[1]), 0, 1)
 		for range 4 {
-			payload = appendF64(payload, 0.5)
+			payload = appendU64(payload, math.Float64bits(0.5))
 		}
 		ex := &core.Export{}
 		if err := decodePreds(payload, ex); err == nil || !strings.Contains(err.Error(), "strictly increasing") {
@@ -145,9 +196,10 @@ func TestDecodePredsRejectsUnsortedKeys(t *testing.T) {
 
 // TestDecodeEgosAllocations: an ego decodes into the six objects
 // core.NewEgoResult builds it from (five, plus the CommIdx the decoder
-// hands it) and its communities' Probs and Result vectors; the staging
-// arrays are shared by the whole section. The decoded egos re-encode to the
-// same bytes.
+// hands it) and one slab holding its communities' Probs and Result
+// vectors; the staging arrays are shared by the whole section. The decoded
+// egos re-encode to the same bytes, and no community's vectors reach into
+// another's.
 func TestDecodeEgosAllocations(t *testing.T) {
 	net, err := wechat.Generate(wechat.DefaultConfig(120, 7))
 	if err != nil {
@@ -173,8 +225,15 @@ func TestDecodeEgosAllocations(t *testing.T) {
 	if again, err := egosBytes(decoded); err != nil || !bytes.Equal(again, payload) {
 		t.Fatalf("decoded egos re-encode differently (err %v)", err)
 	}
+	for _, er := range decoded {
+		for _, c := range er.Comms {
+			if cap(c.Probs) != len(c.Probs) || cap(c.Result) != len(c.Result) {
+				t.Fatalf("ego %d: Probs or Result is not a capped view", er.Ego)
+			}
+		}
+	}
 	// 32 covers the ego list, the cursor and the staging arrays' growth.
-	budget := float64(6*len(egos) + 2*comms + 32)
+	budget := float64(7*len(egos) + 32)
 	if a := testing.AllocsPerRun(5, func() { _, _ = decodeEgos(payload) }); a > budget {
 		t.Fatalf("%v allocations for %d egos and %d communities, want at most %v", a, len(egos), comms, budget)
 	}

@@ -98,7 +98,7 @@ func TestEncodeDatasetFoldsDelta(t *testing.T) {
 		t.Fatalf("schedule crossed %d folds and %d delta-carrying epochs; the test needs several of each", folds, carried)
 	}
 	section, _ := encoded(datasetSection(ds))
-	back, err := decodeDataset(section)
+	back, err := decodeDataset(section, len(ds.UserFeatures))
 	if err != nil {
 		t.Fatal(err)
 	}

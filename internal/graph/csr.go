@@ -8,8 +8,8 @@ import "fmt"
 // which writes a graph row by row in exactly that layout. The arrays are
 // validated structurally — monotone offsets, sorted strictly-increasing
 // neighbor lists, in-range endpoints, no self-loops, and full symmetry (v
-// in adj[u] iff u in adj[v]) — so a corrupted or hand-built input yields
-// an error instead of a graph that panics later.
+// in adj[u] iff u in adj[v]) — in one pass over adj, so a corrupted or
+// hand-built input yields an error instead of a graph that panics later.
 // adj is retained as the rows' storage, not copied; the caller must not
 // modify it.
 func NewFromCSR(offsets []int32, adj []NodeID) (*Graph, error) {
@@ -38,6 +38,13 @@ func NewFromCSR(offsets []int32, adj []NodeID) (*Graph, error) {
 				offsets[u+1], u, len(adj))
 		}
 	}
+	// Symmetry in the same pass: next[v] is row v's first entry no lower
+	// row has claimed. Visiting u in ascending order, each v > u in row u
+	// must find u there and claims it, and the entries of row u below u
+	// must all have been claimed by the time u is visited. So row v's
+	// entries below v are exactly the lower rows that list v.
+	next := make([]int32, n)
+	copy(next, offsets)
 	for u := 0; u < n; u++ {
 		row := adj[offsets[u]:offsets[u+1]]
 		for i, v := range row {
@@ -50,18 +57,23 @@ func NewFromCSR(offsets []int32, adj []NodeID) (*Graph, error) {
 			if i > 0 && row[i-1] >= v {
 				return nil, fmt.Errorf("graph: csr: neighbors of node %d not strictly increasing", u)
 			}
+			if v < NodeID(u) {
+				if offsets[u]+int32(i) >= next[u] {
+					return nil, fmt.Errorf("graph: csr: asymmetric arc %d->%d", u, v)
+				}
+				continue
+			}
+			at := next[v]
+			if at < offsets[v+1] && adj[at] < NodeID(u) {
+				return nil, fmt.Errorf("graph: csr: asymmetric arc %d->%d", v, adj[at])
+			}
+			if at == offsets[v+1] || adj[at] != NodeID(u) {
+				return nil, fmt.Errorf("graph: csr: asymmetric arc %d->%d", u, v)
+			}
+			next[v]++
 		}
 	}
 	g := new(Graph)
 	g.cut(offsets, adj)
-	// Symmetry: every stored arc must have its reverse. Each row is sorted,
-	// so the check is one binary search per arc.
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(NodeID(u)) {
-			if !g.HasEdge(v, NodeID(u)) {
-				return nil, fmt.Errorf("graph: csr: asymmetric arc %d->%d", u, v)
-			}
-		}
-	}
 	return g, nil
 }

@@ -14,7 +14,6 @@ package serve
 // state ≡ the state the crashed process had acknowledged.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -35,7 +34,9 @@ func (s *Server) bootWAL() error {
 	ckptData, err := s.walFS.ReadFile(wal.CheckpointPath(dir))
 	switch {
 	case err == nil:
-		art, err := artifact.Load(bytes.NewReader(ckptData))
+		// Parsed in place: ReadFile hands over a buffer the caller owns
+		// (MemFS copies), so the checkpoint is read once, not twice.
+		art, err := artifact.LoadBytes(ckptData)
 		if err != nil {
 			return fmt.Errorf("serve: wal checkpoint: %w", err)
 		}

@@ -17,7 +17,8 @@ import (
 // crash-safety argument depends on. Paths are plain strings; OSFS treats
 // them as OS paths, MemFS as map keys.
 type FS interface {
-	// ReadFile returns the file's full contents. A missing file must
+	// ReadFile returns the file's full contents in a buffer the caller
+	// owns: recovery parses the checkpoint in place. A missing file must
 	// surface an error satisfying os.IsNotExist / errors.Is(fs.ErrNotExist).
 	ReadFile(name string) ([]byte, error)
 	// Create opens name for writing, truncating any existing file.
