@@ -6,10 +6,11 @@ package main
 //	locec wal-replay -dir wal/ -out x.locec   offline recovery: checkpoint
 //	                                          + log -> a fresh artifact
 //
-// wal-replay performs exactly the recovery locec-serve performs on boot,
-// but writes the result as an artifact instead of serving it — useful for
-// inspecting what a crashed server would come back as, or migrating a WAL
-// directory's state onto a server without its log.
+// wal-replay performs the recovery locec-serve performs on boot — the
+// same burst rule over the same records — but writes the result as an
+// artifact instead of serving it: useful for inspecting what a crashed
+// server would come back as, or migrating a WAL directory's state onto a
+// server without its log. Unlike the server it needs a checkpoint.
 
 import (
 	"flag"
@@ -93,7 +94,8 @@ func walReplayFlags() (*flag.FlagSet, *walReplayOpts) {
 
 // runWalReplay rebuilds the post-crash state offline and writes it as an
 // artifact: load the checkpoint, replay every surviving log record with
-// seq > the checkpoint's wal_seq, export. The return value is the
+// seq > the checkpoint's wal_seq as one burst (core.Pipeline.ApplyBurst,
+// as boot recovery does), export. The return value is the
 // process exit code: 0 for a full recovery from a clean log, 1 when the
 // log was truncated at a bad record — the written artifact then reflects
 // a PARTIAL recovery (everything up to the tear), and fleet tooling must
@@ -141,23 +143,24 @@ func runWalReplay(args []string) int {
 	if err != nil {
 		fatal(err)
 	}
-	applied, skipped := 0, 0
-	lastSeq := meta.WALSeq
+	var replay []wal.Batch
 	for _, b := range batches {
-		if b.Seq <= meta.WALSeq {
-			continue
+		if b.Seq > meta.WALSeq {
+			replay = append(replay, b)
 		}
-		nds, nres, _, err := pipe.ApplyMutations(ds, res, b.Muts)
-		if err != nil {
-			fmt.Printf("seq %d: rejected (%v) — skipped, exactly as the live server would have\n", b.Seq, err)
-			skipped++
-			lastSeq = b.Seq
-			continue
-		}
-		ds, res = nds, nres
-		applied++
-		lastSeq = b.Seq
 	}
+	muts := make([][]core.Mutation, len(replay))
+	lastSeq := meta.WALSeq
+	for i, b := range replay {
+		muts[i], lastSeq = b.Muts, b.Seq
+	}
+	ds, res, burst := pipe.ApplyBurst(ds, res, muts)
+	for i, err := range burst.Errs {
+		if err != nil {
+			fmt.Printf("seq %d: rejected (%v) — skipped, exactly as the live server would have\n", replay[i].Seq, err)
+		}
+	}
+	applied, skipped := burst.Applied, len(replay)-burst.Applied
 
 	newEx, err := res.Export()
 	if err != nil {

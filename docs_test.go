@@ -126,12 +126,19 @@ var sourceRules = []struct {
 		"internal/core/incremental.go": "the declaration, never written",
 		"benchmark/":                   "reads the field until the [benchmark] PR of ROADMAP 1(a)",
 	}, "touches core.ApplyStats.SeededEgos, a shim kept only so benchmark/ compiles (ROADMAP 1(a)); nothing writes it"},
+	// One burst rule: the live applier, boot recovery and wal-replay apply
+	// mutation batches through core.Pipeline.ApplyBurst, so they cannot
+	// drift apart on which batches a burst keeps.
+	{regexp.MustCompile(`\.ApplyMutations\(`), false, map[string]string{
+		"internal/core/": "the burst applier and the engine itself",
+		"benchmark/":     "its own module: times single epochs and applies its whole log as one",
+	}, "applies a mutation batch directly; go through the burst applier (core.Pipeline.ApplyBurst)"},
 }
 
 // TestDatasetMapsReadThroughAccessors walks every Go file of the repository
 // once and holds each line to sourceRules: no direct index of
-// Dataset.TrueLabels / Revealed / Interactions, no sync.WaitGroup and no
-// SeededEgos outside their allow-lists.
+// Dataset.TrueLabels / Revealed / Interactions, no sync.WaitGroup, no
+// SeededEgos and no direct ApplyMutations call outside their allow-lists.
 func TestDatasetMapsReadThroughAccessors(t *testing.T) {
 	scanned := 0
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

@@ -22,9 +22,10 @@ func combineFixture(t *testing.T) *social.Dataset {
 	return net.Dataset
 }
 
-// TestCombineStandaloneMatchesRun re-runs Phase III alone on a finished
-// pipeline result and checks the parallel chunked combiner reproduces the
-// full run's predictions and probabilities exactly.
+// TestCombineStandaloneMatchesRun re-runs Phase III alone — TrainCombiner
+// then RecombineEdges over every edge — on a finished pipeline result and
+// checks the parallel chunked combiner reproduces the full run's
+// predictions and probabilities exactly.
 func TestCombineStandaloneMatchesRun(t *testing.T) {
 	ds := combineFixture(t)
 	p := NewPipeline(Config{
@@ -37,7 +38,10 @@ func TestCombineStandaloneMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	redo := &Result{Egos: res.Egos, Communities: res.Communities}
-	if err := p.Combine(ds, redo); err != nil {
+	if err := p.TrainCombiner(ds, redo); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RecombineEdges(redo, ds.G.Edges()); err != nil {
 		t.Fatal(err)
 	}
 	if redo.Edges.Len() != res.Edges.Len() {

@@ -74,7 +74,7 @@ func (ex *Export) Validate() error {
 		if er == nil {
 			return fmt.Errorf("core: export: nil ego result at node %d", i)
 		}
-		// Consumers index Egos by node ID (Combine, NodeCommunities, the
+		// Consumers index Egos by node ID (Phase III, NodeCommunities, the
 		// /v1/communities handler), so position and Ego must agree — an
 		// out-of-order artifact would otherwise serve the wrong node's
 		// communities with no error.

@@ -41,7 +41,7 @@ func fuzzMutation(g *graph.Graph, b [4]byte) (m Mutation, more bool) {
 // small trained fixture. After every epoch the accessor view of the
 // dataset must equal the plain three-map oracle and Validate must pass;
 // a refused epoch must leave its inputs as they were; every 8th applied
-// epoch is checked against the frozen from-scratch rerun at 1e-12. The
+// epoch is checked against the frozen from-scratch rerun, bit for bit. The
 // chain is long enough for the edit delta to fold (√E ≈ 20 here).
 func FuzzApplyMutations(f *testing.F) {
 	p, ds0, res0 := incrementalFixture(f, localConfig(DetectorClauset))
@@ -77,7 +77,7 @@ func FuzzApplyMutations(f *testing.F) {
 				continue
 			}
 			if applied%8 == 7 {
-				if err := VerifyIncremental(p, ds, res, batch, 1e-12); err != nil {
+				if err := VerifyIncremental(p, ds, res, batch); err != nil {
 					t.Fatalf("epoch %d %v: %v", applied, batch, err)
 				}
 			}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -192,61 +194,36 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 	// epochs. UserFeatures stay shared: the node set is fixed.
 	newDS, folded := ed.Commit(ov.Compact())
 
-	// ---- Stage I: re-divide the dirty egos --------------------------
+	// ---- Stages I–III: refresh the dirty egos and their edges -------
+	// Every surviving edge incident to a dirty node (added edges are, by
+	// construction) is listed once: from its dirty endpoint, or from the
+	// smaller one when both are dirty. The new store is one splice of the
+	// old, removed keys dropped and only the chunks they touch rebuilt.
 	newRes := &Result{
 		ClassifierName: res.ClassifierName,
 		Classifier:     res.Classifier,
 		Combiner:       res.Combiner,
 		Times:          res.Times,
 		Egos:           slices.Clone(res.Egos),
+		Edges:          res.Edges,
 	}
-	p.DivideNodes(newDS, newRes.Egos, dirty)
-
-	// ---- Stage II: re-classify the dirty communities (frozen model) --
-	var dirtyComms []*LocalCommunity
-	for _, u := range dirty {
-		dirtyComms = append(dirtyComms, newRes.Egos[u].Comms...)
-	}
-	res.Classifier.Classify(newDS, dirtyComms)
-
-	// ---- Stage III: re-predict the dirty edges (frozen combiner) -----
-	// An edge's features read only its endpoints' ego results, so the
-	// affected set is every surviving edge incident to a dirty node (the
-	// batch's added edges are incident to dirty endpoints by construction).
-	// The new store is one splice of the old: removed keys dropped, the
-	// fresh dirty-edge predictions inserted, only the chunks holding them
-	// rebuilt.
-	seen := make(map[uint64]struct{}, len(dirty)*8)
 	var dirtyEdges []graph.Edge
 	for _, u := range dirty {
 		for _, v := range newDS.G.Neighbors(u) {
-			e := (graph.Edge{U: u, V: v}).Canon()
-			if _, dup := seen[e.Key()]; dup {
-				continue
+			if _, both := slices.BinarySearch(dirty, v); !both || u < v {
+				dirtyEdges = append(dirtyEdges, (graph.Edge{U: u, V: v}).Canon())
 			}
-			seen[e.Key()] = struct{}{}
-			dirtyEdges = append(dirtyEdges, e)
 		}
 	}
-	slices.SortFunc(dirtyEdges, func(a, b graph.Edge) int {
-		switch {
-		case a.Key() < b.Key():
-			return -1
-		case a.Key() > b.Key():
-			return 1
-		default:
-			return 0
-		}
-	})
-	fresh, err := p.repredict(newRes, dirtyEdges)
-	if err != nil {
-		return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: %w", err)
-	}
+	slices.SortFunc(dirtyEdges, func(a, b graph.Edge) int { return cmp.Compare(a.Key(), b.Key()) })
 	removedKeys := make([]uint64, len(removed)) // ascending: Mutations sorts by key
 	for i, e := range removed {
 		removedKeys[i] = e.Key()
 	}
-	newRes.Edges = res.Edges.spliced(removedKeys, fresh)
+	dirtyComms, err := p.refresh(newDS, newRes, dirty, dirtyEdges, removedKeys)
+	if err != nil {
+		return nil, nil, ApplyStats{}, fmt.Errorf("core: apply: %w", err)
+	}
 
 	stats := ApplyStats{
 		Mutations:        len(batch),
@@ -262,13 +239,70 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 	return newDS, newRes, stats, nil
 }
 
+// Burst is ApplyBurst's account of one burst of mutation batches.
+type Burst struct {
+	// Errs[i] is batch i's rejection, nil when it was applied.
+	Errs []error
+	// Stats[i] is the work of the epoch that applied batch i: the whole
+	// burst's when it went as one epoch.
+	Stats []ApplyStats
+	// Total is the work of every applied batch together.
+	Total ApplyStats
+	// Applied counts the applied batches.
+	Applied int
+}
+
+// ApplyBurst applies mutation batches in order: the one rule the live
+// applier, boot recovery and offline WAL replay share. The whole burst
+// first goes as one epoch; if that is rejected and there are several
+// batches, each is applied on the previous one's output and a rejected one
+// is skipped, so a poisoned batch cannot sink its neighbours. Both ways
+// end in the same state, since an epoch's output depends only on the
+// dataset it ends on (VerifyIncremental). It returns the final pair — the
+// inputs when nothing applied — and what happened to each batch.
+func (p *Pipeline) ApplyBurst(ds *social.Dataset, res *Result, batches [][]Mutation) (*social.Dataset, *Result, Burst) {
+	b := Burst{Errs: make([]error, len(batches)), Stats: make([]ApplyStats, len(batches))}
+	nds, nres, stats, err := p.ApplyMutations(ds, res, slices.Concat(batches...))
+	if err == nil {
+		for i := range b.Stats {
+			b.Stats[i] = stats
+		}
+		b.Total, b.Applied = stats, len(batches)
+		return nds, nres, b
+	}
+	if len(batches) == 1 {
+		b.Errs[0] = err
+		return ds, res, b
+	}
+	for i, batch := range batches {
+		nds, nres, stats, err := p.ApplyMutations(ds, res, batch)
+		if err != nil {
+			b.Errs[i] = err
+			continue
+		}
+		ds, res = nds, nres
+		b.Stats[i] = stats
+		b.Applied++
+		t := &b.Total
+		t.Mutations += stats.Mutations
+		t.AddedEdges += stats.AddedEdges
+		t.RemovedEdges += stats.RemovedEdges
+		t.DirtyNodes += stats.DirtyNodes
+		t.DirtyCommunities += stats.DirtyCommunities
+		t.DirtyEdges += stats.DirtyEdges
+		t.DatasetEdits = stats.DatasetEdits // a size, not a sum: the last batch's
+		t.Folded = t.Folded || stats.Folded
+		t.Duration += stats.Duration
+	}
+	return ds, res, b
+}
+
 // VerifyIncremental is the incremental engine's equivalence oracle: apply
-// batch incrementally AND re-run the full staged pipeline from scratch on
-// the mutated dataset with the same frozen models, then compare every
-// prediction and probability vector. A nil return means the dirty-set
-// propagation recomputed exactly what a full recompute would have; any
-// divergence beyond tol is reported with the offending edge.
-func VerifyIncremental(p *Pipeline, ds *social.Dataset, res *Result, batch []Mutation, tol float64) error {
+// batch incrementally AND re-run the pipeline from scratch on the mutated
+// dataset with the same frozen models (RunFrozen), then compare the two
+// bit for bit. A nil return means the dirty-set propagation recomputed
+// exactly what a full recompute would have.
+func VerifyIncremental(p *Pipeline, ds *social.Dataset, res *Result, batch []Mutation) error {
 	newDS, got, _, err := p.ApplyMutations(ds, res, batch)
 	if err != nil {
 		return err
@@ -277,11 +311,34 @@ func VerifyIncremental(p *Pipeline, ds *social.Dataset, res *Result, batch []Mut
 	if err != nil {
 		return err
 	}
-	return diffResults(want, got, tol)
+	return diffResults(want, got)
 }
 
-// diffResults compares two results' predictions and probability vectors.
-func diffResults(want, got *Result, tol float64) error {
+// diffResults compares two results bit for bit — every ego's Phase I
+// output, its communities' Phase I and II output, every edge's label and
+// probabilities — and reports the first divergence; a NaN is one.
+func diffResults(want, got *Result) error {
+	same := func(a, b []float64) bool {
+		return !slices.ContainsFunc(a, math.IsNaN) &&
+			slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	if len(got.Egos) != len(want.Egos) {
+		return fmt.Errorf("core: oracle: %d ego results, want %d", len(got.Egos), len(want.Egos))
+	}
+	for u, w := range want.Egos {
+		g := got.Egos[u]
+		if g.Ego != w.Ego || !slices.Equal(g.Members, w.Members) || !slices.Equal(g.CommIdx, w.CommIdx) ||
+			!same(g.Tightness, w.Tightness) || len(g.Comms) != len(w.Comms) {
+			return fmt.Errorf("core: oracle: ego %d divided differently incrementally and from scratch", u)
+		}
+		for i, wc := range w.Comms {
+			gc := g.Comms[i]
+			if !slices.Equal(gc.Members, wc.Members) || !same(gc.Tightness, wc.Tightness) ||
+				!same(gc.Result, wc.Result) || !same(gc.Probs, wc.Probs) || gc.TruthVotes != wc.TruthVotes {
+				return fmt.Errorf("core: oracle: ego %d community %d differs incrementally and from scratch", u, i)
+			}
+		}
+	}
 	if want.Edges.Len() != got.Edges.Len() {
 		return fmt.Errorf("core: oracle: %d predictions, want %d", got.Edges.Len(), want.Edges.Len())
 	}
@@ -295,18 +352,9 @@ func diffResults(want, got *Result, tol float64) error {
 			return fmt.Errorf("core: oracle: edge %v predicted %v incrementally, %v from scratch",
 				graph.EdgeFromKey(k), gl, wl)
 		}
-		if len(gp) != len(wp) {
-			return fmt.Errorf("core: oracle: edge %v probability vector misshaped", graph.EdgeFromKey(k))
-		}
-		for c := range wp {
-			d := gp[c] - wp[c]
-			if d < 0 {
-				d = -d
-			}
-			if !(d <= tol) { // NaN fails too
-				return fmt.Errorf("core: oracle: edge %v class %d prob %g incrementally, %g from scratch (|Δ|=%g > %g)",
-					graph.EdgeFromKey(k), c, gp[c], wp[c], d, tol)
-			}
+		if !same(gp, wp) {
+			return fmt.Errorf("core: oracle: edge %v probabilities %v incrementally, %v from scratch",
+				graph.EdgeFromKey(k), gp, wp)
 		}
 	}
 	return nil

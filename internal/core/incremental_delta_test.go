@@ -119,7 +119,7 @@ func TestIncrementalOracleAcrossFolds(t *testing.T) {
 			folds, maxEdits := 0, 0
 			for epoch := 0; epoch < epochs; epoch++ {
 				batch := randomBatch(rng, ds.G, 1)
-				if err := VerifyIncremental(p, ds, res, batch, 1e-12); err != nil {
+				if err := VerifyIncremental(p, ds, res, batch); err != nil {
 					t.Fatalf("epoch %d (%d edits): %v", epoch, ds.NumEdits(), err)
 				}
 				nds, nres, stats, err := p.ApplyMutations(ds, res, batch)

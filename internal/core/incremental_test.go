@@ -93,7 +93,7 @@ func TestIncrementalOracleRandomBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 4; trial++ {
 		batch := randomBatch(rng, ds.G, 6)
-		if err := VerifyIncremental(p, ds, res, batch, 1e-12); err != nil {
+		if err := VerifyIncremental(p, ds, res, batch); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestIncrementalOracleChainedApplies(t *testing.T) {
 	// epoch's output, like the serving layer's coalescing applier.
 	for epoch := 0; epoch < 3; epoch++ {
 		batch := randomBatch(rng, ds.G, 4)
-		if err := VerifyIncremental(p, ds, res, batch, 1e-12); err != nil {
+		if err := VerifyIncremental(p, ds, res, batch); err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
 		var err error
@@ -130,7 +130,7 @@ func TestIncrementalOracleLocalDetectors(t *testing.T) {
 			rng := rand.New(rand.NewSource(31))
 			for trial := 0; trial < 3; trial++ {
 				batch := randomBatch(rng, ds.G, 6)
-				if err := VerifyIncremental(p, ds, res, batch, 1e-12); err != nil {
+				if err := VerifyIncremental(p, ds, res, batch); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 			}
@@ -145,7 +145,7 @@ func TestIncrementalSeededChainedApplies(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for epoch := 0; epoch < 3; epoch++ {
 		batch := randomBatch(rng, ds.G, 4)
-		if err := VerifyIncremental(p, ds, res, batch, 1e-12); err != nil {
+		if err := VerifyIncremental(p, ds, res, batch); err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
 		var err error
@@ -161,7 +161,7 @@ func TestIncrementalOracleAgreementRule(t *testing.T) {
 	cfg.AgreementRule = true
 	p, ds, res := incrementalFixture(t, cfg)
 	rng := rand.New(rand.NewSource(5))
-	if err := VerifyIncremental(p, ds, res, randomBatch(rng, ds.G, 5), 1e-12); err != nil {
+	if err := VerifyIncremental(p, ds, res, randomBatch(rng, ds.G, 5)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -177,7 +177,7 @@ func TestIncrementalOracleCNN(t *testing.T) {
 	}
 	p, ds, res := incrementalFixture(t, cfg)
 	rng := rand.New(rand.NewSource(7))
-	if err := VerifyIncremental(p, ds, res, randomBatch(rng, ds.G, 5), 1e-12); err != nil {
+	if err := VerifyIncremental(p, ds, res, randomBatch(rng, ds.G, 5)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -417,7 +417,7 @@ func TestApplyMutationsAllocatesLittle(t *testing.T) {
 }
 
 // TestDiffResultsRefusesNaN: the incremental oracle reports a NaN
-// probability as a divergence (|Δ| > tol is false for NaN).
+// probability as a divergence, even against the same NaN bits.
 func TestDiffResultsRefusesNaN(t *testing.T) {
 	result := func(p float64) *Result {
 		es, err := NewEdgeStore([]uint64{7}, []social.Label{0}, []float64{p, 1 - p}, 2)
@@ -426,11 +426,14 @@ func TestDiffResultsRefusesNaN(t *testing.T) {
 		}
 		return &Result{Edges: es}
 	}
-	if err := diffResults(result(0), result(0), 1e-12); err != nil {
+	if err := diffResults(result(0), result(0)); err != nil {
 		t.Fatalf("identical results: %v", err)
 	}
-	if err := diffResults(result(0), result(math.NaN()), 1e-12); err == nil {
+	if err := diffResults(result(0), result(math.NaN())); err == nil {
 		t.Fatal("diffResults(want 0, got NaN) = nil, want a divergence")
+	}
+	if err := diffResults(result(math.NaN()), result(math.NaN())); err == nil {
+		t.Fatal("diffResults(want NaN, got NaN) = nil, want a divergence")
 	}
 }
 

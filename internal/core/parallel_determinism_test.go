@@ -11,7 +11,7 @@ import (
 
 // parallelLocalConfig is localConfig with the GBDT trainer fanned out to
 // 8 workers — the histogram trainer guarantees bit-identical trees for
-// any worker count, so everything downstream (frozen replay, the 1e-12
+// any worker count, so everything downstream (frozen replay, the bit-exact
 // incremental oracle) must behave exactly as in the serial configuration.
 func parallelLocalConfig(d DetectorKind) Config {
 	return Config{
@@ -21,7 +21,7 @@ func parallelLocalConfig(d DetectorKind) Config {
 	}
 }
 
-// TestIncrementalOracleParallelTrainer: the incremental path's 1e-12
+// TestIncrementalOracleParallelTrainer: the incremental path's bit-exact
 // equivalence oracle must hold with the parallel GBDT trainer across all
 // three local detectors — a fast-but-nondeterministic trainer would fail
 // here first.
@@ -32,7 +32,7 @@ func TestIncrementalOracleParallelTrainer(t *testing.T) {
 			rng := rand.New(rand.NewSource(47))
 			for trial := 0; trial < 2; trial++ {
 				batch := randomBatch(rng, ds.G, 6)
-				if err := VerifyIncremental(p, ds, res, batch, 1e-12); err != nil {
+				if err := VerifyIncremental(p, ds, res, batch); err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
 			}

@@ -28,9 +28,8 @@ type Config struct {
 }
 
 // PhaseTimes records wall-clock durations per phase (Table VI's columns).
-// Phase3 splits further into the combiner's two sub-phases; the sub-phase
-// durations sum to slightly less than Phase3 (edge-list materialization
-// and map publishing sit between them).
+// Phase3 splits further into the combiner's two sub-phases, which sum to
+// Phase3 up to the clock reads between them.
 type PhaseTimes struct {
 	Training time.Duration // Phase II model training
 	Phase1   time.Duration // division: ego networks + community detection
@@ -38,7 +37,7 @@ type PhaseTimes struct {
 	Phase3   time.Duration // combination: edge features + LR + prediction
 
 	CombinerTrain   time.Duration // Phase III sub-phase: LR training
-	CombinerPredict time.Duration // Phase III sub-phase: edge prediction + publish
+	CombinerPredict time.Duration // Phase III sub-phase: edge prediction + store
 }
 
 // Total sums all phases including training.
@@ -121,9 +120,9 @@ func NewPipeline(cfg Config) *Pipeline {
 // Training data comes exclusively from ds.Revealed; the caller controls
 // train/test isolation by hiding labels before the run.
 //
-// The body is a composition of the staged implementation in stages.go —
-// Divide, TrainClassifier, ClassifyCommunities, then Combine — the same
-// stages the incremental engine replays over a dirty subset.
+// The body is the staged composition of stages.go — Divide,
+// TrainClassifier, ClassifyCommunities, TrainCombiner, then
+// RecombineEdges over every edge — each phase timed into res.Times.
 func (p *Pipeline) Run(ds *social.Dataset) (*Result, error) {
 	res := &Result{ClassifierName: p.cfg.Classifier.Name(), Classifier: p.cfg.Classifier}
 
@@ -148,49 +147,17 @@ func (p *Pipeline) Run(ds *social.Dataset) (*Result, error) {
 
 	// ---- Phase III: combination -------------------------------------
 	t0 = time.Now()
-	if err := p.Combine(ds, res); err != nil {
+	if err := p.TrainCombiner(ds, res); err != nil {
 		return nil, err
 	}
+	res.Times.CombinerTrain = time.Since(t0)
+	t1 := time.Now()
+	if err := p.RecombineEdges(res, ds.G.Edges()); err != nil {
+		return nil, err
+	}
+	res.Times.CombinerPredict = time.Since(t1)
 	res.Times.Phase3 = time.Since(t0)
 	return res, nil
-}
-
-// Combine runs Phase III on a Result whose Egos already carry classified
-// communities (Phases I+II done), filling res.Edges with every edge's
-// prediction: TrainCombiner followed by prediction
-// over the full edge list. Run calls it as its final stage; benchmarks call
-// it directly to isolate combiner cost.
-//
-// Edge prediction (predictEdges, shared with RecombineEdges) fans out in
-// one contiguous edge chunk per worker. Each worker assembles its
-// edges' features into a reused panel and runs a blocked GEMM + softmax
-// per panel, writing into disjoint ranges of preallocated flat stores (one
-// []float64 backing all probability vectors), so the per-edge cost is free
-// of allocation; the map views are filled in a single serial pass
-// afterwards. The two sub-phases are timed separately as
-// Times.CombinerTrain and Times.CombinerPredict.
-func (p *Pipeline) Combine(ds *social.Dataset, res *Result) error {
-	t0 := time.Now()
-	if err := p.TrainCombiner(ds, res); err != nil {
-		return err
-	}
-	res.Times.CombinerTrain = time.Since(t0)
-	t0 = time.Now()
-	edges := ds.G.Edges()
-	classes := p.classes(res)
-	preds := make([]social.Label, len(edges))
-	probsFlat := make([]float64, len(edges)*classes)
-	p.predictEdges(res, edges, preds, probsFlat, classes)
-	res.publish(edges, preds, probsFlat, classes)
-	res.Times.CombinerPredict = time.Since(t0)
-	return nil
-}
-
-// publish installs the flat per-edge predictions as the result's
-// EdgeStore. Edge enumeration order is already ascending by canonical
-// key, so the store is views over the same arrays — no per-edge copy.
-func (r *Result) publish(edges []graph.Edge, preds []social.Label, probsFlat []float64, classes int) {
-	r.Edges = sortedRun(edges, preds, probsFlat, classes).store(classes)
 }
 
 // Argmax returns the index of the largest value (0 for empty input).

@@ -12,22 +12,16 @@ import (
 )
 
 // This file is the staged decomposition of the three-phase pipeline. Run
-// is a thin composition of the stages below; the incremental engine
-// (incremental.go) composes the same stages over a dirty subset instead of
-// the whole graph, so there is exactly one implementation of each phase
-// for both the batch and the live path.
+// composes the stages below with the two training steps between them;
+// every frozen-model path goes through one step, refresh, over a node set
+// instead of the whole graph, so there is exactly one implementation of
+// each phase for both the batch and the live path.
 //
-//	full run:     DivideNodes(all) → TrainClassifier → ClassifyCommunities(all)
-//	              → TrainCombiner → RecombineEdges(all)
-//	incremental:  DivideNodes(dirty) → ClassifyCommunities(dirty, frozen model)
-//	              → RecombineEdges(dirty, frozen combiner)
-
-// DivideNodes is the Phase I stage on this pipeline's division config:
-// recompute the listed nodes' ego results in place (see the package-level
-// DivideNodes for the seam contract).
-func (p *Pipeline) DivideNodes(ds *social.Dataset, egos []*EgoResult, nodes []graph.NodeID) {
-	DivideNodes(ds, egos, nodes, p.cfg.Division)
-}
+//	Run:            Divide → TrainClassifier → ClassifyCommunities
+//	                → TrainCombiner → RecombineEdges(all edges)
+//	RunFrozen:      refresh(every node, every edge, nothing removed)
+//	ApplyMutations: overlay + dataset delta, then
+//	                refresh(dirty nodes, their incident edges, removed edges)
 
 // TrainClassifier is the Phase II training stage: fit the community
 // classifier on every community whose ground truth is derivable from
@@ -49,9 +43,8 @@ func (p *Pipeline) TrainClassifier(ds *social.Dataset, comms []*LocalCommunity) 
 
 // ClassifyCommunities is the Phase II inference stage: fill Probs and
 // Result on the given communities with the pipeline's (already trained)
-// classifier. The full run classifies every community once; the
-// incremental engine re-classifies only the communities of dirty ego
-// networks against the frozen model.
+// classifier. Run classifies every community once with it; refresh
+// classifies with the frozen model a result carries.
 func (p *Pipeline) ClassifyCommunities(ds *social.Dataset, comms []*LocalCommunity) {
 	p.cfg.Classifier.Classify(ds, comms)
 }
@@ -98,15 +91,6 @@ func (p *Pipeline) TrainCombiner(ds *social.Dataset, res *Result) error {
 	}
 	res.Combiner = lr
 	return nil
-}
-
-// classes returns the per-edge probability-vector width Phase III
-// prediction produces for this pipeline/result pairing.
-func (p *Pipeline) classes(res *Result) int {
-	if p.cfg.AgreementRule || res.Combiner == nil {
-		return social.NumLabels
-	}
-	return res.Combiner.Classes
 }
 
 // predictBlockRows is the number of edges a prediction worker assembles
@@ -194,75 +178,75 @@ func (p *Pipeline) predictEdgesByAgreement(res *Result, edges []graph.Edge, pred
 	})
 }
 
-// RecombineEdges is the Phase III re-prediction stage: recompute the
-// prediction and probability vector of just the listed edges with the
-// already-trained combiner, merging the fresh values into res.Edges
-// (other edges keep their entries). An edge feature reads only the two
-// endpoints' ego results, so after a mutation batch the edges incident to
-// the dirty node set are exactly the ones whose prediction can change.
-//
-// The merge builds a new store — the previous store (possibly shared with
-// a published snapshot) is never written in place.
+// RecombineEdges is the Phase III prediction stage: predict the listed
+// edges with the already-trained combiner (or the agreement rule) and
+// merge them into res.Edges, other edges keeping their entries. The merge
+// builds a new store — the previous one (possibly shared with a published
+// snapshot) is never written in place.
 func (p *Pipeline) RecombineEdges(res *Result, edges []graph.Edge) error {
-	fresh, err := p.repredict(res, edges)
-	if err != nil {
-		return err
+	return p.recombine(res, edges, nil)
+}
+
+// recombine is refresh's Phase III tail: predict the listed edges against
+// res's classified egos and splice them into res.Edges with the removed
+// keys (ascending) dropped, in one splice.
+func (p *Pipeline) recombine(res *Result, edges []graph.Edge, removed []uint64) error {
+	var fresh edgeRun
+	if len(edges) > 0 {
+		if !p.cfg.AgreementRule && res.Combiner == nil {
+			return fmt.Errorf("core: recombine: result has no trained combiner")
+		}
+		classes := social.NumLabels
+		if !p.cfg.AgreementRule {
+			classes = res.Combiner.Classes
+		}
+		preds := make([]social.Label, len(edges))
+		probsFlat := make([]float64, len(edges)*classes)
+		p.predictEdges(res, edges, preds, probsFlat, classes)
+		fresh = sortedRun(edges, preds, probsFlat, classes)
 	}
-	res.Edges = res.Edges.spliced(nil, fresh)
+	res.Edges = res.Edges.spliced(removed, fresh)
 	return nil
 }
 
-// repredict runs Phase III prediction for just the listed edges against
-// res's classified egos and returns them as a sorted run (empty for an
-// empty list).
-func (p *Pipeline) repredict(res *Result, edges []graph.Edge) (edgeRun, error) {
-	if len(edges) == 0 {
-		return edgeRun{}, nil
+// refresh is the one step that turns a node set into spliced predictions
+// with res's models frozen: re-divide the nodes' egos, classify their
+// communities, recombine edges — every surviving edge incident to a
+// listed node — and return the communities it classified.
+func (p *Pipeline) refresh(ds *social.Dataset, res *Result, nodes []graph.NodeID, edges []graph.Edge, removed []uint64) ([]*LocalCommunity, error) {
+	DivideNodes(ds, res.Egos, nodes, p.cfg.Division)
+	var comms []*LocalCommunity
+	for _, u := range nodes {
+		comms = append(comms, res.Egos[u].Comms...)
 	}
-	if !p.cfg.AgreementRule && res.Combiner == nil {
-		return edgeRun{}, fmt.Errorf("core: recombine: result has no trained combiner")
-	}
-	classes := p.classes(res)
-	preds := make([]social.Label, len(edges))
-	probsFlat := make([]float64, len(edges)*classes)
-	p.predictEdges(res, edges, preds, probsFlat, classes)
-	return sortedRun(edges, preds, probsFlat, classes), nil
+	res.Classifier.Classify(ds, comms)
+	return comms, p.recombine(res, edges, removed)
 }
 
-// RunFrozen re-executes the pipeline's compute phases with every learned
-// model frozen: Phase I from scratch over the whole graph, Phase II
-// inference with trained.Classifier, Phase III prediction with
-// trained.Combiner (or the agreement rule) — no training anywhere. It is
-// the reference implementation the incremental engine is verified against
-// (VerifyIncremental): both paths are compositions of the same stages, so
-// any divergence is a dirty-set propagation bug, not a model drift.
+// RunFrozen re-executes the pipeline's compute phases with trained's
+// models frozen: refresh over every node and every edge of an empty
+// result, no training anywhere. It is the reference VerifyIncremental
+// holds the incremental engine to: both run the same step, but RunFrozen
+// picks its node and edge sets without the dirty-set and incident-edge
+// rules, so any divergence is a propagation bug, not a model drift.
 func (p *Pipeline) RunFrozen(ds *social.Dataset, trained *Result) (*Result, error) {
 	if trained == nil || trained.Classifier == nil {
 		return nil, fmt.Errorf("core: run frozen: result carries no trained classifier")
-	}
-	if !p.cfg.AgreementRule && trained.Combiner == nil {
-		return nil, fmt.Errorf("core: run frozen: result carries no trained combiner")
 	}
 	res := &Result{
 		ClassifierName: trained.ClassifierName,
 		Classifier:     trained.Classifier,
 		Combiner:       trained.Combiner,
+		Egos:           make([]*EgoResult, ds.G.NumNodes()),
 	}
-	res.Egos = make([]*EgoResult, ds.G.NumNodes())
 	nodes := make([]graph.NodeID, ds.G.NumNodes())
 	for u := range nodes {
 		nodes[u] = graph.NodeID(u)
 	}
-	p.DivideNodes(ds, res.Egos, nodes)
-	for _, er := range res.Egos {
-		res.Communities = append(res.Communities, er.Comms...)
+	comms, err := p.refresh(ds, res, nodes, ds.G.Edges(), nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: run frozen: %w", err)
 	}
-	trained.Classifier.Classify(ds, res.Communities)
-	edges := ds.G.Edges()
-	classes := p.classes(res)
-	preds := make([]social.Label, len(edges))
-	probsFlat := make([]float64, len(edges)*classes)
-	p.predictEdges(res, edges, preds, probsFlat, classes)
-	res.publish(edges, preds, probsFlat, classes)
+	res.Communities = comms
 	return res, nil
 }

@@ -159,12 +159,11 @@ func (s *Server) finishJob(job mutationJob, out mutationOutcome, failed bool) {
 	job.done <- out
 }
 
-// applyJobs applies a coalesced burst of jobs as one mutation epoch. The
-// whole burst is first tried as a single concatenated batch (one dirty-set
-// recompute for the entire burst); if that batch is rejected and the burst
-// has several jobs, each job is retried individually so one poisoned batch
-// — say, an add of an edge that already exists — cannot sink its
-// neighbors. Either way at most one new snapshot is published.
+// applyJobs applies a coalesced burst of jobs by core's burst rule
+// (Pipeline.ApplyBurst): the whole burst as one epoch, or — when that is
+// rejected — job by job, skipping a rejected one so one poisoned batch
+// (say, an add of an edge that already exists) cannot sink its
+// neighbours. Either way at most one new snapshot is published.
 func (s *Server) applyJobs(jobs []mutationJob) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -206,58 +205,21 @@ func (s *Server) applyJobs(jobs []mutationJob) {
 		}
 	}
 
-	total := 0
-	for _, job := range jobs {
-		total += len(job.batch)
+	batches := make([][]core.Mutation, len(jobs))
+	for i, job := range jobs {
+		batches[i] = job.batch
 	}
-	coalesced := make([]core.Mutation, 0, total)
-	for _, job := range jobs {
-		coalesced = append(coalesced, job.batch...)
+	ds, res, burst := snap.pipe.ApplyBurst(snap.ds, snap.res, batches)
+	var info SnapshotInfo
+	if burst.Applied > 0 {
+		info = s.publishMutated(snap, ds, res, burst.Total, walSeq)
 	}
-	if ds, res, stats, err := snap.pipe.ApplyMutations(snap.ds, snap.res, coalesced); err == nil {
-		info := s.publishMutated(snap, ds, res, stats, walSeq)
-		for _, job := range jobs {
-			s.finishJob(job, mutationOutcome{epoch: info.Epoch, info: info, stats: stats}, false)
-		}
-		return
-	} else if len(jobs) == 1 {
-		s.finishJob(jobs[0], mutationOutcome{err: err}, true)
-		return
-	}
-
-	// Per-job fallback: walk the burst in order, each surviving job
-	// building on the previous one's output.
-	ds, res := snap.ds, snap.res
-	var agg core.ApplyStats
-	type settled struct {
-		job   mutationJob
-		stats core.ApplyStats
-	}
-	var applied []settled
-	for _, job := range jobs {
-		nds, nres, stats, err := snap.pipe.ApplyMutations(ds, res, job.batch)
-		if err != nil {
+	for i, job := range jobs {
+		if err := burst.Errs[i]; err != nil {
 			s.finishJob(job, mutationOutcome{err: err}, true)
-			continue
+		} else {
+			s.finishJob(job, mutationOutcome{epoch: info.Epoch, info: info, stats: burst.Stats[i]}, false)
 		}
-		ds, res = nds, nres
-		agg.Mutations += stats.Mutations
-		agg.AddedEdges += stats.AddedEdges
-		agg.RemovedEdges += stats.RemovedEdges
-		agg.DirtyNodes += stats.DirtyNodes
-		agg.DirtyCommunities += stats.DirtyCommunities
-		agg.DirtyEdges += stats.DirtyEdges
-		agg.DatasetEdits = stats.DatasetEdits // a size, not a sum: the last job's
-		agg.Folded = agg.Folded || stats.Folded
-		agg.Duration += stats.Duration
-		applied = append(applied, settled{job: job, stats: stats})
-	}
-	if len(applied) == 0 {
-		return
-	}
-	info := s.publishMutated(snap, ds, res, agg, walSeq)
-	for _, a := range applied {
-		s.finishJob(a.job, mutationOutcome{epoch: info.Epoch, info: info, stats: a.stats}, false)
 	}
 }
 

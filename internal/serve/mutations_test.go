@@ -556,7 +556,7 @@ func TestApplyJobsFallbackSkipsPoisonedJob(t *testing.T) {
 			if got := s.mutPending.Load(); got != 0 {
 				t.Fatalf("mutations.pending = %d after the burst settled", got)
 			}
-			assertStateEqual(t, after, &snapshot{ds: ds3, res: res3}, 1e-12, "published vs batch 1 then batch 3")
+			assertStateEqual(t, after, &snapshot{ds: ds3, res: res3}, "published vs batch 1 then batch 3")
 
 			if !withWAL {
 				return
@@ -573,7 +573,7 @@ func TestApplyJobsFallbackSkipsPoisonedJob(t *testing.T) {
 			if ws, _ := s2.WALStats(); ws.Replayed != 3 {
 				t.Fatalf("restart replayed %d records, want 3", ws.Replayed)
 			}
-			assertStateEqual(t, s2.current(), after, 1e-12, "restarted vs live")
+			assertStateEqual(t, s2.current(), after, "restarted vs live")
 		})
 	}
 }

@@ -8,10 +8,12 @@ package serve
 // Recovery contract: state after a crash = the checkpoint artifact (or a
 // deterministic rebuild of the boot dataset when none exists yet) plus a
 // replay of every intact log record with seq > the checkpoint's WALSeq.
-// Each record is applied exactly as a live singleton batch would be, and
-// incremental application is deterministic and order-insensitive modulo
-// the final graph (VerifyIncremental's 1e-12 guarantee), so replayed
-// state ≡ the state the crashed process had acknowledged.
+// The records to replay are one burst under the live applier's rule
+// (core.Pipeline.ApplyBurst): all of them as one epoch, or record by
+// record skipping a rejected one. A record is rejected exactly when it was
+// rejected live, and an epoch's output depends only on the dataset it ends
+// on (VerifyIncremental, bit for bit), so replayed state ≡ the state the
+// crashed process had acknowledged.
 
 import (
 	"errors"
@@ -20,6 +22,7 @@ import (
 	"time"
 
 	"locec/internal/artifact"
+	"locec/internal/core"
 	"locec/internal/wal"
 )
 
@@ -93,24 +96,23 @@ func (s *Server) bootWAL() error {
 	if snap.pipe == nil {
 		return fmt.Errorf("serve: wal has %d records to replay but the boot snapshot is immutable (artifact without an embedded dataset?)", len(replay))
 	}
-	ds, res := snap.ds, snap.res
-	applied := 0
-	for _, b := range replay {
-		nds, nres, _, err := snap.pipe.ApplyMutations(ds, res, b.Muts)
+	muts := make([][]core.Mutation, len(replay))
+	for i, b := range replay {
+		muts[i] = b.Muts
+	}
+	ds, res, burst := snap.pipe.ApplyBurst(snap.ds, snap.res, muts)
+	for i, err := range burst.Errs {
+		// Deterministic apply: a record rejected here was rejected (or
+		// would have been) identically in the crashed process — its
+		// effects were never part of any acknowledged state.
 		if err != nil {
-			// Deterministic apply: a record that fails here failed (or
-			// would have failed) identically in the crashed process — its
-			// effects were never part of any acknowledged state. Skip it.
-			s.log.Warn("wal replay: batch rejected", "seq", b.Seq, "mutations", len(b.Muts), "err", err)
-			continue
+			s.log.Warn("wal replay: batch rejected", "seq", replay[i].Seq, "mutations", len(replay[i].Muts), "err", err)
 		}
-		ds, res = nds, nres
-		applied++
 	}
 	snap = &snapshot{
 		version:   s.version.Add(1),
 		seed:      snap.seed,
-		epoch:     s.epochs.Add(int64(applied)),
+		epoch:     s.epochs.Add(int64(burst.Applied)),
 		ds:        ds,
 		res:       res,
 		pipe:      snap.pipe,
@@ -121,7 +123,7 @@ func (s *Server) bootWAL() error {
 	s.cur.Store(snap)
 	s.walReplayed.Store(int64(len(replay)))
 	s.log.Info("wal replayed",
-		"records", len(replay), "applied", applied,
+		"records", len(replay), "applied", burst.Applied,
 		"epoch", snap.epoch, "wal_seq", snap.walSeq,
 		"seconds", time.Since(t0).Seconds())
 	return nil

@@ -128,9 +128,10 @@ func addBatch(p [2]graph.NodeID, i int) []core.Mutation {
 }
 
 // assertStateEqual compares two snapshots' full classification state:
-// identical graph shape, identical predicted labels, probabilities within
-// tol. This is the "pre-batch or post-batch, never torn" oracle.
-func assertStateEqual(t *testing.T, got, want *snapshot, tol float64, context string) {
+// identical graph shape, identical predicted labels, probabilities equal
+// bit for bit (a NaN never matches). This is the "pre-batch or
+// post-batch, never torn" oracle.
+func assertStateEqual(t *testing.T, got, want *snapshot, context string) {
 	t.Helper()
 	if got.ds.G.NumNodes() != want.ds.G.NumNodes() || got.ds.G.NumEdges() != want.ds.G.NumEdges() {
 		t.Fatalf("%s: graph shape %d/%d, want %d/%d", context,
@@ -150,10 +151,9 @@ func assertStateEqual(t *testing.T, got, want *snapshot, tol float64, context st
 			t.Fatalf("%s: edge %d probability vector missing or misshapen", context, k)
 		}
 		for c := range wp {
-			if !(math.Abs(gp[c]-wp[c]) <= tol) { // NaN fails too
+			if math.IsNaN(gp[c]) || math.Float64bits(gp[c]) != math.Float64bits(wp[c]) {
 				e := graph.EdgeFromKey(k)
-				t.Fatalf("%s: edge {%d,%d} class %d: %.17g vs %.17g (tol %g)",
-					context, e.U, e.V, c, gp[c], wp[c], tol)
+				t.Fatalf("%s: edge {%d,%d} class %d: %.17g vs %.17g", context, e.U, e.V, c, gp[c], wp[c])
 			}
 		}
 	}
@@ -161,7 +161,7 @@ func assertStateEqual(t *testing.T, got, want *snapshot, tol float64, context st
 
 // TestWALDurableRestart: apply batches, stop orderly, restart from the
 // WAL directory — the replayed server must match a never-stopped control
-// to 1e-12.
+// bit for bit.
 func TestWALDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(walConfig(t, dir, nil)) // nil FS = the real one
@@ -199,7 +199,7 @@ func TestWALDurableRestart(t *testing.T) {
 	if ws2.Replayed != 3 {
 		t.Fatalf("restart replayed %d records, want 3", ws2.Replayed)
 	}
-	assertStateEqual(t, s2.current(), control.current(), 1e-12, "restarted vs control")
+	assertStateEqual(t, s2.current(), control.current(), "restarted vs control")
 
 	// The restarted server keeps serving writes.
 	extra := absentPairs(s2, 4)[3]
@@ -259,7 +259,7 @@ func TestWALCheckpointTruncates(t *testing.T) {
 	if s2.epochs.Load() != control.epochs.Load() {
 		t.Fatalf("epoch after restart %d, control %d", s2.epochs.Load(), control.epochs.Load())
 	}
-	assertStateEqual(t, s2.current(), control.current(), 1e-12, "checkpoint+replay vs control")
+	assertStateEqual(t, s2.current(), control.current(), "checkpoint+replay vs control")
 }
 
 // TestWALCrashMatrix is the serve-level kill -9 harness: the same
@@ -267,7 +267,7 @@ func TestWALCheckpointTruncates(t *testing.T) {
 // is killed at every write/sync/rename boundary via the injectable
 // filesystem. After each crash the rebooted server must hold exactly the
 // state of some batch prefix — at least every acknowledged batch, never a
-// torn hybrid — verified against never-crashed control states to 1e-12.
+// torn hybrid — verified against never-crashed control states bit for bit.
 func TestWALCrashMatrix(t *testing.T) {
 	const nBatches = 3
 
@@ -350,7 +350,7 @@ func TestWALCrashMatrix(t *testing.T) {
 			s2.Close()
 			t.Fatalf("fault %d: recovered through batch %d, but %d were acknowledged", i, m, acked)
 		}
-		assertStateEqual(t, s2.current(), states[m], 1e-12,
+		assertStateEqual(t, s2.current(), states[m],
 			fmt.Sprintf("fault %d recovered prefix %d", i, m))
 		// And the survivor still takes writes.
 		extra := absentPairs(s2, nBatches+1)[nBatches]
@@ -365,7 +365,7 @@ func TestWALCrashMatrix(t *testing.T) {
 // TestWALReplayOracle proves the strong form of replay correctness: a
 // server rebuilt purely from checkpoint+log (the first server was never
 // closed cleanly — its log was simply left behind, as after kill -9) is
-// equivalent to the live pipeline to 1e-12, and the recovered state is
+// equivalent to the live pipeline bit for bit, and the recovered state is
 // itself verifiable against a frozen full recompute via VerifyIncremental.
 func TestWALReplayOracle(t *testing.T) {
 	fs := wal.NewMemFS()
@@ -402,16 +402,16 @@ func TestWALReplayOracle(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", ws.Replayed, len(batches))
 	}
 	replayed := s2.current()
-	assertStateEqual(t, replayed, live, 1e-12, "replayed vs live")
+	assertStateEqual(t, replayed, live, "replayed vs live")
 	if replayed.epoch != live.epoch {
 		t.Fatalf("epoch %d, want %d", replayed.epoch, live.epoch)
 	}
 
 	// The recovered state must also agree with a from-scratch frozen
 	// recompute when mutated further — VerifyIncremental runs both paths
-	// and compares to 1e-12.
+	// and compares bit for bit.
 	probe := addBatch(pairs[3], 3)
-	if err := core.VerifyIncremental(replayed.pipe, replayed.ds, replayed.res, probe, 1e-12); err != nil {
+	if err := core.VerifyIncremental(replayed.pipe, replayed.ds, replayed.res, probe); err != nil {
 		t.Fatalf("replayed state fails the frozen-recompute oracle: %v", err)
 	}
 	s2.Close()
@@ -458,7 +458,7 @@ func TestCloseDrainsQueuedMutations(t *testing.T) {
 	if ws.Replayed != 3 {
 		t.Fatalf("restart replayed %d, want 3", ws.Replayed)
 	}
-	assertStateEqual(t, s2.current(), snap, 1e-12, "restart vs drained close")
+	assertStateEqual(t, s2.current(), snap, "restart vs drained close")
 }
 
 // TestHTTPKillRestartMatchesControl kills the serving process (page-cache
@@ -547,7 +547,7 @@ func TestHTTPKillRestartMatchesControl(t *testing.T) {
 			t.Fatalf("pair %d: /v1/edge status %d, control %d", i, gotStatus, wantStatus)
 		}
 	}
-	assertStateEqual(t, s2.current(), control.current(), 1e-12, "kill/restart vs control")
+	assertStateEqual(t, s2.current(), control.current(), "kill/restart vs control")
 }
 
 // TestStatsCommunitiesMatchCheckpointMeta: two independent counters report
