@@ -32,7 +32,8 @@ func growClauset(g *graph.Graph, seed graph.NodeID) []graph.NodeID {
 			frontier = append(frontier, v)
 		}
 	}
-	bestR := clausetR(g, inC, members)
+	trial := clausetTrial{isB: make([]bool, n)}
+	bestR := trial.r(g, inC, members)
 	for len(frontier) > 0 {
 		slices.Sort(frontier)
 		bestIdx := -1
@@ -40,7 +41,7 @@ func growClauset(g *graph.Graph, seed graph.NodeID) []graph.NodeID {
 		for i, c := range frontier {
 			inC[c] = true
 			members = append(members, c)
-			r := clausetR(g, inC, members)
+			r := trial.r(g, inC, members)
 			members = members[:len(members)-1]
 			inC[c] = false
 			if r > bestTrial+1e-12 {
@@ -65,14 +66,20 @@ func growClauset(g *graph.Graph, seed graph.NodeID) []graph.NodeID {
 	return members
 }
 
-// clausetR computes the local modularity R = I/T of the community marked
-// by inC (whose members list is passed to avoid a full scan). A community
-// with an empty boundary fully encloses its component; R is 1 by
-// convention there, so growth never stalls one step short of absorbing a
-// whole component.
-func clausetR(g *graph.Graph, inC []bool, members []graph.NodeID) float64 {
-	isB := make([]bool, len(inC))
-	var boundary []graph.NodeID
+// clausetTrial is the scratch of one growth's R evaluations: the boundary
+// marks (all false between calls) and the boundary list, reused by every
+// trial instead of allocated per frontier candidate.
+type clausetTrial struct {
+	isB      []bool
+	boundary []graph.NodeID
+}
+
+// r computes the local modularity R = I/T of the community marked by inC
+// (whose members list is passed to avoid a full scan). A community with an
+// empty boundary fully encloses its component; R is 1 by convention there,
+// so growth never stalls one step short of absorbing a whole component.
+func (t *clausetTrial) r(g *graph.Graph, inC []bool, members []graph.NodeID) float64 {
+	isB, boundary := t.isB, t.boundary[:0]
 	for _, u := range members {
 		for _, v := range g.Neighbors(u) {
 			if !inC[v] {
@@ -94,6 +101,10 @@ func clausetR(g *graph.Graph, inC []bool, members []graph.NodeID) float64 {
 			}
 		}
 	}
+	for _, u := range boundary {
+		isB[u] = false
+	}
+	t.boundary = boundary
 	if T == 0 {
 		return 1
 	}

@@ -92,8 +92,9 @@ func (r *Router) reqCtx(req *http.Request) (context.Context, context.CancelFunc)
 
 // handleEdge routes GET /v1/edge?u=&v= to the owner of {u,v}.
 func (r *Router) handleEdge(w http.ResponseWriter, req *http.Request) {
-	u, err1 := strconv.ParseUint(req.URL.Query().Get("u"), 10, 32)
-	v, err2 := strconv.ParseUint(req.URL.Query().Get("v"), 10, 32)
+	q := req.URL.Query()
+	u, err1 := strconv.ParseUint(q.Get("u"), 10, 32)
+	v, err2 := strconv.ParseUint(q.Get("v"), 10, 32)
 	if err1 != nil || err2 != nil {
 		writeError(w, http.StatusBadRequest, "u and v must be uint32 node ids")
 		return

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -24,10 +25,16 @@ const maxClassifyBody = 1 << 20
 // snapshot the handler actually used, not whatever is newest.
 const snapshotHeader = "X-Snapshot-Version"
 
-// markSnapshot stamps the response with the serving snapshot's version.
+// markSnapshot stamps the response with the serving snapshot's version,
+// the header value formatted once when the snapshot was published.
 func markSnapshot(w http.ResponseWriter, snap *snapshot) {
-	w.Header().Set(snapshotHeader, strconv.FormatInt(snap.version, 10))
+	w.Header()[snapshotHeader] = snap.versionHeader
 }
+
+// jsonContentType is every JSON response's Content-Type value, shared: the
+// server only reads it, and a length-1 slice is copied, not overwritten, by
+// an append.
+var jsonContentType = []string{"application/json"}
 
 // Handler returns the service's HTTP routes wrapped in logging middleware.
 func (s *Server) Handler() http.Handler {
@@ -46,28 +53,35 @@ func (s *Server) Handler() http.Handler {
 
 // edgeResult is one classified friendship in a response.
 type edgeResult struct {
-	U     uint32    `json:"u"`
-	V     uint32    `json:"v"`
-	Found bool      `json:"found"`
-	Label string    `json:"label,omitempty"`
-	Probs *probsDoc `json:"probabilities,omitempty"`
+	U     uint32   `json:"u"`
+	V     uint32   `json:"v"`
+	Found bool     `json:"found"`
+	Label string   `json:"label,omitempty"`
+	Probs probsDoc `json:"probabilities,omitzero"`
 }
 
-// probsDoc names the class probability vector's entries.
+// probsDoc names the class probability vector's entries. It is a value
+// inside its document, so a response carries no heap object per vector.
 type probsDoc struct {
 	Colleague  float64 `json:"colleague"`
 	Family     float64 `json:"family"`
 	Schoolmate float64 `json:"schoolmate"`
+	// present tells a vector of three zeros, which is encoded, from no
+	// vector, the zero value, which omitzero drops.
+	present bool
 }
 
-func newProbsDoc(p []float64) *probsDoc {
+// newProbsDoc names p's entries; p shorter than the label set gives the
+// zero value, no vector.
+func newProbsDoc(p []float64) probsDoc {
 	if len(p) < int(social.NumLabels) {
-		return nil
+		return probsDoc{}
 	}
-	return &probsDoc{
+	return probsDoc{
 		Colleague:  p[social.Colleague],
 		Family:     p[social.Family],
 		Schoolmate: p[social.Schoolmate],
+		present:    true,
 	}
 }
 
@@ -83,10 +97,30 @@ func (s *snapshot) edgeResult(u, v graph.NodeID) edgeResult {
 	return out
 }
 
+// writeJSON answers with v marshalled once and written once, ending in a
+// newline. A value encoding/json refuses (a NaN) leaves the body empty
+// after the status line, as json.Encoder did.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, _ := marshalLine(v)
+	writeBody(w, status, body)
+}
+
+// marshalLine is v's JSON encoding followed by a newline.
+func marshalLine(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// writeBody sends an encoded JSON body in one write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	if len(body) > 0 {
+		_, _ = w.Write(body)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -159,12 +193,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	snap := s.current()
 	markSnapshot(w, snap)
-	u, err := snap.parseNode(r.URL.Query().Get("u"))
+	q := r.URL.Query()
+	u, err := snap.parseNode(q.Get("u"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "u: %v", err)
 		return
 	}
-	v, err := snap.parseNode(r.URL.Query().Get("v"))
+	v, err := snap.parseNode(q.Get("v"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "v: %v", err)
 		return
@@ -184,36 +219,77 @@ func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 
 // classifyRequest is the POST /v1/classify body.
 type classifyRequest struct {
-	Edges []struct {
-		U uint32 `json:"u"`
-		V uint32 `json:"v"`
-	} `json:"edges"`
+	Edges []edgeQuery `json:"edges"`
+}
+
+// edgeQuery is one edge of a classify request.
+type edgeQuery struct {
+	U uint32 `json:"u"`
+	V uint32 `json:"v"`
+}
+
+// classifyDoc is the POST /v1/classify response; fields in the order a
+// map of the same keys marshalled in.
+type classifyDoc struct {
+	Results []edgeResult `json:"results"`
+	Version int64        `json:"version"`
+}
+
+// X-Cache header values, shared like jsonContentType.
+var (
+	cacheHit  = []string{"hit"}
+	cacheMiss = []string{"miss"}
+)
+
+// maxSizedBody caps the buffer readBody allocates on a declared
+// Content-Length before any byte arrives: a client that declares a
+// megabyte and sends nothing pins no more than this per connection.
+const maxSizedBody = 64 << 10
+
+// readBody reads a request body of at most maxClassifyBody bytes, into a
+// buffer sized once by a declared Content-Length up to maxSizedBody,
+// answering 400 or 413 itself when it cannot (ok is false then).
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxSizedBody {
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r.Body, maxClassifyBody+1))
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		return nil, false
+	}
+	if len(body) > maxClassifyBody {
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxClassifyBody)
+		return nil, false
+	}
+	return body, true
 }
 
 // handleClassify answers a batch of edge lookups, memoized per snapshot in
 // the LRU cache (key: snapshot version + body hash).
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxClassifyBody+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if len(body) > maxClassifyBody {
-		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxClassifyBody)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	snap := s.current()
 	markSnapshot(w, snap)
 	sum := sha256.Sum256(body)
-	key := strconv.FormatInt(snap.version, 10) + ":" + hex.EncodeToString(sum[:])
+	// The key "version:hex(sha256(body))" is built in one allocation.
+	var kb [20 + 1 + 2*sha256.Size]byte
+	prefix := append(append(kb[:0], snap.versionHeader[0]...), ':')
+	key := string(hex.AppendEncode(prefix, sum[:]))
 	if cached, ok := s.cache.get(key); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "hit")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(cached)
+		w.Header()["X-Cache"] = cacheHit
+		writeBody(w, http.StatusOK, cached)
 		return
 	}
-	var req classifyRequest
+	// One object per edge: sizing Edges by the body's '{' count spares the
+	// decoder its doublings; a count too high only over-sizes the slice.
+	req := classifyRequest{Edges: make([]edgeQuery, 0, bytes.Count(body, []byte{'{'}))}
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode: %v", err)
 		return
@@ -247,28 +323,31 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 		results[i] = snap.edgeResult(u, v)
 	}
-	resp, err := json.Marshal(map[string]any{
-		"version": snap.version,
-		"results": results,
-	})
+	resp, err := marshalLine(&classifyDoc{Results: results, Version: snap.version})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
 	}
-	resp = append(resp, '\n')
 	s.cache.put(key, resp)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "miss")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(resp)
+	w.Header()["X-Cache"] = cacheMiss
+	writeBody(w, http.StatusOK, resp)
 }
 
-// communityDoc is one local community in a /v1/communities response.
+// communityDoc is one local community in a /v1/communities response. A
+// community without a probability vector encodes "probabilities": null.
 type communityDoc struct {
-	Members   []uint32  `json:"members"`
-	Tightness []float64 `json:"tightness"`
-	Label     string    `json:"label"`
-	Probs     *probsDoc `json:"probabilities"`
+	Members   []graph.NodeID `json:"members"`
+	Tightness []float64      `json:"tightness"`
+	Label     string         `json:"label"`
+	Probs     *probsDoc      `json:"probabilities"`
+}
+
+// communitiesDoc is the /v1/communities response; fields in the order a
+// map of the same keys marshalled in.
+type communitiesDoc struct {
+	Communities []communityDoc `json:"communities"`
+	Node        graph.NodeID   `json:"node"`
+	Version     int64          `json:"version"`
 }
 
 // handleCommunities returns the local communities of a node's ego network
@@ -288,23 +367,18 @@ func (s *Server) handleCommunities(w http.ResponseWriter, r *http.Request) {
 	}
 	ego := snap.res.Egos[node]
 	comms := make([]communityDoc, len(ego.Comms))
+	probs := make([]probsDoc, len(ego.Comms)) // every community's vector, one slab
 	for i, c := range ego.Comms {
-		members := make([]uint32, len(c.Members))
-		for j, m := range c.Members {
-			members[j] = uint32(m)
-		}
 		comms[i] = communityDoc{
-			Members:   members,
+			Members:   c.Members,
 			Tightness: c.Tightness,
 			Label:     social.Label(core.Argmax(c.Probs)).String(),
-			Probs:     newProbsDoc(c.Probs),
+		}
+		if probs[i] = newProbsDoc(c.Probs); probs[i].present {
+			comms[i].Probs = &probs[i]
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"node":        node,
-		"version":     snap.version,
-		"communities": comms,
-	})
+	writeJSON(w, http.StatusOK, &communitiesDoc{Communities: comms, Node: node, Version: snap.version})
 }
 
 // handleStats reports the live snapshot, phase timings, per-route request
@@ -469,13 +543,8 @@ func (s *snapshot) toMutation(i int, doc mutationDoc) (core.Mutation, error) {
 // With "wait":true the response describes the applied epoch; otherwise the
 // batch is acknowledged with 202 and an epoch token to poll against.
 func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxClassifyBody+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if len(body) > maxClassifyBody {
-		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxClassifyBody)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var req mutationsRequest

@@ -3,6 +3,7 @@ package serve
 import (
 	"log/slog"
 	"net/http"
+	"sync"
 	"time"
 )
 
@@ -12,6 +13,10 @@ type statusWriter struct {
 	status int
 	bytes  int
 }
+
+// statusWriters recycles the middleware's writers: one would otherwise be
+// allocated per request. No handler keeps its ResponseWriter past return.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
@@ -34,7 +39,8 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // lag the latest published version).
 func (s *Server) withLogging(log *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
+		sw := statusWriters.Get().(*statusWriter)
+		*sw = statusWriter{ResponseWriter: w}
 		t0 := time.Now()
 		next.ServeHTTP(sw, r)
 		dur := time.Since(t0)
@@ -50,13 +56,17 @@ func (s *Server) withLogging(log *slog.Logger, next http.Handler) http.Handler {
 			route = "unmatched"
 		}
 		s.lat.observe(route, dur)
-		log.Info("request",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.status,
-			"bytes", sw.bytes,
-			"duration_ms", float64(dur.Microseconds())/1000,
-			"snapshot", sw.Header().Get(snapshotHeader),
+		// Typed attributes, not key/value pairs: boxing each value in an
+		// interface would cost an allocation per field per request.
+		log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", sw.status),
+			slog.Int("bytes", sw.bytes),
+			slog.Float64("duration_ms", float64(dur.Microseconds())/1000),
+			slog.String("snapshot", sw.Header().Get(snapshotHeader)),
 		)
+		*sw = statusWriter{}
+		statusWriters.Put(sw)
 	})
 }

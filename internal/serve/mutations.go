@@ -238,7 +238,7 @@ func (s *Server) publishMutated(prev *snapshot, ds *social.Dataset, res *core.Re
 		buildTime: stats.Duration,
 		walSeq:    walSeq,
 	}
-	s.cur.Store(snap)
+	s.publish(snap)
 	s.mutApplied.Add(int64(stats.Mutations))
 	s.walSinceCkpt.Add(int64(stats.Mutations))
 	s.kickCheckpoint()

@@ -449,8 +449,7 @@ func TestMutatedSnapshotArtifactRoundTrip(t *testing.T) {
 		var a, b edgeResult
 		getJSON(t, ts, path, &a)
 		getJSON(t, ts2, path, &b)
-		if a.Label != b.Label || a.Found != b.Found ||
-			(a.Probs == nil) != (b.Probs == nil) || (a.Probs != nil && *a.Probs != *b.Probs) {
+		if a.Label != b.Label || a.Found != b.Found || a.Probs != b.Probs {
 			t.Fatalf("edge {%d,%d}: %+v != %+v after artifact round trip", u, v, a, b)
 		}
 	})

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,7 +98,10 @@ type Config struct {
 // request and never observe a partial reload.
 type snapshot struct {
 	version int64
-	seed    int64
+	// versionHeader is version formatted once, the X-Snapshot-Version
+	// value of every response this snapshot answers; set by publish.
+	versionHeader []string
+	seed          int64
 	// epoch is the global mutation-epoch counter's value when this
 	// snapshot was published; it only advances when a mutation batch is
 	// applied (reloads keep the current value).
@@ -447,7 +451,7 @@ func (s *Server) reloadLocked(seed int64) (SnapshotInfo, error) {
 		// away instead of replaying them onto the wrong graph.
 		snap.walSeq = s.walLog.Seq()
 	}
-	s.cur.Store(snap)
+	s.publish(snap)
 	s.reloads.Add(1)
 	s.log.Info("snapshot published",
 		"version", snap.version, "seed", seed,
@@ -480,7 +484,7 @@ func (s *Server) ReloadArtifact(path string) (SnapshotInfo, error) {
 	if s.walLog != nil {
 		snap.walSeq = s.walLog.Seq()
 	}
-	s.cur.Store(snap)
+	s.publish(snap)
 	s.reloads.Add(1)
 	s.log.Info("snapshot published from artifact",
 		"version", snap.version, "path", path,
@@ -600,6 +604,12 @@ func (s *Server) classify(ds *social.Dataset, seed int64) (*core.Result, *core.P
 		return nil, nil, err
 	}
 	return res, pipe, nil
+}
+
+// publish makes snap the live snapshot, formatting its version header.
+func (s *Server) publish(snap *snapshot) {
+	snap.versionHeader = []string{strconv.FormatInt(snap.version, 10)}
+	s.cur.Store(snap)
 }
 
 // current returns the live snapshot; never nil after New succeeds.

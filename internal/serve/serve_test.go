@@ -199,6 +199,44 @@ func TestClassifyBadRequests(t *testing.T) {
 	}
 }
 
+// TestClassifyBodyLengths drives both ways readBody reads: into a buffer
+// sized by a declared Content-Length (up to maxSizedBody), and by reading
+// to the end under the maxClassifyBody limit (an unknown length, or one
+// above maxSizedBody). Either way a body past the limit is 413 and one
+// cut short of its declared length is 400.
+func TestClassifyBodyLengths(t *testing.T) {
+	s := testServer(t)
+	h := s.Handler()
+	u, v := anyEdge(s)
+	edge := fmt.Sprintf(`{"u":%d,"v":%d}`, u, v)
+	batch := func(size int) string { // a valid batch of at least size bytes
+		return `{"edges":[` + edge + strings.Repeat(","+edge, size/len(edge)) + "]}"
+	}
+	for _, c := range []struct {
+		name     string
+		body     string
+		declared int64 // -1: unknown length
+		want     int
+	}{
+		{"sized", batch(100), 0, http.StatusOK},
+		{"unknown length", batch(100), -1, http.StatusOK},
+		{"above the sized cap", batch(maxSizedBody + 1), 0, http.StatusOK},
+		{"over the limit", batch(maxClassifyBody + 1), 0, http.StatusRequestEntityTooLarge},
+		{"over the limit, unknown length", batch(maxClassifyBody + 1), -1, http.StatusRequestEntityTooLarge},
+		{"cut short", batch(100), 200, http.StatusBadRequest},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/classify", strings.NewReader(c.body))
+		if c.declared != 0 {
+			req.ContentLength = c.declared
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d: %s", c.name, rec.Code, c.want, rec.Body.Bytes())
+		}
+	}
+}
+
 func TestCommunities(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()

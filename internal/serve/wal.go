@@ -90,7 +90,7 @@ func (s *Server) bootWAL() error {
 		}
 	}
 	if len(replay) == 0 {
-		s.cur.Store(snap)
+		s.publish(snap)
 		return nil
 	}
 	if snap.pipe == nil {
@@ -120,7 +120,7 @@ func (s *Server) bootWAL() error {
 		buildTime: time.Since(t0),
 		walSeq:    replay[len(replay)-1].Seq,
 	}
-	s.cur.Store(snap)
+	s.publish(snap)
 	s.walReplayed.Store(int64(len(replay)))
 	s.log.Info("wal replayed",
 		"records", len(replay), "applied", burst.Applied,
