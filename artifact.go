@@ -42,11 +42,7 @@ func ReadArtifact(rd io.Reader) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex, err := art.Export()
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.NewPipeline(core.Config{Seed: art.Meta().Seed}).RunFromArtifact(ex)
+	_, res, _, err := art.Restore(core.DivisionConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -116,21 +116,7 @@ func main() {
 		if *artifact == "" {
 			fatal(fmt.Errorf("-shard requires -artifact (cut one with: locec shard -n %d)", n))
 		}
-		// Accept either the exact shard file or the base path the cutter
-		// was given (resolved to <stem>-i-of-N.locec).
-		if _, err := os.Stat(*artifact); err != nil {
-			resolved := artifactpkg.ShardPath(*artifact, i, n)
-			if _, rerr := os.Stat(resolved); rerr != nil {
-				fatal(fmt.Errorf("neither %s nor %s exists", *artifact, resolved))
-			}
-			*artifact = resolved
-		} else if art, err := artifactpkg.LoadFile(*artifact); err == nil && !art.Meta().Sharded() {
-			// The base (full) artifact exists on disk too; prefer the cut.
-			resolved := artifactpkg.ShardPath(*artifact, i, n)
-			if _, rerr := os.Stat(resolved); rerr == nil {
-				*artifact = resolved
-			}
-		}
+		*artifact = shardArtifact(*artifact, i, n)
 		cfg.Artifact = *artifact
 	}
 	if *input != "" && *artifact != "" {
@@ -203,6 +189,19 @@ func parseShard(s string) (i, n int, err error) {
 		return 0, 0, fmt.Errorf("-shard %q: index out of range", s)
 	}
 	return i, n, nil
+}
+
+// shardArtifact picks the file shard i of n serves from the -artifact
+// path: the cut <stem>-i-of-N.locec beside it when that file exists (the
+// path is the base the cutter was given), else the path itself (it names
+// the shard file). Nothing is decoded to choose: serve.New refuses a file
+// whose shard stamp is not i/n.
+func shardArtifact(path string, i, n int) string {
+	cut := artifactpkg.ShardPath(path, i, n)
+	if _, err := os.Stat(cut); err == nil {
+		return cut
+	}
+	return path
 }
 
 // loadDataset reads a locec-datagen JSON document.

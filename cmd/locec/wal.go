@@ -93,9 +93,9 @@ func walReplayFlags() (*flag.FlagSet, *walReplayOpts) {
 }
 
 // runWalReplay rebuilds the post-crash state offline and writes it as an
-// artifact: load the checkpoint, replay every surviving log record with
-// seq > the checkpoint's wal_seq as one burst (core.Pipeline.ApplyBurst,
-// as boot recovery does), export. The return value is the
+// artifact: restore the checkpoint, replay the surviving log records it
+// does not cover (wal.After) as one burst (core.Pipeline.ApplyBurst), as
+// boot recovery does, export. The return value is the
 // process exit code: 0 for a full recovery from a clean log, 1 when the
 // log was truncated at a bad record — the written artifact then reflects
 // a PARTIAL recovery (everything up to the tear), and fleet tooling must
@@ -111,44 +111,24 @@ func runWalReplay(args []string) int {
 	if err != nil {
 		fatal(fmt.Errorf("wal-replay: no usable checkpoint: %w", err))
 	}
-	ds, err := art.Dataset()
-	if err != nil {
-		fatal(err)
-	}
-	if ds == nil {
-		fatal(fmt.Errorf("wal-replay: checkpoint has no embedded dataset; it cannot be replayed onto"))
-	}
-	ex, err := art.Export()
-	if err != nil {
-		fatal(err)
-	}
-	meta := art.Meta()
-
-	divCfg := core.DivisionConfig{Seed: meta.Seed, GNPatience: f.patience}
 	det, err := core.ParseDetector(f.detector)
 	if err != nil {
 		fatal(fmt.Errorf("wal-replay: %w", err))
 	}
-	divCfg.Detector = det
-	pipe := core.NewPipeline(core.Config{Division: divCfg, Seed: meta.Seed})
-	res, err := pipe.RunFromArtifact(ex)
+	meta := art.Meta()
+	ds, res, pipe, err := art.Restore(core.DivisionConfig{Seed: meta.Seed, Detector: det, GNPatience: f.patience})
 	if err != nil {
 		fatal(err)
 	}
-	if res.Classifier == nil || res.Combiner == nil {
-		fatal(fmt.Errorf("wal-replay: checkpoint carries no trained models; records cannot be applied"))
+	if pipe == nil {
+		fatal(fmt.Errorf("wal-replay: checkpoint carries no embedded dataset or no trained models; records cannot be applied"))
 	}
 
 	_, batches, truncated, err := wal.Scan(wal.OSFS{}, f.dir)
 	if err != nil {
 		fatal(err)
 	}
-	var replay []wal.Batch
-	for _, b := range batches {
-		if b.Seq > meta.WALSeq {
-			replay = append(replay, b)
-		}
-	}
+	replay := wal.After(batches, meta.WALSeq)
 	muts := make([][]core.Mutation, len(replay))
 	lastSeq := meta.WALSeq
 	for i, b := range replay {

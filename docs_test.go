@@ -133,12 +133,21 @@ var sourceRules = []struct {
 		"internal/core/": "the burst applier and the engine itself",
 		"benchmark/":     "its own module: times single epochs and applies its whole log as one",
 	}, "applies a mutation batch directly; go through the burst applier (core.Pipeline.ApplyBurst)"},
+	// One restore path: the server, wal-replay and ReadArtifact turn an
+	// artifact into dataset, result and pipeline through Artifact.Restore,
+	// so they cannot drift apart on when a restored snapshot is mutable.
+	{regexp.MustCompile(`RunFromArtifact\(`), false, map[string]string{
+		"internal/core/":     "declares the import half of the Export seam",
+		"internal/artifact/": "Artifact.Restore, its one caller",
+		"benchmark/":         "its own module: restores its fixtures in process",
+	}, "restores an artifact by hand; go through artifact.(*Artifact).Restore"},
 }
 
 // TestDatasetMapsReadThroughAccessors walks every Go file of the repository
 // once and holds each line to sourceRules: no direct index of
 // Dataset.TrueLabels / Revealed / Interactions, no sync.WaitGroup, no
-// SeededEgos and no direct ApplyMutations call outside their allow-lists.
+// SeededEgos and no direct ApplyMutations or RunFromArtifact call outside
+// their allow-lists.
 func TestDatasetMapsReadThroughAccessors(t *testing.T) {
 	scanned := 0
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {

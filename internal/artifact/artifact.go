@@ -257,8 +257,7 @@ func (a *Artifact) Graph() (*graph.Graph, error) {
 
 // Export returns the snapshot's pipeline export, decoding the egos,
 // predictions, model and combiner sections on first access for loaded
-// artifacts. Feed it to core.Pipeline.RunFromArtifact to obtain a
-// ready-to-serve *core.Result.
+// artifacts. Restore turns it into a ready-to-serve *core.Result.
 func (a *Artifact) Export() (*core.Export, error) {
 	if a.ex != nil {
 		return a.ex, nil
@@ -298,6 +297,38 @@ func (a *Artifact) Export() (*core.Export, error) {
 	}
 	a.ex = ex
 	return ex, nil
+}
+
+// Restore turns the snapshot back into servable state: the embedded
+// dataset (or, for a train-only artifact, a topology-only dataset around
+// the graph), the result RunFromArtifact rebuilds, and the pipeline that
+// keeps applying mutations under div. The pipeline is nil when the
+// snapshot cannot be mutated: that takes the raw dataset and both trained
+// models.
+func (a *Artifact) Restore(div core.DivisionConfig) (*social.Dataset, *core.Result, *core.Pipeline, error) {
+	g, err := a.Graph()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ex, err := a.Export()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ds, err := a.Dataset()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pipe := core.NewPipeline(core.Config{Division: div, Seed: a.meta.Seed})
+	res, err := pipe.RunFromArtifact(ex)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if ds == nil {
+		ds, pipe = &social.Dataset{G: g}, nil
+	} else if res.Classifier == nil || res.Combiner == nil {
+		pipe = nil
+	}
+	return ds, res, pipe, nil
 }
 
 // metaTimes reverses phaseNs.

@@ -128,6 +128,21 @@ func (r *Router) handleCommunities(w http.ResponseWriter, req *http.Request) {
 	proxy(w, resp)
 }
 
+// readBody reads a request body of at most maxBody bytes, answering 400
+// or 413 itself when it cannot (ok is false then).
+func readBody(w http.ResponseWriter, req *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(io.LimitReader(req.Body, maxBody+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		return nil, false
+	}
+	if len(body) > maxBody {
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxBody)
+		return nil, false
+	}
+	return body, true
+}
+
 // classifyEdge mirrors the serve wire format.
 type classifyEdge struct {
 	U uint32 `json:"u"`
@@ -139,13 +154,8 @@ type classifyEdge struct {
 // entries are null, "partial" is true and missing_shards names them —
 // reachable results are always returned, never discarded.
 func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBody+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if len(body) > maxBody {
-		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxBody)
+	body, ok := readBody(w, req)
+	if !ok {
 		return
 	}
 	var creq struct {
@@ -238,13 +248,8 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 // future mutable fleet inherits correct routing, and so today's fleet
 // refuses loudly instead of dropping writes.)
 func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBody+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if len(body) > maxBody {
-		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxBody)
+	body, ok := readBody(w, req)
+	if !ok {
 		return
 	}
 	var mreq struct {

@@ -1,0 +1,209 @@
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// bootStats is the part of GET /v1/stats a boot determines.
+type bootStats struct {
+	Snapshot SnapshotInfo `json:"snapshot"`
+	Reloads  int64        `json:"reloads"`
+	WAL      *WALStats    `json:"wal"`
+}
+
+// readBootStats reads GET /v1/stats from s.
+func readBootStats(t *testing.T, s *Server) bootStats {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var st bootStats
+	if resp := getJSON(t, ts, "/v1/stats", &st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: status %d", resp.StatusCode)
+	}
+	return st
+}
+
+// seedWALConfig is walConfig with the base state trained from the seed
+// instead of loaded from the shared artifact.
+func seedWALConfig(t testing.TB, dir string) Config {
+	cfg := walConfig(t, dir, nil)
+	cfg.Artifact = ""
+	return cfg
+}
+
+// logRecords boots cfg, logs records one-edge batches, checkpointing
+// after the first ckptAfter of them when ckptAfter > 0, and closes: the
+// WAL directory a restart of cfg then boots from.
+func logRecords(t *testing.T, cfg Config, records, ckptAfter int) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i, p := range absentPairs(s, records) {
+		if i == ckptAfter && ckptAfter > 0 {
+			if err := s.CheckpointNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Mutate(addBatch(p, i), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ckptAfter == records && ckptAfter > 0 {
+		if err := s.CheckpointNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBootCounters pins what /v1/stats reports right after each way New
+// boots — from a seed, from an artifact, from a WAL directory without a
+// checkpoint (seed or artifact base) and from a WAL checkpoint, each WAL
+// boot with and without records to replay. Every boot publishes one
+// snapshot: version 1, or 2 when records were replayed onto the base;
+// the epoch is the base's plus the replayed records; and no boot counts
+// as a reload.
+func TestBootCounters(t *testing.T) {
+	trainOnly := filepath.Join(t.TempDir(), "train-only.locec")
+	exportToFile(t, testServer(t), trainOnly)
+
+	for _, c := range []struct {
+		name string
+		// cfg returns the boot configuration, its WAL directory prepared.
+		cfg                      func(t *testing.T) Config
+		version, epoch, replayed int64
+		mutable                  bool
+	}{
+		{"seed", func(t *testing.T) Config {
+			return Config{Users: 80, Survey: 0.5, Seed: 7, Variant: "xgb", Rounds: 5, MaxDepth: 3, Detector: "labelprop", Logger: discardLogger()}
+		}, 1, 0, -1, true},
+		{"train-only artifact", func(t *testing.T) Config {
+			return Config{Artifact: trainOnly, Logger: discardLogger()}
+		}, 1, 0, -1, false},
+		{"mutable artifact", func(t *testing.T) Config {
+			return Config{Artifact: mutableArtifact(t), Logger: discardLogger()}
+		}, 1, 0, -1, true},
+		{"wal, seed base, empty log", func(t *testing.T) Config {
+			return seedWALConfig(t, t.TempDir())
+		}, 1, 0, 0, true},
+		{"wal, seed base, 2 records", func(t *testing.T) Config {
+			cfg := seedWALConfig(t, t.TempDir())
+			logRecords(t, cfg, 2, 0)
+			return cfg
+		}, 2, 2, 2, true},
+		{"wal, artifact base, empty log", func(t *testing.T) Config {
+			return walConfig(t, t.TempDir(), nil)
+		}, 1, 0, 0, true},
+		{"wal, artifact base, 2 records", func(t *testing.T) Config {
+			cfg := walConfig(t, t.TempDir(), nil)
+			logRecords(t, cfg, 2, 0)
+			return cfg
+		}, 2, 2, 2, true},
+		{"wal checkpoint, no records after it", func(t *testing.T) Config {
+			cfg := walConfig(t, t.TempDir(), nil)
+			logRecords(t, cfg, 2, 2)
+			return cfg
+		}, 1, 2, 0, true},
+		{"wal checkpoint, 1 record after it", func(t *testing.T) Config {
+			cfg := walConfig(t, t.TempDir(), nil)
+			logRecords(t, cfg, 3, 2)
+			return cfg
+		}, 2, 3, 1, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := New(c.cfg(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			st := readBootStats(t, s)
+			replayed := int64(-1) // no WAL section
+			if st.WAL != nil {
+				replayed = st.WAL.Replayed
+			}
+			got := fmt.Sprintf("version %d, epoch %d, reloads %d, replayed %d, mutable %v",
+				st.Snapshot.Version, st.Snapshot.Epoch, st.Reloads, replayed, st.Snapshot.Mutable)
+			want := fmt.Sprintf("version %d, epoch %d, reloads 0, replayed %d, mutable %v",
+				c.version, c.epoch, c.replayed, c.mutable)
+			if got != want {
+				t.Fatalf("after boot: %s\nwant          %s", got, want)
+			}
+		})
+	}
+}
+
+// TestImmutableReloadRefusedWithWAL: the checkpointer cannot export a
+// snapshot without its raw dataset, so a WAL server that published a
+// train-only artifact would never checkpoint it, and a restart would bring
+// back the state it replaced. POST /v1/reload of one answers 409 and
+// publishes nothing: the live snapshot and the version sequence carry on,
+// and a restart replays every logged mutation onto the same base.
+func TestImmutableReloadRefusedWithWAL(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(walConfig(t, dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	pairs := absentPairs(s, 2)
+	if _, err := s.Mutate(addBatch(pairs[0], 0), true); err != nil {
+		t.Fatal(err)
+	}
+	other, err := New(Config{Users: 90, Survey: 0.5, Seed: 8, Variant: "xgb", Rounds: 5, MaxDepth: 3, Detector: "labelprop", Logger: discardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(other.Close)
+	trainOnly := filepath.Join(t.TempDir(), "train-only.locec")
+	exportToFile(t, other, trainOnly)
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/reload", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"artifact":%q}`, trainOnly)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Error string `json:"error"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&doc)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("reload of a train-only artifact on a WAL server: status %d (%s), want 409", resp.StatusCode, doc.Error)
+	}
+	st := readBootStats(t, s)
+	if st.Snapshot.Nodes != 80 || !st.Snapshot.Mutable || st.Snapshot.Version != 2 || st.Reloads != 0 {
+		t.Fatalf("after the refused reload: %+v, reloads %d; want the 80-node mutable version 2, no reload", st.Snapshot, st.Reloads)
+	}
+	receipt, err := s.Mutate(addBatch(pairs[1], 1), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if receipt.Snapshot.Version != 3 {
+		t.Fatalf("the epoch after the refused reload published version %d, want 3", receipt.Snapshot.Version)
+	}
+	s.Close()
+
+	s2, err := New(walConfig(t, dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Close)
+	if st := readBootStats(t, s2); st.Snapshot.Nodes != 80 || !st.Snapshot.Mutable || st.WAL.Replayed != 2 {
+		t.Fatalf("restart: %+v, wal %+v; want the 80-node mutable state with both records replayed", st.Snapshot, st.WAL)
+	}
+	for _, p := range pairs {
+		if !s2.current().ds.G.HasEdge(p[0], p[1]) {
+			t.Fatalf("restart lost the logged edge {%d,%d}", p[0], p[1])
+		}
+	}
+}

@@ -17,7 +17,8 @@ import (
 	"locec/internal/social"
 )
 
-// maxClassifyBody bounds a /v1/classify request body (1 MiB ≈ 40k edges).
+// maxClassifyBody bounds every request body readBody reads: classify,
+// mutations and reload (1 MiB ≈ 40k classify edges).
 const maxClassifyBody = 1 << 20
 
 // snapshotHeader carries the version of the snapshot that answered a
@@ -627,18 +628,15 @@ type reloadRequest struct {
 // requested seed. With no body (or no seed), the next seed is the current
 // one plus one so repeated reloads keep producing new datasets.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req reloadRequest
-	if r.Body != nil {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "read body: %v", err)
+	if len(body) > 0 {
+		if err := json.Unmarshal(body, &req); err != nil {
+			writeError(w, http.StatusBadRequest, "decode: %v", err)
 			return
-		}
-		if len(body) > 0 {
-			if err := json.Unmarshal(body, &req); err != nil {
-				writeError(w, http.StatusBadRequest, "decode: %v", err)
-				return
-			}
 		}
 	}
 	if req.Artifact != "" && req.Seed != nil {
@@ -655,7 +653,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	default:
 		info, err = s.ReloadNext()
 	}
-	if err != nil {
+	switch {
+	case errors.Is(err, errImmutable):
+		writeError(w, http.StatusConflict, "%v", err)
+		return
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

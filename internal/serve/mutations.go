@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"locec/internal/core"
 	"locec/internal/social"
@@ -227,17 +226,9 @@ func (s *Server) applyJobs(jobs []mutationJob) {
 // observability counters. walSeq is the last WAL record the epoch covers
 // (0 without a WAL). Callers hold reloadMu.
 func (s *Server) publishMutated(prev *snapshot, ds *social.Dataset, res *core.Result, stats core.ApplyStats, walSeq uint64) SnapshotInfo {
-	snap := &snapshot{
-		version:   s.version.Add(1),
-		seed:      prev.seed,
-		epoch:     s.epochs.Add(1),
-		ds:        ds,
-		res:       res,
-		pipe:      prev.pipe,
-		builtAt:   time.Now(),
-		buildTime: stats.Duration,
-		walSeq:    walSeq,
-	}
+	s.epochs.Add(1)
+	snap := s.newSnapshot(prev, prev.seed, ds, res, prev.pipe, stats.Duration)
+	snap.walSeq = walSeq
 	s.publish(snap)
 	s.mutApplied.Add(int64(stats.Mutations))
 	s.walSinceCkpt.Add(int64(stats.Mutations))

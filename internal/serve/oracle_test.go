@@ -236,7 +236,7 @@ func craftSnapshot(t *testing.T, s *Server) (edges []graph.Edge, bare, odd graph
 	c0.Probs, c1.Probs = nil, []float64{0.2, 0.8}
 	ego.Comms[0], ego.Comms[1] = &c0, &c1
 	res.Egos[odd] = &ego
-	s.publish(&snapshot{version: s.version.Add(1), epoch: old.epoch, ds: old.ds, res: &res, pipe: old.pipe})
+	s.publish(s.newSnapshot(old, old.seed, old.ds, &res, old.pipe, 0))
 	return edges, bare, odd
 }
 

@@ -144,12 +144,7 @@ type snapshot struct {
 // on first use.
 func (s *snapshot) artifactBytes() ([]byte, error) {
 	s.artOnce.Do(func() {
-		ex, err := s.res.Export()
-		if err != nil {
-			s.artErr = fmt.Errorf("serve: export: %w", err)
-			return
-		}
-		art, err := artifact.New(s.ds.G, ex, s.seed)
+		art, err := s.export()
 		if err != nil {
 			s.artErr = fmt.Errorf("serve: export: %w", err)
 			return
@@ -163,6 +158,16 @@ func (s *snapshot) artifactBytes() ([]byte, error) {
 		s.artBytes = buf.Bytes()
 	})
 	return s.artBytes, s.artErr
+}
+
+// export renders the snapshot as an artifact — graph, pipeline export and
+// seed — the step GET /v1/artifact and the WAL checkpoint share.
+func (s *snapshot) export() (*artifact.Artifact, error) {
+	ex, err := s.res.Export()
+	if err != nil {
+		return nil, err
+	}
+	return artifact.New(s.ds.G, ex, s.seed)
 }
 
 // ownsNode reports whether this snapshot holds node u's data (always
@@ -206,9 +211,9 @@ type Server struct {
 	ready atomic.Bool
 
 	// reloadMu serializes snapshot builds (reloads and mutation epochs);
-	// readers never touch it.
+	// readers never touch it. reloads counts the reloads published since
+	// New returned.
 	reloadMu sync.Mutex
-	version  atomic.Int64
 	reloads  atomic.Int64
 
 	// Mutation intake: Mutate enqueues jobs on mutCh under mutMu (which
@@ -314,22 +319,47 @@ func New(cfg Config) (*Server, error) {
 		if s.walFS == nil {
 			s.walFS = wal.OSFS{}
 		}
-		if err := s.bootWAL(); err != nil {
-			return nil, err
-		}
+	}
+	if err := s.boot(); err != nil {
+		return nil, err
+	}
+	if s.walLog != nil {
 		s.ckptCh = make(chan struct{}, 1)
 		s.ckptDone = make(chan struct{})
 		go s.checkpointer()
-	} else if cfg.Artifact != "" {
-		if _, err := s.ReloadArtifact(cfg.Artifact); err != nil {
-			return nil, err
-		}
-	} else if _, err := s.Reload(cfg.Seed); err != nil {
-		return nil, err
 	}
 	go s.mutationWorker()
 	s.ready.Store(true)
 	return s, nil
+}
+
+// boot builds the first snapshot and publishes it once. The base state is
+// the WAL checkpoint, else Config.Artifact, else a training run on
+// Config.Source(Config.Seed); with a WAL, the log is then opened and the
+// records the base does not cover are replayed onto it. No boot counts as
+// a reload. Called from New before any background goroutine starts.
+func (s *Server) boot() error {
+	t0 := time.Now()
+	var snap *snapshot
+	var err error
+	if s.cfg.WALDir != "" {
+		if snap, err = s.readCheckpoint(t0); err != nil {
+			return err
+		}
+	}
+	if snap == nil {
+		if snap, err = s.build(nil, s.cfg.Seed, s.cfg.Artifact); err != nil {
+			return err
+		}
+		s.announce(snap, s.cfg.Artifact)
+	}
+	if s.cfg.WALDir != "" {
+		if snap, err = s.recoverWAL(snap, t0); err != nil {
+			return err
+		}
+	}
+	s.publish(snap)
+	return nil
 }
 
 // Ready reports whether the server has a published snapshot and has
@@ -407,7 +437,7 @@ func (s *snapshot) info() SnapshotInfo {
 func (s *Server) Reload(seed int64) (SnapshotInfo, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	return s.reloadLocked(seed)
+	return s.reloadLocked(seed, "")
 }
 
 // ReloadNext reloads with the live snapshot's seed plus one. The default
@@ -416,50 +446,7 @@ func (s *Server) Reload(seed int64) (SnapshotInfo, error) {
 func (s *Server) ReloadNext() (SnapshotInfo, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	return s.reloadLocked(s.current().seed + 1)
-}
-
-// reloadLocked builds and publishes a snapshot; callers hold reloadMu.
-func (s *Server) reloadLocked(seed int64) (SnapshotInfo, error) {
-	if s.cfg.ShardCount > 0 {
-		return SnapshotInfo{}, fmt.Errorf(
-			"serve: shard %d/%d serves a cut artifact; retraining would publish the full graph on one shard — reload with a shard artifact instead",
-			s.cfg.ShardIndex, s.cfg.ShardCount)
-	}
-	t0 := time.Now()
-	ds, err := s.cfg.Source(seed)
-	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("serve: dataset source: %w", err)
-	}
-	res, pipe, err := s.classify(ds, seed)
-	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("serve: classify: %w", err)
-	}
-	snap := &snapshot{
-		version:   s.version.Add(1),
-		seed:      seed,
-		epoch:     s.epochs.Load(),
-		ds:        ds,
-		res:       res,
-		pipe:      pipe,
-		builtAt:   time.Now(),
-		buildTime: time.Since(t0),
-	}
-	if s.walLog != nil {
-		// The fresh dataset supersedes every logged record; stamping the
-		// current sequence (and forcing a checkpoint below) truncates them
-		// away instead of replaying them onto the wrong graph.
-		snap.walSeq = s.walLog.Seq()
-	}
-	s.publish(snap)
-	s.reloads.Add(1)
-	s.log.Info("snapshot published",
-		"version", snap.version, "seed", seed,
-		"nodes", ds.G.NumNodes(), "edges", ds.G.NumEdges(),
-		"communities", res.NumCommunities(),
-		"build_seconds", snap.buildTime.Seconds())
-	s.forceCheckpoint()
-	return snap.info(), nil
+	return s.reloadLocked(s.current().seed+1, "")
 }
 
 // ReloadArtifact publishes a snapshot deserialized from an artifact file
@@ -468,55 +455,140 @@ func (s *Server) reloadLocked(seed int64) (SnapshotInfo, error) {
 // happens; readers keep serving the previous snapshot until the new one is
 // fully decoded, exactly as with a retrain reload. Artifacts written with
 // an embedded dataset (locec train -embed-dataset, or any WAL checkpoint)
-// come back *mutable*; train-only artifacts serve read-only.
+// come back *mutable*; train-only artifacts serve read-only, and a WAL
+// server refuses them.
 func (s *Server) ReloadArtifact(path string) (SnapshotInfo, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	t0 := time.Now()
-	art, err := artifact.LoadFile(path)
-	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("serve: %w", err)
-	}
-	snap, err := s.snapshotFromArtifact(art, t0)
+	return s.reloadLocked(0, path)
+}
+
+// errImmutable marks a reload a WAL server refuses; POST /v1/reload
+// answers it with 409.
+var errImmutable = errors.New("serve: immutable snapshot")
+
+// reloadLocked is every reload: build (the artifact at path, else a
+// training run on seed), then publish. A WAL server refuses an immutable
+// snapshot — the checkpointer cannot export it, so a restart would bring
+// back the state it replaced — and stamps the others with the log's
+// sequence: the fresh state supersedes every logged record, and the forced
+// checkpoint truncates them away instead of replaying them onto the wrong
+// graph. Callers hold reloadMu.
+func (s *Server) reloadLocked(seed int64, path string) (SnapshotInfo, error) {
+	snap, err := s.build(s.current(), seed, path)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
 	if s.walLog != nil {
+		if snap.pipe == nil {
+			return SnapshotInfo{}, fmt.Errorf("%w: %s carries no raw dataset or no trained models, so no WAL checkpoint could cover it; reload a mutable artifact (locec train -embed-dataset, or a checkpoint)",
+				errImmutable, path)
+		}
 		snap.walSeq = s.walLog.Seq()
 	}
 	s.publish(snap)
 	s.reloads.Add(1)
+	s.announce(snap, path)
+	s.forceCheckpoint()
+	return snap.info(), nil
+}
+
+// announce logs a reloaded or booted snapshot; path names the artifact it
+// was loaded from, "" for a training run.
+func (s *Server) announce(snap *snapshot, path string) {
+	if path == "" {
+		s.log.Info("snapshot published",
+			"version", snap.version, "seed", snap.seed,
+			"nodes", snap.ds.G.NumNodes(), "edges", snap.ds.G.NumEdges(),
+			"communities", snap.res.NumCommunities(),
+			"build_seconds", snap.buildTime.Seconds())
+		return
+	}
 	s.log.Info("snapshot published from artifact",
 		"version", snap.version, "path", path,
 		"nodes", snap.ds.G.NumNodes(), "edges", snap.ds.G.NumEdges(),
 		"communities", snap.res.NumCommunities(),
 		"mutable", snap.pipe != nil,
 		"load_seconds", snap.buildTime.Seconds())
-	s.forceCheckpoint()
-	return snap.info(), nil
 }
 
-// snapshotFromArtifact builds (but does not publish) a snapshot from a
-// decoded artifact. When the artifact embeds its raw dataset and carries
-// trained models, the snapshot is wired to a pipeline so it can keep
-// applying mutations; otherwise pipe stays nil — every handler reads only
-// ds.G from the dataset, and mutation requests are rejected cleanly.
-func (s *Server) snapshotFromArtifact(art *artifact.Artifact, t0 time.Time) (*snapshot, error) {
-	g, err := art.Graph()
+// newSnapshot is the one constructor of a snapshot: ds and res as pipe
+// (nil = immutable) maintains them, numbered one past prev (nil at boot)
+// and stamped with the live mutation epoch. Callers that know the log
+// position stamp walSeq before publishing.
+func (s *Server) newSnapshot(prev *snapshot, seed int64, ds *social.Dataset, res *core.Result, pipe *core.Pipeline, buildTime time.Duration) *snapshot {
+	version := int64(1)
+	if prev != nil {
+		version = prev.version + 1
+	}
+	return &snapshot{
+		version:   version,
+		seed:      seed,
+		epoch:     s.epochs.Load(),
+		ds:        ds,
+		res:       res,
+		pipe:      pipe,
+		builtAt:   time.Now(),
+		buildTime: buildTime,
+	}
+}
+
+// train classifies Config.Source(seed) with the three-phase pipeline into
+// a snapshot numbered after prev; the pipeline stays with the snapshot so
+// mutations apply under the same configuration and frozen models. A shard
+// refuses: retraining would publish the full graph on one shard.
+func (s *Server) train(prev *snapshot, seed int64) (*snapshot, error) {
+	if s.cfg.ShardCount > 0 {
+		return nil, fmt.Errorf(
+			"serve: shard %d/%d serves a cut artifact; retraining would publish the full graph on one shard — reload with a shard artifact instead",
+			s.cfg.ShardIndex, s.cfg.ShardCount)
+	}
+	t0 := time.Now()
+	ds, err := s.cfg.Source(seed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: dataset source: %w", err)
+	}
+	cfg := core.Config{
+		Division: s.division(seed),
+		Combiner: logreg.Config{Classes: social.NumLabels, Seed: seed + 101},
+		Seed:     seed,
+	}
+	if s.cfg.Variant == "xgb" {
+		cfg.Classifier = &core.XGBClassifier{
+			Config: gbdt.Config{Rounds: s.cfg.Rounds, MaxDepth: s.cfg.MaxDepth, Seed: seed},
+			Seed:   seed,
+		}
+	} else {
+		cfg.Classifier = &core.CNNClassifier{
+			K: s.cfg.K, Epochs: s.cfg.Epochs, Seed: seed,
+		}
+	}
+	pipe := core.NewPipeline(cfg)
+	res, err := pipe.Run(ds)
+	if err != nil {
+		return nil, fmt.Errorf("serve: classify: %w", err)
+	}
+	return s.newSnapshot(prev, seed, ds, res, pipe, time.Since(t0)), nil
+}
+
+// build makes an unpublished snapshot numbered after prev: the artifact
+// at path, or a training run on seed when path is "".
+func (s *Server) build(prev *snapshot, seed int64, path string) (*snapshot, error) {
+	if path == "" {
+		return s.train(prev, seed)
+	}
+	t0 := time.Now()
+	art, err := artifact.LoadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	ex, err := art.Export()
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	// Handlers index Egos by node ID, so the ego list and the graph must
-	// agree (the artifact layer pins both to its meta count; this guards
-	// the pairing directly).
-	if len(ex.Egos) != g.NumNodes() {
-		return nil, fmt.Errorf("serve: artifact has %d ego results for a %d-node graph",
-			len(ex.Egos), g.NumNodes())
-	}
+	return s.restore(prev, art, t0)
+}
+
+// restore builds (but does not publish) a snapshot from a decoded
+// artifact: Artifact.Restore under this server's division config, so a
+// mutable snapshot applies mutations as the training run would have.
+func (s *Server) restore(prev *snapshot, art *artifact.Artifact, t0 time.Time) (*snapshot, error) {
 	meta := art.Meta()
 	// The shard stamp is intrinsic to the artifact and declared in the
 	// config; they must agree exactly. Loading the wrong slice (or a full
@@ -527,39 +599,11 @@ func (s *Server) snapshotFromArtifact(art *artifact.Artifact, t0 time.Time) (*sn
 		return nil, fmt.Errorf("serve: artifact is shard %d/%d, server is configured as %d/%d (0/0 = unsharded)",
 			meta.ShardIndex, meta.ShardCount, s.cfg.ShardIndex, s.cfg.ShardCount)
 	}
-	ds, err := art.Dataset()
+	ds, res, pipe, err := art.Restore(s.division(meta.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	var res *core.Result
-	var pipe *core.Pipeline
-	if ds != nil {
-		pipe = core.NewPipeline(s.coreConfig(meta.Seed))
-		if res, err = pipe.RunFromArtifact(ex); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		if res.Classifier == nil || res.Combiner == nil {
-			// The raw dataset is here but the trained models are not (no
-			// model blob in the artifact): incremental application is
-			// impossible, so the snapshot serves read-only.
-			pipe = nil
-		}
-	} else {
-		if res, err = core.NewPipeline(core.Config{Seed: meta.Seed}).RunFromArtifact(ex); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		ds = &social.Dataset{G: g}
-	}
-	snap := &snapshot{
-		version:   s.version.Add(1),
-		seed:      meta.Seed,
-		epoch:     s.epochs.Load(),
-		ds:        ds,
-		res:       res,
-		pipe:      pipe,
-		builtAt:   time.Now(),
-		buildTime: time.Since(t0),
-	}
+	snap := s.newSnapshot(prev, meta.Seed, ds, res, pipe, time.Since(t0))
 	if meta.Sharded() {
 		snap.shardIndex = meta.ShardIndex
 		snap.shardCount = meta.ShardCount
@@ -568,42 +612,13 @@ func (s *Server) snapshotFromArtifact(art *artifact.Artifact, t0 time.Time) (*sn
 	return snap, nil
 }
 
-// coreConfig renders the server's pipeline configuration for a seed; both
-// fresh training (classify) and mutable artifact restores use it, so a
-// snapshot restored from a checkpoint applies mutations under exactly the
-// configuration that would have trained it.
-func (s *Server) coreConfig(seed int64) core.Config {
-	divCfg := core.DivisionConfig{
-		Seed:       seed,
-		GNPatience: s.cfg.GNPatience,
-	}
+// division is the Phase I configuration for seed. Training and artifact
+// restores share it, so a snapshot restored from a checkpoint re-divides
+// dirty egos by the rule that would have trained it.
+func (s *Server) division(seed int64) core.DivisionConfig {
 	// Validated in New; ParseDetector maps "" to Girvan–Newman.
-	divCfg.Detector, _ = core.ParseDetector(s.cfg.Detector)
-	coreCfg := core.Config{Division: divCfg, Seed: seed}
-	if s.cfg.Variant == "xgb" {
-		coreCfg.Classifier = &core.XGBClassifier{
-			Config: gbdt.Config{Rounds: s.cfg.Rounds, MaxDepth: s.cfg.MaxDepth, Seed: seed},
-			Seed:   seed,
-		}
-	} else {
-		coreCfg.Classifier = &core.CNNClassifier{
-			K: s.cfg.K, Epochs: s.cfg.Epochs, Seed: seed,
-		}
-	}
-	coreCfg.Combiner = logreg.Config{Classes: social.NumLabels, Seed: seed + 101}
-	return coreCfg
-}
-
-// classify runs the three-phase pipeline. The pipeline is returned
-// alongside the result so the snapshot can later apply mutations through
-// the same configuration and frozen models.
-func (s *Server) classify(ds *social.Dataset, seed int64) (*core.Result, *core.Pipeline, error) {
-	pipe := core.NewPipeline(s.coreConfig(seed))
-	res, err := pipe.Run(ds)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, pipe, nil
+	det, _ := core.ParseDetector(s.cfg.Detector)
+	return core.DivisionConfig{Seed: seed, Detector: det, GNPatience: s.cfg.GNPatience}
 }
 
 // publish makes snap the live snapshot, formatting its version header.
@@ -619,5 +634,6 @@ func (s *Server) current() *snapshot { return s.cur.Load() }
 // is shared with every in-flight request.
 func (s *Server) Dataset() *social.Dataset { return s.current().ds }
 
-// Version returns the live snapshot's version (1 after New, +1 per reload).
+// Version returns the live snapshot's version: 1 after New (2 when boot
+// replayed WAL records), +1 per reload or mutation epoch.
 func (s *Server) Version() int64 { return s.current().version }

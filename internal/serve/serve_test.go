@@ -356,6 +356,31 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 	}
 }
 
+// TestReloadBodyLengths: POST /v1/reload reads its body like classify
+// and mutations do, so a valid body past 64 KiB is read whole rather
+// than cut short into a decode error, and one past the limit is 413.
+func TestReloadBodyLengths(t *testing.T) {
+	s := testServer(t)
+	h := s.Handler()
+	padded := func(size int) string { // a valid {"seed":9} of at least size bytes
+		return "{" + strings.Repeat(" ", size) + `"seed":9}`
+	}
+	for _, c := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"past 64 KiB", padded(70 << 10), http.StatusOK},
+		{"over the limit", padded(maxClassifyBody + 1), http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reload", strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d: %.200s", c.name, rec.Code, c.want, rec.Body.Bytes())
+		}
+	}
+}
+
 // TestConcurrentReadersDuringReload hammers /v1/edge and /v1/classify from
 // many goroutines while reloads swap snapshots underneath — the
 // atomic.Pointer contract: every reader sees a complete snapshot, old or

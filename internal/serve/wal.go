@@ -7,7 +7,8 @@ package serve
 //
 // Recovery contract: state after a crash = the checkpoint artifact (or a
 // deterministic rebuild of the boot dataset when none exists yet) plus a
-// replay of every intact log record with seq > the checkpoint's WALSeq.
+// replay of every intact log record the checkpoint does not cover
+// (wal.After: seq > the checkpoint's WALSeq).
 // The records to replay are one burst under the live applier's rule
 // (core.Pipeline.ApplyBurst): all of them as one epoch, or record by
 // record skipping a rejected one. A record is rejected exactly when it was
@@ -26,81 +27,64 @@ import (
 	"locec/internal/wal"
 )
 
-// bootWAL builds the initial snapshot from the WAL directory: checkpoint
-// artifact if present (else the configured artifact/seed source), then a
-// replay of the log's surviving records. Called from New before the
-// mutation worker starts, so no concurrency yet.
-func (s *Server) bootWAL() error {
-	dir := s.cfg.WALDir
-	var snap *snapshot
-	t0 := time.Now()
-	ckptData, err := s.walFS.ReadFile(wal.CheckpointPath(dir))
-	switch {
-	case err == nil:
-		// Parsed in place: ReadFile hands over a buffer the caller owns
-		// (MemFS copies), so the checkpoint is read once, not twice.
-		art, err := artifact.LoadBytes(ckptData)
-		if err != nil {
-			return fmt.Errorf("serve: wal checkpoint: %w", err)
-		}
-		if snap, err = s.snapshotFromArtifact(art, t0); err != nil {
-			return fmt.Errorf("serve: wal checkpoint: %w", err)
-		}
-		meta := art.Meta()
-		snap.walSeq = meta.WALSeq
-		s.epochs.Store(meta.Epoch)
-		snap.epoch = meta.Epoch
-		s.log.Info("wal checkpoint restored",
-			"epoch", meta.Epoch, "wal_seq", meta.WALSeq,
-			"nodes", snap.ds.G.NumNodes(), "edges", snap.ds.G.NumEdges(),
-			"mutable", snap.pipe != nil)
-	case errors.Is(err, fs.ErrNotExist):
-		// First boot, or a crash before the first checkpoint. Rebuild the
-		// base state exactly as a WAL-less boot would: the dataset source
-		// and training are deterministic per seed (artifacts are
-		// byte-identical for identical inputs), so the log's records still
-		// apply on top.
-		if s.cfg.Artifact != "" {
-			if _, err := s.ReloadArtifact(s.cfg.Artifact); err != nil {
-				return err
-			}
-		} else if _, err := s.Reload(s.cfg.Seed); err != nil {
-			return err
-		}
-		snap = s.current()
-	default:
-		return fmt.Errorf("serve: wal checkpoint: %w", err)
+// readCheckpoint restores the WAL directory's checkpoint as boot's base
+// state, stamped with the mutation epoch and log sequence it covers; nil
+// when the directory holds none (first boot, or a crash before the first
+// checkpoint: boot then rebuilds the base as a WAL-less boot would — the
+// dataset source and training are deterministic per seed, so the log's
+// records still apply on top).
+func (s *Server) readCheckpoint(t0 time.Time) (*snapshot, error) {
+	data, err := s.walFS.ReadFile(wal.CheckpointPath(s.cfg.WALDir))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-
-	l, batches, err := wal.Open(s.walFS, dir, s.cfg.WALSync)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("serve: wal checkpoint: %w", err)
+	}
+	// Parsed in place: ReadFile hands over a buffer the caller owns
+	// (MemFS copies), so the checkpoint is read once, not twice.
+	art, err := artifact.LoadBytes(data)
+	if err != nil {
+		return nil, fmt.Errorf("serve: wal checkpoint: %w", err)
+	}
+	meta := art.Meta()
+	s.epochs.Store(meta.Epoch)
+	snap, err := s.restore(nil, art, t0)
+	if err != nil {
+		return nil, fmt.Errorf("serve: wal checkpoint: %w", err)
+	}
+	snap.walSeq = meta.WALSeq
+	s.log.Info("wal checkpoint restored",
+		"epoch", meta.Epoch, "wal_seq", meta.WALSeq,
+		"nodes", snap.ds.G.NumNodes(), "edges", snap.ds.G.NumEdges(),
+		"mutable", snap.pipe != nil)
+	return snap, nil
+}
+
+// recoverWAL opens the log and replays onto base the records it does not
+// cover (wal.After), returning the recovered state unpublished.
+func (s *Server) recoverWAL(base *snapshot, t0 time.Time) (*snapshot, error) {
+	l, batches, err := wal.Open(s.walFS, s.cfg.WALDir, s.cfg.WALSync)
+	if err != nil {
+		return nil, err
 	}
 	s.walLog = l
 	if st := l.Stats(); st.TruncatedBytes > 0 {
 		s.log.Warn("wal recovery truncated a torn tail",
 			"bytes", st.TruncatedBytes, "surviving_records", st.RecoveredRecords)
 	}
-
-	// Replay the records the checkpoint does not already cover.
-	replay := batches[:0]
-	for _, b := range batches {
-		if b.Seq > snap.walSeq {
-			replay = append(replay, b)
-		}
-	}
+	replay := wal.After(batches, base.walSeq)
 	if len(replay) == 0 {
-		s.publish(snap)
-		return nil
+		return base, nil
 	}
-	if snap.pipe == nil {
-		return fmt.Errorf("serve: wal has %d records to replay but the boot snapshot is immutable (artifact without an embedded dataset?)", len(replay))
+	if base.pipe == nil {
+		return nil, fmt.Errorf("serve: wal has %d records to replay but the boot snapshot is immutable (artifact without an embedded dataset?)", len(replay))
 	}
 	muts := make([][]core.Mutation, len(replay))
 	for i, b := range replay {
 		muts[i] = b.Muts
 	}
-	ds, res, burst := snap.pipe.ApplyBurst(snap.ds, snap.res, muts)
+	ds, res, burst := base.pipe.ApplyBurst(base.ds, base.res, muts)
 	for i, err := range burst.Errs {
 		// Deterministic apply: a record rejected here was rejected (or
 		// would have been) identically in the crashed process — its
@@ -109,24 +93,15 @@ func (s *Server) bootWAL() error {
 			s.log.Warn("wal replay: batch rejected", "seq", replay[i].Seq, "mutations", len(replay[i].Muts), "err", err)
 		}
 	}
-	snap = &snapshot{
-		version:   s.version.Add(1),
-		seed:      snap.seed,
-		epoch:     s.epochs.Add(int64(burst.Applied)),
-		ds:        ds,
-		res:       res,
-		pipe:      snap.pipe,
-		builtAt:   time.Now(),
-		buildTime: time.Since(t0),
-		walSeq:    replay[len(replay)-1].Seq,
-	}
-	s.publish(snap)
+	s.epochs.Add(int64(burst.Applied))
+	snap := s.newSnapshot(base, base.seed, ds, res, base.pipe, time.Since(t0))
+	snap.walSeq = replay[len(replay)-1].Seq
 	s.walReplayed.Store(int64(len(replay)))
 	s.log.Info("wal replayed",
 		"records", len(replay), "applied", burst.Applied,
 		"epoch", snap.epoch, "wal_seq", snap.walSeq,
 		"seconds", time.Since(t0).Seconds())
-	return nil
+	return snap, nil
 }
 
 // kickCheckpoint nudges the background checkpointer (non-blocking; a
@@ -209,11 +184,7 @@ func (s *Server) CheckpointNow() error {
 		return fmt.Errorf("serve: snapshot %d is immutable (no raw dataset); cannot checkpoint", snap.version)
 	}
 	t0 := time.Now()
-	ex, err := snap.res.Export()
-	if err != nil {
-		return fmt.Errorf("serve: checkpoint export: %w", err)
-	}
-	art, err := artifact.New(snap.ds.G, ex, snap.seed)
+	art, err := snap.export()
 	if err != nil {
 		return fmt.Errorf("serve: checkpoint export: %w", err)
 	}

@@ -143,8 +143,7 @@ type Log struct {
 // order. A torn or corrupt tail is truncated away (rewrite + atomic
 // rename) before the log is reopened for appending; the number of bytes
 // dropped is reported in Stats.TruncatedBytes. Callers replay the
-// returned batches atop their checkpoint, filtering out any batch whose
-// Seq the checkpoint already covers.
+// batches their checkpoint does not cover (After).
 func Open(fsys FS, dir string, mode SyncMode) (*Log, []Batch, error) {
 	l := &Log{fsys: fsys, dir: dir, mode: mode}
 	path := LogPath(dir)
@@ -200,6 +199,18 @@ func Open(fsys FS, dir string, mode SyncMode) (*Log, []Batch, error) {
 	}
 	l.file = f
 	return l, batches, nil
+}
+
+// After is the replay rule: a checkpoint stamped with WALSeq seq holds
+// the effects of every record with Seq <= seq, so recovery replays exactly
+// the batches after it. batches must be in sequence order, as Open and
+// Scan return them; the result shares their backing array.
+func After(batches []Batch, seq uint64) []Batch {
+	i := 0
+	for i < len(batches) && batches[i].Seq <= seq {
+		i++
+	}
+	return batches[i:]
 }
 
 // Scan reads the log in dir without repairing or locking it: wal-dump's
@@ -392,13 +403,7 @@ func (l *Log) Checkpoint(base uint64, writeSnapshot func(tmpPath string) error) 
 		return err
 	}
 	all, _ := scanRecords(data, hdrBase)
-	keep := all[:0]
-	for _, b := range all {
-		if b.Seq > base {
-			keep = append(keep, b)
-		}
-	}
-	if err := l.writeFresh(base, keep); err != nil {
+	if err := l.writeFresh(base, After(all, base)); err != nil {
 		return err
 	}
 	l.checkpoints++
