@@ -75,11 +75,8 @@ func main() {
 		artifact = flag.String("artifact", "", "cold-start from a trained artifact (locec train -out) instead of training")
 		shard    = flag.String("shard", "", "serve one slice of a sharded fleet as \"i/N\" (requires -artifact; loads <artifact stem>-i-of-N.locec)")
 
-		walDir      = flag.String("wal", "", "directory for the durable mutation WAL (empty = mutations are in-memory only)")
-		walSync     = flag.String("wal-sync", "batch", "WAL fsync policy: always (per batch), batch (per burst, group commit) or none")
-		ckptRecords = flag.Int("wal-checkpoint-records", 64, "checkpoint when the log holds this many records")
-		ckptBytes   = flag.Int64("wal-checkpoint-bytes", 4<<20, "checkpoint when the log reaches this many bytes")
-		ckptRatio   = flag.Float64("wal-checkpoint-ratio", 0.25, "checkpoint when mutations-since-checkpoint / graph edges reaches this ratio")
+		walDir  = flag.String("wal", "", "directory for the durable mutation WAL (empty = mutations are in-memory only)")
+		walSync = flag.String("wal-sync", "batch", "WAL fsync policy: always (per batch), batch (per burst, group commit) or none")
 	)
 	flag.Parse()
 
@@ -97,10 +94,7 @@ func main() {
 		Artifact:   *artifact,
 		Logger:     log,
 
-		WALDir:            *walDir,
-		CheckpointRecords: *ckptRecords,
-		CheckpointBytes:   *ckptBytes,
-		CheckpointRatio:   *ckptRatio,
+		WALDir: *walDir,
 	}
 	mode, err := wal.ParseSyncMode(*walSync)
 	if err != nil {

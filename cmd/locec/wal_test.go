@@ -87,7 +87,7 @@ func TestWalReplayMatchesBootRecovery(t *testing.T) {
 		Users: 80, Survey: 0.5, Seed: 7, Variant: "xgb",
 		Rounds: 5, MaxDepth: 3, Detector: "labelprop",
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-		WALDir: dir, CheckpointRecords: 1 << 30, CheckpointBytes: 1 << 60, CheckpointRatio: 1e18,
+		WALDir: dir, ManualCheckpoints: true,
 	}
 	s, err := serve.New(cfg)
 	if err != nil {

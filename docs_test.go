@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -192,5 +193,70 @@ func TestDatasetMapsReadThroughAccessors(t *testing.T) {
 	}
 	if scanned < 50 {
 		t.Fatalf("scanned only %d Go files; is the test running from the repository root?", scanned)
+	}
+}
+
+// flagTables maps each OPERATIONS.md heading that holds a flag table to
+// the binary whose flags it documents.
+var flagTables = map[string]string{
+	"## Starting the service":     "cmd/locec-serve",
+	"### Router flags and tuning": "cmd/locec-router",
+}
+
+var (
+	flagRow  = regexp.MustCompile("^\\| `-([a-z0-9-]+)`")
+	flagDecl = regexp.MustCompile(`flag\.[A-Za-z0-9]+\("([^"]+)"`)
+)
+
+// TestFlagTablesMatchBinaries holds the OPERATIONS.md flag tables to the
+// binaries: each table lists exactly the flags its command defines, so a
+// flag cannot be added undocumented nor deleted while its row lives on.
+func TestFlagTablesMatchBinaries(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string][]string{}
+	heading, fenced := "", false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+		}
+		if strings.HasPrefix(line, "#") && !fenced {
+			heading = line
+		}
+		if m := flagRow.FindStringSubmatch(line); m != nil {
+			documented[heading] = append(documented[heading], m[1])
+		}
+	}
+	for heading := range documented {
+		if _, ok := flagTables[heading]; !ok {
+			t.Errorf("OPERATIONS.md: flag table under %q, which flagTables does not map to a binary", heading)
+		}
+	}
+	for heading, dir := range flagTables {
+		srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var defined []string
+		for _, src := range srcs {
+			if strings.HasSuffix(src, "_test.go") {
+				continue
+			}
+			code, err := os.ReadFile(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range flagDecl.FindAllStringSubmatch(string(code), -1) {
+				defined = append(defined, m[1])
+			}
+		}
+		rows := documented[heading]
+		slices.Sort(rows)
+		slices.Sort(defined)
+		if len(defined) == 0 || !slices.Equal(rows, defined) {
+			t.Errorf("OPERATIONS.md %q lists flags %v; %s defines %v", heading, rows, dir, defined)
+		}
 	}
 }

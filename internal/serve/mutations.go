@@ -229,10 +229,10 @@ func (s *Server) publishMutated(prev *snapshot, ds *social.Dataset, res *core.Re
 	s.epochs.Add(1)
 	snap := s.newSnapshot(prev, prev.seed, ds, res, prev.pipe, stats.Duration)
 	snap.walSeq = walSeq
+	snap.applied += stats.Duration
 	s.publish(snap)
 	s.mutApplied.Add(int64(stats.Mutations))
-	s.walSinceCkpt.Add(int64(stats.Mutations))
-	s.kickCheckpoint()
+	s.kickCheckpoint(false)
 	s.lastDirtyNodes.Store(int64(stats.DirtyNodes))
 	s.lastDirtyEdges.Store(int64(stats.DirtyEdges))
 	s.lastDatasetEdits.Store(int64(stats.DatasetEdits))

@@ -74,8 +74,9 @@ type Config struct {
 	// WALDir, when set, makes mutations durable: every accepted batch is
 	// appended to a write-ahead log in this directory before it is
 	// applied, boot replays the log's surviving records atop the last
-	// checkpoint artifact, and a background checkpointer periodically
-	// exports a snapshot and truncates the log. See docs/OPERATIONS.md.
+	// checkpoint artifact, and a background checkpointer exports a snapshot
+	// and truncates the log when that pays (maybeCheckpoint). See
+	// docs/OPERATIONS.md.
 	WALDir string
 	// WALSync is the fsync policy (wal.SyncBatch — group commit — by
 	// default).
@@ -83,14 +84,9 @@ type Config struct {
 	// WALFS overrides the log's filesystem; nil = the real one. The
 	// crash-injection tests inject a faulting in-memory FS here.
 	WALFS wal.FS
-	// CheckpointRecords / CheckpointBytes / CheckpointRatio tune when the
-	// checkpointer fires: log records, log bytes, or mutations applied
-	// since the last checkpoint per graph edge (the Δ/E compaction
-	// policy — big graphs checkpoint by churn fraction, not epoch count).
-	// Zero values take the defaults (64 records, 4 MiB, 0.25).
-	CheckpointRecords int
-	CheckpointBytes   int64
-	CheckpointRatio   float64
+	// ManualCheckpoints turns the cost rule off: only CheckpointNow and
+	// reloads checkpoint. Tests set it to keep the checkpointer still.
+	ManualCheckpoints bool
 }
 
 // snapshot is one immutable classified dataset. Everything reachable from
@@ -110,6 +106,9 @@ type snapshot struct {
 	res       *core.Result
 	builtAt   time.Time
 	buildTime time.Duration
+	// applied sums the apply time of every epoch since New up to this
+	// snapshot, boot replay included: the checkpoint cost rule's clock.
+	applied time.Duration
 
 	// pipe is the pipeline that trained this snapshot — the incremental
 	// engine applies mutations through it so the frozen models and the
@@ -239,13 +238,17 @@ type Server struct {
 	mutFolds         atomic.Int64
 
 	// WAL state; walLog is nil when Config.WALDir is empty.
-	walFS        wal.FS
-	walLog       *wal.Log
-	walReplayed  atomic.Int64
-	walSinceCkpt atomic.Int64 // mutations since last checkpoint: Δ of Δ/E
-	ckptForce    atomic.Bool
-	ckptCh       chan struct{}
-	ckptDone     chan struct{}
+	walFS       wal.FS
+	walLog      *wal.Log
+	walReplayed atomic.Int64
+	ckptForce   atomic.Bool
+	ckptCh      chan struct{}
+	ckptDone    chan struct{}
+	// The cost rule (maybeCheckpoint), in ns: the applied time the last
+	// checkpoint covered and what it took. ckptMu orders CheckpointNow.
+	ckptMu      sync.Mutex
+	ckptApplied atomic.Int64
+	ckptCost    atomic.Int64
 }
 
 // New builds the initial snapshot (blocking until the first classification
@@ -306,15 +309,6 @@ func New(cfg Config) (*Server, error) {
 		workerDone: make(chan struct{}),
 	}
 	if cfg.WALDir != "" {
-		if s.cfg.CheckpointRecords <= 0 {
-			s.cfg.CheckpointRecords = 64
-		}
-		if s.cfg.CheckpointBytes <= 0 {
-			s.cfg.CheckpointBytes = 4 << 20
-		}
-		if s.cfg.CheckpointRatio <= 0 {
-			s.cfg.CheckpointRatio = 0.25
-		}
 		s.walFS = cfg.WALFS
 		if s.walFS == nil {
 			s.walFS = wal.OSFS{}
@@ -354,6 +348,7 @@ func (s *Server) boot() error {
 		s.announce(snap, s.cfg.Artifact)
 	}
 	if s.cfg.WALDir != "" {
+		s.ckptCost.Store(int64(snap.buildTime))
 		if snap, err = s.recoverWAL(snap, t0); err != nil {
 			return err
 		}
@@ -489,7 +484,7 @@ func (s *Server) reloadLocked(seed int64, path string) (SnapshotInfo, error) {
 	s.publish(snap)
 	s.reloads.Add(1)
 	s.announce(snap, path)
-	s.forceCheckpoint()
+	s.kickCheckpoint(true)
 	return snap.info(), nil
 }
 
@@ -513,16 +508,17 @@ func (s *Server) announce(snap *snapshot, path string) {
 }
 
 // newSnapshot is the one constructor of a snapshot: ds and res as pipe
-// (nil = immutable) maintains them, numbered one past prev (nil at boot)
-// and stamped with the live mutation epoch. Callers that know the log
-// position stamp walSeq before publishing.
+// (nil = immutable) maintains them, numbered one past prev (nil at boot),
+// carrying prev's applied time and stamped with the live mutation epoch.
+// Callers that know the log position stamp walSeq before publishing.
 func (s *Server) newSnapshot(prev *snapshot, seed int64, ds *social.Dataset, res *core.Result, pipe *core.Pipeline, buildTime time.Duration) *snapshot {
-	version := int64(1)
+	version, applied := int64(1), time.Duration(0)
 	if prev != nil {
-		version = prev.version + 1
+		version, applied = prev.version+1, prev.applied
 	}
 	return &snapshot{
 		version:   version,
+		applied:   applied,
 		seed:      seed,
 		epoch:     s.epochs.Load(),
 		ds:        ds,

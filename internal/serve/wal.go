@@ -96,6 +96,7 @@ func (s *Server) recoverWAL(base *snapshot, t0 time.Time) (*snapshot, error) {
 	s.epochs.Add(int64(burst.Applied))
 	snap := s.newSnapshot(base, base.seed, ds, res, base.pipe, time.Since(t0))
 	snap.walSeq = replay[len(replay)-1].Seq
+	snap.applied += burst.Total.Duration
 	s.walReplayed.Store(int64(len(replay)))
 	s.log.Info("wal replayed",
 		"records", len(replay), "applied", burst.Applied,
@@ -105,11 +106,15 @@ func (s *Server) recoverWAL(base *snapshot, t0 time.Time) (*snapshot, error) {
 }
 
 // kickCheckpoint nudges the background checkpointer (non-blocking; a
-// pending nudge coalesces). No-op before the checkpointer exists or
-// without a WAL.
-func (s *Server) kickCheckpoint() {
-	if s.ckptCh == nil {
+// pending nudge coalesces). force makes its next pass unconditional — after
+// a reload, whose fresh dataset strands every logged record. Without a WAL,
+// and for unforced nudges under Config.ManualCheckpoints, it does nothing.
+func (s *Server) kickCheckpoint(force bool) {
+	if s.ckptCh == nil || (!force && s.cfg.ManualCheckpoints) {
 		return
+	}
+	if force {
+		s.ckptForce.Store(true)
 	}
 	select {
 	case s.ckptCh <- struct{}{}:
@@ -117,17 +122,7 @@ func (s *Server) kickCheckpoint() {
 	}
 }
 
-// forceCheckpoint marks the next checkpointer pass unconditional — used
-// after reloads, whose fresh dataset strands every logged record.
-func (s *Server) forceCheckpoint() {
-	if s.walLog == nil {
-		return
-	}
-	s.ckptForce.Store(true)
-	s.kickCheckpoint()
-}
-
-// checkpointer is the background goroutine that turns log growth into
+// checkpointer is the background goroutine that turns apply time into
 // checkpoints. It only ever runs one checkpoint at a time and exits on
 // Close.
 func (s *Server) checkpointer() {
@@ -142,43 +137,42 @@ func (s *Server) checkpointer() {
 	}
 }
 
-// maybeCheckpoint checkpoints when a threshold trips: log records, log
-// bytes, or the Δ/E churn ratio — mutations applied since the last
-// checkpoint over current graph edges, so a million-edge graph is not
-// re-exported every 64 tiny epochs nor allowed to replay half its edge
-// set on boot.
+// maybeCheckpoint checkpoints when it pays: once the apply time since the
+// last checkpoint reaches that checkpoint's own cost, so boot replays about
+// one Save's worth and checkpoint CPU stays below apply CPU. A forced pass
+// (after a reload) checkpoints regardless; an immutable snapshot never does.
 func (s *Server) maybeCheckpoint() {
-	st := s.walLog.Stats()
 	snap := s.current()
 	force := s.ckptForce.Swap(false)
 	if snap.pipe == nil {
 		return // immutable snapshot: nothing mutates, nothing to checkpoint
 	}
-	if !force {
-		delta := float64(s.walSinceCkpt.Load())
-		edges := float64(max(snap.ds.G.NumEdges(), 1))
-		if st.Records < s.cfg.CheckpointRecords &&
-			st.Bytes < s.cfg.CheckpointBytes &&
-			delta/edges < s.cfg.CheckpointRatio {
-			return
-		}
-	}
-	if snap.walSeq <= st.BaseSeq && !force {
-		return // nothing new since the last checkpoint
+	if !force && (s.sinceCheckpoint(snap) < time.Duration(s.ckptCost.Load()) ||
+		snap.walSeq <= s.walLog.Stats().BaseSeq) {
+		return
 	}
 	if err := s.CheckpointNow(); err != nil {
 		s.log.Error("wal checkpoint failed", "err", err)
 	}
 }
 
+// sinceCheckpoint is snap's apply time the last checkpoint does not cover,
+// epochs published during that Save and records replayed at boot included.
+func (s *Server) sinceCheckpoint(snap *snapshot) time.Duration {
+	return snap.applied - time.Duration(s.ckptApplied.Load())
+}
+
 // CheckpointNow synchronously exports the live snapshot as the WAL
-// checkpoint artifact (dataset embedded, epoch and sequence stamped) and
-// truncates the log through it. The background checkpointer calls this
-// when a threshold trips; tests and operators may call it directly.
+// checkpoint artifact (dataset embedded, epoch and sequence stamped),
+// truncates the log through it and makes its duration the cost the next
+// automatic checkpoint must be worth. The background checkpointer calls
+// this when the cost rule trips; tests and operators may call it directly.
 func (s *Server) CheckpointNow() error {
 	if s.walLog == nil {
 		return fmt.Errorf("serve: no WAL configured")
 	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	snap := s.current()
 	if snap.pipe == nil {
 		return fmt.Errorf("serve: snapshot %d is immutable (no raw dataset); cannot checkpoint", snap.version)
@@ -210,12 +204,14 @@ func (s *Server) CheckpointNow() error {
 	if err != nil {
 		return err
 	}
-	s.walSinceCkpt.Store(0)
+	cost := time.Since(t0)
+	s.ckptApplied.Store(int64(snap.applied))
+	s.ckptCost.Store(int64(cost))
 	st := s.walLog.Stats()
 	s.log.Info("wal checkpoint written",
 		"epoch", snap.epoch, "wal_seq", snap.walSeq,
 		"log_records", st.Records, "log_bytes", st.Bytes,
-		"seconds", time.Since(t0).Seconds())
+		"seconds", cost.Seconds())
 	return nil
 }
 
@@ -238,6 +234,10 @@ type WALStats struct {
 	TruncatedBytes int64 `json:"truncated_bytes"`
 	// SyncMode echoes the -wal-sync policy.
 	SyncMode string `json:"sync_mode"`
+	// The checkpoint rule's operands: apply time since the last
+	// checkpoint, and its duration (the boot's build time before the first).
+	ApplySinceCheckpointMs float64 `json:"apply_since_checkpoint_ms"`
+	LastCheckpointMs       float64 `json:"last_checkpoint_ms"`
 }
 
 // WALStats returns the durability counters; ok=false when the server runs
@@ -248,14 +248,16 @@ func (s *Server) WALStats() (WALStats, bool) {
 	}
 	st := s.walLog.Stats()
 	return WALStats{
-		Records:        st.Records,
-		Bytes:          st.Bytes,
-		Seq:            st.Seq,
-		BaseSeq:        st.BaseSeq,
-		Replayed:       s.walReplayed.Load(),
-		Checkpoints:    st.Checkpoints,
-		LastFsyncMs:    st.LastFsyncMs,
-		TruncatedBytes: st.TruncatedBytes,
-		SyncMode:       s.cfg.WALSync.String(),
+		Records:                st.Records,
+		Bytes:                  st.Bytes,
+		Seq:                    st.Seq,
+		BaseSeq:                st.BaseSeq,
+		Replayed:               s.walReplayed.Load(),
+		Checkpoints:            st.Checkpoints,
+		LastFsyncMs:            st.LastFsyncMs,
+		TruncatedBytes:         st.TruncatedBytes,
+		SyncMode:               s.cfg.WALSync.String(),
+		ApplySinceCheckpointMs: float64(s.sinceCheckpoint(s.current())) / 1e6,
+		LastCheckpointMs:       float64(s.ckptCost.Load()) / 1e6,
 	}, true
 }

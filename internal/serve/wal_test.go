@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"locec/internal/artifact"
 	"locec/internal/core"
@@ -76,8 +77,8 @@ func mutableSnapshot(s *Server) (*artifact.Artifact, error) {
 }
 
 // walConfig cold-starts from the shared mutable artifact with a WAL in
-// dir. Checkpoint thresholds are sky-high so checkpoints happen only when
-// a test calls CheckpointNow — the background checkpointer stays
+// dir. Checkpoints are manual, so they happen only when a test calls
+// CheckpointNow or reloads — the background checkpointer stays
 // deterministic.
 func walConfig(t testing.TB, dir string, fsys wal.FS) Config {
 	return Config{
@@ -89,9 +90,7 @@ func walConfig(t testing.TB, dir string, fsys wal.FS) Config {
 		WALDir:            dir,
 		WALSync:           wal.SyncBatch,
 		WALFS:             fsys,
-		CheckpointRecords: 1 << 30,
-		CheckpointBytes:   1 << 60,
-		CheckpointRatio:   1e18,
+		ManualCheckpoints: true,
 	}
 }
 
@@ -642,5 +641,138 @@ func TestRecoveryReadsCheckpointOnce(t *testing.T) {
 	t.Logf("New allocated %.2f× the %d-byte checkpoint", ratio, size)
 	if ratio > 3 {
 		t.Fatalf("New allocated %.2f× the %d-byte checkpoint, want at most 3×", ratio, size)
+	}
+}
+
+// saveHookFS runs duringSave when the checkpoint artifact is about to be
+// written: the point a Save spends its time in, with the log unlocked.
+type saveHookFS struct {
+	wal.FS
+	dir        string
+	duringSave func()
+}
+
+func (h *saveHookFS) Create(name string) (wal.File, error) {
+	if name == wal.CheckpointPath(h.dir)+".tmp" && h.duringSave != nil {
+		h.duringSave()
+	}
+	return h.FS.Create(name)
+}
+
+// TestCheckpointCostRule pins the checkpointer's one rule: checkpoint once
+// the apply time since the last checkpoint reaches that checkpoint's cost.
+// The test sets the reference relative to the apply time it reads back,
+// so no assertion depends on how long anything took.
+func TestCheckpointCostRule(t *testing.T) {
+	fsys := &saveHookFS{FS: wal.NewMemFS(), dir: "wal"}
+	s, err := New(walConfig(t, "wal", fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := func(s *Server) int64 {
+		ws, _ := s.WALStats()
+		return ws.Checkpoints
+	}
+	ws, _ := s.WALStats()
+	if ws.ApplySinceCheckpointMs != 0 || ws.LastCheckpointMs != float64(s.current().buildTime)/1e6 {
+		t.Fatalf("after boot: %+v, want no apply time and the boot build time (%v) as the reference", ws, s.current().buildTime)
+	}
+
+	pairs := absentPairs(s, 6)
+	var applied time.Duration
+	for i, p := range pairs[:2] {
+		r, err := s.Mutate(addBatch(p, i), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied += r.Stats.Duration
+	}
+	since := s.sinceCheckpoint(s.current())
+	if since != applied || since <= 0 {
+		t.Fatalf("apply time since boot %v, want the epochs' %v", since, applied)
+	}
+
+	// Below the reference: no checkpoint.
+	s.ckptCost.Store(int64(since) + 1)
+	s.maybeCheckpoint()
+	if n := checkpoints(s); n != 0 {
+		t.Fatalf("%d checkpoints below the reference, want 0", n)
+	}
+	// At it: exactly one, which credits what its snapshot covered.
+	s.ckptCost.Store(int64(since))
+	s.maybeCheckpoint()
+	s.maybeCheckpoint()
+	if n := checkpoints(s); n != 1 {
+		t.Fatalf("%d checkpoints at the reference, want 1", n)
+	}
+	if left := s.sinceCheckpoint(s.current()); left != 0 || s.ckptCost.Load() <= 0 {
+		t.Fatalf("after the checkpoint: %v uncovered, reference %v; want 0 and the Save's duration", left, time.Duration(s.ckptCost.Load()))
+	}
+
+	// An epoch published while a Save runs is not covered by it.
+	var during time.Duration
+	fsys.duringSave = func() {
+		fsys.duringSave = nil
+		r, err := s.Mutate(addBatch(pairs[3], 3), true)
+		if err != nil {
+			t.Error(err)
+		}
+		during = r.Stats.Duration
+	}
+	if _, err := s.Mutate(addBatch(pairs[2], 2), true); err != nil {
+		t.Fatal(err)
+	}
+	s.ckptCost.Store(0)
+	s.maybeCheckpoint()
+	if n := checkpoints(s); n != 2 || during <= 0 {
+		t.Fatalf("%d checkpoints, epoch during the Save took %v; want 2 and a published epoch", n, during)
+	}
+	if left := s.sinceCheckpoint(s.current()); left != during {
+		t.Fatalf("after a Save with an epoch inside it: %v uncovered, want that epoch's %v", left, during)
+	}
+	s.Close()
+
+	// Records replayed at boot count toward the next checkpoint.
+	s, err = New(walConfig(t, "wal", fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ws, _ = s.WALStats()
+	if ws.Replayed != 1 || ws.ApplySinceCheckpointMs <= 0 || ws.LastCheckpointMs <= 0 {
+		t.Fatalf("after a boot that replayed: %+v, want 1 record's apply time and the boot build time", ws)
+	}
+	s.ckptCost.Store(int64(s.sinceCheckpoint(s.current())))
+	s.maybeCheckpoint()
+	if n := checkpoints(s); n != 1 {
+		t.Fatalf("%d checkpoints once the replayed apply time reaches the reference, want 1", n)
+	}
+
+	// A reload forces one whatever the rule says.
+	s.ckptCost.Store(math.MaxInt64)
+	if _, err := s.ReloadArtifact(mutableArtifact(t)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); checkpoints(s) != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint after a reload: %d", checkpoints(s))
+		}
+	}
+
+	// An immutable snapshot never checkpoints, forced or due.
+	trainOnly := filepath.Join(t.TempDir(), "train-only.locec")
+	exportToFile(t, s, trainOnly)
+	cfg := walConfig(t, "wal", wal.NewMemFS())
+	cfg.Artifact, cfg.ManualCheckpoints = trainOnly, false
+	ro, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ro.Close)
+	ro.ckptCost.Store(0)
+	ro.ckptForce.Store(true)
+	ro.maybeCheckpoint()
+	if n := checkpoints(ro); n != 0 {
+		t.Fatalf("%d checkpoints of an immutable snapshot, want 0", n)
 	}
 }
