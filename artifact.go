@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"locec/internal/artifact"
-	"locec/internal/core"
 	"locec/internal/social"
 )
 
@@ -42,7 +41,7 @@ func ReadArtifact(rd io.Reader) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, res, _, err := art.Restore(core.DivisionConfig{})
+	_, res, _, err := art.Restore()
 	if err != nil {
 		return nil, err
 	}

@@ -68,8 +68,7 @@ func main() {
 		variant  = flag.String("variant", "cnn", "community classifier: cnn or xgb")
 		k        = flag.Int("k", 16, "feature matrix rows (CommCNN)")
 		epochs   = flag.Int("epochs", 8, "CommCNN training epochs")
-		detector = flag.String("detector", "gn", "Phase I detector: "+strings.Join(core.DetectorNames(), ", "))
-		patience = flag.Int("gn-patience", 0, "Girvan-Newman early-stop patience (0 = exact, as locec train divides)")
+		detector = flag.String("detector", "", "Phase I detector of a training run (empty = gn): "+strings.Join(core.DetectorNames(), ", ")+"; an artifact divides by the rule it records and refuses a contradicting -detector")
 		cache    = flag.Int("cache", 256, "batch-response LRU cache entries")
 		input    = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
 		artifact = flag.String("artifact", "", "cold-start from a trained artifact (locec train -out) instead of training")
@@ -82,17 +81,16 @@ func main() {
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	cfg := serve.Config{
-		Users:      *users,
-		Survey:     *survey,
-		Seed:       *seed,
-		Variant:    *variant,
-		K:          *k,
-		Epochs:     *epochs,
-		Detector:   *detector,
-		GNPatience: *patience,
-		CacheSize:  *cache,
-		Artifact:   *artifact,
-		Logger:     log,
+		Users:     *users,
+		Survey:    *survey,
+		Seed:      *seed,
+		Variant:   *variant,
+		K:         *k,
+		Epochs:    *epochs,
+		Detector:  *detector,
+		CacheSize: *cache,
+		Artifact:  *artifact,
+		Logger:    log,
 
 		WALDir: *walDir,
 	}

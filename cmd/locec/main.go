@@ -48,45 +48,23 @@ func main() {
 			os.Exit(runWalReplay(os.Args[2:]))
 		}
 	}
-	var (
-		users    = flag.Int("users", 800, "population size (synthetic mode)")
-		seed     = flag.Int64("seed", 42, "random seed")
-		survey   = flag.Float64("survey", 0.4, "fraction of edges with revealed labels (synthetic mode)")
-		variant  = flag.String("variant", "cnn", "community classifier: cnn or xgb")
-		k        = flag.Int("k", 16, "feature matrix rows (CommCNN)")
-		epochs   = flag.Int("epochs", 8, "CommCNN training epochs")
-		input    = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
-		export   = flag.String("export", "", "write per-edge predictions to this CSV file")
-		detector = flag.String("detector", "gn", "Phase I detector: "+strings.Join(core.DetectorNames(), ", "))
-	)
+	load := pipelineFlags(flag.CommandLine)
+	export := flag.String("export", "", "write per-edge predictions to this CSV file")
 	flag.Parse()
 
-	ds, err := loadOrSynthesize(*input, *users, *seed, *survey)
-	if err != nil {
-		fatal(err)
-	}
+	ds, cfg := load()
 
 	// Hold out 20% of the labeled edges for honest evaluation.
 	labeled := ds.LabeledEdges()
 	if len(labeled) == 0 {
 		fatal(fmt.Errorf("dataset has no revealed labels; generate with -survey or mark edges revealed"))
 	}
-	_, test := eval.Split(labeled, 0.8, *seed+2)
+	_, test := eval.Split(labeled, 0.8, cfg.Seed+2)
 	for _, kk := range test {
 		ds.SetRevealed(kk, false)
 	}
-
-	cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed}
-	if *variant == "xgb" {
-		cfg.Variant = locec.VariantXGB
-	}
-	det, err := locec.ParseDetector(*detector)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Detector = det
 	fmt.Printf("locec: %d users, %d friendships, %d labeled (train) / %d held out, variant %s, detector %s\n",
-		ds.G.NumNodes(), ds.G.NumEdges(), len(ds.LabeledEdges()), len(test), cfg.Variant, *detector)
+		ds.G.NumNodes(), ds.G.NumEdges(), len(ds.LabeledEdges()), len(test), cfg.Variant, cfg.Detector)
 
 	res, err := locec.Classify(ds, cfg)
 	if err != nil {
@@ -132,38 +110,19 @@ func main() {
 // .locec artifact.
 func runTrain(args []string) {
 	fs := flag.NewFlagSet("locec train", flag.ExitOnError)
+	load := pipelineFlags(fs)
 	var (
-		users    = fs.Int("users", 800, "population size (synthetic mode)")
-		seed     = fs.Int64("seed", 42, "random seed")
-		survey   = fs.Float64("survey", 0.4, "fraction of edges with revealed labels (synthetic mode)")
-		variant  = fs.String("variant", "cnn", "community classifier: cnn or xgb")
-		k        = fs.Int("k", 16, "feature matrix rows (CommCNN)")
-		epochs   = fs.Int("epochs", 8, "CommCNN training epochs")
-		input    = fs.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
-		out      = fs.String("out", "model.locec", "artifact output path")
-		detector = fs.String("detector", "gn", "Phase I detector: "+strings.Join(core.DetectorNames(), ", "))
-		embed    = fs.Bool("embed-dataset", false, "embed the raw dataset so the artifact stays mutable (required for WAL checkpoints and POST /v1/mutations after a cold start)")
+		out   = fs.String("out", "model.locec", "artifact output path")
+		embed = fs.Bool("embed-dataset", false, "embed the raw dataset so the artifact stays mutable (required for WAL checkpoints and POST /v1/mutations after a cold start)")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
 
-	ds, err := loadOrSynthesize(*input, *users, *seed, *survey)
-	if err != nil {
-		fatal(err)
-	}
+	ds, cfg := load()
 	if len(ds.LabeledEdges()) == 0 {
 		fatal(fmt.Errorf("dataset has no revealed labels; generate with -survey or mark edges revealed"))
 	}
-	cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed}
-	if *variant == "xgb" {
-		cfg.Variant = locec.VariantXGB
-	}
-	det, err := locec.ParseDetector(*detector)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Detector = det
 	fmt.Printf("locec train: %d users, %d friendships, %d labeled, variant %s, detector %s\n",
-		ds.G.NumNodes(), ds.G.NumEdges(), len(ds.LabeledEdges()), cfg.Variant, *detector)
+		ds.G.NumNodes(), ds.G.NumEdges(), len(ds.LabeledEdges()), cfg.Variant, cfg.Detector)
 
 	res, err := locec.Classify(ds, cfg)
 	if err != nil {
@@ -173,7 +132,7 @@ func runTrain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	art, err := artifact.New(ds.G, ex, *seed)
+	art, err := artifact.New(ds.G, ex, cfg.Seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -196,6 +155,38 @@ func runTrain(args []string) {
 	fmt.Printf("wrote %s (%d bytes, %d communities, %d edge predictions)\n",
 		*out, info.Size(), res.NumCommunities(), ds.G.NumEdges())
 	fmt.Printf("serve it with: locec-serve -artifact %s\n", *out)
+}
+
+// pipelineFlags declares on fs the dataset and pipeline flags the
+// one-shot mode and `locec train` share. The returned load, called after
+// fs.Parse, builds the dataset and the run's configuration from them,
+// exiting on an error.
+func pipelineFlags(fs *flag.FlagSet) (load func() (*social.Dataset, locec.Config)) {
+	var (
+		users    = fs.Int("users", 800, "population size (synthetic mode)")
+		seed     = fs.Int64("seed", 42, "random seed")
+		survey   = fs.Float64("survey", 0.4, "fraction of edges with revealed labels (synthetic mode)")
+		variant  = fs.String("variant", "cnn", "community classifier: cnn or xgb")
+		k        = fs.Int("k", 16, "feature matrix rows (CommCNN)")
+		epochs   = fs.Int("epochs", 8, "CommCNN training epochs")
+		input    = fs.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
+		detector = fs.String("detector", "gn", "Phase I detector: "+strings.Join(core.DetectorNames(), ", "))
+	)
+	return func() (*social.Dataset, locec.Config) {
+		det, err := locec.ParseDetector(*detector)
+		if err != nil {
+			fatal(err)
+		}
+		ds, err := loadOrSynthesize(*input, *users, *seed, *survey)
+		if err != nil {
+			fatal(err)
+		}
+		cfg := locec.Config{K: *k, Epochs: *epochs, Seed: *seed, Detector: det}
+		if *variant == "xgb" {
+			cfg.Variant = locec.VariantXGB
+		}
+		return ds, cfg
+	}
 }
 
 // exportCSV writes one row per edge: u,v,predicted,probabilities.

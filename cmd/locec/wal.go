@@ -15,7 +15,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 
 	"locec/internal/artifact"
 	"locec/internal/core"
@@ -72,51 +71,32 @@ func runWalDump(args []string) int {
 	return 0
 }
 
-// walReplayOpts holds wal-replay's flag values.
-type walReplayOpts struct {
-	dir, out, detector string
-	patience           int
-}
-
-// walReplayFlags declares wal-replay's flags. -gn-patience defaults to
-// exact, which is what `locec train` and `locec run` (which have no such
-// flag) divide under: replayed epochs must re-divide dirty egos by the rule
-// the artifact's other egos, and its classifier's training set, came from.
-func walReplayFlags() (*flag.FlagSet, *walReplayOpts) {
-	fs := flag.NewFlagSet("locec wal-replay", flag.ExitOnError)
-	f := new(walReplayOpts)
-	fs.StringVar(&f.dir, "dir", "", "WAL directory (as given to locec-serve -wal)")
-	fs.StringVar(&f.out, "out", "replayed.locec", "artifact output path")
-	fs.StringVar(&f.detector, "detector", "gn", "Phase I detector the serving config used: "+strings.Join(core.DetectorNames(), ", "))
-	fs.IntVar(&f.patience, "gn-patience", 0, "Girvan-Newman early-stop patience (0 = exact, as trained)")
-	return fs, f
-}
-
 // runWalReplay rebuilds the post-crash state offline and writes it as an
 // artifact: restore the checkpoint, replay the surviving log records it
 // does not cover (wal.After) as one burst (core.Pipeline.ApplyBurst), as
-// boot recovery does, export. The return value is the
+// boot recovery does, export. Replayed epochs re-divide dirty egos by the
+// division rule the checkpoint records. The return value is the
 // process exit code: 0 for a full recovery from a clean log, 1 when the
 // log was truncated at a bad record — the written artifact then reflects
 // a PARTIAL recovery (everything up to the tear), and fleet tooling must
 // decide whether that is acceptable.
 func runWalReplay(args []string) int {
-	fs, f := walReplayFlags()
-	_ = fs.Parse(args)
-	if f.dir == "" {
+	fs := flag.NewFlagSet("locec wal-replay", flag.ExitOnError)
+	var (
+		dir = fs.String("dir", "", "WAL directory (as given to locec-serve -wal)")
+		out = fs.String("out", "replayed.locec", "artifact output path")
+	)
+	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
+	if *dir == "" {
 		fatal(fmt.Errorf("wal-replay: -dir is required"))
 	}
 
-	art, err := artifact.LoadFile(wal.CheckpointPath(f.dir))
+	art, err := artifact.LoadFile(wal.CheckpointPath(*dir))
 	if err != nil {
 		fatal(fmt.Errorf("wal-replay: no usable checkpoint: %w", err))
 	}
-	det, err := core.ParseDetector(f.detector)
-	if err != nil {
-		fatal(fmt.Errorf("wal-replay: %w", err))
-	}
 	meta := art.Meta()
-	ds, res, pipe, err := art.Restore(core.DivisionConfig{Seed: meta.Seed, Detector: det, GNPatience: f.patience})
+	ds, res, pipe, err := art.Restore()
 	if err != nil {
 		fatal(err)
 	}
@@ -124,7 +104,7 @@ func runWalReplay(args []string) int {
 		fatal(fmt.Errorf("wal-replay: checkpoint carries no embedded dataset or no trained models; records cannot be applied"))
 	}
 
-	_, batches, truncated, err := wal.Scan(wal.OSFS{}, f.dir)
+	_, batches, truncated, err := wal.Scan(wal.OSFS{}, *dir)
 	if err != nil {
 		fatal(err)
 	}
@@ -154,15 +134,15 @@ func runWalReplay(args []string) int {
 		fatal(err)
 	}
 	newArt.StampWAL(meta.Epoch+int64(applied), lastSeq)
-	if err := newArt.SaveFile(f.out); err != nil {
+	if err := newArt.SaveFile(*out); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("replayed %d records (%d rejected) atop checkpoint epoch %d; wrote %s (epoch %d, wal_seq %d, %d nodes, %d edges)\n",
-		applied, skipped, meta.Epoch, f.out, meta.Epoch+int64(applied), lastSeq,
+		applied, skipped, meta.Epoch, *out, meta.Epoch+int64(applied), lastSeq,
 		ds.G.NumNodes(), ds.G.NumEdges())
 	if truncated > 0 {
 		fmt.Printf("wal-replay: PARTIAL recovery: log truncated at a bad record (%d-byte torn tail); %s holds state up to seq %d only\n",
-			truncated, f.out, lastSeq)
+			truncated, *out, lastSeq)
 		return 1
 	}
 	return 0

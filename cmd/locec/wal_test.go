@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"locec"
 	"locec/internal/artifact"
 	"locec/internal/core"
 	"locec/internal/graph"
@@ -62,25 +61,12 @@ func TestWalDumpExitCodes(t *testing.T) {
 	}
 }
 
-// TestWalReplayDividesAsTrained pins -gn-patience's default to the patience
-// `locec train` and `locec run` divide under, the zero value of the config
-// they build: a replayed epoch must re-divide dirty egos by the same
-// stopping rule as the egos beside them.
-func TestWalReplayDividesAsTrained(t *testing.T) {
-	fs, f := walReplayFlags()
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if want := (locec.Config{}).GNPatience; f.patience != want {
-		t.Fatalf("-gn-patience defaults to %d, training divides with %d", f.patience, want)
-	}
-}
-
 // TestWalReplayMatchesBootRecovery holds wal-replay to what it claims: on
 // a WAL directory with a checkpoint and a burst of records, one of them
 // poisoned, it writes exactly the state locec-serve boots into from the
 // same directory. Every label, probability vector and ego must be ==, and
-// the epoch and wal_seq stamps equal.
+// the epoch and wal_seq stamps equal. wal-replay is told no detector: it
+// must re-divide by the labelprop rule the checkpoint records.
 func TestWalReplayMatchesBootRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := serve.Config{
@@ -122,7 +108,7 @@ func TestWalReplayMatchesBootRecovery(t *testing.T) {
 	s.Close()
 
 	out := filepath.Join(t.TempDir(), "replayed.locec")
-	if code := runWalReplay([]string{"-dir", dir, "-out", out, "-detector", "labelprop"}); code != 0 {
+	if code := runWalReplay([]string{"-dir", dir, "-out", out}); code != 0 {
 		t.Fatalf("wal-replay exit %d", code)
 	}
 	s2, err := serve.New(cfg)

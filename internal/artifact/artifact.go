@@ -38,9 +38,11 @@ import (
 const Magic = "LOCECART"
 
 // FormatVersion is the newest format this binary writes and understands.
-const FormatVersion = 1
+// Version 2 added the meta's division rule; a version 1 file reads as
+// divided by exact Girvan–Newman under its dataset seed.
+const FormatVersion = 2
 
-// Section tags of format version 1.
+// Section tags, unchanged since format version 1.
 const (
 	secMeta     = "meta"     // JSON Meta document
 	secGraph    = "graph"    // binary CSR adjacency
@@ -82,7 +84,11 @@ type Meta struct {
 	Edges       int `json:"edges"`
 	Communities int `json:"communities"`
 	// Seed is the dataset seed the producer trained on (0 if unknown).
+	// The division seed lives in Division.
 	Seed int64 `json:"seed,omitempty"`
+	// Division is the Phase I rule that divided the snapshot's egos; a
+	// restored pipeline re-divides dirty egos by it.
+	Division core.DivisionConfig `json:"division"`
 	// CreatedAtUnix is the training wall-clock time (0 when the producer
 	// wants byte-deterministic output).
 	CreatedAtUnix int64 `json:"created_at_unix,omitempty"`
@@ -154,6 +160,7 @@ func New(g *graph.Graph, ex *core.Export, seed int64) (*Artifact, error) {
 			Edges:         g.NumEdges(),
 			Communities:   comms,
 			Seed:          seed,
+			Division:      ex.Division,
 			PhaseNs:       phaseNs(ex.Times),
 		},
 		g:  g,
@@ -264,6 +271,7 @@ func (a *Artifact) Export() (*core.Export, error) {
 	}
 	ex := &core.Export{
 		ClassifierName: a.meta.Classifier,
+		Division:       a.meta.Division,
 		Times:          metaTimes(a.meta.PhaseNs),
 	}
 	var err error
@@ -301,11 +309,11 @@ func (a *Artifact) Export() (*core.Export, error) {
 
 // Restore turns the snapshot back into servable state: the embedded
 // dataset (or, for a train-only artifact, a topology-only dataset around
-// the graph), the result RunFromArtifact rebuilds, and the pipeline that
-// keeps applying mutations under div. The pipeline is nil when the
-// snapshot cannot be mutated: that takes the raw dataset and both trained
-// models.
-func (a *Artifact) Restore(div core.DivisionConfig) (*social.Dataset, *core.Result, *core.Pipeline, error) {
+// the graph), the result RunFromArtifact rebuilds — division rule
+// included — and the pipeline that keeps applying mutations to it. The
+// pipeline is nil when the snapshot cannot be mutated: that takes the raw
+// dataset and both trained models.
+func (a *Artifact) Restore() (*social.Dataset, *core.Result, *core.Pipeline, error) {
 	g, err := a.Graph()
 	if err != nil {
 		return nil, nil, nil, err
@@ -318,7 +326,7 @@ func (a *Artifact) Restore(div core.DivisionConfig) (*social.Dataset, *core.Resu
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	pipe := core.NewPipeline(core.Config{Division: div, Seed: a.meta.Seed})
+	pipe := core.NewPipeline(core.Config{Seed: a.meta.Seed})
 	res, err := pipe.RunFromArtifact(ex)
 	if err != nil {
 		return nil, nil, nil, err
@@ -354,12 +362,12 @@ func blob(b []byte) func(*encoder) error {
 	return func(e *encoder) error { e.bytes(b); return nil }
 }
 
-// Save writes the artifact in format version 1. Output is deterministic
-// for identical inputs (section order is fixed and no timestamps are
-// invented), so identical runs produce byte-identical artifacts. Sections
-// stream through one small buffer twice — into io.Discard to measure the
-// header's lengths and CRCs, then to w — and Save fails if a section's
-// bytes differ between the passes.
+// Save writes the artifact in format version FormatVersion. Output is
+// deterministic for identical inputs (section order is fixed and no
+// timestamps are invented), so identical runs produce byte-identical
+// artifacts. Sections stream through one small buffer twice — into
+// io.Discard to measure the header's lengths and CRCs, then to w — and
+// Save fails if a section's bytes differ between the passes.
 func (a *Artifact) Save(w io.Writer) error {
 	g, err := a.Graph()
 	if err != nil {
@@ -510,6 +518,9 @@ func LoadBytes(data []byte) (*Artifact, error) {
 	a := &Artifact{raw: raw}
 	if err := json.Unmarshal(raw[secMeta], &a.meta); err != nil {
 		return nil, fmt.Errorf("artifact: decode meta: %w", err)
+	}
+	if version == 1 { // no division field: exact Girvan–Newman, the zero rule
+		a.meta.Division.Seed = a.meta.Seed
 	}
 	return a, nil
 }

@@ -3,6 +3,9 @@ package artifact_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -124,6 +127,9 @@ func TestRoundTripBitIdentical(t *testing.T) {
 			if res2.Combiner == nil {
 				t.Fatal("loaded result has no combiner")
 			}
+			if res2.Division != res.Division {
+				t.Fatalf("division rule %+v, want %+v", res2.Division, res.Division)
+			}
 			if res2.Times.Training != res.Times.Training {
 				t.Fatalf("training time not preserved: %v vs %v", res2.Times.Training, res.Times.Training)
 			}
@@ -221,6 +227,38 @@ func TestCorruptionFutureVersion(t *testing.T) {
 	}
 	if err != nil && !strings.Contains(err.Error(), "version") {
 		t.Fatalf("error %v should name the version", err)
+	}
+}
+
+// TestVersion1Restores reads the checked-in fuzz seed, a version 1 file
+// written before the meta recorded the division rule: it loads, restores
+// mutable, and divides by exact Girvan–Newman under its dataset seed.
+func TestVersion1Restores(t *testing.T) {
+	corpus, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzArtifact", "seed-valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(corpus), "[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := artifact.Load(strings.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := art.Meta().FormatVersion; v != 1 {
+		t.Fatalf("seed-valid is format version %d, want 1", v)
+	}
+	_, res, pipe, err := art.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipe == nil {
+		t.Fatal("a version 1 artifact with an embedded dataset restores immutable")
+	}
+	if want := (core.DivisionConfig{Detector: core.DetectorGirvanNewman, Seed: 7}); res.Division != want {
+		t.Fatalf("division rule %+v, want %+v", res.Division, want)
 	}
 }
 

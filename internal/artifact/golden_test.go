@@ -22,9 +22,9 @@ import (
 // order or to the header shows up here as a hash change; the format
 // promises the bytes only change with FormatVersion.
 var goldenSHA256 = map[string]string{
-	"labelprop+xgb":             "ff3c403934f7f462b4eef7dc94deb92067c8efd53042599855029e6751917df7",
-	"gn+cnn":                    "5d05a2695496f7730799c5a096542d31f0f68cfdafcd465e6cca1ff82c20e702",
-	"clauset+xgb+dataset+delta": "6c675f60215676a88a038e88f569f8692f5612f2e2024a7a80bb973ba0df45b8",
+	"labelprop+xgb":             "31bc8c6a3c64e1d15b39dcb3bc2f3305525bd1b87e045a5f4f09d977b8b8ad7b",
+	"gn+cnn":                    "f1fd4d07a8bdedd5ad03dbf50d1f87cc0f8d85390e35c5d38d8e0b8764bbaa97",
+	"clauset+xgb+dataset+delta": "8fde8ec191aff5eacd887b71a556d6a68d414c34da7c6e726841406ae47439ef",
 }
 
 // goldenArtifact trains the named pipeline on the n = 80 substrate and

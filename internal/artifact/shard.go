@@ -124,6 +124,7 @@ func cutOne(g *graph.Graph, ex *core.Export, rg *ring.Ring, s int, meta Meta) (*
 		Edges:          edges,
 		Model:          ex.Model,
 		Combiner:       ex.Combiner,
+		Division:       ex.Division,
 		Times:          ex.Times,
 	}
 

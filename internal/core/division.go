@@ -125,6 +125,15 @@ func (k DetectorKind) String() string {
 	return detectorNames[k]
 }
 
+// MarshalText writes the registry name, which UnmarshalText reads back.
+func (k DetectorKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a registry name, as ParseDetector does.
+func (k *DetectorKind) UnmarshalText(b []byte) (err error) {
+	*k, err = ParseDetector(string(b))
+	return err
+}
+
 // Local reports whether the detector is seed-grown.
 func (k DetectorKind) Local() bool {
 	return k == DetectorClauset || k == DetectorLShell || k == DetectorLemon
@@ -159,13 +168,14 @@ func ParseDetector(name string) (DetectorKind, error) {
 	return 0, fmt.Errorf("core: unknown detector %q (want one of %v)", name, DetectorNames())
 }
 
-// DivisionConfig tunes Phase I.
+// DivisionConfig tunes Phase I. Its JSON form is the artifact meta's
+// "division" document.
 type DivisionConfig struct {
-	Detector DetectorKind
+	Detector DetectorKind `json:"detector"`
 	// GNPatience is forwarded to community.Options.Patience (0 = exact).
-	GNPatience int
-	// Seed drives the label-propagation detector.
-	Seed int64
+	GNPatience int `json:"gn_patience"`
+	// Seed drives the label-propagation and Louvain detectors.
+	Seed int64 `json:"seed"`
 }
 
 // Divide runs Phase I over every node of the graph: ego-network extraction

@@ -32,6 +32,9 @@ type Export struct {
 	// Combiner is the trained Phase III logistic regression (nil under
 	// the agreement-rule ablation).
 	Combiner *logreg.Model
+	// Division is the Phase I rule that divided Egos; a restored result
+	// re-divides dirty egos by it.
+	Division DivisionConfig
 	// Times carries the original run's phase durations, so a consumer
 	// restored from a snapshot can still report what training cost.
 	Times PhaseTimes
@@ -49,6 +52,7 @@ func (r *Result) Export() (*Export, error) {
 		Egos:           r.Egos,
 		Edges:          r.Edges,
 		Combiner:       r.Combiner,
+		Division:       r.Division,
 		Times:          r.Times,
 	}
 	if mp, ok := r.Classifier.(ModelPersister); ok {
@@ -104,6 +108,7 @@ func (p *Pipeline) RunFromArtifact(ex *Export) (*Result, error) {
 		Egos:           ex.Egos,
 		Edges:          ex.Edges,
 		Combiner:       ex.Combiner,
+		Division:       ex.Division,
 		Times:          ex.Times,
 	}
 	if len(ex.Model) > 0 {

@@ -203,6 +203,7 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 		ClassifierName: res.ClassifierName,
 		Classifier:     res.Classifier,
 		Combiner:       res.Combiner,
+		Division:       res.Division,
 		Times:          res.Times,
 		Egos:           slices.Clone(res.Egos),
 		Edges:          res.Edges,

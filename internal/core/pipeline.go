@@ -10,7 +10,8 @@ import (
 
 // Config assembles a full LoCEC pipeline.
 type Config struct {
-	// Division tunes Phase I.
+	// Division tunes Run's Phase I. The result records it, and later
+	// epochs re-divide by the result's copy (Result.Division).
 	Division DivisionConfig
 	// Classifier is the Phase II model; nil defaults to a CNNClassifier
 	// with paper parameters (k = 20).
@@ -84,6 +85,9 @@ type Result struct {
 	// Combiner is the trained Phase III logistic regression (nil when the
 	// agreement-rule ablation replaced it).
 	Combiner *logreg.Model
+	// Division is the Phase I rule that divided Egos. Every later epoch
+	// re-divides dirty egos by it, as it does with the frozen models.
+	Division DivisionConfig
 }
 
 // PredictedLabelOK returns the predicted label for the edge {u,v} and
@@ -124,7 +128,7 @@ func NewPipeline(cfg Config) *Pipeline {
 // TrainClassifier, ClassifyCommunities, TrainCombiner, then
 // RecombineEdges over every edge — each phase timed into res.Times.
 func (p *Pipeline) Run(ds *social.Dataset) (*Result, error) {
-	res := &Result{ClassifierName: p.cfg.Classifier.Name(), Classifier: p.cfg.Classifier}
+	res := &Result{ClassifierName: p.cfg.Classifier.Name(), Classifier: p.cfg.Classifier, Division: p.cfg.Division}
 
 	// ---- Phase I: division -------------------------------------------
 	t0 := time.Now()

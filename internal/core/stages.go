@@ -210,11 +210,11 @@ func (p *Pipeline) recombine(res *Result, edges []graph.Edge, removed []uint64) 
 }
 
 // refresh is the one step that turns a node set into spliced predictions
-// with res's models frozen: re-divide the nodes' egos, classify their
-// communities, recombine edges — every surviving edge incident to a
-// listed node — and return the communities it classified.
+// with res's models and division rule frozen: re-divide the nodes' egos,
+// classify their communities, recombine edges — every surviving edge
+// incident to a listed node — and return the communities it classified.
 func (p *Pipeline) refresh(ds *social.Dataset, res *Result, nodes []graph.NodeID, edges []graph.Edge, removed []uint64) ([]*LocalCommunity, error) {
-	DivideNodes(ds, res.Egos, nodes, p.cfg.Division)
+	DivideNodes(ds, res.Egos, nodes, res.Division)
 	var comms []*LocalCommunity
 	for _, u := range nodes {
 		comms = append(comms, res.Egos[u].Comms...)
@@ -237,6 +237,7 @@ func (p *Pipeline) RunFrozen(ds *social.Dataset, trained *Result) (*Result, erro
 		ClassifierName: trained.ClassifierName,
 		Classifier:     trained.Classifier,
 		Combiner:       trained.Combiner,
+		Division:       trained.Division,
 		Egos:           make([]*EgoResult, ds.G.NumNodes()),
 	}
 	nodes := make([]graph.NodeID, ds.G.NumNodes())

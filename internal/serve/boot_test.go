@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -205,5 +206,55 @@ func TestImmutableReloadRefusedWithWAL(t *testing.T) {
 		if !s2.current().ds.G.HasEdge(p[0], p[1]) {
 			t.Fatalf("restart lost the logged edge {%d,%d}", p[0], p[1])
 		}
+	}
+}
+
+// TestBootDividesAsTrained: a server booted from a labelprop-trained,
+// dataset-embedded artifact with no Detector configured re-divides dirty
+// egos by the rule the artifact records. After one mutation its egos and
+// predictions are == to RunFrozen under the training pipeline. A Detector
+// that contradicts the artifact is refused, at boot and at reload.
+func TestBootDividesAsTrained(t *testing.T) {
+	trainCfg := Config{Users: 80, Survey: 0.5, Seed: 7, Variant: "xgb", Rounds: 5, MaxDepth: 3, Detector: "labelprop", Logger: discardLogger()}
+	trained, err := New(trainCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(trained.Close)
+	ref := trained.current()
+
+	s, err := New(Config{Artifact: mutableArtifact(t), Logger: discardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if _, err := s.Mutate(addBatch(absentPairs(s, 1)[0], 0), true); err != nil {
+		t.Fatal(err)
+	}
+	got := s.current()
+	want, err := ref.pipe.RunFrozen(got.ds, ref.res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, w := range want.Egos {
+		g := got.res.Egos[u]
+		if !slices.Equal(g.Members, w.Members) || !slices.Equal(g.CommIdx, w.CommIdx) || !slices.Equal(g.Tightness, w.Tightness) {
+			t.Fatalf("ego %d: the booted server divides %v, the training pipeline %v", u, g.CommIdx, w.CommIdx)
+		}
+	}
+	assertStateEqual(t, got, &snapshot{ds: got.ds, res: want}, "booted server vs RunFrozen")
+
+	if _, err := New(Config{Artifact: mutableArtifact(t), Detector: "clauset", Logger: discardLogger()}); err == nil {
+		t.Fatal("a clauset server booted from a labelprop artifact")
+	}
+	clauset := trainCfg
+	clauset.Detector = "clauset"
+	c, err := New(clauset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if _, err := c.ReloadArtifact(mutableArtifact(t)); err == nil {
+		t.Fatal("a clauset server reloaded a labelprop artifact")
 	}
 }

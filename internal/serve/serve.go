@@ -43,11 +43,12 @@ type Config struct {
 	// values take the engine defaults.
 	K, Epochs        int
 	Rounds, MaxDepth int
-	// Detector picks the Phase I algorithm ("gn" default, "labelprop",
-	// "louvain", or a seed-grown local detector "clauset", "lshell",
-	// "lemon") and GNPatience bounds Girvan–Newman.
-	Detector   string
-	GNPatience int
+	// Detector picks the Phase I algorithm a training run divides by
+	// ("" or "gn" for Girvan–Newman, "labelprop", "louvain", or a
+	// seed-grown local detector "clauset", "lshell", "lemon"). A restored
+	// artifact divides by the rule it records; a non-empty Detector that
+	// contradicts it is refused.
+	Detector string
 	// CacheSize bounds the batch-response LRU cache (0 = 256 entries).
 	CacheSize int
 	// Artifact, when set, cold-starts the initial snapshot from this
@@ -110,11 +111,10 @@ type snapshot struct {
 	// snapshot, boot replay included: the checkpoint cost rule's clock.
 	applied time.Duration
 
-	// pipe is the pipeline that trained this snapshot — the incremental
-	// engine applies mutations through it so the frozen models and the
-	// division config match. nil for artifact-loaded snapshots without an
-	// embedded dataset, whose graph carries topology only: those cannot
-	// be mutated.
+	// pipe is the pipeline the incremental engine applies mutations
+	// through, under res's frozen models and division rule. nil for
+	// artifact-loaded snapshots without an embedded dataset, whose graph
+	// carries topology only: those cannot be mutated.
 	pipe *core.Pipeline
 
 	// walSeq is the last WAL sequence number whose effects this snapshot
@@ -544,8 +544,10 @@ func (s *Server) train(prev *snapshot, seed int64) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: dataset source: %w", err)
 	}
+	// Validated in New; ParseDetector maps "" to Girvan–Newman.
+	det, _ := core.ParseDetector(s.cfg.Detector)
 	cfg := core.Config{
-		Division: s.division(seed),
+		Division: core.DivisionConfig{Detector: det, Seed: seed},
 		Combiner: logreg.Config{Classes: social.NumLabels, Seed: seed + 101},
 		Seed:     seed,
 	}
@@ -582,8 +584,8 @@ func (s *Server) build(prev *snapshot, seed int64, path string) (*snapshot, erro
 }
 
 // restore builds (but does not publish) a snapshot from a decoded
-// artifact: Artifact.Restore under this server's division config, so a
-// mutable snapshot applies mutations as the training run would have.
+// artifact: Artifact.Restore, whose result re-divides dirty egos by the
+// rule the artifact records. A configured detector must agree with it.
 func (s *Server) restore(prev *snapshot, art *artifact.Artifact, t0 time.Time) (*snapshot, error) {
 	meta := art.Meta()
 	// The shard stamp is intrinsic to the artifact and declared in the
@@ -595,9 +597,13 @@ func (s *Server) restore(prev *snapshot, art *artifact.Artifact, t0 time.Time) (
 		return nil, fmt.Errorf("serve: artifact is shard %d/%d, server is configured as %d/%d (0/0 = unsharded)",
 			meta.ShardIndex, meta.ShardCount, s.cfg.ShardIndex, s.cfg.ShardCount)
 	}
-	ds, res, pipe, err := art.Restore(s.division(meta.Seed))
+	ds, res, pipe, err := art.Restore()
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
+	}
+	if det, _ := core.ParseDetector(s.cfg.Detector); s.cfg.Detector != "" && det != res.Division.Detector {
+		return nil, fmt.Errorf("serve: artifact was divided by %s, server is configured with detector %s",
+			res.Division.Detector, det)
 	}
 	snap := s.newSnapshot(prev, meta.Seed, ds, res, pipe, time.Since(t0))
 	if meta.Sharded() {
@@ -606,15 +612,6 @@ func (s *Server) restore(prev *snapshot, art *artifact.Artifact, t0 time.Time) (
 		snap.ring = ring.MustNew(meta.ShardCount)
 	}
 	return snap, nil
-}
-
-// division is the Phase I configuration for seed. Training and artifact
-// restores share it, so a snapshot restored from a checkpoint re-divides
-// dirty egos by the rule that would have trained it.
-func (s *Server) division(seed int64) core.DivisionConfig {
-	// Validated in New; ParseDetector maps "" to Girvan–Newman.
-	det, _ := core.ParseDetector(s.cfg.Detector)
-	return core.DivisionConfig{Seed: seed, Detector: det, GNPatience: s.cfg.GNPatience}
 }
 
 // publish makes snap the live snapshot, formatting its version header.

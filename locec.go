@@ -132,9 +132,6 @@ type Config struct {
 	// Detector swaps the Phase I algorithm (default Girvan–Newman, the
 	// paper's choice; the alternatives are ablations).
 	Detector Detector
-	// GNPatience stops Girvan–Newman early after this many fruitless
-	// rounds (0 = exact; larger ego networks benefit from ~20).
-	GNPatience int
 	// AgreementRule replaces the Phase III logistic regression with the
 	// naive both-sides-agree rule (ablation; not the paper's combiner).
 	AgreementRule bool
@@ -242,11 +239,7 @@ func Classify(ds *social.Dataset, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	coreCfg := core.Config{Seed: cfg.Seed, AgreementRule: cfg.AgreementRule}
-	coreCfg.Division = core.DivisionConfig{
-		Detector:   cfg.Detector,
-		Seed:       cfg.Seed,
-		GNPatience: cfg.GNPatience,
-	}
+	coreCfg.Division = core.DivisionConfig{Detector: cfg.Detector, Seed: cfg.Seed}
 	switch cfg.Variant {
 	case VariantXGB:
 		coreCfg.Classifier = &core.XGBClassifier{
