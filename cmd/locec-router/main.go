@@ -37,7 +37,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		shards     = flag.String("shards", "", "comma-separated shard base URLs, in shard order (index i = shard i of the cut)")
+		shards     = flag.String("shards", "", "comma-separated shard base URLs http://host:port[/prefix], in shard order (index i = shard i of the cut)")
 		attempt    = flag.Duration("attempt-timeout", 2*time.Second, "per-RPC attempt timeout")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "end-to-end per-request timeout")
 		retries    = flag.Int("retries", 2, "max retries for idempotent reads")

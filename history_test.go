@@ -1,0 +1,154 @@
+package locec_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// benchHistory is the schema bench/pairs.go writes: one change measured
+// against its parent on one workload, in alternating pairs.
+type benchHistory struct {
+	Schema   int    `json:"schema"`
+	Source   string `json:"source"`
+	Entry    int    `json:"entry"`
+	Workload string `json:"workload"`
+	Pairs    int    `json:"pairs"`
+	Machine  struct {
+		NumCPU      int    `json:"nproc"`
+		CPUModel    string `json:"cpu_model"`
+		GoVersion   string `json:"go_version"`
+		ParentSHA   string `json:"parent_sha"`
+		ChangeSHA   string `json:"change_sha"`
+		ChangeDirty bool   `json:"change_dirty"`
+	} `json:"machine"`
+	Metrics map[string]struct {
+		Unit       string      `json:"unit"`
+		Better     string      `json:"better"`
+		Parent     benchSpread `json:"parent"`
+		Change     benchSpread `json:"change"`
+		ChangeWins int         `json:"change_wins"`
+		Ties       int         `json:"ties"`
+	} `json:"metrics"`
+	Runs []struct {
+		Pair       int                `json:"pair"`
+		Side       string             `json:"side"`
+		Seed       int                `json:"seed"`
+		First      bool               `json:"first"`
+		Correct    bool               `json:"correct"`
+		Attempted  int                `json:"attempted"`
+		Failed     int                `json:"failed"`
+		StealShare float64            `json:"steal_share"`
+		Metrics    map[string]float64 `json:"metrics"`
+	} `json:"runs"`
+}
+
+type benchSpread struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+	IQR    float64 `json:"iqr"`
+}
+
+// TestBenchHistory holds every file under bench/history/ to the schema
+// bench/pairs.go writes: named <entry>-<workload>.json after a workload
+// and the end-to-end metrics BENCHMARK.json declares, with both sides of
+// every pair recorded and win counts that the runs bear out.
+func TestBenchHistory(t *testing.T) {
+	var bench struct {
+		Workloads []struct{ Name string }               `json:"workloads"`
+		EndToEnd  []struct{ Name, Unit, Better string } `json:"end_to_end"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	workloads := map[string]bool{}
+	for _, w := range bench.Workloads {
+		workloads[w.Name] = true
+	}
+	files, err := filepath.Glob(filepath.Join("bench", "history", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		var h benchHistory
+		if err := dec.Decode(&h); err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		errorf := func(format string, args ...any) { t.Errorf("%s: %s", path, fmt.Sprintf(format, args...)) }
+		if want := fmt.Sprintf("%d-%s.json", h.Entry, h.Workload); filepath.Base(path) != want {
+			errorf("named %s, want %s", filepath.Base(path), want)
+		}
+		if h.Schema != 1 || h.Source != "pairs.sh" || h.Entry < 1 || !workloads[h.Workload] || h.Pairs < 1 {
+			errorf("header schema=%d source=%q entry=%d workload=%q pairs=%d", h.Schema, h.Source, h.Entry, h.Workload, h.Pairs)
+		}
+		m := h.Machine
+		if m.NumCPU < 1 || m.CPUModel == "" || m.GoVersion == "" || len(m.ParentSHA) != 40 || len(m.ChangeSHA) != 40 {
+			errorf("incomplete machine stamp %+v", m)
+		}
+		if len(h.Runs) != 2*h.Pairs {
+			errorf("%d runs for %d pairs", len(h.Runs), h.Pairs)
+		}
+		sides := map[string]int{}
+		for _, r := range h.Runs {
+			sides[fmt.Sprint(r.Pair, r.Side)]++
+			if r.Pair < 0 || r.Pair >= h.Pairs || (r.Side != "parent" && r.Side != "change") || r.StealShare < 0 || r.StealShare > 1 || r.Attempted < r.Failed {
+				errorf("run %+v", r)
+			}
+			for _, e := range bench.EndToEnd {
+				if _, ok := r.Metrics[e.Name]; !ok {
+					errorf("pair %d %s: no %s", r.Pair, r.Side, e.Name)
+				}
+			}
+		}
+		for key, n := range sides {
+			if n != 1 {
+				errorf("pair/side %s recorded %d times", key, n)
+			}
+		}
+		for _, e := range bench.EndToEnd {
+			s, ok := h.Metrics[e.Name]
+			if !ok {
+				errorf("no summary of %s", e.Name)
+				continue
+			}
+			byPair := map[string]map[int]float64{"parent": {}, "change": {}}
+			for _, r := range h.Runs {
+				if byPair[r.Side] != nil {
+					byPair[r.Side][r.Pair] = r.Metrics[e.Name]
+				}
+			}
+			wins, ties := 0, 0
+			for i := range h.Pairs {
+				p, c := byPair["parent"][i], byPair["change"][i]
+				if p == c {
+					ties++
+				} else if (c < p) == (e.Better == "lower") {
+					wins++
+				}
+			}
+			if s.Unit != e.Unit || s.Better != e.Better || s.ChangeWins != wins || s.Ties != ties {
+				errorf("%s: unit %q better %q, %d wins and %d ties; the runs say %d and %d", e.Name, s.Unit, s.Better, s.ChangeWins, s.Ties, wins, ties)
+			}
+			for side, sp := range map[string]benchSpread{"parent": s.Parent, "change": s.Change} {
+				if sp.Q1 > sp.Median || sp.Median > sp.Q3 || sp.IQR != sp.Q3-sp.Q1 {
+					errorf("%s %s: q1 %v median %v q3 %v iqr %v", e.Name, side, sp.Q1, sp.Median, sp.Q3, sp.IQR)
+				}
+			}
+		}
+	}
+}

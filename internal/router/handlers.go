@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"locec/internal/latency"
 	"locec/internal/parallel"
 )
 
@@ -40,25 +41,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// proxy forwards a shard response verbatim.
-func proxy(w http.ResponseWriter, resp *Response) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(resp.Status)
-	_, _ = w.Write(resp.Body)
-}
-
-// writeShardDown answers a single-key request whose owning shard is
-// unreachable: 503 naming the shard, so the caller knows exactly which
-// slice of the keyspace is dark — the single-key sibling of a batch's
-// missing_shards.
-func writeShardDown(w http.ResponseWriter, shard int, err error) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":          err.Error(),
-		"missing_shards": []int{shard},
-	})
-}
-
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": r.cfg.Shards})
 }
@@ -73,21 +55,12 @@ func (r *Router) handleReadyz(w http.ResponseWriter, req *http.Request) {
 			open++
 		}
 	}
+	status, code := "ready", http.StatusOK
 	if open == len(r.shards) {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "not ready", "open_circuits": open, "shards": r.cfg.Shards,
-		})
-		return
+		status, code = "not ready", http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ready", "open_circuits": open, "shards": r.cfg.Shards,
-	})
-}
-
-// reqCtx bounds a client request end to end.
-func (r *Router) reqCtx(req *http.Request) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
+	writeJSON(w, code, map[string]any{"status": status, "open_circuits": open, "shards": r.cfg.Shards})
 }
 
 // handleEdge routes GET /v1/edge?u=&v= to the owner of {u,v}.
@@ -99,15 +72,7 @@ func (r *Router) handleEdge(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "u and v must be uint32 node ids")
 		return
 	}
-	owner := r.ring.OwnerEdge(uint32(u), uint32(v))
-	ctx, cancel := r.reqCtx(req)
-	defer cancel()
-	resp, err := r.call(ctx, owner, http.MethodGet, req.URL.RequestURI(), nil, true)
-	if err != nil {
-		writeShardDown(w, owner, err)
-		return
-	}
-	proxy(w, resp)
+	r.forward(w, req, r.ring.OwnerEdge(uint32(u), uint32(v)), req.URL.RequestURI())
 }
 
 // handleCommunities routes GET /v1/communities/{node} to the node's owner.
@@ -117,15 +82,25 @@ func (r *Router) handleCommunities(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid node id %q", req.PathValue("node"))
 		return
 	}
-	owner := r.ring.OwnerNode(uint32(id))
-	ctx, cancel := r.reqCtx(req)
+	r.forward(w, req, r.ring.OwnerNode(uint32(id)), "/v1/communities/"+req.PathValue("node"))
+}
+
+// forward sends a single-key read to the shard that owns it and relays
+// the reply verbatim. An unreachable owner is a 503 naming the shard, so
+// the caller knows exactly which slice of the keyspace is dark — the
+// single-key sibling of a batch's missing_shards.
+func (r *Router) forward(w http.ResponseWriter, req *http.Request, owner int, path string) {
+	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
-	resp, err := r.call(ctx, owner, http.MethodGet, "/v1/communities/"+req.PathValue("node"), nil, true)
+	resp, err := r.call(ctx, owner, http.MethodGet, path, nil, true)
 	if err != nil {
-		writeShardDown(w, owner, err)
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error(), "missing_shards": []int{owner}})
 		return
 	}
-	proxy(w, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(resp.Status)
+	_, _ = w.Write(resp.Body)
 }
 
 // readBody reads a request body of at most maxBody bytes, answering 400
@@ -179,7 +154,7 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 	}
 
 	t0 := time.Now()
-	ctx, cancel := r.reqCtx(req)
+	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
 	results := make([]json.RawMessage, len(creq.Edges))
 	// One goroutine per owning shard, in ascending shard order. Each fills
@@ -291,7 +266,7 @@ func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 		Response  json.RawMessage `json:"response,omitempty"`
 		Error     string          `json:"error,omitempty"`
 	}
-	ctx, cancel := r.reqCtx(req)
+	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
 	owners := slices.Sorted(maps.Keys(byShard))
 	receipts := make([]shardReceipt, len(owners))
@@ -345,11 +320,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 			"breaker_fast_fails": st.breakerFastFails.Load(),
 		}
 		if st.lat.Count() > 0 {
-			doc["latency_ms"] = map[string]float64{
-				"p50": st.lat.Quantile(0.50) / 1e6,
-				"p95": st.lat.Quantile(0.95) / 1e6,
-				"p99": st.lat.Quantile(0.99) / 1e6,
-			}
+			doc["latency_ms"] = quantilesMS(st.lat)
 		}
 		shards[i] = doc
 	}
@@ -359,11 +330,12 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 		"uptime_seconds": time.Since(r.start).Seconds(),
 	}
 	if r.sgLat.Count() > 0 {
-		doc["scatter_gather_ms"] = map[string]float64{
-			"p50": r.sgLat.Quantile(0.50) / 1e6,
-			"p95": r.sgLat.Quantile(0.95) / 1e6,
-			"p99": r.sgLat.Quantile(0.99) / 1e6,
-		}
+		doc["scatter_gather_ms"] = quantilesMS(r.sgLat)
 	}
 	writeJSON(w, http.StatusOK, doc)
+}
+
+// quantilesMS is a histogram's p50/p95/p99 in milliseconds.
+func quantilesMS(h *latency.Histogram) map[string]float64 {
+	return map[string]float64{"p50": h.Quantile(0.50) / 1e6, "p95": h.Quantile(0.95) / 1e6, "p99": h.Quantile(0.99) / 1e6}
 }

@@ -145,13 +145,18 @@ type Router struct {
 }
 
 // New builds a Router; it makes no RPCs (probe or serve to discover the
-// fleet's health).
+// fleet's health), but refuses an HTTPTransport with a bad base URL.
 func New(cfg Config) (*Router, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("router: %d shards, want >= 1", cfg.Shards)
 	}
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("router: nil transport")
+	}
+	if ht, ok := cfg.Transport.(*HTTPTransport); ok {
+		if err := ht.parse(); err != nil {
+			return nil, err
+		}
 	}
 	c := cfg.withDefaults()
 	rg, err := ring.New(c.Shards)
@@ -259,90 +264,70 @@ func (r *Router) backoff(ctx context.Context, attempt int) {
 	}
 }
 
-// hedgedDo runs one logical attempt. For idempotent reads, if the
-// primary RPC has not answered within the shard's hedge delay (observed
-// p95 clamped to [HedgeMin, HedgeMax]), a second identical RPC launches
-// and the first reply wins — the Dean & Barroso tail cut. The loser is
-// canceled and its reply (if any) discarded; both RPCs hit the same
-// immutable shard snapshot, so either reply is correct.
+// hedgedDo runs one logical attempt: one RPC under the attempt timeout,
+// on the calling goroutine. For idempotent reads, if it has not answered
+// within the shard's hedge delay (observed p95 clamped to [HedgeMin,
+// HedgeMax]), a timer launches a second identical RPC and the first
+// success wins — the Dean & Barroso tail cut. The loser is canceled; both
+// RPCs hit the same immutable shard snapshot, so either reply is correct.
 func (r *Router) hedgedDo(ctx context.Context, shard int, method, path string, body []byte, idempotent bool) (*Response, error) {
+	pctx, cancelPrimary := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
+	defer cancelPrimary()
 	if !idempotent {
-		return r.timedDo(ctx, shard, method, path, body)
+		return r.observedDo(pctx, shard, method, path, body)
 	}
 	st := r.shards[shard]
-	type outcome struct {
-		resp *Response
-		err  error
-		idx  int // 0 = primary, 1 = hedge
+	var hedge struct {
+		mu     sync.Mutex
+		done   bool           // the primary has returned: launch nothing
+		out    chan *Response // once launched: the hedge's reply, nil if it failed
+		cancel context.CancelFunc
 	}
-	ch := make(chan outcome, 2)
-	var cancels []context.CancelFunc
-	defer func() {
-		// Cancel the loser so it stops burning shard CPU; its reply (if
-		// any) lands in the buffered channel and is garbage collected.
-		for _, c := range cancels {
-			c()
+	timer := time.AfterFunc(r.hedgeDelay(st), func() {
+		hedge.mu.Lock()
+		if hedge.done {
+			hedge.mu.Unlock()
+			return
 		}
-	}()
-	launch := func(idx int) {
-		actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-		cancels = append(cancels, cancel)
-		go func() {
-			t0 := time.Now()
-			resp, err := r.cfg.Transport.Do(actx, shard, method, path, body)
-			if err == nil {
-				st.lat.Observe(time.Since(t0))
-			}
-			ch <- outcome{resp, err, idx}
-		}()
+		hctx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
+		hedge.out, hedge.cancel = make(chan *Response, 1), cancel
+		hedge.mu.Unlock()
+		st.hedges.Add(1)
+		resp, err := r.observedDo(hctx, shard, method, path, body)
+		if err == nil {
+			cancelPrimary() // the straggler stops at once
+		}
+		hedge.out <- resp
+	})
+	resp, err := r.observedDo(pctx, shard, method, path, body)
+	timer.Stop()
+	hedge.mu.Lock()
+	hedge.done = true
+	out, cancelHedge := hedge.out, hedge.cancel
+	hedge.mu.Unlock()
+	if out == nil {
+		return resp, err // a fast failure goes straight to the retry loop
 	}
-	launch(0)
-	hedgeTimer := time.NewTimer(r.hedgeDelay(st))
-	defer hedgeTimer.Stop()
-	launched, reported := 1, 0
-	var firstErr error
-	for {
-		select {
-		case o := <-ch:
-			reported++
-			if o.err == nil {
-				if o.idx == 1 {
-					st.hedgeWins.Add(1)
-				}
-				return o.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if reported == launched && launched == 2 {
-				// Both RPCs failed; the retry loop takes over.
-				return nil, firstErr
-			}
-			if launched == 1 {
-				// The only in-flight RPC failed fast; don't wait for the
-				// hedge timer on a dead line — report and let the retry
-				// loop (with backoff) decide.
-				return nil, firstErr
-			}
-		case <-hedgeTimer.C:
-			if launched == 1 {
-				launched++
-				st.hedges.Add(1)
-				launch(1)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	defer cancelHedge()
+	if err == nil {
+		return resp, nil
+	}
+	select {
+	case hresp := <-out:
+		if hresp == nil {
+			return nil, err // both RPCs failed; the retry loop takes over
 		}
+		st.hedgeWins.Add(1)
+		return hresp, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
-// timedDo is one RPC under the attempt timeout, with latency recorded on
-// success.
-func (r *Router) timedDo(ctx context.Context, shard int, method, path string, body []byte) (*Response, error) {
-	actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-	defer cancel()
+// observedDo is one RPC, with latency recorded on success.
+func (r *Router) observedDo(ctx context.Context, shard int, method, path string, body []byte) (*Response, error) {
 	t0 := time.Now()
-	resp, err := r.cfg.Transport.Do(actx, shard, method, path, body)
+	resp, err := r.cfg.Transport.Do(ctx, shard, method, path, body)
 	if err == nil {
 		r.shards[shard].lat.Observe(time.Since(t0))
 	}
@@ -373,7 +358,7 @@ func (r *Router) hedgeDelay(st *shardState) time.Duration {
 func (r *Router) ProbeOnce(ctx context.Context) int {
 	var readyCount atomic.Int64
 	parallel.Each(len(r.shards), func(shard int) {
-		resp, err := r.timedDo(ctx, shard, http.MethodGet, "/readyz", nil)
+		resp, err := r.hedgedDo(ctx, shard, http.MethodGet, "/readyz", nil, false)
 		ok := err == nil && resp.Status == http.StatusOK
 		r.shards[shard].breaker.recordProbe(ok)
 		r.shards[shard].probeOK.Store(ok)

@@ -258,12 +258,24 @@ func jsonEqual(a, b []byte) bool {
 
 // TestRouterEquivalenceNoFaults pins the baseline: through a healthy
 // fleet, every route answers exactly like the single-process control.
+// It runs over two transports: in-process handlers, and HTTPTransport
+// over loopback servers wrapping the same shards.
 func TestRouterEquivalenceNoFaults(t *testing.T) {
 	f := fleet(t)
-	tr := &router.FaultTransport{Inner: &router.HandlerTransport{Handlers: f.shards}}
-	r := newTestRouter(t, tr, nil)
-	h := r.Handler()
+	for _, tc := range []struct {
+		name string
+		tr   router.Transport
+	}{
+		{"handler", &router.FaultTransport{Inner: &router.HandlerTransport{Handlers: f.shards}}},
+		{"http", &router.HTTPTransport{BaseURLs: serveShards(t, f.shards)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { assertEquivalent(t, f, newTestRouter(t, tc.tr, nil).Handler()) })
+	}
+}
 
+// assertEquivalent checks every route through h against the control.
+func assertEquivalent(t *testing.T, f *fleetFixture, h http.Handler) {
+	t.Helper()
 	for _, e := range f.pickEdges() {
 		path := fmt.Sprintf("/v1/edge?u=%d&v=%d", e.U, e.V)
 		want := do(f.control, http.MethodGet, path, nil)
