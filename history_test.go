@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -53,10 +57,31 @@ type benchSpread struct {
 	IQR    float64 `json:"iqr"`
 }
 
+// spreadOf is bench/pairs.go's median and quartiles of xs: linear
+// interpolation between order statistics.
+func spreadOf(xs []float64) benchSpread {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	q := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		lo := int(math.Floor(pos))
+		if lo == len(s)-1 {
+			return s[lo]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return benchSpread{Median: q(0.5), Q1: q(0.25), Q3: q(0.75), IQR: q(0.75) - q(0.25)}
+}
+
+// perfOptEntry matches a CHANGES entry whose title carries [perf_opt].
+var perfOptEntry = regexp.MustCompile(`(?m)^- [0-9-]+ — PR ([0-9]+): \[perf_opt\]`)
+
 // TestBenchHistory holds every file under bench/history/ to the schema
 // bench/pairs.go writes: named <entry>-<workload>.json after a workload
 // and the end-to-end metrics BENCHMARK.json declares, with both sides of
-// every pair recorded and win counts that the runs bear out.
+// every pair recorded and win counts, medians and quartiles that the runs
+// bear out. Every [perf_opt] CHANGES entry from 44 on, the first measured
+// with bench/pairs.sh, has at least one such file.
 func TestBenchHistory(t *testing.T) {
 	var bench struct {
 		Workloads []struct{ Name string }               `json:"workloads"`
@@ -76,6 +101,17 @@ func TestBenchHistory(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("bench", "history", "*"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range perfOptEntry.FindAllSubmatch(changes, -1) {
+		entry, _ := strconv.Atoi(string(m[1]))
+		recorded, _ := filepath.Glob(filepath.Join("bench", "history", fmt.Sprintf("%d-*.json", entry)))
+		if entry >= 44 && len(recorded) == 0 {
+			t.Errorf("CHANGES entry %d is [perf_opt] but bench/history/ has no %d-<workload>.json (bash bench/pairs.sh <parent-rev> <workload>)", entry, entry)
+		}
 	}
 	for _, path := range files {
 		raw, err := os.ReadFile(path)
@@ -126,9 +162,9 @@ func TestBenchHistory(t *testing.T) {
 				errorf("no summary of %s", e.Name)
 				continue
 			}
-			byPair := map[string]map[int]float64{"parent": {}, "change": {}}
+			byPair := map[string][]float64{"parent": make([]float64, h.Pairs), "change": make([]float64, h.Pairs)}
 			for _, r := range h.Runs {
-				if byPair[r.Side] != nil {
+				if byPair[r.Side] != nil && r.Pair >= 0 && r.Pair < h.Pairs {
 					byPair[r.Side][r.Pair] = r.Metrics[e.Name]
 				}
 			}
@@ -145,8 +181,8 @@ func TestBenchHistory(t *testing.T) {
 				errorf("%s: unit %q better %q, %d wins and %d ties; the runs say %d and %d", e.Name, s.Unit, s.Better, s.ChangeWins, s.Ties, wins, ties)
 			}
 			for side, sp := range map[string]benchSpread{"parent": s.Parent, "change": s.Change} {
-				if sp.Q1 > sp.Median || sp.Median > sp.Q3 || sp.IQR != sp.Q3-sp.Q1 {
-					errorf("%s %s: q1 %v median %v q3 %v iqr %v", e.Name, side, sp.Q1, sp.Median, sp.Q3, sp.IQR)
+				if want := spreadOf(byPair[side]); sp != want {
+					errorf("%s %s: recorded %+v; the runs say %+v", e.Name, side, sp, want)
 				}
 			}
 		}

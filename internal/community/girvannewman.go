@@ -10,7 +10,9 @@
 // buffer of a call comes from a pooled scratch (see GirvanNewman). Brandes
 // runs on bit rows local to the component it refreshes, so the search and
 // the predecessor scan cost a word operation per 64 nodes of a row plus one
-// step per shortest-path edge, whatever the component's size.
+// step per shortest-path edge. The component's word count picks one of two
+// source loops: a component of at most 64 nodes keeps every row and level
+// mask in one word, a larger one runs on W-word rows.
 package community
 
 import (
@@ -183,7 +185,8 @@ type gnScratch struct {
 	// brandes, per component, by local index (position in the component's
 	// segment): the node's local index by node, then rows of W =
 	// ceil(size/64) words holding each node's live neighbours as bits, and
-	// for each row word the index into eid of its first neighbour.
+	// for each row word the index into eid of its first neighbour (when W
+	// is 1, each row's 64 edge ids by bit instead).
 	loc  []int32
 	rows []uint64
 	pos  []int32
@@ -236,13 +239,14 @@ func (s *gnScratch) load(g *graph.Graph) {
 	s.mark = sized(s.mark, n)
 	s.sub, s.cnt = sized(s.sub, n), sized(s.cnt, n)
 	s.tmp, s.queue = sized(s.tmp, n), sized(s.queue, n)
-	// brandes works on rows of at most w words; a search from one end of a
+	// brandes works on rows of at most w words, or on a 64-wide edge-id row
+	// per node of a component of at most 64; a search from one end of a
 	// path reaches depth n-1 and clears the mask of one level more. Its
 	// buffers are cut from one allocation per element type: the pool drops
 	// its scratches at a collection and each is rebuilt one buffer at a
 	// time, so fewer buffers are fewer objects per run.
 	w := (n + 63) >> 6
-	s.ints = sized(s.ints, (3+w)*n)
+	s.ints = sized(s.ints, 3*n+max(w*n, min(n, 64)<<6))
 	s.loc, s.pos = s.ints[:n], s.ints[3*n:]
 	s.order, s.start = s.ints[n:2*n:2*n], s.ints[2*n:3*n:3*n] // appended to
 	s.words = sized(s.words, (2*n+2)*w)
@@ -450,8 +454,14 @@ func (s *gnScratch) brandes(c int32) {
 		for _, e := range s.eid[lo:hi] {
 			s.bet[e] = 0
 		}
-		at := lo
-		for k, r := range row {
+	}
+	if W == 1 {
+		s.brandes1(seg)
+		return
+	}
+	for i, u := range seg {
+		at := s.off[u]
+		for k, r := range rows[i*W : i*W+W] {
 			pos[i*W+k] = at
 			at += int32(bits.OnesCount64(r))
 		}
@@ -509,6 +519,70 @@ func (s *gnScratch) brandes(c int32) {
 						delta[v] += dep
 						bet[e] += dep
 					}
+				}
+			}
+			hi = lo
+		}
+	}
+}
+
+// brandes1 is the source loop of brandes for a component of at most 64
+// nodes, whose rows brandes has built. Every row and level mask is one
+// word, so the seen set and the level being built stay in locals, a node's
+// sigma and 1 + delta are read once, and bit j of row i finds its edge id
+// in a 64-wide table, tbl[i<<6|j], in place of pos and a popcount. Every
+// float statement is the multi-word loop's, in the same order.
+func (s *gnScratch) brandes1(seg []graph.NodeID) {
+	nc := len(seg)
+	rows := s.rows[:nc]
+	sigma, delta := s.sigma[:nc], s.delta[:nc]
+	tbl := s.pos[:nc<<6]
+	for i, u := range seg {
+		for p := s.off[u]; p < s.end[u]; p++ {
+			tbl[i<<6|int(s.loc[s.nbr[p]])] = s.eid[p]
+		}
+	}
+	bet, levels := s.bet, s.levels
+	for src := range nc {
+		clear(sigma)
+		clear(delta)
+		seen := uint64(1) << src
+		levels[0] = seen
+		sigma[src] = 1
+		order := append(s.order[:0], int32(src))
+		start := s.start[:0]
+		for lo := 0; lo < len(order); {
+			start = append(start, int32(lo))
+			hi := len(order)
+			next := uint64(0)
+			for _, v := range order[lo:hi] {
+				sv, r := sigma[v], rows[v]
+				fresh := r &^ seen
+				seen |= fresh
+				next |= fresh
+				for ; fresh != 0; fresh &= fresh - 1 {
+					order = append(order, int32(bits.TrailingZeros64(fresh)))
+				}
+				for on := r & next; on != 0; on &= on - 1 {
+					sigma[bits.TrailingZeros64(on)] += sv
+				}
+			}
+			levels[len(start)] = next
+			lo = hi
+		}
+		hi := len(order)
+		for d := len(start) - 1; d > 0; d-- {
+			prev := levels[d-1]
+			lo := int(start[d])
+			for i := hi - 1; i >= lo; i-- {
+				w := order[i]
+				sw, dw := sigma[w], 1+delta[w]
+				te := tbl[int(w)<<6 : int(w)<<6+64]
+				for on := rows[w] & prev; on != 0; on &= on - 1 {
+					b := bits.TrailingZeros64(on)
+					dep := sigma[b] / sw * dw
+					delta[b] += dep
+					bet[te[b&63]] += dep
 				}
 			}
 			hi = lo

@@ -254,7 +254,10 @@ func TestEdgeBetweennessMatchesReference(t *testing.T) {
 }
 
 // TestGirvanNewmanConcurrent shares the scratch pool between 8 goroutines
-// working through differently sized graphs in different orders.
+// working through differently sized graphs in different orders. The graphs
+// of 65, 129 and 150 nodes start on multi-word rows and split into
+// components of at most 64 nodes, so a scratch passes back and forth
+// between brandes' two source loops.
 func TestGirvanNewmanConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var gs []*graph.Graph
@@ -262,6 +265,7 @@ func TestGirvanNewmanConcurrent(t *testing.T) {
 		gs = append(gs, gnp(rng, 2+rng.Intn(38), 0.1+0.4*rng.Float64()))
 	}
 	gs = append(gs, planted(rng, 3, 12, 0.7, 0.04))
+	gs = append(gs, gnp(rng, 65, 0.1), gnp(rng, 129, 0.04), planted(rng, 3, 50, 0.15, 0.01))
 	serial := make([]*Partition, len(gs))
 	for i, g := range gs {
 		serial[i] = GirvanNewman(g, Options{})
@@ -283,4 +287,28 @@ func TestGirvanNewmanConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestGirvanNewmanAllocatesOnlyItsResult: on a warm pool a run allocates
+// its Partition, the Assign slice, the member slab and Comms, and nothing
+// per round, on one-word rows (a dense-wechat ego of at most 64 nodes) and
+// on multi-word ones (three planted blocks of 50).
+func TestGirvanNewmanAllocatesOnlyItsResult(t *testing.T) {
+	if raceBuild {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	w := denseWechat(t)
+	var ego *graph.Graph
+	for u := 0; u < w.NumNodes(); u++ {
+		if g := w.Ego(graph.NodeID(u)).G; g.NumNodes() <= 64 && (ego == nil || g.NumNodes() > ego.NumNodes()) {
+			ego = g
+		}
+	}
+	wide := planted(rand.New(rand.NewSource(23)), 3, 50, 0.3, 0.01)
+	for _, g := range []*graph.Graph{ego, wide} {
+		GirvanNewman(g, Options{})
+		if a := testing.AllocsPerRun(10, func() { GirvanNewman(g, Options{}) }); a != 4 {
+			t.Errorf("n=%d m=%d: %v allocations per run on a warm pool, want 4", g.NumNodes(), g.NumEdges(), a)
+		}
+	}
 }
