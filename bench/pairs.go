@@ -4,7 +4,7 @@
 // the repository benchmark, back to back on one machine, and records
 // the result under bench/history/. Run it through pairs.sh:
 //
-//	bash bench/pairs.sh <parent-rev> <workload> [pairs]
+//	bash bench/pairs.sh [-trace] <parent-rev> <workload> [pairs]
 //
 // The parent revision is exported with git archive into
 // .bench_build/pairs/<sha>/; the checkout, with any uncommitted edits, is
@@ -17,10 +17,21 @@
 // BENCHMARK.json it holds each side's median and quartiles and the number
 // of pairs the change won; it also holds every run's metrics and steal
 // share, and the machine stamp.
+//
+// With -trace every run is traced (-trace 1) and the record, of kind
+// "trace", is bench/history/<entry>-<workload>.trace.json: the same
+// summary per BENCHMARK.json per-layer metric that the runs measured
+// (a traced run reports the layers of other workloads as 0).
+//
+// The stamp's change_code_sha256 is the SHA-256 of git's raw listing of
+// the change's code changes against the parent (worktreeCodeSHA256), so
+// the record can be tied to the commit that lands it.
 package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -38,7 +49,8 @@ import (
 // repository root checks every file against it).
 type history struct {
 	Schema   int                `json:"schema"`
-	Source   string             `json:"source"` // "pairs.sh"
+	Source   string             `json:"source"`         // "pairs.sh"
+	Kind     string             `json:"kind,omitempty"` // "trace" for traced runs, empty for end-to-end ones
 	Entry    int                `json:"entry"`
 	Workload string             `json:"workload"`
 	Pairs    int                `json:"pairs"`
@@ -54,6 +66,9 @@ type machine struct {
 	ParentSHA   string `json:"parent_sha"`
 	ChangeSHA   string `json:"change_sha"`   // HEAD of the checkout
 	ChangeDirty bool   `json:"change_dirty"` // the checkout had uncommitted edits on top of it
+	// ChangeCodeSHA256 is the SHA-256 of codeDiff(parent_sha) over the
+	// checkout, uncommitted and untracked files included.
+	ChangeCodeSHA256 string `json:"change_code_sha256,omitempty"`
 }
 
 type summary struct {
@@ -87,14 +102,19 @@ type run struct {
 }
 
 func main() {
-	if len(os.Args) < 3 || len(os.Args) > 4 {
-		fatalf("usage: bash bench/pairs.sh <parent-rev> <workload> [pairs]")
+	args := os.Args[1:]
+	trace := len(args) > 0 && args[0] == "-trace"
+	if trace {
+		args = args[1:]
 	}
-	parentRev, workload, pairs := os.Args[1], os.Args[2], 10
-	if len(os.Args) == 4 {
-		n, err := strconv.Atoi(os.Args[3])
+	if len(args) < 2 || len(args) > 3 {
+		fatalf("usage: bash bench/pairs.sh [-trace] <parent-rev> <workload> [pairs]")
+	}
+	parentRev, workload, pairs := args[0], args[1], 10
+	if len(args) == 3 {
+		n, err := strconv.Atoi(args[2])
 		if err != nil || n < 1 {
-			fatalf("pairs %q: want a positive count", os.Args[3])
+			fatalf("pairs %q: want a positive count", args[2])
 		}
 		pairs = n
 	}
@@ -105,17 +125,23 @@ func main() {
 	m := machine{
 		NumCPU:      runtime.NumCPU(),
 		CPUModel:    cpuModel(),
-		GoVersion:   strings.TrimSpace(output("go", "env", "GOVERSION")),
+		GoVersion:   strings.TrimSpace(output(nil, "go", "env", "GOVERSION")),
 		ParentSHA:   git("rev-parse", parentRev+"^{commit}"),
 		ChangeSHA:   git("rev-parse", "HEAD"),
 		ChangeDirty: git("status", "--porcelain") != "",
 	}
+	m.ChangeCodeSHA256 = worktreeCodeSHA256(root, m.ParentSHA)
 	entry := newestEntry(git("show", m.ParentSHA+":CHANGES.md")) + 1
 	var bench struct {
-		EndToEnd []struct{ Name, Unit, Better string } `json:"end_to_end"`
+		EndToEnd []metricDecl `json:"end_to_end"`
+		PerLayer []metricDecl `json:"per_layer"`
 	}
 	if err := json.Unmarshal([]byte(git("show", m.ParentSHA+":BENCHMARK.json")), &bench); err != nil {
 		fatalf("parent BENCHMARK.json: %v", err)
+	}
+	kind, suffix, metrics := "", "", bench.EndToEnd
+	if trace {
+		kind, suffix, metrics = "trace", ".trace", bench.PerLayer
 	}
 
 	parentTree := filepath.Join(root, ".bench_build", "pairs", m.ParentSHA)
@@ -137,27 +163,32 @@ func main() {
 	}
 	for _, side := range []string{"parent", "change"} {
 		fmt.Fprintf(os.Stderr, "warm-up: %s\n", side)
-		runOnce(trees[side], workload, 42, filepath.Join(logDir, "warmup-"+side+".txt"))
+		runOnce(trees[side], workload, 42, trace, filepath.Join(logDir, "warmup-"+side+".txt"))
 	}
 
-	h := history{Schema: 1, Source: "pairs.sh", Entry: entry, Workload: workload, Pairs: pairs, Machine: m, Metrics: map[string]summary{}}
+	h := history{Schema: 1, Source: "pairs.sh", Kind: kind, Entry: entry, Workload: workload, Pairs: pairs, Machine: m, Metrics: map[string]summary{}}
 	for i := range pairs {
 		order := []string{"parent", "change"}
 		if i%2 == 1 {
 			slices.Reverse(order)
 		}
 		for j, side := range order {
-			r := runOnce(trees[side], workload, 43+i, filepath.Join(logDir, fmt.Sprintf("%d-%s-%d-%s.txt", entry, workload, i, side)))
+			r := runOnce(trees[side], workload, 43+i, trace, filepath.Join(logDir, fmt.Sprintf("%d-%s%s-%d-%s.txt", entry, workload, suffix, i, side)))
 			r.Pair, r.Side, r.Seed, r.First = i, side, 43+i, j == 0
 			h.Runs = append(h.Runs, r)
 			fmt.Fprintf(os.Stderr, "pair %d %s: %v\n", i, side, r.Metrics)
 		}
 	}
-	for _, e := range bench.EndToEnd {
+	for _, e := range metrics {
 		s := summary{Unit: e.Unit, Better: e.Better}
 		values := map[string][]float64{"parent": make([]float64, pairs), "change": make([]float64, pairs)}
+		reported, measured := true, !trace
 		for _, r := range h.Runs {
-			values[r.Side][r.Pair] = r.Metrics[e.Name]
+			v, ok := r.Metrics[e.Name]
+			values[r.Side][r.Pair], reported, measured = v, reported && ok, measured || v != 0
+		}
+		if !reported || !measured { // a traced run reports another workload's layers as 0
+			continue
 		}
 		for i := range pairs {
 			switch p, c := values["parent"][i], values["change"][i]; {
@@ -169,14 +200,14 @@ func main() {
 		}
 		s.Parent, s.Change = spreadOf(values["parent"]), spreadOf(values["change"])
 		h.Metrics[e.Name] = s
-		fmt.Printf("%-16s parent %-12.6g change %-12.6g (IQR %.4g / %.4g)  change better in %d of %d pairs\n",
+		fmt.Printf("%-32s parent %-12.6g change %-12.6g (IQR %.4g / %.4g)  change better in %d of %d pairs\n",
 			e.Name, s.Parent.Median, s.Change.Median, s.Parent.IQR, s.Change.IQR, s.ChangeWins, pairs)
 	}
 	out, err := json.MarshalIndent(h, "", "  ")
 	if err != nil {
 		fatalf("%v", err)
 	}
-	path := filepath.Join(root, "bench", "history", fmt.Sprintf("%d-%s.json", entry, workload))
+	path := filepath.Join(root, "bench", "history", fmt.Sprintf("%d-%s%s.json", entry, workload, suffix))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		fatalf("%v", err)
 	}
@@ -186,12 +217,44 @@ func main() {
 	fmt.Println("wrote", path)
 }
 
+type metricDecl struct{ Name, Unit, Better string }
+
+// codePathspec is what counts as code in a change: everything but the
+// prose (*.md) and the measurements themselves (bench/history/).
+var codePathspec = []string{"--", ".", ":(exclude)*.md", ":(exclude)bench/history"}
+
+// worktreeCodeSHA256 hashes the code changes from parent to the checkout,
+// untracked files included. It stages the checkout into a scratch index
+// under .bench_build, so the repository's own index is left alone. What
+// it hashes is git's raw listing (modes, full blob ids and NUL-terminated
+// paths of the changed files), which depends on the two trees only: no
+// diff, colour, prefix or path-quoting setting of the user's git config
+// changes it. TestBenchHistory lists the commit that adds a history file
+// against that commit's parent with diff-tree and the same flags.
+func worktreeCodeSHA256(root, parent string) string {
+	index := filepath.Join(root, ".bench_build", "pairs", "code.index")
+	if err := os.MkdirAll(filepath.Dir(index), 0o755); err != nil {
+		fatalf("%v", err)
+	}
+	_ = os.Remove(index)
+	env := append(os.Environ(), "GIT_INDEX_FILE="+index)
+	gitEnv(env, "read-tree", "HEAD")
+	gitEnv(env, "add", "-A")
+	diff := gitEnv(env, append([]string{"diff-index", "--cached", "-z", "--no-abbrev", "--no-renames", parent}, codePathspec...)...)
+	sum := sha256.Sum256([]byte(diff))
+	return hex.EncodeToString(sum[:])
+}
+
 var stealLine = regexp.MustCompile(`steal: ([0-9.]+)% of`)
 
-// runOnce runs one untraced benchmark of the tree, keeps its output in
-// logPath and returns what its last line reports.
-func runOnce(tree, workload string, seed int, logPath string) run {
-	cmd := exec.Command("bash", filepath.Join(tree, "benchmark", "run.sh"), "-workload", workload, "-seed", strconv.Itoa(seed), "-trace", "0")
+// runOnce runs one benchmark of the tree, traced or not, keeps its output
+// in logPath and returns what its last line reports.
+func runOnce(tree, workload string, seed int, trace bool, logPath string) run {
+	traceFlag := "0"
+	if trace {
+		traceFlag = "1"
+	}
+	cmd := exec.Command("bash", filepath.Join(tree, "benchmark", "run.sh"), "-workload", workload, "-seed", strconv.Itoa(seed), "-trace", traceFlag)
 	cmd.Dir = tree
 	out, err := cmd.CombinedOutput()
 	if werr := os.WriteFile(logPath, out, 0o644); werr != nil {
@@ -262,11 +325,15 @@ func cpuModel() string {
 	return "unknown"
 }
 
-func git(args ...string) string { return strings.TrimSpace(output("git", args...)) }
+func git(args ...string) string { return strings.TrimSpace(output(nil, "git", args...)) }
 
-func output(name string, args ...string) string {
+// gitEnv runs git in env and returns its untrimmed output.
+func gitEnv(env []string, args ...string) string { return output(env, "git", args...) }
+
+func output(env []string, name string, args ...string) string {
 	var stderr bytes.Buffer
 	cmd := exec.Command(name, args...)
+	cmd.Env = env
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {

@@ -22,7 +22,6 @@ var testOnlyAllowed = map[string]string{
 	"core.diffResults":             "the incremental oracle's comparison",
 	"core.Pipeline.RunFrozen":      "the incremental oracle's from-scratch rerun",
 	"community.EdgeBetweenness":    "the reference TestEdgeBetweennessMatchesReference holds GirvanNewman's Brandes to",
-	"gbdt.Model.LeafValues":        "the reference LeafValuesInto is held to",
 	"nn.Conv2D.wIdx":               "weight indexing of the naive convolution reference",
 	"graph.FromEdges":              "the test graph constructor",
 	"router.FaultTransport":        "fault seam of the router fault matrix",

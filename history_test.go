@@ -2,14 +2,18 @@ package locec_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -18,16 +22,18 @@ import (
 type benchHistory struct {
 	Schema   int    `json:"schema"`
 	Source   string `json:"source"`
+	Kind     string `json:"kind"`
 	Entry    int    `json:"entry"`
 	Workload string `json:"workload"`
 	Pairs    int    `json:"pairs"`
 	Machine  struct {
-		NumCPU      int    `json:"nproc"`
-		CPUModel    string `json:"cpu_model"`
-		GoVersion   string `json:"go_version"`
-		ParentSHA   string `json:"parent_sha"`
-		ChangeSHA   string `json:"change_sha"`
-		ChangeDirty bool   `json:"change_dirty"`
+		NumCPU           int    `json:"nproc"`
+		CPUModel         string `json:"cpu_model"`
+		GoVersion        string `json:"go_version"`
+		ParentSHA        string `json:"parent_sha"`
+		ChangeSHA        string `json:"change_sha"`
+		ChangeDirty      bool   `json:"change_dirty"`
+		ChangeCodeSHA256 string `json:"change_code_sha256"`
 	} `json:"machine"`
 	Metrics map[string]struct {
 		Unit       string      `json:"unit"`
@@ -77,15 +83,20 @@ func spreadOf(xs []float64) benchSpread {
 var perfOptEntry = regexp.MustCompile(`(?m)^- [0-9-]+ — PR ([0-9]+): \[perf_opt\]`)
 
 // TestBenchHistory holds every file under bench/history/ to the schema
-// bench/pairs.go writes: named <entry>-<workload>.json after a workload
-// and the end-to-end metrics BENCHMARK.json declares, with both sides of
-// every pair recorded and win counts, medians and quartiles that the runs
-// bear out. Every [perf_opt] CHANGES entry from 44 on, the first measured
-// with bench/pairs.sh, has at least one such file.
+// bench/pairs.go writes: named after a workload, <entry>-<workload>.json
+// over the end-to-end metrics BENCHMARK.json declares, or of kind "trace"
+// <entry>-<workload>.trace.json over per-layer metrics it declares, with
+// both sides of every pair recorded and win counts, medians and quartiles
+// that the runs bear out. Every [perf_opt] CHANGES entry from 44 on, the
+// first measured with bench/pairs.sh, has at least one such file. Where
+// git history is present, a file stamped with change_code_sha256 was
+// measured on the code its commit landed (codeDiffSHA256).
 func TestBenchHistory(t *testing.T) {
+	type metricDecl struct{ Name, Unit, Better string }
 	var bench struct {
-		Workloads []struct{ Name string }               `json:"workloads"`
-		EndToEnd  []struct{ Name, Unit, Better string } `json:"end_to_end"`
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []metricDecl            `json:"end_to_end"`
+		PerLayer  []metricDecl            `json:"per_layer"`
 	}
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
@@ -98,6 +109,11 @@ func TestBenchHistory(t *testing.T) {
 	for _, w := range bench.Workloads {
 		workloads[w.Name] = true
 	}
+	perLayer := map[string]metricDecl{}
+	for _, e := range bench.PerLayer {
+		perLayer[e.Name] = e
+	}
+	hasGit := gitHistory(t)
 	files, err := filepath.Glob(filepath.Join("bench", "history", "*"))
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +142,25 @@ func TestBenchHistory(t *testing.T) {
 			continue
 		}
 		errorf := func(format string, args ...any) { t.Errorf("%s: %s", path, fmt.Sprintf(format, args...)) }
-		if want := fmt.Sprintf("%d-%s.json", h.Entry, h.Workload); filepath.Base(path) != want {
+		metrics, suffix := bench.EndToEnd, ""
+		if h.Kind == "trace" {
+			metrics, suffix = nil, ".trace"
+			for name := range h.Metrics {
+				if e, ok := perLayer[name]; ok {
+					metrics = append(metrics, e)
+				} else {
+					errorf("%s is not a per-layer metric of BENCHMARK.json", name)
+				}
+			}
+			if len(metrics) == 0 {
+				errorf("a trace record summarises no metric")
+			}
+		}
+		if want := fmt.Sprintf("%d-%s%s.json", h.Entry, h.Workload, suffix); filepath.Base(path) != want {
 			errorf("named %s, want %s", filepath.Base(path), want)
 		}
-		if h.Schema != 1 || h.Source != "pairs.sh" || h.Entry < 1 || !workloads[h.Workload] || h.Pairs < 1 {
-			errorf("header schema=%d source=%q entry=%d workload=%q pairs=%d", h.Schema, h.Source, h.Entry, h.Workload, h.Pairs)
+		if h.Schema != 1 || h.Source != "pairs.sh" || (h.Kind != "" && h.Kind != "trace") || h.Entry < 1 || !workloads[h.Workload] || h.Pairs < 1 {
+			errorf("header schema=%d source=%q kind=%q entry=%d workload=%q pairs=%d", h.Schema, h.Source, h.Kind, h.Entry, h.Workload, h.Pairs)
 		}
 		m := h.Machine
 		if m.NumCPU < 1 || m.CPUModel == "" || m.GoVersion == "" || len(m.ParentSHA) != 40 || len(m.ChangeSHA) != 40 {
@@ -145,7 +175,7 @@ func TestBenchHistory(t *testing.T) {
 			if r.Pair < 0 || r.Pair >= h.Pairs || (r.Side != "parent" && r.Side != "change") || r.StealShare < 0 || r.StealShare > 1 || r.Attempted < r.Failed {
 				errorf("run %+v", r)
 			}
-			for _, e := range bench.EndToEnd {
+			for _, e := range metrics {
 				if _, ok := r.Metrics[e.Name]; !ok {
 					errorf("pair %d %s: no %s", r.Pair, r.Side, e.Name)
 				}
@@ -156,7 +186,7 @@ func TestBenchHistory(t *testing.T) {
 				errorf("pair/side %s recorded %d times", key, n)
 			}
 		}
-		for _, e := range bench.EndToEnd {
+		for _, e := range metrics {
 			s, ok := h.Metrics[e.Name]
 			if !ok {
 				errorf("no summary of %s", e.Name)
@@ -186,5 +216,55 @@ func TestBenchHistory(t *testing.T) {
 				}
 			}
 		}
+		if h.Machine.ChangeCodeSHA256 != "" && hasGit {
+			switch got, why := codeDiffSHA256(path); {
+			case why != "":
+				t.Logf("%s: code diff not checked: %s", path, why)
+			case got != h.Machine.ChangeCodeSHA256:
+				errorf("measured code diff sha256 %s, but the commit adding the file changes code with sha256 %s", h.Machine.ChangeCodeSHA256, got)
+			}
+		}
 	}
+}
+
+// gitHistory reports whether git and the repository's history are there,
+// and logs why not (an exported tree, say).
+func gitHistory(t *testing.T) bool {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Log("no git: history files' code diffs not checked")
+		return false
+	}
+	if _, err := runGit("rev-parse", "--verify", "-q", "HEAD"); err != nil {
+		t.Log("no git history: history files' code diffs not checked")
+		return false
+	}
+	return true
+}
+
+func runGit(args ...string) (string, error) {
+	out, err := exec.Command("git", args...).Output()
+	return string(out), err
+}
+
+// codeDiffSHA256 is bench/pairs.go's change_code_sha256 for the commit
+// that added path: the SHA-256 of git's raw listing of its code changes
+// against its parent (pairs.go's diff-index flags and pathspec, as
+// diff-tree). why says why there is none to compare.
+func codeDiffSHA256(path string) (sum, why string) {
+	out, err := runGit("log", "--diff-filter=A", "--format=%H", "-n", "1", "--", path)
+	commit := strings.TrimSpace(out)
+	if err != nil || commit == "" {
+		return "", "the file is not committed"
+	}
+	if _, err := runGit("rev-parse", "--verify", "-q", commit+"^"); err != nil {
+		return "", "the commit adding it has no parent in this clone"
+	}
+	args := []string{"diff-tree", "-r", "-z", "--no-abbrev", "--no-renames", commit + "^", commit,
+		"--", ".", ":(exclude)*.md", ":(exclude)bench/history"}
+	diff, err := runGit(args...)
+	if err != nil {
+		return "", fmt.Sprintf("git diff-tree: %v", err)
+	}
+	h := sha256.Sum256([]byte(diff))
+	return hex.EncodeToString(h[:]), ""
 }

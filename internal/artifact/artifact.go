@@ -39,8 +39,9 @@ const Magic = "LOCECART"
 
 // FormatVersion is the newest format this binary writes and understands.
 // Version 2 added the meta's division rule; a version 1 file reads as
-// divided by exact Girvan–Newman under its dataset seed.
-const FormatVersion = 2
+// divided by exact Girvan–Newman under its dataset seed. Version 3 drops
+// r_C from each community, which kept its class probabilities (Probs).
+const FormatVersion = 3
 
 // Section tags, unchanged since format version 1.
 const (
@@ -275,7 +276,7 @@ func (a *Artifact) Export() (*core.Export, error) {
 		Times:          metaTimes(a.meta.PhaseNs),
 	}
 	var err error
-	if ex.Egos, err = decodeEgos(a.raw[secEgos]); err != nil {
+	if ex.Egos, err = decodeEgos(a.raw[secEgos], a.meta.FormatVersion); err != nil {
 		return nil, fmt.Errorf("artifact: egos section: %w", err)
 	}
 	// Pin cross-section consistency through the meta node count (Graph
@@ -312,7 +313,9 @@ func (a *Artifact) Export() (*core.Export, error) {
 // the graph), the result RunFromArtifact rebuilds — division rule
 // included — and the pipeline that keeps applying mutations to it. The
 // pipeline is nil when the snapshot cannot be mutated: that takes the raw
-// dataset and both trained models.
+// dataset and both trained models. A combiner of another width than
+// Phase III rows (any LoCEC-XGB file of format version 1 or 2, whose r_C
+// was leaf values) is core.ErrCombinerWidth.
 func (a *Artifact) Restore() (*social.Dataset, *core.Result, *core.Pipeline, error) {
 	g, err := a.Graph()
 	if err != nil {
@@ -377,7 +380,9 @@ func (a *Artifact) Save(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	metaBlob, err := json.Marshal(a.meta)
+	meta := a.meta
+	meta.FormatVersion = FormatVersion // a loaded older file's meta echoes its old header
+	metaBlob, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("artifact: encode meta: %w", err)
 	}
@@ -519,6 +524,7 @@ func LoadBytes(data []byte) (*Artifact, error) {
 	if err := json.Unmarshal(raw[secMeta], &a.meta); err != nil {
 		return nil, fmt.Errorf("artifact: decode meta: %w", err)
 	}
+	a.meta.FormatVersion = int(version)
 	if version == 1 { // no division field: exact Girvan–Newman, the zero rule
 		a.meta.Division.Seed = a.meta.Seed
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -230,9 +231,11 @@ func TestCorruptionFutureVersion(t *testing.T) {
 	}
 }
 
-// TestVersion1Restores reads the checked-in fuzz seed, a version 1 file
-// written before the meta recorded the division rule: it loads, restores
-// mutable, and divides by exact Girvan–Newman under its dataset seed.
+// TestVersion1Restores reads the checked-in fuzz seed, a version 1
+// LoCEC-XGB file written before the meta recorded the division rule: it
+// loads, its export divides by exact Girvan–Newman under its dataset seed,
+// and Restore refuses it by name, because its combiner reads the
+// leaf-value rows of format versions 1 and 2.
 func TestVersion1Restores(t *testing.T) {
 	corpus, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzArtifact", "seed-valid"))
 	if err != nil {
@@ -250,15 +253,75 @@ func TestVersion1Restores(t *testing.T) {
 	if v := art.Meta().FormatVersion; v != 1 {
 		t.Fatalf("seed-valid is format version %d, want 1", v)
 	}
-	_, res, pipe, err := art.Restore()
+	ex, err := art.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pipe == nil {
-		t.Fatal("a version 1 artifact with an embedded dataset restores immutable")
+	if want := (core.DivisionConfig{Detector: core.DetectorGirvanNewman, Seed: 7}); ex.Division != want {
+		t.Fatalf("division rule %+v, want %+v", ex.Division, want)
 	}
-	if want := (core.DivisionConfig{Detector: core.DetectorGirvanNewman, Seed: 7}); res.Division != want {
-		t.Fatalf("division rule %+v, want %+v", res.Division, want)
+	if _, _, _, err := art.Restore(); !errors.Is(err, core.ErrCombinerWidth) || !strings.Contains(err.Error(), "retrain") {
+		t.Fatalf("Restore of a version 1 LoCEC-XGB artifact = %v, want ErrCombinerWidth asking to retrain", err)
+	}
+}
+
+// TestVersion2CNNRestoresAsVersion3: the gn+cnn golden as the parent
+// format wrote it (version 2, whose second float run per community
+// repeated Probs) restores to exactly what the version 3 golden restores
+// to — Probs, combiner and predictions ==, division rule included — and
+// saves back to the version 3 golden's bytes.
+func TestVersion2CNNRestoresAsVersion3(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden-gn+cnn-v2.locec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := artifact.Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := old.Meta().FormatVersion; v != 2 {
+		t.Fatalf("golden-gn+cnn-v2.locec is format version %d, want 2", v)
+	}
+	want := saveBytes(t, goldenArtifact(t, "gn+cnn"))
+	cur, err := artifact.Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, _, err := old.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref, _, err := cur.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Division != ref.Division || got.NumCommunities() != ref.NumCommunities() {
+		t.Fatalf("division %+v with %d communities, want %+v with %d",
+			got.Division, got.NumCommunities(), ref.Division, ref.NumCommunities())
+	}
+	for u, er := range ref.Egos {
+		for i, c := range er.Comms {
+			if g := got.Egos[u].Comms[i]; !slices.Equal(g.Probs, c.Probs) || cap(g.Probs) != len(g.Probs) {
+				t.Fatalf("ego %d community %d: Probs %v (cap %d), want %v", u, i, g.Probs, cap(g.Probs), c.Probs)
+			}
+		}
+	}
+	if g, r := got.Combiner, ref.Combiner; g.Classes != r.Classes || g.Features != r.Features || !slices.Equal(g.W, r.W) {
+		t.Fatalf("combiner %d×%d differs from the version 3 golden's %d×%d", g.Classes, g.Features, r.Classes, r.Features)
+	}
+	keys := ref.Edges.Keys()
+	if !slices.Equal(got.Edges.Keys(), keys) {
+		t.Fatal("predicted edge keys differ")
+	}
+	for _, k := range keys {
+		gl, gp, _ := got.Edges.Lookup(k)
+		rl, rp, _ := ref.Edges.Lookup(k)
+		if gl != rl || !slices.Equal(gp, rp) {
+			t.Fatalf("edge %d: %v %v, want %v %v", k, gl, gp, rl, rp)
+		}
+	}
+	if !bytes.Equal(saveBytes(t, old), want) {
+		t.Fatal("the version 2 golden does not save to the version 3 golden's bytes")
 	}
 }
 

@@ -307,8 +307,6 @@ func encodeEgos(e *encoder, egos []*core.EgoResult) error {
 		for _, comm := range er.Comms {
 			e.u32(uint32(len(comm.Probs)))
 			e.f64s(comm.Probs)
-			e.u32(uint32(len(comm.Result)))
-			e.f64s(comm.Result)
 			e.u32(uint32(len(comm.TruthVotes)))
 			for _, v := range comm.TruthVotes {
 				e.u32(uint32(int32(v)))
@@ -319,10 +317,10 @@ func encodeEgos(e *encoder, egos []*core.EgoResult) error {
 }
 
 // decodeEgos rebuilds every ego with core.NewEgoResult and gives its
-// communities' Probs and Result vectors as capped views (s[a:b:b]) of one
-// float slab per ego, so an ego replaced by a later epoch frees exactly its
-// own bytes.
-func decodeEgos(b []byte) ([]*core.EgoResult, error) {
+// communities' Probs as capped views (s[a:b:b]) of one float slab per
+// ego, so an ego replaced by a later epoch frees exactly its own bytes.
+// Before version 3 a community also stored r_C; that run is skipped.
+func decodeEgos(b []byte, version int) ([]*core.EgoResult, error) {
 	c := &cursor{b: b}
 	n := int(c.u64())
 	// An ego takes at least 12 bytes: its id and two counts.
@@ -350,7 +348,7 @@ func decodeEgos(b []byte) ([]*core.EgoResult, error) {
 			}
 			commIdx[j] = int(ci)
 		}
-		nf := commFloats(*c, nc)
+		nf := commFloats(*c, nc, version)
 		if nf < 0 {
 			c.fail = true
 			break
@@ -363,9 +361,8 @@ func decodeEgos(b []byte) ([]*core.EgoResult, error) {
 				comm.Probs, slab = slab[:np:np], slab[np:]
 				c.f64s(comm.Probs)
 			}
-			if nr := c.count(8); nr > 0 {
-				comm.Result, slab = slab[:nr:nr], slab[nr:]
-				c.f64s(comm.Result)
+			if version < 3 {
+				c.take(8 * c.count(8))
 			}
 			nv := c.count(4)
 			if c.fail {
@@ -390,18 +387,19 @@ func decodeEgos(b []byte) ([]*core.EgoResult, error) {
 	return egos, nil
 }
 
-// commFloats walks a copy of c over nc community records — Probs, Result
-// and truth votes, each behind its count — and returns how many floats
-// their Probs and Result hold, -1 if the records are cut short.
-func commFloats(c cursor, nc int) int {
+// commFloats walks a copy of c over nc community records — Probs, the
+// skipped r_C before version 3, and truth votes, each behind its count —
+// and returns how many floats their Probs hold, -1 if cut short.
+func commFloats(c cursor, nc, version int) int {
 	total := 0
 	for range nc {
 		np := c.count(8)
 		c.take(8 * np)
-		nr := c.count(8)
-		c.take(8 * nr)
+		if version < 3 {
+			c.take(8 * c.count(8))
+		}
 		c.take(4 * c.count(4))
-		total += np + nr
+		total += np
 	}
 	if c.fail {
 		return -1

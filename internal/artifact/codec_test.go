@@ -112,7 +112,7 @@ func TestDecodeGraphRejectsOverflowingCount(t *testing.T) {
 // hostile counts.
 func TestDecodeEgosRejectsOverflowingCount(t *testing.T) {
 	for _, n := range []uint64{math.MaxInt64, math.MaxUint64, 1 << 62} {
-		if _, err := decodeEgos(appendU64(nil, n)); err == nil {
+		if _, err := decodeEgos(appendU64(nil, n), FormatVersion); err == nil {
 			t.Errorf("n=%#x: crafted ego count accepted", n)
 		}
 	}
@@ -135,7 +135,7 @@ func TestDecodeEgosCountBoundedByRecordSize(t *testing.T) {
 	rest := bytes.Repeat([]byte{0xff}, 64<<10)
 	payload := append(appendU64(nil, uint64(len(rest))), rest...)
 	var err error
-	if got := bytesAllocated(func() { _, err = decodeEgos(payload) }); got > uint64(len(payload)) {
+	if got := bytesAllocated(func() { _, err = decodeEgos(payload, FormatVersion) }); got > uint64(len(payload)) {
 		t.Fatalf("decodeEgos allocated %d bytes on a %d-byte section", got, len(payload))
 	}
 	if err == nil {
@@ -196,9 +196,9 @@ func TestDecodePredsRejectsUnsortedKeys(t *testing.T) {
 
 // TestDecodeEgosAllocations: an ego decodes into the six objects
 // core.NewEgoResult builds it from (five, plus the CommIdx the decoder
-// hands it) and one slab holding its communities' Probs and Result
-// vectors; the staging arrays are shared by the whole section. The decoded
-// egos re-encode to the same bytes, and no community's vectors reach into
+// hands it) and one slab holding its communities' Probs vectors; the
+// staging arrays are shared by the whole section. The decoded egos
+// re-encode to the same bytes, and no community's vector reaches into
 // another's.
 func TestDecodeEgosAllocations(t *testing.T) {
 	net, err := wechat.Generate(wechat.DefaultConfig(120, 7))
@@ -210,7 +210,6 @@ func TestDecodeEgosAllocations(t *testing.T) {
 	for _, er := range egos {
 		for _, c := range er.Comms {
 			c.Probs = []float64{0.5, 0.25, 0.25}
-			c.Result = []float64{1, 2, 3, 4}
 			comms++
 		}
 	}
@@ -218,7 +217,7 @@ func TestDecodeEgosAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := decodeEgos(payload)
+	decoded, err := decodeEgos(payload, FormatVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +226,14 @@ func TestDecodeEgosAllocations(t *testing.T) {
 	}
 	for _, er := range decoded {
 		for _, c := range er.Comms {
-			if cap(c.Probs) != len(c.Probs) || cap(c.Result) != len(c.Result) {
-				t.Fatalf("ego %d: Probs or Result is not a capped view", er.Ego)
+			if cap(c.Probs) != len(c.Probs) {
+				t.Fatalf("ego %d: Probs is not a capped view", er.Ego)
 			}
 		}
 	}
 	// 32 covers the ego list, the cursor and the staging arrays' growth.
 	budget := float64(7*len(egos) + 32)
-	if a := testing.AllocsPerRun(5, func() { _, _ = decodeEgos(payload) }); a > budget {
+	if a := testing.AllocsPerRun(5, func() { _, _ = decodeEgos(payload, FormatVersion) }); a > budget {
 		t.Fatalf("%v allocations for %d egos and %d communities, want at most %v", a, len(egos), comms, budget)
 	}
 }

@@ -22,9 +22,9 @@ import (
 // order or to the header shows up here as a hash change; the format
 // promises the bytes only change with FormatVersion.
 var goldenSHA256 = map[string]string{
-	"labelprop+xgb":             "31bc8c6a3c64e1d15b39dcb3bc2f3305525bd1b87e045a5f4f09d977b8b8ad7b",
-	"gn+cnn":                    "f1fd4d07a8bdedd5ad03dbf50d1f87cc0f8d85390e35c5d38d8e0b8764bbaa97",
-	"clauset+xgb+dataset+delta": "8fde8ec191aff5eacd887b71a556d6a68d414c34da7c6e726841406ae47439ef",
+	"labelprop+xgb":             "3bcd93b6afb175899f3d155acca34864fb1c2ddabb6a4d3cf67fb8282390affd",
+	"gn+cnn":                    "e46f70333a45a52924921b04fb513715f884cca283b474f6e0493d37e84d453d",
+	"clauset+xgb+dataset+delta": "9fb604ee990bb2d958f9b6e1755b3699a108f933a49d05e234c329f484429f56",
 }
 
 // goldenArtifact trains the named pipeline on the n = 80 substrate and

@@ -10,16 +10,16 @@ import (
 	"locec/internal/tensor"
 )
 
-// CommunityClassifier is the Phase II model contract. Implementations must
-// provide class probabilities (for community-level evaluation and Fig. 13)
-// and a result vector r_C used as the edge-feature embedding (Eq. 4) —
-// the probability vector for CommCNN, the leaf-value embedding for XGBoost.
+// CommunityClassifier is the Phase II model contract. Implementations
+// provide each community's class probabilities: its classification result
+// r_C, which Phase III reads (Eq. 4) and community-level evaluation and
+// Fig. 13 score.
 type CommunityClassifier interface {
 	// Name identifies the variant ("LoCEC-CNN", "LoCEC-XGB").
 	Name() string
 	// Fit trains on the labeled communities.
 	Fit(ds *social.Dataset, comms []*LocalCommunity, labels []social.Label) error
-	// Classify fills Probs and Result on every community in place.
+	// Classify fills Probs on every community in place.
 	Classify(ds *social.Dataset, comms []*LocalCommunity)
 }
 
@@ -127,13 +127,13 @@ func (c *CNNClassifier) Classify(ds *social.Dataset, comms []*LocalCommunity) {
 			s.fill(x.Data, ds, comm, c.K, c.ShuffleRows, c.Seed)
 			probs := slab[i*nc : (i+1)*nc : (i+1)*nc]
 			net.PredictInto(x, probs)
-			comm.Probs, comm.Result = probs, probs // r_C = softmax vector (paper, Phase III)
+			comm.Probs = probs // r_C = softmax vector (paper, Phase III)
 		}
 	})
 }
 
 // XGBClassifier is the LoCEC-XGB variant: mean/std pooled community
-// vectors into a boosted-tree model; r_C is the leaf-value embedding.
+// vectors into a boosted-tree model; r_C is its softmax class vector.
 type XGBClassifier struct {
 	// Config tunes the GBDT; Classes is forced to NumLabels.
 	Config gbdt.Config
@@ -184,21 +184,18 @@ func (x *XGBClassifier) Fit(ds *social.Dataset, comms []*LocalCommunity, labels 
 }
 
 // Classify implements CommunityClassifier. Each community walks the
-// forest once: the leaf values are r_C, and the class probabilities are
-// read off them (gbdt.Model.ProbaFromLeavesInto) — bit for bit what
-// PredictProba would return from a second walk. A worker block writes both
-// into one slab it owns and hands out capped views (s[a:b:b]), so an
-// append to a Result or Probs copies instead of hitting its neighbour.
+// forest once (gbdt.Model.PredictProbaInto). A worker block writes every
+// probability vector of its share into one slab it owns and hands out
+// capped views (s[a:b:b]), so an append to Probs copies instead of
+// hitting its neighbour.
 func (x *XGBClassifier) Classify(ds *social.Dataset, comms []*LocalCommunity) {
 	parallel.For(len(comms), 0, func(lo, hi int) {
-		nt, nc := x.model.NumTrees(), x.model.NumClasses()
+		nc := x.model.NumClasses()
 		p := newPooler(ds, comms[lo:hi])
-		slab := make([]float64, (hi-lo)*(nt+nc))
+		slab := make([]float64, (hi-lo)*nc)
 		for i, comm := range comms[lo:hi] {
-			a, b := i*(nt+nc), (i+1)*(nt+nc)
-			comm.Result, comm.Probs = slab[a:a+nt:a+nt], slab[a+nt:b:b]
-			x.model.LeafValuesInto(p.features(ds, comm), comm.Result)
-			x.model.ProbaFromLeavesInto(comm.Result, comm.Probs)
+			comm.Probs = slab[i*nc : (i+1)*nc : (i+1)*nc]
+			x.model.PredictProbaInto(p.features(ds, comm), comm.Probs)
 		}
 	})
 }

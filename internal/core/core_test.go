@@ -336,7 +336,7 @@ func TestEdgeFeatureVectorSymmetric(t *testing.T) {
 	// Install dummy results so AppendEdgeFeatures works.
 	for _, er := range egos {
 		for _, c := range er.Comms {
-			c.Result = []float64{0.2, 0.5, 0.3}
+			c.Probs = []float64{0.2, 0.5, 0.3}
 		}
 	}
 	var u, v graph.NodeID

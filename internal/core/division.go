@@ -26,13 +26,10 @@ type LocalCommunity struct {
 	Members []graph.NodeID
 	// Tightness[i] is tightness(Members[i], C) per Eq. 3.
 	Tightness []float64
-	// Result is the classification probability vector r_C filled in
-	// Phase II (nil until then). For the CNN classifier it has length
-	// NumLabels; for XGBoost it is the leaf-value embedding.
-	Result []float64
 	// Probs is the class probability vector over the NumLabels classes,
-	// filled in Phase II regardless of classifier (used for Table V and
-	// Fig. 13).
+	// filled in Phase II (nil until then) by either classifier. It is the
+	// community's classification result r_C that Phase III reads (Eq. 4),
+	// and what Table V and Fig. 13 score.
 	Probs []float64
 	// TruthVotes counts revealed ego-edge labels per class; the majority
 	// defines the community's ground-truth label where known.

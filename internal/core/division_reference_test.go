@@ -119,7 +119,7 @@ func sameEgoResult(t *testing.T, what string, got, want *EgoResult) {
 	for c, w := range want.Comms {
 		g := got.Comms[c]
 		if g.Ego != w.Ego || !slices.Equal(g.Members, w.Members) || !slices.Equal(g.Tightness, w.Tightness) ||
-			g.TruthVotes != w.TruthVotes || g.Result != nil || g.Probs != nil {
+			g.TruthVotes != w.TruthVotes || g.Probs != nil {
 			t.Fatalf("%s: ego %d community %d = %+v, want %+v", what, want.Ego, c, *g, *w)
 		}
 	}

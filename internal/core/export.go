@@ -2,11 +2,16 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"locec/internal/graph"
 	"locec/internal/logreg"
 )
+
+// ErrCombinerWidth marks a combiner trained on rows of another r_C, such
+// as the leaf values of LoCEC-XGB artifacts of format versions 1 and 2.
+var ErrCombinerWidth = errors.New("combiner does not read class-probability rows; retrain")
 
 // Export is the portable state of a completed pipeline run: everything a
 // consumer needs to serve predictions — and to classify previously unseen
@@ -95,13 +100,18 @@ func (ex *Export) Validate() error {
 // the matching classifier type is rebuilt, installed on the pipeline (so
 // later Run calls reuse the loaded weights) and attached to the Result.
 // Restart cost becomes O(deserialize) instead of O(train) — the paper's
-// offline/online split (Section V-D).
+// offline/online split (Section V-D). A combiner of another width than
+// Phase III rows is ErrCombinerWidth.
 func (p *Pipeline) RunFromArtifact(ex *Export) (*Result, error) {
 	if ex == nil {
 		return nil, fmt.Errorf("core: run from artifact: nil export")
 	}
 	if err := ex.Validate(); err != nil {
 		return nil, err
+	}
+	if ex.Combiner != nil && ex.Combiner.Features != edgeRowWidth {
+		return nil, fmt.Errorf("core: run from artifact: %w: it reads %d features, Phase III rows have %d",
+			ErrCombinerWidth, ex.Combiner.Features, edgeRowWidth)
 	}
 	res := &Result{
 		ClassifierName: ex.ClassifierName,

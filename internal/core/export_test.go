@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -83,6 +84,14 @@ func TestRunFromArtifactRejectsCorruptExport(t *testing.T) {
 	ex.ClassifierName = "LoCEC-Quantum"
 	if _, err := p.RunFromArtifact(ex); err == nil || !strings.Contains(err.Error(), "unknown classifier") {
 		t.Fatalf("error %v, want unknown classifier", err)
+	}
+
+	ex, _ = res.Export()
+	leafRows := *ex.Combiner // a combiner of the 182-wide leaf-value rows
+	leafRows.Features = 2 + 2*30*social.NumLabels
+	ex.Combiner = &leafRows
+	if _, err := p.RunFromArtifact(ex); !errors.Is(err, ErrCombinerWidth) {
+		t.Fatalf("error %v, want ErrCombinerWidth", err)
 	}
 
 	if _, err := p.RunFromArtifact(nil); err == nil {

@@ -177,6 +177,9 @@ func (p *pooler) features(ds *social.Dataset, c *LocalCommunity) []float64 {
 	return out
 }
 
+// edgeRowWidth is the width of an AppendEdgeFeatures row: two r_C of NumLabels.
+const edgeRowWidth = 2 + 2*social.NumLabels
+
 // AppendEdgeFeatures appends f⟨u,v⟩ per Eq. 4, built from the two
 // endpoint-side communities — [tightness(u,Cu), tightness(v,Cv), r_Cu,
 // r_Cv] — to dst and returns the extended slice. Endpoints are ordered
@@ -190,7 +193,7 @@ func AppendEdgeFeatures(dst []float64, egoResults []*EgoResult, u, v graph.NodeI
 	cu, tu := egoResults[v].CommunityOf(u)
 	cv, tv := egoResults[u].CommunityOf(v)
 	dst = append(dst, tu, tv)
-	dst = append(dst, cu.Result...)
-	dst = append(dst, cv.Result...)
+	dst = append(dst, cu.Probs...)
+	dst = append(dst, cv.Probs...)
 	return dst
 }

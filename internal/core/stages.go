@@ -41,10 +41,10 @@ func (p *Pipeline) TrainClassifier(ds *social.Dataset, comms []*LocalCommunity) 
 	return nil
 }
 
-// ClassifyCommunities is the Phase II inference stage: fill Probs and
-// Result on the given communities with the pipeline's (already trained)
-// classifier. Run classifies every community once with it; refresh
-// classifies with the frozen model a result carries.
+// ClassifyCommunities is the Phase II inference stage: fill Probs on the
+// given communities with the pipeline's (already trained) classifier. Run
+// classifies every community once with it; refresh classifies with the
+// frozen model a result carries.
 func (p *Pipeline) ClassifyCommunities(ds *social.Dataset, comms []*LocalCommunity) {
 	p.cfg.Classifier.Classify(ds, comms)
 }
@@ -66,8 +66,8 @@ func (p *Pipeline) TrainCombiner(ds *social.Dataset, res *Result) error {
 		return fmt.Errorf("core: phase III requires labeled edges")
 	}
 	// Every row has the same width (bias, 2 tightness values, two
-	// fixed-width r_C embeddings), so the first row sizes the arena. A row
-	// of another width — an endpoint community with no Result — would
+	// class-probability vectors r_C), so the first row sizes the arena. A
+	// row of another width — an endpoint community with no Probs — would
 	// shift every later row, and is refused.
 	var rows []float64
 	y := make([]int, len(labeled))
@@ -95,8 +95,8 @@ func (p *Pipeline) TrainCombiner(ds *social.Dataset, res *Result) error {
 
 // predictBlockRows is the number of edges a prediction worker assembles
 // into one feature panel before running the GEMM. Large enough to amortize
-// the kernel's per-call setup, small enough that the panel (256 × 183
-// float64 ≈ 366 KB at combiner scale) stays cache-resident while the
+// the kernel's per-call setup, small enough that the panel (256 × 9
+// float64 ≈ 18 KB at combiner scale) stays cache-resident while the
 // softmax pass re-reads it.
 const predictBlockRows = 256
 

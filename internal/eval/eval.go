@@ -104,6 +104,10 @@ func (r Report) MacroF1() float64 {
 	return sum / float64(social.NumLabels)
 }
 
+// Accuracy is the share of scored instances predicted right; an
+// abstention counts as wrong.
+func (r Report) Accuracy() float64 { return r.Overall.Recall }
+
 // String renders the report as a paper-style table fragment.
 func (r Report) String() string {
 	var b strings.Builder

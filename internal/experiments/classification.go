@@ -194,13 +194,7 @@ func Table5(opt Options) ([]MethodReport, error) {
 		clf.Classify(net.Dataset, testC)
 		preds := make([]social.Label, len(testC))
 		for i, c := range testC {
-			best, bi := -1.0, 0
-			for ci, p := range c.Probs {
-				if p > best {
-					best, bi = p, ci
-				}
-			}
-			preds[i] = social.Label(bi)
+			preds[i] = social.Label(core.Argmax(c.Probs))
 		}
 		out = append(out, MethodReport{Method: clf.Name(), Report: eval.Evaluate(testL, preds)})
 	}

@@ -7,7 +7,10 @@ import (
 	"sort"
 	"time"
 
+	"locec/internal/core"
 	"locec/internal/eval"
+	"locec/internal/graph"
+	"locec/internal/social"
 )
 
 // EvalSchemaVersion guards the eval-report JSON layout; bump on breaking
@@ -38,9 +41,9 @@ type EvalReport struct {
 }
 
 // EvalSmoke runs the eval smoke suite: the full detector frontier with
-// the XGB Phase II (one macro-F1 metric per detector) plus one CNN row on
-// the paper's Girvan–Newman configuration. Deterministic for a fixed
-// Options.Seed.
+// the XGB Phase II plus one CNN row on the paper's Girvan–Newman
+// configuration, each with macro_f1 and phase3_gain, and phase2_acc per
+// classifier on GN (evaluatePhases). Deterministic for a fixed Options.Seed.
 func EvalSmoke(opt Options) (*EvalReport, error) {
 	opt.fill()
 	r := &EvalReport{SchemaVersion: EvalSchemaVersion, Suite: "eval-smoke"}
@@ -50,10 +53,13 @@ func EvalSmoke(opt Options) (*EvalReport, error) {
 		return nil, err
 	}
 	for _, row := range frontier.Rows {
-		r.Metrics = append(r.Metrics, EvalMetric{
-			Name:  "macro_f1/" + row.Detector + "/xgb",
-			Value: row.MacroF1,
-		})
+		config := row.Detector + "/xgb"
+		r.Metrics = append(r.Metrics,
+			EvalMetric{Name: "macro_f1/" + config, Value: row.MacroF1},
+			EvalMetric{Name: "phase3_gain/" + config, Value: row.Phase3Gain})
+		if row.Detector == core.DetectorGirvanNewman.String() {
+			r.Metrics = append(r.Metrics, EvalMetric{Name: "phase2_acc/xgb", Value: row.Phase2Acc})
+		}
 	}
 
 	// One CNN row: the paper's configuration, tracking Phase II quality
@@ -65,14 +71,50 @@ func EvalSmoke(opt Options) (*EvalReport, error) {
 	labeled := net.Dataset.LabeledEdges()
 	_, test := eval.Split(labeled, 0.8, opt.Seed+2)
 	holdOut(net.Dataset, test)
-	rep, err := evaluateOn(newLoCECCNN(opt), net.Dataset, test)
+	rep, acc, gain, err := evaluatePhases(newLoCECCNN(opt), net.Dataset, test)
 	if err != nil {
 		return nil, err
 	}
-	r.Metrics = append(r.Metrics, EvalMetric{Name: "macro_f1/gn/cnn", Value: rep.MacroF1()})
+	r.Metrics = append(r.Metrics,
+		EvalMetric{Name: "macro_f1/gn/cnn", Value: rep.MacroF1()},
+		EvalMetric{Name: "phase3_gain/gn/cnn", Value: gain},
+		EvalMetric{Name: "phase2_acc/cnn", Value: acc})
 
 	sort.Slice(r.Metrics, func(i, j int) bool { return r.Metrics[i].Name < r.Metrics[j].Name })
 	return r, nil
+}
+
+// evaluatePhases is evaluateOn that also splits the held-out quality by
+// phase. Phase II accuracy scores each community's r_C against the
+// majority true label of its ego edges that no phase saw (unrevealed),
+// over the communities that have one. Phase III gain is rep's macro-F1
+// minus the agreement rule's on the same classified communities: what
+// the trained combiner adds.
+func evaluatePhases(a *locecAdapter, ds *social.Dataset, test []uint64) (rep eval.Report, acc, gain float64, err error) {
+	if rep, err = evaluateOn(a, ds, test); err != nil {
+		return rep, 0, 0, err
+	}
+	var truth, pred []social.Label
+	for _, er := range a.Result().Egos {
+		for _, c := range er.Comms {
+			var held core.LocalCommunity
+			for _, m := range c.Members {
+				if k := (graph.Edge{U: er.Ego, V: m}).Key(); !ds.IsRevealed(k) && ds.TrueLabel(k).Valid() {
+					held.TruthVotes[ds.TrueLabel(k)]++
+				}
+			}
+			if l := held.TruthLabel(); l.Valid() {
+				truth, pred = append(truth, l), append(pred, social.Label(core.Argmax(c.Probs)))
+			}
+		}
+	}
+	agreed := *a.Result()
+	rule := &locecAdapter{res: &agreed}
+	if err := core.NewPipeline(core.Config{AgreementRule: true}).RecombineEdges(rule.res, ds.G.Edges()); err != nil {
+		return rep, 0, 0, err
+	}
+	byRule := eval.Evaluate(truthsOf(ds, test), rule.PredictEdges(ds, test))
+	return rep, eval.Evaluate(truth, pred).Accuracy(), rep.MacroF1() - byRule.MacroF1(), nil
 }
 
 // Write stores the report as pretty-printed JSON.

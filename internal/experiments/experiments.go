@@ -7,8 +7,8 @@
 // Absolute numbers differ from the paper — the substrate is a laptop-scale
 // synthetic network, not the WeChat production graph — but each experiment
 // preserves the published *shape*: method orderings, rough factors and
-// crossovers. The paper-vs-measured ledger for all of them is ROADMAP item
-// 5(b), not yet written.
+// crossovers. The fidelity ledger in PAPER.md records where the code's
+// reading of the paper is a choice.
 package experiments
 
 import (
@@ -41,8 +41,7 @@ type Options struct {
 func Default() Options {
 	// K = 16 covers virtually all of this substrate's communities (90%
 	// have at most 8 members), the same coverage point the paper's k = 20
-	// hits on WeChat's larger ego networks (ledger: ROADMAP item 5(b), not
-	// yet written).
+	// hits on WeChat's larger ego networks (not yet a PAPER.md ledger entry).
 	return Options{Users: 1200, Seed: 42, K: 16, CNNFilters: 6, CNNHidden: 32, CNNEpochs: 14}
 }
 

@@ -21,6 +21,8 @@ type FrontierRow struct {
 	// classifier (the fast, deterministic Phase II — the study varies
 	// only Phase I).
 	MacroF1 float64
+	// Phase2Acc and Phase3Gain split MacroF1 by phase (evaluatePhases).
+	Phase2Acc, Phase3Gain float64
 	// Phase1 is the wall-clock division time.
 	Phase1 time.Duration
 	// Communities counts the local communities the detector produced.
@@ -69,7 +71,7 @@ func DetectorFrontier(opt Options) (*FrontierResult, error) {
 				Seed: opt.Seed,
 			},
 		}
-		rep, err := evaluateOn(adapter, net.Dataset, test)
+		rep, acc, gain, err := evaluatePhases(adapter, net.Dataset, test)
 		if err != nil {
 			return nil, err
 		}
@@ -77,6 +79,8 @@ func DetectorFrontier(opt Options) (*FrontierResult, error) {
 			Detector:    name,
 			Local:       kind.Local(),
 			MacroF1:     rep.MacroF1(),
+			Phase2Acc:   acc,
+			Phase3Gain:  gain,
 			Phase1:      adapter.Result().Times.Phase1,
 			Communities: adapter.Result().NumCommunities(),
 		})
@@ -88,14 +92,14 @@ func DetectorFrontier(opt Options) (*FrontierResult, error) {
 func (r *FrontierResult) String() string {
 	var b strings.Builder
 	b.WriteString("Detector frontier (Phase I accuracy vs speed; XGB Phase II fixed)\n")
-	fmt.Fprintf(&b, "%-12s %-8s %10s %12s %12s\n", "Detector", "Scope", "Macro F1", "Phase I", "Communities")
+	fmt.Fprintf(&b, "%-12s %-8s %10s %12s %12s %12s %12s\n", "Detector", "Scope", "Macro F1", "II acc", "III gain", "Phase I", "Communities")
 	for _, row := range r.Rows {
 		scope := "global"
 		if row.Local {
 			scope = "local"
 		}
-		fmt.Fprintf(&b, "%-12s %-8s %10.3f %12s %12d\n",
-			row.Detector, scope, row.MacroF1, row.Phase1.Round(time.Millisecond), row.Communities)
+		fmt.Fprintf(&b, "%-12s %-8s %10.3f %12.3f %+12.3f %12s %12d\n",
+			row.Detector, scope, row.MacroF1, row.Phase2Acc, row.Phase3Gain, row.Phase1.Round(time.Millisecond), row.Communities)
 	}
 	return b.String()
 }

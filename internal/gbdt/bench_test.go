@@ -36,18 +36,6 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-func BenchmarkLeafValues(b *testing.B) {
-	X, y := blobs3(300, 3)
-	m, err := Train(X, y, Config{Classes: 3, Rounds: 25, MaxDepth: 4, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.LeafValues(X[i%len(X)])
-	}
-}
-
 // BenchmarkTrainReference500x26 is the retained exact trainer on the
 // same workload as BenchmarkTrain500x26 — the pair is the speedup
 // receipt for the histogram rewrite.

@@ -275,15 +275,12 @@ func TestPredictionAgreement(t *testing.T) {
 				t.Fatalf("margin[%d] diverges: ref=%v got=%v", c, rm[c], gm[c])
 			}
 		}
-		rl, gl := ref.LeafValues(x), got.LeafValues(x)
-		for i := range rl {
-			if math.Abs(rl[i]-gl[i]) > 1e-12 {
-				t.Fatalf("leaf value %d diverges: ref=%v got=%v", i, rl[i], gl[i])
-			}
-		}
 		for ti := range ref.forest.Roots {
-			_, ri := ref.forest.walk(ti, x)
-			_, gi := got.forest.walk(ti, x)
+			rv, ri := ref.forest.walk(ti, x)
+			gv, gi := got.forest.walk(ti, x)
+			if math.Abs(rv-gv) > 1e-12 {
+				t.Fatalf("leaf value %d diverges: ref=%v got=%v", ti, rv, gv)
+			}
 			if ri != gi {
 				t.Fatalf("leaf index %d diverges: ref=%v got=%v", ti, ri, gi)
 			}

@@ -70,9 +70,6 @@ func (f *Forest) appendTree(t *Tree, queue []int32) []int32 {
 	return queue
 }
 
-// NumTrees returns the forest's tree count.
-func (f *Forest) NumTrees() int { return len(f.Roots) }
-
 // walk routes x through tree ti and returns the leaf value plus the
 // leaf's index in the source tree's node slice.
 func (f *Forest) walk(ti int, x []float64) (float64, int32) {
@@ -103,13 +100,5 @@ func (f *Forest) MarginsInto(x []float64, dst []float64) {
 	for ti := range f.Roots {
 		v, _ := f.walk(ti, x)
 		dst[ti%classes] += v
-	}
-}
-
-// LeafValuesInto writes each tree's leaf value for x into dst (length
-// NumTrees) — the boosted-tree embedding in its zero-allocation form.
-func (f *Forest) LeafValuesInto(x []float64, dst []float64) {
-	for ti := range f.Roots {
-		dst[ti], _ = f.walk(ti, x)
 	}
 }

@@ -26,10 +26,8 @@
 // it is also the one thing that makes the class trees of a round
 // sequential.
 //
-// Besides class probabilities, the model exposes the per-tree leaf values
-// for an input — the "community embedding" LoCEC-XGB feeds to its edge
-// classifier, following the paper's reference to He et al. (ADKDD 2014).
-// Inference walks a flattened structure-of-arrays forest (flat.go).
+// LoCEC-XGB's Phase III reads the class probabilities as a community's
+// r_C. Inference walks a flattened structure-of-arrays forest (flat.go).
 package gbdt
 
 import (
@@ -126,15 +124,6 @@ type Model struct {
 
 // NumClasses returns the number of classes the model scores.
 func (m *Model) NumClasses() int { return m.cfg.Classes }
-
-// NumTrees returns the total number of trees (rounds × classes).
-func (m *Model) NumTrees() int {
-	n := 0
-	for _, r := range m.trees {
-		n += len(r)
-	}
-	return n
-}
 
 // validateTrainingSet shares the input checks between the histogram
 // trainer and the retained reference trainer.
@@ -442,14 +431,8 @@ func (t *trainer) findBestSplit(hs *histogram, G, H float64) (feat int, thresh f
 // Margins returns the raw per-class boosted scores for x.
 func (m *Model) Margins(x []float64) []float64 {
 	out := make([]float64, m.cfg.Classes)
-	m.MarginsInto(x, out)
+	m.forest.MarginsInto(x, out)
 	return out
-}
-
-// MarginsInto writes the raw per-class boosted scores for x into dst
-// (length Classes) without allocating.
-func (m *Model) MarginsInto(x []float64, dst []float64) {
-	m.forest.MarginsInto(x, dst[:m.cfg.Classes])
 }
 
 // PredictProba returns softmax class probabilities for x.
@@ -463,40 +446,11 @@ func (m *Model) PredictProba(x []float64) []float64 {
 // (length Classes). dst doubles as the margin scratch, so steady-state
 // inference performs no heap allocation.
 func (m *Model) PredictProbaInto(x []float64, dst []float64) {
-	m.MarginsInto(x, dst)
+	m.forest.MarginsInto(x, dst[:m.cfg.Classes])
 	tensor.Softmax(dst, dst)
 }
 
 // Predict returns the argmax class for x.
 func (m *Model) Predict(x []float64) int {
 	return tensor.ArgMax(m.Margins(x))
-}
-
-// LeafValues returns the concatenated leaf values reached by x in every
-// tree (rounds × classes values, in round-major order). This is the
-// GBDT-as-feature-transform embedding of He et al. used by LoCEC-XGB.
-func (m *Model) LeafValues(x []float64) []float64 {
-	out := make([]float64, m.forest.NumTrees())
-	m.forest.LeafValuesInto(x, out)
-	return out
-}
-
-// ProbaFromLeavesInto writes into dst (length NumClasses) the class
-// probabilities of the input whose LeafValues are leaves, without walking
-// the forest again: the leaf values are added into their class margins in
-// tree order — the additions MarginsInto performs — then softmaxed, so dst
-// equals PredictProba of that input bit for bit.
-func (m *Model) ProbaFromLeavesInto(leaves, dst []float64) {
-	dst = dst[:m.cfg.Classes]
-	clear(dst)
-	for ti, v := range leaves {
-		dst[ti%len(dst)] += v
-	}
-	tensor.Softmax(dst, dst)
-}
-
-// LeafValuesInto writes each tree's leaf value for x into dst (length
-// NumTrees) without allocating.
-func (m *Model) LeafValuesInto(x []float64, dst []float64) {
-	m.forest.LeafValuesInto(x, dst)
 }

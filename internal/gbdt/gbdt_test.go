@@ -116,20 +116,14 @@ func TestXorNeedsDepth(t *testing.T) {
 	}
 }
 
-func TestLeafValuesStableLength(t *testing.T) {
+func TestForestShape(t *testing.T) {
 	X, y := blobs3(100, 6)
 	m, err := Train(X, y, Config{Classes: 3, Rounds: 7, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 7 * 3
-	for _, x := range X[:10] {
-		if lv := m.LeafValues(x); len(lv) != want {
-			t.Fatalf("LeafValues length %d, want %d", len(lv), want)
-		}
-	}
-	if m.NumTrees() != want {
-		t.Fatalf("NumTrees = %d, want %d", m.NumTrees(), want)
+	if n := len(m.forest.Roots); n != 7*3 {
+		t.Fatalf("%d trees, want %d", n, 7*3)
 	}
 	if m.features != 3 {
 		t.Fatalf("features = %d", m.features)

@@ -27,14 +27,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatal("loaded model diverges from original")
 			}
 		}
-		la, lb := m.LeafValues(x), m2.LeafValues(x)
-		for i := range la {
-			if la[i] != lb[i] {
+		for ti := range m.forest.Roots {
+			va, _ := m.forest.walk(ti, x)
+			vb, _ := m2.forest.walk(ti, x)
+			if va != vb {
 				t.Fatal("leaf values diverge")
 			}
 		}
 	}
-	if m2.features != m.features || m2.NumTrees() != m.NumTrees() {
+	if m2.features != m.features || len(m2.forest.Roots) != len(m.forest.Roots) {
 		t.Fatal("model metadata lost")
 	}
 }

@@ -186,10 +186,10 @@ func validate(rows []float64, y []int, classes int) error {
 // (the root of the mean variance over the columns that vary), whichever is
 // larger. Dividing a column by its own deviation bounds every column's
 // spread by 1, so one step size is stable for all of them; the floor is
-// there because a plain z-score also blows the narrow columns — rarely
-// used leaf slots — up to the width of the informative ones, and the fit
-// then leans on them: on the benchmark's xgb datasets that cost up to
-// 0.3 % macro-F1 on the unrevealed edges, which the floor gives back.
+// there because a plain z-score also blows narrow columns up to the width
+// of the informative ones, and the fit then leans on them: when an XGB r_C
+// was 90 leaf values (rarely used slots), that cost up to 0.3 % macro-F1
+// on the benchmark's unrevealed edges, which the floor gave back.
 //
 // The sums are of deviations from row 0, in one pass, so a constant column
 // sums to exactly zero whatever its value: it standardises to all zeros

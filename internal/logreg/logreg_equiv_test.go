@@ -8,7 +8,7 @@ import (
 )
 
 // denseRows builds an nf-wide training set shaped like the Phase III
-// combiner's (two tightness scalars + two GBDT leaf-value embeddings).
+// combiner's (two tightness scalars + two class-probability vectors).
 func denseRows(n, nf, classes int, seed int64) ([][]float64, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	X := make([][]float64, n)
@@ -169,11 +169,11 @@ func TestPredictProbaBlockMatchesInto(t *testing.T) {
 }
 
 // BenchmarkTrainCombinerShape measures Train at the real Phase III shape
-// (≈37k labeled edges × 182 features × 3 classes) on learnable labels,
+// (≈37k labeled edges × 8 features × 3 classes) on learnable labels,
 // capped at five epochs so that it and the reference benchmark below run
 // the same epochs and the ratio of the two is the kernels' alone.
 func BenchmarkTrainCombinerShape(b *testing.B) {
-	X, y := teacherRows(36726, 182, 3, 99)
+	X, y := teacherRows(36726, 8, 3, 99)
 	cfg := Config{Classes: 3, Epochs: 5, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,7 +184,7 @@ func BenchmarkTrainCombinerShape(b *testing.B) {
 }
 
 func BenchmarkTrainReferenceCombinerShape(b *testing.B) {
-	X, y := teacherRows(36726, 182, 3, 99)
+	X, y := teacherRows(36726, 8, 3, 99)
 	cfg := Config{Classes: 3, Epochs: 5, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
