@@ -23,6 +23,19 @@
 // summary per BENCHMARK.json per-layer metric that the runs measured
 // (a traced run reports the layers of other workloads as 0).
 //
+// With -bench the pairs are Go benchmarks of one package, not a workload:
+//
+//	bash bench/pairs.sh -bench <parent-rev> <pkg-dir> <regex> [pairs]
+//
+// builds the package's test binary in each tree once (go test -c), then
+// pair i runs each side's binary from its package directory with
+// -test.run '^$' -test.bench <regex> -test.benchmem -test.cpu 1, in the
+// same alternating order. The record, of kind "bench", is
+// bench/history/<entry>-<last element of pkg-dir>.bench.json: per
+// benchmark the summary of its ns/op, B/op and allocs/op, named
+// "<Benchmark>:ns/op" and so on; a run's steal share is read from
+// /proc/stat around it.
+//
 // The stamp's change_code_sha256 is the SHA-256 of git's raw listing of
 // the change's code changes against the parent (worktreeCodeSHA256), so
 // the record can be tied to the commit that lands it.
@@ -50,9 +63,11 @@ import (
 type history struct {
 	Schema   int                `json:"schema"`
 	Source   string             `json:"source"`         // "pairs.sh"
-	Kind     string             `json:"kind,omitempty"` // "trace" for traced runs, empty for end-to-end ones
+	Kind     string             `json:"kind,omitempty"` // "trace" for traced runs, "bench" for Go benchmarks, empty for end-to-end ones
 	Entry    int                `json:"entry"`
 	Workload string             `json:"workload"`
+	Package  string             `json:"package,omitempty"` // -bench: the package directory
+	Bench    string             `json:"bench,omitempty"`   // -bench: the benchmark regex
 	Pairs    int                `json:"pairs"`
 	Machine  machine            `json:"machine"`
 	Metrics  map[string]summary `json:"metrics"`
@@ -102,19 +117,22 @@ type run struct {
 }
 
 func main() {
-	args := os.Args[1:]
-	trace := len(args) > 0 && args[0] == "-trace"
-	if trace {
-		args = args[1:]
+	args, mode := os.Args[1:], ""
+	if len(args) > 0 && (args[0] == "-trace" || args[0] == "-bench") {
+		mode, args = args[0][1:], args[1:]
 	}
-	if len(args) < 2 || len(args) > 3 {
-		fatalf("usage: bash bench/pairs.sh [-trace] <parent-rev> <workload> [pairs]")
+	want := 2 // <parent-rev> <workload>, or <parent-rev> <pkg-dir> <regex>
+	if mode == "bench" {
+		want = 3
 	}
-	parentRev, workload, pairs := args[0], args[1], 10
-	if len(args) == 3 {
-		n, err := strconv.Atoi(args[2])
+	if len(args) < want || len(args) > want+1 {
+		fatalf("usage: bash bench/pairs.sh [-trace] <parent-rev> <workload> [pairs]\n       bash bench/pairs.sh -bench <parent-rev> <pkg-dir> <regex> [pairs]")
+	}
+	parentRev, pairs := args[0], 10
+	if len(args) == want+1 {
+		n, err := strconv.Atoi(args[want])
 		if err != nil || n < 1 {
-			fatalf("pairs %q: want a positive count", args[2])
+			fatalf("pairs %q: want a positive count", args[want])
 		}
 		pairs = n
 	}
@@ -139,10 +157,6 @@ func main() {
 	if err := json.Unmarshal([]byte(git("show", m.ParentSHA+":BENCHMARK.json")), &bench); err != nil {
 		fatalf("parent BENCHMARK.json: %v", err)
 	}
-	kind, suffix, metrics := "", "", bench.EndToEnd
-	if trace {
-		kind, suffix, metrics = "trace", ".trace", bench.PerLayer
-	}
 
 	parentTree := filepath.Join(root, ".bench_build", "pairs", m.ParentSHA)
 	if _, err := os.Stat(parentTree); err != nil {
@@ -161,28 +175,64 @@ func main() {
 	if err := os.MkdirAll(logDir, 0o755); err != nil {
 		fatalf("%v", err)
 	}
-	for _, side := range []string{"parent", "change"} {
-		fmt.Fprintf(os.Stderr, "warm-up: %s\n", side)
-		runOnce(trees[side], workload, 42, trace, filepath.Join(logDir, "warmup-"+side+".txt"))
+
+	h := history{Schema: 1, Source: "pairs.sh", Kind: mode, Entry: entry, Pairs: pairs, Machine: m, Metrics: map[string]summary{}}
+	var name string
+	var measure func(side string, seed int, logPath string) run
+	if mode == "bench" {
+		h.Package, h.Bench = filepath.ToSlash(filepath.Clean(args[1])), args[2]
+		name = fmt.Sprintf("%d-%s.bench", entry, filepath.Base(h.Package))
+		bins := map[string]string{}
+		for side, tree := range trees {
+			bins[side] = filepath.Join(root, ".bench_build", "pairs", "bin", side+".test")
+			build := exec.Command("go", "test", "-c", "-o", bins[side], "./"+h.Package)
+			build.Dir, build.Stdout, build.Stderr = tree, os.Stderr, os.Stderr
+			if err := build.Run(); err != nil {
+				fatalf("build %s test binary: %v", side, err)
+			}
+		}
+		measure = func(side string, _ int, logPath string) run {
+			return runBench(bins[side], filepath.Join(trees[side], h.Package), h.Bench, logPath)
+		}
+	} else {
+		h.Workload = args[1]
+		name = fmt.Sprintf("%d-%s", entry, h.Workload)
+		if mode == "trace" {
+			name += ".trace"
+		}
+		trace := mode == "trace"
+		for _, side := range []string{"parent", "change"} {
+			fmt.Fprintf(os.Stderr, "warm-up: %s\n", side)
+			runOnce(trees[side], h.Workload, 42, trace, filepath.Join(logDir, "warmup-"+side+".txt"))
+		}
+		measure = func(side string, seed int, logPath string) run {
+			return runOnce(trees[side], h.Workload, seed, trace, logPath)
+		}
 	}
 
-	h := history{Schema: 1, Source: "pairs.sh", Kind: kind, Entry: entry, Workload: workload, Pairs: pairs, Machine: m, Metrics: map[string]summary{}}
 	for i := range pairs {
 		order := []string{"parent", "change"}
 		if i%2 == 1 {
 			slices.Reverse(order)
 		}
 		for j, side := range order {
-			r := runOnce(trees[side], workload, 43+i, trace, filepath.Join(logDir, fmt.Sprintf("%d-%s%s-%d-%s.txt", entry, workload, suffix, i, side)))
+			r := measure(side, 43+i, filepath.Join(logDir, fmt.Sprintf("%s-%d-%s.txt", name, i, side)))
 			r.Pair, r.Side, r.Seed, r.First = i, side, 43+i, j == 0
 			h.Runs = append(h.Runs, r)
 			fmt.Fprintf(os.Stderr, "pair %d %s: %v\n", i, side, r.Metrics)
 		}
 	}
+	metrics := bench.EndToEnd
+	switch mode {
+	case "trace":
+		metrics = bench.PerLayer
+	case "bench":
+		metrics = benchMetrics(h.Runs)
+	}
 	for _, e := range metrics {
 		s := summary{Unit: e.Unit, Better: e.Better}
 		values := map[string][]float64{"parent": make([]float64, pairs), "change": make([]float64, pairs)}
-		reported, measured := true, !trace
+		reported, measured := true, mode != "trace"
 		for _, r := range h.Runs {
 			v, ok := r.Metrics[e.Name]
 			values[r.Side][r.Pair], reported, measured = v, reported && ok, measured || v != 0
@@ -207,7 +257,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	path := filepath.Join(root, "bench", "history", fmt.Sprintf("%d-%s%s.json", entry, workload, suffix))
+	path := filepath.Join(root, "bench", "history", name+".json")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		fatalf("%v", err)
 	}
@@ -286,6 +336,92 @@ func runOnce(tree, workload string, seed int, trace bool, logPath string) run {
 	pct, _ := strconv.ParseFloat(string(m[1]), 64)
 	r.StealShare = pct / 100
 	return r
+}
+
+// benchUnits are the go test -benchmem columns a bench record keeps, with
+// the unit and direction of each; TestBenchHistory holds the record to
+// the same table.
+var benchUnits = map[string]string{"ns/op": "ns", "B/op": "B", "allocs/op": "count"}
+
+// runBench runs one test binary's benchmarks from its package directory,
+// keeps the output in logPath and returns each benchmark's ns/op, B/op
+// and allocs/op as "<Benchmark>:<column>".
+func runBench(bin, dir, regex, logPath string) run {
+	cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", regex, "-test.benchmem", "-test.cpu", "1", "-test.timeout", "30m")
+	cmd.Dir = dir
+	stealBefore, totalBefore := cpuTicks()
+	out, err := cmd.CombinedOutput()
+	stealAfter, totalAfter := cpuTicks()
+	if werr := os.WriteFile(logPath, out, 0o644); werr != nil {
+		fatalf("%v", werr)
+	}
+	if err != nil {
+		fatalf("%s: %v (output in %s)", cmd, err, logPath)
+	}
+	r := run{Correct: true, Metrics: map[string]float64{}}
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		r.Attempted++
+		for i := 2; i+1 < len(f); i += 2 {
+			if _, ok := benchUnits[f[i+1]]; ok {
+				v, err := strconv.ParseFloat(f[i], 64)
+				if err != nil {
+					fatalf("%s: %q: %v (output in %s)", cmd, line, err, logPath)
+				}
+				r.Metrics[f[0]+":"+f[i+1]] = v
+			}
+		}
+	}
+	if r.Attempted == 0 {
+		fatalf("%s: no benchmark matched (output in %s)", cmd, logPath)
+	}
+	if totalAfter > totalBefore {
+		r.StealShare = float64(stealAfter-stealBefore) / float64(totalAfter-totalBefore)
+	}
+	return r
+}
+
+// benchMetrics declares every "<Benchmark>:<column>" the runs report.
+func benchMetrics(runs []run) []metricDecl {
+	var names []string
+	for _, r := range runs {
+		for name := range r.Metrics {
+			if !slices.Contains(names, name) {
+				names = append(names, name)
+			}
+		}
+	}
+	slices.Sort(names)
+	decls := make([]metricDecl, len(names))
+	for i, name := range names {
+		column := name[strings.LastIndex(name, ":")+1:]
+		decls[i] = metricDecl{Name: name, Unit: benchUnits[column], Better: "lower"}
+	}
+	return decls
+}
+
+// cpuTicks is the machine's steal and total CPU ticks from /proc/stat (0
+// and 0 where it is missing).
+func cpuTicks() (steal, total int64) {
+	b, _ := os.ReadFile("/proc/stat")
+	line, _, _ := strings.Cut(string(b), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0, 0
+	}
+	for i, v := range f[1:] {
+		n, _ := strconv.ParseInt(v, 10, 64)
+		if i < 8 { // guest time is already counted in user time
+			total += n
+		}
+		if i == 7 {
+			steal = n
+		}
+	}
+	return steal, total
 }
 
 // spreadOf is the median and quartiles of xs.

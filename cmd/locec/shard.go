@@ -9,6 +9,12 @@ package main
 // Ownership follows internal/ring's consistent hash of node IDs — the
 // same pure function the router and each shard server compute — so the
 // cut needs no manifest: shard i of N is fully described by its stamp.
+//
+// The cut is one pass over the full artifact's section bytes for all N
+// shards (artifact.CutShards): each node's owner is hashed once, an owned
+// ego's record is copied as it is and every other slot gets a 12-byte
+// empty record, and the graph CSR and prediction runs are written as
+// section bytes, which SaveFile then copies without re-encoding.
 
 import (
 	"flag"

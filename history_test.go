@@ -25,6 +25,8 @@ type benchHistory struct {
 	Kind     string `json:"kind"`
 	Entry    int    `json:"entry"`
 	Workload string `json:"workload"`
+	Package  string `json:"package"`
+	Bench    string `json:"bench"`
 	Pairs    int    `json:"pairs"`
 	Machine  struct {
 		NumCPU           int    `json:"nproc"`
@@ -82,12 +84,18 @@ func spreadOf(xs []float64) benchSpread {
 // perfOptEntry matches a CHANGES entry whose title carries [perf_opt].
 var perfOptEntry = regexp.MustCompile(`(?m)^- [0-9-]+ — PR ([0-9]+): \[perf_opt\]`)
 
+// benchColumns are the go test -benchmem columns a "bench" record keeps,
+// with the unit bench/pairs.go gives each; every one is better lower.
+var benchColumns = map[string]string{"ns/op": "ns", "B/op": "B", "allocs/op": "count"}
+
 // TestBenchHistory holds every file under bench/history/ to the schema
 // bench/pairs.go writes: named after a workload, <entry>-<workload>.json
 // over the end-to-end metrics BENCHMARK.json declares, or of kind "trace"
-// <entry>-<workload>.trace.json over per-layer metrics it declares, with
-// both sides of every pair recorded and win counts, medians and quartiles
-// that the runs bear out. Every [perf_opt] CHANGES entry from 44 on, the
+// <entry>-<workload>.trace.json over per-layer metrics it declares; or of
+// kind "bench" <entry>-<package>.bench.json over the ns/op, B/op and
+// allocs/op of a package's Go benchmarks. Every file has both sides of
+// every pair recorded and win counts, medians and quartiles that the runs
+// bear out. Every [perf_opt] CHANGES entry from 44 on, the
 // first measured with bench/pairs.sh, has at least one such file. Where
 // git history is present, a file stamped with change_code_sha256 was
 // measured on the code its commit landed (codeDiffSHA256).
@@ -142,25 +150,39 @@ func TestBenchHistory(t *testing.T) {
 			continue
 		}
 		errorf := func(format string, args ...any) { t.Errorf("%s: %s", path, fmt.Sprintf(format, args...)) }
-		metrics, suffix := bench.EndToEnd, ""
-		if h.Kind == "trace" {
-			metrics, suffix = nil, ".trace"
-			for name := range h.Metrics {
-				if e, ok := perLayer[name]; ok {
+		metrics, name := bench.EndToEnd, h.Workload
+		switch h.Kind {
+		case "trace":
+			metrics, name = nil, h.Workload+".trace"
+			for metric := range h.Metrics {
+				if e, ok := perLayer[metric]; ok {
 					metrics = append(metrics, e)
 				} else {
-					errorf("%s is not a per-layer metric of BENCHMARK.json", name)
+					errorf("%s is not a per-layer metric of BENCHMARK.json", metric)
 				}
 			}
-			if len(metrics) == 0 {
-				errorf("a trace record summarises no metric")
+		case "bench":
+			metrics, name = nil, filepath.Base(h.Package)+".bench"
+			for metric := range h.Metrics {
+				fn, column, _ := strings.Cut(metric, ":")
+				if unit, ok := benchColumns[column]; ok && strings.HasPrefix(fn, "Benchmark") {
+					metrics = append(metrics, metricDecl{metric, unit, "lower"})
+				} else {
+					errorf("%s is not <Benchmark>:<ns/op|B/op|allocs/op>", metric)
+				}
 			}
 		}
-		if want := fmt.Sprintf("%d-%s%s.json", h.Entry, h.Workload, suffix); filepath.Base(path) != want {
+		if h.Kind != "" && len(metrics) == 0 {
+			errorf("a %s record summarises no metric", h.Kind)
+		}
+		if want := fmt.Sprintf("%d-%s.json", h.Entry, name); filepath.Base(path) != want {
 			errorf("named %s, want %s", filepath.Base(path), want)
 		}
-		if h.Schema != 1 || h.Source != "pairs.sh" || (h.Kind != "" && h.Kind != "trace") || h.Entry < 1 || !workloads[h.Workload] || h.Pairs < 1 {
-			errorf("header schema=%d source=%q kind=%q entry=%d workload=%q pairs=%d", h.Schema, h.Source, h.Kind, h.Entry, h.Workload, h.Pairs)
+		isBench := h.Kind == "bench"
+		if h.Schema != 1 || h.Source != "pairs.sh" || (h.Kind != "" && h.Kind != "trace" && !isBench) || h.Entry < 1 || h.Pairs < 1 ||
+			workloads[h.Workload] == isBench || (h.Package != "") != isBench || (h.Bench != "") != isBench {
+			errorf("header schema=%d source=%q kind=%q entry=%d workload=%q package=%q bench=%q pairs=%d",
+				h.Schema, h.Source, h.Kind, h.Entry, h.Workload, h.Package, h.Bench, h.Pairs)
 		}
 		m := h.Machine
 		if m.NumCPU < 1 || m.CPUModel == "" || m.GoVersion == "" || len(m.ParentSHA) != 40 || len(m.ChangeSHA) != 40 {

@@ -152,21 +152,22 @@ func New(g *graph.Graph, ex *core.Export, seed int64) (*Artifact, error) {
 	for _, er := range ex.Egos {
 		comms += len(er.Comms)
 	}
-	return &Artifact{
-		meta: Meta{
-			FormatVersion: FormatVersion,
-			Classifier:    ex.ClassifierName,
-			Classes:       ex.Edges.Classes(),
-			Nodes:         g.NumNodes(),
-			Edges:         g.NumEdges(),
-			Communities:   comms,
-			Seed:          seed,
-			Division:      ex.Division,
-			PhaseNs:       phaseNs(ex.Times),
-		},
-		g:  g,
-		ex: ex,
-	}, nil
+	return &Artifact{meta: exportMeta(ex, g.NumNodes(), g.NumEdges(), comms, seed), g: g, ex: ex}, nil
+}
+
+// exportMeta is the meta of an artifact of ex at the given scale.
+func exportMeta(ex *core.Export, nodes, edges, comms int, seed int64) Meta {
+	return Meta{
+		FormatVersion: FormatVersion,
+		Classifier:    ex.ClassifierName,
+		Classes:       ex.Edges.Classes(),
+		Nodes:         nodes,
+		Edges:         edges,
+		Communities:   comms,
+		Seed:          seed,
+		Division:      ex.Division,
+		PhaseNs:       phaseNs(ex.Times),
+	}
 }
 
 // phaseNs renders PhaseTimes for the meta document.
@@ -270,12 +271,10 @@ func (a *Artifact) Export() (*core.Export, error) {
 	if a.ex != nil {
 		return a.ex, nil
 	}
-	ex := &core.Export{
-		ClassifierName: a.meta.Classifier,
-		Division:       a.meta.Division,
-		Times:          metaTimes(a.meta.PhaseNs),
+	ex, err := a.decodeTail()
+	if err != nil {
+		return nil, err
 	}
-	var err error
 	if ex.Egos, err = decodeEgos(a.raw[secEgos], a.meta.FormatVersion); err != nil {
 		return nil, fmt.Errorf("artifact: egos section: %w", err)
 	}
@@ -286,17 +285,28 @@ func (a *Artifact) Export() (*core.Export, error) {
 		return nil, fmt.Errorf("artifact: egos section has %d entries, meta declares %d nodes",
 			len(ex.Egos), a.meta.Nodes)
 	}
-	if err = decodePreds(a.raw[secPreds], ex); err != nil {
+	a.ex = ex
+	return ex, nil
+}
+
+// decodeTail returns the export less its egos, validated: the meta's
+// fields, predictions, model and combiner (egoWalker checks the egos).
+func (a *Artifact) decodeTail() (*core.Export, error) {
+	ex := &core.Export{
+		ClassifierName: a.meta.Classifier,
+		Division:       a.meta.Division,
+		Times:          metaTimes(a.meta.PhaseNs),
+		Model:          a.raw[secModel],
+	}
+	if err := decodePreds(a.raw[secPreds], ex); err != nil {
 		return nil, fmt.Errorf("artifact: preds section: %w", err)
 	}
 	if ex.Edges.Len() != a.meta.Edges {
 		return nil, fmt.Errorf("artifact: preds section has %d edges, meta declares %d",
 			ex.Edges.Len(), a.meta.Edges)
 	}
-	if blob := a.raw[secModel]; len(blob) > 0 {
-		ex.Model = blob
-	}
 	if blob := a.raw[secCombiner]; len(blob) > 0 {
+		var err error
 		if ex.Combiner, err = decodeCombiner(blob); err != nil {
 			return nil, fmt.Errorf("artifact: combiner section: %w", err)
 		}
@@ -304,7 +314,6 @@ func (a *Artifact) Export() (*core.Export, error) {
 	if err := ex.Validate(); err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	a.ex = ex
 	return ex, nil
 }
 
@@ -368,41 +377,54 @@ func blob(b []byte) func(*encoder) error {
 // Save writes the artifact in format version FormatVersion. Output is
 // deterministic for identical inputs (section order is fixed and no
 // timestamps are invented), so identical runs produce byte-identical
-// artifacts. Sections stream through one small buffer twice — into
-// io.Discard to measure the header's lengths and CRCs, then to w — and
-// Save fails if a section's bytes differ between the passes.
+// artifacts. An artifact loaded (or cut) at FormatVersion copies each
+// section it never decoded, as encoding it would write it. Sections
+// stream through one small buffer twice — into io.Discard to measure the
+// header's lengths and CRCs, then to w — and Save fails if a section's
+// bytes differ between the passes.
 func (a *Artifact) Save(w io.Writer) error {
-	g, err := a.Graph()
-	if err != nil {
-		return err
-	}
-	ex, err := a.Export()
-	if err != nil {
-		return err
-	}
 	meta := a.meta
 	meta.FormatVersion = FormatVersion // a loaded older file's meta echoes its old header
 	metaBlob, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("artifact: encode meta: %w", err)
 	}
-	sections := []section{
-		{secMeta, blob(metaBlob)},
-		{secGraph, func(e *encoder) error { encodeGraph(e, g); return nil }},
-		{secEgos, func(e *encoder) error { return encodeEgos(e, ex.Egos) }},
+	sections := append(make([]section, 0, 7), section{secMeta, blob(metaBlob)})
+	verbatim := a.meta.FormatVersion == FormatVersion
+	if verbatim && a.g == nil {
+		sections = append(sections, section{secGraph, blob(a.raw[secGraph])})
+	} else if g, err := a.Graph(); err != nil {
+		return err
+	} else {
+		sections = append(sections, section{secGraph, func(e *encoder) error { encodeGraph(e, g); return nil }})
 	}
-	if len(ex.Model) > 0 {
-		sections = append(sections, section{secModel, blob(ex.Model)})
-	}
-	if ex.Combiner != nil {
-		b, err := encodeCombiner(ex.Combiner)
-		if err != nil {
-			return fmt.Errorf("artifact: encode combiner: %w", err)
+	if verbatim && a.ex == nil {
+		for _, tag := range []string{secEgos, secModel, secCombiner, secPreds} {
+			if b := a.raw[tag]; len(b) > 0 {
+				sections = append(sections, section{tag, blob(b)})
+			}
 		}
-		sections = append(sections, section{secCombiner, blob(b)})
+	} else {
+		ex, err := a.Export()
+		if err != nil {
+			return err
+		}
+		sections = append(sections, section{secEgos, func(e *encoder) error { return encodeEgos(e, ex.Egos) }})
+		if len(ex.Model) > 0 {
+			sections = append(sections, section{secModel, blob(ex.Model)})
+		}
+		if ex.Combiner != nil {
+			b, err := encodeCombiner(ex.Combiner)
+			if err != nil {
+				return fmt.Errorf("artifact: encode combiner: %w", err)
+			}
+			sections = append(sections, section{secCombiner, blob(b)})
+		}
+		sections = append(sections, section{secPreds, func(e *encoder) error { encodePreds(e, ex.Edges); return nil }})
 	}
-	sections = append(sections, section{secPreds, func(e *encoder) error { encodePreds(e, ex.Edges); return nil }})
-	if ds, err := a.Dataset(); err != nil {
+	if b := a.raw[secDataset]; verbatim && a.ds == nil && len(b) > 0 {
+		sections = append(sections, section{secDataset, blob(b)})
+	} else if ds, err := a.Dataset(); err != nil {
 		return err
 	} else if ds != nil {
 		sections = append(sections, section{secDataset, datasetSection(ds)})

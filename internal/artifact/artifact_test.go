@@ -3,10 +3,8 @@ package artifact_test
 import (
 	"bytes"
 	"errors"
-	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -231,27 +229,25 @@ func TestCorruptionFutureVersion(t *testing.T) {
 	}
 }
 
-// TestVersion1Restores reads the checked-in fuzz seed, a version 1
-// LoCEC-XGB file written before the meta recorded the division rule: it
-// loads, its export divides by exact Girvan–Newman under its dataset seed,
-// and Restore refuses it by name, because its combiner reads the
-// leaf-value rows of format versions 1 and 2.
+// loadTestdata loads a checked-in artifact from testdata/.
+func loadTestdata(t testing.TB, name string) *artifact.Artifact {
+	t.Helper()
+	art, err := artifact.LoadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art
+}
+
+// TestVersion1Restores reads a checked-in version 1 LoCEC-XGB file (the
+// n = 20 fuzz seed as gencorpus wrote it before the meta recorded the
+// division rule): it loads, its export divides by exact Girvan–Newman
+// under its dataset seed, and Restore refuses it by name, because its
+// combiner reads the leaf-value rows of format versions 1 and 2.
 func TestVersion1Restores(t *testing.T) {
-	corpus, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzArtifact", "seed-valid"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, lit, _ := strings.Cut(string(corpus), "[]byte(")
-	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := artifact.Load(strings.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	art := loadTestdata(t, "golden-labelprop+xgb-v1.locec")
 	if v := art.Meta().FormatVersion; v != 1 {
-		t.Fatalf("seed-valid is format version %d, want 1", v)
+		t.Fatalf("golden-labelprop+xgb-v1.locec is format version %d, want 1", v)
 	}
 	ex, err := art.Export()
 	if err != nil {
@@ -271,14 +267,7 @@ func TestVersion1Restores(t *testing.T) {
 // to — Probs, combiner and predictions ==, division rule included — and
 // saves back to the version 3 golden's bytes.
 func TestVersion2CNNRestoresAsVersion3(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "golden-gn+cnn-v2.locec"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := artifact.Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := loadTestdata(t, "golden-gn+cnn-v2.locec")
 	if v := old.Meta().FormatVersion; v != 2 {
 		t.Fatalf("golden-gn+cnn-v2.locec is format version %d, want 2", v)
 	}

@@ -316,95 +316,128 @@ func encodeEgos(e *encoder, egos []*core.EgoResult) error {
 	return nil
 }
 
+// egoWalker steps through the egos section record by record with the
+// checks decodeEgos and CutShards share, so both refuse the same records:
+// counts bounded by the bytes left, community indices below the record's
+// community count, this build's truth-vote width, and Ego == index.
+type egoWalker struct {
+	c             cursor
+	version       int
+	n, i          int    // records in the section, records walked
+	comms, floats int    // the last record's communities and Probs floats
+	buf           []byte // before version 3, the last record less its r_C runs
+}
+
+func newEgoWalker(b []byte, version int) (egoWalker, error) {
+	w := egoWalker{c: cursor{b: b}, version: version}
+	w.n = int(w.c.u64())
+	// A record takes at least 12 bytes: its id and two counts.
+	if w.c.fail || w.n < 0 || w.n > len(b)/12 {
+		return w, fmt.Errorf("ego count corrupt")
+	}
+	return w, nil
+}
+
+// next checks record w.i and returns its bytes as format version 3 lays
+// them out: a view of the payload, or before version 3 a copy without the
+// r_C runs that is valid until the next call.
+func (w *egoWalker) next() ([]byte, error) {
+	c := &w.c
+	start := c.off
+	ego := c.u32()
+	nm := c.count(4)
+	c.take(4 * nm)
+	idx := c.take(4 * nm)
+	c.take(8 * nm)
+	nc := c.count(12)
+	for j := range len(idx) / 4 {
+		if ci := getU32(idx[4*j:]); int64(ci) >= int64(nc) {
+			return nil, fmt.Errorf("ego %d: member %d has community index %d of %d", ego, j, ci, nc)
+		}
+	}
+	w.comms, w.floats, w.buf = nc, 0, w.buf[:0]
+	at := start
+	for range nc {
+		np := c.count(8)
+		c.take(8 * np)
+		w.floats += np
+		if w.version < 3 {
+			w.buf = append(w.buf, c.b[at:c.off]...)
+			c.take(8 * c.count(8))
+			at = c.off
+		}
+		nv := c.count(4)
+		if c.fail {
+			break
+		}
+		if nv != social.NumLabels {
+			return nil, fmt.Errorf("ego %d: %d truth-vote classes, this build has %d", ego, nv, social.NumLabels)
+		}
+		c.take(4 * nv)
+	}
+	if c.fail {
+		return nil, c.err("egos")
+	}
+	if ego != uint32(w.i) {
+		return nil, fmt.Errorf("ego result at index %d belongs to node %d", w.i, ego)
+	}
+	w.i++
+	if w.version < 3 {
+		return append(w.buf, c.b[at:c.off]...), nil
+	}
+	return c.b[start:c.off], nil
+}
+
 // decodeEgos rebuilds every ego with core.NewEgoResult and gives its
 // communities' Probs as capped views (s[a:b:b]) of one float slab per
 // ego, so an ego replaced by a later epoch frees exactly its own bytes.
-// Before version 3 a community also stored r_C; that run is skipped.
 func decodeEgos(b []byte, version int) ([]*core.EgoResult, error) {
-	c := &cursor{b: b}
-	n := int(c.u64())
-	// An ego takes at least 12 bytes: its id and two counts.
-	if c.fail || n < 0 || n > len(b)/12 {
-		return nil, fmt.Errorf("ego count corrupt")
+	w, err := newEgoWalker(b, version)
+	if err != nil {
+		return nil, err
 	}
-	egos := make([]*core.EgoResult, n)
+	egos := make([]*core.EgoResult, w.n)
 	// Staging for the arrays core.NewEgoResult copies into its slabs.
 	var members, idx []uint32
 	var tightness []float64
-	for i := 0; i < n; i++ {
+	for i := range egos {
+		rec, err := w.next()
+		if err != nil {
+			return nil, err
+		}
+		// The walker checked the record, so its counts are read as they are.
+		c := cursor{b: rec}
 		ego := graph.NodeID(c.u32())
-		nm := c.count(4)
+		nm := int(c.u32())
 		members = slices.Grow(members[:0], nm)[:nm]
 		c.u32s(members)
 		idx = slices.Grow(idx[:0], nm)[:nm]
 		c.u32s(idx)
 		tightness = slices.Grow(tightness[:0], nm)[:nm]
 		c.f64s(tightness)
-		nc := c.count(12)
 		commIdx := make([]int, nm)
 		for j, ci := range idx {
-			if int64(ci) >= int64(nc) {
-				return nil, fmt.Errorf("ego %d: member %d has community index %d of %d", ego, j, ci, nc)
-			}
 			commIdx[j] = int(ci)
 		}
-		nf := commFloats(*c, nc, version)
-		if nf < 0 {
-			c.fail = true
-			break
-		}
 		// Per-community member lists are rebuilt from the ego-level arrays.
-		er := core.NewEgoResult(ego, members, commIdx, tightness, nc)
-		slab := make([]float64, nf)
+		er := core.NewEgoResult(ego, members, commIdx, tightness, int(c.u32()))
+		slab := make([]float64, w.floats)
 		for _, comm := range er.Comms {
-			if np := c.count(8); np > 0 {
+			if np := int(c.u32()); np > 0 {
 				comm.Probs, slab = slab[:np:np], slab[np:]
 				c.f64s(comm.Probs)
 			}
-			if version < 3 {
-				c.take(8 * c.count(8))
-			}
-			nv := c.count(4)
-			if c.fail {
-				break
-			}
-			if nv != len(comm.TruthVotes) {
-				return nil, fmt.Errorf("ego %d: %d truth-vote classes, this build has %d",
-					er.Ego, nv, len(comm.TruthVotes))
-			}
-			for j := 0; j < nv; j++ {
+			c.u32() // the truth-vote width
+			for j := range comm.TruthVotes {
 				comm.TruthVotes[j] = int(int32(c.u32()))
 			}
 		}
-		if c.fail {
-			break
-		}
 		egos[i] = er
 	}
-	if err := c.err("egos"); err != nil {
+	if err := w.c.err("egos"); err != nil {
 		return nil, err
 	}
 	return egos, nil
-}
-
-// commFloats walks a copy of c over nc community records — Probs, the
-// skipped r_C before version 3, and truth votes, each behind its count —
-// and returns how many floats their Probs hold, -1 if cut short.
-func commFloats(c cursor, nc, version int) int {
-	total := 0
-	for range nc {
-		np := c.count(8)
-		c.take(8 * np)
-		if version < 3 {
-			c.take(8 * c.count(8))
-		}
-		c.take(4 * c.count(4))
-		total += np
-	}
-	if c.fail {
-		return -1
-	}
-	return total
 }
 
 // ---- preds section --------------------------------------------------

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"locec/internal/core"
 	"locec/internal/graph"
+	"locec/internal/social"
 	"locec/internal/wechat"
 )
 
@@ -235,5 +237,65 @@ func TestDecodeEgosAllocations(t *testing.T) {
 	budget := float64(7*len(egos) + 32)
 	if a := testing.AllocsPerRun(5, func() { _, _ = decodeEgos(payload, FormatVersion) }); a > budget {
 		t.Fatalf("%v allocations for %d egos and %d communities, want at most %v", a, len(egos), comms, budget)
+	}
+}
+
+// TestEgoWalkerRefuses: decodeEgos and CutShards refuse the same crafted
+// egos records — a misplaced record, a community index out of range, a
+// foreign truth-vote width, a trailing byte — and accept the sound one.
+func TestEgoWalkerRefuses(t *testing.T) {
+	ego := core.NewEgoResult(0, []graph.NodeID{1}, []int{0}, []float64{0.5}, 1)
+	good, err := egosBytes([]*core.EgoResult{ego, {Ego: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misplaced, err := egosBytes([]*core.EgoResult{{Ego: 1}, ego})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := func(off int, v uint32) []byte {
+		b := bytes.Clone(good)
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return b
+	}
+	// Record 0 from byte 8: ego, 1 member, member 1, index 0 (byte 20),
+	// its tightness, 1 community (byte 32), 0 Probs, truth-vote width.
+	cases := map[string][]byte{
+		"misplaced":        misplaced,
+		"index":            patched(20, 1),
+		"truth-vote width": patched(40, 2),
+		"trailing byte":    append(bytes.Clone(good), 0),
+	}
+	graphSection, err := encoded(func(e *encoder) error { encodeGraph(e, graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}})); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, err := core.NewEdgeStore([]uint64{graph.Edge{U: 0, V: 1}.Key()}, []social.Label{0}, []float64{1, 0, 0}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predsSection, err := encoded(func(e *encoder) error { encodePreds(e, edges); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(egos []byte) error {
+		a := &Artifact{meta: Meta{FormatVersion: FormatVersion, Nodes: 2, Edges: 1},
+			raw: map[string][]byte{secGraph: graphSection, secEgos: egos, secPreds: predsSection}}
+		_, err := CutShards(a, 2)
+		return err
+	}
+	if _, err := decodeEgos(good, FormatVersion); err != nil {
+		t.Fatal(err)
+	}
+	if err := cut(good); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range cases {
+		if _, err := decodeEgos(b, FormatVersion); err == nil {
+			t.Errorf("%s: decodeEgos accepted the section", name)
+		}
+		if err := cut(b); err == nil {
+			t.Errorf("%s: CutShards accepted the section", name)
+		}
 	}
 }

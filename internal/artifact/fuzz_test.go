@@ -15,6 +15,16 @@ import (
 // `go test` already covers bit rot, torn tails and duplicated bytes, and
 // FuzzReplay over in internal/wal feeds its decoder the same diet.
 func FuzzArtifact(f *testing.F) {
+	testutil.SeedCorpus(f, fuzzSeed(f))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeArtifact(data)
+	})
+}
+
+// fuzzSeed is the bytes of a trained artifact with a dataset section and
+// a WAL stamp.
+func fuzzSeed(f *testing.F) []byte {
 	ds, res, _ := saved(f, "xgb")
 	ex, err := res.Export()
 	if err != nil {
@@ -32,11 +42,7 @@ func FuzzArtifact(f *testing.F) {
 	if err := art.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
-	testutil.SeedCorpus(f, buf.Bytes())
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeArtifact(data)
-	})
+	return buf.Bytes()
 }
 
 // decodeArtifact walks every decode surface; errors are fine, panics are

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -175,6 +177,65 @@ func TestSaveGoldenBytes(t *testing.T) {
 				sb := saveBytes(t, sh)
 				if !bytes.Equal(reloaded(t, sb), sb) {
 					t.Fatalf("shard %d: Save(Load(b)) != b", i)
+				}
+			}
+		})
+	}
+}
+
+// fixtures are the artifacts the cut and Save tests run on, by name: the
+// three goldens as Save writes them, and the checked-in version 1 and 2
+// files.
+func fixtures(t *testing.T) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for name := range goldenSHA256 {
+		out[name] = saveBytes(t, goldenArtifact(t, name))
+	}
+	for _, name := range []string{"golden-labelprop+xgb-v1.locec", "golden-gn+cnn-v2.locec"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = b
+	}
+	return out
+}
+
+// TestSaveCopiesWhatItNeverDecoded: a loaded artifact saves to the same
+// bytes before any accessor call (every section copied, at format
+// version 3) and after Graph, Export and Dataset decoded its sections in
+// turn (each one encoded); at format version 3 those are its input bytes,
+// and an older file saves as version 3.
+func TestSaveCopiesWhatItNeverDecoded(t *testing.T) {
+	for name, data := range fixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			a, err := artifact.LoadBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := saveBytes(t, a)
+			back, err := artifact.LoadBytes(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := back.Meta().FormatVersion; v != artifact.FormatVersion {
+				t.Fatalf("saved as format version %d, want %d", v, artifact.FormatVersion)
+			}
+			if a.Meta().FormatVersion == artifact.FormatVersion && !bytes.Equal(want, data) {
+				t.Fatal("Save of a loaded artifact differs from its input")
+			}
+			decode := []func() error{
+				func() error { _, err := a.Graph(); return err },
+				func() error { _, err := a.Export(); return err },
+				func() error { _, err := a.Dataset(); return err },
+			}
+			for i, f := range decode {
+				if err := f(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(saveBytes(t, a), want) {
+					t.Fatalf("Save after decoding step %d differs from Save before it", i)
 				}
 			}
 		})

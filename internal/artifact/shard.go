@@ -21,19 +21,24 @@ package artifact
 // mutation traffic belongs to trained (or checkpoint-restored) servers.
 // Cuts partition the full artifact exactly — every ego and every edge
 // lands on exactly one shard — which the shard tests pin.
+//
+// The cut hashes every node's owner once and fills all shards in one pass
+// over each section: an owned ego's record is copied as it is, and the
+// graph CSR and prediction runs are written as section bytes. A shard has
+// decoded no section, so Save copies its bytes.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
-	"locec/internal/core"
 	"locec/internal/graph"
 	"locec/internal/ring"
-	"locec/internal/social"
 )
 
-// CutShards splits a full artifact into n per-shard artifacts, indexed by
-// shard. The source must not itself be a shard.
+// CutShards splits a loaded (not New-built) full artifact into n
+// per-shard artifacts, indexed by shard; the source must not be a shard.
+// It checks what Export checks, so a cut fails where Export would.
 func CutShards(a *Artifact, n int) ([]*Artifact, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("artifact: cut into %d shards, want >= 1", n)
@@ -42,100 +47,120 @@ func CutShards(a *Artifact, n int) ([]*Artifact, error) {
 		return nil, fmt.Errorf("artifact: already shard %d/%d; cut from the full artifact",
 			a.Meta().ShardIndex, a.Meta().ShardCount)
 	}
-	g, err := a.Graph()
-	if err != nil {
-		return nil, err
-	}
-	ex, err := a.Export()
-	if err != nil {
-		return nil, err
-	}
 	rg, err := ring.New(n)
 	if err != nil {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
-	meta := a.Meta()
-	out := make([]*Artifact, n)
-	for s := 0; s < n; s++ {
-		shard, err := cutOne(g, ex, rg, s, meta)
+	g, err := a.Graph()
+	if err != nil {
+		return nil, err
+	}
+	ex, err := a.decodeTail()
+	if err != nil {
+		return nil, err
+	}
+	owner := make([]int, g.NumNodes())
+	for u := range owner {
+		owner[u] = rg.OwnerNode(graph.NodeID(u))
+	}
+	// Egos: a node's record on its owner, and on every other shard the
+	// 12-byte record of an empty result (its id and two zero counts).
+	w, err := newEgoWalker(a.raw[secEgos], a.meta.FormatVersion)
+	if err == nil && w.n != len(owner) {
+		err = fmt.Errorf("%d entries, meta declares %d nodes", w.n, len(owner))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("artifact: egos section: %w", err)
+	}
+	egos, comms := make([][]byte, n), make([]int, n)
+	for s := range egos {
+		egos[s] = appendU64(make([]byte, 0, 8+12*w.n+len(w.c.b)/n), uint64(w.n))
+	}
+	for u, s := range owner {
+		rec, err := w.next()
 		if err != nil {
-			return nil, fmt.Errorf("artifact: shard %d/%d: %w", s, n, err)
+			return nil, fmt.Errorf("artifact: egos section: %w", err)
 		}
-		out[s] = shard
+		for t := range egos {
+			if t != s {
+				egos[t] = append(appendU32(egos[t], uint32(u)), 0, 0, 0, 0, 0, 0, 0, 0)
+			}
+		}
+		egos[s], comms[s] = append(egos[s], rec...), comms[s]+w.comms
+	}
+	if err := w.c.err("egos"); err != nil {
+		return nil, fmt.Errorf("artifact: egos section: %w", err)
+	}
+	graphs := cutGraph(g, owner, n)
+	preds := cutPreds(a.raw[secPreds], n, func(k uint64) int {
+		if u := min(k>>32, k&0xffffffff); u < uint64(len(owner)) {
+			return owner[u]
+		}
+		return rg.OwnerEdge(uint32(k>>32), uint32(k)) // a key naming a node beyond the graph
+	})
+	var combiner []byte
+	if ex.Combiner != nil {
+		if combiner, err = encodeCombiner(ex.Combiner); err != nil {
+			return nil, fmt.Errorf("artifact: encode combiner: %w", err)
+		}
+	}
+	out := make([]*Artifact, n)
+	for s := range out {
+		meta := exportMeta(ex, len(owner), int(getU64(graphs[s][8:]))/2, comms[s], a.meta.Seed)
+		meta.ShardIndex, meta.ShardCount, meta.CreatedAtUnix = s, n, a.meta.CreatedAtUnix
+		out[s] = &Artifact{meta: meta, raw: map[string][]byte{
+			secGraph: graphs[s], secEgos: egos[s], secModel: ex.Model, secCombiner: combiner, secPreds: preds[s]}}
 	}
 	return out, nil
 }
 
-// cutOne builds shard s's artifact.
-func cutOne(g *graph.Graph, ex *core.Export, rg *ring.Ring, s int, meta Meta) (*Artifact, error) {
+// cutGraph writes each shard's graph section: the CSR over every node of
+// the edges the shard owns, both directions of each.
+func cutGraph(g *graph.Graph, owner []int, shards int) [][]byte {
 	nn := g.NumNodes()
-
-	// Graph: the CSR restricted to owned edges. Both directions of a kept
-	// edge survive, so the result is a valid (sparser) undirected graph
-	// over the full node range.
-	offsets := make([]int32, nn+1)
-	var adj []graph.NodeID
-	for u := 0; u < nn; u++ {
+	offsets, adj := make([][]byte, shards), make([][]byte, shards)
+	for s := range offsets {
+		offsets[s] = appendU32(make([]byte, 16, 16+4*(nn+1)), 0) // the two counts follow below
+	}
+	for u := range nn {
 		for _, v := range g.Neighbors(graph.NodeID(u)) {
-			if rg.OwnerEdge(graph.NodeID(u), v) == s {
-				adj = append(adj, v)
-			}
+			s := owner[min(graph.NodeID(u), v)]
+			adj[s] = appendU32(adj[s], v)
 		}
-		offsets[u+1] = int32(len(adj))
-	}
-	gs, err := graph.NewFromCSR(offsets, adj)
-	if err != nil {
-		return nil, fmt.Errorf("cut graph: %w", err)
-	}
-
-	// Egos: owned results verbatim, explicit empty placeholders elsewhere
-	// (the dense node-indexed layout is an artifact invariant).
-	egos := make([]*core.EgoResult, nn)
-	for u := 0; u < nn; u++ {
-		if rg.OwnerNode(graph.NodeID(u)) == s {
-			egos[u] = ex.Egos[u]
-		} else {
-			egos[u] = &core.EgoResult{Ego: graph.NodeID(u)}
+		for s := range offsets {
+			offsets[s] = appendU32(offsets[s], uint32(len(adj[s])/4))
 		}
 	}
+	for s, sec := range offsets {
+		binary.LittleEndian.PutUint64(sec, uint64(nn))
+		binary.LittleEndian.PutUint64(sec[8:], uint64(len(adj[s])/4))
+		offsets[s] = append(sec, adj[s]...)
+	}
+	return offsets
+}
 
-	// Predictions: the owned-edge subset, order (and therefore the
-	// strictly-increasing key invariant) preserved.
-	st, classes := ex.Edges, ex.Edges.Classes()
-	keys := make([]uint64, 0, st.Len()/rg.Shards()+1)
-	labels := make([]social.Label, 0, cap(keys))
-	probs := make([]float64, 0, cap(keys)*classes)
-	for ci := range st.NumChunks() {
-		ck, cl, cp := st.Chunk(ci)
-		for i, k := range ck {
-			if e := graph.EdgeFromKey(k); rg.OwnerEdge(e.U, e.V) == s {
-				keys, labels = append(keys, k), append(labels, cl[i])
-				probs = append(probs, cp[i*classes:(i+1)*classes]...)
-			}
-		}
+// cutPreds writes each shard's preds section from the checked source
+// section: the key, label and probability row of every edge it owns, in
+// ascending key order, appended in place into sections sized by a count.
+func cutPreds(b []byte, shards int, owner func(key uint64) int) [][]byte {
+	m, classes := int(getU64(b)), int(getU32(b[8:]))
+	keys, labels, probs := b[12:12+8*m], b[12+8*m:12+9*m], b[12+9*m:]
+	row, count := 8*classes, make([]int, shards)
+	for i := range m {
+		count[owner(getU64(keys[8*i:]))]++
 	}
-	edges, err := core.NewEdgeStore(keys, labels, probs, classes)
-	if err != nil {
-		return nil, err
+	out, k, l, p := make([][]byte, shards), make([][]byte, shards), make([][]byte, shards), make([][]byte, shards)
+	for s, c := range count {
+		out[s] = make([]byte, 12+c*(9+row))
+		binary.LittleEndian.PutUint64(out[s], uint64(c))
+		binary.LittleEndian.PutUint32(out[s][8:], uint32(classes))
+		k[s], l[s], p[s] = out[s][12:12], out[s][12+8*c:12+8*c], out[s][12+9*c:12+9*c]
 	}
-	sub := &core.Export{
-		ClassifierName: ex.ClassifierName,
-		Egos:           egos,
-		Edges:          edges,
-		Model:          ex.Model,
-		Combiner:       ex.Combiner,
-		Division:       ex.Division,
-		Times:          ex.Times,
+	for i := range m {
+		s := owner(getU64(keys[8*i:]))
+		k[s], l[s], p[s] = append(k[s], keys[8*i:8*i+8]...), append(l[s], labels[i]), append(p[s], probs[row*i:row*(i+1)]...)
 	}
-
-	art, err := New(gs, sub, meta.Seed)
-	if err != nil {
-		return nil, err
-	}
-	art.meta.ShardIndex = s
-	art.meta.ShardCount = rg.Shards()
-	art.meta.CreatedAtUnix = meta.CreatedAtUnix
-	return art, nil
+	return out
 }
 
 // ShardPath names shard i of n relative to a base artifact path:

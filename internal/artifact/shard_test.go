@@ -2,13 +2,21 @@ package artifact_test
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"locec/internal/artifact"
+	"locec/internal/core"
 	"locec/internal/graph"
 	"locec/internal/ring"
+	"locec/internal/social"
+	"locec/internal/testutil"
 )
 
 // TestCutShardsPartition pins the sharding contract the router depends
@@ -198,4 +206,176 @@ func TestShardPath(t *testing.T) {
 			t.Fatalf("ShardPath(%q, 1, 4) = %q, want %q", c.base, got, c.want)
 		}
 	}
+}
+
+// referenceCut is the cut CutShards replaced, kept as its byte-for-byte
+// oracle: decode the whole export, filter graph, egos and predictions
+// shard by shard through the ring, and build each shard with New.
+func referenceCut(a *artifact.Artifact, n int) ([]*artifact.Artifact, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("cut into %d shards", n)
+	}
+	if a.Meta().Sharded() {
+		return nil, fmt.Errorf("already a shard")
+	}
+	g, err := a.Graph()
+	if err != nil {
+		return nil, err
+	}
+	ex, err := a.Export()
+	if err != nil {
+		return nil, err
+	}
+	rg, err := ring.New(n)
+	if err != nil {
+		return nil, err
+	}
+	nn := g.NumNodes()
+	out := make([]*artifact.Artifact, n)
+	for s := range out {
+		offsets := make([]int32, nn+1)
+		var adj []graph.NodeID
+		for u := range nn {
+			for _, v := range g.Neighbors(graph.NodeID(u)) {
+				if rg.OwnerEdge(graph.NodeID(u), v) == s {
+					adj = append(adj, v)
+				}
+			}
+			offsets[u+1] = int32(len(adj))
+		}
+		gs, err := graph.NewFromCSR(offsets, adj)
+		if err != nil {
+			return nil, err
+		}
+		egos := make([]*core.EgoResult, nn)
+		for u := range nn {
+			if rg.OwnerNode(graph.NodeID(u)) == s {
+				egos[u] = ex.Egos[u]
+			} else {
+				egos[u] = &core.EgoResult{Ego: graph.NodeID(u)}
+			}
+		}
+		st, classes := ex.Edges, ex.Edges.Classes()
+		var keys []uint64
+		var labels []social.Label
+		var probs []float64
+		for ci := range st.NumChunks() {
+			ck, cl, cp := st.Chunk(ci)
+			for i, k := range ck {
+				if e := graph.EdgeFromKey(k); rg.OwnerEdge(e.U, e.V) == s {
+					keys, labels = append(keys, k), append(labels, cl[i])
+					probs = append(probs, cp[i*classes:(i+1)*classes]...)
+				}
+			}
+		}
+		edges, err := core.NewEdgeStore(keys, labels, probs, classes)
+		if err != nil {
+			return nil, err
+		}
+		sub := *ex
+		sub.Egos, sub.Edges = egos, edges
+		art, err := artifact.New(gs, &sub, a.Meta().Seed)
+		if err != nil {
+			return nil, err
+		}
+		art.StampShard(s, n)
+		art.StampCreated(time.Unix(a.Meta().CreatedAtUnix, 0))
+		out[s] = art
+	}
+	return out, nil
+}
+
+// savedCut loads data, cuts it n ways with cut and returns each shard's
+// Save bytes.
+func savedCut(data []byte, n int, cut func(*artifact.Artifact, int) ([]*artifact.Artifact, error)) ([][]byte, error) {
+	a, err := artifact.LoadBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	shards, err := cut(a, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(shards))
+	for i, sh := range shards {
+		var buf bytes.Buffer
+		if err := sh.Save(&buf); err != nil {
+			return nil, err
+		}
+		out[i] = buf.Bytes()
+	}
+	return out, nil
+}
+
+// cutsAgree fails t unless CutShards and the reference cut both refuse
+// data or both cut it n ways into shards that save to the same bytes. It
+// returns the reference cut's error.
+func cutsAgree(t *testing.T, data []byte, n int) error {
+	t.Helper()
+	got, errGot := savedCut(data, n, artifact.CutShards)
+	want, errWant := savedCut(data, n, referenceCut)
+	if (errGot == nil) != (errWant == nil) {
+		t.Fatalf("%d shards: CutShards error %v, reference cut error %v", n, errGot, errWant)
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%d shards: shard %d saves to %d bytes, the reference shard to %d", n, i, len(got[i]), len(want[i]))
+		}
+	}
+	return errWant
+}
+
+// TestCutShardsMatchesReference: for every fixture and shard count, each
+// shard cut from the section bytes saves to the reference cut's bytes —
+// the version 1 and 2 files included, whose egos lose r_C on the way, and
+// the golden with a dataset, which no shard keeps.
+func TestCutShardsMatchesReference(t *testing.T) {
+	for name, data := range fixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, n := range []int{1, 2, 3, 7} {
+				if err := cutsAgree(t, data, n); err != nil {
+					t.Fatalf("%d shards: %v", n, err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzCutShards holds CutShards to the reference cut on FuzzArtifact's
+// seed corpus — the corruption diet of an artifact with a dataset section,
+// and the checked-in entries — at one to five shards: both refuse an
+// input or both cut it into the same bytes, and neither panics.
+func FuzzCutShards(f *testing.F) {
+	seed := fuzzSeed(f)
+	seeds := append([][]byte{seed}, testutil.Corruptions(seed)...)
+	entries, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzArtifact", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range entries {
+		for range 5 {
+			seeds = append(seeds, corpusEntry(f, path))
+		}
+	}
+	for i, b := range seeds {
+		f.Add(b, uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		_ = cutsAgree(t, data, 1+int(n%5))
+	})
+}
+
+// corpusEntry reads the bytes of a checked-in fuzz corpus file.
+func corpusEntry(t testing.TB, path string) []byte {
+	t.Helper()
+	corpus, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(corpus), "[]byte(")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(data)
 }
