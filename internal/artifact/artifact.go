@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"locec/internal/core"
+	"locec/internal/gbdt"
 	"locec/internal/graph"
 	"locec/internal/social"
 )
@@ -41,7 +42,9 @@ const Magic = "LOCECART"
 // Version 2 added the meta's division rule; a version 1 file reads as
 // divided by exact Girvan–Newman under its dataset seed. Version 3 drops
 // r_C from each community, which kept its class probabilities (Probs).
-const FormatVersion = 3
+// Version 4 writes a LoCEC-XGB model as gbdt's binary forest, where older
+// versions wrote its JSON.
+const FormatVersion = 4
 
 // Section tags, unchanged since format version 1.
 const (
@@ -132,8 +135,10 @@ type Artifact struct {
 	ds *social.Dataset // optional; EmbedDataset / decoded dataset section
 
 	// loaded side (Load): raw verified section payloads, decoded on
-	// first access into g / ex above.
-	raw map[string][]byte
+	// first access into g / ex above, and the CRC-32 each had in the
+	// section table, which Save reuses for a section it copies.
+	raw  map[string][]byte
+	sums map[string]uint32
 }
 
 // New builds an artifact from a completed run: the dataset's graph and
@@ -275,7 +280,7 @@ func (a *Artifact) Export() (*core.Export, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ex.Egos, err = decodeEgos(a.raw[secEgos], a.meta.FormatVersion); err != nil {
+	if ex.Egos, err = decodeEgos(a.raw[secEgos], a.meta.FormatVersion, a.HasDataset()); err != nil {
 		return nil, fmt.Errorf("artifact: egos section: %w", err)
 	}
 	// Pin cross-section consistency through the meta node count (Graph
@@ -290,13 +295,26 @@ func (a *Artifact) Export() (*core.Export, error) {
 }
 
 // decodeTail returns the export less its egos, validated: the meta's
-// fields, predictions, model and combiner (egoWalker checks the egos).
+// fields, predictions, model and combiner (egoWalker checks the egos). A
+// LoCEC-XGB model from before format version 4 is JSON; it is re-encoded
+// as the binary forest, so the export is the one a version 4 file holds.
 func (a *Artifact) decodeTail() (*core.Export, error) {
 	ex := &core.Export{
 		ClassifierName: a.meta.Classifier,
 		Division:       a.meta.Division,
 		Times:          metaTimes(a.meta.PhaseNs),
 		Model:          a.raw[secModel],
+	}
+	if a.meta.FormatVersion < 4 && a.meta.Classifier == (&core.XGBClassifier{}).Name() && len(ex.Model) > 0 {
+		m, err := gbdt.Load(bytes.NewReader(ex.Model))
+		if err != nil {
+			return nil, fmt.Errorf("artifact: model section: %w", err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			return nil, fmt.Errorf("artifact: model section: %w", err)
+		}
+		ex.Model = buf.Bytes()
 	}
 	if err := decodePreds(a.raw[secPreds], ex); err != nil {
 		return nil, fmt.Errorf("artifact: preds section: %w", err)
@@ -363,25 +381,41 @@ func metaTimes(ns map[string]float64) core.PhaseTimes {
 	return t
 }
 
-// section pairs a tag with its encoder during Save.
+// section is one section of Save's output: bytes already in memory, or
+// an encoder. n and sum are its length and CRC-32, once measured.
 type section struct {
 	tag   string
+	blob  []byte
 	write func(*encoder) error
+	n     uint64
+	sum   uint32
 }
 
-// blob is the encoder of a section that is already a byte slice.
-func blob(b []byte) func(*encoder) error {
-	return func(e *encoder) error { e.bytes(b); return nil }
+// bytesSection is the section of bytes b, checksummed.
+func bytesSection(tag string, b []byte) section {
+	return section{tag: tag, blob: b, n: uint64(len(b)), sum: crc32.Checksum(b, crcTable)}
+}
+
+// copied is section tag as it was loaded (or cut), under the CRC its table
+// gave when there was one.
+func (a *Artifact) copied(tag string) section {
+	b := a.raw[tag]
+	if sum, ok := a.sums[tag]; ok {
+		return section{tag: tag, blob: b, n: uint64(len(b)), sum: sum}
+	}
+	return bytesSection(tag, b)
 }
 
 // Save writes the artifact in format version FormatVersion. Output is
 // deterministic for identical inputs (section order is fixed and no
 // timestamps are invented), so identical runs produce byte-identical
 // artifacts. An artifact loaded (or cut) at FormatVersion copies each
-// section it never decoded, as encoding it would write it. Sections
-// stream through one small buffer twice — into io.Discard to measure the
-// header's lengths and CRCs, then to w — and Save fails if a section's
-// bytes differ between the passes.
+// section it never decoded, as encoding it would write it. A section that
+// is already bytes is measured by its length and checksummed once — not
+// at all when it is copied from a loaded table, whose CRC it reuses. A
+// section built by an encoder streams through one small buffer twice —
+// into io.Discard to measure the header's length and CRC, then to w — and
+// Save fails if its bytes differ between the passes.
 func (a *Artifact) Save(w io.Writer) error {
 	meta := a.meta
 	meta.FormatVersion = FormatVersion // a loaded older file's meta echoes its old header
@@ -389,19 +423,19 @@ func (a *Artifact) Save(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("artifact: encode meta: %w", err)
 	}
-	sections := append(make([]section, 0, 7), section{secMeta, blob(metaBlob)})
+	sections := append(make([]section, 0, 7), bytesSection(secMeta, metaBlob))
 	verbatim := a.meta.FormatVersion == FormatVersion
 	if verbatim && a.g == nil {
-		sections = append(sections, section{secGraph, blob(a.raw[secGraph])})
+		sections = append(sections, a.copied(secGraph))
 	} else if g, err := a.Graph(); err != nil {
 		return err
 	} else {
-		sections = append(sections, section{secGraph, func(e *encoder) error { encodeGraph(e, g); return nil }})
+		sections = append(sections, section{tag: secGraph, write: func(e *encoder) error { encodeGraph(e, g); return nil }})
 	}
 	if verbatim && a.ex == nil {
 		for _, tag := range []string{secEgos, secModel, secCombiner, secPreds} {
-			if b := a.raw[tag]; len(b) > 0 {
-				sections = append(sections, section{tag, blob(b)})
+			if len(a.raw[tag]) > 0 {
+				sections = append(sections, a.copied(tag))
 			}
 		}
 	} else {
@@ -409,32 +443,33 @@ func (a *Artifact) Save(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		sections = append(sections, section{secEgos, func(e *encoder) error { return encodeEgos(e, ex.Egos) }})
+		sections = append(sections, section{tag: secEgos, write: func(e *encoder) error { return encodeEgos(e, ex.Egos) }})
 		if len(ex.Model) > 0 {
-			sections = append(sections, section{secModel, blob(ex.Model)})
+			sections = append(sections, bytesSection(secModel, ex.Model))
 		}
 		if ex.Combiner != nil {
 			b, err := encodeCombiner(ex.Combiner)
 			if err != nil {
 				return fmt.Errorf("artifact: encode combiner: %w", err)
 			}
-			sections = append(sections, section{secCombiner, blob(b)})
+			sections = append(sections, bytesSection(secCombiner, b))
 		}
-		sections = append(sections, section{secPreds, func(e *encoder) error { encodePreds(e, ex.Edges); return nil }})
+		sections = append(sections, section{tag: secPreds, write: func(e *encoder) error { encodePreds(e, ex.Edges); return nil }})
 	}
-	if b := a.raw[secDataset]; verbatim && a.ds == nil && len(b) > 0 {
-		sections = append(sections, section{secDataset, blob(b)})
+	if verbatim && a.ds == nil && len(a.raw[secDataset]) > 0 {
+		sections = append(sections, a.copied(secDataset))
 	} else if ds, err := a.Dataset(); err != nil {
 		return err
 	} else if ds != nil {
-		sections = append(sections, section{secDataset, datasetSection(ds)})
+		sections = append(sections, section{tag: secDataset, write: datasetSection(ds)})
 	}
 
 	e := newEncoder()
-	lens, sums := make([]uint64, len(sections)), make([]uint32, len(sections))
-	for i, s := range sections {
-		if lens[i], sums[i], err = e.section(io.Discard, s.write); err != nil {
-			return fmt.Errorf("artifact: encode %s: %w", s.tag, err)
+	for i := range sections {
+		if s := &sections[i]; s.write != nil {
+			if s.n, s.sum, err = e.section(io.Discard, s.write); err != nil {
+				return fmt.Errorf("artifact: encode %s: %w", s.tag, err)
+			}
 		}
 	}
 	header := make([]byte, 0, headerSize(len(sections)))
@@ -443,25 +478,31 @@ func (a *Artifact) Save(w io.Writer) error {
 	header = appendU16(header, 0) // reserved
 	header = appendU32(header, uint32(len(sections)))
 	offset := uint64(headerSize(len(sections)))
-	for i, s := range sections {
+	for _, s := range sections {
 		var tag [tagSize]byte
 		copy(tag[:], s.tag)
 		header = append(header, tag[:]...)
 		header = appendU64(header, offset)
-		header = appendU64(header, lens[i])
-		header = appendU32(header, sums[i])
+		header = appendU64(header, s.n)
+		header = appendU32(header, s.sum)
 		header = appendU32(header, 0) // reserved
-		offset += lens[i]
+		offset += s.n
 	}
 	if _, err := w.Write(header); err != nil {
 		return fmt.Errorf("artifact: write header: %w", err)
 	}
-	for i, s := range sections {
+	for _, s := range sections {
+		if s.write == nil {
+			if _, err := w.Write(s.blob); err != nil {
+				return fmt.Errorf("artifact: write %s section: %w", s.tag, err)
+			}
+			continue
+		}
 		n, sum, err := e.section(w, s.write)
 		if err != nil {
 			return fmt.Errorf("artifact: write %s section: %w", s.tag, err)
 		}
-		if n != lens[i] || sum != sums[i] {
+		if n != s.n || sum != s.sum {
 			return fmt.Errorf("artifact: %s section changed while it was written", s.tag)
 		}
 	}
@@ -520,7 +561,7 @@ func LoadBytes(data []byte) (*Artifact, error) {
 		return nil, fmt.Errorf("artifact: %w: %d bytes cannot hold a %d-section table",
 			ErrTruncated, len(data), nsect)
 	}
-	raw := make(map[string][]byte, nsect)
+	raw, sums := make(map[string][]byte, nsect), make(map[string]uint32, nsect)
 	for i := 0; i < nsect; i++ {
 		entry := data[fixedHeader+i*tableEntrySz:]
 		tag := trimTag(entry[:tagSize])
@@ -535,14 +576,14 @@ func LoadBytes(data []byte) (*Artifact, error) {
 		if crc32.Checksum(payload, crcTable) != sum {
 			return nil, fmt.Errorf("artifact: %w: section %q", ErrChecksum, tag)
 		}
-		raw[tag] = payload
+		raw[tag], sums[tag] = payload, sum
 	}
 	for _, required := range []string{secMeta, secGraph, secEgos, secPreds} {
 		if _, ok := raw[required]; !ok {
 			return nil, fmt.Errorf("artifact: missing required section %q", required)
 		}
 	}
-	a := &Artifact{raw: raw}
+	a := &Artifact{raw: raw, sums: sums}
 	if err := json.Unmarshal(raw[secMeta], &a.meta); err != nil {
 		return nil, fmt.Errorf("artifact: decode meta: %w", err)
 	}

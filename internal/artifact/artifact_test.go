@@ -261,17 +261,33 @@ func TestVersion1Restores(t *testing.T) {
 	}
 }
 
-// TestVersion2CNNRestoresAsVersion3: the gn+cnn golden as the parent
-// format wrote it (version 2, whose second float run per community
-// repeated Probs) restores to exactly what the version 3 golden restores
-// to — Probs, combiner and predictions ==, division rule included — and
-// saves back to the version 3 golden's bytes.
+// TestVersion2CNNRestoresAsVersion3: the gn+cnn golden as format version
+// 2 wrote it (its second float run per community repeated Probs) restores
+// to exactly what the current golden restores to, as it did to the
+// version 3 golden — Probs, combiner and predictions ==, division rule
+// included — and saves back to the current golden's bytes.
 func TestVersion2CNNRestoresAsVersion3(t *testing.T) {
-	old := loadTestdata(t, "golden-gn+cnn-v2.locec")
-	if v := old.Meta().FormatVersion; v != 2 {
-		t.Fatalf("golden-gn+cnn-v2.locec is format version %d, want 2", v)
+	requireRestoresAsGolden(t, "golden-gn+cnn-v2.locec", 2, "gn+cnn")
+}
+
+// TestVersion3XGBRestoresAsVersion4: the labelprop+xgb golden as format
+// version 3 wrote it (its model section the ensemble's JSON) restores to
+// exactly what the version 4 golden restores to and saves back to its
+// bytes, the model re-encoded as gbdt's binary forest.
+func TestVersion3XGBRestoresAsVersion4(t *testing.T) {
+	requireRestoresAsGolden(t, "golden-labelprop+xgb-v3.locec", 3, "labelprop+xgb")
+}
+
+// requireRestoresAsGolden checks that the checked-in file of an older
+// format version restores to what the named golden, as Save writes it
+// now, restores to, and that it saves to the golden's bytes.
+func requireRestoresAsGolden(t *testing.T, file string, version int, golden string) {
+	t.Helper()
+	old := loadTestdata(t, file)
+	if v := old.Meta().FormatVersion; v != version {
+		t.Fatalf("%s is format version %d, want %d", file, v, version)
 	}
-	want := saveBytes(t, goldenArtifact(t, "gn+cnn"))
+	want := saveBytes(t, goldenArtifact(t, golden))
 	cur, err := artifact.Load(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +312,7 @@ func TestVersion2CNNRestoresAsVersion3(t *testing.T) {
 		}
 	}
 	if g, r := got.Combiner, ref.Combiner; g.Classes != r.Classes || g.Features != r.Features || !slices.Equal(g.W, r.W) {
-		t.Fatalf("combiner %d×%d differs from the version 3 golden's %d×%d", g.Classes, g.Features, r.Classes, r.Features)
+		t.Fatalf("combiner %d×%d differs from the golden's %d×%d", g.Classes, g.Features, r.Classes, r.Features)
 	}
 	keys := ref.Edges.Keys()
 	if !slices.Equal(got.Edges.Keys(), keys) {
@@ -310,7 +326,7 @@ func TestVersion2CNNRestoresAsVersion3(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(saveBytes(t, old), want) {
-		t.Fatal("the version 2 golden does not save to the version 3 golden's bytes")
+		t.Fatalf("%s does not save to the %s golden's bytes", file, golden)
 	}
 }
 

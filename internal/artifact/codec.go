@@ -113,12 +113,6 @@ func (e *encoder) f64s(vs []float64) {
 	}
 }
 
-// bytes sends b straight through, after what is buffered.
-func (e *encoder) bytes(b []byte) {
-	_ = e.flush()
-	e.put(b)
-}
-
 func getU16(b []byte) uint16 { return binary.LittleEndian.Uint16(b) }
 func getU32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
 func getU64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
@@ -290,7 +284,10 @@ func encodeEgos(e *encoder, egos []*core.EgoResult) error {
 			}
 			comm := er.Comms[ci]
 			at := cursors[ci]
-			if at >= len(comm.Members) || comm.Members[at] != m || comm.Tightness[at] != er.Tightness[i] {
+			// Tightness is compared by bit pattern: a NaN a decoded record
+			// carries is still the same value in both places.
+			if at >= len(comm.Members) || comm.Members[at] != m ||
+				math.Float64bits(comm.Tightness[at]) != math.Float64bits(er.Tightness[i]) {
 				return fmt.Errorf("ego %d: community %d member order diverges from ego arrays", er.Ego, ci)
 			}
 			cursors[ci]++
@@ -388,43 +385,71 @@ func (w *egoWalker) next() ([]byte, error) {
 	return c.b[start:c.off], nil
 }
 
-// decodeEgos rebuilds every ego with core.NewEgoResult and gives its
-// communities' Probs as capped views (s[a:b:b]) of one float slab per
-// ego, so an ego replaced by a later epoch frees exactly its own bytes.
-func decodeEgos(b []byte, version int) ([]*core.EgoResult, error) {
+// decodeEgos rebuilds every ego in two passes over the section. The first
+// walks it to check every record and total its members, communities and
+// Probs floats; the second cuts each ego from core.EgoSlabs — the layout
+// core.NewEgoResult uses — with its CommIdx from an int slab and its
+// communities' Probs as capped views (s[a:b:b]) of the float slab.
+//
+// The slabs of an immutable snapshot are sized by the totals, once for the
+// whole section, so the allocations do not depend on the ego count; its
+// egos live as long as the snapshot. A mutable snapshot (one that carries
+// its dataset) replaces egos epoch by epoch, and one view would keep a
+// whole section-wide slab alive after every ego cut from it is replaced,
+// so each of its egos gets slabs of its own, which it frees when an epoch
+// replaces it (serve_write_10k's peak RSS read 202 MB with section-wide
+// slabs, 161 MB with these).
+func decodeEgos(b []byte, version int, mutable bool) ([]*core.EgoResult, error) {
 	w, err := newEgoWalker(b, version)
 	if err != nil {
 		return nil, err
 	}
+	members, comms, floats, widest := 0, 0, 0, 0
+	for range w.n {
+		rec, err := w.next()
+		if err != nil {
+			return nil, err
+		}
+		nm := int(getU32(rec[4:]))
+		members, comms, floats, widest = members+nm, comms+w.comms, floats+w.floats, max(widest, nm)
+	}
+	if err := w.c.err("egos"); err != nil {
+		return nil, err
+	}
 	egos := make([]*core.EgoResult, w.n)
-	// Staging for the arrays core.NewEgoResult copies into its slabs.
-	var members, idx []uint32
-	var tightness []float64
+	var slabs core.EgoSlabs
+	var idxSlab []int
+	if !mutable {
+		slabs, idxSlab = core.NewEgoSlabs(w.n, members, comms, floats), make([]int, members)
+	}
+	// Staging for the arrays EgoSlabs.Cut copies into its slabs.
+	staged, tightness := make([]graph.NodeID, widest), make([]float64, widest)
+	w, _ = newEgoWalker(b, version)
 	for i := range egos {
 		rec, err := w.next()
 		if err != nil {
 			return nil, err
 		}
-		// The walker checked the record, so its counts are read as they are.
+		// The first pass checked the record, so its counts are read as they are.
 		c := cursor{b: rec}
 		ego := graph.NodeID(c.u32())
 		nm := int(c.u32())
-		members = slices.Grow(members[:0], nm)[:nm]
-		c.u32s(members)
-		idx = slices.Grow(idx[:0], nm)[:nm]
-		c.u32s(idx)
-		tightness = slices.Grow(tightness[:0], nm)[:nm]
-		c.f64s(tightness)
-		commIdx := make([]int, nm)
-		for j, ci := range idx {
-			commIdx[j] = int(ci)
+		c.u32s(staged[:nm])
+		idx := c.take(4 * nm)
+		c.f64s(tightness[:nm])
+		nc := int(c.u32())
+		if mutable {
+			slabs, idxSlab = core.NewEgoSlabs(1, nm, nc, w.floats), make([]int, nm)
 		}
-		// Per-community member lists are rebuilt from the ego-level arrays.
-		er := core.NewEgoResult(ego, members, commIdx, tightness, int(c.u32()))
-		slab := make([]float64, w.floats)
+		commIdx := idxSlab[:nm:nm]
+		idxSlab = idxSlab[nm:]
+		for j := range commIdx {
+			commIdx[j] = int(getU32(idx[4*j:]))
+		}
+		er := slabs.Cut(ego, staged[:nm], commIdx, tightness[:nm], nc)
 		for _, comm := range er.Comms {
 			if np := int(c.u32()); np > 0 {
-				comm.Probs, slab = slab[:np:np], slab[np:]
+				comm.Probs = slabs.Floats(np)
 				c.f64s(comm.Probs)
 			}
 			c.u32() // the truth-vote width
@@ -433,9 +458,6 @@ func decodeEgos(b []byte, version int) ([]*core.EgoResult, error) {
 			}
 		}
 		egos[i] = er
-	}
-	if err := w.c.err("egos"); err != nil {
-		return nil, err
 	}
 	return egos, nil
 }

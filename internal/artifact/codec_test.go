@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"locec/internal/core"
 	"locec/internal/graph"
@@ -114,7 +116,7 @@ func TestDecodeGraphRejectsOverflowingCount(t *testing.T) {
 // hostile counts.
 func TestDecodeEgosRejectsOverflowingCount(t *testing.T) {
 	for _, n := range []uint64{math.MaxInt64, math.MaxUint64, 1 << 62} {
-		if _, err := decodeEgos(appendU64(nil, n), FormatVersion); err == nil {
+		if _, err := decodeEgos(appendU64(nil, n), FormatVersion, false); err == nil {
 			t.Errorf("n=%#x: crafted ego count accepted", n)
 		}
 	}
@@ -137,7 +139,7 @@ func TestDecodeEgosCountBoundedByRecordSize(t *testing.T) {
 	rest := bytes.Repeat([]byte{0xff}, 64<<10)
 	payload := append(appendU64(nil, uint64(len(rest))), rest...)
 	var err error
-	if got := bytesAllocated(func() { _, err = decodeEgos(payload, FormatVersion) }); got > uint64(len(payload)) {
+	if got := bytesAllocated(func() { _, err = decodeEgos(payload, FormatVersion, false) }); got > uint64(len(payload)) {
 		t.Fatalf("decodeEgos allocated %d bytes on a %d-byte section", got, len(payload))
 	}
 	if err == nil {
@@ -196,47 +198,167 @@ func TestDecodePredsRejectsUnsortedKeys(t *testing.T) {
 	}
 }
 
-// TestDecodeEgosAllocations: an ego decodes into the six objects
-// core.NewEgoResult builds it from (five, plus the CommIdx the decoder
-// hands it) and one slab holding its communities' Probs vectors; the
-// staging arrays are shared by the whole section. The decoded egos
-// re-encode to the same bytes, and no community's vector reaches into
-// another's.
-func TestDecodeEgosAllocations(t *testing.T) {
-	net, err := wechat.Generate(wechat.DefaultConfig(120, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	egos := core.Divide(net.Dataset, core.DivisionConfig{Detector: core.DetectorLabelProp, Seed: 1})
-	comms := 0
-	for _, er := range egos {
-		for _, c := range er.Comms {
+// syntheticEgos returns n egos of one to eight members in one to three
+// communities, each with a Probs vector, without dividing a graph.
+func syntheticEgos(n int) []*core.EgoResult {
+	egos := make([]*core.EgoResult, n)
+	for u := range egos {
+		nm := 1 + u%8
+		nc := 1 + u%3
+		members, commIdx, tightness := make([]graph.NodeID, nm), make([]int, nm), make([]float64, nm)
+		for i := range members {
+			members[i] = graph.NodeID((u + 1 + i) % n)
+			commIdx[i] = i % nc
+			tightness[i] = float64(i+1) / float64(nm)
+		}
+		slices.Sort(members)
+		egos[u] = core.NewEgoResult(graph.NodeID(u), members, commIdx, tightness, min(nc, nm))
+		for _, c := range egos[u].Comms {
 			c.Probs = []float64{0.5, 0.25, 0.25}
-			comms++
+			c.TruthVotes[u%social.NumLabels] = u % 5
 		}
 	}
-	payload, err := egosBytes(egos)
+	return egos
+}
+
+// goldenEgos is the egos section of the checked-in version 3 LoCEC-XGB
+// golden, whose egos layout version 4 keeps.
+func goldenEgos(t *testing.T) []byte {
+	t.Helper()
+	a, err := LoadFile(filepath.Join("testdata", "golden-labelprop+xgb-v3.locec"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := decodeEgos(payload, FormatVersion)
+	return a.raw[secEgos]
+}
+
+// TestDecodeEgosAllocations: an immutable snapshot's egos are cut from
+// slabs sized by a first pass, so decodeEgos makes the same number of
+// allocations on the 80-ego golden as on a 10 000-ego section; a mutable
+// snapshot's egos get slabs of their own, at least one allocation each.
+// Either way the decoded egos re-encode to the bytes they came from.
+func TestDecodeEgosAllocations(t *testing.T) {
+	large, err := egosBytes(syntheticEgos(10_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, err := egosBytes(decoded); err != nil || !bytes.Equal(again, payload) {
-		t.Fatalf("decoded egos re-encode differently (err %v)", err)
+	var allocs []float64
+	for _, payload := range [][]byte{goldenEgos(t), large} {
+		for _, mutable := range []bool{false, true} {
+			decoded, err := decodeEgos(payload, FormatVersion, mutable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, err := egosBytes(decoded); err != nil || !bytes.Equal(again, payload) {
+				t.Fatalf("mutable %v: decoded egos re-encode differently (err %v)", mutable, err)
+			}
+		}
+		allocs = append(allocs, testing.AllocsPerRun(5, func() { _, _ = decodeEgos(payload, FormatVersion, false) }))
 	}
-	for _, er := range decoded {
-		for _, c := range er.Comms {
-			if cap(c.Probs) != len(c.Probs) {
-				t.Fatalf("ego %d: Probs is not a capped view", er.Ego)
+	if allocs[0] != allocs[1] {
+		t.Fatalf("%v allocations for the golden's egos, %v for 10 000 egos: want one constant", allocs[0], allocs[1])
+	}
+	if a := testing.AllocsPerRun(2, func() { _, _ = decodeEgos(large, FormatVersion, true) }); a < 10_000 {
+		t.Fatalf("a mutable decode of 10 000 egos made %v allocations, want slabs per ego", a)
+	}
+}
+
+// TestExportCutsMutableEgosApart: Export cuts an immutable snapshot's egos
+// from shared slabs — ego 1's members follow ego 0's ego-level and
+// community runs in one ID array — and a snapshot that carries a dataset
+// section, which epochs mutate, into slabs of each ego's own.
+func TestExportCutsMutableEgosApart(t *testing.T) {
+	adjacent := func(a *Artifact) bool {
+		ex, err := a.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e0, e1 := ex.Egos[0].Members, ex.Egos[1].Members
+		if len(e0) == 0 || len(e1) == 0 {
+			t.Fatal("golden egos 0 and 1 have no members")
+		}
+		return unsafe.SliceData(e1) == (*graph.NodeID)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(e0)), 2*4*len(e0)))
+	}
+	path := filepath.Join("testdata", "golden-labelprop+xgb-v3.locec")
+	a, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !adjacent(a) {
+		t.Fatal("an immutable snapshot's egos are not cut from shared slabs")
+	}
+	if a, err = LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	a.raw[secDataset] = []byte{0} // Export decodes egos without reading it
+	if adjacent(a) {
+		t.Fatal("a mutable snapshot's egos share slabs")
+	}
+}
+
+// TestDecodedEgoViewsCapped: every slice of a decoded ego — its Members,
+// CommIdx, Tightness and Comms, and each community's Members, Tightness
+// and Probs — is a capped view of a shared slab, so an append to one
+// copies and leaves every other ego as it was.
+func TestDecodedEgoViewsCapped(t *testing.T) {
+	payload, err := egosBytes(syntheticEgos(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mutable := range []bool{false, true} {
+		egos, err := decodeEgos(payload, FormatVersion, mutable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, er := range egos {
+			er.Members = append(er.Members, 1<<31)
+			er.CommIdx = append(er.CommIdx, -1)
+			er.Tightness = append(er.Tightness, -1)
+			er.Comms = append(er.Comms, nil)
+			for _, c := range er.Comms[:len(er.Comms)-1] {
+				c.Members = append(c.Members, 1<<31)
+				c.Tightness = append(c.Tightness, -1)
+				c.Probs = append(c.Probs, -1)
+			}
+		}
+		again, err := decodeEgos(payload, FormatVersion, mutable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u, er := range egos {
+			want := again[u]
+			n := len(want.Members)
+			if !slices.Equal(er.Members[:n], want.Members) || !slices.Equal(er.CommIdx[:n], want.CommIdx) ||
+				!slices.Equal(er.Tightness[:n], want.Tightness) {
+				t.Fatalf("mutable %v, ego %d: an append to another view overwrote its ego-level arrays", mutable, u)
+			}
+			for i, c := range want.Comms {
+				g := er.Comms[i]
+				m := len(c.Members)
+				if !slices.Equal(g.Members[:m], c.Members) || !slices.Equal(g.Tightness[:m], c.Tightness) ||
+					!slices.Equal(g.Probs[:len(c.Probs)], c.Probs) {
+					t.Fatalf("mutable %v, ego %d community %d: an append to another view overwrote it", mutable, u, i)
+				}
 			}
 		}
 	}
-	// 32 covers the ego list, the cursor and the staging arrays' growth.
-	budget := float64(7*len(egos) + 32)
-	if a := testing.AllocsPerRun(5, func() { _, _ = decodeEgos(payload, FormatVersion) }); a > budget {
-		t.Fatalf("%v allocations for %d egos and %d communities, want at most %v", a, len(egos), comms, budget)
+}
+
+// TestEncodeEgosKeepsNaNTightness: a record whose tightness is NaN decodes,
+// so it must encode again — the cut copies such a record, and a shard cut
+// from the decoded export must not fail where the byte cut succeeds.
+func TestEncodeEgosKeepsNaNTightness(t *testing.T) {
+	ego := core.NewEgoResult(0, []graph.NodeID{1}, []int{0}, []float64{math.NaN()}, 1)
+	b, err := egosBytes([]*core.EgoResult{ego, {Ego: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := decodeEgos(b, FormatVersion, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := egosBytes(decoded); err != nil || !bytes.Equal(again, b) {
+		t.Fatalf("a decoded NaN tightness re-encodes to %d bytes (err %v), want the %d it came from", len(again), err, len(b))
 	}
 }
 
@@ -284,14 +406,14 @@ func TestEgoWalkerRefuses(t *testing.T) {
 		_, err := CutShards(a, 2)
 		return err
 	}
-	if _, err := decodeEgos(good, FormatVersion); err != nil {
+	if _, err := decodeEgos(good, FormatVersion, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := cut(good); err != nil {
 		t.Fatal(err)
 	}
 	for name, b := range cases {
-		if _, err := decodeEgos(b, FormatVersion); err == nil {
+		if _, err := decodeEgos(b, FormatVersion, false); err == nil {
 			t.Errorf("%s: decodeEgos accepted the section", name)
 		}
 		if err := cut(b); err == nil {

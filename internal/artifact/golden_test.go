@@ -24,9 +24,9 @@ import (
 // order or to the header shows up here as a hash change; the format
 // promises the bytes only change with FormatVersion.
 var goldenSHA256 = map[string]string{
-	"labelprop+xgb":             "3bcd93b6afb175899f3d155acca34864fb1c2ddabb6a4d3cf67fb8282390affd",
-	"gn+cnn":                    "e46f70333a45a52924921b04fb513715f884cca283b474f6e0493d37e84d453d",
-	"clauset+xgb+dataset+delta": "9fb604ee990bb2d958f9b6e1755b3699a108f933a49d05e234c329f484429f56",
+	"labelprop+xgb":             "ea3c14eac3f8e3e66a061176b51d0c506427fb147ecacfa2d9bbb7f24ea54674",
+	"gn+cnn":                    "143c47d1b39d1e11859a2c65a14758cc1533f83b7db996f32201923463692045",
+	"clauset+xgb+dataset+delta": "2259a38992e152eebc8caa0aad603ca1cc833f49ad69e246874fe05173f7d52f",
 }
 
 // goldenArtifact trains the named pipeline on the n = 80 substrate and
@@ -184,7 +184,7 @@ func TestSaveGoldenBytes(t *testing.T) {
 }
 
 // fixtures are the artifacts the cut and Save tests run on, by name: the
-// three goldens as Save writes them, and the checked-in version 1 and 2
+// three goldens as Save writes them, and the checked-in version 1, 2 and 3
 // files.
 func fixtures(t *testing.T) map[string][]byte {
 	t.Helper()
@@ -192,7 +192,7 @@ func fixtures(t *testing.T) map[string][]byte {
 	for name := range goldenSHA256 {
 		out[name] = saveBytes(t, goldenArtifact(t, name))
 	}
-	for _, name := range []string{"golden-labelprop+xgb-v1.locec", "golden-gn+cnn-v2.locec"} {
+	for _, name := range []string{"golden-labelprop+xgb-v1.locec", "golden-gn+cnn-v2.locec", "golden-labelprop+xgb-v3.locec"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -203,10 +203,10 @@ func fixtures(t *testing.T) map[string][]byte {
 }
 
 // TestSaveCopiesWhatItNeverDecoded: a loaded artifact saves to the same
-// bytes before any accessor call (every section copied, at format
-// version 3) and after Graph, Export and Dataset decoded its sections in
-// turn (each one encoded); at format version 3 those are its input bytes,
-// and an older file saves as version 3.
+// bytes before any accessor call (every section copied, at the current
+// format version) and after Graph, Export and Dataset decoded its sections
+// in turn (each one encoded); at the current version those are its input
+// bytes, and an older file saves as the current version.
 func TestSaveCopiesWhatItNeverDecoded(t *testing.T) {
 	for name, data := range fixtures(t) {
 		t.Run(name, func(t *testing.T) {

@@ -344,7 +344,8 @@ func TestCutShardsMatchesReference(t *testing.T) {
 // FuzzCutShards holds CutShards to the reference cut on FuzzArtifact's
 // seed corpus — the corruption diet of an artifact with a dataset section,
 // and the checked-in entries — at one to five shards: both refuse an
-// input or both cut it into the same bytes, and neither panics.
+// input or both cut it into the same bytes, and neither panics. Inputs are
+// resealed, as FuzzArtifact's are, so mutants reach the section bytes.
 func FuzzCutShards(f *testing.F) {
 	seed := fuzzSeed(f)
 	seeds := append([][]byte{seed}, testutil.Corruptions(seed)...)
@@ -361,7 +362,7 @@ func FuzzCutShards(f *testing.F) {
 		f.Add(b, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
-		_ = cutsAgree(t, data, 1+int(n%5))
+		_ = cutsAgree(t, reseal(data), 1+int(n%5))
 	})
 }
 

@@ -293,20 +293,67 @@ func (s *egoScratch) finishEgo(ds *social.Dataset, en graph.EgoNetwork, assign [
 // NewEgoResult assembles an EgoResult from its ego-level arrays: members[i]
 // sits in community commIdx[i] — in [0, nc), which the caller has checked —
 // with tightness[i], and each community lists its members in that order.
-// commIdx is kept; members and tightness are copied (an alias of the base
-// graph's adjacency row would keep a compacted-away graph reachable) into
-// one ID slab and one float slab, ego level first, then every community's
-// run. Every sub-slice ends at its own capacity, so an append to one can
-// never run into its neighbour.
+// It is EgoSlabs.Cut on slabs sized for this one ego.
 func NewEgoResult(ego graph.NodeID, members []graph.NodeID, commIdx []int, tightness []float64, nc int) *EgoResult {
+	s := NewEgoSlabs(1, len(members), nc, 0)
+	return s.Cut(ego, members, commIdx, tightness, nc)
+}
+
+// EgoSlabs is the backing store a run of EgoResults is cut from: one array
+// per element type, each view taken off the front of its array and capped
+// (s[a:b:b]), so an append to a view copies instead of running into its
+// neighbour. NewEgoResult cuts one ego from slabs sized for it; a decoder
+// that totals a whole section first sizes them once for every ego, and
+// its allocations stop depending on the ego count. The views keep the
+// whole slab alive: retained memory is bounded by the slabs' size, however
+// many of the egos later epochs replace.
+type EgoSlabs struct {
+	results []EgoResult
+	comms   []LocalCommunity
+	ptrs    []*LocalCommunity
+	ids     []graph.NodeID
+	floats  []float64
+}
+
+// NewEgoSlabs sizes slabs for egos results that hold members ego members
+// and comms communities in all, plus floats more float64s to cut with
+// Floats (the communities' Probs). It returns a value, which a caller
+// cutting one ego at a time keeps on its stack.
+func NewEgoSlabs(egos, members, comms, floats int) EgoSlabs {
+	return EgoSlabs{
+		results: make([]EgoResult, egos),
+		comms:   make([]LocalCommunity, comms),
+		ptrs:    make([]*LocalCommunity, comms),
+		ids:     make([]graph.NodeID, 2*members),
+		floats:  make([]float64, 2*members+floats),
+	}
+}
+
+// cutFront takes n elements off the front of *s as a capped view.
+func cutFront[T any](s *[]T, n int) []T {
+	v := (*s)[:n:n]
+	*s = (*s)[n:]
+	return v
+}
+
+// Floats cuts the next n floats, zeroed, as a capped view.
+func (s *EgoSlabs) Floats(n int) []float64 { return cutFront(&s.floats, n) }
+
+// Cut takes the next EgoResult off the slabs, laid out as NewEgoResult
+// documents. commIdx is kept; members and tightness are copied (an alias
+// of the base graph's adjacency row would keep a compacted-away graph
+// reachable) into 2·len(members) IDs and as many floats: ego level first,
+// then every community's run.
+func (s *EgoSlabs) Cut(ego graph.NodeID, members []graph.NodeID, commIdx []int, tightness []float64, nc int) *EgoResult {
 	n := len(members)
-	ids, ts := make([]graph.NodeID, 2*n), make([]float64, 2*n)
+	ids, ts := cutFront(&s.ids, 2*n), cutFront(&s.floats, 2*n)
 	copy(ids, members)
 	copy(ts, tightness)
-	comms := make([]LocalCommunity, nc)
-	res := &EgoResult{Ego: ego, Members: ids[:n:n], CommIdx: commIdx, Tightness: ts[:n:n], Comms: make([]*LocalCommunity, nc)}
+	comms := cutFront(&s.comms, nc)
+	res := &cutFront(&s.results, 1)[0]
+	*res = EgoResult{Ego: ego, Members: ids[:n:n], CommIdx: commIdx, Tightness: ts[:n:n], Comms: cutFront(&s.ptrs, nc)}
 	// Count each community in the length of its Members header, cut the
-	// slabs at the running sum, fill by append: each header is its cursor.
+	// runs at the running sum, fill by append: each header is its cursor.
 	for _, c := range commIdx {
 		comms[c].Members = ids[n : n+len(comms[c].Members)+1]
 	}

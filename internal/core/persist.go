@@ -83,7 +83,7 @@ func (c *CNNClassifier) LoadModel(r io.Reader) error {
 	return nil
 }
 
-// SaveModel implements ModelPersister via the gbdt JSON format.
+// SaveModel implements ModelPersister via gbdt's binary forest layout.
 func (x *XGBClassifier) SaveModel(w io.Writer) error {
 	if x.model == nil {
 		return fmt.Errorf("core: xgb classifier has no trained model")
@@ -91,7 +91,8 @@ func (x *XGBClassifier) SaveModel(w io.Writer) error {
 	return x.model.Save(w)
 }
 
-// LoadModel implements ModelPersister.
+// LoadModel implements ModelPersister; it also reads the JSON models of
+// artifacts older than format version 4.
 func (x *XGBClassifier) LoadModel(r io.Reader) error {
 	m, err := gbdt.Load(r)
 	if err != nil {

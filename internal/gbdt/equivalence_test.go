@@ -11,10 +11,10 @@ import (
 	"locec/internal/testutil"
 )
 
-// modelJSON serializes a model for bitwise tree comparison: JSON encodes
-// float64 exactly (shortest round-trip form), so equal bytes means equal
-// trees down to the last bit.
-func modelJSON(t *testing.T, m *Model) []byte {
+// modelBytes serializes a model for bitwise tree comparison: Save writes
+// every float64 as its bit pattern, so equal bytes means equal trees down
+// to the last bit.
+func modelBytes(t *testing.T, m *Model) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -135,10 +135,10 @@ func requireSameModel(t *testing.T, tc oracleCase, oracle func([][]float64, []in
 	if err != nil {
 		t.Fatalf("train: %v", err)
 	}
-	refJS, gotJS := modelJSON(t, ref), modelJSON(t, got)
-	if !bytes.Equal(refJS, gotJS) {
-		t.Fatalf("trees differ from the reference trainer's (sha256 %x vs %x)\nref: %s\ngot: %s",
-			sha256.Sum256(refJS), sha256.Sum256(gotJS), firstDiff(refJS, gotJS), firstDiff(gotJS, refJS))
+	refB, gotB := modelBytes(t, ref), modelBytes(t, got)
+	if !bytes.Equal(refB, gotB) {
+		t.Fatalf("trees differ from the reference trainer's (sha256 %x vs %x)\nref: %x\ngot: %x",
+			sha256.Sum256(refB), sha256.Sum256(gotB), firstDiff(refB, gotB), firstDiff(gotB, refB))
 	}
 }
 
@@ -307,7 +307,7 @@ func TestWorkerCountBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
-		js := modelJSON(t, m)
+		js := modelBytes(t, m)
 		if want == nil {
 			want = js
 			continue

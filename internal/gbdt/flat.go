@@ -12,7 +12,6 @@ type Forest struct {
 	Threshold []float64 // go left (Child) if x[Feature] < Threshold, else right (Child+1)
 	Child     []int32   // left-child index; right child is Child+1 (0 for leaves)
 	Value     []float64 // leaf value (0 for internal nodes)
-	Orig      []int32   // node's index in its source Tree.Nodes (the leaf index walk returns)
 	Roots     []int32   // root node index per tree, round-major (round*classes + class)
 }
 
@@ -31,7 +30,6 @@ func flatten(trees [][]*Tree) *Forest {
 		Threshold: make([]float64, 0, total),
 		Child:     make([]int32, 0, total),
 		Value:     make([]float64, 0, total),
-		Orig:      make([]int32, 0, total),
 		Roots:     make([]int32, 0, ntrees),
 	}
 	queue := make([]int32, 0, 64)
@@ -65,19 +63,18 @@ func (f *Forest) appendTree(t *Tree, queue []int32) []int32 {
 			f.Child = append(f.Child, childPos)
 			f.Value = append(f.Value, 0)
 		}
-		f.Orig = append(f.Orig, queue[q])
 	}
 	return queue
 }
 
 // walk routes x through tree ti and returns the leaf value plus the
-// leaf's index in the source tree's node slice.
+// leaf's node index in the forest.
 func (f *Forest) walk(ti int, x []float64) (float64, int32) {
 	i := f.Roots[ti]
 	for {
 		ft := f.Feature[i]
 		if ft < 0 {
-			return f.Value[i], f.Orig[i]
+			return f.Value[i], i
 		}
 		c := f.Child[i]
 		// NaN comparisons are false, matching the training-time

@@ -1,8 +1,11 @@
 package gbdt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -107,12 +110,62 @@ func FuzzHistogramTrain(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, round := range m.trees {
-			for _, tr := range round {
-				if err := validateTree(tr); err != nil {
-					t.Fatalf("trained tree invalid: %v", err)
-				}
-			}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decode(buf.Bytes()); err != nil {
+			t.Fatalf("trained forest invalid: %v", err)
 		}
 	})
+}
+
+// FuzzModelLoad throws arbitrary bytes at Load, seeded with a saved model,
+// the JSON of an older one and corrupt forests (a backward child and a
+// truncated tail among them). Load may refuse; a model it accepts must
+// predict without panicking or looping and save to bytes that load back
+// to the same forest.
+func FuzzModelLoad(f *testing.F) {
+	X, y := blobs3(60, 3)
+	m, err := Train(X, y, Config{Classes: 3, Rounds: 2, MaxDepth: 3, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved(f, m))
+	js, err := os.ReadFile(filepath.Join("testdata", "model-json.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(js)
+	for _, b := range corruptForests(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		m.PredictProba(make([]float64, m.features))
+		b := saved(t, m)
+		back, err := Load(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("a loaded model saves to bytes Load refuses: %v", err)
+		}
+		if !sameForest(back, m) && !hasNaN(m) {
+			t.Fatal("Save(Load(b)) loads to another forest")
+		}
+	})
+}
+
+// hasNaN reports whether m's configuration or forest holds a NaN, which
+// compares unequal to itself after a faithful round trip.
+func hasNaN(m *Model) bool {
+	c := m.cfg
+	for _, v := range append([]float64{c.LearningRate, c.Lambda, c.Gamma, c.MinChildWeight, c.Subsample, c.ColSample},
+		append(m.forest.Threshold, m.forest.Value...)...) {
+		if math.IsNaN(v) {
+			return true
+		}
+	}
+	return false
 }

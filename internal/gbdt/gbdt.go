@@ -114,12 +114,12 @@ func (t *Tree) predict(x []float64) (float64, int) {
 	}
 }
 
-// Model is a trained boosted ensemble.
+// Model is a trained boosted ensemble: its configuration, its feature
+// count and the flattened forest that inference walks and Save writes.
 type Model struct {
 	cfg      Config
 	features int
-	trees    [][]*Tree // [round][class] — the persisted form
-	forest   *Forest   // flattened SoA twin of trees, used for inference
+	forest   *Forest
 }
 
 // NumClasses returns the number of classes the model scores.
@@ -162,6 +162,7 @@ func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
 	grad := make([]float64, classes*n) // class-major: class c's gradients are grad[c*n:(c+1)*n]
 	hess := make([]float64, classes*n)
 	m := &Model{cfg: cfg, features: nf}
+	trees := make([][]*Tree, 0, cfg.Rounds) // [round][class]
 	tr := newTrainer(buildBins(X, nf), cfg, margins)
 	rows := make([]int32, 0, n)
 	var oos []int // the round's out-of-sample rows
@@ -220,9 +221,9 @@ func Train(X [][]float64, y []int, cfg Config) (*Model, error) {
 				margins[i*classes+c] += v
 			}
 		}
-		m.trees = append(m.trees, roundTrees)
+		trees = append(trees, roundTrees)
 	}
-	m.forest = flatten(m.trees)
+	m.forest = flatten(trees)
 	return m, nil
 }
 

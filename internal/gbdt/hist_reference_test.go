@@ -44,6 +44,7 @@ func trainHistReference(X [][]float64, y []int, cfg Config) (*Model, error) {
 		hess[c] = make([]float64, n)
 	}
 	m := &Model{cfg: cfg, features: nf}
+	var trees [][]*Tree
 	b := &histRefBuilder{X: X, cfg: cfg, bins: buildBins(X, nf)}
 	rows := make([]int, 0, n)
 	colBuf := make([]int, 0, nf)
@@ -92,9 +93,9 @@ func trainHistReference(X [][]float64, y []int, cfg Config) (*Model, error) {
 				}
 			}
 		}
-		m.trees = append(m.trees, roundTrees)
+		trees = append(trees, roundTrees)
 	}
-	m.forest = flatten(m.trees)
+	m.forest = flatten(trees)
 	return m, nil
 }
 

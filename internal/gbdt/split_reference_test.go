@@ -38,6 +38,7 @@ func trainReference(X [][]float64, y []int, cfg Config) (*Model, error) {
 		hess[c] = make([]float64, n)
 	}
 	m := &Model{cfg: cfg, features: nf}
+	var trees [][]*Tree
 	b := &refBuilder{X: X, cfg: cfg}
 	rows := make([]int, 0, n)
 	colBuf := make([]int, 0, nf)
@@ -80,9 +81,9 @@ func trainReference(X [][]float64, y []int, cfg Config) (*Model, error) {
 				margins[i][c] += v
 			}
 		}
-		m.trees = append(m.trees, roundTrees)
+		trees = append(trees, roundTrees)
 	}
-	m.forest = flatten(m.trees)
+	m.forest = flatten(trees)
 	return m, nil
 }
 
