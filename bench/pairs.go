@@ -30,7 +30,10 @@
 // builds the package's test binary in each tree once (go test -c), then
 // pair i runs each side's binary from its package directory with
 // -test.run '^$' -test.bench <regex> -test.benchmem -test.cpu 1, in the
-// same alternating order. The record, of kind "bench", is
+// same alternating order. The parent's binary is built with the
+// change's bench_test.go of the package in place of its own (go test
+// -overlay), so both sides run the same benchmark code, a benchmark the
+// change adds included. The record, of kind "bench", is
 // bench/history/<entry>-<last element of pkg-dir>.bench.json: per
 // benchmark the summary of its ns/op, B/op and allocs/op, named
 // "<Benchmark>:ns/op" and so on; a run's steal share is read from
@@ -183,9 +186,14 @@ func main() {
 		h.Package, h.Bench = filepath.ToSlash(filepath.Clean(args[1])), args[2]
 		name = fmt.Sprintf("%d-%s.bench", entry, filepath.Base(h.Package))
 		bins := map[string]string{}
+		overlay := benchOverlay(root, parentTree, h.Package)
 		for side, tree := range trees {
 			bins[side] = filepath.Join(root, ".bench_build", "pairs", "bin", side+".test")
-			build := exec.Command("go", "test", "-c", "-o", bins[side], "./"+h.Package)
+			args := []string{"test", "-c", "-o", bins[side]}
+			if side == "parent" && overlay != "" {
+				args = append(args, "-overlay", overlay)
+			}
+			build := exec.Command("go", append(args, "./"+h.Package)...)
 			build.Dir, build.Stdout, build.Stderr = tree, os.Stderr, os.Stderr
 			if err := build.Run(); err != nil {
 				fatalf("build %s test binary: %v", side, err)
@@ -336,6 +344,25 @@ func runOnce(tree, workload string, seed int, trace bool, logPath string) run {
 	pct, _ := strconv.ParseFloat(string(m[1]), 64)
 	r.StealShare = pct / 100
 	return r
+}
+
+// benchOverlay writes a go build overlay that puts the change's
+// <pkg>/bench_test.go in the parent tree's package and returns its path,
+// or "" when the change has no such file.
+func benchOverlay(root, parentTree, pkg string) string {
+	src := filepath.Join(root, pkg, "bench_test.go")
+	if _, err := os.Stat(src); err != nil {
+		return ""
+	}
+	doc, err := json.Marshal(map[string]map[string]string{"Replace": {filepath.Join(parentTree, pkg, "bench_test.go"): src}})
+	if err != nil {
+		fatalf("%v", err)
+	}
+	path := filepath.Join(root, ".bench_build", "pairs", "overlay.json")
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		fatalf("%v", err)
+	}
+	return path
 }
 
 // benchUnits are the go test -benchmem columns a bench record keeps, with

@@ -1,8 +1,10 @@
 package router_test
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"locec/internal/router"
@@ -44,4 +46,47 @@ func BenchmarkLookup(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkScatterClassify runs one 64-edge POST /v1/classify through the
+// router, HTTPTransport and two loopback shards per op: the split, two
+// sub-batches, two shard replies (cache hits after the first op) and the
+// spliced reply.
+func BenchmarkScatterClassify(b *testing.B) {
+	h, batch := scatterFleet(b)
+	body := bytes.NewReader(batch)
+	req := httptest.NewRequest(http.MethodPost, "/v1/classify", body)
+	w := &sinkWriter{h: make(http.Header)}
+	b.ReportAllocs()
+	for b.Loop() {
+		clear(w.h)
+		body.Reset(batch)
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d, want 200", w.status)
+		}
+	}
+}
+
+// scatterFleet is a two-shard fleet over loopback sockets and a 64-edge
+// batch that spans both shards, the classify half of router_read_10k.
+func scatterFleet(tb testing.TB) (h http.Handler, batch []byte) {
+	tb.Helper()
+	f := fleet(tb)
+	handlers, err := f.cut(2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h = newTestRouter(tb, &router.HTTPTransport{BaseURLs: serveShards(tb, handlers)}, func(c *router.Config) { c.Shards = 2 }).Handler()
+	if len(f.edges) < 64 {
+		tb.Fatalf("fixture has %d edges, want ≥ 64", len(f.edges))
+	}
+	b := []byte(`{"edges":[`)
+	for i, e := range f.edges[:64] {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, `{"u":%d,"v":%d}`, e.U, e.V)
+	}
+	return h, append(b, "]}"...)
 }

@@ -1,8 +1,10 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -10,9 +12,11 @@ import (
 	"slices"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"locec/internal/latency"
 	"locec/internal/parallel"
+	"locec/internal/query"
 )
 
 // maxBody bounds a router request body, matching the shard limit.
@@ -31,8 +35,12 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
+// jsonContentType is every JSON reply's Content-Type value, shared: the
+// server only reads it.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -41,8 +49,45 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// The router's own documents. Fields are declared in name order, the
+// order of their keys on the wire (TestRouterWireDocs pins the bytes).
+type (
+	healthzDoc struct {
+		Shards int    `json:"shards"`
+		Status string `json:"status"`
+	}
+	readyzDoc struct {
+		OpenCircuits int    `json:"open_circuits"`
+		Shards       int    `json:"shards"`
+		Status       string `json:"status"`
+	}
+	// unavailableDoc is the 503 of a single-key read whose owner is dark.
+	unavailableDoc struct {
+		Error         string `json:"error"`
+		MissingShards []int  `json:"missing_shards"`
+	}
+	// mutationsDoc is a POST /v1/mutations body, the client's and each
+	// shard's share of it.
+	mutationsDoc struct {
+		Mutations []json.RawMessage `json:"mutations"`
+		Wait      bool              `json:"wait"`
+	}
+	// receiptsDoc is the router's POST /v1/mutations reply.
+	receiptsDoc struct {
+		Partial bool           `json:"partial"`
+		Shards  []shardReceipt `json:"shards"`
+	}
+	shardReceipt struct {
+		Shard     int             `json:"shard"`
+		Mutations int             `json:"mutations"`
+		Status    int             `json:"status"`
+		Response  json.RawMessage `json:"response,omitempty"`
+		Error     string          `json:"error,omitempty"`
+	}
+)
+
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": r.cfg.Shards})
+	writeJSON(w, http.StatusOK, healthzDoc{Shards: r.cfg.Shards, Status: "ok"})
 }
 
 // handleReadyz: the router is ready when at least one shard's circuit is
@@ -60,19 +105,18 @@ func (r *Router) handleReadyz(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		status, code = "not ready", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{"status": status, "open_circuits": open, "shards": r.cfg.Shards})
+	writeJSON(w, code, readyzDoc{OpenCircuits: open, Shards: r.cfg.Shards, Status: status})
 }
 
 // handleEdge routes GET /v1/edge?u=&v= to the owner of {u,v}.
 func (r *Router) handleEdge(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query()
-	u, err1 := strconv.ParseUint(q.Get("u"), 10, 32)
-	v, err2 := strconv.ParseUint(q.Get("v"), 10, 32)
+	u, err1 := strconv.ParseUint(query.Get(req.URL.RawQuery, "u"), 10, 32)
+	v, err2 := strconv.ParseUint(query.Get(req.URL.RawQuery, "v"), 10, 32)
 	if err1 != nil || err2 != nil {
 		writeError(w, http.StatusBadRequest, "u and v must be uint32 node ids")
 		return
 	}
-	r.forward(w, req, r.ring.OwnerEdge(uint32(u), uint32(v)), req.URL.RequestURI())
+	r.forward(w, req, r.ring.OwnerEdge(uint32(u), uint32(v)), "/v1/edge?"+req.URL.RawQuery)
 }
 
 // handleCommunities routes GET /v1/communities/{node} to the node's owner.
@@ -95,18 +139,29 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, owner int, pa
 	resp, err := r.call(ctx, owner, http.MethodGet, path, nil, true)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error(), "missing_shards": []int{owner}})
+		writeJSON(w, http.StatusServiceUnavailable, unavailableDoc{Error: err.Error(), MissingShards: []int{owner}})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(resp.Status)
 	_, _ = w.Write(resp.Body)
 }
 
-// readBody reads a request body of at most maxBody bytes, answering 400
-// or 413 itself when it cannot (ok is false then).
+// maxSizedBody caps the buffer readBody allocates on a declared
+// Content-Length before any byte arrives, as the shards cap theirs.
+const maxSizedBody = 64 << 10
+
+// readBody reads a request body of at most maxBody bytes, into a buffer
+// sized once by a declared Content-Length up to maxSizedBody, answering
+// 400 or 413 itself when it cannot (ok is false then).
 func readBody(w http.ResponseWriter, req *http.Request) (body []byte, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBody+1))
+	var err error
+	if n := req.ContentLength; n >= 0 && n <= maxSizedBody {
+		body = make([]byte, n)
+		_, err = io.ReadFull(req.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(req.Body, maxBody+1))
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return nil, false
@@ -127,91 +182,248 @@ type classifyEdge struct {
 // handleClassify scatters a batch to every owning shard and gathers.
 // Unreachable shards degrade the response instead of failing it: their
 // entries are null, "partial" is true and missing_shards names them —
-// reachable results are always returned, never discarded.
+// reachable results are always returned, never discarded. The router
+// decodes no shard reply: each result is relayed as the bytes the shard
+// wrote.
 func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 	body, ok := readBody(w, req)
 	if !ok {
 		return
 	}
-	var creq struct {
+	// One object per edge: sizing Edges by the body's '{' count spares the
+	// decoder its doublings.
+	creq := struct {
 		Edges []classifyEdge `json:"edges"`
-	}
+	}{Edges: make([]classifyEdge, 0, bytes.Count(body, []byte{'{'}))}
 	if err := json.Unmarshal(body, &creq); err != nil {
 		writeError(w, http.StatusBadRequest, "decode: %v", err)
 		return
 	}
-	if len(creq.Edges) == 0 {
+	edges := creq.Edges
+	if len(edges) == 0 {
 		writeError(w, http.StatusBadRequest, "no edges in request")
 		return
 	}
 
-	// Partition the batch by owning shard, remembering each edge's global
-	// position so the gathered response preserves request order.
-	byShard := map[int][]int{}
-	for i, e := range creq.Edges {
-		owner := r.ring.OwnerEdge(e.U, e.V)
-		byShard[owner] = append(byShard[owner], i)
+	// Group the batch by owning shard, a counting sort: order lists the
+	// request positions shard by shard, shard s's at start[s]:start[s+1],
+	// and pos[i] is position i's place in order.
+	n, shards := len(edges), r.cfg.Shards
+	idx := make([]int, 2*n+2*shards+1)
+	order, pos, start := idx[:n], idx[n:2*n], idx[2*n:2*n+shards+1]
+	owners := idx[2*n+shards+1:][:0] // the shards owning any edge, ascending
+	for i, e := range edges {
+		pos[i] = r.ring.OwnerEdge(e.U, e.V)
+		start[pos[i]+1]++
 	}
+	for s := range shards {
+		if start[s+1] > 0 {
+			owners = append(owners, s)
+		}
+		start[s+1] += start[s]
+	}
+	for i, s := range pos {
+		order[start[s]], pos[i] = i, start[s]
+		start[s]++
+	}
+	copy(start[1:], start[:shards]) // each start[s] ran to shard s's end
+	start[0] = 0
 
 	t0 := time.Now()
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
-	results := make([]json.RawMessage, len(creq.Edges))
 	// One goroutine per owning shard, in ascending shard order. Each fills
-	// only its own edges' slots of results and its own slot of failed.
-	owners := slices.Sorted(maps.Keys(byShard))
-	failed := make([]bool, len(owners))
+	// only its own span of results, which stays nil if the shard failed.
+	results := make([][]byte, n)
 	parallel.Each(len(owners), func(o int) {
-		shard, idxs := owners[o], byShard[owners[o]]
-		sub := struct {
-			Edges []classifyEdge `json:"edges"`
-		}{Edges: make([]classifyEdge, len(idxs))}
-		for j, i := range idxs {
-			sub.Edges[j] = creq.Edges[i]
-		}
-		subBody, err := json.Marshal(sub)
-		if err == nil {
-			var resp *Response
-			resp, err = r.call(ctx, shard, http.MethodPost, "/v1/classify", subBody, true)
-			if err == nil && resp.Status != http.StatusOK {
-				err = fmt.Errorf("shard %d classify returned %d: %s", shard, resp.Status, resp.Body)
-			}
-			if err == nil {
-				var sresp struct {
-					Results []json.RawMessage `json:"results"`
-				}
-				if jerr := json.Unmarshal(resp.Body, &sresp); jerr != nil {
-					err = fmt.Errorf("shard %d classify response: %w", shard, jerr)
-				} else if len(sresp.Results) != len(idxs) {
-					err = fmt.Errorf("shard %d returned %d results for %d edges", shard, len(sresp.Results), len(idxs))
-				} else {
-					for j, i := range idxs {
-						results[i] = sresp.Results[j]
-					}
-				}
-			}
-		}
-		if err != nil {
+		shard := owners[o]
+		lo, hi := start[shard], start[shard+1]
+		if err := r.classifyShard(ctx, shard, edges, order[lo:hi], results[lo:lo:hi]); err != nil {
 			r.log.Warn("classify scatter failed", "shard", shard, "err", err)
-			failed[o] = true
+			clear(results[lo:hi])
 		}
 	})
 	r.sgLat.Observe(time.Since(t0))
 
-	var missing []int
-	for o, f := range failed {
-		if f {
-			missing = append(missing, owners[o])
+	var missing []byte
+	for _, s := range owners {
+		if results[start[s]] == nil {
+			missing = strconv.AppendInt(append(missing, ','), int64(s), 10)
 		}
 	}
-	doc := map[string]any{
-		"results": results,
-		"partial": len(missing) > 0,
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	if missing != nil {
+		missing[0] = '['
+		_, _ = w.Write(missingKey)
+		_, _ = w.Write(missing)
+		_, _ = w.Write(partialTrue)
+	} else {
+		_, _ = w.Write(partialFalse)
 	}
-	if len(missing) > 0 {
-		doc["missing_shards"] = missing
+	for i, p := range pos {
+		if i > 0 {
+			_, _ = w.Write(comma)
+		}
+		if res := results[p]; res != nil {
+			_, _ = w.Write(res)
+		} else {
+			_, _ = w.Write(null)
+		}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	_, _ = w.Write(resultsEnd)
+}
+
+// The pieces of a gathered classify reply, {"missing_shards":[…],
+// "partial":…,"results":[…]} and a newline: the keys in the order a map
+// encoded them, missing_shards only when a shard is dark.
+var (
+	missingKey   = []byte(`{"missing_shards":`)
+	partialTrue  = []byte(`],"partial":true,"results":[`)
+	partialFalse = []byte(`{"partial":false,"results":[`)
+	comma        = []byte(",")
+	null         = []byte("null")
+	resultsEnd   = []byte("]}\n")
+)
+
+// classifyShard sends a shard the edges at positions idxs and appends to
+// dst a view of each result in its reply.
+func (r *Router) classifyShard(ctx context.Context, shard int, edges []classifyEdge, idxs []int, dst [][]byte) error {
+	resp, err := r.call(ctx, shard, http.MethodPost, "/v1/classify", appendSubBatch(edges, idxs), true)
+	if err != nil {
+		return err
+	}
+	if resp.Status != http.StatusOK {
+		return fmt.Errorf("shard %d classify returned %d: %s", shard, resp.Status, resp.Body)
+	}
+	got, err := appendResults(dst, resp.Body)
+	if err != nil {
+		return fmt.Errorf("shard %d classify response: %w", shard, err)
+	}
+	if len(got) != len(idxs) {
+		return fmt.Errorf("shard %d returned %d results for %d edges", shard, len(got), len(idxs))
+	}
+	return nil
+}
+
+// appendSubBatch writes a shard's share of a batch, {"edges":[{"u":…,
+// "v":…},…]}, byte for byte what json.Marshal writes for it: a shard's
+// response cache is keyed by the body's hash.
+func appendSubBatch(edges []classifyEdge, idxs []int) []byte {
+	const perEdge = len(`{"u":4294967295,"v":4294967295},`)
+	b := append(make([]byte, 0, len(`{"edges":[]}`)+perEdge*len(idxs)), `{"edges":[`...)
+	for j, i := range idxs {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(append(b, `{"u":`...), uint64(edges[i].U), 10)
+		b = strconv.AppendUint(append(b, `,"v":`...), uint64(edges[i].V), 10)
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
+}
+
+// appendResults appends to dst a view of each element of the top-level
+// "results" array of a classify reply, in order and trimmed of blanks;
+// nothing is copied. body must be valid JSON, checked once here, and an
+// object with exactly one member named "results", holding an array. A
+// member name json.Unmarshal would also match to "results" (another case,
+// an escape, a non-ASCII fold) is an error, so the elements are always
+// the ones Unmarshal would find.
+func appendResults(dst [][]byte, body []byte) ([][]byte, error) {
+	if !json.Valid(body) {
+		return dst, errors.New("invalid JSON")
+	}
+	i := skipBlank(body, 0)
+	if body[i] != '{' {
+		return dst, errors.New("not an object")
+	}
+	found := false
+	for i = skipBlank(body, i+1); body[i] != '}'; i = skipBlank(body, i+1) {
+		end := skipValue(body, i)
+		name := body[i+1 : end-1]
+		i = skipBlank(body, skipBlank(body, end)+1) // past the colon
+		switch {
+		case string(name) == "results":
+			if found || body[i] != '[' {
+				return dst, errors.New(`"results" repeated or not an array`)
+			}
+			found = true
+			for i = skipBlank(body, i+1); body[i] != ']'; i = skipBlank(body, i+1) {
+				end := skipValue(body, i)
+				dst = append(dst, body[i:end])
+				if i = skipBlank(body, end); body[i] == ']' {
+					break
+				}
+			}
+			i++
+		case bytes.ContainsFunc(name, func(r rune) bool { return r == '\\' || r >= utf8.RuneSelf }) ||
+			asciiEqualFold(name, "results"):
+			return dst, fmt.Errorf("member %q may name \"results\"", name)
+		default:
+			i = skipValue(body, i)
+		}
+		if i = skipBlank(body, i); body[i] == '}' {
+			break
+		}
+	}
+	if !found {
+		return dst, errors.New(`no "results"`)
+	}
+	return dst, nil
+}
+
+// endsLiteral reports whether c is the first byte after a number, true,
+// false or null in valid JSON.
+func endsLiteral(c byte) bool {
+	switch c {
+	case ' ', '\t', '\n', '\r', ',', ']', '}':
+		return true
+	}
+	return false
+}
+
+// skipBlank returns the index of the first non-blank byte of b at or
+// after i.
+func skipBlank(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// skipValue returns the index just past the JSON value that starts at
+// b[i], b being valid JSON: strings run to their closing quote, objects
+// and arrays to the bracket that closes them, literals to a delimiter.
+func skipValue(b []byte, i int) int {
+	depth := 0
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+			continue
+		case '}', ']':
+			depth--
+		default:
+			if depth > 0 {
+				continue
+			}
+			for i < len(b) && !endsLiteral(b[i]) {
+				i++
+			}
+			return i
+		}
+		if depth == 0 {
+			return i + 1
+		}
+	}
+	return i
 }
 
 // handleMutations fans a mutation batch out to only the shards whose
@@ -227,10 +439,7 @@ func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	var mreq struct {
-		Mutations []json.RawMessage `json:"mutations"`
-		Wait      bool              `json:"wait"`
-	}
+	var mreq mutationsDoc
 	if err := json.Unmarshal(body, &mreq); err != nil {
 		writeError(w, http.StatusBadRequest, "decode: %v", err)
 		return
@@ -259,13 +468,6 @@ func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	type shardReceipt struct {
-		Shard     int             `json:"shard"`
-		Mutations int             `json:"mutations"`
-		Status    int             `json:"status"`
-		Response  json.RawMessage `json:"response,omitempty"`
-		Error     string          `json:"error,omitempty"`
-	}
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
 	owners := slices.Sorted(maps.Keys(byShard))
@@ -273,7 +475,7 @@ func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 	parallel.Each(len(owners), func(o int) {
 		shard, muts := owners[o], byShard[owners[o]]
 		rec := shardReceipt{Shard: shard, Mutations: len(muts)}
-		sub, err := json.Marshal(map[string]any{"mutations": muts, "wait": mreq.Wait})
+		sub, err := json.Marshal(mutationsDoc{Mutations: muts, Wait: mreq.Wait})
 		if err == nil {
 			var resp *Response
 			// Mutations are not idempotent: one attempt, no hedge.
@@ -297,10 +499,7 @@ func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, status, map[string]any{
-		"shards":  receipts,
-		"partial": status != http.StatusOK,
-	})
+	writeJSON(w, status, receiptsDoc{Partial: status != http.StatusOK, Shards: receipts})
 }
 
 // handleStats reports per-shard health, retry/hedge/breaker counters and

@@ -20,6 +20,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"strings"
@@ -69,8 +70,9 @@ type shardConns struct {
 
 type conn struct {
 	net.Conn
-	rd *bufio.Reader
-	wr *bufio.Writer
+	rd  *bufio.Reader
+	wr  *bufio.Writer
+	buf []byte // readAll's buffer, kept across replies
 }
 
 // parse reads BaseURLs once; every later call returns the same error.
@@ -176,19 +178,208 @@ func (c *conn) writeRequest(s *shardConns, method, path string, body []byte) err
 }
 
 // readResponse reads one reply; keep: the connection may carry another.
+// It reads the status line and header lines with ReadSlice and keeps only
+// Content-Length, Transfer-Encoding: chunked and Connection (a Trailer
+// naming a framing field is refused, as net/http refuses it). What it
+// does not need it refuses instead of interpreting: another version than
+// HTTP/1.0 and 1.1, folded or bare-LF lines, a repeated length, a length
+// beside chunking. Which reply has a body and which connection stays open
+// follow net/http: 1xx, 204 and 304 have none; a reply with neither a
+// length nor chunking runs to EOF and closes; HTTP/1.0 closes unless it
+// says keep-alive.
 func (c *conn) readResponse() (resp *Response, keep bool, err error) {
-	hr, err := http.ReadResponse(c.rd, nil)
+	line, err := c.rd.ReadSlice('\n')
 	if err != nil {
+		return nil, false, unexpectedEOF(err)
+	}
+	status, http10, ok := parseStatusLine(line)
+	if !ok {
+		return nil, false, fmt.Errorf("router: malformed status line %q", line)
+	}
+	h := replyHeader{length: -1}
+	if err := readHeader(c.rd, &h, http10); err != nil {
 		return nil, false, err
 	}
+	keep = !h.close && (!http10 || h.keepAlive)
 	var data []byte
-	if n := hr.ContentLength; n >= 0 && n <= maxBody { // a longer claim earns no up-front buffer
-		data = make([]byte, n)
-		_, err = io.ReadFull(hr.Body, data)
-	} else {
-		data, err = io.ReadAll(hr.Body)
+	switch {
+	case status/100 == 1 || status == http.StatusNoContent || status == http.StatusNotModified:
+	case h.chunked:
+		if data, err = c.readAll(httputil.NewChunkedReader(c.rd)); err == nil {
+			err = readHeader(c.rd, nil, false) // the trailer
+		}
+	case h.length > maxBody: // a longer claim earns no up-front buffer
+		data, err = io.ReadAll(io.LimitReader(c.rd, h.length))
+		if err == nil && int64(len(data)) < h.length {
+			err = io.ErrUnexpectedEOF
+		}
+	case h.length > 0:
+		data = make([]byte, h.length)
+		_, err = io.ReadFull(c.rd, data)
+	case h.length < 0: // the body ends with the connection
+		keep = false
+		data, err = c.readAll(c.rd)
 	}
-	return &Response{Status: hr.StatusCode, Body: data}, !hr.Close && c.rd.Buffered() == 0, err
+	return &Response{Status: status, Body: data}, keep && c.rd.Buffered() == 0, err
+}
+
+// replyHeader is what readResponse keeps of a reply's header.
+type replyHeader struct {
+	length           int64 // Content-Length, -1 when absent
+	chunked          bool
+	close, keepAlive bool // Connection tokens
+}
+
+// field takes in one header line.
+func (h *replyHeader) field(name, value []byte, http10 bool) error {
+	switch {
+	case asciiEqualFold(name, "Content-Length"):
+		n, ok := parseLength(value)
+		if !ok || h.length >= 0 || h.chunked {
+			return fmt.Errorf("router: bad or repeated Content-Length %q", value)
+		}
+		h.length = n
+	case asciiEqualFold(name, "Transfer-Encoding"):
+		if http10 || h.chunked || h.length >= 0 || !asciiEqualFold(value, "chunked") {
+			return fmt.Errorf("router: unsupported Transfer-Encoding %q", value)
+		}
+		h.chunked = true
+	case asciiEqualFold(name, "Connection"):
+		for rest := value; len(rest) > 0; {
+			var tok []byte
+			tok, rest, _ = bytes.Cut(rest, comma)
+			tok = bytes.Trim(tok, " \t")
+			h.close = h.close || asciiEqualFold(tok, "close")
+			h.keepAlive = h.keepAlive || asciiEqualFold(tok, "keep-alive")
+		}
+	case asciiEqualFold(name, "Trailer"):
+		for rest := value; len(rest) > 0; {
+			var key []byte
+			key, rest, _ = bytes.Cut(rest, comma)
+			key = bytes.Trim(key, " \t")
+			if asciiEqualFold(key, "Content-Length") || asciiEqualFold(key, "Transfer-Encoding") || asciiEqualFold(key, "Trailer") {
+				return fmt.Errorf("router: bad trailer key %q", key)
+			}
+		}
+	}
+	return nil
+}
+
+// parseStatusLine reads "HTTP/1.x NNN[ reason]\r\n".
+func parseStatusLine(line []byte) (status int, http10, ok bool) {
+	if len(line) < len("HTTP/1.x NNN\r\n") || string(line[:7]) != "HTTP/1." || line[8] != ' ' ||
+		(line[7] != '0' && line[7] != '1') || !bytes.HasSuffix(line, crlf) {
+		return 0, false, false
+	}
+	for _, d := range line[9:12] {
+		if d < '0' || d > '9' {
+			return 0, false, false
+		}
+		status = status*10 + int(d-'0')
+	}
+	if rest := line[12:]; len(rest) > 2 && rest[0] != ' ' {
+		return 0, false, false
+	}
+	return status, line[7] == '0', true
+}
+
+var crlf = []byte("\r\n")
+
+// readHeader reads header lines up to the blank line that ends them into
+// h, or, with h nil (a chunked body's trailer), only checks them. A line
+// that does not end in CRLF, whose name is not a token, or whose value
+// holds a control byte other than tab is an error; so is a folded line,
+// whose name starts with a blank.
+func readHeader(rd *bufio.Reader, h *replyHeader, http10 bool) error {
+	for {
+		line, err := rd.ReadSlice('\n')
+		if err != nil {
+			return unexpectedEOF(err)
+		}
+		line, ok := bytes.CutSuffix(line, crlf)
+		if !ok {
+			return fmt.Errorf("router: header line %q does not end in CRLF", line)
+		}
+		if len(line) == 0 {
+			return nil
+		}
+		name, value, ok := bytes.Cut(line, []byte(":"))
+		if !ok || len(name) == 0 || bytes.ContainsFunc(name, func(r rune) bool { return !isTokenRune(r) }) ||
+			bytes.ContainsFunc(value, func(r rune) bool { return r < ' ' && r != '\t' || r == 0x7f }) {
+			return fmt.Errorf("router: malformed header line %q", line)
+		}
+		if h != nil {
+			if err := h.field(name, bytes.Trim(value, " \t"), http10); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// isTokenRune reports whether r may appear in a header name (RFC 7230's
+// tchar).
+func isTokenRune(r rune) bool {
+	return 'a' <= r && r <= 'z' || 'A' <= r && r <= 'Z' || '0' <= r && r <= '9' ||
+		strings.ContainsRune("!#$%&'*+-.^_`|~", r)
+}
+
+// parseLength reads a Content-Length of at most 18 digits.
+func parseLength(b []byte) (n int64, ok bool) {
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	for _, d := range b {
+		if d < '0' || d > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(d-'0')
+	}
+	return n, true
+}
+
+// asciiEqualFold is bytes.EqualFold without Unicode folding.
+func asciiEqualFold(b []byte, s string) bool {
+	if len(b) != len(s) {
+		return false
+	}
+	for i, c := range b {
+		if lower := c | 0x20; c != s[i] && (lower != s[i]|0x20 || lower < 'a' || lower > 'z') {
+			return false
+		}
+	}
+	return true
+}
+
+// unexpectedEOF reports a reply cut short as io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readAll reads r to EOF through the connection's own buffer and returns
+// a copy of exactly the bytes read: the buffer's growth is paid once per
+// connection, not once per reply.
+func (c *conn) readAll(r io.Reader) ([]byte, error) {
+	b := c.buf[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if cap(b) <= maxBody { // a larger reply's buffer is not kept
+		c.buf = b
+	}
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // take pops the shard's most recently used idle connection, or nil.

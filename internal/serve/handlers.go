@@ -14,6 +14,7 @@ import (
 
 	"locec/internal/core"
 	"locec/internal/graph"
+	"locec/internal/query"
 	"locec/internal/social"
 )
 
@@ -194,13 +195,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEdge(w http.ResponseWriter, r *http.Request) {
 	snap := s.current()
 	markSnapshot(w, snap)
-	q := r.URL.Query()
-	u, err := snap.parseNode(q.Get("u"))
+	u, err := snap.parseNode(query.Get(r.URL.RawQuery, "u"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "u: %v", err)
 		return
 	}
-	v, err := snap.parseNode(q.Get("v"))
+	v, err := snap.parseNode(query.Get(r.URL.RawQuery, "v"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "v: %v", err)
 		return
