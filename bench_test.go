@@ -15,10 +15,10 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"locec/internal/bench"
 	"locec/internal/experiments"
 	"locec/internal/graph"
 	"locec/internal/serve"
+	"locec/internal/testutil/trained"
 )
 
 // benchOpt returns the benchmark-scale experiment options.
@@ -156,13 +156,11 @@ func BenchmarkFig14Advertising(b *testing.B) {
 // BenchmarkServeEdgeLookup measures locec-serve single-edge lookup
 // throughput (lookups/sec ≈ 1e9 / ns/op) through the full handler stack —
 // the serving layer's hot path. Snapshot construction happens once outside
-// the timed region, on the shared internal/bench dataset fixture.
+// the timed region, from the shared trained artifact.
 func BenchmarkServeEdgeLookup(b *testing.B) {
 	s, err := serve.New(serve.Config{
-		Users: 200, Seed: 7,
-		Variant: "xgb", Detector: "labelprop",
-		Source: bench.Source(200, 1.0), // fixture controls the survey fraction
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Artifact: trained.Artifact(b, 200, "labelprop", false).Path,
+		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,11 +1,11 @@
-// Command locec-serve is the LoCEC classification service: it synthesizes
-// (or loads) a WeChat-like network, classifies every friendship with the
-// three-phase pipeline on GOMAXPROCS workers, and serves the result
-// over HTTP/JSON from an atomically swappable in-memory snapshot.
+// Command locec-serve is the LoCEC classification service: it serves the
+// friendships an offline three-phase run classified — an artifact written
+// by `locec train -out` — over HTTP/JSON from an atomically swappable
+// in-memory snapshot. It trains nothing.
 //
 // Usage:
 //
-//	locec-serve -addr :8080 -users 800 -variant cnn
+//	locec train -out m.locec && locec-serve -addr :8080 -artifact m.locec
 //
 // Endpoints:
 //
@@ -17,14 +17,14 @@
 //	GET  /v1/communities/{node}   a node's ego-network communities
 //	GET  /v1/stats                snapshot, phase times, cache, uptime
 //	GET  /v1/artifact             download the live snapshot as a .locec file
-//	POST /v1/reload               swap in a new snapshot: {"seed":N} retrains,
-//	                              {"artifact":"path"} loads without training
+//	POST /v1/reload               swap in another artifact: {"artifact":"path"}
 //	POST /v1/mutations            mutate the live graph (add/remove/relabel
 //	                              edges); only the dirty neighborhood is
 //	                              recomputed and a new snapshot published
 //
-// With -artifact the initial snapshot is deserialized from a file written
-// by `locec train -out` instead of trained, so restarts cost O(load).
+// The first snapshot is restored from -artifact, or from the WAL
+// checkpoint when -wal names a directory that holds one; with neither the
+// command exits 1. Restarts cost O(load).
 // With -shard i/N the instance serves one slice of an N-way cut
 // (`locec shard -n N`) behind locec-router: it loads only shard i's
 // artifact and answers 421 for data other shards own. The port is bound
@@ -33,8 +33,9 @@
 // from "dead".
 // With -wal dir/ accepted mutations are appended to a durable write-ahead
 // log before they are applied, boot replays the log atop the last
-// checkpoint artifact, and a background checkpointer truncates the log —
-// a kill -9 loses nothing that was acknowledged (see docs/OPERATIONS.md).
+// checkpoint artifact (or -artifact before the first checkpoint), and a
+// background checkpointer truncates the log — a kill -9 loses nothing that
+// was acknowledged (see docs/OPERATIONS.md).
 // SIGINT/SIGTERM drain in-flight requests before exit.
 package main
 
@@ -47,31 +48,19 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	artifactpkg "locec/internal/artifact"
-	"locec/internal/core"
-	"locec/internal/iodata"
 	"locec/internal/serve"
-	"locec/internal/social"
 	"locec/internal/wal"
 )
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		users    = flag.Int("users", 800, "population size (synthetic mode)")
-		seed     = flag.Int64("seed", 42, "random seed for the initial snapshot")
-		survey   = flag.Float64("survey", 0.4, "fraction of edges with revealed labels (synthetic mode)")
-		variant  = flag.String("variant", "cnn", "community classifier: cnn or xgb")
-		k        = flag.Int("k", 16, "feature matrix rows (CommCNN)")
-		epochs   = flag.Int("epochs", 8, "CommCNN training epochs")
-		detector = flag.String("detector", "", "Phase I detector of a training run (empty = gn): "+strings.Join(core.DetectorNames(), ", ")+"; an artifact divides by the rule it records and refuses a contradicting -detector")
 		cache    = flag.Int("cache", 256, "batch-response LRU cache entries")
-		input    = flag.String("input", "", "load a JSON dataset (locec-datagen format) instead of synthesizing")
-		artifact = flag.String("artifact", "", "cold-start from a trained artifact (locec train -out) instead of training")
+		artifact = flag.String("artifact", "", "the trained artifact to serve (locec train -out); needed unless -wal holds a checkpoint")
 		shard    = flag.String("shard", "", "serve one slice of a sharded fleet as \"i/N\" (requires -artifact; loads <artifact stem>-i-of-N.locec)")
 
 		walDir  = flag.String("wal", "", "directory for the durable mutation WAL (empty = mutations are in-memory only)")
@@ -81,18 +70,10 @@ func main() {
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	cfg := serve.Config{
-		Users:     *users,
-		Survey:    *survey,
-		Seed:      *seed,
-		Variant:   *variant,
-		K:         *k,
-		Epochs:    *epochs,
-		Detector:  *detector,
 		CacheSize: *cache,
 		Artifact:  *artifact,
 		Logger:    log,
-
-		WALDir: *walDir,
+		WALDir:    *walDir,
 	}
 	mode, err := wal.ParseSyncMode(*walSync)
 	if err != nil {
@@ -111,28 +92,12 @@ func main() {
 		*artifact = shardArtifact(*artifact, i, n)
 		cfg.Artifact = *artifact
 	}
-	if *input != "" && *artifact != "" {
-		fatal(fmt.Errorf("-input and -artifact are mutually exclusive"))
-	}
-	if *input != "" {
-		ds, err := loadDataset(*input)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Source = func(int64) (*social.Dataset, error) { return ds, nil }
-	}
+	log.Info("cold-starting", "artifact", *artifact, "wal", *walDir, "shard", *shard)
 
-	if *artifact != "" {
-		log.Info("cold-starting from artifact", "path", *artifact, "shard", *shard)
-	} else {
-		log.Info("building initial snapshot",
-			"users", *users, "variant", *variant, "seed", *seed)
-	}
-
-	// Bind the port before the snapshot build: while serve.New runs (a
-	// cold start, a full training run, or a WAL replay), /healthz answers
-	// 200 "booting" and everything else 503, so the fleet sees a live but
-	// not-ready process instead of connection refused.
+	// Bind the port before the snapshot build: while serve.New runs (an
+	// artifact or WAL checkpoint restore, and any replay), /healthz
+	// answers 200 "booting" and everything else 503, so the fleet sees a
+	// live but not-ready process instead of connection refused.
 	gate := serve.NewBootGate()
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -194,20 +159,6 @@ func shardArtifact(path string, i, n int) string {
 		return cut
 	}
 	return path
-}
-
-// loadDataset reads a locec-datagen JSON document.
-func loadDataset(path string) (*social.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }()
-	doc, err := iodata.Decode(f)
-	if err != nil {
-		return nil, err
-	}
-	return doc.ToDataset()
 }
 
 func fatal(err error) {

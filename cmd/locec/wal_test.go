@@ -13,6 +13,7 @@ import (
 	"locec/internal/graph"
 	"locec/internal/serve"
 	"locec/internal/social"
+	"locec/internal/testutil/trained"
 	"locec/internal/wal"
 )
 
@@ -70,10 +71,9 @@ func TestWalDumpExitCodes(t *testing.T) {
 func TestWalReplayMatchesBootRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := serve.Config{
-		Users: 80, Survey: 0.5, Seed: 7, Variant: "xgb",
-		Rounds: 5, MaxDepth: 3, Detector: "labelprop",
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
-		WALDir: dir, ManualCheckpoints: true,
+		Artifact: trained.Artifact(t, 80, "labelprop", true).Path,
+		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+		WALDir:   dir, ManualCheckpoints: true,
 	}
 	s, err := serve.New(cfg)
 	if err != nil {

@@ -94,14 +94,6 @@ func applyDensity(cfg *wechat.Config, mult float64) {
 	cfg.RandomEdgesPerUser *= mult
 }
 
-// Source adapts a fixture to serve.Config.Source: each reload seed maps
-// to its own cached dataset, so repeated serve benchmarks skip regeneration.
-func Source(users int, density float64) func(seed int64) (*social.Dataset, error) {
-	return func(seed int64) (*social.Dataset, error) {
-		return Dataset(users, density, seed)
-	}
-}
-
 // EgoGraph returns a planted two-community graph shaped like a typical
 // ego network — the Phase I unit of work the community-detector
 // benchmarks exercise. Cached per (n, seed).

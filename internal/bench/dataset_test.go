@@ -72,25 +72,3 @@ func TestGraphFixturesCachedAndDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestSourceFeedsServeReloads(t *testing.T) {
-	src := Source(50, 1.0)
-	a, err := src(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := src(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Error("distinct seeds returned the same dataset")
-	}
-	a2, err := src(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != a2 {
-		t.Error("repeated seed missed the cache")
-	}
-}

@@ -61,17 +61,26 @@ func For(n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Each calls fn(i) for every i in [0, n) on a goroutine of its own and
-// waits for all of them: the shape for a scatter of blocking calls (one
-// request per shard), where the width is the number of peers, not of CPUs.
+// Each calls fn(i) for every i in [0, n) at once and waits for all of
+// them: every item but the last on a goroutine of its own, the last on the
+// caller's, so a single item starts none. The shape for a scatter of
+// blocking calls (one request per shard), where the width is the number of
+// peers, not of CPUs.
 func Each(n int, fn func(i int)) {
+	if n <= 1 {
+		if n == 1 {
+			fn(0)
+		}
+		return
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
+	wg.Add(n - 1)
+	for i := range n - 1 {
 		go func() {
 			defer wg.Done()
 			fn(i)
 		}()
 	}
+	fn(n - 1)
 	wg.Wait()
 }

@@ -138,8 +138,9 @@ func TestConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEachRunsItemsConcurrently: every item gets its own goroutine — item
-// i can wait for item i+1 — and n <= 0 is a no-op.
+// TestEachRunsItemsConcurrently: every item runs at once — item i can wait
+// for item i+1, the last one running on the caller — and n <= 0 is a
+// no-op.
 func TestEachRunsItemsConcurrently(t *testing.T) {
 	testutil.SetProcs(t, 1)
 	const n = 16
@@ -159,4 +160,22 @@ func TestEachRunsItemsConcurrently(t *testing.T) {
 	}
 	Each(0, func(int) { t.Error("fn called for n = 0") })
 	Each(-3, func(int) { t.Error("fn called for n < 0") })
+}
+
+// TestEachOneItemRunsInline: a single item runs on the caller's goroutine
+// — t.FailNow is legal in it — and Each then allocates nothing: no
+// goroutine, no WaitGroup.
+func TestEachOneItemRunsInline(t *testing.T) {
+	calls := 0
+	fn := func(i int) {
+		if calls++; i != 0 {
+			t.FailNow() // legal only on the test's own goroutine
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Each(1, fn) }); allocs != 0 {
+		t.Fatalf("Each(1, fn) allocated %.1f objects, want 0", allocs)
+	}
+	if calls != 101 { // AllocsPerRun's warm-up call and its 100 runs
+		t.Fatalf("fn ran %d times, want 101", calls)
+	}
 }

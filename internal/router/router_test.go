@@ -27,6 +27,7 @@ import (
 	"locec/internal/ring"
 	"locec/internal/router"
 	"locec/internal/serve"
+	"locec/internal/testutil/trained"
 )
 
 const fleetShards = 3
@@ -55,22 +56,16 @@ var (
 
 func fleet(t testing.TB) *fleetFixture {
 	t.Helper()
-	fixtureOnce.Do(func() { fixture, fixtureErr = buildFleet() })
+	fixtureOnce.Do(func() { fixture, fixtureErr = buildFleet(t) })
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
 	}
 	return fixture
 }
 
-func buildFleet() (*fleetFixture, error) {
+func buildFleet(t testing.TB) (*fleetFixture, error) {
 	full, err := serve.New(serve.Config{
-		Users:    80,
-		Survey:   0.5,
-		Seed:     7,
-		Variant:  "xgb",
-		Rounds:   5,
-		MaxDepth: 3,
-		Detector: "labelprop",
+		Artifact: trained.Artifact(t, 80, "labelprop", false).Path,
 		Logger:   quiet,
 	})
 	if err != nil {

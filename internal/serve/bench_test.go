@@ -9,24 +9,17 @@ import (
 	"strings"
 	"testing"
 
-	"locec/internal/bench"
 	"locec/internal/graph"
 	"locec/internal/serve"
+	"locec/internal/testutil/trained"
 )
 
-// benchServer builds a service on the shared internal/bench dataset
-// fixture so every serve benchmark measures the same snapshot.
+// benchServer boots a service from the shared trained artifact so every
+// serve benchmark measures the same snapshot.
 func benchServer(b *testing.B) *serve.Server {
 	b.Helper()
 	s, err := serve.New(serve.Config{
-		Users:    80,
-		Survey:   0.4,
-		Seed:     7,
-		Variant:  "xgb",
-		Rounds:   5,
-		MaxDepth: 3,
-		Detector: "labelprop",
-		Source:   bench.Source(80, 1.0),
+		Artifact: trained.Artifact(b, 80, "labelprop", false).Path,
 		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {

@@ -9,6 +9,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"locec/internal/testutil/trained"
+	"locec/internal/wal"
 )
 
 // bootStats is the part of GET /v1/stats a boot determines.
@@ -28,14 +31,6 @@ func readBootStats(t *testing.T, s *Server) bootStats {
 		t.Fatalf("stats: status %d", resp.StatusCode)
 	}
 	return st
-}
-
-// seedWALConfig is walConfig with the base state trained from the seed
-// instead of loaded from the shared artifact.
-func seedWALConfig(t testing.TB, dir string) Config {
-	cfg := walConfig(t, dir, nil)
-	cfg.Artifact = ""
-	return cfg
 }
 
 // logRecords boots cfg, logs records one-edge batches, checkpointing
@@ -66,9 +61,9 @@ func logRecords(t *testing.T, cfg Config, records, ckptAfter int) {
 }
 
 // TestBootCounters pins what /v1/stats reports right after each way New
-// boots — from a seed, from an artifact, from a WAL directory without a
-// checkpoint (seed or artifact base) and from a WAL checkpoint, each WAL
-// boot with and without records to replay. Every boot publishes one
+// boots — from an artifact, from a WAL directory without a checkpoint
+// (artifact base) and from a WAL checkpoint, each WAL boot with and
+// without records to replay. Every boot publishes one
 // snapshot: version 1, or 2 when records were replayed onto the base;
 // the epoch is the base's plus the replayed records; and no boot counts
 // as a reload.
@@ -83,23 +78,12 @@ func TestBootCounters(t *testing.T) {
 		version, epoch, replayed int64
 		mutable                  bool
 	}{
-		{"seed", func(t *testing.T) Config {
-			return Config{Users: 80, Survey: 0.5, Seed: 7, Variant: "xgb", Rounds: 5, MaxDepth: 3, Detector: "labelprop", Logger: discardLogger()}
-		}, 1, 0, -1, true},
 		{"train-only artifact", func(t *testing.T) Config {
 			return Config{Artifact: trainOnly, Logger: discardLogger()}
 		}, 1, 0, -1, false},
 		{"mutable artifact", func(t *testing.T) Config {
 			return Config{Artifact: mutableArtifact(t), Logger: discardLogger()}
 		}, 1, 0, -1, true},
-		{"wal, seed base, empty log", func(t *testing.T) Config {
-			return seedWALConfig(t, t.TempDir())
-		}, 1, 0, 0, true},
-		{"wal, seed base, 2 records", func(t *testing.T) Config {
-			cfg := seedWALConfig(t, t.TempDir())
-			logRecords(t, cfg, 2, 0)
-			return cfg
-		}, 2, 2, 2, true},
 		{"wal, artifact base, empty log", func(t *testing.T) Config {
 			return walConfig(t, t.TempDir(), nil)
 		}, 1, 0, 0, true},
@@ -158,13 +142,7 @@ func TestImmutableReloadRefusedWithWAL(t *testing.T) {
 	if _, err := s.Mutate(addBatch(pairs[0], 0), true); err != nil {
 		t.Fatal(err)
 	}
-	other, err := New(Config{Users: 90, Survey: 0.5, Seed: 8, Variant: "xgb", Rounds: 5, MaxDepth: 3, Detector: "labelprop", Logger: discardLogger()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(other.Close)
-	trainOnly := filepath.Join(t.TempDir(), "train-only.locec")
-	exportToFile(t, other, trainOnly)
+	trainOnly := trained.Artifact(t, 90, "labelprop", false).Path
 
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -209,19 +187,40 @@ func TestImmutableReloadRefusedWithWAL(t *testing.T) {
 	}
 }
 
+// TestReloadCheckpointsBeforeItAnswers: a WAL server's reload is durable
+// once ReloadArtifact returns. Killed at that instant, the server boots
+// the reloaded state, not the previous base with the log replayed onto it.
+func TestReloadCheckpointsBeforeItAnswers(t *testing.T) {
+	fsys := wal.NewMemFS()
+	s, err := New(walConfig(t, "wal", fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Mutate(addBatch(absentPairs(s, 1)[0], 0), true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReloadArtifact(trained.Artifact(t, 90, "labelprop", true).Path); err != nil {
+		t.Fatal(err)
+	}
+	fsys.FailAfter(1) // killed: nothing after the answer reaches the disk
+	s.Close()
+	fsys.Crash()
+	fsys.FailAfter(0)
+	s2, err := New(walConfig(t, "wal", fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Close)
+	assertStateEqual(t, s2.current(), s.current(), "rebooted vs the acknowledged reload")
+}
+
 // TestBootDividesAsTrained: a server booted from a labelprop-trained,
 // dataset-embedded artifact with no Detector configured re-divides dirty
 // egos by the rule the artifact records. After one mutation its egos and
 // predictions are == to RunFrozen under the training pipeline. A Detector
 // that contradicts the artifact is refused, at boot and at reload.
 func TestBootDividesAsTrained(t *testing.T) {
-	trainCfg := Config{Users: 80, Survey: 0.5, Seed: 7, Variant: "xgb", Rounds: 5, MaxDepth: 3, Detector: "labelprop", Logger: discardLogger()}
-	trained, err := New(trainCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(trained.Close)
-	ref := trained.current()
+	ref := trainedServer(t).current()
 
 	s, err := New(Config{Artifact: mutableArtifact(t), Logger: discardLogger()})
 	if err != nil {
@@ -247,9 +246,7 @@ func TestBootDividesAsTrained(t *testing.T) {
 	if _, err := New(Config{Artifact: mutableArtifact(t), Detector: "clauset", Logger: discardLogger()}); err == nil {
 		t.Fatal("a clauset server booted from a labelprop artifact")
 	}
-	clauset := trainCfg
-	clauset.Detector = "clauset"
-	c, err := New(clauset)
+	c, err := New(Config{Artifact: trained.Artifact(t, 80, "clauset", true).Path, Detector: "clauset", Logger: discardLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -560,9 +560,7 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	snap := s.current()
 	if snap.pipe == nil {
 		markSnapshot(w, snap)
-		writeError(w, http.StatusConflict,
-			"snapshot %d was loaded from an artifact and carries no raw dataset; mutations need a trained snapshot (POST /v1/reload with a seed first)",
-			snap.version)
+		writeError(w, http.StatusConflict, "%v", snap.immutable())
 		return
 	}
 	batch := make([]core.Mutation, len(req.Mutations))
@@ -614,19 +612,14 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// reloadRequest is the optional POST /v1/reload body.
+// reloadRequest is the POST /v1/reload body.
 type reloadRequest struct {
-	// Seed retrains on a fresh dataset for this seed.
-	Seed *int64 `json:"seed"`
-	// Artifact swaps in a pre-trained snapshot from this server-local
-	// file path instead of retraining (see docs/OPERATIONS.md).
+	// Artifact is the server-local path of the artifact to swap in (see
+	// docs/OPERATIONS.md).
 	Artifact string `json:"artifact"`
 }
 
-// handleReload builds and publishes a fresh snapshot: from an artifact
-// file when the body names one (no training), else by retraining on the
-// requested seed. With no body (or no seed), the next seed is the current
-// one plus one so repeated reloads keep producing new datasets.
+// handleReload restores the artifact the body names and publishes it.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -639,20 +632,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.Artifact != "" && req.Seed != nil {
-		writeError(w, http.StatusBadRequest, "request both retrains (seed) and loads an artifact; pick one")
+	if req.Artifact == "" {
+		writeError(w, http.StatusBadRequest, `body needs "artifact": the server-local path of a .locec file`)
 		return
 	}
-	var info SnapshotInfo
-	var err error
-	switch {
-	case req.Artifact != "":
-		info, err = s.ReloadArtifact(req.Artifact)
-	case req.Seed != nil:
-		info, err = s.Reload(*req.Seed)
-	default:
-		info, err = s.ReloadNext()
-	}
+	info, err := s.ReloadArtifact(req.Artifact)
 	switch {
 	case errors.Is(err, errImmutable):
 		writeError(w, http.StatusConflict, "%v", err)

@@ -168,7 +168,7 @@ func (s *Server) applyJobs(jobs []mutationJob) {
 	defer s.reloadMu.Unlock()
 	snap := s.current()
 	if snap.pipe == nil {
-		err := fmt.Errorf("serve: snapshot %d was loaded from an artifact and carries no raw dataset; mutations need a trained snapshot (POST /v1/reload with a seed first)", snap.version)
+		err := snap.immutable()
 		for _, job := range jobs {
 			s.finishJob(job, mutationOutcome{err: err}, true)
 		}
@@ -232,7 +232,7 @@ func (s *Server) publishMutated(prev *snapshot, ds *social.Dataset, res *core.Re
 	snap.applied += stats.Duration
 	s.publish(snap)
 	s.mutApplied.Add(int64(stats.Mutations))
-	s.kickCheckpoint(false)
+	s.kickCheckpoint()
 	s.lastDirtyNodes.Store(int64(stats.DirtyNodes))
 	s.lastDirtyEdges.Store(int64(stats.DirtyEdges))
 	s.lastDatasetEdits.Store(int64(stats.DatasetEdits))

@@ -1,13 +1,12 @@
 // Package serve is the LoCEC serving layer: a long-lived HTTP/JSON
 // classification service in the spirit of the paper's deployed system
-// (Section V-D). A dataset is loaded (or synthesized) once, classified by
-// the three-phase pipeline across a sharded worker pool, and the finished
-// run is published as an immutable in-memory snapshot behind an
-// atomic.Pointer. Readers — GET /v1/edge, POST /v1/classify,
-// GET /v1/communities/{node}, GET /v1/stats — never take a lock;
-// POST /v1/reload classifies a fresh dataset off to the side and swaps the
-// pointer, so lookups keep answering from the old snapshot until the new
-// one is complete.
+// (Section V-D). It serves what the offline three-phase run wrote: an
+// artifact (`locec train -out`, or a WAL checkpoint) is restored once and
+// published as an immutable in-memory snapshot behind an atomic.Pointer.
+// Readers — GET /v1/edge, POST /v1/classify, GET /v1/communities/{node},
+// GET /v1/stats — never take a lock; POST /v1/reload restores another
+// artifact off to the side and swaps the pointer, so lookups keep
+// answering from the old snapshot until the new one is complete.
 package serve
 
 import (
@@ -22,39 +21,27 @@ import (
 
 	"locec/internal/artifact"
 	"locec/internal/core"
-	"locec/internal/gbdt"
 	"locec/internal/graph"
-	"locec/internal/logreg"
 	"locec/internal/ring"
 	"locec/internal/social"
 	"locec/internal/wal"
-	"locec/internal/wechat"
 )
 
 // Config tunes the service.
 type Config struct {
-	// Users / Survey / Seed drive the default synthetic dataset source.
-	Users  int
-	Survey float64
-	Seed   int64
-	// Variant is the Phase II classifier: "cnn" (default) or "xgb".
+	// Variant is unread: an artifact records its classifier. It stays
+	// declared for callers that still set it.
 	Variant string
-	// K / Epochs tune CommCNN; Rounds / MaxDepth tune XGBoost. Zero
-	// values take the engine defaults.
-	K, Epochs        int
-	Rounds, MaxDepth int
-	// Detector picks the Phase I algorithm a training run divides by
-	// ("" or "gn" for Girvan–Newman, "labelprop", "louvain", or a
-	// seed-grown local detector "clauset", "lshell", "lemon"). A restored
-	// artifact divides by the rule it records; a non-empty Detector that
-	// contradicts it is refused.
+	// Detector, when set, names the Phase I rule ("gn", "labelprop",
+	// "louvain", "clauset", "lshell", "lemon") the served artifact must
+	// record: a restored artifact re-divides by its own rule, and one
+	// that contradicts Detector is refused, at boot and at reload.
 	Detector string
 	// CacheSize bounds the batch-response LRU cache (0 = 256 entries).
 	CacheSize int
-	// Artifact, when set, cold-starts the initial snapshot from this
-	// artifact file (written by `locec train -out`) instead of training a
-	// pipeline — restart cost becomes O(load), not O(train). Later
-	// seed-based reloads still use Source.
+	// Artifact is the file the first snapshot is restored from (written
+	// by `locec train -out`). Required unless WALDir holds a checkpoint,
+	// which boot prefers.
 	Artifact string
 	// ShardIndex / ShardCount declare this instance one member of a
 	// sharded fleet (`locec-serve -shard i/N` behind locec-router): the
@@ -65,9 +52,6 @@ type Config struct {
 	// default) serves everything.
 	ShardIndex int
 	ShardCount int
-	// Source overrides the dataset source; the default synthesizes a
-	// WeChat-like network from Users/Survey and the given seed.
-	Source func(seed int64) (*social.Dataset, error)
 	// Logger receives structured request and lifecycle logs (nil = the
 	// default slog logger).
 	Logger *slog.Logger
@@ -113,8 +97,8 @@ type snapshot struct {
 
 	// pipe is the pipeline the incremental engine applies mutations
 	// through, under res's frozen models and division rule. nil for
-	// artifact-loaded snapshots without an embedded dataset, whose graph
-	// carries topology only: those cannot be mutated.
+	// snapshots restored from an artifact without an embedded dataset,
+	// whose graph carries topology only: those cannot be mutated.
 	pipe *core.Pipeline
 
 	// walSeq is the last WAL sequence number whose effects this snapshot
@@ -241,7 +225,6 @@ type Server struct {
 	walFS       wal.FS
 	walLog      *wal.Log
 	walReplayed atomic.Int64
-	ckptForce   atomic.Bool
 	ckptCh      chan struct{}
 	ckptDone    chan struct{}
 	// The cost rule (maybeCheckpoint), in ns: the applied time the last
@@ -251,48 +234,20 @@ type Server struct {
 	ckptCost    atomic.Int64
 }
 
-// New builds the initial snapshot (blocking until the first classification
-// finishes) and returns a ready-to-serve Server.
+// New restores the initial snapshot (blocking until it is ready) and
+// returns a ready-to-serve Server.
 func New(cfg Config) (*Server, error) {
-	if cfg.Users <= 0 {
-		cfg.Users = 400
-	}
-	if cfg.Survey <= 0 {
-		cfg.Survey = 0.4
-	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256
 	}
 	if _, err := core.ParseDetector(cfg.Detector); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	switch cfg.Variant {
-	case "", "cnn", "xgb":
-	default:
-		return nil, fmt.Errorf("serve: unknown variant %q (want cnn or xgb)", cfg.Variant)
-	}
 	if cfg.ShardCount < 0 || (cfg.ShardCount > 0 && (cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount)) {
 		return nil, fmt.Errorf("serve: shard %d/%d out of range", cfg.ShardIndex, cfg.ShardCount)
 	}
-	if cfg.ShardCount > 0 {
-		if cfg.Artifact == "" {
-			return nil, fmt.Errorf("serve: shard %d/%d needs a cut artifact (locec shard -n %d, then -artifact)",
-				cfg.ShardIndex, cfg.ShardCount, cfg.ShardCount)
-		}
-		if cfg.WALDir != "" {
-			return nil, fmt.Errorf("serve: shards serve read-only; a WAL belongs on the full (trainable) server")
-		}
-	}
-	if cfg.Source == nil {
-		users, survey := cfg.Users, cfg.Survey
-		cfg.Source = func(seed int64) (*social.Dataset, error) {
-			net, err := wechat.Generate(wechat.DefaultConfig(users, seed))
-			if err != nil {
-				return nil, err
-			}
-			net.RunSurvey(survey, seed+1)
-			return net.Dataset, nil
-		}
+	if cfg.ShardCount > 0 && cfg.WALDir != "" {
+		return nil, fmt.Errorf("serve: shards serve read-only; a WAL belongs on the full server")
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -328,10 +283,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // boot builds the first snapshot and publishes it once. The base state is
-// the WAL checkpoint, else Config.Artifact, else a training run on
-// Config.Source(Config.Seed); with a WAL, the log is then opened and the
-// records the base does not cover are replayed onto it. No boot counts as
-// a reload. Called from New before any background goroutine starts.
+// the WAL checkpoint, else Config.Artifact; with a WAL, the log is then
+// opened and the records the base does not cover are replayed onto it. No
+// boot counts as a reload. Called from New before any background
+// goroutine starts.
 func (s *Server) boot() error {
 	t0 := time.Now()
 	var snap *snapshot
@@ -342,7 +297,10 @@ func (s *Server) boot() error {
 		}
 	}
 	if snap == nil {
-		if snap, err = s.build(nil, s.cfg.Seed, s.cfg.Artifact); err != nil {
+		if s.cfg.Artifact == "" {
+			return errors.New("serve: nothing to serve: no artifact given and no WAL checkpoint; write one with `locec train -out`")
+		}
+		if snap, err = s.load(nil, s.cfg.Artifact); err != nil {
 			return err
 		}
 		s.announce(snap, s.cfg.Artifact)
@@ -385,8 +343,8 @@ func (s *Server) Close() {
 	}
 }
 
-// SnapshotInfo describes a published snapshot (returned by Reload and the
-// stats endpoint).
+// SnapshotInfo describes a published snapshot (returned by ReloadArtifact
+// and the stats endpoint).
 type SnapshotInfo struct {
 	Version     int64   `json:"version"`
 	Seed        int64   `json:"seed"`
@@ -398,7 +356,8 @@ type SnapshotInfo struct {
 	BuiltAt     string  `json:"built_at"`
 	BuildSecs   float64 `json:"build_seconds"`
 	// Mutable reports whether POST /v1/mutations can evolve this snapshot
-	// (false for artifact-loaded snapshots, which carry topology only).
+	// (false for an artifact without an embedded dataset, which carries
+	// topology only).
 	Mutable bool `json:"mutable"`
 	// Shard is "i/N" when this snapshot is one slice of an N-way cut
 	// (empty for a full snapshot). Nodes/Edges then mean: Nodes is the
@@ -426,79 +385,44 @@ func (s *snapshot) info() SnapshotInfo {
 	}
 }
 
-// Reload classifies a fresh dataset for the given seed and atomically
-// publishes it. Concurrent readers keep serving the previous snapshot for
-// the whole build; concurrent reloads are serialized.
-func (s *Server) Reload(seed int64) (SnapshotInfo, error) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	return s.reloadLocked(seed, "")
-}
-
-// ReloadNext reloads with the live snapshot's seed plus one. The default
-// seed is read under the reload lock, so concurrent ReloadNext calls each
-// produce a distinct dataset instead of reusing the same increment.
-func (s *Server) ReloadNext() (SnapshotInfo, error) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	return s.reloadLocked(s.current().seed+1, "")
-}
-
-// ReloadArtifact publishes a snapshot deserialized from an artifact file
-// (see internal/artifact and docs/FORMATS.md) — the "ship a trained
-// snapshot, swap it in" half of the offline/online split. No training
-// happens; readers keep serving the previous snapshot until the new one is
-// fully decoded, exactly as with a retrain reload. Artifacts written with
-// an embedded dataset (locec train -embed-dataset, or any WAL checkpoint)
-// come back *mutable*; train-only artifacts serve read-only, and a WAL
-// server refuses them.
+// ReloadArtifact publishes a snapshot restored from an artifact file (see
+// internal/artifact and docs/FORMATS.md): readers keep serving the
+// previous snapshot until the new one is fully decoded, and concurrent
+// reloads are serialized. Artifacts written with an embedded dataset
+// (locec train -embed-dataset, or any WAL checkpoint) come back
+// *mutable*; train-only artifacts serve read-only, and a WAL server
+// refuses them.
 func (s *Server) ReloadArtifact(path string) (SnapshotInfo, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	return s.reloadLocked(0, path)
-}
-
-// errImmutable marks a reload a WAL server refuses; POST /v1/reload
-// answers it with 409.
-var errImmutable = errors.New("serve: immutable snapshot")
-
-// reloadLocked is every reload: build (the artifact at path, else a
-// training run on seed), then publish. A WAL server refuses an immutable
-// snapshot — the checkpointer cannot export it, so a restart would bring
-// back the state it replaced — and stamps the others with the log's
-// sequence: the fresh state supersedes every logged record, and the forced
-// checkpoint truncates them away instead of replaying them onto the wrong
-// graph. Callers hold reloadMu.
-func (s *Server) reloadLocked(seed int64, path string) (SnapshotInfo, error) {
-	snap, err := s.build(s.current(), seed, path)
+	snap, err := s.load(s.current(), path)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	if s.walLog != nil {
-		if snap.pipe == nil {
-			return SnapshotInfo{}, fmt.Errorf("%w: %s carries no raw dataset or no trained models, so no WAL checkpoint could cover it; reload a mutable artifact (locec train -embed-dataset, or a checkpoint)",
-				errImmutable, path)
-		}
-		snap.walSeq = s.walLog.Seq()
+	if s.walLog == nil {
+		s.publish(snap)
+	} else if err := s.publishDurable(snap, path); err != nil {
+		return SnapshotInfo{}, err
 	}
-	s.publish(snap)
 	s.reloads.Add(1)
 	s.announce(snap, path)
-	s.kickCheckpoint(true)
 	return snap.info(), nil
 }
 
-// announce logs a reloaded or booted snapshot; path names the artifact it
-// was loaded from, "" for a training run.
+// errImmutable marks a change an immutable snapshot cannot take: a
+// mutation, or its publication on a WAL server. The HTTP layer answers it
+// with 409.
+var errImmutable = errors.New("serve: immutable snapshot")
+
+// immutable is the one refusal of a change to s, a snapshot restored
+// without its raw dataset.
+func (s *snapshot) immutable() error {
+	return fmt.Errorf("%w: snapshot %d carries no raw dataset; serve a WAL checkpoint or an artifact written by `locec train -embed-dataset`",
+		errImmutable, s.version)
+}
+
+// announce logs a reloaded or booted snapshot restored from path.
 func (s *Server) announce(snap *snapshot, path string) {
-	if path == "" {
-		s.log.Info("snapshot published",
-			"version", snap.version, "seed", snap.seed,
-			"nodes", snap.ds.G.NumNodes(), "edges", snap.ds.G.NumEdges(),
-			"communities", snap.res.NumCommunities(),
-			"build_seconds", snap.buildTime.Seconds())
-		return
-	}
 	s.log.Info("snapshot published from artifact",
 		"version", snap.version, "path", path,
 		"nodes", snap.ds.G.NumNodes(), "edges", snap.ds.G.NumEdges(),
@@ -529,52 +453,9 @@ func (s *Server) newSnapshot(prev *snapshot, seed int64, ds *social.Dataset, res
 	}
 }
 
-// train classifies Config.Source(seed) with the three-phase pipeline into
-// a snapshot numbered after prev; the pipeline stays with the snapshot so
-// mutations apply under the same configuration and frozen models. A shard
-// refuses: retraining would publish the full graph on one shard.
-func (s *Server) train(prev *snapshot, seed int64) (*snapshot, error) {
-	if s.cfg.ShardCount > 0 {
-		return nil, fmt.Errorf(
-			"serve: shard %d/%d serves a cut artifact; retraining would publish the full graph on one shard — reload with a shard artifact instead",
-			s.cfg.ShardIndex, s.cfg.ShardCount)
-	}
-	t0 := time.Now()
-	ds, err := s.cfg.Source(seed)
-	if err != nil {
-		return nil, fmt.Errorf("serve: dataset source: %w", err)
-	}
-	// Validated in New; ParseDetector maps "" to Girvan–Newman.
-	det, _ := core.ParseDetector(s.cfg.Detector)
-	cfg := core.Config{
-		Division: core.DivisionConfig{Detector: det, Seed: seed},
-		Combiner: logreg.Config{Classes: social.NumLabels, Seed: seed + 101},
-		Seed:     seed,
-	}
-	if s.cfg.Variant == "xgb" {
-		cfg.Classifier = &core.XGBClassifier{
-			Config: gbdt.Config{Rounds: s.cfg.Rounds, MaxDepth: s.cfg.MaxDepth, Seed: seed},
-			Seed:   seed,
-		}
-	} else {
-		cfg.Classifier = &core.CNNClassifier{
-			K: s.cfg.K, Epochs: s.cfg.Epochs, Seed: seed,
-		}
-	}
-	pipe := core.NewPipeline(cfg)
-	res, err := pipe.Run(ds)
-	if err != nil {
-		return nil, fmt.Errorf("serve: classify: %w", err)
-	}
-	return s.newSnapshot(prev, seed, ds, res, pipe, time.Since(t0)), nil
-}
-
-// build makes an unpublished snapshot numbered after prev: the artifact
-// at path, or a training run on seed when path is "".
-func (s *Server) build(prev *snapshot, seed int64, path string) (*snapshot, error) {
-	if path == "" {
-		return s.train(prev, seed)
-	}
+// load restores the artifact at path into an unpublished snapshot
+// numbered after prev.
+func (s *Server) load(prev *snapshot, path string) (*snapshot, error) {
 	t0 := time.Now()
 	art, err := artifact.LoadFile(path)
 	if err != nil {

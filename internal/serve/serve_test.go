@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -13,7 +14,9 @@ import (
 	"sync"
 	"testing"
 
+	"locec/internal/core"
 	"locec/internal/graph"
+	"locec/internal/testutil/trained"
 )
 
 // discardLogger silences request logging in tests.
@@ -21,24 +24,27 @@ func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// testServer builds a small, fast service: tiny population, label
-// propagation instead of Girvan-Newman, XGBoost instead of the CNN.
+// testServer boots a small, fast service from the shared mutable
+// artifact (mutableArtifact): tiny population, label propagation instead
+// of Girvan-Newman, XGBoost instead of the CNN.
 func testServer(t testing.TB) *Server {
 	t.Helper()
-	s, err := New(Config{
-		Users:    80,
-		Survey:   0.5,
-		Seed:     7,
-		Variant:  "xgb",
-		Rounds:   5,
-		MaxDepth: 3,
-		Detector: "labelprop",
-		Logger:   discardLogger(),
-	})
+	s, err := New(Config{Artifact: mutableArtifact(t), Logger: discardLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	return s
+}
+
+// trainedServer is testServer serving the training run's own in-memory
+// state instead of its restore: the reference a restored server is held
+// to.
+func trainedServer(t testing.TB) *Server {
+	t.Helper()
+	s := testServer(t)
+	run := trained.Artifact(t, 80, "labelprop", true)
+	s.publish(s.newSnapshot(nil, trained.Seed, run.Dataset, run.Result, run.Pipeline, 0))
 	return s
 }
 
@@ -339,7 +345,7 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := ts.Client().Post(ts.URL+"/v1/reload", "application/json",
-		strings.NewReader(`{"seed": 99}`))
+		strings.NewReader(fmt.Sprintf(`{"artifact": %q}`, trained.Artifact(t, 90, "labelprop", true).Path)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,8 +354,8 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK || info.Version != 2 || info.Seed != 99 {
-		t.Fatalf("reload = %d %+v, want 200 version 2 seed 99", resp.StatusCode, info)
+	if resp.StatusCode != http.StatusOK || info.Version != 2 || info.Nodes != 90 {
+		t.Fatalf("reload = %d %+v, want 200 version 2 of 90 nodes", resp.StatusCode, info)
 	}
 	if got := s.current().version; got != 2 {
 		t.Fatalf("live snapshot version = %d, want 2", got)
@@ -362,8 +368,8 @@ func TestReloadSwapsSnapshot(t *testing.T) {
 func TestReloadBodyLengths(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
-	padded := func(size int) string { // a valid {"seed":9} of at least size bytes
-		return "{" + strings.Repeat(" ", size) + `"seed":9}`
+	padded := func(size int) string { // a valid {"artifact":…} of at least size bytes
+		return "{" + strings.Repeat(" ", size) + fmt.Sprintf(`"artifact":%q}`, mutableArtifact(t))
 	}
 	for _, c := range []struct {
 		name string
@@ -382,7 +388,7 @@ func TestReloadBodyLengths(t *testing.T) {
 }
 
 // TestConcurrentReadersDuringReload hammers /v1/edge and /v1/classify from
-// many goroutines while reloads swap snapshots underneath — the
+// many goroutines while reloads swap two artifacts underneath — the
 // atomic.Pointer contract: every reader sees a complete snapshot, old or
 // new, and nothing errors. Run with -race for the full guarantee.
 func TestConcurrentReadersDuringReload(t *testing.T) {
@@ -412,9 +418,9 @@ func TestConcurrentReadersDuringReload(t *testing.T) {
 					errCh <- err
 					continue
 				}
-				// The probed edge exists in the seed-7 snapshot; after a
-				// reload (new seed, new graph) it may legitimately vanish,
-				// so 404 is acceptable — only 5xx/4xx-other are failures.
+				// The probed edge exists in the 80-node snapshot; after a
+				// reload of the 90-node one it may legitimately vanish, so
+				// 404 is acceptable — only 5xx/4xx-other are failures.
 				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
 					errCh <- fmt.Errorf("reader status %d", resp.StatusCode)
 				}
@@ -424,14 +430,14 @@ func TestConcurrentReadersDuringReload(t *testing.T) {
 	}
 
 	// Two reloads race with the readers.
-	for _, seed := range []int64{21, 22} {
+	for _, users := range []int{90, 80} {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(path string) {
 			defer wg.Done()
-			if _, err := s.Reload(seed); err != nil {
+			if _, err := s.ReloadArtifact(path); err != nil {
 				errCh <- err
 			}
-		}(seed)
+		}(trained.Artifact(t, users, "labelprop", true).Path)
 	}
 	wg.Wait()
 	close(errCh)
@@ -469,9 +475,6 @@ func TestNewRejectsUnknownConfig(t *testing.T) {
 	if _, err := New(Config{Detector: "louvian", Logger: discardLogger()}); err == nil {
 		t.Fatal("misspelled detector accepted")
 	}
-	if _, err := New(Config{Variant: "cnn2", Logger: discardLogger()}); err == nil {
-		t.Fatal("unknown variant accepted")
-	}
 }
 
 // exportToFile downloads the live snapshot of s from GET /v1/artifact
@@ -493,7 +496,7 @@ func exportToFile(t *testing.T, s *Server, path string) {
 // answers every /v1/edge request with byte-identical JSON to the server
 // that trained the snapshot.
 func TestArtifactColdStartMatchesRetrain(t *testing.T) {
-	trained := testServer(t)
+	trained := trainedServer(t)
 	path := t.TempDir() + "/model.locec"
 	exportToFile(t, trained, path)
 
@@ -575,17 +578,6 @@ func TestReloadFromArtifact(t *testing.T) {
 		t.Fatalf("live version %d, want 2", s.Version())
 	}
 
-	// Both paths in one request is a client error.
-	resp2, err := ts.Client().Post(ts.URL+"/v1/reload", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"seed":9,"artifact":%q}`, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("seed+artifact status %d, want 400", resp2.StatusCode)
-	}
-
 	// A missing file is a server-side error, and the old snapshot stays.
 	resp3, err := ts.Client().Post(ts.URL+"/v1/reload", "application/json",
 		strings.NewReader(`{"artifact":"/does/not/exist.locec"}`))
@@ -598,6 +590,74 @@ func TestReloadFromArtifact(t *testing.T) {
 	}
 	if s.Version() != 2 {
 		t.Fatalf("failed reload changed version to %d", s.Version())
+	}
+}
+
+// TestRefusalsNameTheRemedy pins the changes a server refuses. A mutation
+// of a snapshot restored without its dataset is refused by the handler and,
+// should one reach it, by the applier, and a WAL server refuses to reload
+// such an artifact: each is 409 with the one errImmutable error, which
+// names the remedy. A reload body without "artifact" (no body, {}, a
+// {"seed":N} of the retired retrain reload) is 400 naming the field.
+func TestRefusalsNameTheRemedy(t *testing.T) {
+	trainOnly := trained.Artifact(t, 80, "labelprop", false).Path
+	ro, err := New(Config{Artifact: trainOnly, Logger: discardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ro.Close)
+	durable, err := New(walConfig(t, t.TempDir(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(durable.Close)
+	post := func(s *Server, path, body string) func() (int, string) {
+		return func() (int, string) {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			var doc struct {
+				Error string `json:"error"`
+			}
+			_ = json.Unmarshal(rec.Body.Bytes(), &doc)
+			return rec.Code, doc.Error
+		}
+	}
+	immutable := []string{errImmutable.Error(), "locec train -embed-dataset", "WAL checkpoint"}
+	noArtifact := []string{`"artifact"`}
+	for _, c := range []struct {
+		name   string
+		do     func() (int, string)
+		status int
+		want   []string
+	}{
+		{"mutation, handler", post(ro, "/v1/mutations", `{"wait":true,"mutations":[{"op":"remove","u":0,"v":1}]}`),
+			http.StatusConflict, immutable},
+		{"mutation, applier", func() (int, string) {
+			_, err := ro.Mutate([]core.Mutation{{Kind: core.MutRemove, U: 0, V: 1}}, true)
+			if errors.Is(err, errImmutable) {
+				return http.StatusConflict, err.Error()
+			}
+			return 0, fmt.Sprint(err)
+		}, http.StatusConflict, immutable},
+		{"train-only reload on a WAL server", post(durable, "/v1/reload", fmt.Sprintf(`{"artifact":%q}`, trainOnly)),
+			http.StatusConflict, append(immutable, trainOnly)},
+		{"reload, no body", post(ro, "/v1/reload", ""), http.StatusBadRequest, noArtifact},
+		{"reload, {}", post(ro, "/v1/reload", "{}"), http.StatusBadRequest, noArtifact},
+		{"reload, seed", post(ro, "/v1/reload", `{"seed":9}`), http.StatusBadRequest, noArtifact},
+	} {
+		status, msg := c.do()
+		if status != c.status {
+			t.Errorf("%s: status %d (%s), want %d", c.name, status, msg, c.status)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("%s: error %q does not say %q", c.name, msg, w)
+			}
+		}
+	}
+	if ro.Version() != 1 || durable.Version() != 1 || ro.mutFailed.Load() != 1 {
+		t.Fatalf("after the refusals: versions %d and %d, %d failed mutations; want 1, 1 and the applier's 1",
+			ro.Version(), durable.Version(), ro.mutFailed.Load())
 	}
 }
 

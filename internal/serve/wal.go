@@ -5,10 +5,10 @@ package serve
 // truncate-at-first-bad-record recovery) lives in internal/wal; this file
 // is the serving-side policy around it.
 //
-// Recovery contract: state after a crash = the checkpoint artifact (or a
-// deterministic rebuild of the boot dataset when none exists yet) plus a
-// replay of every intact log record the checkpoint does not cover
-// (wal.After: seq > the checkpoint's WALSeq).
+// Recovery contract: state after a crash = the checkpoint artifact (or
+// Config.Artifact when none exists yet) plus a replay of every intact log
+// record the checkpoint does not cover (wal.After: seq > the checkpoint's
+// WALSeq).
 // The records to replay are one burst under the live applier's rule
 // (core.Pipeline.ApplyBurst): all of them as one epoch, or record by
 // record skipping a rejected one. A record is rejected exactly when it was
@@ -30,9 +30,8 @@ import (
 // readCheckpoint restores the WAL directory's checkpoint as boot's base
 // state, stamped with the mutation epoch and log sequence it covers; nil
 // when the directory holds none (first boot, or a crash before the first
-// checkpoint: boot then rebuilds the base as a WAL-less boot would — the
-// dataset source and training are deterministic per seed, so the log's
-// records still apply on top).
+// checkpoint: boot then restores Config.Artifact, the base the log's
+// records were applied to).
 func (s *Server) readCheckpoint(t0 time.Time) (*snapshot, error) {
 	data, err := s.walFS.ReadFile(wal.CheckpointPath(s.cfg.WALDir))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -106,15 +105,11 @@ func (s *Server) recoverWAL(base *snapshot, t0 time.Time) (*snapshot, error) {
 }
 
 // kickCheckpoint nudges the background checkpointer (non-blocking; a
-// pending nudge coalesces). force makes its next pass unconditional — after
-// a reload, whose fresh dataset strands every logged record. Without a WAL,
-// and for unforced nudges under Config.ManualCheckpoints, it does nothing.
-func (s *Server) kickCheckpoint(force bool) {
-	if s.ckptCh == nil || (!force && s.cfg.ManualCheckpoints) {
+// pending nudge coalesces). Without a WAL, and under
+// Config.ManualCheckpoints, it does nothing.
+func (s *Server) kickCheckpoint() {
+	if s.ckptCh == nil || s.cfg.ManualCheckpoints {
 		return
-	}
-	if force {
-		s.ckptForce.Store(true)
 	}
 	select {
 	case s.ckptCh <- struct{}{}:
@@ -139,16 +134,15 @@ func (s *Server) checkpointer() {
 
 // maybeCheckpoint checkpoints when it pays: once the apply time since the
 // last checkpoint reaches that checkpoint's own cost, so boot replays about
-// one Save's worth and checkpoint CPU stays below apply CPU. A forced pass
-// (after a reload) checkpoints regardless; an immutable snapshot never does.
+// one Save's worth and checkpoint CPU stays below apply CPU. An immutable
+// snapshot never does.
 func (s *Server) maybeCheckpoint() {
 	snap := s.current()
-	force := s.ckptForce.Swap(false)
 	if snap.pipe == nil {
 		return // immutable snapshot: nothing mutates, nothing to checkpoint
 	}
-	if !force && (s.sinceCheckpoint(snap) < time.Duration(s.ckptCost.Load()) ||
-		snap.walSeq <= s.walLog.Stats().BaseSeq) {
+	if s.sinceCheckpoint(snap) < time.Duration(s.ckptCost.Load()) ||
+		snap.walSeq <= s.walLog.Stats().BaseSeq {
 		return
 	}
 	if err := s.CheckpointNow(); err != nil {
@@ -162,20 +156,47 @@ func (s *Server) sinceCheckpoint(snap *snapshot) time.Duration {
 	return snap.applied - time.Duration(s.ckptApplied.Load())
 }
 
-// CheckpointNow synchronously exports the live snapshot as the WAL
-// checkpoint artifact (dataset embedded, epoch and sequence stamped),
-// truncates the log through it and makes its duration the cost the next
-// automatic checkpoint must be worth. The background checkpointer calls
-// this when the cost rule trips; tests and operators may call it directly.
+// CheckpointNow synchronously writes the live snapshot as the WAL
+// checkpoint. The background checkpointer calls this when the cost rule
+// trips; tests and operators may call it directly.
 func (s *Server) CheckpointNow() error {
 	if s.walLog == nil {
 		return fmt.Errorf("serve: no WAL configured")
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	snap := s.current()
+	return s.checkpoint(s.current())
+}
+
+// publishDurable publishes a reloaded snapshot on a WAL server once a
+// checkpoint covers it. The fresh state supersedes every logged record: it
+// is stamped with the log's sequence, and the checkpoint truncates them
+// away instead of leaving them to replay onto the wrong graph. A crash
+// before the reload is acknowledged therefore boots the state it would
+// have replaced, never a mix. An immutable snapshot is refused: no
+// checkpoint can cover it, so a restart would bring back the state it
+// replaced. Callers hold reloadMu, so no epoch is logged meanwhile.
+func (s *Server) publishDurable(snap *snapshot, path string) error {
 	if snap.pipe == nil {
-		return fmt.Errorf("serve: snapshot %d is immutable (no raw dataset); cannot checkpoint", snap.version)
+		return fmt.Errorf("%s: %w", path, snap.immutable())
+	}
+	snap.walSeq = s.walLog.Seq()
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	if err := s.checkpoint(snap); err != nil {
+		return err
+	}
+	s.publish(snap)
+	return nil
+}
+
+// checkpoint exports snap as the WAL checkpoint artifact (dataset
+// embedded, epoch and sequence stamped), truncates the log through it and
+// makes its duration the cost the next automatic checkpoint must be worth.
+// Callers hold ckptMu.
+func (s *Server) checkpoint(snap *snapshot) error {
+	if snap.pipe == nil {
+		return snap.immutable()
 	}
 	t0 := time.Now()
 	art, err := snap.export()

@@ -17,63 +17,16 @@ import (
 	"locec/internal/core"
 	"locec/internal/graph"
 	"locec/internal/social"
+	"locec/internal/testutil/trained"
 	"locec/internal/wal"
 )
 
-// mutableArtifact trains the test network once per process and saves it
-// WITH the embedded dataset, so every WAL test cold-starts in O(load)
-// instead of O(train).
-var (
-	mutableArtOnce sync.Once
-	mutableArtPath string
-	mutableArtErr  error
-)
-
+// mutableArtifact is the test network trained once per process and saved
+// WITH the embedded dataset (the shape of a WAL checkpoint), so every
+// server boots mutable in O(load).
 func mutableArtifact(t testing.TB) string {
 	t.Helper()
-	mutableArtOnce.Do(func() {
-		s, err := New(Config{
-			Users: 80, Survey: 0.5, Seed: 7, Variant: "xgb",
-			Rounds: 5, MaxDepth: 3, Detector: "labelprop",
-			Logger: discardLogger(),
-		})
-		if err != nil {
-			mutableArtErr = err
-			return
-		}
-		defer s.Close()
-		art, err := mutableSnapshot(s)
-		if err != nil {
-			mutableArtErr = err
-			return
-		}
-		dir, err := os.MkdirTemp("", "locec-wal-test-")
-		if err != nil {
-			mutableArtErr = err
-			return
-		}
-		mutableArtPath = filepath.Join(dir, "mutable.locec")
-		mutableArtErr = art.SaveFile(mutableArtPath)
-	})
-	if mutableArtErr != nil {
-		t.Fatal(mutableArtErr)
-	}
-	return mutableArtPath
-}
-
-// mutableSnapshot is s's live snapshot as an artifact with its dataset
-// embedded: the shape of a WAL checkpoint.
-func mutableSnapshot(s *Server) (*artifact.Artifact, error) {
-	snap := s.current()
-	ex, err := snap.res.Export()
-	if err != nil {
-		return nil, err
-	}
-	art, err := artifact.New(snap.ds.G, ex, snap.seed)
-	if err != nil {
-		return nil, err
-	}
-	return art, art.EmbedDataset(snap.ds)
+	return trained.Artifact(t, 80, "labelprop", true).Path
 }
 
 // walConfig cold-starts from the shared mutable artifact with a WAL in
@@ -82,8 +35,6 @@ func mutableSnapshot(s *Server) (*artifact.Artifact, error) {
 // deterministic.
 func walConfig(t testing.TB, dir string, fsys wal.FS) Config {
 	return Config{
-		Users: 80, Survey: 0.5, Seed: 7, Variant: "xgb",
-		Rounds: 5, MaxDepth: 3, Detector: "labelprop",
 		Logger:   discardLogger(),
 		Artifact: mutableArtifact(t),
 
@@ -599,23 +550,11 @@ func TestStatsCommunitiesMatchCheckpointMeta(t *testing.T) {
 func TestRecoveryReadsCheckpointOnce(t *testing.T) {
 	// Large enough that the checkpoint, not New's fixed set-up, is what
 	// the bound measures.
-	s, err := New(Config{
-		Users: 1000, Survey: 0.5, Seed: 7, Variant: "xgb",
-		Rounds: 5, MaxDepth: 3, Detector: "labelprop",
-		Logger: discardLogger(),
-	})
+	data, err := os.ReadFile(trained.Artifact(t, 1000, "labelprop", true).Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := mutableSnapshot(s)
-	s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ckpt bytes.Buffer
-	if err := art.Save(&ckpt); err != nil {
-		t.Fatal(err)
-	}
+	ckpt := bytes.NewBuffer(data)
 	size := ckpt.Len()
 	raw := bytes.Clone(ckpt.Bytes())
 	fsys := wal.NewMemFS()
@@ -636,7 +575,7 @@ func TestRecoveryReadsCheckpointOnce(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s, err = New(cfg)
+	s, err := New(cfg)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -780,7 +719,7 @@ func TestCheckpointCostRule(t *testing.T) {
 		}
 	}
 
-	// An immutable snapshot never checkpoints, forced or due.
+	// An immutable snapshot never checkpoints, even when one is due.
 	trainOnly := filepath.Join(t.TempDir(), "train-only.locec")
 	exportToFile(t, s, trainOnly)
 	cfg := walConfig(t, "wal", wal.NewMemFS())
@@ -791,7 +730,6 @@ func TestCheckpointCostRule(t *testing.T) {
 	}
 	t.Cleanup(ro.Close)
 	ro.ckptCost.Store(0)
-	ro.ckptForce.Store(true)
 	ro.maybeCheckpoint()
 	if n := checkpoints(ro); n != 0 {
 		t.Fatalf("%d checkpoints of an immutable snapshot, want 0", n)
