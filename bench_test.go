@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"locec/internal/experiments"
@@ -20,6 +21,13 @@ import (
 	"locec/internal/serve"
 	"locec/internal/testutil/trained"
 )
+
+// TestMain removes the artifacts the tests trained once they have run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	trained.RemoveAll()
+	os.Exit(code)
+}
 
 // benchOpt returns the benchmark-scale experiment options.
 func benchOpt() experiments.Options {

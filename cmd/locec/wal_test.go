@@ -17,6 +17,13 @@ import (
 	"locec/internal/wal"
 )
 
+// TestMain removes the artifacts the tests trained once they have run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	trained.RemoveAll()
+	os.Exit(code)
+}
+
 // writeWAL creates a WAL directory with n appended batches and returns it.
 func writeWAL(t *testing.T, n int) string {
 	t.Helper()

@@ -1,6 +1,7 @@
 package locec_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -193,6 +194,36 @@ func TestDatasetMapsReadThroughAccessors(t *testing.T) {
 	}
 	if scanned < 50 {
 		t.Fatalf("scanned only %d Go files; is the test running from the repository root?", scanned)
+	}
+}
+
+// TestTempDirsRemoved holds test code to leaving nothing in the temp dir:
+// a test file, or a file of a test-support package, that makes a directory
+// with os.MkdirTemp must remove as many with os.RemoveAll, typically from
+// a TestMain once m.Run has returned (t.TempDir needs neither).
+func TestTempDirsRemoved(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			if err == nil && path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if !strings.HasSuffix(path, "_test.go") && !strings.HasPrefix(path, "internal/testutil/") || path == "docs_test.go" {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if made, removed := bytes.Count(data, []byte("os.MkdirTemp(")), bytes.Count(data, []byte("os.RemoveAll(")); made > removed {
+			t.Errorf("%s: %d os.MkdirTemp, %d os.RemoveAll: remove every directory a test process makes (a TestMain after m.Run), or use t.TempDir", path, made, removed)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -24,8 +24,8 @@ func (w *sinkWriter) Write(p []byte) (int, error) { return len(p), nil }
 // TestRouterReadAllocations bounds what one GET /v1/edge costs the heap
 // through the router, HTTPTransport, a loopback socket and the shard
 // server on its far end, all in this process, as router_read_10k counts
-// them. A goroutine, channel or client-side header map per exchange shows
-// up here.
+// them. A goroutine, channel, timer, context or client-side header map per
+// exchange shows up here.
 func TestRouterReadAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("under -race sync.Pool drops Puts at random; CI runs this without it")
@@ -47,10 +47,12 @@ func TestRouterReadAllocations(t *testing.T) {
 		serve()
 	}
 	allocs := testing.AllocsPerRun(200, serve)
-	// Measured 44 on amd64 with Go 1.24: 64 while http.ReadResponse read the
-	// reply and both hops parsed url.Values, 105 through net/http's client
-	// (a goroutine, channel and timer per hedged read).
-	const bound = 48
+	// Measured 28 on amd64 with Go 1.24: 44 while each attempt had a
+	// context.WithTimeout, a hedge timer and closure and a context.AfterFunc
+	// of its own, 64 while http.ReadResponse read the reply and both hops
+	// parsed url.Values, 105 through net/http's client (a goroutine,
+	// channel and timer per hedged read).
+	const bound = 32
 	if allocs > bound {
 		t.Errorf("GET /v1/edge through the router: %.1f allocations, want ≤ %d", allocs, bound)
 	} else {
@@ -82,11 +84,13 @@ func TestRouterClassifyAllocations(t *testing.T) {
 		serve()
 	}
 	allocs := testing.AllocsPerRun(200, serve)
-	// Measured 112 on amd64 with Go 1.24; 113 while parallel.Each started
-	// a goroutine for every shard, the last included, and 286 while the
-	// router decoded each shard reply into json.RawMessage copies and
-	// re-encoded them, and http.ReadResponse read the replies.
-	const bound = 123
+	// Measured 83 on amd64 with Go 1.24; 112 while each shard RPC had its
+	// own attempt context, hedge timer and context.AfterFunc, 113 while
+	// parallel.Each started a goroutine for every shard, the last included,
+	// and 286 while the router decoded each shard reply into
+	// json.RawMessage copies and re-encoded them, and http.ReadResponse
+	// read the replies.
+	const bound = 94
 	if allocs > bound {
 		t.Errorf("POST /v1/classify through the router: %.1f allocations, want ≤ %d", allocs, bound)
 	} else {

@@ -16,25 +16,16 @@ const (
 	breakerHalfOpen
 )
 
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
+func (s breakerState) String() string { return [...]string{"closed", "open", "half-open"}[s] }
 
 // breaker is a per-shard circuit breaker. It exists to convert a dead
 // shard's failure mode from "every request burns a full timeout+retry
 // budget" into "fail in microseconds": after threshold consecutive
-// failures the circuit opens and requests short-circuit to ErrShardDown
-// until cooldown elapses, then a single half-open trial decides between
-// reopening and closing. Both request outcomes and health-probe outcomes
-// feed record, so a recovered shard is rediscovered by the prober even
-// with no client traffic.
+// failures the circuit opens and requests fail fast until cooldown
+// elapses, then a single half-open trial decides between reopening and
+// closing. Both request outcomes and health-probe outcomes feed it,
+// so a recovered shard is rediscovered by the prober even with no client
+// traffic.
 type breaker struct {
 	mu        sync.Mutex
 	state     breakerState
@@ -63,73 +54,38 @@ func (b *breaker) allow() bool {
 			return false
 		}
 		b.state = breakerHalfOpen
-		b.trialing = true
-		return true
 	default: // half-open
 		if b.trialing {
 			return false
 		}
-		b.trialing = true
-		return true
 	}
+	b.trialing = true
+	return true
 }
 
-// record feeds one outcome back. A half-open success closes the circuit;
-// a half-open failure reopens it and restarts the cooldown.
-func (b *breaker) record(ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		if ok {
-			b.fails = 0
-			return
-		}
-		b.fails++
-		if b.fails >= b.threshold {
-			b.state = breakerOpen
-			b.openedAt = time.Now()
-		}
-	case breakerOpen:
-		// A late outcome from before the trip; opening already absorbed it.
-	case breakerHalfOpen:
-		b.trialing = false
-		if ok {
-			b.state = breakerClosed
-			b.fails = 0
-		} else {
-			b.state = breakerOpen
-			b.openedAt = time.Now()
-		}
-	}
-}
+func (b *breaker) record(ok bool)      { b.feed(ok, false) }
+func (b *breaker) recordProbe(ok bool) { b.feed(ok, true) }
 
-// recordProbe feeds a health-probe outcome. Probes bypass allow, so a
-// successful probe closes the circuit directly — the probe was the
-// trial — which is how a recovered shard rejoins the fleet even when no
-// client traffic is reaching it. A failing probe counts like a failing
-// request and, while open, restarts the cooldown (the shard is
-// confirmed still dead; no point admitting a trial).
-func (b *breaker) recordProbe(ok bool) {
+// feed takes in one request or probe outcome. A success closes the
+// circuit: a half-open trial's, or a probe's, which bypasses allow and
+// was the trial — how a recovered shard rejoins the fleet even when no
+// client traffic reaches it. A failure while closed counts toward the
+// threshold; a half-open trial's or a probe's while open (re)opens the
+// circuit and restarts the cooldown. A request outcome arriving while
+// open is from before the trip, which already absorbed it.
+func (b *breaker) feed(ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if ok {
-		b.state = breakerClosed
-		b.fails = 0
-		b.trialing = false
-		return
-	}
-	switch b.state {
-	case breakerClosed:
-		b.fails++
-		if b.fails >= b.threshold {
-			b.state = breakerOpen
-			b.openedAt = time.Now()
+	switch {
+	case b.state == breakerOpen && !probe:
+	case ok:
+		b.state, b.fails, b.trialing = breakerClosed, 0, false
+	case b.state != breakerClosed:
+		b.state, b.trialing, b.openedAt = breakerOpen, false, time.Now()
+	default:
+		if b.fails++; b.fails >= b.threshold {
+			b.state, b.openedAt = breakerOpen, time.Now()
 		}
-	case breakerOpen, breakerHalfOpen:
-		b.state = breakerOpen
-		b.trialing = false
-		b.openedAt = time.Now()
 	}
 }
 

@@ -35,8 +35,7 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// jsonContentType is every JSON reply's Content-Type value, shared: the
-// server only reads it.
+// jsonContentType is every JSON reply's Content-Type, shared: read only.
 var jsonContentType = []string{"application/json"}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -181,10 +180,8 @@ type classifyEdge struct {
 
 // handleClassify scatters a batch to every owning shard and gathers.
 // Unreachable shards degrade the response instead of failing it: their
-// entries are null, "partial" is true and missing_shards names them —
-// reachable results are always returned, never discarded. The router
-// decodes no shard reply: each result is relayed as the bytes the shard
-// wrote.
+// entries are null, "partial" is true and missing_shards names them. No
+// shard reply is decoded: each result is relayed as the shard wrote it.
 func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 	body, ok := readBody(w, req)
 	if !ok {
@@ -239,7 +236,7 @@ func (r *Router) handleClassify(w http.ResponseWriter, req *http.Request) {
 		shard := owners[o]
 		lo, hi := start[shard], start[shard+1]
 		if err := r.classifyShard(ctx, shard, edges, order[lo:hi], results[lo:lo:hi]); err != nil {
-			r.log.Warn("classify scatter failed", "shard", shard, "err", err)
+			r.cfg.Logger.Warn("classify scatter failed", "shard", shard, "err", err)
 			clear(results[lo:hi])
 		}
 	})
@@ -323,13 +320,12 @@ func appendSubBatch(edges []classifyEdge, idxs []int) []byte {
 	return append(b, "]}"...)
 }
 
-// appendResults appends to dst a view of each element of the top-level
-// "results" array of a classify reply, in order and trimmed of blanks;
-// nothing is copied. body must be valid JSON, checked once here, and an
-// object with exactly one member named "results", holding an array. A
-// member name json.Unmarshal would also match to "results" (another case,
-// an escape, a non-ASCII fold) is an error, so the elements are always
-// the ones Unmarshal would find.
+// appendResults appends to dst a view of each element, trimmed of blanks,
+// of the top-level "results" array of a classify reply; nothing is
+// copied. body must be valid JSON (checked here), an object with exactly
+// one member "results" holding an array. A member name json.Unmarshal
+// would also match to "results" (another case, an escape, a non-ASCII
+// fold) is an error, so the elements are always the ones it would find.
 func appendResults(dst [][]byte, body []byte) ([][]byte, error) {
 	if !json.Valid(body) {
 		return dst, errors.New("invalid JSON")
@@ -373,8 +369,7 @@ func appendResults(dst [][]byte, body []byte) ([][]byte, error) {
 	return dst, nil
 }
 
-// endsLiteral reports whether c is the first byte after a number, true,
-// false or null in valid JSON.
+// endsLiteral reports whether c can follow a number or literal in JSON.
 func endsLiteral(c byte) bool {
 	switch c {
 	case ' ', '\t', '\n', '\r', ',', ']', '}':
@@ -383,8 +378,7 @@ func endsLiteral(c byte) bool {
 	return false
 }
 
-// skipBlank returns the index of the first non-blank byte of b at or
-// after i.
+// skipBlank returns the index of the first non-blank byte of b from i.
 func skipBlank(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
 		i++
@@ -427,13 +421,11 @@ func skipValue(b []byte, i int) int {
 }
 
 // handleMutations fans a mutation batch out to only the shards whose
-// data it touches — each endpoint's owner gets the mutations naming it —
-// and aggregates the per-shard receipts honestly: 200 when every touched
-// shard accepted, 207 Multi-Status otherwise, never a fabricated
-// success. (An artifact-cut shard serves read-only and answers 409;
-// mutations belong on the full trained server. The fan-out exists so a
-// future mutable fleet inherits correct routing, and so today's fleet
-// refuses loudly instead of dropping writes.)
+// data it touches, each endpoint's owner getting the mutations naming it,
+// and aggregates their receipts: 200 when every touched shard accepted,
+// 207 Multi-Status otherwise. (An artifact-cut shard is read-only and
+// answers 409, so today's fleet refuses writes loudly instead of
+// dropping them; they belong on the full trained server.)
 func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 	body, ok := readBody(w, req)
 	if !ok {
@@ -453,10 +445,7 @@ func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 	// it goes to every distinct owner among them.
 	byShard := map[int][]json.RawMessage{}
 	for i, raw := range mreq.Mutations {
-		var m struct {
-			U uint32 `json:"u"`
-			V uint32 `json:"v"`
-		}
+		var m classifyEdge
 		if err := json.Unmarshal(raw, &m); err != nil {
 			writeError(w, http.StatusBadRequest, "mutation %d: %v", i, err)
 			return
@@ -481,8 +470,7 @@ func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 			// Mutations are not idempotent: one attempt, no hedge.
 			resp, err = r.call(ctx, shard, http.MethodPost, "/v1/mutations", sub, false)
 			if err == nil {
-				rec.Status = resp.Status
-				rec.Response = json.RawMessage(resp.Body)
+				rec.Status, rec.Response = resp.Status, resp.Body
 			}
 		}
 		if err != nil {
@@ -493,11 +481,8 @@ func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
 	})
 
 	status := http.StatusOK
-	for _, rec := range receipts {
-		if rec.Status < 200 || rec.Status >= 300 {
-			status = http.StatusMultiStatus
-			break
-		}
+	if slices.ContainsFunc(receipts, func(rec shardReceipt) bool { return rec.Status/100 != 2 }) {
+		status = http.StatusMultiStatus
 	}
 	writeJSON(w, status, receiptsDoc{Partial: status != http.StatusOK, Shards: receipts})
 }

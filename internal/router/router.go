@@ -1,31 +1,26 @@
-// Package router is the fleet front door for sharded LoCEC serving: it
-// owns no graph data, only the same consistent-hash ring the cutter and
-// every shard compute, and forwards each request to the shard that owns
-// it. Single-key reads (/v1/edge, /v1/communities/{node}) route to one
-// shard; /v1/classify batches scatter to every owning shard and gather —
-// degrading to an explicit partial result when a shard is unreachable;
-// /v1/mutations fan out only to the shards whose data a batch touches.
+// Package router is the fleet front door for sharded LoCEC serving. It
+// owns no graph data, only the consistent-hash ring the cutter and every
+// shard compute, and forwards each request to the shard that owns it:
+// single-key reads (/v1/edge, /v1/communities/{node}) to one shard,
+// /v1/classify batches scattered to every owning shard and gathered (an
+// explicit partial result when a shard is unreachable), /v1/mutations to
+// the shards whose data a batch touches.
 //
-// Fault tolerance follows the tail-at-scale playbook, built entirely
-// above the Transport seam:
-//
-//   - per-RPC attempt deadlines and an end-to-end request deadline
-//   - capped exponential backoff with seeded jitter, retries on
-//     idempotent reads only
-//   - hedged requests: a second attempt launches once the first has
-//     outlived the shard's observed p95 latency (clamped to
-//     [HedgeMin, HedgeMax]); first reply wins
-//   - per-shard circuit breakers fed by request outcomes and /readyz
-//     probes: a dead shard costs microseconds, not timeouts, and a
-//     recovered one is readmitted by a probe or a half-open trial
-//
-// Nothing here is best-effort-silent: a missing shard is named in
-// missing_shards, a misrouted key surfaces the shard's 421, and /v1/stats
-// exposes every retry, hedge and breaker transition.
+// Fault tolerance follows the tail-at-scale playbook, above the Transport
+// seam: per-RPC attempt deadlines under an end-to-end request deadline;
+// capped exponential backoff with seeded jitter, retrying idempotent
+// reads only; hedged reads, a second attempt once the first outlives the
+// shard's observed p95 (clamped to [HedgeMin, HedgeMax]), first success
+// wins; per-shard circuit breakers fed by outcomes and /readyz probes, so
+// a dead shard costs microseconds and a probe or a half-open trial
+// readmits a recovered one. Nothing is silent: a missing shard is named
+// in missing_shards, a misrouted key surfaces the shard's 421, and
+// /v1/stats exposes every retry, hedge and breaker transition.
 package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -60,18 +55,15 @@ type Config struct {
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// HedgeMin/HedgeMax clamp the hedge delay around the shard's observed
-	// p95 (each defaults when ≤ 0: 1ms / 50ms). HedgeMax is the cap on
-	// wasted work, so it wins an inverted pair: a floor above the ceiling
-	// is lowered to it. Hedging applies to idempotent reads.
+	// p95 for idempotent reads (defaults when ≤ 0: 1ms / 50ms). HedgeMax,
+	// the cap on wasted work, wins an inverted pair.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
 	// BreakerThreshold consecutive failures open a shard's circuit;
-	// BreakerCooldown later a half-open trial is admitted (defaults 5 /
-	// 5s).
+	// BreakerCooldown later a half-open trial is admitted (5 / 5s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Seed feeds the backoff jitter (0 = 1); determinism matters to the
-	// fault matrix, not to production.
+	// Seed feeds the backoff jitter (0 = 1), for the fault matrix.
 	Seed int64
 	// Logger receives lifecycle logs (nil = slog default).
 	Logger *slog.Logger
@@ -79,40 +71,33 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.AttemptTimeout <= 0 {
-		out.AttemptTimeout = 2 * time.Second
-	}
-	if out.RequestTimeout <= 0 {
-		out.RequestTimeout = 10 * time.Second
+	for _, d := range []struct {
+		p   *time.Duration
+		def time.Duration
+	}{
+		{&out.AttemptTimeout, 2 * time.Second}, {&out.RequestTimeout, 10 * time.Second},
+		{&out.RetryBase, 10 * time.Millisecond}, {&out.RetryMax, 250 * time.Millisecond},
+		{&out.HedgeMin, time.Millisecond}, {&out.HedgeMax, 50 * time.Millisecond},
+		{&out.BreakerCooldown, 5 * time.Second},
+	} {
+		if *d.p <= 0 {
+			*d.p = d.def
+		}
 	}
 	if out.MaxRetries < 0 {
 		out.MaxRetries = 0
 	} else if out.MaxRetries == 0 {
 		out.MaxRetries = 2
 	}
-	if out.RetryBase <= 0 {
-		out.RetryBase = 10 * time.Millisecond
-	}
-	if out.RetryMax <= 0 {
-		out.RetryMax = 250 * time.Millisecond
-	}
-	if out.HedgeMin <= 0 {
-		out.HedgeMin = time.Millisecond
-	}
-	if out.HedgeMax <= 0 {
-		out.HedgeMax = 50 * time.Millisecond
-	}
-	if out.HedgeMin > out.HedgeMax {
-		out.HedgeMin = out.HedgeMax
-	}
+	out.HedgeMin = min(out.HedgeMin, out.HedgeMax)
 	if out.BreakerThreshold <= 0 {
 		out.BreakerThreshold = 5
 	}
-	if out.BreakerCooldown <= 0 {
-		out.BreakerCooldown = 5 * time.Second
-	}
 	if out.Seed == 0 {
 		out.Seed = 1
+	}
+	if out.Logger == nil {
+		out.Logger = slog.Default()
 	}
 	return out
 }
@@ -134,14 +119,12 @@ type shardState struct {
 // Router routes requests to a sharded locec-serve fleet.
 type Router struct {
 	cfg    Config
-	log    *slog.Logger
 	ring   *ring.Ring
 	shards []*shardState
 	sgLat  *latency.Histogram // scatter-gather end-to-end latency
 	start  time.Time
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rngMu  sync.Mutex
+	rng    *rand.Rand
 }
 
 // New builds a Router; it makes no RPCs (probe or serve to discover the
@@ -163,13 +146,8 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("router: %w", err)
 	}
-	log := c.Logger
-	if log == nil {
-		log = slog.Default()
-	}
 	r := &Router{
 		cfg:    c,
-		log:    log,
 		ring:   rg,
 		shards: make([]*shardState, c.Shards),
 		sgLat:  latency.New(),
@@ -185,21 +163,8 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// ErrShardDown is returned when a shard's circuit is open (fail fast) or
-// every attempt at it failed.
-type ErrShardDown struct {
-	Shard int
-	Cause error
-}
-
-func (e *ErrShardDown) Error() string {
-	if e.Cause != nil {
-		return fmt.Sprintf("shard %d unavailable: %v", e.Shard, e.Cause)
-	}
-	return fmt.Sprintf("shard %d unavailable: circuit open", e.Shard)
-}
-
-func (e *ErrShardDown) Unwrap() error { return e.Cause }
+// errCircuitOpen is why a shard that was never tried is unavailable.
+var errCircuitOpen = errors.New("circuit open")
 
 // call is the resilient RPC: breaker gate, hedged attempt, capped
 // jittered backoff retries (idempotent only), all under ctx — which the
@@ -207,7 +172,7 @@ func (e *ErrShardDown) Unwrap() error { return e.Cause }
 func (r *Router) call(ctx context.Context, shard int, method, path string, body []byte, idempotent bool) (*Response, error) {
 	st := r.shards[shard]
 	st.requests.Add(1)
-	var lastErr error
+	lastErr := errCircuitOpen // until an attempt fails
 	maxAttempts := 1
 	if idempotent {
 		maxAttempts += r.cfg.MaxRetries
@@ -218,9 +183,6 @@ func (r *Router) call(ctx context.Context, shard int, method, path string, body 
 		}
 		if !st.breaker.allow() {
 			st.breakerFastFails.Add(1)
-			if lastErr == nil {
-				lastErr = fmt.Errorf("circuit open")
-			}
 			break
 		}
 		if attempt > 0 {
@@ -243,16 +205,13 @@ func (r *Router) call(ctx context.Context, shard int, method, path string, body 
 			r.backoff(ctx, attempt)
 		}
 	}
-	return nil, &ErrShardDown{Shard: shard, Cause: lastErr}
+	return nil, fmt.Errorf("shard %d unavailable: %w", shard, lastErr)
 }
 
 // backoff sleeps base*2^attempt jittered to [1/2, 1) of itself, capped
 // at RetryMax — or less, if ctx dies first.
 func (r *Router) backoff(ctx context.Context, attempt int) {
-	d := r.cfg.RetryBase << uint(attempt)
-	if d > r.cfg.RetryMax {
-		d = r.cfg.RetryMax
-	}
+	d := min(r.cfg.RetryBase<<uint(attempt), r.cfg.RetryMax)
 	r.rngMu.Lock()
 	jittered := d/2 + time.Duration(r.rng.Int63n(int64(d/2)+1))
 	r.rngMu.Unlock()
@@ -264,51 +223,38 @@ func (r *Router) backoff(ctx context.Context, attempt int) {
 	}
 }
 
-// hedgedDo runs one logical attempt: one RPC under the attempt timeout,
+// hedgedDo runs one logical attempt: one RPC under the attempt deadline,
 // on the calling goroutine. For idempotent reads, if it has not answered
 // within the shard's hedge delay (observed p95 clamped to [HedgeMin,
 // HedgeMax]), a timer launches a second identical RPC and the first
-// success wins — the Dean & Barroso tail cut. The loser is canceled; both
-// RPCs hit the same immutable shard snapshot, so either reply is correct.
+// success wins — the Dean & Barroso tail cut; the loser is ended (both
+// read the same immutable shard snapshot, so either reply is right). The
+// primary's attempt and the timer are pooled: the hedge's goroutine,
+// channel and attempt exist only once the timer fires, which is also when
+// the primary starts to watch ctx for a cancel (its deadline binds now).
 func (r *Router) hedgedDo(ctx context.Context, shard int, method, path string, body []byte, idempotent bool) (*Response, error) {
-	pctx, cancelPrimary := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-	defer cancelPrimary()
-	if !idempotent {
-		return r.observedDo(pctx, shard, method, path, body)
+	st, p := r.shards[shard], rpcPool.Get().(*rpc)
+	p.r, p.shard, p.method, p.path, p.body, p.idempotent = r, shard, method, path, body, idempotent
+	p.start(ctx, r.cfg.AttemptTimeout)
+	if p.timer == nil {
+		p.timer = time.AfterFunc(r.hedgeDelay(st), p.fire)
+	} else {
+		p.timer.Reset(r.hedgeDelay(st))
 	}
-	st := r.shards[shard]
-	var hedge struct {
-		mu     sync.Mutex
-		done   bool           // the primary has returned: launch nothing
-		out    chan *Response // once launched: the hedge's reply, nil if it failed
-		cancel context.CancelFunc
+	resp, err := r.observedDo(&p.attempt, shard, method, path, body)
+	stopped := p.timer.Stop()
+	p.mu.Lock()
+	p.returned = true
+	out, hedge, reuse := p.out, p.hedge, stopped && p.done == nil && p.stopWatch == nil
+	p.mu.Unlock()
+	if reuse { // no timer, watcher or Done saw p
+		*p = rpc{timer: p.timer}
+		rpcPool.Put(p)
 	}
-	timer := time.AfterFunc(r.hedgeDelay(st), func() {
-		hedge.mu.Lock()
-		if hedge.done {
-			hedge.mu.Unlock()
-			return
-		}
-		hctx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-		hedge.out, hedge.cancel = make(chan *Response, 1), cancel
-		hedge.mu.Unlock()
-		st.hedges.Add(1)
-		resp, err := r.observedDo(hctx, shard, method, path, body)
-		if err == nil {
-			cancelPrimary() // the straggler stops at once
-		}
-		hedge.out <- resp
-	})
-	resp, err := r.observedDo(pctx, shard, method, path, body)
-	timer.Stop()
-	hedge.mu.Lock()
-	hedge.done = true
-	out, cancelHedge := hedge.out, hedge.cancel
-	hedge.mu.Unlock()
 	if out == nil {
 		return resp, err // a fast failure goes straight to the retry loop
 	}
-	defer cancelHedge()
+	defer hedge.end(context.Canceled)
 	if err == nil {
 		return resp, nil
 	}
@@ -322,6 +268,51 @@ func (r *Router) hedgedDo(ctx context.Context, shard int, method, path string, b
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// rpc is a hedgedDo call: the primary's attempt, what a hedge would send
+// and the hedge timer, which a pooled rpc keeps.
+type rpc struct {
+	attempt
+	r            *Router
+	shard        int
+	method, path string
+	body         []byte
+	idempotent   bool
+	timer        *time.Timer
+	returned     bool           // under mu: the primary has returned
+	out          chan *Response // under mu, made by fire: the hedge's reply, nil if it failed
+	hedge        *attempt       // under mu, made by fire
+}
+
+var rpcPool = sync.Pool{New: func() any { return new(rpc) }}
+
+// fire runs on the timer's goroutine once the primary has outlived the
+// hedge delay: ctx's cancel now ends the primary at once, and a read
+// launches its hedge, whose success ends the primary.
+func (p *rpc) fire() {
+	gone := p.parent.Err() != nil // no hedge for a request that has ended
+	p.mu.Lock()
+	if p.returned {
+		p.mu.Unlock()
+		return
+	}
+	p.watchLocked()
+	if !p.idempotent || p.err != nil || gone {
+		p.mu.Unlock()
+		return
+	}
+	p.hedge, p.out = new(attempt), make(chan *Response, 1)
+	h, out := p.hedge, p.out
+	h.start(p.parent, p.r.cfg.AttemptTimeout)
+	h.watchLocked() // h is not shared yet
+	p.mu.Unlock()
+	p.r.shards[p.shard].hedges.Add(1)
+	resp, err := p.r.observedDo(h, p.shard, p.method, p.path, p.body)
+	if err == nil {
+		p.end(context.Canceled) // the straggler stops at once
+	}
+	out <- resp
 }
 
 // observedDo is one RPC, with latency recorded on success.
@@ -341,14 +332,7 @@ func (r *Router) hedgeDelay(st *shardState) time.Duration {
 	if st.lat.Count() < 16 {
 		return r.cfg.HedgeMax
 	}
-	d := time.Duration(st.lat.Quantile(0.95))
-	if d < r.cfg.HedgeMin {
-		d = r.cfg.HedgeMin
-	}
-	if d > r.cfg.HedgeMax {
-		d = r.cfg.HedgeMax
-	}
-	return d
+	return min(max(time.Duration(st.lat.Quantile(0.95)), r.cfg.HedgeMin), r.cfg.HedgeMax)
 }
 
 // ProbeOnce probes every shard's /readyz concurrently and feeds the
@@ -369,26 +353,23 @@ func (r *Router) ProbeOnce(ctx context.Context) int {
 	return int(readyCount.Load())
 }
 
-// StartProber probes every interval until stop is called.
+// StartProber probes every interval, each probe bounded by
+// AttemptTimeout, until stop is called.
 func (r *Router) StartProber(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
+	ctx, stop := context.WithCancel(context.Background())
 	go func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), r.cfg.AttemptTimeout)
-				ready := r.ProbeOnce(ctx)
-				cancel()
-				if ready < r.cfg.Shards {
-					r.log.Warn("probe", "ready", ready, "shards", r.cfg.Shards)
+				if ready := r.ProbeOnce(context.Background()); ready < r.cfg.Shards {
+					r.cfg.Logger.Warn("probe", "ready", ready, "shards", r.cfg.Shards)
 				}
-			case <-done:
+			case <-ctx.Done():
 				return
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return stop
 }

@@ -54,6 +54,16 @@ var (
 	fixtureErr  error
 )
 
+// TestMain removes the fixture's files once every test has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if fixture != nil {
+		_ = os.RemoveAll(fixture.dir)
+	}
+	trained.RemoveAll()
+	os.Exit(code)
+}
+
 func fleet(t testing.TB) *fleetFixture {
 	t.Helper()
 	fixtureOnce.Do(func() { fixture, fixtureErr = buildFleet(t) })

@@ -1,19 +1,17 @@
 package router
 
-// Transport is the router's only path to a shard — one interface method
-// for one HTTP exchange. Everything above it (retries, hedging,
-// breakers, scatter-gather) is pure logic over this seam, which is what
-// makes the fault matrix possible: FaultTransport wraps any inner
-// Transport and injects a deterministic drop/delay/error/kill at the
-// nth RPC, the network sibling of wal.MemFS.FailAfter.
-//
-// Two real implementations ship: HTTPTransport speaks HTTP/1.1 to a fleet
-// on its own keep-alive connections (cmd/locec-router), HandlerTransport
-// calls in-process http.Handlers directly (tests, single-binary demos).
+// Transport is the router's only path to a shard, one method for one
+// HTTP exchange; retries, hedging, breakers and scatter-gather are logic
+// above it. HTTPTransport speaks HTTP/1.1 to a fleet on its own keep-alive
+// connections (cmd/locec-router), HandlerTransport calls in-process
+// handlers (tests, single-binary demos), and FaultTransport wraps either
+// to inject a deterministic fault at the nth RPC, the network sibling of
+// wal.MemFS.FailAfter that the fault matrix walks.
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -29,8 +27,7 @@ import (
 	"time"
 )
 
-// Response is a shard's reply, fully buffered. Header is limited to what
-// the router forwards or inspects.
+// Response is a shard's reply, fully buffered.
 type Response struct {
 	Status int
 	Body   []byte
@@ -41,17 +38,114 @@ type Response struct {
 // fault tolerance all assume a Do call returns promptly once ctx is
 // done. A non-nil error means the exchange failed (network/timeout); an
 // HTTP error status is a successful exchange with a non-2xx Response.
+// Do keeps no hold of ctx once it returns: the router reuses its attempts.
 type Transport interface {
 	Do(ctx context.Context, shard int, method, path string, body []byte) (*Response, error)
+}
+
+// attempt is the context of one RPC: its parent's values, a deadline (the
+// earlier of its own and the parent's) and an end. It costs no goroutine,
+// channel or timer until someone asks for Done. HTTPTransport binds its
+// connection instead, whose deadline is the attempt's and which ending
+// the attempt moves into the past. The connection's deadline is the only
+// timer, and Err reads context.DeadlineExceeded from the clock once the
+// deadline has passed, so no second timer can lose the race that once
+// reported a deadline as an "i/o timeout". The parent's deadline binds
+// from the start; its cancellation ends the attempt once the parent is
+// watched: from the first Done, or from the router's hedge delay on.
+type attempt struct {
+	parent    context.Context
+	deadline  time.Time // zero: none
+	mu        sync.Mutex
+	err       error         // how the attempt ended, nil while it runs
+	conn      net.Conn      // the exchange in flight, which end cuts off
+	done      chan struct{} // made by the first Done
+	stopWatch func() bool   // set once the parent is watched
+}
+
+func (a *attempt) start(parent context.Context, timeout time.Duration) {
+	a.parent, a.deadline = parent, time.Now().Add(timeout)
+	if d, ok := parent.Deadline(); ok && d.Before(a.deadline) {
+		a.deadline = d
+	}
+}
+
+func (a *attempt) Deadline() (time.Time, bool) { return a.deadline, !a.deadline.IsZero() }
+func (a *attempt) Value(key any) any           { return a.parent.Value(key) }
+
+func (a *attempt) Err() error {
+	if err := a.parent.Err(); err != nil {
+		a.end(err)
+	} else if !a.deadline.IsZero() && !time.Now().Before(a.deadline) {
+		a.end(context.DeadlineExceeded)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.err
+}
+
+func (a *attempt) Done() <-chan struct{} {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.done == nil {
+		if a.done = make(chan struct{}); a.err != nil {
+			close(a.done)
+		}
+		if !a.deadline.IsZero() {
+			time.AfterFunc(time.Until(a.deadline), func() { a.end(context.DeadlineExceeded) })
+		}
+		a.watchLocked()
+	}
+	return a.done
+}
+
+// end ends the attempt with err, unless it has ended.
+func (a *attempt) end(err error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.err == nil {
+		a.err = err
+		a.setDeadline()
+		if a.done != nil {
+			close(a.done)
+		}
+	}
+}
+
+// watchLocked makes the parent's end the attempt's from here on.
+func (a *attempt) watchLocked() {
+	if a.stopWatch == nil {
+		a.stopWatch = context.AfterFunc(a.parent, func() { a.end(a.parent.Err()) })
+	}
+}
+
+// bind makes c (nil: none) the connection that ending the attempt cuts
+// off, and returns how the attempt ended, if it has.
+func (a *attempt) bind(c net.Conn) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.conn = c
+	a.setDeadline()
+	return a.err
+}
+
+// setDeadline puts the deadline, or the past, on the bound connection.
+func (a *attempt) setDeadline() {
+	if d := a.deadline; a.conn != nil {
+		if a.err != nil {
+			d = time.Unix(1, 0)
+		}
+		_ = a.conn.SetDeadline(d)
+	}
 }
 
 // maxIdlePerShard is how many idle keep-alive connections HTTPTransport
 // keeps per shard: net/http's DefaultMaxIdleConnsPerHost.
 const maxIdlePerShard = 2
 
-// HTTPTransport reaches shards over the network at fixed base URLs. Each
-// exchange is written and read on the calling goroutine, over a LIFO list
-// per shard of at most maxIdlePerShard idle keep-alive connections.
+// HTTPTransport reaches shards at fixed base URLs. Each exchange is
+// written and read on the calling goroutine, over a LIFO list per shard
+// of at most maxIdlePerShard idle keep-alive connections.
 type HTTPTransport struct {
 	// BaseURLs[i] is shard i's root, http://host[:port][/prefix], e.g.
 	// "http://10.0.0.5:8080"; New and Do refuse any other form.
@@ -96,14 +190,22 @@ func (t *HTTPTransport) parse() error {
 }
 
 // Do runs one exchange on the shard's most recently used idle connection,
-// or a new one. When ctx ends (cancel or deadline) the connection's
-// deadline moves into the past; a failed exchange closes its connection.
+// or a new one, under the attempt's deadline; ending the attempt moves it
+// into the past. A caller's own ctx becomes an attempt watched from the
+// start. A failed exchange closes its connection.
 func (t *HTTPTransport) Do(ctx context.Context, shard int, method, path string, body []byte) (*Response, error) {
 	if err := t.parse(); err != nil {
 		return nil, err
 	}
 	if shard < 0 || shard >= len(t.shards) {
 		return nil, fmt.Errorf("router: shard %d out of range (%d base URLs)", shard, len(t.BaseURLs))
+	}
+	a, ok := ctx.(*attempt)
+	if !ok {
+		a = &attempt{parent: ctx}
+		a.deadline, _ = ctx.Deadline()
+		a.watchLocked() // a is not shared yet
+		defer a.stopWatch()
 	}
 	s := &t.shards[shard]
 	for {
@@ -112,11 +214,11 @@ func (t *HTTPTransport) Do(ctx context.Context, shard int, method, path string, 
 		if !reused {
 			nc, err := new(net.Dialer).DialContext(ctx, "tcp", s.addr)
 			if err != nil {
-				return nil, ctxErr(ctx, err)
+				return nil, cmp.Or(a.Err(), err) // the attempt's end, if it has ended
 			}
 			c = &conn{Conn: nc, rd: bufio.NewReader(nc), wr: bufio.NewWriter(nc)}
 		}
-		stop := context.AfterFunc(ctx, func() { _ = c.SetDeadline(time.Unix(1, 0)) })
+		_ = a.bind(c)
 		err := c.writeRequest(s, method, path, body)
 		wrote := err == nil
 		if wrote {
@@ -128,8 +230,8 @@ func (t *HTTPTransport) Do(ctx context.Context, shard int, method, path string, 
 		if replied {
 			resp, keep, err = c.readResponse()
 		}
-		if !stop() && err == nil {
-			err = ctx.Err() // the deadline is in the past: the conn is spent
+		if aerr := a.bind(nil); aerr != nil && err == nil {
+			err = aerr // the deadline is in the past: the conn is spent
 		}
 		if err == nil && keep && t.put(s, c) {
 			return resp, nil
@@ -141,7 +243,7 @@ func (t *HTTPTransport) Do(ctx context.Context, shard int, method, path string, 
 		// A reused connection failing before any reply byte was closed by
 		// the shard, as its other idle ones likely were. net/http's replay
 		// rule: only a GET or a request never written goes once more.
-		if reused && !replied && ctx.Err() == nil {
+		if reused && !replied && a.Err() == nil {
 			for c := t.take(s); c != nil; c = t.take(s) {
 				_ = c.Close()
 			}
@@ -149,16 +251,8 @@ func (t *HTTPTransport) Do(ctx context.Context, shard int, method, path string, 
 				continue
 			}
 		}
-		return nil, ctxErr(ctx, err)
+		return nil, cmp.Or(a.Err(), err)
 	}
-}
-
-// ctxErr reports a failed exchange as ctx's error once ctx has ended.
-func ctxErr(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return err
 }
 
 // writeRequest writes the request line, Host and, with a body, its type
@@ -178,15 +272,13 @@ func (c *conn) writeRequest(s *shardConns, method, path string, body []byte) err
 }
 
 // readResponse reads one reply; keep: the connection may carry another.
-// It reads the status line and header lines with ReadSlice and keeps only
-// Content-Length, Transfer-Encoding: chunked and Connection (a Trailer
-// naming a framing field is refused, as net/http refuses it). What it
-// does not need it refuses instead of interpreting: another version than
-// HTTP/1.0 and 1.1, folded or bare-LF lines, a repeated length, a length
-// beside chunking. Which reply has a body and which connection stays open
-// follow net/http: 1xx, 204 and 304 have none; a reply with neither a
-// length nor chunking runs to EOF and closes; HTTP/1.0 closes unless it
-// says keep-alive.
+// Of the header it keeps Content-Length, Transfer-Encoding: chunked and
+// Connection, and it refuses what it does not need instead of reading it:
+// versions other than HTTP/1.0 and 1.1, folded or bare-LF lines, a
+// repeated length, a length beside chunking, a Trailer naming a framing
+// field. Bodies and keep-alive follow net/http: 1xx, 204 and 304 have
+// none; neither length nor chunking runs to EOF and closes; HTTP/1.0
+// closes unless it says keep-alive.
 func (c *conn) readResponse() (resp *Response, keep bool, err error) {
 	line, err := c.rd.ReadSlice('\n')
 	if err != nil {
@@ -403,11 +495,9 @@ func (t *HTTPTransport) put(s *shardConns, c *conn) bool {
 	return true
 }
 
-// HandlerTransport calls in-process handlers — shard i is Handlers[i].
-// The handler runs synchronously on the caller's goroutine with the
-// request context attached, so a ctx-respecting handler (and the
-// fault-injection wrapper) behaves exactly as over a real network, minus
-// the wire.
+// HandlerTransport calls in-process handlers, shard i being Handlers[i],
+// on the caller's goroutine with ctx attached: a ctx-respecting handler
+// behaves as over a network, minus the wire.
 type HandlerTransport struct {
 	Handlers []http.Handler
 }
@@ -426,10 +516,7 @@ func (t *HandlerTransport) Do(ctx context.Context, shard int, method, path strin
 	}
 	rec := httptest.NewRecorder()
 	t.Handlers[shard].ServeHTTP(rec, req)
-	if err := ctx.Err(); err != nil {
-		// The handler returned because the context died mid-request (the
-		// serve layer's classify loop does this); surface it as the
-		// network failure it would be on the wire.
+	if err := ctx.Err(); err != nil { // the failure it would be on the wire
 		return nil, err
 	}
 	return &Response{Status: rec.Code, Body: rec.Body.Bytes()}, nil
@@ -437,29 +524,18 @@ func (t *HandlerTransport) Do(ctx context.Context, shard int, method, path strin
 
 // Fault modes for FaultTransport.
 const (
-	// FaultError fails the RPC instantly with an injected error — a
-	// connection reset.
-	FaultError = "error"
-	// FaultDrop blackholes the RPC: it blocks until the caller's context
-	// expires — a dropped packet, a hung peer.
-	FaultDrop = "drop"
-	// FaultDelay stalls the RPC for Delay, then lets it through — a slow
-	// network, a GC pause. Observable only through hedging/timeouts.
-	FaultDelay = "delay"
-	// FaultKill fails the RPC instantly and marks the target shard dead:
-	// every later RPC to it fails too — a crashed process.
-	FaultKill = "kill"
+	FaultError = "error" // fail at once with an injected error: a connection reset
+	FaultDrop  = "drop"  // block until ctx ends: a dropped packet, a hung peer
+	FaultDelay = "delay" // stall for Delay, then pass: a slow network, a GC pause
+	FaultKill  = "kill"  // fail at once, and every later RPC to the shard: a crash
 )
 
 // errInjected is the error surfaced by FaultError/FaultKill.
 var errInjected = fmt.Errorf("router: injected fault")
 
-// FaultTransport wraps an inner Transport and deterministically injects
-// one fault at the Nth RPC (1-based, counted across all shards in call
-// order). It is the network sibling of wal.MemFS.FailAfter: because the
-// fault point is an RPC ordinal, not a timer, a test can walk every
-// boundary of a request's RPC graph and assert the router's observable
-// behavior at each one.
+// FaultTransport wraps an inner Transport and injects one fault at the Nth
+// RPC (1-based, counted across all shards in call order): an ordinal, not
+// a timer, so a test can walk every boundary of a request's RPC graph.
 type FaultTransport struct {
 	Inner Transport
 	// Mode is one of the Fault* constants ("" injects nothing).
@@ -476,11 +552,10 @@ type FaultTransport struct {
 // Calls returns how many RPCs have been issued through this transport.
 func (t *FaultTransport) Calls() int64 { return t.calls.Load() }
 
-// Revive clears a shard's killed state — the process was restarted.
+// Revive clears a shard's killed state: the process restarted.
 func (t *FaultTransport) Revive(shard int) { t.killed.Delete(shard) }
 
-// Kill marks a shard dead immediately, independent of the ordinal
-// schedule — for tests that manage shard lifecycle directly.
+// Kill marks a shard dead now, whatever the ordinal schedule.
 func (t *FaultTransport) Kill(shard int) { t.killed.Store(shard, struct{}{}) }
 
 func (t *FaultTransport) Do(ctx context.Context, shard int, method, path string, body []byte) (*Response, error) {

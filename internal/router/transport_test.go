@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -301,18 +302,25 @@ func TestNewRefusesBadBaseURL(t *testing.T) {
 
 // TestHedgeOverTheWire stalls the owning shard's first request past
 // HedgeMax: the hedge's reply is the router's, at once, hedge_wins is 1,
-// and the straggler's connection is closed, not pooled.
+// and the straggler's connection is closed, not pooled. The stalled
+// request is the one on a connection warmed before the router's read, so
+// the primary, which takes that idle connection, is the one that stalls
+// however the two requests are scheduled; the hedge dials its own.
 func TestHedgeOverTheWire(t *testing.T) {
 	f := fleet(t)
 	e := f.pickEdges()[0]
 	owner := f.ring.OwnerEdge(e.U, e.V)
 	var stalled atomic.Bool
+	var warm atomic.Value // the client address of the warmed connection
 	urls := make([]string, len(f.shards))
 	var straggler *countedServer
 	for i, h := range f.shards {
 		if i == owner {
 			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if stalled.CompareAndSwap(false, true) {
+				switch {
+				case r.URL.Path == "/readyz":
+					warm.Store(r.RemoteAddr)
+				case r.RemoteAddr == warm.Load() && stalled.CompareAndSwap(false, true):
 					<-r.Context().Done() // until the router drops the connection
 					return
 				}
@@ -325,7 +333,11 @@ func TestHedgeOverTheWire(t *testing.T) {
 		}
 		urls[i] = srv.URL
 	}
-	h := newTestRouter(t, &router.HTTPTransport{BaseURLs: urls}, nil).Handler()
+	tr := &router.HTTPTransport{BaseURLs: urls}
+	if _, err := tr.Do(t.Context(), owner, http.MethodGet, "/readyz", nil); err != nil {
+		t.Fatal(err)
+	}
+	h := newTestRouter(t, tr, nil).Handler()
 	path := fmt.Sprintf("/v1/edge?u=%d&v=%d", e.U, e.V)
 	want := do(f.control, http.MethodGet, path, nil)
 	t0 := time.Now()
@@ -350,8 +362,68 @@ func TestHedgeOverTheWire(t *testing.T) {
 	if s := doc.Shards[owner]; s.Hedges != 1 || s.HedgeWins != 1 {
 		t.Fatalf("shard %d: %d hedges, %d hedge wins, want 1 and 1", owner, s.Hedges, s.HedgeWins)
 	}
+	// The hedge's connection stays pooled while the transport lives: once
+	// it is unreachable, a collection closes it through the net.Conn
+	// finalizer, and this count would read 2.
+	runtime.GC()
 	waitFor(t, "the straggler's connection to close", func() bool { return straggler.closed.Load() == 1 })
+	runtime.KeepAlive(tr)
 	if n := straggler.opened.Load(); n != 2 {
 		t.Fatalf("%d connections to the owner, want 2: the straggler's and the hedge's", n)
+	}
+}
+
+// TestCancelledRequestEndsItsRPC has the client go away while the owner
+// holds its read, on a pooled connection (a dial would watch the request
+// from the start): the router's RPC ends well before its attempt deadline
+// (250 ms), since from the hedge delay on the attempt watches the
+// request, and no hedge is sent for a request that has ended.
+func TestCancelledRequestEndsItsRPC(t *testing.T) {
+	f := fleet(t)
+	e := f.pickEdges()[0]
+	owner := f.ring.OwnerEdge(e.U, e.V)
+	arrived := make(chan struct{}, 2)
+	urls := make([]string, len(f.shards))
+	for i, h := range f.shards {
+		if i == owner {
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/readyz" {
+					f.shards[owner].ServeHTTP(w, r)
+					return
+				}
+				arrived <- struct{}{}
+				<-r.Context().Done() // until the router drops the connection
+			})
+		}
+		urls[i] = newCountedServer(t, h).URL
+	}
+	tr := &router.HTTPTransport{BaseURLs: urls}
+	if _, err := tr.Do(t.Context(), owner, http.MethodGet, "/readyz", nil); err != nil {
+		t.Fatal(err)
+	}
+	h := newTestRouter(t, tr, nil).Handler()
+	ctx, cancel := context.WithCancel(t.Context())
+	req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/edge?u=%d&v=%d", e.U, e.V), nil).WithContext(ctx)
+	done := make(chan time.Duration)
+	go func() {
+		t0 := time.Now()
+		h.ServeHTTP(httptest.NewRecorder(), req)
+		done <- time.Since(t0)
+	}()
+	<-arrived
+	cancel()
+	if elapsed := <-done; elapsed > 200*time.Millisecond {
+		t.Fatalf("the cancelled read took %v, want its RPC ended before the attempt deadline", elapsed)
+	}
+	var doc struct {
+		Shards []struct {
+			Hedges int64 `json:"hedges"`
+		} `json:"shards"`
+	}
+	if err := json.Unmarshal(do(h, http.MethodGet, "/v1/stats", nil).Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if n := doc.Shards[owner].Hedges; n != 0 {
+		t.Fatalf("%d hedges for a request that had ended, want 0", n)
 	}
 }

@@ -19,6 +19,13 @@ import (
 	"locec/internal/testutil/trained"
 )
 
+// TestMain removes the artifacts the tests trained once they have run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	trained.RemoveAll()
+	os.Exit(code)
+}
+
 // discardLogger silences request logging in tests.
 func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))

@@ -63,6 +63,18 @@ func Artifact(tb testing.TB, users int, detector string, embed bool) *Run {
 	return r
 }
 
+// RemoveAll deletes every artifact file this process trained. A package
+// whose tests train calls it from its TestMain once m.Run has returned,
+// so that no test process leaves a directory behind.
+func RemoveAll() {
+	mu.Lock()
+	defer mu.Unlock()
+	if dir != "" {
+		_ = os.RemoveAll(dir)
+		dir, runs = "", map[string]*Run{}
+	}
+}
+
 // train runs the pipeline, reusing the other embed setting's training run
 // when there is one, and saves the artifact. Callers hold mu.
 func train(users int, detector string, embed bool) (*Run, error) {
