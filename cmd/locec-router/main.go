@@ -60,9 +60,10 @@ func main() {
 		}
 	}
 
+	transport := &router.HTTPTransport{BaseURLs: urls}
 	r, err := router.New(router.Config{
 		Shards:           len(urls),
-		Transport:        &router.HTTPTransport{BaseURLs: urls},
+		Transport:        transport,
 		AttemptTimeout:   *attempt,
 		RequestTimeout:   *reqTimeout,
 		MaxRetries:       *retries,
@@ -103,6 +104,7 @@ func main() {
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 			fatal(err)
 		}
+		transport.CloseIdleConnections()
 		log.Info("bye")
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {

@@ -101,8 +101,13 @@ func BenchmarkFullPipelineXGB400(b *testing.B) {
 // friend's friend, 25 % removes, 15 % relabels), on a mutable restore of a
 // trained clauset + LoCEC-XGB result (artifact.New, EmbedDataset, Save,
 // Load, Restore: how a server boots). One op is one epoch; the fixture and
-// the schedule are built before the timer starts. The 100 000-user
-// fixture trains for minutes, so -short runs n = 10 000 only.
+// the schedule are built before the timer starts. It reports folds/op,
+// the share of epochs that folded the dataset's edit delta (ApplyStats.
+// Folded): a fold (≈ 8 MB at n = 10 000) first comes after ≈ √E edited
+// keys, and the delta clone grows until then, so bytes per epoch grow with
+// the chain and a row must span several fold periods, which 1 s runs do.
+// The 100 000-user fixture trains for minutes, so -short runs n = 10 000
+// only.
 func BenchmarkApplyMutations(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -118,13 +123,18 @@ func BenchmarkApplyMutations(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			folds := 0
 			for _, m := range muts {
-				nds, nres, _, err := fx.pipe.ApplyMutations(ds, res, []core.Mutation{m})
+				nds, nres, stats, err := fx.pipe.ApplyMutations(ds, res, []core.Mutation{m})
 				if err != nil {
 					b.Fatalf("%s {%d,%d}: %v", m.Kind, m.U, m.V, err)
 				}
 				ds, res = nds, nres
+				if stats.Folded {
+					folds++
+				}
 			}
+			b.ReportMetric(float64(folds)/float64(b.N), "folds/op")
 		})
 	}
 }

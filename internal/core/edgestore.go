@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -11,11 +12,10 @@ import (
 
 // chunkKeys is the size of a chunk cut from flat arrays. It sets both
 // parts of what a splice copies: the chunk table, 16 B (a head and a
-// pointer) per chunk, and every chunk holding a dirty key. An epoch's
-// dirty edges scatter in key order, so on the write benchmark's graph
-// (≈ 1 600 chunks) an epoch copies a ≈ 26 KB table and rebuilds ~38
-// chunks (≈ 0.1 MB); 4 k-key chunks would still copy 2.3 MB of the 3.3 MB
-// store.
+// pointer) per chunk, and every chunk a dirty key changes. On the write
+// benchmark's graph (≈ 1 600 chunks) an epoch's ≈ 79 re-predicted edges
+// scatter over ≈ 38 chunks, ≈ 7 of which change: it copies a ≈ 26 KB
+// table and rebuilds ≈ 13 KB of chunks.
 const chunkKeys = 64
 
 // edgeRun is a sorted run of predictions in column layout: keys[i] owns
@@ -67,8 +67,8 @@ func (r *edgeRun) splice(old edgeRun, removed []uint64, fresh edgeRun, classes i
 // edgeRun of at most 2×chunkKeys entries and heads[i] is chunk i's first
 // key, so a lookup is a binary search over heads and then inside one chunk.
 // Stores are immutable: spliced derives a successor that shares every
-// chunk without a dirty key, so readers of the old store are never
-// disturbed.
+// chunk its dirty keys leave unchanged, so readers of the old store are
+// never disturbed.
 type EdgeStore struct {
 	heads   []uint64
 	chunks  []*edgeRun
@@ -235,29 +235,50 @@ func (s *EdgeStore) LabelMap() map[uint64]social.Label {
 	return out
 }
 
-// group returns the chunk of the next dirty key (the smaller of removed[r]
-// and fresh[f]) and where that chunk's dirty keys end in both lists.
-func (s *EdgeStore) group(removed, fresh []uint64, r, f int) (ci, rEnd, fEnd int) {
-	if r == len(removed) || (f < len(fresh) && fresh[f] < removed[r]) {
-		ci = s.chunkOf(fresh[f])
+// group returns the chunk of the next dirty key (removed[r] or fresh.keys[f]),
+// where its dirty keys end in both lists, and whether they leave it as is.
+func (s *EdgeStore) group(removed []uint64, fresh edgeRun, r, f int) (ci, rEnd, fEnd int, same bool) {
+	if r == len(removed) || (f < len(fresh.keys) && fresh.keys[f] < removed[r]) {
+		ci = s.chunkOf(fresh.keys[f])
 	} else {
 		ci = s.chunkOf(removed[r])
 	}
-	if ci == len(s.heads)-1 {
-		return ci, len(removed), len(fresh)
+	rEnd, fEnd = len(removed), len(fresh.keys)
+	if ci < len(s.heads)-1 { // every key before r and f is below heads[ci+1]
+		rEnd, _ = slices.BinarySearch(removed, s.heads[ci+1])
+		fEnd, _ = slices.BinarySearch(fresh.keys, s.heads[ci+1])
 	}
-	rEnd, _ = slices.BinarySearch(removed[r:], s.heads[ci+1])
-	fEnd, _ = slices.BinarySearch(fresh[f:], s.heads[ci+1])
-	return ci, r + rEnd, f + fEnd
+	return ci, rEnd, fEnd, s.chunks[ci].holds(removed[r:rEnd], fresh.view(f, fEnd, s.classes), s.classes)
+}
+
+// holds reports whether splicing removed and fresh into r changes nothing:
+// each fresh entry is r's in key, label and probability bits (so -0/+0 and
+// NaN payloads count as changes), and no removed key is in r.
+func (r *edgeRun) holds(removed []uint64, fresh edgeRun, classes int) bool {
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	i := 0
+	for f, k := range fresh.keys {
+		for i < len(r.keys) && r.keys[i] < k {
+			i++
+		}
+		if i == len(r.keys) || r.keys[i] != k || r.labels[i] != fresh.labels[f] ||
+			!slices.EqualFunc(r.probs[i*classes:(i+1)*classes], fresh.probs[f*classes:(f+1)*classes], sameBits) {
+			return false
+		}
+	}
+	return !slices.ContainsFunc(removed, func(k uint64) bool {
+		_, found := slices.BinarySearch(r.keys, k)
+		return found
+	})
 }
 
 // spliced returns s with the removed keys dropped and fresh's entries
 // inserted, fresh winning on a key collision (both sorted ascending;
 // absent removals are ignored) — the incremental engine's store update.
 // It copies the chunk table (a pointer per chunk) and rebuilds only the
-// chunks holding a dirty key, into one slab per column and one of
+// chunks their dirty keys change, into one slab per column and one of
 // headers; a rebuilt chunk that empties is dropped, one past 2×chunkKeys
-// split. Inputs are untouched; a no-op returns s.
+// split. Inputs are untouched; a splice that changes no chunk returns s.
 func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 	if len(fresh.keys) == 0 && (len(removed) == 0 || s.Len() == 0) {
 		return s
@@ -270,11 +291,16 @@ func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 		panic(fmt.Sprintf("core: edge store splice: %d probabilities for %d keys x %d classes",
 			len(fresh.probs), len(fresh.keys), c))
 	}
-	size, groups := len(fresh.keys), 0 // the slab holds every dirty chunk's entries plus fresh
-	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); groups++ {
-		var ci int
-		ci, r, f = s.group(removed, fresh.keys, r, f)
-		size += len(s.chunks[ci].keys)
+	size, groups := 0, 0 // the slab holds every changed chunk's entries plus their fresh ones
+	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
+		ci, rEnd, fEnd, same := s.group(removed, fresh, r, f)
+		if !same {
+			size, groups = size+len(s.chunks[ci].keys)+fEnd-f, groups+1
+		}
+		r, f = rEnd, fEnd
+	}
+	if groups == 0 {
+		return s
 	}
 	slab := edgeRun{make([]uint64, 0, size), make([]social.Label, 0, size), make([]float64, 0, size*c)}
 	// A group of m entries becomes at most max(1, m/chunkKeys) pieces, so
@@ -283,7 +309,11 @@ func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 	out := &EdgeStore{heads: make([]uint64, 0, len(s.heads)+1), chunks: make([]*edgeRun, 0, len(s.heads)+1), n: s.n, classes: c}
 	next := 0 // first chunk of s not yet carried over
 	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
-		ci, rEnd, fEnd := s.group(removed, fresh.keys, r, f)
+		ci, rEnd, fEnd, same := s.group(removed, fresh, r, f)
+		if same {
+			r, f = rEnd, fEnd
+			continue
+		}
 		out.heads = append(out.heads, s.heads[next:ci]...)
 		out.chunks = append(out.chunks, s.chunks[next:ci]...)
 		lo := len(slab.keys)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -282,6 +283,92 @@ func TestEdgeStoreSplicedMatchesReference(t *testing.T) {
 	}
 }
 
+// withStored returns fresh with the entries of the listed keys that s
+// holds replaced by s's own, bit for bit.
+func withStored(s, fresh *EdgeStore, keys []uint64) *EdgeStore {
+	if fresh.Len() == 0 {
+		return fresh
+	}
+	run, c := runOf(fresh), fresh.Classes()
+	for _, k := range keys {
+		i, ok := slices.BinarySearch(run.keys, k)
+		if l, p, found := s.Lookup(k); ok && found {
+			run.labels[i] = l
+			copy(run.probs[i*c:(i+1)*c], p)
+		}
+	}
+	return mustStore(run.keys, run.labels, run.probs, c)
+}
+
+// TestSpliceCarriesUnchangedChunks: a chunk whose dirty keys re-predict
+// its own entries bit for bit, and remove none of its keys, is carried
+// over — not rebuilt — and a splice that changes no chunk returns the
+// receiver without allocating; a change that == cannot see (-0 against
+// +0, another NaN payload) is still a change.
+func TestSpliceCarriesUnchangedChunks(t *testing.T) {
+	const classes = 3
+	rng := rand.New(rand.NewSource(31))
+	s := randomFresh(rng, stridedKeys(6000, 8), classes)
+	var keys, absent []uint64
+	for ci := 0; ci < 10; ci++ { // three stored keys in each of 10 chunks, and an absent removal
+		k := s.heads[ci*9]
+		keys, absent = append(keys, k, k+8, k+16), append(absent, k+3)
+	}
+	stored := func(s *EdgeStore, keys []uint64) edgeRun {
+		return runOf(withStored(s, randomFresh(rng, keys, classes), keys))
+	}
+	fresh := stored(s, keys)
+
+	t.Run("nothing changes", func(t *testing.T) {
+		if got := s.spliced(absent, fresh); got != s {
+			t.Fatal("a splice that changes nothing did not return its receiver")
+		}
+		if allocs := testing.AllocsPerRun(20, func() { spliceSink = s.spliced(absent, fresh) }); allocs != 0 {
+			t.Fatalf("a splice that changes nothing allocated %.0f times", allocs)
+		}
+	})
+	t.Run("one key changes", func(t *testing.T) {
+		for what, change := range map[string]func(edgeRun){
+			"label":       func(r edgeRun) { r.labels[13] = (r.labels[13] + 1) % classes },
+			"probability": func(r edgeRun) { r.probs[13*classes+1] += 0.25 },
+		} {
+			changed := stored(s, keys)
+			change(changed)
+			got := spliceChecked(t, what, s, absent, mustStore(changed.keys, changed.labels, changed.probs, classes))
+			var rebuilt []int
+			for i := range got.chunks {
+				if i < s.NumChunks() && got.chunks[i] != s.chunks[i] {
+					rebuilt = append(rebuilt, i)
+				}
+			}
+			if want := s.chunkOf(keys[13]); got.NumChunks() != s.NumChunks() || len(rebuilt) != 1 || rebuilt[0] != want {
+				t.Fatalf("%s: %d chunks, rebuilt %v; want %d and [%d]", what, got.NumChunks(), rebuilt, s.NumChunks(), want)
+			}
+		}
+	})
+	t.Run("changes == cannot see", func(t *testing.T) {
+		k := keys[0]
+		base := runOf(s)
+		base.probs[0], base.probs[1] = 0, math.Float64frombits(0x7ff8000000000001)
+		b := mustStore(base.keys, base.labels, base.probs, classes)
+		for _, tc := range []struct {
+			name string
+			at   int
+			bits uint64
+		}{{"-0 against +0", 0, math.Float64bits(math.Copysign(0, -1))}, {"another NaN payload", 1, 0x7ff8000000000002}} {
+			f := stored(b, []uint64{k})
+			f.probs[tc.at] = math.Float64frombits(tc.bits)
+			got := b.spliced(nil, f)
+			if got == b {
+				t.Fatalf("%s: the splice returned its receiver", tc.name)
+			}
+			if _, p, _ := got.Lookup(k); math.Float64bits(p[tc.at]) != tc.bits {
+				t.Fatalf("%s: stored bits %#x, want %#x", tc.name, math.Float64bits(p[tc.at]), tc.bits)
+			}
+		}
+	})
+}
+
 // stridedKeys returns n keys 0, stride, 2·stride, ….
 func stridedKeys(n int, stride uint64) []uint64 {
 	keys := make([]uint64, n)
@@ -337,8 +424,10 @@ func TestEdgeStoreSpliceChained(t *testing.T) {
 
 // FuzzEdgeStoreSplice drives chained splices from raw bytes. The first
 // two bytes size a strided base store; then every three bytes are one
-// dirty key — a kind (remove, re-predict, both, or end the epoch) and a
-// 16-bit key — so a crasher spells out its own epochs.
+// dirty key — a kind (remove, re-predict, both, or end the epoch; bit 2
+// set on a re-predict makes it copy the stored entry verbatim, so chunks
+// are carried over) and a 16-bit key — so a crasher spells out its own
+// epochs.
 func FuzzEdgeStoreSplice(f *testing.F) {
 	op := func(kind byte, key uint16) []byte { return []byte{kind, byte(key >> 8), byte(key)} }
 	seed := func(n uint16, ops ...[]byte) []byte {
@@ -360,6 +449,11 @@ func FuzzEdgeStoreSplice(f *testing.F) {
 		empty = append(empty, op(0, k)) // the first chunk removed
 	}
 	f.Add(seed(300, append(empty, op(3, 0), op(1, 2))...))
+	var copies [][]byte
+	for k := uint16(0); k < 4*400; k += 4 * 37 {
+		copies = append(copies, op(5, k), op(5, k+4), op(0, k+1)) // stored entries copied, absent removals, six chunks
+	}
+	f.Add(seed(400, append(copies, op(1, 4*200), op(3, 0), op(5, 8), op(5, 4*300))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -367,16 +461,19 @@ func FuzzEdgeStoreSplice(f *testing.F) {
 		const classes = 2
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		s := randomFresh(rng, stridedKeys((int(data[0])<<8|int(data[1]))%4096, 4), classes)
-		var removed, freshKeys []uint64
+		var removed, freshKeys, verbatim []uint64
 		epoch := func() {
 			slices.Sort(removed)
 			slices.Sort(freshKeys)
-			fresh := randomFresh(rng, slices.Compact(freshKeys), classes)
+			fresh := withStored(s, randomFresh(rng, slices.Compact(freshKeys), classes), verbatim)
 			s = spliceChecked(t, "fuzz", s, slices.Compact(removed), fresh)
-			removed, freshKeys = removed[:0], freshKeys[:0]
+			removed, freshKeys, verbatim = removed[:0], freshKeys[:0], verbatim[:0]
 		}
 		for b := data[2:]; len(b) >= 3; b = b[3:] {
 			k := uint64(b[1])<<8 | uint64(b[2])
+			if kind := b[0] % 4; b[0]&4 != 0 && (kind == 1 || kind == 2) {
+				verbatim = append(verbatim, k)
+			}
 			switch b[0] % 4 {
 			case 0:
 				removed = append(removed, k)

@@ -368,9 +368,11 @@ func TestApplyMutationsRelabelFlipsTruthVotes(t *testing.T) {
 // TestApplyMutationsAllocatesLittle bounds what a one-add epoch allocates
 // on a 2 000-user network under clauset + XGB: the dirty egos, their edges
 // and the copy-on-write tables, not a copy of the graph or of the community
-// list. 40 chained epochs must average at most 8 bytes per edge (6.7 on
-// amd64; 11.2 while the chunk table held headers rather than pointers and
-// Phase III made a fresh panel per call). Under -race, where sync.Pool
+// list. 40 chained epochs must average at most 5 bytes per edge (3.1 on
+// amd64 since the store splice carries over every chunk its re-predicted
+// entries leave bit-identical; 5.5 while it rebuilt every chunk holding a
+// dirty key, 11.2 while the chunk table held headers rather than pointers
+// and Phase III made a fresh panel per call). Under -race, where sync.Pool
 // drops Puts at random and the Phase III panel is often rebuilt (9–10.3
 // measured), the bound stays at the 16 it had before the pool.
 func TestApplyMutationsAllocatesLittle(t *testing.T) {
@@ -405,7 +407,7 @@ func TestApplyMutationsAllocatesLittle(t *testing.T) {
 		}
 		total += after.TotalAlloc - before.TotalAlloc
 	}
-	limit := uint64(8)
+	limit := uint64(5)
 	if raceBuild {
 		limit = 16
 	}

@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"locec/internal/router"
 )
 
 // sinkWriter is a ResponseWriter that keeps nothing of the body and reuses
@@ -31,7 +29,7 @@ func TestRouterReadAllocations(t *testing.T) {
 		t.Skip("under -race sync.Pool drops Puts at random; CI runs this without it")
 	}
 	f := fleet(t)
-	h := newTestRouter(t, &router.HTTPTransport{BaseURLs: serveShards(t, f.shards)}, nil).Handler()
+	h := newTestRouter(t, httpTransport(t, serveShards(t, f.shards)...), nil).Handler()
 	e := f.pickEdges()[0]
 	req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/edge?u=%d&v=%d", e.U, e.V), nil)
 	w := &sinkWriter{h: make(http.Header)}

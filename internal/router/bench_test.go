@@ -31,7 +31,7 @@ func BenchmarkLookup(b *testing.B) {
 		var tr router.Transport = &router.HandlerTransport{Handlers: handlers}
 		name := fmt.Sprintf("shards=%d", n)
 		if c.loopback {
-			tr, name = &router.HTTPTransport{BaseURLs: serveShards(b, handlers)}, name+"/loopback"
+			tr, name = httpTransport(b, serveShards(b, handlers)...), name+"/loopback"
 		}
 		h := newTestRouter(b, tr, func(c *router.Config) { c.Shards = n }).Handler()
 		b.Run(name, func(b *testing.B) {
@@ -77,7 +77,7 @@ func scatterFleet(tb testing.TB) (h http.Handler, batch []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h = newTestRouter(tb, &router.HTTPTransport{BaseURLs: serveShards(tb, handlers)}, func(c *router.Config) { c.Shards = 2 }).Handler()
+	h = newTestRouter(tb, httpTransport(tb, serveShards(tb, handlers)...), func(c *router.Config) { c.Shards = 2 }).Handler()
 	if len(f.edges) < 64 {
 		tb.Fatalf("fixture has %d edges, want ≥ 64", len(f.edges))
 	}

@@ -272,7 +272,7 @@ func TestRouterEquivalenceNoFaults(t *testing.T) {
 		tr   router.Transport
 	}{
 		{"handler", &router.FaultTransport{Inner: &router.HandlerTransport{Handlers: f.shards}}},
-		{"http", &router.HTTPTransport{BaseURLs: serveShards(t, f.shards)}},
+		{"http", httpTransport(t, serveShards(t, f.shards)...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) { assertEquivalent(t, f, newTestRouter(t, tc.tr, nil).Handler()) })
 	}

@@ -57,7 +57,7 @@ func simulateRouter(t *testing.T, f *fleetFixture, n int, urls []string, seed in
 	const steps = 60
 	rng := rand.New(rand.NewSource(seed))
 	rg := ring.MustNew(n)
-	inner := &router.HTTPTransport{BaseURLs: urls}
+	inner := httpTransport(t, urls...)
 	sw := &switchTransport{}
 	sw.cur.Store(&router.FaultTransport{Inner: inner})
 	r := newTestRouter(t, sw, func(c *router.Config) { c.Shards = n })

@@ -495,6 +495,21 @@ func (t *HTTPTransport) put(s *shardConns, c *conn) bool {
 	return true
 }
 
+// CloseIdleConnections closes every pooled idle connection, as
+// net/http's Transport method of that name does; connections in use are
+// left alone and the transport stays usable.
+func (t *HTTPTransport) CloseIdleConnections() {
+	_ = t.parse() // t.shards is read only after parse has written it
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.shards {
+		for _, c := range t.shards[i].idle {
+			_ = c.Close()
+		}
+		t.shards[i].idle = nil
+	}
+}
+
 // HandlerTransport calls in-process handlers, shard i being Handlers[i],
 // on the caller's goroutine with ctx attached: a ctx-respecting handler
 // behaves as over a network, minus the wire.

@@ -58,6 +58,14 @@ func serveShards(t testing.TB, handlers []http.Handler) []string {
 	return urls
 }
 
+// httpTransport is an HTTPTransport over urls whose idle connections are
+// closed when the test ends.
+func httpTransport(tb testing.TB, urls ...string) *router.HTTPTransport {
+	tr := &router.HTTPTransport{BaseURLs: urls}
+	tb.Cleanup(tr.CloseIdleConnections)
+	return tr
+}
+
 func get(t *testing.T, tr router.Transport, path string) *router.Response {
 	t.Helper()
 	resp, err := tr.Do(t.Context(), 0, http.MethodGet, path, nil)
@@ -81,7 +89,7 @@ func TestHTTPTransportReusesOneConnection(t *testing.T) {
 	srv := newCountedServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, r.URL.Query().Get("i"))
 	}))
-	tr := &router.HTTPTransport{BaseURLs: []string{srv.URL}}
+	tr := httpTransport(t, srv.URL)
 	for i := range 50 {
 		if resp := get(t, tr, fmt.Sprintf("/x?i=%d", i)); string(resp.Body) != fmt.Sprint(i) {
 			t.Fatalf("call %d: body %q", i, resp.Body)
@@ -105,7 +113,7 @@ func TestHTTPTransportRepliesByteForByte(t *testing.T) {
 			fmt.Fprint(w, `{"owner_shard":2}`)
 		}
 	}))
-	tr := &router.HTTPTransport{BaseURLs: []string{srv.URL}}
+	tr := httpTransport(t, srv.URL)
 	for range 2 { // the second round runs on the pooled connection
 		if resp := get(t, tr, "/chunked"); resp.Status != http.StatusOK || !bytes.Equal(resp.Body, big) {
 			t.Fatalf("chunked: status %d, %d bytes, want 200 and the 64 KB body", resp.Status, len(resp.Body))
@@ -129,7 +137,7 @@ func TestHTTPTransportDeadline(t *testing.T) {
 		}
 		fmt.Fprint(w, "ok")
 	}))
-	tr := &router.HTTPTransport{BaseURLs: []string{srv.URL}}
+	tr := httpTransport(t, srv.URL)
 	get(t, tr, "/warm") // the blocked call runs on a pooled connection
 	const attempt = 50 * time.Millisecond
 	ctx, cancel := context.WithTimeout(t.Context(), attempt)
@@ -182,7 +190,7 @@ func TestHTTPTransportShardClosedIdleConnections(t *testing.T) {
 		}
 		fmt.Fprint(w, "ok")
 	}))
-	tr := &router.HTTPTransport{BaseURLs: []string{srv.URL}}
+	tr := httpTransport(t, srv.URL)
 
 	t.Run("get", func(t *testing.T) {
 		warmTwo(t, tr, &arrived)
@@ -214,6 +222,33 @@ func TestHTTPTransportShardClosedIdleConnections(t *testing.T) {
 	})
 }
 
+// TestHTTPTransportCloseIdleConnections: the shard sees both pooled
+// connections closed with no collection to run a finalizer (the transport
+// is still reachable), and the transport dials afresh on its next call.
+func TestHTTPTransportCloseIdleConnections(t *testing.T) {
+	var arrived sync.WaitGroup
+	srv := newCountedServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/warm" {
+			arrived.Done()
+			arrived.Wait()
+		}
+		fmt.Fprint(w, "ok")
+	}))
+	tr := httpTransport(t, srv.URL)
+	warmTwo(t, tr, &arrived)
+	if n := srv.opened.Load(); n != 2 {
+		t.Fatalf("%d connections warmed, want 2", n)
+	}
+	tr.CloseIdleConnections()
+	waitFor(t, "the shard to see both idle connections closed", func() bool { return srv.closed.Load() == 2 })
+	if resp := get(t, tr, "/after"); string(resp.Body) != "ok" {
+		t.Fatalf("GET after CloseIdleConnections: %q", resp.Body)
+	}
+	if n := srv.opened.Load(); n != 3 {
+		t.Fatalf("%d connections, want 3: the two closed and one new", n)
+	}
+}
+
 func TestHTTPTransportConnectionClose(t *testing.T) {
 	srv := newCountedServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/last" {
@@ -221,7 +256,7 @@ func TestHTTPTransportConnectionClose(t *testing.T) {
 		}
 		fmt.Fprint(w, r.URL.Path)
 	}))
-	tr := &router.HTTPTransport{BaseURLs: []string{srv.URL}}
+	tr := httpTransport(t, srv.URL)
 	if resp := get(t, tr, "/last"); resp.Status != http.StatusOK || string(resp.Body) != "/last" {
 		t.Fatalf("Connection: close reply: %d %q", resp.Status, resp.Body)
 	}
@@ -245,7 +280,7 @@ func TestHTTPTransportPathPrefix(t *testing.T) {
 	}))
 	host := strings.TrimPrefix(srv.URL, "http://")
 	for _, base := range []string{srv.URL + "/fleet/a", srv.URL + "/fleet/a/"} {
-		tr := &router.HTTPTransport{BaseURLs: []string{base}}
+		tr := httpTransport(t, base)
 		if resp := get(t, tr, "/v1/edge?u=1&v=2"); string(resp.Body) != host+" /fleet/a/v1/edge?u=1&v=2" {
 			t.Fatalf("base %s: the shard saw %q", base, resp.Body)
 		}
@@ -260,7 +295,7 @@ func TestHTTPTransportConcurrentCallers(t *testing.T) {
 		}
 		fmt.Fprint(w, r.URL.Query().Get("q"))
 	}))
-	tr := &router.HTTPTransport{BaseURLs: []string{srv.URL}}
+	tr := httpTransport(t, srv.URL)
 	var wg sync.WaitGroup
 	for g := range 16 {
 		wg.Add(1)
@@ -289,7 +324,7 @@ func TestHTTPTransportConcurrentCallers(t *testing.T) {
 
 func TestNewRefusesBadBaseURL(t *testing.T) {
 	for _, base := range []string{"localhost:8081", "http://", "ftp://h:1", "https://h:1"} {
-		tr := &router.HTTPTransport{BaseURLs: []string{"http://127.0.0.1:1", base}}
+		tr := httpTransport(t, "http://127.0.0.1:1", base)
 		_, err := router.New(router.Config{Shards: 2, Transport: tr, Logger: quiet})
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", base)) {
 			t.Errorf("New with base URL %q: %v, want an error naming it", base, err)
@@ -333,7 +368,7 @@ func TestHedgeOverTheWire(t *testing.T) {
 		}
 		urls[i] = srv.URL
 	}
-	tr := &router.HTTPTransport{BaseURLs: urls}
+	tr := httpTransport(t, urls...)
 	if _, err := tr.Do(t.Context(), owner, http.MethodGet, "/readyz", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +432,7 @@ func TestCancelledRequestEndsItsRPC(t *testing.T) {
 		}
 		urls[i] = newCountedServer(t, h).URL
 	}
-	tr := &router.HTTPTransport{BaseURLs: urls}
+	tr := httpTransport(t, urls...)
 	if _, err := tr.Do(t.Context(), owner, http.MethodGet, "/readyz", nil); err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,7 @@ func TestClassifyReplyMatchesReference(t *testing.T) {
 		dead []int
 	}{
 		{"handler", func() router.Transport { return &router.HandlerTransport{Handlers: f.shards} }, nil},
-		{"http", func() router.Transport { return &router.HTTPTransport{BaseURLs: serveShards(t, f.shards)} }, nil},
+		{"http", func() router.Transport { return httpTransport(t, serveShards(t, f.shards)...) }, nil},
 		{"one-dead", func() router.Transport {
 			ft := &router.FaultTransport{Inner: &router.HandlerTransport{Handlers: f.shards}}
 			ft.Kill(1)

@@ -585,31 +585,54 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	if !receipt.Applied {
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"status":          "accepted",
-			"mutations":       receipt.Mutations,
-			"pending":         receipt.Pending,
-			"epoch_submitted": receipt.Epoch,
-		})
-		return
+	status := http.StatusAccepted
+	if receipt.Applied {
+		status = http.StatusOK
+		w.Header().Set(snapshotHeader, strconv.FormatInt(receipt.Snapshot.Version, 10))
 	}
-	w.Header().Set(snapshotHeader, strconv.FormatInt(receipt.Snapshot.Version, 10))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":            "applied",
-		"epoch":             receipt.Epoch,
-		"snapshot":          receipt.Snapshot,
-		"mutations":         receipt.Mutations,
-		"dirty_nodes":       receipt.Stats.DirtyNodes,
-		"dirty_communities": receipt.Stats.DirtyCommunities,
-		"dirty_edges":       receipt.Stats.DirtyEdges,
-		"dataset_edits":     receipt.Stats.DatasetEdits,
-		"folded":            receipt.Stats.Folded,
-		"added_edges":       receipt.Stats.AddedEdges,
-		"removed_edges":     receipt.Stats.RemovedEdges,
-		"apply_seconds":     receipt.Stats.Duration.Seconds(),
-		"mutations_pending": receipt.Pending,
-	})
+	writeJSON(w, status, receiptDoc(receipt))
+}
+
+// acceptedDoc is the 202 reply to POST /v1/mutations; fields in the order
+// a map of the same keys marshalled in.
+type acceptedDoc struct {
+	EpochSubmitted int64  `json:"epoch_submitted"`
+	Mutations      int    `json:"mutations"`
+	Pending        int64  `json:"pending"`
+	Status         string `json:"status"`
+}
+
+// appliedDoc is the 200 reply to a wait:true POST /v1/mutations; fields in
+// the order a map of the same keys marshalled in.
+type appliedDoc struct {
+	AddedEdges       int          `json:"added_edges"`
+	ApplySeconds     float64      `json:"apply_seconds"`
+	DatasetEdits     int          `json:"dataset_edits"`
+	DirtyCommunities int          `json:"dirty_communities"`
+	DirtyEdges       int          `json:"dirty_edges"`
+	DirtyNodes       int          `json:"dirty_nodes"`
+	Epoch            int64        `json:"epoch"`
+	Folded           bool         `json:"folded"`
+	Mutations        int          `json:"mutations"`
+	MutationsPending int64        `json:"mutations_pending"`
+	RemovedEdges     int          `json:"removed_edges"`
+	Snapshot         SnapshotInfo `json:"snapshot"`
+	Status           string       `json:"status"`
+}
+
+// receiptDoc is r's reply document: appliedDoc once applied, else
+// acceptedDoc.
+func receiptDoc(r MutationReceipt) any {
+	if !r.Applied {
+		return acceptedDoc{EpochSubmitted: r.Epoch, Mutations: r.Mutations, Pending: r.Pending, Status: "accepted"}
+	}
+	st := r.Stats
+	return appliedDoc{
+		AddedEdges: st.AddedEdges, ApplySeconds: st.Duration.Seconds(), DatasetEdits: st.DatasetEdits,
+		DirtyCommunities: st.DirtyCommunities, DirtyEdges: st.DirtyEdges, DirtyNodes: st.DirtyNodes,
+		Epoch: r.Epoch, Folded: st.Folded, Mutations: r.Mutations, MutationsPending: r.Pending,
+		RemovedEdges: st.RemovedEdges, Snapshot: r.Snapshot, Status: "applied",
+	}
 }
 
 // reloadRequest is the POST /v1/reload body.

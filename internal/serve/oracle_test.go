@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"locec/internal/core"
 	"locec/internal/graph"
@@ -303,4 +304,65 @@ func TestReadRoutesMatchReferenceEncoding(t *testing.T) {
 		{"shard: misdirected classify", "POST", "/v1/classify", batch(mine, theirs)},
 		{"shard: misdirected communities", "GET", fmt.Sprintf("/v1/communities/%d", theirNode), ""},
 	})
+}
+
+// refReceipt is POST /v1/mutations' reply as the handler built it before
+// it was typed: a map, keys in encoding/json's sorted order.
+func refReceipt(r MutationReceipt) map[string]any {
+	if !r.Applied {
+		return map[string]any{
+			"status":          "accepted",
+			"mutations":       r.Mutations,
+			"pending":         r.Pending,
+			"epoch_submitted": r.Epoch,
+		}
+	}
+	return map[string]any{
+		"status":            "applied",
+		"epoch":             r.Epoch,
+		"snapshot":          r.Snapshot,
+		"mutations":         r.Mutations,
+		"dirty_nodes":       r.Stats.DirtyNodes,
+		"dirty_communities": r.Stats.DirtyCommunities,
+		"dirty_edges":       r.Stats.DirtyEdges,
+		"dataset_edits":     r.Stats.DatasetEdits,
+		"folded":            r.Stats.Folded,
+		"added_edges":       r.Stats.AddedEdges,
+		"removed_edges":     r.Stats.RemovedEdges,
+		"apply_seconds":     r.Stats.Duration.Seconds(),
+		"mutations_pending": r.Pending,
+	}
+}
+
+// TestMutationReceiptMatchesReferenceEncoding pins the typed receipts'
+// bytes to the map form: 202 and 200 replies, a fold, zero, sub-1e-6 and
+// large durations, and the receipt of a real applied batch.
+func TestMutationReceiptMatchesReferenceEncoding(t *testing.T) {
+	s := testServer(t)
+	au, av := absentPair(s)
+	live, err := s.Mutate([]core.Mutation{{Kind: core.MutAdd, U: graph.NodeID(au), V: graph.NodeID(av)}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := SnapshotInfo{Version: 7, Seed: -3, Epoch: 9, Nodes: 10, Edges: 40, Communities: 12,
+		Classifier: "LoCEC-XGB", BuiltAt: "2026-10-19T00:00:00Z", BuildSecs: 1.25e-7, Mutable: true}
+	for _, r := range []MutationReceipt{
+		live,
+		{Mutations: 3, Epoch: 41, Pending: 5},
+		{},
+		{Applied: true},
+		{Applied: true, Mutations: 2, Epoch: 1 << 40, Pending: 1, Snapshot: info, Stats: core.ApplyStats{
+			Mutations: 2, AddedEdges: 1, RemovedEdges: 1, DirtyNodes: 4, DirtyCommunities: 9, DirtyEdges: 81,
+			DatasetEdits: 0, Folded: true, Duration: 350 * time.Nanosecond}},
+		{Applied: true, Mutations: 1, Epoch: 2, Stats: core.ApplyStats{DatasetEdits: 320, Duration: 90 * time.Minute}},
+	} {
+		got, err := json.Marshal(receiptDoc(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(refReceipt(r))
+		if !bytes.Equal(got, want) {
+			t.Errorf("receipt %+v:\n got %s\nwant %s", r, got, want)
+		}
+	}
 }
