@@ -13,9 +13,9 @@
 //	locec-router -addr :8080 -shards http://localhost:8081,http://localhost:8082,http://localhost:8083,http://localhost:8084
 //
 // Endpoints mirror locec-serve's read surface: GET /v1/edge,
-// POST /v1/classify, GET /v1/communities/{node}, POST /v1/mutations
-// (fanned to touched shards, aggregated honestly), GET /v1/stats
-// (per-shard health + retry/hedge/breaker counters), /healthz, /readyz.
+// POST /v1/classify, GET /v1/communities/{node}, GET /v1/stats (per-shard
+// health + retry/hedge/breaker counters), /healthz, /readyz. POST
+// /v1/mutations is a fixed 409: writes go to the full trained server.
 package main
 
 import (
@@ -40,7 +40,7 @@ func main() {
 		shards     = flag.String("shards", "", "comma-separated shard base URLs http://host:port[/prefix], in shard order (index i = shard i of the cut)")
 		attempt    = flag.Duration("attempt-timeout", 2*time.Second, "per-RPC attempt timeout")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "end-to-end per-request timeout")
-		retries    = flag.Int("retries", 2, "max retries for idempotent reads")
+		retries    = flag.Int("retries", 2, "max retries of a routed read after a failed attempt")
 		hedgeMax   = flag.Duration("hedge-max", 50*time.Millisecond, "hedge delay ceiling (floor 1ms, or the ceiling when that is lower; actual delay tracks each shard's p95)")
 		brkThresh  = flag.Int("breaker-threshold", 5, "consecutive failures that open a shard's circuit")
 		brkCool    = flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open trial")

@@ -7,9 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -30,7 +28,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/edge", r.handleEdge)
 	mux.HandleFunc("POST /v1/classify", r.handleClassify)
 	mux.HandleFunc("GET /v1/communities/{node}", r.handleCommunities)
-	mux.HandleFunc("POST /v1/mutations", r.handleMutations)
+	mux.HandleFunc("POST /v1/mutations", refuseMutations)
 	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	return mux
 }
@@ -64,24 +62,6 @@ type (
 	unavailableDoc struct {
 		Error         string `json:"error"`
 		MissingShards []int  `json:"missing_shards"`
-	}
-	// mutationsDoc is a POST /v1/mutations body, the client's and each
-	// shard's share of it.
-	mutationsDoc struct {
-		Mutations []json.RawMessage `json:"mutations"`
-		Wait      bool              `json:"wait"`
-	}
-	// receiptsDoc is the router's POST /v1/mutations reply.
-	receiptsDoc struct {
-		Partial bool           `json:"partial"`
-		Shards  []shardReceipt `json:"shards"`
-	}
-	shardReceipt struct {
-		Shard     int             `json:"shard"`
-		Mutations int             `json:"mutations"`
-		Status    int             `json:"status"`
-		Response  json.RawMessage `json:"response,omitempty"`
-		Error     string          `json:"error,omitempty"`
 	}
 )
 
@@ -135,7 +115,7 @@ func (r *Router) handleCommunities(w http.ResponseWriter, req *http.Request) {
 func (r *Router) forward(w http.ResponseWriter, req *http.Request, owner int, path string) {
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
 	defer cancel()
-	resp, err := r.call(ctx, owner, http.MethodGet, path, nil, true)
+	resp, err := r.call(ctx, owner, http.MethodGet, path, nil)
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, unavailableDoc{Error: err.Error(), MissingShards: []int{owner}})
@@ -286,7 +266,7 @@ var (
 // classifyShard sends a shard the edges at positions idxs and appends to
 // dst a view of each result in its reply.
 func (r *Router) classifyShard(ctx context.Context, shard int, edges []classifyEdge, idxs []int, dst [][]byte) error {
-	resp, err := r.call(ctx, shard, http.MethodPost, "/v1/classify", appendSubBatch(edges, idxs), true)
+	resp, err := r.call(ctx, shard, http.MethodPost, "/v1/classify", appendSubBatch(edges, idxs))
 	if err != nil {
 		return err
 	}
@@ -420,71 +400,16 @@ func skipValue(b []byte, i int) int {
 	return i
 }
 
-// handleMutations fans a mutation batch out to only the shards whose
-// data it touches, each endpoint's owner getting the mutations naming it,
-// and aggregates their receipts: 200 when every touched shard accepted,
-// 207 Multi-Status otherwise. (An artifact-cut shard is read-only and
-// answers 409, so today's fleet refuses writes loudly instead of
-// dropping them; they belong on the full trained server.)
-func (r *Router) handleMutations(w http.ResponseWriter, req *http.Request) {
-	body, ok := readBody(w, req)
-	if !ok {
-		return
-	}
-	var mreq mutationsDoc
-	if err := json.Unmarshal(body, &mreq); err != nil {
-		writeError(w, http.StatusBadRequest, "decode: %v", err)
-		return
-	}
-	if len(mreq.Mutations) == 0 {
-		writeError(w, http.StatusBadRequest, "no mutations in request")
-		return
-	}
+// mutationsRefused is the whole reply to POST /v1/mutations. A shard is
+// an artifact cut without the raw dataset, so no shard can take a write:
+// the router refuses at once, with no shard RPC, and names where writes go.
+const mutationsRefused = `{"error":"the router serves reads only; send mutations to the full trained server: ` +
+	`locec-serve -artifact <full .locec written by locec train -embed-dataset>, with -wal for durability"}` + "\n"
 
-	// A mutation on edge {u,v} dirties both endpoints' ego networks, so
-	// it goes to every distinct owner among them.
-	byShard := map[int][]json.RawMessage{}
-	for i, raw := range mreq.Mutations {
-		var m classifyEdge
-		if err := json.Unmarshal(raw, &m); err != nil {
-			writeError(w, http.StatusBadRequest, "mutation %d: %v", i, err)
-			return
-		}
-		ou, ov := r.ring.OwnerNode(m.U), r.ring.OwnerNode(m.V)
-		byShard[ou] = append(byShard[ou], raw)
-		if ov != ou {
-			byShard[ov] = append(byShard[ov], raw)
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.RequestTimeout)
-	defer cancel()
-	owners := slices.Sorted(maps.Keys(byShard))
-	receipts := make([]shardReceipt, len(owners))
-	parallel.Each(len(owners), func(o int) {
-		shard, muts := owners[o], byShard[owners[o]]
-		rec := shardReceipt{Shard: shard, Mutations: len(muts)}
-		sub, err := json.Marshal(mutationsDoc{Mutations: muts, Wait: mreq.Wait})
-		if err == nil {
-			var resp *Response
-			// Mutations are not idempotent: one attempt, no hedge.
-			resp, err = r.call(ctx, shard, http.MethodPost, "/v1/mutations", sub, false)
-			if err == nil {
-				rec.Status, rec.Response = resp.Status, resp.Body
-			}
-		}
-		if err != nil {
-			rec.Status = http.StatusServiceUnavailable
-			rec.Error = err.Error()
-		}
-		receipts[o] = rec
-	})
-
-	status := http.StatusOK
-	if slices.ContainsFunc(receipts, func(rec shardReceipt) bool { return rec.Status/100 != 2 }) {
-		status = http.StatusMultiStatus
-	}
-	writeJSON(w, status, receiptsDoc{Partial: status != http.StatusOK, Shards: receipts})
+func refuseMutations(w http.ResponseWriter, _ *http.Request) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusConflict)
+	_, _ = io.WriteString(w, mutationsRefused)
 }
 
 // handleStats reports per-shard health, retry/hedge/breaker counters and

@@ -3,19 +3,21 @@
 // shard compute, and forwards each request to the shard that owns it:
 // single-key reads (/v1/edge, /v1/communities/{node}) to one shard,
 // /v1/classify batches scattered to every owning shard and gathered (an
-// explicit partial result when a shard is unreachable), /v1/mutations to
-// the shards whose data a batch touches.
+// explicit partial result when a shard is unreachable). It serves the
+// fleet's reads only: a shard is an artifact cut without the raw dataset,
+// so POST /v1/mutations is one fixed 409 naming the full trained server,
+// and every RPC the router makes is a read.
 //
 // Fault tolerance follows the tail-at-scale playbook, above the Transport
 // seam: per-RPC attempt deadlines under an end-to-end request deadline;
-// capped exponential backoff with seeded jitter, retrying idempotent
-// reads only; hedged reads, a second attempt once the first outlives the
-// shard's observed p95 (clamped to [HedgeMin, HedgeMax]), first success
-// wins; per-shard circuit breakers fed by outcomes and /readyz probes, so
-// a dead shard costs microseconds and a probe or a half-open trial
-// readmits a recovered one. Nothing is silent: a missing shard is named
-// in missing_shards, a misrouted key surfaces the shard's 421, and
-// /v1/stats exposes every retry, hedge and breaker transition.
+// capped exponential backoff with seeded jitter between retries; hedged
+// reads, a second attempt once the first outlives the shard's observed
+// p95 (clamped to [HedgeMin, HedgeMax]), first success wins; per-shard
+// circuit breakers fed by outcomes and /readyz probes, so a dead shard
+// costs microseconds and a probe or a half-open trial readmits a
+// recovered one. Nothing is silent: a missing shard is named in
+// missing_shards, a misrouted key surfaces the shard's 421, and /v1/stats
+// exposes every retry, hedge and breaker transition.
 package router
 
 import (
@@ -46,8 +48,8 @@ type Config struct {
 	// RequestTimeout bounds one client request end to end, across all
 	// retries and hedges (default 10s).
 	RequestTimeout time.Duration
-	// MaxRetries is how many times an idempotent read is retried after a
-	// failed attempt (default 2; mutations are never retried).
+	// MaxRetries is how many times a routed read is retried after a failed
+	// attempt (default 2).
 	MaxRetries int
 	// RetryBase/RetryMax shape the capped exponential backoff between
 	// retries: base*2^attempt, jittered to [1/2, 1) of itself, capped at
@@ -55,16 +57,14 @@ type Config struct {
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// HedgeMin/HedgeMax clamp the hedge delay around the shard's observed
-	// p95 for idempotent reads (defaults when ≤ 0: 1ms / 50ms). HedgeMax,
-	// the cap on wasted work, wins an inverted pair.
+	// p95 (defaults when ≤ 0: 1ms / 50ms). HedgeMax, the cap on wasted
+	// work, wins an inverted pair.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
 	// BreakerThreshold consecutive failures open a shard's circuit;
 	// BreakerCooldown later a half-open trial is admitted (5 / 5s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Seed feeds the backoff jitter (0 = 1), for the fault matrix.
-	Seed int64
 	// Logger receives lifecycle logs (nil = slog default).
 	Logger *slog.Logger
 }
@@ -92,9 +92,6 @@ func (c *Config) withDefaults() Config {
 	out.HedgeMin = min(out.HedgeMin, out.HedgeMax)
 	if out.BreakerThreshold <= 0 {
 		out.BreakerThreshold = 5
-	}
-	if out.Seed == 0 {
-		out.Seed = 1
 	}
 	if out.Logger == nil {
 		out.Logger = slog.Default()
@@ -152,7 +149,7 @@ func New(cfg Config) (*Router, error) {
 		shards: make([]*shardState, c.Shards),
 		sgLat:  latency.New(),
 		start:  time.Now(),
-		rng:    rand.New(rand.NewSource(c.Seed)),
+		rng:    rand.New(rand.NewSource(1)), // a fixed jitter schedule, for the fault matrix
 	}
 	for i := range r.shards {
 		r.shards[i] = &shardState{
@@ -166,17 +163,14 @@ func New(cfg Config) (*Router, error) {
 // errCircuitOpen is why a shard that was never tried is unavailable.
 var errCircuitOpen = errors.New("circuit open")
 
-// call is the resilient RPC: breaker gate, hedged attempt, capped
-// jittered backoff retries (idempotent only), all under ctx — which the
-// handler has already bounded with RequestTimeout.
-func (r *Router) call(ctx context.Context, shard int, method, path string, body []byte, idempotent bool) (*Response, error) {
+// call is the resilient read: breaker gate, hedged attempt, capped
+// jittered backoff retries, all under ctx — which the handler has already
+// bounded with RequestTimeout.
+func (r *Router) call(ctx context.Context, shard int, method, path string, body []byte) (*Response, error) {
 	st := r.shards[shard]
 	st.requests.Add(1)
 	lastErr := errCircuitOpen // until an attempt fails
-	maxAttempts := 1
-	if idempotent {
-		maxAttempts += r.cfg.MaxRetries
-	}
+	maxAttempts := 1 + r.cfg.MaxRetries
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			break
@@ -188,7 +182,7 @@ func (r *Router) call(ctx context.Context, shard int, method, path string, body 
 		if attempt > 0 {
 			st.retries.Add(1)
 		}
-		resp, err := r.hedgedDo(ctx, shard, method, path, body, idempotent)
+		resp, err := r.hedgedDo(ctx, shard, method, path, body, false)
 		// An HTTP status — any status — is a live shard; only transport
 		// errors and 5xx (the shard itself failing) trip the breaker.
 		ok := err == nil && resp.Status < 500
@@ -224,7 +218,7 @@ func (r *Router) backoff(ctx context.Context, attempt int) {
 }
 
 // hedgedDo runs one logical attempt: one RPC under the attempt deadline,
-// on the calling goroutine. For idempotent reads, if it has not answered
+// on the calling goroutine. Unless it is a probe, if it has not answered
 // within the shard's hedge delay (observed p95 clamped to [HedgeMin,
 // HedgeMax]), a timer launches a second identical RPC and the first
 // success wins — the Dean & Barroso tail cut; the loser is ended (both
@@ -232,9 +226,9 @@ func (r *Router) backoff(ctx context.Context, attempt int) {
 // primary's attempt and the timer are pooled: the hedge's goroutine,
 // channel and attempt exist only once the timer fires, which is also when
 // the primary starts to watch ctx for a cancel (its deadline binds now).
-func (r *Router) hedgedDo(ctx context.Context, shard int, method, path string, body []byte, idempotent bool) (*Response, error) {
+func (r *Router) hedgedDo(ctx context.Context, shard int, method, path string, body []byte, probe bool) (*Response, error) {
 	st, p := r.shards[shard], rpcPool.Get().(*rpc)
-	p.r, p.shard, p.method, p.path, p.body, p.idempotent = r, shard, method, path, body, idempotent
+	p.r, p.shard, p.method, p.path, p.body, p.probe = r, shard, method, path, body, probe
 	p.start(ctx, r.cfg.AttemptTimeout)
 	if p.timer == nil {
 		p.timer = time.AfterFunc(r.hedgeDelay(st), p.fire)
@@ -278,7 +272,7 @@ type rpc struct {
 	shard        int
 	method, path string
 	body         []byte
-	idempotent   bool
+	probe        bool // a /readyz probe: one RPC, never hedged
 	timer        *time.Timer
 	returned     bool           // under mu: the primary has returned
 	out          chan *Response // under mu, made by fire: the hedge's reply, nil if it failed
@@ -288,8 +282,8 @@ type rpc struct {
 var rpcPool = sync.Pool{New: func() any { return new(rpc) }}
 
 // fire runs on the timer's goroutine once the primary has outlived the
-// hedge delay: ctx's cancel now ends the primary at once, and a read
-// launches its hedge, whose success ends the primary.
+// hedge delay: ctx's cancel now ends the primary at once, and a read that
+// is not a probe launches its hedge, whose success ends the primary.
 func (p *rpc) fire() {
 	gone := p.parent.Err() != nil // no hedge for a request that has ended
 	p.mu.Lock()
@@ -298,7 +292,7 @@ func (p *rpc) fire() {
 		return
 	}
 	p.watchLocked()
-	if !p.idempotent || p.err != nil || gone {
+	if p.probe || p.err != nil || gone {
 		p.mu.Unlock()
 		return
 	}
@@ -342,7 +336,7 @@ func (r *Router) hedgeDelay(st *shardState) time.Duration {
 func (r *Router) ProbeOnce(ctx context.Context) int {
 	var readyCount atomic.Int64
 	parallel.Each(len(r.shards), func(shard int) {
-		resp, err := r.hedgedDo(ctx, shard, http.MethodGet, "/readyz", nil, false)
+		resp, err := r.hedgedDo(ctx, shard, http.MethodGet, "/readyz", nil, true)
 		ok := err == nil && resp.Status == http.StatusOK
 		r.shards[shard].breaker.recordProbe(ok)
 		r.shards[shard].probeOK.Store(ok)

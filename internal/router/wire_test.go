@@ -19,6 +19,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"locec/internal/router"
@@ -419,16 +420,9 @@ func (c cannedTransport) Do(_ context.Context, shard int, _, path string, body [
 // itself, each the bytes the map it replaced encoded to.
 func TestRouterWireDocs(t *testing.T) {
 	f := fleet(t)
-	var mu sync.Mutex
-	sent := map[int]string{}
-	tr := cannedTransport(func(shard int, path string, body []byte) (*router.Response, error) {
-		switch path {
-		case "/v1/mutations":
-			mu.Lock()
-			sent[shard] = string(body)
-			mu.Unlock()
-			return &router.Response{Status: http.StatusConflict, Body: []byte(`{"error":"read-only"}` + "\n")}, nil
-		}
+	var rpcs atomic.Int64
+	tr := cannedTransport(func(int, string, []byte) (*router.Response, error) {
+		rpcs.Add(1)
 		return nil, errors.New("down")
 	})
 	r := newTestRouter(t, tr, func(c *router.Config) { c.BreakerThreshold = 1 })
@@ -445,23 +439,16 @@ func TestRouterWireDocs(t *testing.T) {
 	check("/readyz", do(h, http.MethodGet, "/readyz", nil), http.StatusOK,
 		fmt.Sprintf("{\"open_circuits\":0,\"shards\":%d,\"status\":\"ready\"}\n", fleetShards))
 
-	const mutation = `{"op":"add","u":0,"v":9}`
-	rec := do(h, http.MethodPost, "/v1/mutations", []byte(`{"mutations":[ `+mutation+` ],"wait":true}`))
-	var owners []int
-	for _, s := range []int{f.ring.OwnerNode(0), f.ring.OwnerNode(9)} {
-		if !slices.Contains(owners, s) {
-			owners = append(owners, s)
-		}
+	// Writes are refused by the router itself, whatever the body: no shard
+	// can take one.
+	for _, body := range []string{`{"mutations":[{"op":"add","u":0,"v":9}],"wait":true}`, `not json`} {
+		check("/v1/mutations", do(h, http.MethodPost, "/v1/mutations", []byte(body)), http.StatusConflict,
+			`{"error":"the router serves reads only; send mutations to the full trained server: `+
+				`locec-serve -artifact <full .locec written by locec train -embed-dataset>, with -wal for durability"}`+"\n")
 	}
-	slices.Sort(owners)
-	var receipts []string
-	for _, s := range owners {
-		if sent[s] != `{"mutations":[`+mutation+`],"wait":true}` {
-			t.Fatalf("shard %d was sent %q", s, sent[s])
-		}
-		receipts = append(receipts, fmt.Sprintf(`{"shard":%d,"mutations":1,"status":409,"response":{"error":"read-only"}}`, s))
+	if n := rpcs.Load(); n != 0 {
+		t.Fatalf("the refused mutations made %d shard RPCs, want none", n)
 	}
-	check("/v1/mutations", rec, http.StatusMultiStatus, `{"partial":true,"shards":[`+strings.Join(receipts, ",")+"]}\n")
 
 	owner := f.ring.OwnerEdge(0, 9)
 	check("/v1/edge", do(h, http.MethodGet, "/v1/edge?u=0&v=9", nil), http.StatusServiceUnavailable,
