@@ -470,20 +470,13 @@ func decodeEgos(b []byte, version int, mutable bool) ([]*core.EgoResult, error) 
 func encodePreds(e *encoder, st *core.EdgeStore) {
 	e.u64(uint64(st.Len()))
 	e.u32(uint32(st.Classes()))
-	for ci := range st.NumChunks() {
-		keys, _, _ := st.Chunk(ci)
-		e.u64s(keys)
-	}
-	for ci := range st.NumChunks() {
-		_, labels, _ := st.Chunk(ci)
+	st.ForEachChunk(func(keys []uint64, _ []social.Label, _ []float64) { e.u64s(keys) })
+	st.ForEachChunk(func(_ []uint64, labels []social.Label, _ []float64) {
 		for _, l := range labels {
 			e.u8(byte(int8(l)))
 		}
-	}
-	for ci := range st.NumChunks() {
-		_, _, probs := st.Chunk(ci)
-		e.f64s(probs)
-	}
+	})
+	st.ForEachChunk(func(_ []uint64, _ []social.Label, probs []float64) { e.f64s(probs) })
 }
 
 // decodePreds decodes the section into ex.Edges; NewEdgeStore refuses keys

@@ -129,8 +129,7 @@ func TestSaveRefusesAChangingSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, _, _ := ex.Edges.Chunk(0)
-	_, probs, _ := ex.Edges.Lookup(keys[0])
+	_, probs, _ := ex.Edges.Lookup(ex.Edges.Keys()[0])
 	w := &headerHook{after: func() { probs[0]++ }}
 	if err := art.Save(w); err == nil || !strings.Contains(err.Error(), "preds section changed") {
 		t.Fatalf("Save over a section changed between its passes = %v, want a preds-section error", err)

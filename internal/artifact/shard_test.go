@@ -259,15 +259,14 @@ func referenceCut(a *artifact.Artifact, n int) ([]*artifact.Artifact, error) {
 		var keys []uint64
 		var labels []social.Label
 		var probs []float64
-		for ci := range st.NumChunks() {
-			ck, cl, cp := st.Chunk(ci)
+		st.ForEachChunk(func(ck []uint64, cl []social.Label, cp []float64) {
 			for i, k := range ck {
 				if e := graph.EdgeFromKey(k); rg.OwnerEdge(e.U, e.V) == s {
 					keys, labels = append(keys, k), append(labels, cl[i])
 					probs = append(probs, cp[i*classes:(i+1)*classes]...)
 				}
 			}
-		}
+		})
 		edges, err := core.NewEdgeStore(keys, labels, probs, classes)
 		if err != nil {
 			return nil, err

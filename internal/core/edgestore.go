@@ -10,13 +10,35 @@ import (
 	"locec/internal/social"
 )
 
-// chunkKeys is the size of a chunk cut from flat arrays. It sets both
-// parts of what a splice copies: the chunk table, 16 B (a head and a
-// pointer) per chunk, and every chunk a dirty key changes. On the write
-// benchmark's graph (≈ 1 600 chunks) an epoch's ≈ 79 re-predicted edges
-// scatter over ≈ 38 chunks, ≈ 7 of which change: it copies a ≈ 26 KB
-// table and rebuilds ≈ 13 KB of chunks.
+// chunkKeys is the size of a chunk cut from flat arrays, and the number of
+// chunks a leaf of the chunk table is cut into. It sets what a splice
+// copies: the top level, 56 B per leaf; each leaf holding a changed chunk,
+// 16 B (a head and a pointer) per chunk; and every changed chunk. On the
+// write benchmark's graph (≈ 1 600 chunks in 25 leaves) an epoch's ≈ 79
+// re-predicted edges scatter over ≈ 38 chunks, ≈ 7 of which change: it
+// copies a 1.4 KB top level and ≈ 6 KB of leaves (a flat table was
+// ≈ 26 KB) and rebuilds ≈ 13 KB of chunks.
 const chunkKeys = 64
+
+// pieces is how many even parts a rebuilt run of m entries is cut into:
+// none when it is empty, m/chunkKeys past 2×chunkKeys, else one. Chunks
+// (entries) and leaves (chunks) follow the same rule.
+func pieces(m int) int {
+	if m > 2*chunkKeys {
+		return m / chunkKeys
+	}
+	return min(m, 1)
+}
+
+// floor returns the index of the last head at or below key, 0 when key is
+// below them all.
+func floor(heads []uint64, key uint64) int {
+	i, found := slices.BinarySearch(heads, key)
+	if found || i == 0 {
+		return i
+	}
+	return i - 1
+}
 
 // edgeRun is a sorted run of predictions in column layout: keys[i] owns
 // labels[i] and probs[i*classes:(i+1)*classes]. Phase III output is one
@@ -63,17 +85,36 @@ func (r *edgeRun) splice(old edgeRun, removed []uint64, fresh edgeRun, classes i
 }
 
 // EdgeStore holds every predicted edge's label and class-probability
-// vector in canonical key order, as a table of chunks: each chunk is an
-// edgeRun of at most 2×chunkKeys entries and heads[i] is chunk i's first
-// key, so a lookup is a binary search over heads and then inside one chunk.
-// Stores are immutable: spliced derives a successor that shares every
-// chunk its dirty keys leave unchanged, so readers of the old store are
-// never disturbed.
+// vector in canonical key order, as a two-level table of chunks: each chunk
+// is an edgeRun of at most 2×chunkKeys entries, each leaf a table of at
+// most 2×chunkKeys chunks, and heads[i] is leaf i's first key. A lookup is
+// three binary searches: over heads, inside one leaf, inside one chunk.
+// Stores are immutable: spliced derives a successor that shares every leaf
+// and chunk its dirty keys leave unchanged, so readers of the old store
+// are never disturbed.
 type EdgeStore struct {
 	heads   []uint64
-	chunks  []*edgeRun
+	leaves  []leaf
 	n       int
 	classes int
+}
+
+// leaf is one run of the chunk table: heads[i] is chunks[i]'s first key.
+type leaf struct {
+	heads  []uint64
+	chunks []*edgeRun
+}
+
+// appendLeaves cuts the chunk table heads/chunks into leaves by the
+// pieces rule and appends them to s, each a capped view of the table.
+func (s *EdgeStore) appendLeaves(heads []uint64, chunks []*edgeRun) {
+	m := len(heads)
+	k := pieces(m)
+	for p := range k {
+		lo, hi := p*m/k, (p+1)*m/k
+		s.heads = append(s.heads, heads[lo])
+		s.leaves = append(s.leaves, leaf{heads[lo:hi:hi], chunks[lo:hi:hi]})
+	}
 }
 
 // NewEdgeStore wraps the given parallel arrays without copying. keys must
@@ -95,17 +136,19 @@ func NewEdgeStore(keys []uint64, labels []social.Label, probs []float64, classes
 	return edgeRun{keys, labels, probs}.store(classes), nil
 }
 
-// store cuts r into chunkKeys-sized views: one chunk table, one head
-// index and one slab of chunk headers, no copy of the entries.
+// store cuts r into chunkKeys-sized views and their table into leaves:
+// one slab of chunk headers, one chunk table, one top level, no copy of
+// the entries.
 func (r edgeRun) store(classes int) *EdgeStore {
 	n := len(r.keys)
 	nc := (n + chunkKeys - 1) / chunkKeys
-	s := &EdgeStore{heads: make([]uint64, nc), chunks: make([]*edgeRun, nc), n: n, classes: classes}
-	runs := make([]edgeRun, nc) // every chunk header in one slab
-	for i := range s.chunks {
+	runs, heads, chunks := make([]edgeRun, nc), make([]uint64, nc), make([]*edgeRun, nc)
+	for i := range runs {
 		runs[i] = r.view(i*chunkKeys, min((i+1)*chunkKeys, n), classes)
-		s.chunks[i], s.heads[i] = &runs[i], r.keys[i*chunkKeys]
+		chunks[i], heads[i] = &runs[i], r.keys[i*chunkKeys]
 	}
+	s := &EdgeStore{heads: make([]uint64, 0, pieces(nc)), leaves: make([]leaf, 0, pieces(nc)), n: n, classes: classes}
+	s.appendLeaves(heads, chunks)
 	return s
 }
 
@@ -150,44 +193,40 @@ func (s *EdgeStore) Classes() int {
 }
 
 // gather concatenates one column of every chunk (nil for an empty store).
-func gather[T any](s *EdgeStore, width int, col func(*edgeRun) []T) []T {
+func gather[T any](s *EdgeStore, width int, col func(edgeRun) []T) []T {
 	if s.Len() == 0 {
 		return nil
 	}
 	out := make([]T, 0, s.n*width)
-	for _, r := range s.chunks {
-		out = append(out, col(r)...)
-	}
+	s.ForEachChunk(func(keys []uint64, labels []social.Label, probs []float64) {
+		out = append(out, col(edgeRun{keys, labels, probs})...)
+	})
 	return out
 }
 
 // Keys returns the sorted keys as a fresh flat slice.
-func (s *EdgeStore) Keys() []uint64 { return gather(s, 1, func(r *edgeRun) []uint64 { return r.keys }) }
+func (s *EdgeStore) Keys() []uint64 { return gather(s, 1, func(r edgeRun) []uint64 { return r.keys }) }
 
-// NumChunks returns how many chunks the store holds (0 for a nil store).
-func (s *EdgeStore) NumChunks() int {
+// ForEachChunk calls fn with every chunk's keys, their labels and their
+// probability vectors (flat, len(keys)*Classes() wide), in ascending key
+// order; a nil store has none. The slices are the store's own memory,
+// capped: read them, never write them.
+func (s *EdgeStore) ForEachChunk(fn func(keys []uint64, labels []social.Label, probs []float64)) {
 	if s == nil {
-		return 0
+		return
 	}
-	return len(s.chunks)
+	for _, lf := range s.leaves {
+		for _, r := range lf.chunks {
+			fn(r.keys, r.labels, r.probs)
+		}
+	}
 }
 
-// Chunk returns chunk i's keys, their labels and their probability
-// vectors (flat, len(keys)*Classes() wide); chunks 0 … NumChunks()-1 hold
-// every entry in ascending key order. The slices are the store's own
-// memory, capped: read them, never write them.
-func (s *EdgeStore) Chunk(i int) ([]uint64, []social.Label, []float64) {
-	r := s.chunks[i]
-	return r.keys, r.labels, r.probs
-}
-
-// chunkOf returns the chunk that holds key, or would (chunk 0 below the first head).
-func (s *EdgeStore) chunkOf(key uint64) int {
-	i, found := slices.BinarySearch(s.heads, key)
-	if found || i == 0 {
-		return i
-	}
-	return i - 1
+// locate returns the leaf, and the chunk inside it, that hold key or would
+// (the first ones below every head).
+func (s *EdgeStore) locate(key uint64) (li, ci int) {
+	li = floor(s.heads, key)
+	return li, floor(s.leaves[li].heads, key)
 }
 
 // Lookup returns key's label and probability vector (a view into the
@@ -198,7 +237,8 @@ func (s *EdgeStore) Lookup(key uint64) (social.Label, []float64, bool) {
 	if s.Len() == 0 {
 		return 0, nil, false
 	}
-	r := s.chunks[s.chunkOf(key)]
+	li, ci := s.locate(key)
+	r := s.leaves[li].chunks[ci]
 	i, ok := slices.BinarySearch(r.keys, key)
 	if !ok {
 		return 0, nil, false
@@ -225,30 +265,33 @@ func (s *EdgeStore) Probs(key uint64) []float64 {
 // the ads simulator); hot paths should use Lookup/Label instead.
 func (s *EdgeStore) LabelMap() map[uint64]social.Label {
 	out := make(map[uint64]social.Label, s.Len())
-	if s != nil {
-		for _, r := range s.chunks {
-			for i, k := range r.keys {
-				out[k] = r.labels[i]
-			}
+	s.ForEachChunk(func(keys []uint64, labels []social.Label, _ []float64) {
+		for i, k := range keys {
+			out[k] = labels[i]
 		}
-	}
+	})
 	return out
 }
 
-// group returns the chunk of the next dirty key (removed[r] or fresh.keys[f]),
-// where its dirty keys end in both lists, and whether they leave it as is.
-func (s *EdgeStore) group(removed []uint64, fresh edgeRun, r, f int) (ci, rEnd, fEnd int, same bool) {
+// group returns the leaf and chunk of the next dirty key (removed[r] or
+// fresh.keys[f]), where its dirty keys end in both lists, and whether they
+// leave the chunk as is.
+func (s *EdgeStore) group(removed []uint64, fresh edgeRun, r, f int) (li, ci, rEnd, fEnd int, same bool) {
 	if r == len(removed) || (f < len(fresh.keys) && fresh.keys[f] < removed[r]) {
-		ci = s.chunkOf(fresh.keys[f])
+		li, ci = s.locate(fresh.keys[f])
 	} else {
-		ci = s.chunkOf(removed[r])
+		li, ci = s.locate(removed[r])
+	}
+	next := s.heads[li+1:] // the heads above chunk ci: the rest of its leaf's, else the next leaves'
+	if lf := s.leaves[li]; ci+1 < len(lf.heads) {
+		next = lf.heads[ci+1:]
 	}
 	rEnd, fEnd = len(removed), len(fresh.keys)
-	if ci < len(s.heads)-1 { // every key before r and f is below heads[ci+1]
-		rEnd, _ = slices.BinarySearch(removed, s.heads[ci+1])
-		fEnd, _ = slices.BinarySearch(fresh.keys, s.heads[ci+1])
+	if len(next) > 0 { // every key before r and f is below next[0]
+		rEnd, _ = slices.BinarySearch(removed, next[0])
+		fEnd, _ = slices.BinarySearch(fresh.keys, next[0])
 	}
-	return ci, rEnd, fEnd, s.chunks[ci].holds(removed[r:rEnd], fresh.view(f, fEnd, s.classes), s.classes)
+	return li, ci, rEnd, fEnd, s.leaves[li].chunks[ci].holds(removed[r:rEnd], fresh.view(f, fEnd, s.classes), s.classes)
 }
 
 // holds reports whether splicing removed and fresh into r changes nothing:
@@ -275,10 +318,12 @@ func (r *edgeRun) holds(removed []uint64, fresh edgeRun, classes int) bool {
 // spliced returns s with the removed keys dropped and fresh's entries
 // inserted, fresh winning on a key collision (both sorted ascending;
 // absent removals are ignored) — the incremental engine's store update.
-// It copies the chunk table (a pointer per chunk) and rebuilds only the
-// chunks their dirty keys change, into one slab per column and one of
-// headers; a rebuilt chunk that empties is dropped, one past 2×chunkKeys
-// split. Inputs are untouched; a splice that changes no chunk returns s.
+// It copies the top level and rebuilds only the chunks their dirty keys
+// change and the leaves that hold them, into one slab per column, one of
+// chunk headers and one per leaf-table column; every other leaf and chunk
+// is shared. A rebuilt chunk or leaf that empties is dropped, one past
+// 2×chunkKeys split (see pieces). Inputs are untouched; a splice that
+// changes no chunk returns s.
 func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 	if len(fresh.keys) == 0 && (len(removed) == 0 || s.Len() == 0) {
 		return s
@@ -291,11 +336,16 @@ func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 		panic(fmt.Sprintf("core: edge store splice: %d probabilities for %d keys x %d classes",
 			len(fresh.probs), len(fresh.keys), c))
 	}
-	size, groups := 0, 0 // the slab holds every changed chunk's entries plus their fresh ones
+	// The slabs hold every changed chunk's entries plus their fresh ones,
+	// and the chunk tables of the leaves holding them.
+	size, groups, slots, last := 0, 0, 0, -1
 	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
-		ci, rEnd, fEnd, same := s.group(removed, fresh, r, f)
+		li, ci, rEnd, fEnd, same := s.group(removed, fresh, r, f)
 		if !same {
-			size, groups = size+len(s.chunks[ci].keys)+fEnd-f, groups+1
+			size, groups = size+len(s.leaves[li].chunks[ci].keys)+fEnd-f, groups+1
+			if li != last {
+				slots, last = slots+len(s.leaves[li].chunks), li
+			}
 		}
 		r, f = rEnd, fEnd
 	}
@@ -304,34 +354,44 @@ func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 	}
 	slab := edgeRun{make([]uint64, 0, size), make([]social.Label, 0, size), make([]float64, 0, size*c)}
 	// A group of m entries becomes at most max(1, m/chunkKeys) pieces, so
-	// the rebuilt headers never outgrow (and never move) their slab.
+	// the rebuilt headers never outgrow (and never move) their slab, nor
+	// the rebuilt leaves their tables.
 	runs := make([]edgeRun, 0, groups+size/chunkKeys)
-	out := &EdgeStore{heads: make([]uint64, 0, len(s.heads)+1), chunks: make([]*edgeRun, 0, len(s.heads)+1), n: s.n, classes: c}
-	next := 0 // first chunk of s not yet carried over
+	heads, chunks := make([]uint64, 0, slots+size/chunkKeys), make([]*edgeRun, 0, slots+size/chunkKeys)
+	out := &EdgeStore{heads: make([]uint64, 0, len(s.heads)+1), leaves: make([]leaf, 0, len(s.leaves)+1), n: s.n, classes: c}
+	// cur is the leaf being rebuilt, from heads[lo] on; next is its first
+	// chunk not yet carried over, done the first leaf of s not yet handled.
+	cur, lo, next, done := -1, 0, 0, 0
+	finish := func(upto int) {
+		if cur >= 0 {
+			heads, chunks = append(heads, s.leaves[cur].heads[next:]...), append(chunks, s.leaves[cur].chunks[next:]...)
+			out.appendLeaves(heads[lo:], chunks[lo:])
+		}
+		out.heads, out.leaves = append(out.heads, s.heads[done:upto]...), append(out.leaves, s.leaves[done:upto]...)
+	}
 	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
-		ci, rEnd, fEnd, same := s.group(removed, fresh, r, f)
+		li, ci, rEnd, fEnd, same := s.group(removed, fresh, r, f)
 		if same {
 			r, f = rEnd, fEnd
 			continue
 		}
-		out.heads = append(out.heads, s.heads[next:ci]...)
-		out.chunks = append(out.chunks, s.chunks[next:ci]...)
-		lo := len(slab.keys)
-		slab.splice(*s.chunks[ci], removed[r:rEnd], fresh.view(f, fEnd, c), c)
-		m := len(slab.keys) - lo
-		out.n += m - len(s.chunks[ci].keys)
-		pieces := min(m, 1) // an emptied chunk is dropped
-		if m > 2*chunkKeys {
-			pieces = m / chunkKeys
+		if li != cur {
+			finish(li)
+			cur, lo, next, done = li, len(heads), 0, li+1
 		}
-		for p := range pieces {
-			runs = append(runs, slab.view(lo+p*m/pieces, lo+(p+1)*m/pieces, c))
-			out.heads = append(out.heads, runs[len(runs)-1].keys[0])
-			out.chunks = append(out.chunks, &runs[len(runs)-1])
+		lf := s.leaves[li]
+		heads, chunks = append(heads, lf.heads[next:ci]...), append(chunks, lf.chunks[next:ci]...)
+		at := len(slab.keys)
+		slab.splice(*lf.chunks[ci], removed[r:rEnd], fresh.view(f, fEnd, c), c)
+		m := len(slab.keys) - at
+		out.n += m - len(lf.chunks[ci].keys)
+		k := pieces(m)
+		for p := range k {
+			runs = append(runs, slab.view(at+p*m/k, at+(p+1)*m/k, c))
+			heads, chunks = append(heads, runs[len(runs)-1].keys[0]), append(chunks, &runs[len(runs)-1])
 		}
 		next, r, f = ci+1, rEnd, fEnd
 	}
-	out.heads = append(out.heads, s.heads[next:]...)
-	out.chunks = append(out.chunks, s.chunks[next:]...)
+	finish(len(s.leaves))
 	return out
 }

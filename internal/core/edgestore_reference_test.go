@@ -112,21 +112,45 @@ func assertStoresEqual(t *testing.T, what string, got, want *EdgeStore) {
 	}
 }
 
+// tableOf flattens a store's two-level table: every chunk's head and
+// pointer, in key order.
+func tableOf(s *EdgeStore) (heads []uint64, chunks []*edgeRun) {
+	for _, lf := range s.leaves {
+		heads, chunks = append(heads, lf.heads...), append(chunks, lf.chunks...)
+	}
+	return heads, chunks
+}
+
 // assertChunkInvariants checks the table shape every store must keep:
-// heads strictly ascending and equal to each chunk's first key, no empty
-// chunk, none past 2×chunkKeys, keys ascending across chunk boundaries,
-// parallel column widths and a Len that counts the chunks.
+// each top-level head equal to its leaf's first head, no empty leaf, none
+// past 2×chunkKeys chunks; each leaf head equal to its chunk's first key,
+// no empty chunk, none past 2×chunkKeys entries; keys ascending across
+// chunk and leaf boundaries, parallel column widths and a Len that counts
+// the chunks.
 func assertChunkInvariants(t *testing.T, what string, s *EdgeStore) {
 	t.Helper()
 	if s == nil {
 		return
 	}
-	if len(s.heads) != len(s.chunks) {
-		t.Fatalf("%s: %d heads for %d chunks", what, len(s.heads), len(s.chunks))
+	if len(s.heads) != len(s.leaves) {
+		t.Fatalf("%s: %d heads for %d leaves", what, len(s.heads), len(s.leaves))
 	}
+	for li, lf := range s.leaves {
+		switch {
+		case len(lf.chunks) == 0:
+			t.Fatalf("%s: leaf %d is empty", what, li)
+		case len(lf.chunks) > 2*chunkKeys:
+			t.Fatalf("%s: leaf %d holds %d chunks, more than %d", what, li, len(lf.chunks), 2*chunkKeys)
+		case len(lf.heads) != len(lf.chunks):
+			t.Fatalf("%s: leaf %d has %d heads for %d chunks", what, li, len(lf.heads), len(lf.chunks))
+		case s.heads[li] != lf.heads[0]:
+			t.Fatalf("%s: head %d is %d, leaf starts at %d", what, li, s.heads[li], lf.heads[0])
+		}
+	}
+	heads, chunks := tableOf(s)
 	n := 0
 	var last uint64
-	for i, r := range s.chunks {
+	for i, r := range chunks {
 		switch {
 		case len(r.keys) == 0:
 			t.Fatalf("%s: chunk %d is empty", what, i)
@@ -134,8 +158,8 @@ func assertChunkInvariants(t *testing.T, what string, s *EdgeStore) {
 			t.Fatalf("%s: chunk %d holds %d keys, more than %d", what, i, len(r.keys), 2*chunkKeys)
 		case len(r.labels) != len(r.keys) || len(r.probs) != len(r.keys)*s.classes:
 			t.Fatalf("%s: chunk %d columns are ragged", what, i)
-		case s.heads[i] != r.keys[0]:
-			t.Fatalf("%s: head %d is %d, chunk starts at %d", what, i, s.heads[i], r.keys[0])
+		case heads[i] != r.keys[0]:
+			t.Fatalf("%s: chunk head %d is %d, chunk starts at %d", what, i, heads[i], r.keys[0])
 		case i > 0 && r.keys[0] <= last:
 			t.Fatalf("%s: chunk %d starts at %d, not above the previous key %d", what, i, r.keys[0], last)
 		}
@@ -174,16 +198,17 @@ func randomFresh(rng *rand.Rand, keys []uint64, classes int) *EdgeStore {
 func spliceChecked(t *testing.T, what string, s *EdgeStore, removed []uint64, fresh *EdgeStore) *EdgeStore {
 	t.Helper()
 	var before *EdgeStore
-	var heads []uint64
+	var heads, top []uint64
 	if s.Len() > 0 {
-		before, heads = mustStore(s.Keys(), s.Labels(), s.ProbsFlat(), s.classes), slices.Clone(s.heads)
+		before, top = mustStore(s.Keys(), s.Labels(), s.ProbsFlat(), s.classes), slices.Clone(s.heads)
+		heads, _ = tableOf(s)
 	}
 	got := s.spliced(removed, runOf(fresh))
 	assertStoresEqual(t, what, got, s.without(removed).merged(fresh))
 	assertChunkInvariants(t, what, got)
 	if before != nil {
 		assertStoresEqual(t, what+": receiver", s, before) // copy-on-write
-		if !slices.Equal(s.heads, heads) {
+		if now, _ := tableOf(s); !slices.Equal(s.heads, top) || !slices.Equal(now, heads) {
 			t.Fatalf("%s: receiver's chunk table changed", what)
 		}
 	}
@@ -309,9 +334,10 @@ func TestSpliceCarriesUnchangedChunks(t *testing.T) {
 	const classes = 3
 	rng := rand.New(rand.NewSource(31))
 	s := randomFresh(rng, stridedKeys(6000, 8), classes)
+	heads, chunks := tableOf(s)
 	var keys, absent []uint64
 	for ci := 0; ci < 10; ci++ { // three stored keys in each of 10 chunks, and an absent removal
-		k := s.heads[ci*9]
+		k := heads[ci*9]
 		keys, absent = append(keys, k, k+8, k+16), append(absent, k+3)
 	}
 	stored := func(s *EdgeStore, keys []uint64) edgeRun {
@@ -335,14 +361,15 @@ func TestSpliceCarriesUnchangedChunks(t *testing.T) {
 			changed := stored(s, keys)
 			change(changed)
 			got := spliceChecked(t, what, s, absent, mustStore(changed.keys, changed.labels, changed.probs, classes))
+			_, gotChunks := tableOf(got)
 			var rebuilt []int
-			for i := range got.chunks {
-				if i < s.NumChunks() && got.chunks[i] != s.chunks[i] {
+			for i := range gotChunks {
+				if i < len(chunks) && gotChunks[i] != chunks[i] {
 					rebuilt = append(rebuilt, i)
 				}
 			}
-			if want := s.chunkOf(keys[13]); got.NumChunks() != s.NumChunks() || len(rebuilt) != 1 || rebuilt[0] != want {
-				t.Fatalf("%s: %d chunks, rebuilt %v; want %d and [%d]", what, got.NumChunks(), rebuilt, s.NumChunks(), want)
+			if want := floor(heads, keys[13]); len(gotChunks) != len(chunks) || len(rebuilt) != 1 || rebuilt[0] != want {
+				t.Fatalf("%s: %d chunks, rebuilt %v; want %d and [%d]", what, len(gotChunks), rebuilt, len(chunks), want)
 			}
 		}
 	})
@@ -367,6 +394,38 @@ func TestSpliceCarriesUnchangedChunks(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSpliceSharesUnchangedLeaves: after one splice every leaf without a
+// changed chunk is the parent's own table, by pointer — a leaf whose dirty
+// key re-predicts its stored entry bit for bit included — and a rebuilt
+// leaf points at the parent's chunks everywhere but at the changed one.
+func TestSpliceSharesUnchangedLeaves(t *testing.T) {
+	const classes = 3
+	rng := rand.New(rand.NewSource(37))
+	s := randomFresh(rng, stridedKeys(20_000, 8), classes)
+	if len(s.leaves) < 4 {
+		t.Fatalf("%d leaves, want at least 4", len(s.leaves))
+	}
+	changed := map[int]int{1: 5, 3: 0} // leaf → its one changed chunk
+	carried := s.leaves[2].chunks[7].keys[1]
+	fresh := withStored(s, randomFresh(rng, []uint64{s.leaves[1].chunks[5].keys[3], carried}, classes), []uint64{carried})
+	got := spliceChecked(t, "two leaves changed", s, []uint64{s.leaves[3].chunks[0].keys[0]}, fresh)
+	if len(got.leaves) != len(s.leaves) {
+		t.Fatalf("%d leaves, want %d", len(got.leaves), len(s.leaves))
+	}
+	for li, lf := range got.leaves {
+		old := s.leaves[li]
+		ci, rebuilt := changed[li]
+		if shared := &lf.heads[0] == &old.heads[0] && &lf.chunks[0] == &old.chunks[0]; shared == rebuilt {
+			t.Fatalf("leaf %d: table shared with the parent %v, holds a changed chunk %v", li, shared, rebuilt)
+		}
+		for i, r := range lf.chunks {
+			if shared := r == old.chunks[i]; shared == (rebuilt && i == ci) {
+				t.Fatalf("leaf %d, chunk %d: shared with the parent %v", li, i, shared)
+			}
+		}
+	}
 }
 
 // stridedKeys returns n keys 0, stride, 2·stride, ….
@@ -454,6 +513,23 @@ func FuzzEdgeStoreSplice(f *testing.F) {
 		copies = append(copies, op(5, k), op(5, k+4), op(0, k+1)) // stored entries copied, absent removals, six chunks
 	}
 	f.Add(seed(400, append(copies, op(1, 4*200), op(3, 0), op(5, 8), op(5, 4*300))...))
+	// 4 095 strided keys make 64 chunks, one leaf. Filling the two gaps
+	// after every key, and the third in the first chunk, cuts each chunk
+	// into three (the first into four, the last into two): the leaf's 192
+	// chunks split into three leaves. The second epoch removes the middle
+	// leaf's keys, base chunks 21 to the head of 42, and empties it.
+	var leaves [][]byte
+	for k := uint16(0); k < 4*4095; k += 4 {
+		leaves = append(leaves, op(1, k+1), op(1, k+2))
+		if k < 4*chunkKeys {
+			leaves = append(leaves, op(1, k+3))
+		}
+	}
+	leaves = append(leaves, op(3, 0))
+	for k := uint16(21 * 4 * chunkKeys); k <= 42*4*chunkKeys+4*21; k++ {
+		leaves = append(leaves, op(0, k))
+	}
+	f.Add(seed(4095, leaves...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -528,12 +604,15 @@ func spliceBench100k() (s *EdgeStore, removed []uint64, fresh edgeRun) {
 }
 
 // TestSpliceOneKeyAllocatesLittle: replacing one key of spliceBench100k's
-// store copies the chunk table — a head and a chunk pointer per chunk, at
-// most 24 B each (≈ 80 B per chunk while the table held headers) — and
-// rebuilds the one chunk holding the key; nothing else grows with the store.
+// store copies the top level — a head and a leaf per leaf, at most 64 B —
+// and the one leaf holding the key — a head and a chunk pointer per chunk,
+// at most 24 B each (while the table was flat it copied all 1 563 chunks'
+// worth, ≈ 19 B per chunk) — and rebuilds that chunk; nothing else grows
+// with the store.
 func TestSpliceOneKeyAllocatesLittle(t *testing.T) {
 	s, _, _ := spliceBench100k()
-	keys, _, _ := s.Chunk(s.NumChunks() / 2)
+	_, chunks := tableOf(s)
+	keys := chunks[len(chunks)/2].keys
 	fresh := runOf(randomFresh(rand.New(rand.NewSource(2)), keys[:1], s.classes))
 	const runs = 20
 	var before, after runtime.MemStats
@@ -544,11 +623,11 @@ func TestSpliceOneKeyAllocatesLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / runs
 	chunk := uint64(len(keys) * (8 + 1 + 8*s.classes))
-	if limit := 24*uint64(s.NumChunks()) + chunk; per > limit {
-		t.Fatalf("one-key splice allocated %d B over %d chunks, want ≤ %d (24 B per chunk + the %d B chunk)",
-			per, s.NumChunks(), limit, chunk)
+	if limit := 64*uint64(len(s.leaves)) + 24*2*chunkKeys + chunk; per > limit {
+		t.Fatalf("one-key splice allocated %d B over %d leaves, want ≤ %d (64 B per leaf + a full leaf's 24 B per chunk + the %d B chunk)",
+			per, len(s.leaves), limit, chunk)
 	}
-	t.Logf("one-key splice allocated %d B = %.1f B per chunk (%d chunks)", per, float64(per)/float64(s.NumChunks()), s.NumChunks())
+	t.Logf("one-key splice allocated %d B = %.1f B per chunk (%d chunks)", per, float64(per)/float64(len(chunks)), len(chunks))
 }
 
 // TestExportAllocatesLittle: Export shares the store rather than

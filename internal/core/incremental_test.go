@@ -368,9 +368,10 @@ func TestApplyMutationsRelabelFlipsTruthVotes(t *testing.T) {
 // TestApplyMutationsAllocatesLittle bounds what a one-add epoch allocates
 // on a 2 000-user network under clauset + XGB: the dirty egos, their edges
 // and the copy-on-write tables, not a copy of the graph or of the community
-// list. 40 chained epochs must average at most 5 bytes per edge (3.1 on
-// amd64 since the store splice carries over every chunk its re-predicted
-// entries leave bit-identical; 5.5 while it rebuilt every chunk holding a
+// list. 40 chained epochs must average at most 3.5 bytes per edge (2.5–2.7
+// on amd64 at GOMAXPROCS 1–8 since Compact copies the block pointer table
+// and the splice the store's top level and changed leaves; 3.1 while both
+// copied a flat table, 5.5 while the splice rebuilt every chunk holding a
 // dirty key, 11.2 while the chunk table held headers rather than pointers
 // and Phase III made a fresh panel per call). Under -race, where sync.Pool
 // drops Puts at random and the Phase III panel is often rebuilt (9–10.3
@@ -407,12 +408,12 @@ func TestApplyMutationsAllocatesLittle(t *testing.T) {
 		}
 		total += after.TotalAlloc - before.TotalAlloc
 	}
-	limit := uint64(5)
+	limit := 3.5
 	if raceBuild {
 		limit = 16
 	}
-	if avg := total / epochs; avg > limit*e {
-		t.Fatalf("ApplyMutations allocated %d B per one-add epoch = %.1f B/edge, want ≤ %d (E=%d)", avg, float64(avg)/float64(e), limit, e)
+	if avg := total / epochs; float64(avg) > limit*float64(e) {
+		t.Fatalf("ApplyMutations allocated %d B per one-add epoch = %.1f B/edge, want ≤ %.1f (E=%d)", avg, float64(avg)/float64(e), limit, e)
 	} else {
 		t.Logf("ApplyMutations allocated %d B per one-add epoch = %.1f B/edge (E=%d)", avg, float64(avg)/float64(e), e)
 	}

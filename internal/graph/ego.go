@@ -25,7 +25,7 @@ type EgoScratch struct {
 	pairs []NodeID // induced edges as consecutive local (i, j), i < j, ascending
 	off   []int32  // flat row offsets of the extracted subgraph
 	adj   []NodeID // its rows, concatenated; g's blocks view them
-	g     Graph    // the extracted subgraph; the next extraction reuses its block table
+	g     Graph    // the extracted subgraph; the next extraction reuses its block slab
 }
 
 // Extract is Ego without the copy-out: Members alias g's adjacency row of u

@@ -157,8 +157,7 @@ func TestEgoResultIsOwned(t *testing.T) {
 	for i := range first.Members {
 		first.Members[i] = ^NodeID(0)
 	}
-	for i := range first.G.blocks {
-		b := &first.G.blocks[i]
+	for _, b := range first.G.blocks {
 		for r := range b.off {
 			b.off[r] = -1
 		}

@@ -57,32 +57,36 @@ type block struct {
 	adj []NodeID
 }
 
-// Graph is an immutable undirected graph stored as a table of 64-row
-// blocks. Blocks are never written after construction, so graphs derived
-// from one another (Overlay.Compact) share every block they did not change.
+// Graph is an immutable undirected graph stored as a table of pointers to
+// 64-row blocks. Blocks are never written after construction, so graphs
+// derived from one another (Overlay.Compact) share, by pointer, every block
+// they did not change: an epoch copies the pointer table, 8 B a block.
 //
 // The zero value is an empty graph. Construct graphs with a Builder.
 type Graph struct {
-	blocks []block
-	n      int // number of nodes
-	m      int // number of undirected edges
+	blocks []*block
+	slab   []block // the blocks cut laid out; a compacted graph owns none
+	n      int     // number of nodes
+	m      int     // number of undirected edges
 }
 
 // cut sets g to the graph whose row u is adj[offsets[u]:offsets[u+1]],
-// reusing g's block table: each block copies its rows' offsets, rebased to
-// its first arc, and views its span of adj (capped, so no block reaches
-// into the next one's rows). adj is retained, not copied.
+// reusing g's slab and pointer table: each block copies its rows' offsets,
+// rebased to its first arc, and views its span of adj (capped, so no block
+// reaches into the next one's rows). adj is retained, not copied.
 func (g *Graph) cut(offsets []int32, adj []NodeID) {
 	n := len(offsets) - 1
 	nb := (n + blockRows - 1) >> blockShift
+	g.slab = slices.Grow(g.slab[:0], nb)[:nb]
 	g.blocks = slices.Grow(g.blocks[:0], nb)[:nb]
-	for i := range g.blocks {
-		b, lo := &g.blocks[i], i<<blockShift
+	for i := range g.slab {
+		b, lo := &g.slab[i], i<<blockShift
 		rows := offsets[lo : min(lo+blockRows, n)+1]
 		for r := range b.off {
 			b.off[r] = rows[min(r, len(rows)-1)] - rows[0]
 		}
 		b.adj = adj[rows[0]:rows[len(rows)-1]:rows[len(rows)-1]]
+		g.blocks[i] = b
 	}
 	g.n, g.m = n, len(adj)/2
 }
@@ -95,14 +99,14 @@ func (g *Graph) NumEdges() int { return g.m }
 
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u NodeID) int {
-	b, r := &g.blocks[u>>blockShift], u&(blockRows-1)
+	b, r := g.blocks[u>>blockShift], u&(blockRows-1)
 	return int(b.off[r+1] - b.off[r])
 }
 
 // Neighbors returns the sorted neighbor list of u. The returned slice
 // aliases internal storage and must not be modified.
 func (g *Graph) Neighbors(u NodeID) []NodeID {
-	b, r := &g.blocks[u>>blockShift], u&(blockRows-1)
+	b, r := g.blocks[u>>blockShift], u&(blockRows-1)
 	return b.adj[b.off[r]:b.off[r+1]]
 }
 

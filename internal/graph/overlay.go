@@ -212,10 +212,10 @@ type deltaArc struct {
 }
 
 // Compact merges the delta into a fresh immutable Graph at the cost of
-// what the batch touched plus one copy of the block table: the new graph
-// shares every 64-row block without a mutated endpoint with the base, and
-// each touched block is rebuilt with its touched rows merged entry by entry
-// and its other rows copied. No global edge sort — the base adjacency is
+// what the batch touched plus one copy of the block pointer table: the new
+// graph points at every 64-row block of the base without a mutated
+// endpoint, and each touched block is allocated anew with its touched rows
+// merged entry by entry and its other rows copied. No global edge sort — the base adjacency is
 // already sorted and each touched row's delta is merged in order.
 func (o *Overlay) Compact() *Graph {
 	if len(o.added) == 0 && len(o.removed) == 0 {
@@ -265,8 +265,8 @@ func (o *Overlay) Compact() *Graph {
 // between delta entries are copied whole, an added neighbor is inserted in
 // order, a removed one skipped. Added edges are absent from base and
 // removed ones present, so each delta entry lands on exactly one side.
-func (b *block) merged(arcs []deltaArc, grow int) block {
-	nb := block{adj: make([]NodeID, len(b.adj)+grow)}
+func (b *block) merged(arcs []deltaArc, grow int) *block {
+	nb := &block{adj: make([]NodeID, len(b.adj)+grow)}
 	w := int32(0)
 	for r := range blockRows {
 		nb.off[r] = w

@@ -415,8 +415,15 @@ func (s *Server) ReloadArtifact(path string) (SnapshotInfo, error) {
 var errImmutable = errors.New("serve: immutable snapshot")
 
 // immutable is the one refusal of a change to s, a snapshot restored
-// without its raw dataset.
+// without its raw dataset. A shard's is a cut, which never carries the
+// dataset and cannot take a WAL either, so its refusal names the full
+// trained server in the router's words.
 func (s *snapshot) immutable() error {
+	if s.ring != nil {
+		return fmt.Errorf("%w: shard %d/%d serves reads only; send mutations to the full trained server: "+
+			"locec-serve -artifact <full .locec written by locec train -embed-dataset>, with -wal for durability",
+			errImmutable, s.shardIndex, s.shardCount)
+	}
 	return fmt.Errorf("%w: snapshot %d carries no raw dataset; serve a WAL checkpoint or an artifact written by `locec train -embed-dataset`",
 		errImmutable, s.version)
 }

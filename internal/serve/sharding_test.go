@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"locec/internal/artifact"
@@ -147,6 +149,29 @@ func TestShardConfigValidation(t *testing.T) {
 	s := shardServer(t, paths[0], 0, 2)
 	if got := s.current().info().Shard; got != "0/2" {
 		t.Fatalf("shard info = %q, want 0/2", got)
+	}
+}
+
+// TestShardRefusesMutations pins a shard's 409: a cut carries no dataset
+// and a shard takes no WAL, so the refusal says shards serve reads only and
+// names the full trained server, in the router's words, not the remedies
+// of an unsharded read-only server.
+func TestShardRefusesMutations(t *testing.T) {
+	_, paths := cutTestShards(t, 2)
+	s := shardServer(t, paths[0], 0, 2)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/mutations",
+		strings.NewReader(`{"wait":true,"mutations":[{"op":"remove","u":0,"v":1}]}`)))
+	var doc struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	const want = "serve: immutable snapshot: shard 0/2 serves reads only; send mutations to the full trained server: " +
+		"locec-serve -artifact <full .locec written by locec train -embed-dataset>, with -wal for durability"
+	if rec.Code != http.StatusConflict || doc.Error != want {
+		t.Fatalf("mutation on shard 0/2 = %d %q, want 409 %q", rec.Code, doc.Error, want)
 	}
 }
 
