@@ -37,7 +37,9 @@
 // bench/history/<entry>-<last element of pkg-dir>.bench.json: per
 // benchmark the summary of its ns/op, B/op and allocs/op, named
 // "<Benchmark>:ns/op" and so on; a run's steal share is read from
-// /proc/stat around it.
+// /proc/stat around it. A run fails when the regex selects a top-level
+// benchmark that prints no row (a partial match whose sub-benchmarks
+// all miss), so a record never silently drops one.
 //
 // The stamp's change_code_sha256 is the SHA-256 of git's raw listing of
 // the change's code changes against the parent (worktreeCodeSHA256), so
@@ -386,12 +388,14 @@ func runBench(bin, dir, regex, logPath string) run {
 		fatalf("%s: %v (output in %s)", cmd, err, logPath)
 	}
 	r := run{Correct: true, Metrics: map[string]float64{}}
+	reported := map[string]bool{} // top-level benchmarks with a row
 	for _, line := range strings.Split(string(out), "\n") {
 		f := strings.Fields(line)
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
 		r.Attempted++
+		reported[strings.SplitN(f[0], "/", 2)[0]] = true
 		for i := 2; i+1 < len(f); i += 2 {
 			if _, ok := benchUnits[f[i+1]]; ok {
 				v, err := strconv.ParseFloat(f[i], 64)
@@ -405,10 +409,68 @@ func runBench(bin, dir, regex, logPath string) run {
 	if r.Attempted == 0 {
 		fatalf("%s: no benchmark matched (output in %s)", cmd, logPath)
 	}
+	if missing := unreported(bin, dir, regex, reported); len(missing) > 0 {
+		fatalf("%s: no row for %s, which the regex selects: go test runs a benchmark its regex matches only in part once, to look for sub-benchmarks, and prints no row when none matches (output in %s)", cmd, strings.Join(missing, ", "), logPath)
+	}
 	if totalAfter > totalBefore {
 		r.StealShare = float64(stealAfter-stealBefore) / float64(totalAfter-totalBefore)
 	}
 	return r
+}
+
+// unreported lists the top-level benchmarks of the test binary that regex
+// selects and that have no row in reported. go test selects a top-level
+// benchmark when its name matches the first '/' element of one of the
+// regex's '|' alternatives, both split outside brackets and parentheses.
+func unreported(bin, dir, regex string, reported map[string]bool) []string {
+	list := exec.Command(bin, "-test.list", "^Benchmark")
+	list.Dir = dir
+	names, err := list.Output()
+	if err != nil {
+		fatalf("%s: %v", list, err)
+	}
+	var firsts []*regexp.Regexp
+	for _, alt := range splitOutside(regex, '|') {
+		firsts = append(firsts, regexp.MustCompile(splitOutside(alt, '/')[0]))
+	}
+	var missing []string
+	for _, name := range strings.Fields(string(names)) {
+		selected := slices.ContainsFunc(firsts, func(re *regexp.Regexp) bool { return re.MatchString(name) })
+		if strings.HasPrefix(name, "Benchmark") && selected && !reported[name] {
+			missing = append(missing, name)
+		}
+	}
+	return missing
+}
+
+// splitOutside splits s at each sep outside brackets and parentheses,
+// skipping escaped characters, as go test splits its -bench regex.
+func splitOutside(s string, sep byte) []string {
+	var parts []string
+	brackets, parens, start := 0, 0, 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '[':
+			brackets++
+		case ']':
+			brackets = max(brackets-1, 0)
+		case '(':
+			if brackets == 0 {
+				parens++
+			}
+		case ')':
+			if brackets == 0 {
+				parens--
+			}
+		case '\\':
+			i++
+		case sep:
+			if brackets == 0 && parens == 0 {
+				parts, start = append(parts, s[start:i]), i+1
+			}
+		}
+	}
+	return append(parts, s[start:])
 }
 
 // benchMetrics declares every "<Benchmark>:<column>" the runs report.

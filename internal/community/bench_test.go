@@ -88,6 +88,21 @@ func BenchmarkLouvainEgo64(b *testing.B) {
 	}
 }
 
+// BenchmarkLocalDivideEgo32 divides one ego-shaped graph per iteration
+// with each seed-grown detector on a warm Scratch, as Phase I runs them.
+func BenchmarkLocalDivideEgo32(b *testing.B) {
+	g := bench.EgoGraph(32, 8)
+	for _, kind := range []community.LocalKind{community.LocalClauset, community.LocalLShell, community.LocalLemon} {
+		b.Run(kind.String(), func(b *testing.B) {
+			var s community.Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.LocalDivide(g, kind)
+			}
+		})
+	}
+}
+
 // BenchmarkGirvanNewmanDenseWechat divides the 300 ego networks of the
 // equivalence tests' dense wechat graph — the shape batch_gn_dense_500
 // divides — once per iteration.

@@ -6,11 +6,21 @@ import (
 	"locec/internal/graph"
 )
 
-// growClauset implements Clauset's local-modularity community growth
-// ("Finding local community structure in networks", Phys. Rev. E 72,
-// 026132, 2005). Starting from C = {seed}, each step tentatively absorbs
-// every frontier vertex and keeps the one that most improves the local
-// modularity
+// clausetScratch is the working state of Clauset growth, reused by every
+// grow: inC and queued (frontier membership, kept once absorbed) are
+// indexed by node and all false between grows; out[u] counts member u's
+// neighbours outside C; members lists C in absorption order and frontier
+// the queued non-members, sorted.
+type clausetScratch struct {
+	inC, queued       []bool
+	out               []int
+	members, frontier []graph.NodeID
+}
+
+// grow implements Clauset's local-modularity community growth ("Finding
+// local community structure in networks", Phys. Rev. E 72, 026132, 2005).
+// Starting from C = {seed}, each step scores every frontier vertex as if
+// absorbed and keeps the one that most improves the local modularity
 //
 //	R = I / T
 //
@@ -19,94 +29,108 @@ import (
 // subset of those whose both endpoints lie in C. Growth stops when no
 // frontier vertex improves R — the boundary has stabilized. Ties break
 // toward the smallest node ID, so the result is deterministic.
-func growClauset(g *graph.Graph, seed graph.NodeID) []graph.NodeID {
+//
+// I and T are integers kept up to date, and a candidate's are derived
+// from them by Clauset's update rule (score), so a step costs the
+// frontier's degrees and the boundary's, not a recount of C per
+// candidate. It returns C in absorption order, a view valid until the
+// next grow.
+func (s *clausetScratch) grow(g *graph.Graph, seed graph.NodeID) []graph.NodeID {
 	n := g.NumNodes()
-	inC := make([]bool, n)
-	inC[seed] = true
-	members := []graph.NodeID{seed}
-	queued := make([]bool, n) // frontier membership (stays set once absorbed)
-	var frontier []graph.NodeID
+	s.inC, s.queued, s.out = sized(s.inC, n), sized(s.queued, n), sized(s.out, n)
+	inC, queued, out := s.inC, s.queued, s.out
+	members, frontier := append(s.members[:0], seed), s.frontier[:0]
+	inC[seed], out[seed] = true, g.Degree(seed)
 	for _, v := range g.Neighbors(seed) {
-		if !queued[v] {
-			queued[v] = true
-			frontier = append(frontier, v)
-		}
+		queued[v] = true
+		frontier = append(frontier, v)
 	}
-	trial := clausetTrial{isB: make([]bool, n)}
-	bestR := trial.r(g, inC, members)
+	// cut counts the edges from C to the outside, so I = T − cut. A
+	// community with an empty boundary (T = 0) fully encloses its
+	// component; R is 1 by convention there, so growth never stalls one
+	// step short of absorbing a whole component.
+	T, cut := out[seed], out[seed]
+	r := func(T, cut int) float64 {
+		if T == 0 {
+			return 1
+		}
+		return float64(T-cut) / float64(T)
+	}
+	bestR := r(T, cut)
 	for len(frontier) > 0 {
-		slices.Sort(frontier)
-		bestIdx := -1
-		bestTrial := bestR
+		bestIdx, bestTrial := -1, bestR
 		for i, c := range frontier {
-			inC[c] = true
-			members = append(members, c)
-			r := trial.r(g, inC, members)
-			members = members[:len(members)-1]
-			inC[c] = false
-			if r > bestTrial+1e-12 {
-				bestTrial, bestIdx = r, i
+			if rc := r(s.score(g, c, T, cut)); rc > bestTrial+1e-12 {
+				bestTrial, bestIdx = rc, i
 			}
 		}
 		if bestIdx < 0 {
 			break
 		}
 		c := frontier[bestIdx]
-		inC[c] = true
-		members = append(members, c)
-		bestR = bestTrial
 		frontier = slices.Delete(frontier, bestIdx, bestIdx+1)
+		T, cut = s.score(g, c, T, cut)
+		in := 0
 		for _, v := range g.Neighbors(c) {
-			if !inC[v] && !queued[v] {
+			if inC[v] {
+				out[v]--
+				in++
+			} else if !queued[v] {
 				queued[v] = true
-				frontier = append(frontier, v)
+				i, _ := slices.BinarySearch(frontier, v)
+				frontier = slices.Insert(frontier, i, v)
 			}
 		}
+		inC[c], out[c] = true, g.Degree(c)-in
+		members = append(members, c)
+		bestR = bestTrial
 	}
+	for _, u := range members {
+		inC[u], queued[u] = false, false
+	}
+	for _, u := range frontier {
+		queued[u] = false
+	}
+	s.members, s.frontier = members, frontier
 	return members
 }
 
-// clausetTrial is the scratch of one growth's R evaluations: the boundary
-// marks (all false between calls) and the boundary list, reused by every
-// trial instead of allocated per frontier candidate.
-type clausetTrial struct {
-	isB      []bool
-	boundary []graph.NodeID
-}
-
-// r computes the local modularity R = I/T of the community marked by inC
-// (whose members list is passed to avoid a full scan). A community with an
-// empty boundary fully encloses its component; R is 1 by convention there,
-// so growth never stalls one step short of absorbing a whole component.
-func (t *clausetTrial) r(g *graph.Graph, inC []bool, members []graph.NodeID) float64 {
-	isB, boundary := t.isB, t.boundary[:0]
-	for _, u := range members {
-		for _, v := range g.Neighbors(u) {
-			if !inC[v] {
-				isB[u] = true
-				boundary = append(boundary, u)
-				break
+// score returns T and cut of C ∪ {c}, given C's. Absorbing c moves its
+// edges into C out of the cut and its other edges into it and into T. T
+// also loses every edge that then joins two interior vertices and touches
+// S, the members whose only outside neighbour is c and which leave the
+// boundary (with c, if c has no outside neighbour either). score marks S
+// out = −1 among c's neighbours, counts those edges from S's adjacency and
+// unmarks each vertex of S once its own edges are counted, so an S–S edge
+// counts once.
+func (s *clausetScratch) score(g *graph.Graph, c graph.NodeID, T, cut int) (int, int) {
+	inC, out := s.inC, s.out
+	nc := g.Neighbors(c)
+	in, leaving := 0, 0
+	for _, u := range nc {
+		if inC[u] {
+			in++
+			if out[u] == 1 {
+				out[u] = -1
+				leaving++
 			}
 		}
 	}
-	T, I := 0, 0
-	for _, u := range boundary {
-		for _, v := range g.Neighbors(u) {
-			if isB[v] && v < u {
-				continue // boundary-boundary edge already counted from v
+	lost := 0
+	for i, left := 0, leaving; left > 0; i++ {
+		if u := nc[i]; inC[u] && out[u] < 0 {
+			for _, v := range g.Neighbors(u) {
+				if inC[v] && out[v] <= 0 {
+					lost++
+				}
 			}
-			T++
-			if inC[v] {
-				I++
-			}
+			out[u] = 1
+			left--
 		}
 	}
-	for _, u := range boundary {
-		isB[u] = false
+	if in == len(nc) {
+		lost += leaving // c is interior too: its edges to S
 	}
-	t.boundary = boundary
-	if T == 0 {
-		return 1
-	}
-	return float64(I) / float64(T)
+	outside := len(nc) - in
+	return T + outside - lost, cut + outside - in
 }

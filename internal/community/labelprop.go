@@ -6,14 +6,15 @@ import (
 	"locec/internal/graph"
 )
 
-// Scratch is the reusable working state of the seeded detectors: one
-// scratch serves any number of runs, one at a time. The zero value is
-// ready to use.
+// Scratch is the reusable working state of the seeded detectors and of
+// Clauset growth: one scratch serves any number of runs, one at a time.
+// The zero value is ready to use.
 type Scratch struct {
 	rng *rand.Rand // re-seeded per run by label propagation and Louvain
 	// labels, order and remap are indexed by node; counts by label, which
 	// is a node ID too. touched lists the labels counts is non-zero at.
 	labels, order, remap, counts, touched []int
+	clauset                               clausetScratch
 }
 
 // seeded returns the scratch's generator in the state
@@ -37,6 +38,12 @@ func (s *Scratch) seeded(seed int64) *rand.Rand {
 func LabelPropagation(g *graph.Graph, maxRounds int, seed int64) *Partition {
 	var s Scratch
 	assign, k := s.LabelPropagation(g, maxRounds, seed)
+	return newPartition(g, assign, k)
+}
+
+// newPartition wraps an assignment over k communities, numbered by their
+// smallest node, in its Partition: member lists sorted, modularity on g.
+func newPartition(g *graph.Graph, assign []int, k int) *Partition {
 	comms := make([][]graph.NodeID, k)
 	for v, c := range assign {
 		comms[c] = append(comms[c], graph.NodeID(v))

@@ -1,10 +1,6 @@
 package community
 
-import (
-	"slices"
-
-	"locec/internal/graph"
-)
+import "locec/internal/graph"
 
 // This file is the shared scaffolding of the seed-grown ("local-first")
 // detectors: Clauset local modularity, Bagrow–Bollt l-shell spreading and
@@ -47,26 +43,11 @@ type LocalOptions struct {
 	Kind LocalKind
 }
 
-// LocalDivision wraps LocalDivide's partition; benchmark/ reads .Part until the [benchmark] PR of ROADMAP 1(a) lets LocalDivide return it bare.
+// LocalDivision wraps LocalDivide's partition. Its only non-test reader is
+// benchmark/, which reads .Part until the [benchmark] PR of ROADMAP 1(a)
+// lets LocalDivide return it bare; Phase I runs (*Scratch).LocalDivide.
 type LocalDivision struct {
 	Part *Partition
-}
-
-// growLocal grows a single community from seed with the selected detector
-// and returns its members sorted ascending (seed included). The result is
-// deterministic: same graph, seed and kind always produce the same community.
-func growLocal(g *graph.Graph, seed graph.NodeID, kind LocalKind) []graph.NodeID {
-	var members []graph.NodeID
-	switch kind {
-	case LocalLShell:
-		members = growLShell(g, seed)
-	case LocalLemon:
-		members = growLemon(g, seed)
-	default:
-		members = growClauset(g, seed)
-	}
-	slices.Sort(members)
-	return members
 }
 
 // LocalDivide partitions the whole graph by iterated seed growth: seeds
@@ -78,25 +59,46 @@ func growLocal(g *graph.Graph, seed graph.NodeID, kind LocalKind) []graph.NodeID
 // order, which (because each seed is the smallest unassigned node) matches
 // the smallest-member canonical order of the global detectors.
 func LocalDivide(g *graph.Graph, opt LocalOptions) *LocalDivision {
-	n := g.NumNodes()
-	assign := make([]int, n)
+	var s Scratch
+	assign, k := s.LocalDivide(g, opt.Kind)
+	return &LocalDivision{Part: newPartition(g, assign, k)}
+}
+
+// LocalDivide is the package-level LocalDivide without the Partition
+// around it: the assignment (the caller's to keep) and the number of
+// communities. Under clauset the assignment is the only allocation once
+// the scratch has grown to the graph.
+func (s *Scratch) LocalDivide(g *graph.Graph, kind LocalKind) (assign []int, communities int) {
+	assign = make([]int, g.NumNodes())
 	for i := range assign {
 		assign[i] = -1
 	}
-	var comms [][]graph.NodeID
-	for s := 0; s < n; s++ {
-		if assign[s] >= 0 {
+	for seed := range assign {
+		if assign[seed] >= 0 {
 			continue
 		}
-		grown := growLocal(g, graph.NodeID(s), opt.Kind)
-		comm := grown[:0]
-		for _, v := range grown {
+		for _, v := range s.grow(g, graph.NodeID(seed), kind) {
 			if assign[v] < 0 {
-				comm = append(comm, v)
-				assign[v] = len(comms)
+				assign[v] = communities
 			}
 		}
-		comms = append(comms, comm)
+		communities++
 	}
-	return &LocalDivision{Part: &Partition{Assign: assign, Comms: comms, Q: Modularity(g, assign)}}
+	return assign, communities
+}
+
+// grow grows a single community from seed with the selected detector and
+// returns its members, seed included, in no particular order: clauset's
+// list is the scratch's, valid until the next grow. The result is
+// deterministic: same graph, seed and kind always produce the same
+// community.
+func (s *Scratch) grow(g *graph.Graph, seed graph.NodeID, kind LocalKind) []graph.NodeID {
+	switch kind {
+	case LocalLShell:
+		return growLShell(g, seed)
+	case LocalLemon:
+		return growLemon(g, seed)
+	default:
+		return s.clauset.grow(g, seed)
+	}
 }

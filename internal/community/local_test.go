@@ -6,10 +6,18 @@ import (
 	"slices"
 	"testing"
 
+	"locec/internal/bench"
 	"locec/internal/graph"
 )
 
 var localKinds = []LocalKind{LocalClauset, LocalLShell, LocalLemon}
+
+// growLocal is one grow on a fresh scratch, its members sorted.
+func growLocal(g *graph.Graph, seed graph.NodeID, kind LocalKind) []graph.NodeID {
+	members := slices.Clone(new(Scratch).grow(g, seed, kind))
+	slices.Sort(members)
+	return members
+}
 
 // plantedGraph builds a planted-partition graph: `blocks` groups of `size`
 // nodes, intra-block edge probability pin, inter-block pout. Returns the
@@ -223,5 +231,16 @@ func TestGrowPlantedAgreement(t *testing.T) {
 		if mean := sum / float64(trials); mean < thresholds[kind] {
 			t.Errorf("%v: mean planted-block Jaccard %.3f below pinned %.2f", kind, mean, thresholds[kind])
 		}
+	}
+}
+
+// TestLocalDivideAllocatesLittle: on a warm Scratch, a clauset division of
+// a 32-node ego-shaped graph allocates its assignment and nothing else.
+func TestLocalDivideAllocatesLittle(t *testing.T) {
+	g := bench.EgoGraph(32, 2)
+	var s Scratch
+	s.LocalDivide(g, LocalClauset)
+	if a := testing.AllocsPerRun(50, func() { s.LocalDivide(g, LocalClauset) }); a != 1 {
+		t.Fatalf("%v allocations per run on a warm scratch, want 1 (the assignment)", a)
 	}
 }

@@ -246,7 +246,8 @@ func (s *egoScratch) divideOne(ds *social.Dataset, ego graph.NodeID, cfg Divisio
 	case DetectorLouvain:
 		part = s.comm.Louvain(en.G, cfg.Seed+int64(ego))
 	case DetectorClauset, DetectorLShell, DetectorLemon:
-		part = community.LocalDivide(en.G, community.LocalOptions{Kind: cfg.Detector.localKind()}).Part
+		assign, nc := s.comm.LocalDivide(en.G, cfg.Detector.localKind())
+		return s.finishEgo(ds, en, assign, nc)
 	default:
 		part = community.GirvanNewman(en.G, community.Options{Patience: cfg.GNPatience})
 	}

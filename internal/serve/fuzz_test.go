@@ -5,8 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"testing"
+	"time"
 
+	"locec/internal/core"
+	"locec/internal/graph"
 	"locec/internal/testutil/trained"
 )
 
@@ -84,3 +89,117 @@ func FuzzClassifyBody(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMutationsBody: POST /v1/mutations on a mutable server answers 200,
+// 202, 400, 409 or 413 and never a 5xx. A 2xx comes back exactly when
+// json.Unmarshal finds a non-empty batch whose every operation passes the
+// rules restated in validMutation: 202 without "wait", else 200, or 409
+// when an operation conflicts with the graph as the batch's earlier
+// operations leave it (conflicts). A refused body leaves the snapshot
+// version unchanged; a 200 publishes exactly one version. Each request
+// starts once the applier has settled the previous one.
+func FuzzMutationsBody(f *testing.F) {
+	s, err := New(Config{Artifact: mutableArtifact(f), Logger: discardLogger()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	u, v := anyEdge(s)
+	for _, body := range []string{
+		`{"mutations":[{"op":"relabel","u":` + itoa(u) + `,"v":` + itoa(v) + `,"label":"family"}],"wait":true}`,
+		`{"mutations":[{"op":"remove","u":` + itoa(u) + `,"v":` + itoa(v) + `},{"op":"add","u":` + itoa(u) + `,"v":` + itoa(v) + `,"interactions":[1,2,3,4,5,6,7,8]}],"wait":true}`,
+		`{"mutations":[{"op":"add","u":` + itoa(u) + `,"v":` + itoa(v) + `}],"wait":true}`,
+		`{"mutations":[{"op":"add","u":0,"v":79,"label":"colleague","revealed":true}]}`,
+		`{"mutations":[{"op":"add","u":1,"v":2,"interactions":[1,2,3]}],"wait":true}`,
+		`{"mutations":[{"op":"relabel","u":1,"v":2}]}`,
+		`{"mutations":[{"op":"move","u":1,"v":2}]}`,
+		`{"mutations":[{"op":"add","u":3,"v":3}]}`,
+		`{"mutations":[{"op":"remove","u":0,"v":80}]}`,
+		`{"mutations":[{"op":"add","u":4294967296,"v":1}]}`,
+		`{"mutations":[]}`,
+		`{}`,
+		`{"mutations":[{"op":"add","u":0,`,
+	} {
+		f.Add([]byte(body))
+	}
+	settle := func() { // an epoch publishes before its jobs leave the pending count
+		for s.mutPending.Load() > 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		settle()
+		before := s.current()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/mutations", bytes.NewReader(body)))
+		var req mutationsRequest
+		valid := json.Unmarshal(body, &req) == nil && len(req.Mutations) > 0 &&
+			!slices.ContainsFunc(req.Mutations, func(d mutationDoc) bool { return !validMutation(d, before.ds.G.NumNodes()) })
+		want := http.StatusBadRequest
+		switch {
+		case len(body) > maxClassifyBody:
+			want = http.StatusRequestEntityTooLarge
+		case !valid:
+		case !req.Wait:
+			want = http.StatusAccepted
+		case conflicts(before.ds.G, req.Mutations):
+			want = http.StatusConflict
+		default:
+			want = http.StatusOK
+		}
+		if rec.Code != want {
+			t.Fatalf("%q: %d %s, want %d", body, rec.Code, rec.Body, want)
+		}
+		settle()
+		switch after := s.current().version; {
+		case rec.Code == http.StatusOK && after != before.version+1:
+			t.Fatalf("%q: applied, version %d -> %d", body, before.version, after)
+		case rec.Code >= 400 && after != before.version:
+			t.Fatalf("%q: refused with %d, yet version %d -> %d", body, rec.Code, before.version, after)
+		}
+	})
+}
+
+// validMutation restates the per-operation rules of POST /v1/mutations on
+// a snapshot of n nodes: distinct ends in range; add with an optional
+// known label and an optional interaction row core accepts; remove; and
+// relabel with a known label.
+func validMutation(d mutationDoc, n int) bool {
+	if d.U == d.V || int(d.U) >= n || int(d.V) >= n {
+		return false
+	}
+	known := slices.Contains([]string{"colleague", "family", "schoolmate", "other"}, d.Label)
+	switch d.Op {
+	case "add":
+		return (d.Label == "" || known) && core.CheckInteractions(d.Interactions) == nil
+	case "remove":
+		return true
+	case "relabel":
+		return known
+	}
+	return false
+}
+
+// conflicts reports whether an operation of batch meets the graph in the
+// wrong state, g as the batch's earlier operations leave it: an add of an
+// edge that exists, or a remove or relabel of one that does not.
+func conflicts(g *graph.Graph, batch []mutationDoc) bool {
+	edited := map[graph.Edge]bool{}
+	for _, d := range batch {
+		e := graph.Edge{U: graph.NodeID(d.U), V: graph.NodeID(d.V)}.Canon()
+		has, ok := edited[e]
+		if !ok {
+			has = g.HasEdge(e.U, e.V)
+		}
+		if has == (d.Op == "add") {
+			return true
+		}
+		if d.Op != "relabel" {
+			edited[e] = d.Op == "add"
+		}
+	}
+	return false
+}
+
+func itoa(x uint32) string { return strconv.FormatUint(uint64(x), 10) }
