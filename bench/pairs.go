@@ -7,7 +7,8 @@
 //	bash bench/pairs.sh [-trace] <parent-rev> <workload> [pairs]
 //
 // The parent revision is exported with git archive into
-// .bench_build/pairs/<sha>/; the checkout, with any uncommitted edits, is
+// .bench_build/pairs/<sha>/, and any other revision's export there is
+// removed first; the checkout, with any uncommitted edits, is
 // the change. Each side first makes one unrecorded run (it builds the
 // benchmark and trains its fixture). Then pair i runs both sides untraced
 // with seed 43+i, the parent first in even pairs and the change first in
@@ -163,7 +164,17 @@ func main() {
 		fatalf("parent BENCHMARK.json: %v", err)
 	}
 
+	// Only this parent's export is kept: each holds its own fixtures and
+	// build outputs (≈ 140 MB), and the next parent has no use for them.
 	parentTree := filepath.Join(root, ".bench_build", "pairs", m.ParentSHA)
+	exports, _ := filepath.Glob(filepath.Join(root, ".bench_build", "pairs", strings.Repeat("[0-9a-f]", len(m.ParentSHA))))
+	for _, tree := range exports {
+		if tree != parentTree {
+			if err := os.RemoveAll(tree); err != nil {
+				fatalf("remove stale export: %v", err)
+			}
+		}
+	}
 	if _, err := os.Stat(parentTree); err != nil {
 		if err := os.MkdirAll(parentTree, 0o755); err != nil {
 			fatalf("%v", err)

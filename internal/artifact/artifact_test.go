@@ -26,27 +26,39 @@ func trainedRun(t testing.TB, variant string) (*social.Dataset, *core.Result) {
 // for tests that go on to mutate it.
 func trainedPipeline(t testing.TB, variant string) (*core.Pipeline, *social.Dataset, *core.Result) {
 	t.Helper()
-	net, err := wechat.Generate(wechat.DefaultConfig(80, 7))
+	if variant == "cnn" {
+		return trainedOn(t, 80, core.Config{
+			Division:   core.DivisionConfig{Detector: core.DetectorLabelProp, Seed: 1},
+			Classifier: &core.CNNClassifier{K: 8, Epochs: 2, Seed: 1},
+			Seed:       1,
+		})
+	}
+	return trainedOn(t, 80, xgbUnder(core.DetectorLabelProp))
+}
+
+// xgbUnder is the XGB configuration under Phase I detector det.
+func xgbUnder(det core.DetectorKind) core.Config {
+	return core.Config{
+		Division:   core.DivisionConfig{Detector: det, Seed: 1},
+		Classifier: &core.XGBClassifier{Seed: 1},
+		Seed:       1,
+	}
+}
+
+// trainedOn runs cfg on a surveyed network of users nodes.
+func trainedOn(t testing.TB, users int, cfg core.Config) (*core.Pipeline, *social.Dataset, *core.Result) {
+	t.Helper()
+	net, err := wechat.Generate(wechat.DefaultConfig(users, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.RunSurvey(0.5, 8)
-	ds := net.Dataset
-	cfg := core.Config{
-		Division: core.DivisionConfig{Detector: core.DetectorLabelProp, Seed: 1},
-		Seed:     1,
-	}
-	if variant == "cnn" {
-		cfg.Classifier = &core.CNNClassifier{K: 8, Epochs: 2, Seed: 1}
-	} else {
-		cfg.Classifier = &core.XGBClassifier{Seed: 1}
-	}
 	p := core.NewPipeline(cfg)
-	res, err := p.Run(ds)
+	res, err := p.Run(net.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, ds, res
+	return p, net.Dataset, res
 }
 
 // saved returns the serialized artifact bytes for a trained run.
@@ -203,6 +215,25 @@ func TestCorruptionTruncated(t *testing.T) {
 		if !errors.Is(err, artifact.ErrTruncated) {
 			t.Fatalf("cut at %d bytes: error %v, want ErrTruncated", cut, err)
 		}
+	}
+}
+
+// TestLoadRefusesDeletedDetector: an artifact whose meta records "lemon",
+// a detector deleted from the registry, fails Load with the
+// unknown-detector error, which names the five that remain. The name is
+// rewritten in place, padded with JSON whitespace so no section moves, and
+// the CRCs resealed.
+func TestLoadRefusesDeletedDetector(t *testing.T) {
+	_, _, data := saved(t, "xgb")
+	recorded := []byte(`"detector":"labelprop"`)
+	if n := bytes.Count(data, recorded); n != 1 {
+		t.Fatalf("saved artifact holds %s %d times, want once", recorded, n)
+	}
+	bad := bytes.Replace(data, recorded, []byte(`"detector":"lemon"    `), 1)
+	_, err := artifact.Load(bytes.NewReader(reseal(bad)))
+	want := `core: unknown detector "lemon" (want one of [gn labelprop louvain clauset lshell])`
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Load: %v, want an error containing %s", err, want)
 	}
 }
 

@@ -92,7 +92,7 @@ func BenchmarkLouvainEgo64(b *testing.B) {
 // with each seed-grown detector on a warm Scratch, as Phase I runs them.
 func BenchmarkLocalDivideEgo32(b *testing.B) {
 	g := bench.EgoGraph(32, 8)
-	for _, kind := range []community.LocalKind{community.LocalClauset, community.LocalLShell, community.LocalLemon} {
+	for _, kind := range []community.LocalKind{community.LocalClauset, community.LocalLShell} {
 		b.Run(kind.String(), func(b *testing.B) {
 			var s community.Scratch
 			b.ReportAllocs()

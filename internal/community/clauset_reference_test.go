@@ -134,12 +134,9 @@ func localDivideReference(g *graph.Graph, kind LocalKind) *Partition {
 			continue
 		}
 		var grown []graph.NodeID
-		switch kind {
-		case LocalLShell:
+		if kind == LocalLShell {
 			grown = growLShell(g, graph.NodeID(s))
-		case LocalLemon:
-			grown = growLemon(g, graph.NodeID(s))
-		default:
+		} else {
 			grown = growClauset(g, graph.NodeID(s))
 		}
 		slices.Sort(grown)

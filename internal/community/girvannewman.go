@@ -2,7 +2,7 @@
 // LoCEC Phase I: the Girvan–Newman divisive algorithm (the paper's choice,
 // Section IV-A) driven by Brandes edge betweenness with modularity-based
 // best-cut selection, label propagation and Louvain for ablation studies,
-// and the seed-grown local detectors (clauset, lshell, lemon).
+// and the seed-grown local detectors (clauset, lshell).
 //
 // Girvan–Newman recomputes only what a removal changed: betweenness lives
 // in an edge-indexed array, is re-derived per connected component and only

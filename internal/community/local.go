@@ -3,8 +3,8 @@ package community
 import "locec/internal/graph"
 
 // This file is the shared scaffolding of the seed-grown ("local-first")
-// detectors: Clauset local modularity, Bagrow–Bollt l-shell spreading and
-// the simplified LEMON local spectral method. Unlike the global detectors
+// detectors: Clauset local modularity and Bagrow–Bollt l-shell spreading.
+// Unlike the global detectors
 // (Girvan–Newman, label propagation, Louvain), these never look at the
 // whole graph: each community is grown outward from a seed vertex and the
 // growth stops when its boundary stabilizes.
@@ -19,22 +19,14 @@ const (
 	// LocalLShell grows shell by shell with an emerging-degree cutoff
 	// (Bagrow & Bollt 2005, "A local method for detecting communities").
 	LocalLShell
-	// LocalLemon grows by short random-walk diffusion, a small Krylov
-	// subspace and a min-one-norm style sparse indicator with a
-	// conductance sweep (Li et al. 2015, LEMON, simplified to ego scale).
-	LocalLemon
 )
 
 // String implements fmt.Stringer.
 func (k LocalKind) String() string {
-	switch k {
-	case LocalLShell:
+	if k == LocalLShell {
 		return "lshell"
-	case LocalLemon:
-		return "lemon"
-	default:
-		return "clauset"
 	}
+	return "clauset"
 }
 
 // LocalOptions selects a seed-grown detector. Growth is unbounded in
@@ -93,12 +85,8 @@ func (s *Scratch) LocalDivide(g *graph.Graph, kind LocalKind) (assign []int, com
 // deterministic: same graph, seed and kind always produce the same
 // community.
 func (s *Scratch) grow(g *graph.Graph, seed graph.NodeID, kind LocalKind) []graph.NodeID {
-	switch kind {
-	case LocalLShell:
+	if kind == LocalLShell {
 		return growLShell(g, seed)
-	case LocalLemon:
-		return growLemon(g, seed)
-	default:
-		return s.clauset.grow(g, seed)
 	}
+	return s.clauset.grow(g, seed)
 }

@@ -10,7 +10,7 @@ import (
 	"locec/internal/graph"
 )
 
-var localKinds = []LocalKind{LocalClauset, LocalLShell, LocalLemon}
+var localKinds = []LocalKind{LocalClauset, LocalLShell}
 
 // growLocal is one grow on a fresh scratch, its members sorted.
 func growLocal(g *graph.Graph, seed graph.NodeID, kind LocalKind) []graph.NodeID {
@@ -206,12 +206,10 @@ func jaccard(a, b []graph.NodeID) float64 {
 // these seeds), not aspirations: a detector change that degrades recovery
 // fails here.
 func TestGrowPlantedAgreement(t *testing.T) {
-	// Measured means on these seeds: clauset 0.963, lshell 0.851,
-	// lemon 0.803.
+	// Measured means on these seeds: clauset 0.963, lshell 0.851.
 	thresholds := map[LocalKind]float64{
 		LocalClauset: 0.90,
 		LocalLShell:  0.78,
-		LocalLemon:   0.75,
 	}
 	for _, kind := range localKinds {
 		rng := rand.New(rand.NewSource(17))

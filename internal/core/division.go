@@ -98,9 +98,6 @@ const (
 	// DetectorLShell grows communities shell by shell with an
 	// emerging-degree cutoff (Bagrow & Bollt 2005).
 	DetectorLShell
-	// DetectorLemon grows communities by local spectral diffusion
-	// (Li et al. 2015, simplified).
-	DetectorLemon
 )
 
 // detectorNames is the registry: detectorNames[k] names DetectorKind k. CLIs,
@@ -111,7 +108,6 @@ var detectorNames = [...]string{
 	DetectorLouvain:      "louvain",
 	DetectorClauset:      "clauset",
 	DetectorLShell:       "lshell",
-	DetectorLemon:        "lemon",
 }
 
 // String returns the detector's registry name.
@@ -133,19 +129,15 @@ func (k *DetectorKind) UnmarshalText(b []byte) (err error) {
 
 // Local reports whether the detector is seed-grown.
 func (k DetectorKind) Local() bool {
-	return k == DetectorClauset || k == DetectorLShell || k == DetectorLemon
+	return k == DetectorClauset || k == DetectorLShell
 }
 
 // localKind maps a local DetectorKind to its community-package selector.
 func (k DetectorKind) localKind() community.LocalKind {
-	switch k {
-	case DetectorLShell:
+	if k == DetectorLShell {
 		return community.LocalLShell
-	case DetectorLemon:
-		return community.LocalLemon
-	default:
-		return community.LocalClauset
 	}
+	return community.LocalClauset
 }
 
 // DetectorNames lists every registry name in declaration order.
@@ -245,7 +237,7 @@ func (s *egoScratch) divideOne(ds *social.Dataset, ego graph.NodeID, cfg Divisio
 		return s.finishEgo(ds, en, assign, nc)
 	case DetectorLouvain:
 		part = s.comm.Louvain(en.G, cfg.Seed+int64(ego))
-	case DetectorClauset, DetectorLShell, DetectorLemon:
+	case DetectorClauset, DetectorLShell:
 		assign, nc := s.comm.LocalDivide(en.G, cfg.Detector.localKind())
 		return s.finishEgo(ds, en, assign, nc)
 	default:

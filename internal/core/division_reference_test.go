@@ -29,7 +29,7 @@ func divideOneReference(ds *social.Dataset, ego graph.NodeID, cfg DivisionConfig
 		part = community.LabelPropagation(en.G, 20, cfg.Seed+int64(ego))
 	case DetectorLouvain:
 		part = community.Louvain(en.G, cfg.Seed+int64(ego))
-	case DetectorClauset, DetectorLShell, DetectorLemon:
+	case DetectorClauset, DetectorLShell:
 		part = community.LocalDivide(en.G, community.LocalOptions{Kind: cfg.Detector.localKind()}).Part
 	default:
 		part = community.GirvanNewman(en.G, community.Options{Patience: cfg.GNPatience})
@@ -95,9 +95,9 @@ func finishEgoReference(ds *social.Dataset, ego graph.NodeID, en *graph.EgoNetwo
 	return res
 }
 
-// allDetectors lists the six Phase I detectors.
+// allDetectors lists the five Phase I detectors.
 var allDetectors = []DetectorKind{
-	DetectorGirvanNewman, DetectorLabelProp, DetectorLouvain, DetectorClauset, DetectorLShell, DetectorLemon,
+	DetectorGirvanNewman, DetectorLabelProp, DetectorLouvain, DetectorClauset, DetectorLShell,
 }
 
 // sameEgoResult fails on the first field in which got differs from want.
@@ -125,7 +125,7 @@ func sameEgoResult(t *testing.T, what string, got, want *EgoResult) {
 	}
 }
 
-// TestDivideMatchesReference: for each of the six detectors, every
+// TestDivideMatchesReference: for each of the five detectors, every
 // EgoResult of a 300-user division on the pooled scratch equals the
 // reference assembly field by field, at GOMAXPROCS 1 (one scratch sees
 // every ego in turn) and 4 (egos land on whatever scratch the pool hands
@@ -147,7 +147,7 @@ func TestDivideMatchesReference(t *testing.T) {
 	if k, err := ParseDetector(""); err != nil || k != DetectorGirvanNewman {
 		t.Fatalf(`ParseDetector("") = %v, %v; want gn`, k, err)
 	}
-	if got := DetectorKind(len(allDetectors)).String(); got != "DetectorKind(6)" {
+	if got := DetectorKind(len(allDetectors)).String(); got != "DetectorKind(5)" {
 		t.Fatalf("out-of-range kind prints %q", got)
 	}
 	for _, d := range allDetectors {

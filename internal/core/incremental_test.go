@@ -45,7 +45,7 @@ func localConfig(d DetectorKind) Config {
 	return cfg
 }
 
-var localDetectors = []DetectorKind{DetectorClauset, DetectorLShell, DetectorLemon}
+var localDetectors = []DetectorKind{DetectorClauset, DetectorLShell}
 
 // randomBatch builds count random valid mutations against the current
 // graph: absent pairs are added (some revealed, with interactions),

@@ -48,9 +48,6 @@ func Ablations(opt Options) (*AblationResult, error) {
 		{"Phase I: l-shell spreading", func(cfg *core.Config) {
 			cfg.Division.Detector = core.DetectorLShell
 		}},
-		{"Phase I: LEMON local spectral", func(cfg *core.Config) {
-			cfg.Division.Detector = core.DetectorLemon
-		}},
 		{"Phase II: random row order", func(cfg *core.Config) {
 			cfg.Classifier.(*core.CNNClassifier).ShuffleRows = true
 		}},

@@ -12,8 +12,8 @@ func TestAblationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 8 {
-		t.Fatalf("expected 8 variants, got %d", len(res.Rows))
+	if len(res.Rows) != 7 {
+		t.Fatalf("expected 7 variants, got %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if row.OverallF1 < 0.3 || row.OverallF1 > 1 {

@@ -30,8 +30,8 @@ type FrontierRow struct {
 }
 
 // FrontierResult is the detector comparison of the local-first study: all
-// six Phase I detectors (Girvan–Newman, label propagation, Louvain, and
-// the seed-grown Clauset / l-shell / LEMON) on the same surveyed network
+// five Phase I detectors (Girvan–Newman, label propagation, Louvain, and
+// the seed-grown Clauset / l-shell) on the same surveyed network
 // and held-out split.
 type FrontierResult struct {
 	Rows []FrontierRow

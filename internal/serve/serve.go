@@ -33,7 +33,7 @@ type Config struct {
 	// declared for callers that still set it.
 	Variant string
 	// Detector, when set, names the Phase I rule ("gn", "labelprop",
-	// "louvain", "clauset", "lshell", "lemon") the served artifact must
+	// "louvain", "clauset", "lshell") the served artifact must
 	// record: a restored artifact re-divides by its own rule, and one
 	// that contradicts Detector is refused, at boot and at reload.
 	Detector string

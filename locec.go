@@ -97,9 +97,6 @@ const (
 	// DetectorLShell grows communities shell by shell with an
 	// emerging-degree cutoff (Bagrow & Bollt 2005) — local.
 	DetectorLShell = core.DetectorLShell
-	// DetectorLemon grows communities by short random-walk diffusion and
-	// a local spectral sweep (Li et al. 2015, simplified) — local.
-	DetectorLemon = core.DetectorLemon
 )
 
 // ParseDetector maps a detector name (core.DetectorNames; "" selects
