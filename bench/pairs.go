@@ -26,18 +26,20 @@
 //
 // With -bench the pairs are Go benchmarks of one package, not a workload:
 //
-//	bash bench/pairs.sh -bench <parent-rev> <pkg-dir> <regex> [pairs]
+//	bash bench/pairs.sh -bench <parent-rev> <pkg-dir> <regex> [pairs [benchtime]]
 //
 // builds the package's test binary in each tree once (go test -c), then
 // pair i runs each side's binary from its package directory with
-// -test.run '^$' -test.bench <regex> -test.benchmem -test.cpu 1, in the
-// same alternating order. The parent's binary is built with the
+// -test.run '^$' -test.bench <regex> -test.benchmem -test.cpu 1, and
+// -test.benchtime <benchtime> when given (3000x runs a fixed 3 000
+// iterations), in the same alternating order. The parent's binary is built with the
 // change's bench_test.go of the package in place of its own (go test
 // -overlay), so both sides run the same benchmark code, a benchmark the
 // change adds included. The record, of kind "bench", is
 // bench/history/<entry>-<last element of pkg-dir>.bench.json: per
-// benchmark the summary of its ns/op, B/op and allocs/op, named
-// "<Benchmark>:ns/op" and so on; a run's steal share is read from
+// benchmark the summary of its ns/op, B/op and allocs/op, and of every
+// millisecond metric it reports (a b.ReportMetric unit ending in "-ms"),
+// named "<Benchmark>:ns/op" and so on; a run's steal share is read from
 // /proc/stat around it. A run fails when the regex selects a top-level
 // benchmark that prints no row (a partial match whose sub-benchmarks
 // all miss), so a record never silently drops one.
@@ -67,17 +69,18 @@ import (
 // history is the schema of a bench/history file (TestBenchHistory in the
 // repository root checks every file against it).
 type history struct {
-	Schema   int                `json:"schema"`
-	Source   string             `json:"source"`         // "pairs.sh"
-	Kind     string             `json:"kind,omitempty"` // "trace" for traced runs, "bench" for Go benchmarks, empty for end-to-end ones
-	Entry    int                `json:"entry"`
-	Workload string             `json:"workload"`
-	Package  string             `json:"package,omitempty"` // -bench: the package directory
-	Bench    string             `json:"bench,omitempty"`   // -bench: the benchmark regex
-	Pairs    int                `json:"pairs"`
-	Machine  machine            `json:"machine"`
-	Metrics  map[string]summary `json:"metrics"`
-	Runs     []run              `json:"runs"`
+	Schema    int                `json:"schema"`
+	Source    string             `json:"source"`         // "pairs.sh"
+	Kind      string             `json:"kind,omitempty"` // "trace" for traced runs, "bench" for Go benchmarks, empty for end-to-end ones
+	Entry     int                `json:"entry"`
+	Workload  string             `json:"workload"`
+	Package   string             `json:"package,omitempty"`   // -bench: the package directory
+	Bench     string             `json:"bench,omitempty"`     // -bench: the benchmark regex
+	Benchtime string             `json:"benchtime,omitempty"` // -bench: the -test.benchtime, if one was given
+	Pairs     int                `json:"pairs"`
+	Machine   machine            `json:"machine"`
+	Metrics   map[string]summary `json:"metrics"`
+	Runs      []run              `json:"runs"`
 }
 
 type machine struct {
@@ -127,15 +130,15 @@ func main() {
 	if len(args) > 0 && (args[0] == "-trace" || args[0] == "-bench") {
 		mode, args = args[0][1:], args[1:]
 	}
-	want := 2 // <parent-rev> <workload>, or <parent-rev> <pkg-dir> <regex>
+	want, optional := 2, 1 // <parent-rev> <workload> [pairs], or <parent-rev> <pkg-dir> <regex> [pairs [benchtime]]
 	if mode == "bench" {
-		want = 3
+		want, optional = 3, 2
 	}
-	if len(args) < want || len(args) > want+1 {
-		fatalf("usage: bash bench/pairs.sh [-trace] <parent-rev> <workload> [pairs]\n       bash bench/pairs.sh -bench <parent-rev> <pkg-dir> <regex> [pairs]")
+	if len(args) < want || len(args) > want+optional {
+		fatalf("usage: bash bench/pairs.sh [-trace] <parent-rev> <workload> [pairs]\n       bash bench/pairs.sh -bench <parent-rev> <pkg-dir> <regex> [pairs [benchtime]]")
 	}
 	parentRev, pairs := args[0], 10
-	if len(args) == want+1 {
+	if len(args) > want {
 		n, err := strconv.Atoi(args[want])
 		if err != nil || n < 1 {
 			fatalf("pairs %q: want a positive count", args[want])
@@ -197,6 +200,9 @@ func main() {
 	var measure func(side string, seed int, logPath string) run
 	if mode == "bench" {
 		h.Package, h.Bench = filepath.ToSlash(filepath.Clean(args[1])), args[2]
+		if len(args) > want+1 {
+			h.Benchtime = args[want+1]
+		}
 		name = fmt.Sprintf("%d-%s.bench", entry, filepath.Base(h.Package))
 		bins := map[string]string{}
 		overlay := benchOverlay(root, parentTree, h.Package)
@@ -213,7 +219,7 @@ func main() {
 			}
 		}
 		measure = func(side string, _ int, logPath string) run {
-			return runBench(bins[side], filepath.Join(trees[side], h.Package), h.Bench, logPath)
+			return runBench(bins[side], filepath.Join(trees[side], h.Package), h.Bench, h.Benchtime, logPath)
 		}
 	} else {
 		h.Workload = args[1]
@@ -383,11 +389,26 @@ func benchOverlay(root, parentTree, pkg string) string {
 // the same table.
 var benchUnits = map[string]string{"ns/op": "ns", "B/op": "B", "allocs/op": "count"}
 
+// benchUnit returns the unit a bench record gives column, and false for a
+// column it does not keep: a -benchmem column, or a benchmark's own
+// millisecond metric ("<name>-ms"), which is better lower too.
+func benchUnit(column string) (string, bool) {
+	if unit, ok := benchUnits[column]; ok {
+		return unit, true
+	}
+	return "ms", strings.HasSuffix(column, "-ms") && !strings.Contains(column, "/")
+}
+
 // runBench runs one test binary's benchmarks from its package directory,
-// keeps the output in logPath and returns each benchmark's ns/op, B/op
-// and allocs/op as "<Benchmark>:<column>".
-func runBench(bin, dir, regex, logPath string) run {
-	cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", regex, "-test.benchmem", "-test.cpu", "1", "-test.timeout", "30m")
+// with -test.benchtime benchtime unless it is empty, keeps the output in
+// logPath and returns each benchmark's kept columns (benchUnit) as
+// "<Benchmark>:<column>".
+func runBench(bin, dir, regex, benchtime, logPath string) run {
+	args := []string{"-test.run", "^$", "-test.bench", regex, "-test.benchmem", "-test.cpu", "1", "-test.timeout", "30m"}
+	if benchtime != "" {
+		args = append(args, "-test.benchtime", benchtime)
+	}
+	cmd := exec.Command(bin, args...)
 	cmd.Dir = dir
 	stealBefore, totalBefore := cpuTicks()
 	out, err := cmd.CombinedOutput()
@@ -408,7 +429,7 @@ func runBench(bin, dir, regex, logPath string) run {
 		r.Attempted++
 		reported[strings.SplitN(f[0], "/", 2)[0]] = true
 		for i := 2; i+1 < len(f); i += 2 {
-			if _, ok := benchUnits[f[i+1]]; ok {
+			if _, ok := benchUnit(f[i+1]); ok {
 				v, err := strconv.ParseFloat(f[i], 64)
 				if err != nil {
 					fatalf("%s: %q: %v (output in %s)", cmd, line, err, logPath)
@@ -498,7 +519,8 @@ func benchMetrics(runs []run) []metricDecl {
 	decls := make([]metricDecl, len(names))
 	for i, name := range names {
 		column := name[strings.LastIndex(name, ":")+1:]
-		decls[i] = metricDecl{Name: name, Unit: benchUnits[column], Better: "lower"}
+		unit, _ := benchUnit(column)
+		decls[i] = metricDecl{Name: name, Unit: unit, Better: "lower"}
 	}
 	return decls
 }

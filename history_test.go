@@ -27,8 +27,11 @@ type benchHistory struct {
 	Workload string `json:"workload"`
 	Package  string `json:"package"`
 	Bench    string `json:"bench"`
-	Pairs    int    `json:"pairs"`
-	Machine  struct {
+	// Benchtime is the -test.benchtime of a "bench" record, if one was
+	// given.
+	Benchtime string `json:"benchtime"`
+	Pairs     int    `json:"pairs"`
+	Machine   struct {
 		NumCPU           int    `json:"nproc"`
 		CPUModel         string `json:"cpu_model"`
 		GoVersion        string `json:"go_version"`
@@ -88,12 +91,21 @@ var perfOptEntry = regexp.MustCompile(`(?m)^- [0-9-]+ — PR ([0-9]+): \[perf_op
 // with the unit bench/pairs.go gives each; every one is better lower.
 var benchColumns = map[string]string{"ns/op": "ns", "B/op": "B", "allocs/op": "count"}
 
+// benchColumn is bench/pairs.go's benchUnit: a benchColumns column, or a
+// benchmark's own millisecond metric ("<name>-ms"), unit "ms".
+func benchColumn(column string) (string, bool) {
+	if unit, ok := benchColumns[column]; ok {
+		return unit, true
+	}
+	return "ms", strings.HasSuffix(column, "-ms") && !strings.Contains(column, "/")
+}
+
 // TestBenchHistory holds every file under bench/history/ to the schema
 // bench/pairs.go writes: named after a workload, <entry>-<workload>.json
 // over the end-to-end metrics BENCHMARK.json declares, or of kind "trace"
 // <entry>-<workload>.trace.json over per-layer metrics it declares; or of
-// kind "bench" <entry>-<package>.bench.json over the ns/op, B/op and
-// allocs/op of a package's Go benchmarks. Every file has both sides of
+// kind "bench" <entry>-<package>.bench.json over the ns/op, B/op,
+// allocs/op and millisecond metrics of a package's Go benchmarks. Every file has both sides of
 // every pair recorded and win counts, medians and quartiles that the runs
 // bear out. Every [perf_opt] CHANGES entry from 44 on, the
 // first measured with bench/pairs.sh, has at least one such file. Where
@@ -165,10 +177,10 @@ func TestBenchHistory(t *testing.T) {
 			metrics, name = nil, filepath.Base(h.Package)+".bench"
 			for metric := range h.Metrics {
 				fn, column, _ := strings.Cut(metric, ":")
-				if unit, ok := benchColumns[column]; ok && strings.HasPrefix(fn, "Benchmark") {
+				if unit, ok := benchColumn(column); ok && strings.HasPrefix(fn, "Benchmark") {
 					metrics = append(metrics, metricDecl{metric, unit, "lower"})
 				} else {
-					errorf("%s is not <Benchmark>:<ns/op|B/op|allocs/op>", metric)
+					errorf("%s is not <Benchmark>:<ns/op|B/op|allocs/op|<name>-ms>", metric)
 				}
 			}
 		}
@@ -180,7 +192,7 @@ func TestBenchHistory(t *testing.T) {
 		}
 		isBench := h.Kind == "bench"
 		if h.Schema != 1 || h.Source != "pairs.sh" || (h.Kind != "" && h.Kind != "trace" && !isBench) || h.Entry < 1 || h.Pairs < 1 ||
-			workloads[h.Workload] == isBench || (h.Package != "") != isBench || (h.Bench != "") != isBench {
+			workloads[h.Workload] == isBench || (h.Package != "") != isBench || (h.Bench != "") != isBench || (h.Benchtime != "" && !isBench) {
 			errorf("header schema=%d source=%q kind=%q entry=%d workload=%q package=%q bench=%q pairs=%d",
 				h.Schema, h.Source, h.Kind, h.Entry, h.Workload, h.Package, h.Bench, h.Pairs)
 		}

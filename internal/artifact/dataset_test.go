@@ -128,15 +128,15 @@ func saveMutable(ds *social.Dataset, res *core.Result) ([]byte, error) {
 
 // TestSaveWhileLaterEpochsApply is the checkpointer's contract, run under
 // -race in CI: snapshot k — a dataset that carries an edit delta over maps
-// it shares with its successors — is encoded on one goroutine while epochs
-// k+1…k+40 apply on another (crossing a fold, so the successors also
-// rebuild the maps). Every concurrent encode must equal the serial one
-// byte for byte: nothing a later epoch does may reach an older snapshot.
+// it shares with its successors, and chunks of a delta they splice their
+// own from — is encoded on one goroutine while epochs k+1…k+40 apply on
+// another. Every concurrent encode must equal the serial one byte for
+// byte: nothing a later epoch does may reach an older snapshot.
 func TestSaveWhileLaterEpochsApply(t *testing.T) {
 	p, ds, res := trainedPipeline(t, "xgb")
 	res.Times = core.PhaseTimes{} // wall-clock noise; successors inherit it
 	rng := rand.New(rand.NewSource(21))
-	epoch := func() core.ApplyStats {
+	epoch := func() {
 		t.Helper()
 		edges := ds.G.Edges()
 		e := edges[rng.Intn(len(edges))]
@@ -144,12 +144,11 @@ func TestSaveWhileLaterEpochsApply(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			m.Kind = core.MutRemove
 		}
-		nds, nres, stats, err := p.ApplyMutations(ds, res, []core.Mutation{m})
+		nds, nres, _, err := p.ApplyMutations(ds, res, []core.Mutation{m})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ds, res = nds, nres
-		return stats
 	}
 	for ds.NumEdits() < 5 {
 		epoch()
@@ -181,18 +180,12 @@ func TestSaveWhileLaterEpochsApply(t *testing.T) {
 			}
 		}
 	}()
-	folds := 0
 	for i := 0; i < 40; i++ {
-		if epoch().Folded {
-			folds++
-		}
+		epoch()
 	}
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-	if folds == 0 {
-		t.Fatal("40 epochs never folded the delta; the test must cross a fold")
 	}
 	if dsK.NumEdits() < 5 {
 		t.Fatalf("snapshot k lost its delta: %d edits", dsK.NumEdits())

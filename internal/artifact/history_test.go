@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"locec/internal/artifact"
+	"locec/internal/chunktab"
 	"locec/internal/core"
 	"locec/internal/graph"
 	"locec/internal/social"
@@ -15,8 +16,8 @@ import (
 // checkpoint Saves depends only on the dataset the snapshot ends on, not
 // on the epochs that led there. WAL replay, ApplyBurst's one-by-one
 // fallback and every checkpoint rely on it; core.VerifyIncremental checks
-// the Result, these check the edit delta and its folds, the edge store's
-// chunk table and the overlay's shared blocks as far as Save can see them.
+// the Result, these check the edit delta's and the edge store's chunk
+// tables and the overlay's shared blocks as far as Save can see them.
 
 // restoredState trains 80 nodes under det, Saves the run as a mutable
 // checkpoint and restores it the way a server boots from one.
@@ -112,19 +113,20 @@ func TestUndoSavesRestoredBytes(t *testing.T) {
 }
 
 // TestChainSavesFrozenBytes: at n = 500 under clauset, a chain of
-// single-mutation epochs that crosses a fold of the dataset's edit delta,
-// and goes on until the delta holds edits again, Saves the same bytes as
-// RunFrozen's from-scratch result on the dataset the chain ends on. The
+// single-mutation epochs that goes on until the dataset's edit delta holds
+// more than 2×chunktab.Keys keys, so its chunk table has split a chunk,
+// Saves the same bytes as RunFrozen's from-scratch result on the dataset
+// the chain ends on. The
 // meta's phase_ns is the training run's, which every epoch carries over
 // and RunFrozen, which trains nothing, leaves zero; so the frozen result
 // is given the chain's Times.
 func TestChainSavesFrozenBytes(t *testing.T) {
 	p, ds, res := trainedOn(t, 500, xgbUnder(core.DetectorClauset))
 	rng := rand.New(rand.NewSource(9))
-	epochs, folds := 0, 0
-	for ; folds == 0 || ds.NumEdits() == 0; epochs++ {
+	epochs := 0
+	for ; ds.NumEdits() <= 2*chunktab.Keys; epochs++ {
 		if epochs == 2000 {
-			t.Fatalf("%d epochs never folded the edit delta", epochs)
+			t.Fatalf("%d epochs edited only %d keys", epochs, ds.NumEdits())
 		}
 		var m core.Mutation
 		switch edges := ds.G.Edges(); rng.Intn(3) {
@@ -138,14 +140,11 @@ func TestChainSavesFrozenBytes(t *testing.T) {
 			e := edges[rng.Intn(len(edges))]
 			m = core.Mutation{Kind: core.MutRelabel, U: e.U, V: e.V, Label: social.Label(rng.Intn(4)), Revealed: rng.Intn(2) == 0}
 		}
-		nds, nres, stats, err := p.ApplyMutations(ds, res, []core.Mutation{m})
+		nds, nres, _, err := p.ApplyMutations(ds, res, []core.Mutation{m})
 		if err != nil {
 			t.Fatalf("epoch %d: %v", epochs, err)
 		}
 		ds, res = nds, nres
-		if stats.Folded {
-			folds++
-		}
 	}
 	frozen, err := p.RunFrozen(ds, res)
 	if err != nil {
@@ -161,6 +160,6 @@ func TestChainSavesFrozenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("after %d epochs (%d folds): the chain Saves %d bytes that differ from RunFrozen's %d", epochs, folds, len(got), len(want))
+		t.Fatalf("after %d epochs (%d edited keys): the chain Saves %d bytes that differ from RunFrozen's %d", epochs, ds.NumEdits(), len(got), len(want))
 	}
 }

@@ -3,8 +3,10 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"locec/internal/artifact"
 	"locec/internal/bench"
@@ -101,13 +103,12 @@ func BenchmarkFullPipelineXGB400(b *testing.B) {
 // friend's friend, 25 % removes, 15 % relabels), on a mutable restore of a
 // trained clauset + LoCEC-XGB result (artifact.New, EmbedDataset, Save,
 // Load, Restore: how a server boots). One op is one epoch; the fixture and
-// the schedule are built before the timer starts. It reports folds/op,
-// the share of epochs that folded the dataset's edit delta (ApplyStats.
-// Folded): a fold (≈ 8 MB at n = 10 000) first comes after ≈ √E edited
-// keys, and the delta clone grows until then, so bytes per epoch grow with
-// the chain and a row must span several fold periods, which 1 s runs do.
-// The 100 000-user fixture trains for minutes, so -short runs n = 10 000
-// only.
+// the schedule are built before the timer starts. Besides the mean it
+// reports the epochs' p99, p99.9 and maximum ApplyStats.Duration, the
+// pause an acknowledged mutation can wait on. The edit delta grows by
+// about one key per epoch, so bytes per epoch grow slowly with the chain:
+// compare runs of one fixed length (-benchtime 3000x). The 100 000-user
+// fixture trains for minutes, so -short runs n = 10 000 only.
 func BenchmarkApplyMutations(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -121,20 +122,23 @@ func BenchmarkApplyMutations(b *testing.B) {
 			for i := range muts {
 				muts[i] = sched.next()
 			}
+			epochs := make([]time.Duration, 0, b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
-			folds := 0
 			for _, m := range muts {
 				nds, nres, stats, err := fx.pipe.ApplyMutations(ds, res, []core.Mutation{m})
 				if err != nil {
 					b.Fatalf("%s {%d,%d}: %v", m.Kind, m.U, m.V, err)
 				}
 				ds, res = nds, nres
-				if stats.Folded {
-					folds++
-				}
+				epochs = append(epochs, stats.Duration)
 			}
-			b.ReportMetric(float64(folds)/float64(b.N), "folds/op")
+			b.StopTimer()
+			slices.Sort(epochs)
+			ms := func(q float64) float64 { return float64(epochs[int(q*float64(len(epochs)-1))]) / 1e6 }
+			b.ReportMetric(ms(0.99), "p99-ms")
+			b.ReportMetric(ms(0.999), "p99.9-ms")
+			b.ReportMetric(ms(1), "max-ms")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -147,8 +148,11 @@ func TestDivideMatchesReference(t *testing.T) {
 	if k, err := ParseDetector(""); err != nil || k != DetectorGirvanNewman {
 		t.Fatalf(`ParseDetector("") = %v, %v; want gn`, k, err)
 	}
-	if got := DetectorKind(len(allDetectors)).String(); got != "DetectorKind(5)" {
-		t.Fatalf("out-of-range kind prints %q", got)
+	if len(allDetectors) != len(DetectorNames()) {
+		t.Fatalf("%d detectors under test, %d in the registry", len(allDetectors), len(DetectorNames()))
+	}
+	if got, want := DetectorKind(len(DetectorNames())).String(), fmt.Sprintf("DetectorKind(%d)", len(DetectorNames())); got != want {
+		t.Fatalf("out-of-range kind prints %q, want %q", got, want)
 	}
 	for _, d := range allDetectors {
 		t.Run(d.String(), func(t *testing.T) {

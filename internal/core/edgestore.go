@@ -6,29 +6,21 @@ import (
 	"slices"
 	"sort"
 
+	"locec/internal/chunktab"
 	"locec/internal/graph"
 	"locec/internal/social"
 )
 
 // chunkKeys is the size of a chunk cut from flat arrays, and the number of
-// chunks a leaf of the chunk table is cut into. It sets what a splice
-// copies: the top level, 56 B per leaf; each leaf holding a changed chunk,
-// 16 B (a head and a pointer) per chunk; and every changed chunk. On the
-// write benchmark's graph (≈ 1 600 chunks in 25 leaves) an epoch's ≈ 79
-// re-predicted edges scatter over ≈ 38 chunks, ≈ 7 of which change: it
-// copies a 1.4 KB top level and ≈ 6 KB of leaves (a flat table was
-// ≈ 26 KB) and rebuilds ≈ 13 KB of chunks.
-const chunkKeys = 64
-
-// pieces is how many even parts a rebuilt run of m entries is cut into:
-// none when it is empty, m/chunkKeys past 2×chunkKeys, else one. Chunks
-// (entries) and leaves (chunks) follow the same rule.
-func pieces(m int) int {
-	if m > 2*chunkKeys {
-		return m / chunkKeys
-	}
-	return min(m, 1)
-}
+// chunks a leaf of the chunk table is cut into: chunktab.Keys, with splits
+// by chunktab.Pieces. It sets what a splice copies: the top level, 56 B
+// per leaf; each leaf holding a changed chunk, 16 B (a head and a pointer)
+// per chunk; and every changed chunk. On the write benchmark's graph
+// (≈ 1 600 chunks in 25 leaves) an epoch's ≈ 79 re-predicted edges
+// scatter over ≈ 38 chunks, ≈ 7 of which change: it copies a 1.4 KB top
+// level and ≈ 6 KB of leaves (a flat table was ≈ 26 KB) and rebuilds
+// ≈ 13 KB of chunks.
+const chunkKeys = chunktab.Keys
 
 // floor returns the index of the last head at or below key, 0 when key is
 // below them all.
@@ -105,11 +97,11 @@ type leaf struct {
 	chunks []*edgeRun
 }
 
-// appendLeaves cuts the chunk table heads/chunks into leaves by the
-// pieces rule and appends them to s, each a capped view of the table.
+// appendLeaves cuts the chunk table heads/chunks into leaves by
+// chunktab.Pieces and appends them to s, each a capped view of the table.
 func (s *EdgeStore) appendLeaves(heads []uint64, chunks []*edgeRun) {
 	m := len(heads)
-	k := pieces(m)
+	k := chunktab.Pieces(m)
 	for p := range k {
 		lo, hi := p*m/k, (p+1)*m/k
 		s.heads = append(s.heads, heads[lo])
@@ -147,7 +139,7 @@ func (r edgeRun) store(classes int) *EdgeStore {
 		runs[i] = r.view(i*chunkKeys, min((i+1)*chunkKeys, n), classes)
 		chunks[i], heads[i] = &runs[i], r.keys[i*chunkKeys]
 	}
-	s := &EdgeStore{heads: make([]uint64, 0, pieces(nc)), leaves: make([]leaf, 0, pieces(nc)), n: n, classes: classes}
+	s := &EdgeStore{heads: make([]uint64, 0, chunktab.Pieces(nc)), leaves: make([]leaf, 0, chunktab.Pieces(nc)), n: n, classes: classes}
 	s.appendLeaves(heads, chunks)
 	return s
 }
@@ -322,8 +314,8 @@ func (r *edgeRun) holds(removed []uint64, fresh edgeRun, classes int) bool {
 // change and the leaves that hold them, into one slab per column, one of
 // chunk headers and one per leaf-table column; every other leaf and chunk
 // is shared. A rebuilt chunk or leaf that empties is dropped, one past
-// 2×chunkKeys split (see pieces). Inputs are untouched; a splice that
-// changes no chunk returns s.
+// 2×chunkKeys split (see chunktab.Pieces). Inputs are untouched; a splice
+// that changes no chunk returns s.
 func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 	if len(fresh.keys) == 0 && (len(removed) == 0 || s.Len() == 0) {
 		return s
@@ -385,7 +377,7 @@ func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 		slab.splice(*lf.chunks[ci], removed[r:rEnd], fresh.view(f, fEnd, c), c)
 		m := len(slab.keys) - at
 		out.n += m - len(lf.chunks[ci].keys)
-		k := pieces(m)
+		k := chunktab.Pieces(m)
 		for p := range k {
 			runs = append(runs, slab.view(at+p*m/k, at+(p+1)*m/k, c))
 			heads, chunks = append(heads, runs[len(runs)-1].keys[0]), append(chunks, &runs[len(runs)-1])

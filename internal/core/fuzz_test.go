@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"locec/internal/graph"
@@ -37,19 +40,60 @@ func fuzzMutation(g *graph.Graph, b [4]byte) (m Mutation, more bool) {
 	return m, b[3]&8 != 0
 }
 
+// SaveMutable Saves ds and res as a mutable checkpoint, the way a
+// server's checkpointer does. checkpoint_test.go sets it: artifact imports
+// core, so only an external test file can.
+var SaveMutable func(*social.Dataset, *Result) ([]byte, error)
+
+// inverseOf returns the batch that takes a dataset the oracle before
+// shows, once batch has applied, back to what before shows: per edge the
+// batch touched, a remove of an edge it added, an add of one it removed
+// (old label, flag and row), a relabel back, or a remove and an add where
+// the edge's row changed.
+func inverseOf(before mapOracle, batch []Mutation) []Mutation {
+	after := mapOracle{maps.Clone(before.inter), maps.Clone(before.labels), maps.Clone(before.revealed)}
+	after.apply(batch)
+	var inv []Mutation
+	seen := map[uint64]bool{}
+	for _, m := range batch {
+		k := (graph.Edge{U: m.U, V: m.V}).Key()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		l, was := before.labels[k]
+		_, is := after.labels[k]
+		back := Mutation{Kind: MutAdd, U: m.U, V: m.V, Label: l, Revealed: before.revealed[k], Interactions: before.inter[k]}
+		switch {
+		case was && is && slices.Equal(before.inter[k], after.inter[k]):
+			back.Kind, back.Interactions = MutRelabel, nil
+			inv = append(inv, back)
+		case was && is:
+			inv = append(inv, Mutation{Kind: MutRemove, U: m.U, V: m.V}, back)
+		case was:
+			inv = append(inv, back)
+		case is:
+			inv = append(inv, Mutation{Kind: MutRemove, U: m.U, V: m.V})
+		}
+	}
+	return inv
+}
+
 // FuzzApplyMutations turns bytes into a chain of mutation epochs over a
 // small trained fixture. After every epoch the accessor view of the
 // dataset must equal the plain three-map oracle and Validate must pass;
-// a refused epoch must leave its inputs as they were; every 8th applied
-// epoch is checked against the frozen from-scratch rerun, bit for bit. The
-// chain is long enough for the edit delta to fold (√E ≈ 20 here).
+// a refused epoch must leave its inputs as they were. Every 8th applied
+// epoch is checked against the frozen from-scratch rerun, bit for bit,
+// and undone by its inverse batch, after which Save must write the bytes
+// it wrote before the epoch: the edit delta's and the edge store's chunk
+// splits depend on the path taken, and the bytes must not.
 func FuzzApplyMutations(f *testing.F) {
 	p, ds0, res0 := incrementalFixture(f, localConfig(DetectorClauset))
 	f.Add([]byte{0, 1, 2, 1, 1, 1, 0, 0, 2, 1, 0, 6})                                     // add, remove, relabel: one epoch each
 	f.Add([]byte{0, 3, 9, 9, 1, 3, 200, 8, 0, 3, 9, 20, 2, 3, 9, 5})                      // add+remove in one epoch, re-add with a row, relabel it
 	f.Add([]byte{0, 5, 6, 0xf4, 1, 5, 0, 0, 0, 7, 7, 0, 2, 200, 1, 7})                    // hostile row, then valid and invalid epochs
 	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 40, 16, 0, 0, 41, 4, 2, 0, 0}) // strip a node's edges, add some back
-	long := make([]byte, 4*64)                                                            // 64 one-mutation epochs: crosses folds
+	long := make([]byte, 4*64)                                                            // 64 one-mutation epochs
 	for i := range long {
 		long[i] = byte(i*37 + i/4*11)
 	}
@@ -80,9 +124,10 @@ func FuzzApplyMutations(f *testing.F) {
 				if err := VerifyIncremental(p, ds, res, batch); err != nil {
 					t.Fatalf("epoch %d %v: %v", applied, batch, err)
 				}
+				assertUndoSavesBytes(t, p, ds, res, nds, nres, inverseOf(oracle, batch))
 			}
-			if stats.DatasetEdits != nds.NumEdits() || stats.DatasetEdits*stats.DatasetEdits > nds.G.NumEdges() {
-				t.Fatalf("epoch %d: %d edits reported, %d carried, %d edges", applied, stats.DatasetEdits, nds.NumEdits(), nds.G.NumEdges())
+			if stats.DatasetEdits != nds.NumEdits() {
+				t.Fatalf("epoch %d: %d edits reported, %d carried", applied, stats.DatasetEdits, nds.NumEdits())
 			}
 			oracle.apply(batch)
 			ds, res = nds, nres
@@ -91,4 +136,26 @@ func FuzzApplyMutations(f *testing.F) {
 			batch = batch[:0]
 		}
 	})
+}
+
+// assertUndoSavesBytes applies inverse to the state an epoch left (nds,
+// nres) and fails unless Save writes the bytes of the state before it (ds,
+// res).
+func assertUndoSavesBytes(t *testing.T, p *Pipeline, ds *social.Dataset, res *Result, nds *social.Dataset, nres *Result, inverse []Mutation) {
+	t.Helper()
+	want, err := SaveMutable(ds, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uds, ures, _, err := p.ApplyMutations(nds, nres, inverse)
+	if err != nil {
+		t.Fatalf("inverse batch %v: %v", inverse, err)
+	}
+	got, err := SaveMutable(uds, ures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("inverse batch %v: Saves %d bytes that differ from the %d before the epoch", inverse, len(got), len(want))
+	}
 }

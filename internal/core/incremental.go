@@ -88,13 +88,8 @@ type ApplyStats struct {
 	// SeededEgos is never written; benchmark/ reads it until the [benchmark] PR of ROADMAP 1(a) lets it go.
 	SeededEgos int
 	// DatasetEdits is the size of the new dataset's edit delta: the edge
-	// keys changed since the per-edge maps were last rebuilt (0 right
-	// after a fold).
+	// keys changed since the dataset was loaded.
 	DatasetEdits int
-	// Folded reports that this epoch rebuilt the per-edge maps from the
-	// delta — the one epoch in ~√E that pays an E-sized copy, so an
-	// outlier Duration can be attributed.
-	Folded bool
 	// Duration is the apply wall-clock time.
 	Duration time.Duration
 }
@@ -189,10 +184,9 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 	}
 	added, removed := ov.Mutations()
 	dirty := ov.DirtyNodes()
-	// Commit folds the delta into fresh maps when it has outgrown √E
-	// entries — the one E-sized copy left on this path, paid once per ~√E
-	// epochs. UserFeatures stay shared: the node set is fixed.
-	newDS, folded := ed.Commit(ov.Compact())
+	// Commit splices the epoch's edits into the delta, copying only the
+	// chunks they land in. UserFeatures stay shared: the node set is fixed.
+	newDS := ed.Commit(ov.Compact())
 
 	// ---- Stages I–III: refresh the dirty egos and their edges -------
 	// Every surviving edge incident to a dirty node (added edges are, by
@@ -234,7 +228,6 @@ func (p *Pipeline) ApplyMutations(ds *social.Dataset, res *Result, batch []Mutat
 		DirtyCommunities: len(dirtyComms),
 		DirtyEdges:       len(dirtyEdges),
 		DatasetEdits:     newDS.NumEdits(),
-		Folded:           folded,
 		Duration:         time.Since(t0),
 	}
 	return newDS, newRes, stats, nil
@@ -292,7 +285,6 @@ func (p *Pipeline) ApplyBurst(ds *social.Dataset, res *Result, batches [][]Mutat
 		t.DirtyCommunities += stats.DirtyCommunities
 		t.DirtyEdges += stats.DirtyEdges
 		t.DatasetEdits = stats.DatasetEdits // a size, not a sum: the last batch's
-		t.Folded = t.Folded || stats.Folded
 		t.Duration += stats.Duration
 	}
 	return ds, res, b

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"locec/internal/core"
 )
 
 func TestAblationsRun(t *testing.T) {
@@ -12,8 +14,10 @@ func TestAblationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 7 {
-		t.Fatalf("expected 7 variants, got %d", len(res.Rows))
+	// One row per detector (the paper's is GN), then row order and the
+	// agreement rule.
+	if want := len(core.DetectorNames()) + 2; len(res.Rows) != want {
+		t.Fatalf("expected %d variants, got %d", want, len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if row.OverallF1 < 0.3 || row.OverallF1 > 1 {

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"locec/internal/core"
 )
 
 func evalReport(metrics map[string]float64) *EvalReport {
@@ -97,9 +99,9 @@ func TestEvalSmokeDeterministic(t *testing.T) {
 			t.Fatalf("metric %d differs across runs: %+v vs %+v", i, a.Metrics[i], b.Metrics[i])
 		}
 	}
-	// macro_f1 and phase3_gain per detector (five) and for the CNN reference,
+	// macro_f1 and phase3_gain per detector and for the CNN reference,
 	// phase2_acc per classifier.
-	if want := 2*6 + 2; len(a.Metrics) != want {
+	if want := 2*(len(core.DetectorNames())+1) + 2; len(a.Metrics) != want {
 		t.Fatalf("%d metrics, want %d", len(a.Metrics), want)
 	}
 	for _, m := range a.Metrics {

@@ -412,7 +412,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"last_dirty_nodes":   s.lastDirtyNodes.Load(),
 			"last_dirty_edges":   s.lastDirtyEdges.Load(),
 			"last_dataset_edits": s.lastDatasetEdits.Load(),
-			"folds":              s.mutFolds.Load(),
 			"last_apply_seconds": float64(s.lastApplyNs.Load()) / 1e9,
 		},
 	}
@@ -612,7 +611,6 @@ type appliedDoc struct {
 	DirtyEdges       int          `json:"dirty_edges"`
 	DirtyNodes       int          `json:"dirty_nodes"`
 	Epoch            int64        `json:"epoch"`
-	Folded           bool         `json:"folded"`
 	Mutations        int          `json:"mutations"`
 	MutationsPending int64        `json:"mutations_pending"`
 	RemovedEdges     int          `json:"removed_edges"`
@@ -630,7 +628,7 @@ func receiptDoc(r MutationReceipt) any {
 	return appliedDoc{
 		AddedEdges: st.AddedEdges, ApplySeconds: st.Duration.Seconds(), DatasetEdits: st.DatasetEdits,
 		DirtyCommunities: st.DirtyCommunities, DirtyEdges: st.DirtyEdges, DirtyNodes: st.DirtyNodes,
-		Epoch: r.Epoch, Folded: st.Folded, Mutations: r.Mutations, MutationsPending: r.Pending,
+		Epoch: r.Epoch, Mutations: r.Mutations, MutationsPending: r.Pending,
 		RemovedEdges: st.RemovedEdges, Snapshot: r.Snapshot, Status: "applied",
 	}
 }

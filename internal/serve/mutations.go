@@ -236,15 +236,12 @@ func (s *Server) publishMutated(prev *snapshot, ds *social.Dataset, res *core.Re
 	s.lastDirtyNodes.Store(int64(stats.DirtyNodes))
 	s.lastDirtyEdges.Store(int64(stats.DirtyEdges))
 	s.lastDatasetEdits.Store(int64(stats.DatasetEdits))
-	if stats.Folded {
-		s.mutFolds.Add(1)
-	}
 	s.lastApplyNs.Store(stats.Duration.Nanoseconds())
 	s.log.Info("mutation epoch applied",
 		"version", snap.version, "epoch", snap.epoch,
 		"mutations", stats.Mutations,
 		"dirty_nodes", stats.DirtyNodes, "dirty_edges", stats.DirtyEdges,
-		"dataset_edits", stats.DatasetEdits, "folded", stats.Folded,
+		"dataset_edits", stats.DatasetEdits,
 		"apply_seconds", stats.Duration.Seconds())
 	return snap.info()
 }

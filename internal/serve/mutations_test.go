@@ -148,21 +148,19 @@ func TestMutationsAddRemoveRelabel(t *testing.T) {
 	}
 }
 
-// TestMutationFoldObservable: every receipt carries the size of the live
-// dataset's edit delta, and the one epoch that folds it back into the maps
-// says so — in the receipt and in the /v1/stats fold counter.
-func TestMutationFoldObservable(t *testing.T) {
+// TestMutationDeltaObservable: every receipt, and /v1/stats, carries the
+// size of the live dataset's edit delta, which grows by one per distinct
+// edited key, every edge of the graph included, and never shrinks.
+func TestMutationDeltaObservable(t *testing.T) {
 	s := testServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	type mutationStats struct {
 		Mutations struct {
 			LastDatasetEdits int64 `json:"last_dataset_edits"`
-			Folds            int64 `json:"folds"`
 		} `json:"mutations"`
 	}
-	edges := s.current().ds.G.Edges()
-	for i, e := range edges {
+	for i, e := range s.current().ds.G.Edges() {
 		resp, doc := postMutations(t, ts, fmt.Sprintf(
 			`{"mutations":[{"op":"relabel","u":%d,"v":%d,"label":"family"}],"wait":true}`, e.U, e.V))
 		if resp.StatusCode != http.StatusOK {
@@ -170,21 +168,10 @@ func TestMutationFoldObservable(t *testing.T) {
 		}
 		var stats mutationStats
 		getJSON(t, ts, "/v1/stats", &stats)
-		if folded, _ := doc["folded"].(bool); folded {
-			if doc["dataset_edits"].(float64) != 0 || stats.Mutations.Folds != 1 || stats.Mutations.LastDatasetEdits != 0 {
-				t.Fatalf("fold at epoch %d: receipt %v, stats %+v", i+1, doc, stats.Mutations)
-			}
-			if (i+1)*(i+1) <= len(edges) {
-				t.Fatalf("folded after %d edits over %d edges: before the delta outgrew its rule", i+1, len(edges))
-			}
-			return
-		}
-		// One distinct key per epoch: the delta grows by exactly one.
-		if doc["dataset_edits"].(float64) != float64(i+1) || stats.Mutations.LastDatasetEdits != int64(i+1) || stats.Mutations.Folds != 0 {
+		if doc["dataset_edits"].(float64) != float64(i+1) || stats.Mutations.LastDatasetEdits != int64(i+1) {
 			t.Fatalf("epoch %d: receipt %v, stats %+v", i+1, doc, stats.Mutations)
 		}
 	}
-	t.Fatalf("%d one-key epochs over %d edges never folded", len(edges), len(edges))
 }
 
 func TestMutationsAsyncAcknowledge(t *testing.T) {

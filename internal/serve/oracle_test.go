@@ -326,7 +326,6 @@ func refReceipt(r MutationReceipt) map[string]any {
 		"dirty_communities": r.Stats.DirtyCommunities,
 		"dirty_edges":       r.Stats.DirtyEdges,
 		"dataset_edits":     r.Stats.DatasetEdits,
-		"folded":            r.Stats.Folded,
 		"added_edges":       r.Stats.AddedEdges,
 		"removed_edges":     r.Stats.RemovedEdges,
 		"apply_seconds":     r.Stats.Duration.Seconds(),
@@ -335,8 +334,8 @@ func refReceipt(r MutationReceipt) map[string]any {
 }
 
 // TestMutationReceiptMatchesReferenceEncoding pins the typed receipts'
-// bytes to the map form: 202 and 200 replies, a fold, zero, sub-1e-6 and
-// large durations, and the receipt of a real applied batch.
+// bytes to the map form: 202 and 200 replies, an empty delta, zero,
+// sub-1e-6 and large durations, and the receipt of a real applied batch.
 func TestMutationReceiptMatchesReferenceEncoding(t *testing.T) {
 	s := testServer(t)
 	au, av := absentPair(s)
@@ -353,7 +352,7 @@ func TestMutationReceiptMatchesReferenceEncoding(t *testing.T) {
 		{Applied: true},
 		{Applied: true, Mutations: 2, Epoch: 1 << 40, Pending: 1, Snapshot: info, Stats: core.ApplyStats{
 			Mutations: 2, AddedEdges: 1, RemovedEdges: 1, DirtyNodes: 4, DirtyCommunities: 9, DirtyEdges: 81,
-			DatasetEdits: 0, Folded: true, Duration: 350 * time.Nanosecond}},
+			DatasetEdits: 0, Duration: 350 * time.Nanosecond}},
 		{Applied: true, Mutations: 1, Epoch: 2, Stats: core.ApplyStats{DatasetEdits: 320, Duration: 90 * time.Minute}},
 	} {
 		got, err := json.Marshal(receiptDoc(r))

@@ -215,11 +215,8 @@ type Server struct {
 	lastDirtyNodes atomic.Int64
 	lastDirtyEdges atomic.Int64
 	lastApplyNs    atomic.Int64
-	// Size of the live dataset's edit delta, and how many epochs folded it
-	// back into the per-edge maps (a count: a "last epoch folded" flag
-	// would be overwritten before anyone polled it).
+	// Size of the live dataset's edit delta.
 	lastDatasetEdits atomic.Int64
-	mutFolds         atomic.Int64
 
 	// WAL state; walLog is nil when Config.WALDir is empty.
 	walFS       wal.FS

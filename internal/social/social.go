@@ -11,6 +11,7 @@ package social
 import (
 	"fmt"
 
+	"locec/internal/chunktab"
 	"locec/internal/graph"
 )
 
@@ -116,9 +117,9 @@ type Dataset struct {
 	Revealed map[uint64]bool
 
 	// edits is the copy-on-write delta mutation epochs left over the three
-	// maps (nil on a generated, loaded or freshly folded dataset). It is
-	// never written after the Editor that built it commits.
-	edits map[uint64]edit
+	// maps (empty on a generated or loaded dataset). It is never written
+	// after the Editor that built it commits.
+	edits chunktab.Table[edit]
 }
 
 // NumFeatureDims returns |f|, the per-user profile width.
@@ -150,7 +151,7 @@ var zeroInteractions [NumInteractionDims]float64
 // InteractionRow returns the stored count vector of edge key k and whether
 // the pair has one; the returned slice must not be modified.
 func (d *Dataset) InteractionRow(k uint64) ([]float64, bool) {
-	if e, ok := d.edits[k]; ok {
+	if e, ok := d.edited(k); ok {
 		return e.inter, e.inter != nil
 	}
 	c, ok := d.Interactions[k]
@@ -160,7 +161,7 @@ func (d *Dataset) InteractionRow(k uint64) ([]float64, bool) {
 // LookupTrueLabel returns the ground-truth label of edge key k and whether
 // the dataset has one for it.
 func (d *Dataset) LookupTrueLabel(k uint64) (Label, bool) {
-	if e, ok := d.edits[k]; ok {
+	if e, ok := d.edited(k); ok {
 		return e.label, !e.deleted
 	}
 	l, ok := d.TrueLabels[k]
@@ -177,7 +178,7 @@ func (d *Dataset) TrueLabel(k uint64) Label {
 // IsRevealed reports whether the label of edge key k is visible to
 // learners.
 func (d *Dataset) IsRevealed(k uint64) bool {
-	if e, ok := d.edits[k]; ok {
+	if e, ok := d.edited(k); ok {
 		return e.revealed
 	}
 	return d.Revealed[k]
