@@ -11,27 +11,6 @@ import (
 	"locec/internal/social"
 )
 
-// chunkKeys is the size of a chunk cut from flat arrays, and the number of
-// chunks a leaf of the chunk table is cut into: chunktab.Keys, with splits
-// by chunktab.Pieces. It sets what a splice copies: the top level, 56 B
-// per leaf; each leaf holding a changed chunk, 16 B (a head and a pointer)
-// per chunk; and every changed chunk. On the write benchmark's graph
-// (≈ 1 600 chunks in 25 leaves) an epoch's ≈ 79 re-predicted edges
-// scatter over ≈ 38 chunks, ≈ 7 of which change: it copies a 1.4 KB top
-// level and ≈ 6 KB of leaves (a flat table was ≈ 26 KB) and rebuilds
-// ≈ 13 KB of chunks.
-const chunkKeys = chunktab.Keys
-
-// floor returns the index of the last head at or below key, 0 when key is
-// below them all.
-func floor(heads []uint64, key uint64) int {
-	i, found := slices.BinarySearch(heads, key)
-	if found || i == 0 {
-		return i
-	}
-	return i - 1
-}
-
 // edgeRun is a sorted run of predictions in column layout: keys[i] owns
 // labels[i] and probs[i*classes:(i+1)*classes]. Phase III output is one
 // run; every chunk of a store is another.
@@ -77,36 +56,13 @@ func (r *edgeRun) splice(old edgeRun, removed []uint64, fresh edgeRun, classes i
 }
 
 // EdgeStore holds every predicted edge's label and class-probability
-// vector in canonical key order, as a two-level table of chunks: each chunk
-// is an edgeRun of at most 2×chunkKeys entries, each leaf a table of at
-// most 2×chunkKeys chunks, and heads[i] is leaf i's first key. A lookup is
-// three binary searches: over heads, inside one leaf, inside one chunk.
-// Stores are immutable: spliced derives a successor that shares every leaf
-// and chunk its dirty keys leave unchanged, so readers of the old store
-// are never disturbed.
+// vector in canonical key order, as a chunk table (internal/chunktab)
+// whose chunks are edgeRuns behind a pointer. Stores are immutable:
+// spliced derives a successor that shares every chunk its dirty keys leave
+// unchanged, so readers of the old store are never disturbed.
 type EdgeStore struct {
-	heads   []uint64
-	leaves  []leaf
-	n       int
+	t       chunktab.Table[*edgeRun]
 	classes int
-}
-
-// leaf is one run of the chunk table: heads[i] is chunks[i]'s first key.
-type leaf struct {
-	heads  []uint64
-	chunks []*edgeRun
-}
-
-// appendLeaves cuts the chunk table heads/chunks into leaves by
-// chunktab.Pieces and appends them to s, each a capped view of the table.
-func (s *EdgeStore) appendLeaves(heads []uint64, chunks []*edgeRun) {
-	m := len(heads)
-	k := chunktab.Pieces(m)
-	for p := range k {
-		lo, hi := p*m/k, (p+1)*m/k
-		s.heads = append(s.heads, heads[lo])
-		s.leaves = append(s.leaves, leaf{heads[lo:hi:hi], chunks[lo:hi:hi]})
-	}
 }
 
 // NewEdgeStore wraps the given parallel arrays without copying. keys must
@@ -128,20 +84,14 @@ func NewEdgeStore(keys []uint64, labels []social.Label, probs []float64, classes
 	return edgeRun{keys, labels, probs}.store(classes), nil
 }
 
-// store cuts r into chunkKeys-sized views and their table into leaves:
-// one slab of chunk headers, one chunk table, one top level, no copy of
-// the entries.
+// store wraps r in chunks of chunktab.Keys entries: one slab of chunk
+// headers and the chunk table, no copy of the entries.
 func (r edgeRun) store(classes int) *EdgeStore {
-	n := len(r.keys)
-	nc := (n + chunkKeys - 1) / chunkKeys
-	runs, heads, chunks := make([]edgeRun, nc), make([]uint64, nc), make([]*edgeRun, nc)
-	for i := range runs {
-		runs[i] = r.view(i*chunkKeys, min((i+1)*chunkKeys, n), classes)
-		chunks[i], heads[i] = &runs[i], r.keys[i*chunkKeys]
-	}
-	s := &EdgeStore{heads: make([]uint64, 0, chunktab.Pieces(nc)), leaves: make([]leaf, 0, chunktab.Pieces(nc)), n: n, classes: classes}
-	s.appendLeaves(heads, chunks)
-	return s
+	runs := make([]edgeRun, 0, (len(r.keys)+chunktab.Keys-1)/chunktab.Keys)
+	return &EdgeStore{t: chunktab.Wrap(len(r.keys), func(lo, hi int) (*edgeRun, uint64) {
+		runs = append(runs, r.view(lo, hi, classes))
+		return &runs[len(runs)-1], r.keys[lo]
+	}), classes: classes}
 }
 
 // sortedRun pairs prediction output in edge-list order with its keys, taking
@@ -173,7 +123,7 @@ func (s *EdgeStore) Len() int {
 	if s == nil {
 		return 0
 	}
-	return s.n
+	return s.t.Len()
 }
 
 // Classes returns the probability-vector width.
@@ -189,7 +139,7 @@ func gather[T any](s *EdgeStore, width int, col func(edgeRun) []T) []T {
 	if s.Len() == 0 {
 		return nil
 	}
-	out := make([]T, 0, s.n*width)
+	out := make([]T, 0, s.Len()*width)
 	s.ForEachChunk(func(keys []uint64, labels []social.Label, probs []float64) {
 		out = append(out, col(edgeRun{keys, labels, probs})...)
 	})
@@ -207,18 +157,9 @@ func (s *EdgeStore) ForEachChunk(fn func(keys []uint64, labels []social.Label, p
 	if s == nil {
 		return
 	}
-	for _, lf := range s.leaves {
-		for _, r := range lf.chunks {
-			fn(r.keys, r.labels, r.probs)
-		}
+	for r := range s.t.Chunks() {
+		fn(r.keys, r.labels, r.probs)
 	}
-}
-
-// locate returns the leaf, and the chunk inside it, that hold key or would
-// (the first ones below every head).
-func (s *EdgeStore) locate(key uint64) (li, ci int) {
-	li = floor(s.heads, key)
-	return li, floor(s.leaves[li].heads, key)
 }
 
 // Lookup returns key's label and probability vector (a view into the
@@ -229,8 +170,7 @@ func (s *EdgeStore) Lookup(key uint64) (social.Label, []float64, bool) {
 	if s.Len() == 0 {
 		return 0, nil, false
 	}
-	li, ci := s.locate(key)
-	r := s.leaves[li].chunks[ci]
+	r, _ := s.t.Chunk(key)
 	i, ok := slices.BinarySearch(r.keys, key)
 	if !ok {
 		return 0, nil, false
@@ -265,27 +205,6 @@ func (s *EdgeStore) LabelMap() map[uint64]social.Label {
 	return out
 }
 
-// group returns the leaf and chunk of the next dirty key (removed[r] or
-// fresh.keys[f]), where its dirty keys end in both lists, and whether they
-// leave the chunk as is.
-func (s *EdgeStore) group(removed []uint64, fresh edgeRun, r, f int) (li, ci, rEnd, fEnd int, same bool) {
-	if r == len(removed) || (f < len(fresh.keys) && fresh.keys[f] < removed[r]) {
-		li, ci = s.locate(fresh.keys[f])
-	} else {
-		li, ci = s.locate(removed[r])
-	}
-	next := s.heads[li+1:] // the heads above chunk ci: the rest of its leaf's, else the next leaves'
-	if lf := s.leaves[li]; ci+1 < len(lf.heads) {
-		next = lf.heads[ci+1:]
-	}
-	rEnd, fEnd = len(removed), len(fresh.keys)
-	if len(next) > 0 { // every key before r and f is below next[0]
-		rEnd, _ = slices.BinarySearch(removed, next[0])
-		fEnd, _ = slices.BinarySearch(fresh.keys, next[0])
-	}
-	return li, ci, rEnd, fEnd, s.leaves[li].chunks[ci].holds(removed[r:rEnd], fresh.view(f, fEnd, s.classes), s.classes)
-}
-
 // holds reports whether splicing removed and fresh into r changes nothing:
 // each fresh entry is r's in key, label and probability bits (so -0/+0 and
 // NaN payloads count as changes), and no removed key is in r.
@@ -310,12 +229,11 @@ func (r *edgeRun) holds(removed []uint64, fresh edgeRun, classes int) bool {
 // spliced returns s with the removed keys dropped and fresh's entries
 // inserted, fresh winning on a key collision (both sorted ascending;
 // absent removals are ignored) — the incremental engine's store update.
-// It copies the top level and rebuilds only the chunks their dirty keys
-// change and the leaves that hold them, into one slab per column, one of
-// chunk headers and one per leaf-table column; every other leaf and chunk
-// is shared. A rebuilt chunk or leaf that empties is dropped, one past
-// 2×chunkKeys split (see chunktab.Pieces). Inputs are untouched; a splice
-// that changes no chunk returns s.
+// It rebuilds only the chunks their dirty keys change, into one slab per
+// column and one of chunk headers, and shares the rest (see
+// chunktab.Table.Spliced); a chunk whose dirty keys it holds already is
+// carried over. Inputs are untouched; a splice that changes no chunk
+// returns s.
 func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 	if len(fresh.keys) == 0 && (len(removed) == 0 || s.Len() == 0) {
 		return s
@@ -328,62 +246,29 @@ func (s *EdgeStore) spliced(removed []uint64, fresh edgeRun) *EdgeStore {
 		panic(fmt.Sprintf("core: edge store splice: %d probabilities for %d keys x %d classes",
 			len(fresh.probs), len(fresh.keys), c))
 	}
-	// The slabs hold every changed chunk's entries plus their fresh ones,
-	// and the chunk tables of the leaves holding them.
-	size, groups, slots, last := 0, 0, 0, -1
-	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
-		li, ci, rEnd, fEnd, same := s.group(removed, fresh, r, f)
-		if !same {
-			size, groups = size+len(s.leaves[li].chunks[ci].keys)+fEnd-f, groups+1
-			if li != last {
-				slots, last = slots+len(s.leaves[li].chunks), li
-			}
-		}
-		r, f = rEnd, fEnd
-	}
-	if groups == 0 {
+	var slab edgeRun
+	var runs []edgeRun
+	t, changed := s.t.Spliced(removed, len(fresh.keys), chunktab.Merger[*edgeRun]{
+		Key: func(i int) uint64 { return fresh.keys[i] },
+		Check: func(r *edgeRun, drop []uint64, lo, hi int) (int, bool) {
+			return len(r.keys), r.holds(drop, fresh.view(lo, hi, c), c)
+		},
+		Reserve: func(entries, chunks int) {
+			slab = edgeRun{make([]uint64, 0, entries), make([]social.Label, 0, entries), make([]float64, 0, entries*c)}
+			runs = make([]edgeRun, 0, chunks)
+		},
+		Merge: func(r *edgeRun, drop []uint64, lo, hi int) int {
+			at := len(slab.keys)
+			slab.splice(*r, drop, fresh.view(lo, hi, c), c)
+			return len(slab.keys) - at
+		},
+		Cut: func(lo, hi int) (*edgeRun, uint64) {
+			runs = append(runs, slab.view(lo, hi, c))
+			return &runs[len(runs)-1], slab.keys[lo]
+		},
+	})
+	if !changed {
 		return s
 	}
-	slab := edgeRun{make([]uint64, 0, size), make([]social.Label, 0, size), make([]float64, 0, size*c)}
-	// A group of m entries becomes at most max(1, m/chunkKeys) pieces, so
-	// the rebuilt headers never outgrow (and never move) their slab, nor
-	// the rebuilt leaves their tables.
-	runs := make([]edgeRun, 0, groups+size/chunkKeys)
-	heads, chunks := make([]uint64, 0, slots+size/chunkKeys), make([]*edgeRun, 0, slots+size/chunkKeys)
-	out := &EdgeStore{heads: make([]uint64, 0, len(s.heads)+1), leaves: make([]leaf, 0, len(s.leaves)+1), n: s.n, classes: c}
-	// cur is the leaf being rebuilt, from heads[lo] on; next is its first
-	// chunk not yet carried over, done the first leaf of s not yet handled.
-	cur, lo, next, done := -1, 0, 0, 0
-	finish := func(upto int) {
-		if cur >= 0 {
-			heads, chunks = append(heads, s.leaves[cur].heads[next:]...), append(chunks, s.leaves[cur].chunks[next:]...)
-			out.appendLeaves(heads[lo:], chunks[lo:])
-		}
-		out.heads, out.leaves = append(out.heads, s.heads[done:upto]...), append(out.leaves, s.leaves[done:upto]...)
-	}
-	for r, f := 0, 0; r < len(removed) || f < len(fresh.keys); {
-		li, ci, rEnd, fEnd, same := s.group(removed, fresh, r, f)
-		if same {
-			r, f = rEnd, fEnd
-			continue
-		}
-		if li != cur {
-			finish(li)
-			cur, lo, next, done = li, len(heads), 0, li+1
-		}
-		lf := s.leaves[li]
-		heads, chunks = append(heads, lf.heads[next:ci]...), append(chunks, lf.chunks[next:ci]...)
-		at := len(slab.keys)
-		slab.splice(*lf.chunks[ci], removed[r:rEnd], fresh.view(f, fEnd, c), c)
-		m := len(slab.keys) - at
-		out.n += m - len(lf.chunks[ci].keys)
-		k := chunktab.Pieces(m)
-		for p := range k {
-			runs = append(runs, slab.view(at+p*m/k, at+(p+1)*m/k, c))
-			heads, chunks = append(heads, runs[len(runs)-1].keys[0]), append(chunks, &runs[len(runs)-1])
-		}
-		next, r, f = ci+1, rEnd, fEnd
-	}
-	finish(len(s.leaves))
-	return out
+	return &EdgeStore{t: t, classes: c}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"locec/internal/chunktab"
 	"locec/internal/graph"
 	"locec/internal/social"
 )
@@ -112,68 +113,18 @@ func assertStoresEqual(t *testing.T, what string, got, want *EdgeStore) {
 	}
 }
 
-// tableOf flattens a store's two-level table: every chunk's head and
-// pointer, in key order.
-func tableOf(s *EdgeStore) (heads []uint64, chunks []*edgeRun) {
-	for _, lf := range s.leaves {
-		heads, chunks = append(heads, lf.heads...), append(chunks, lf.chunks...)
-	}
-	return heads, chunks
-}
-
-// assertChunkInvariants checks the table shape every store must keep:
-// each top-level head equal to its leaf's first head, no empty leaf, none
-// past 2×chunkKeys chunks; each leaf head equal to its chunk's first key,
-// no empty chunk, none past 2×chunkKeys entries; keys ascending across
-// chunk and leaf boundaries, parallel column widths and a Len that counts
-// the chunks.
+// assertChunkInvariants checks that every chunk's columns are parallel:
+// as many labels as keys, and Classes() probabilities per key. The table's
+// shape is chunktab's to hold, and its tests check it.
 func assertChunkInvariants(t *testing.T, what string, s *EdgeStore) {
 	t.Helper()
-	if s == nil {
-		return
-	}
-	if len(s.heads) != len(s.leaves) {
-		t.Fatalf("%s: %d heads for %d leaves", what, len(s.heads), len(s.leaves))
-	}
-	for li, lf := range s.leaves {
-		switch {
-		case len(lf.chunks) == 0:
-			t.Fatalf("%s: leaf %d is empty", what, li)
-		case len(lf.chunks) > 2*chunkKeys:
-			t.Fatalf("%s: leaf %d holds %d chunks, more than %d", what, li, len(lf.chunks), 2*chunkKeys)
-		case len(lf.heads) != len(lf.chunks):
-			t.Fatalf("%s: leaf %d has %d heads for %d chunks", what, li, len(lf.heads), len(lf.chunks))
-		case s.heads[li] != lf.heads[0]:
-			t.Fatalf("%s: head %d is %d, leaf starts at %d", what, li, s.heads[li], lf.heads[0])
-		}
-	}
-	heads, chunks := tableOf(s)
-	n := 0
-	var last uint64
-	for i, r := range chunks {
-		switch {
-		case len(r.keys) == 0:
-			t.Fatalf("%s: chunk %d is empty", what, i)
-		case len(r.keys) > 2*chunkKeys:
-			t.Fatalf("%s: chunk %d holds %d keys, more than %d", what, i, len(r.keys), 2*chunkKeys)
-		case len(r.labels) != len(r.keys) || len(r.probs) != len(r.keys)*s.classes:
+	i := 0
+	s.ForEachChunk(func(keys []uint64, labels []social.Label, probs []float64) {
+		if len(labels) != len(keys) || len(probs) != len(keys)*s.classes {
 			t.Fatalf("%s: chunk %d columns are ragged", what, i)
-		case heads[i] != r.keys[0]:
-			t.Fatalf("%s: chunk head %d is %d, chunk starts at %d", what, i, heads[i], r.keys[0])
-		case i > 0 && r.keys[0] <= last:
-			t.Fatalf("%s: chunk %d starts at %d, not above the previous key %d", what, i, r.keys[0], last)
 		}
-		for j := 1; j < len(r.keys); j++ {
-			if r.keys[j-1] >= r.keys[j] {
-				t.Fatalf("%s: chunk %d keys not strictly increasing at %d", what, i, j)
-			}
-		}
-		last = r.keys[len(r.keys)-1]
-		n += len(r.keys)
-	}
-	if n != s.n {
-		t.Fatalf("%s: Len %d, chunks hold %d", what, s.n, n)
-	}
+		i++
+	})
 }
 
 // randomFresh draws a store over the given sorted keys.
@@ -198,19 +149,14 @@ func randomFresh(rng *rand.Rand, keys []uint64, classes int) *EdgeStore {
 func spliceChecked(t *testing.T, what string, s *EdgeStore, removed []uint64, fresh *EdgeStore) *EdgeStore {
 	t.Helper()
 	var before *EdgeStore
-	var heads, top []uint64
 	if s.Len() > 0 {
-		before, top = mustStore(s.Keys(), s.Labels(), s.ProbsFlat(), s.classes), slices.Clone(s.heads)
-		heads, _ = tableOf(s)
+		before = mustStore(s.Keys(), s.Labels(), s.ProbsFlat(), s.classes)
 	}
 	got := s.spliced(removed, runOf(fresh))
 	assertStoresEqual(t, what, got, s.without(removed).merged(fresh))
 	assertChunkInvariants(t, what, got)
 	if before != nil {
 		assertStoresEqual(t, what+": receiver", s, before) // copy-on-write
-		if now, _ := tableOf(s); !slices.Equal(s.heads, top) || !slices.Equal(now, heads) {
-			t.Fatalf("%s: receiver's chunk table changed", what)
-		}
 	}
 	return got
 }
@@ -259,19 +205,19 @@ func TestEdgeStoreSplicedMatchesReference(t *testing.T) {
 	// inserts between its keys.
 	big := randomFresh(rng, stridedKeys(6000, 8), classes)
 	bk := big.Keys()
-	head := func(ci int) uint64 { return bk[ci*chunkKeys] }
-	tail := func(ci int) uint64 { return bk[ci*chunkKeys+chunkKeys-1] }
+	head := func(ci int) uint64 { return bk[ci*chunktab.Keys] }
+	tail := func(ci int) uint64 { return bk[ci*chunktab.Keys+chunktab.Keys-1] }
 	check("big: heads removed", big, []uint64{head(0), head(7), head(40)}, nil)
 	check("big: tails removed", big, []uint64{tail(0), tail(7), tail(92)}, nil)
 	check("big: heads and tails replaced", big, nil, []uint64{head(3), tail(3), head(4), tail(50)})
 	check("big: insert between a tail and the next head", big, nil, []uint64{tail(9) + 1, head(10) - 1})
 	check("big: insert before the first head and after the last key", big, nil, []uint64{bk[len(bk)-1] + 1, bk[len(bk)-1] + 9})
-	check("big: a chunk emptied", big, bk[5*chunkKeys:6*chunkKeys], nil)
-	check("big: two chunks emptied, fresh around them", big, bk[5*chunkKeys:7*chunkKeys], []uint64{head(5) - 1, head(7)})
-	check("big: the last chunk emptied", big, bk[len(bk)-len(bk)%chunkKeys:], nil)
+	check("big: a chunk emptied", big, bk[5*chunktab.Keys:6*chunktab.Keys], nil)
+	check("big: two chunks emptied, fresh around them", big, bk[5*chunktab.Keys:7*chunktab.Keys], []uint64{head(5) - 1, head(7)})
+	check("big: the last chunk emptied", big, bk[len(bk)-len(bk)%chunktab.Keys:], nil)
 	// 65 inserts into one 64-key chunk: 129 entries, one past the split size.
 	var grow []uint64
-	for i := 0; len(grow) < chunkKeys+1; i++ {
+	for i := 0; len(grow) < chunktab.Keys+1; i++ {
 		grow = append(grow, head(11)+uint64(i/7*8+i%7+1))
 	}
 	slices.Sort(grow)
@@ -334,10 +280,10 @@ func TestSpliceCarriesUnchangedChunks(t *testing.T) {
 	const classes = 3
 	rng := rand.New(rand.NewSource(31))
 	s := randomFresh(rng, stridedKeys(6000, 8), classes)
-	heads, chunks := tableOf(s)
+	chunks := chunksOf(s)
 	var keys, absent []uint64
 	for ci := 0; ci < 10; ci++ { // three stored keys in each of 10 chunks, and an absent removal
-		k := heads[ci*9]
+		k := chunks[ci*9][0]
 		keys, absent = append(keys, k, k+8, k+16), append(absent, k+3)
 	}
 	stored := func(s *EdgeStore, keys []uint64) edgeRun {
@@ -361,14 +307,15 @@ func TestSpliceCarriesUnchangedChunks(t *testing.T) {
 			changed := stored(s, keys)
 			change(changed)
 			got := spliceChecked(t, what, s, absent, mustStore(changed.keys, changed.labels, changed.probs, classes))
-			_, gotChunks := tableOf(got)
+			gotChunks := chunksOf(got)
 			var rebuilt []int
 			for i := range gotChunks {
-				if i < len(chunks) && gotChunks[i] != chunks[i] {
+				if i < len(chunks) && &gotChunks[i][0] != &chunks[i][0] {
 					rebuilt = append(rebuilt, i)
 				}
 			}
-			if want := floor(heads, keys[13]); len(gotChunks) != len(chunks) || len(rebuilt) != 1 || rebuilt[0] != want {
+			want := slices.IndexFunc(chunks, func(c []uint64) bool { return slices.Contains(c, keys[13]) })
+			if len(gotChunks) != len(chunks) || len(rebuilt) != 1 || rebuilt[0] != want {
 				t.Fatalf("%s: %d chunks, rebuilt %v; want %d and [%d]", what, len(gotChunks), rebuilt, len(chunks), want)
 			}
 		}
@@ -396,36 +343,11 @@ func TestSpliceCarriesUnchangedChunks(t *testing.T) {
 	})
 }
 
-// TestSpliceSharesUnchangedLeaves: after one splice every leaf without a
-// changed chunk is the parent's own table, by pointer — a leaf whose dirty
-// key re-predicts its stored entry bit for bit included — and a rebuilt
-// leaf points at the parent's chunks everywhere but at the changed one.
-func TestSpliceSharesUnchangedLeaves(t *testing.T) {
-	const classes = 3
-	rng := rand.New(rand.NewSource(37))
-	s := randomFresh(rng, stridedKeys(20_000, 8), classes)
-	if len(s.leaves) < 4 {
-		t.Fatalf("%d leaves, want at least 4", len(s.leaves))
-	}
-	changed := map[int]int{1: 5, 3: 0} // leaf → its one changed chunk
-	carried := s.leaves[2].chunks[7].keys[1]
-	fresh := withStored(s, randomFresh(rng, []uint64{s.leaves[1].chunks[5].keys[3], carried}, classes), []uint64{carried})
-	got := spliceChecked(t, "two leaves changed", s, []uint64{s.leaves[3].chunks[0].keys[0]}, fresh)
-	if len(got.leaves) != len(s.leaves) {
-		t.Fatalf("%d leaves, want %d", len(got.leaves), len(s.leaves))
-	}
-	for li, lf := range got.leaves {
-		old := s.leaves[li]
-		ci, rebuilt := changed[li]
-		if shared := &lf.heads[0] == &old.heads[0] && &lf.chunks[0] == &old.chunks[0]; shared == rebuilt {
-			t.Fatalf("leaf %d: table shared with the parent %v, holds a changed chunk %v", li, shared, rebuilt)
-		}
-		for i, r := range lf.chunks {
-			if shared := r == old.chunks[i]; shared == (rebuilt && i == ci) {
-				t.Fatalf("leaf %d, chunk %d: shared with the parent %v", li, i, shared)
-			}
-		}
-	}
+// chunksOf returns the keys of every chunk of s, in key order: the
+// store's own memory, so &c[0] names a chunk.
+func chunksOf(s *EdgeStore) (chunks [][]uint64) {
+	s.ForEachChunk(func(keys []uint64, _ []social.Label, _ []float64) { chunks = append(chunks, keys) })
+	return chunks
 }
 
 // stridedKeys returns n keys 0, stride, 2·stride, ….
@@ -455,11 +377,11 @@ func TestEdgeStoreSpliceChained(t *testing.T) {
 		case 0: // a run of removals: empties chunks
 			if len(keys) > 0 {
 				at := rng.Intn(len(keys))
-				removed = slices.Clone(keys[at:min(len(keys), at+rng.Intn(3*chunkKeys))])
+				removed = slices.Clone(keys[at:min(len(keys), at+rng.Intn(3*chunktab.Keys))])
 			}
 		case 1: // a dense run of inserts: splits chunks
 			at := rng.Uint64() % span
-			for k := at; k < at+uint64(rng.Intn(4*chunkKeys)); k++ {
+			for k := at; k < at+uint64(rng.Intn(4*chunktab.Keys)); k++ {
 				freshKeys = append(freshKeys, k)
 			}
 		default: // an epoch's scatter: a few removals, re-predictions, inserts
@@ -504,7 +426,7 @@ func FuzzEdgeStoreSplice(f *testing.F) {
 	}
 	f.Add(seed(500, fill...))
 	var empty [][]byte
-	for k := uint16(0); k < 4*chunkKeys; k += 4 {
+	for k := uint16(0); k < 4*chunktab.Keys; k += 4 {
 		empty = append(empty, op(0, k)) // the first chunk removed
 	}
 	f.Add(seed(300, append(empty, op(3, 0), op(1, 2))...))
@@ -521,12 +443,12 @@ func FuzzEdgeStoreSplice(f *testing.F) {
 	var leaves [][]byte
 	for k := uint16(0); k < 4*4095; k += 4 {
 		leaves = append(leaves, op(1, k+1), op(1, k+2))
-		if k < 4*chunkKeys {
+		if k < 4*chunktab.Keys {
 			leaves = append(leaves, op(1, k+3))
 		}
 	}
 	leaves = append(leaves, op(3, 0))
-	for k := uint16(21 * 4 * chunkKeys); k <= 42*4*chunkKeys+4*21; k++ {
+	for k := uint16(21 * 4 * chunktab.Keys); k <= 42*4*chunktab.Keys+4*21; k++ {
 		leaves = append(leaves, op(0, k))
 	}
 	f.Add(seed(4095, leaves...))
@@ -611,8 +533,8 @@ func spliceBench100k() (s *EdgeStore, removed []uint64, fresh edgeRun) {
 // with the store.
 func TestSpliceOneKeyAllocatesLittle(t *testing.T) {
 	s, _, _ := spliceBench100k()
-	_, chunks := tableOf(s)
-	keys := chunks[len(chunks)/2].keys
+	chunks := chunksOf(s)
+	keys := chunks[len(chunks)/2]
 	fresh := runOf(randomFresh(rand.New(rand.NewSource(2)), keys[:1], s.classes))
 	const runs = 20
 	var before, after runtime.MemStats
@@ -623,9 +545,10 @@ func TestSpliceOneKeyAllocatesLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / runs
 	chunk := uint64(len(keys) * (8 + 1 + 8*s.classes))
-	if limit := 64*uint64(len(s.leaves)) + 24*2*chunkKeys + chunk; per > limit {
+	leaves := len(chunks)/chunktab.Keys + 1
+	if limit := 64*uint64(leaves) + 24*2*chunktab.Keys + chunk; per > limit {
 		t.Fatalf("one-key splice allocated %d B over %d leaves, want ≤ %d (64 B per leaf + a full leaf's 24 B per chunk + the %d B chunk)",
-			per, len(s.leaves), limit, chunk)
+			per, leaves, limit, chunk)
 	}
 	t.Logf("one-key splice allocated %d B = %.1f B per chunk (%d chunks)", per, float64(per)/float64(len(chunks)), len(chunks))
 }

@@ -119,7 +119,7 @@ type Dataset struct {
 	// edits is the copy-on-write delta mutation epochs left over the three
 	// maps (empty on a generated or loaded dataset). It is never written
 	// after the Editor that built it commits.
-	edits chunktab.Table[edit]
+	edits chunktab.Rows[edit]
 }
 
 // NumFeatureDims returns |f|, the per-user profile width.
